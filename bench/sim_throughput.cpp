@@ -16,14 +16,18 @@
 // in the unified runtime's driver registry (sim/runtime.hpp) tracks
 // requests/sec of every simulator surface — including the netsim DES
 // path the per-policy rows never touched — so a regression in any driver
-// shows up in the snapshot regardless of which figure exercises it.
+// shows up in the snapshot regardless of which figure exercises it. The
+// BM_Predict_* rows at the end time the predictor layer on its own.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/plan_cache.hpp"
 #include "core/skp_solver.hpp"
+#include "predict/predictor.hpp"
 #include "sim/prefetch_cache.hpp"
 #include "sim/runtime.hpp"
 #include "util/rng.hpp"
@@ -359,8 +363,9 @@ void BM_Fig7Point_SkpPr_Pipelined2(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig7Point_SkpPr_Pipelined2);
 
-// The learned-predictor variant exercises predict_into + the dense-row
-// candidate filter, the other per-request hot path.
+// The learned-predictor variant exercises the filtered predictor row
+// (predict_filtered_into) and the support-hinted candidate filter, the
+// other per-request hot path.
 void BM_Fig7Point_SkpMarkov1(benchmark::State& state) {
   PrefetchCacheConfig cfg;
   cfg.cache_size = 20;
@@ -375,5 +380,79 @@ void BM_Fig7Point_SkpMarkov1(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kRequests));
 }
 BENCHMARK(BM_Fig7Point_SkpMarkov1);
+
+// ---- Predictor layer ----------------------------------------------------
+// One planning row per iteration from a predictor that has observed a
+// fixed 20 000-request stream (a few preferred successors per item, one
+// jump in eight anywhere). _Dense is predict_into plus the min-prob
+// filter loop the drivers ran before predict_filtered_into; _Filtered is
+// that primitive, which the learned drivers now call. Both produce the
+// same row bit for bit (tests/test_predictors.cpp); the pair attributes
+// the learned-request saving to the predict layer. The n = 10^4 Markov1
+// rows rely on the sparse transition table (a dense one is 800 MB).
+constexpr double kBenchMinProb = 0.01;  // SimSpec::predictor_min_prob
+
+std::unique_ptr<Predictor> observed_predictor(PredictorKind kind,
+                                              std::size_t n) {
+  std::unique_ptr<Predictor> pred = make_runtime_predictor(kind, n);
+  Rng rng(29);
+  const std::size_t k = std::min<std::size_t>(n, 4);
+  std::vector<ItemId> succ(n * k);
+  for (ItemId& s : succ) s = static_cast<ItemId>(rng.next_below(n));
+  std::size_t cur = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    cur = rng.next_below(8) == 0
+              ? static_cast<std::size_t>(rng.next_below(n))
+              : static_cast<std::size_t>(succ[cur * k + rng.next_below(k)]);
+    pred->observe(static_cast<ItemId>(cur));
+  }
+  return pred;
+}
+
+void run_predict(benchmark::State& state, PredictorKind kind,
+                 bool filtered) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::unique_ptr<Predictor> pred = observed_predictor(kind, n);
+  std::vector<double> P;
+  std::vector<ItemId> support;
+  for (auto _ : state) {
+    if (filtered) {
+      pred->predict_filtered_into(kBenchMinProb, P, support);
+    } else {
+      pred->predict_into(P);
+      for (double& p : P) {
+        if (p < kBenchMinProb) p = 0.0;
+      }
+    }
+    benchmark::DoNotOptimize(P.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_Predict_Markov1_Dense(benchmark::State& state) {
+  run_predict(state, PredictorKind::Markov1, false);
+}
+BENCHMARK(BM_Predict_Markov1_Dense)->Arg(100)->Arg(10'000);
+void BM_Predict_Markov1_Filtered(benchmark::State& state) {
+  run_predict(state, PredictorKind::Markov1, true);
+}
+BENCHMARK(BM_Predict_Markov1_Filtered)->Arg(100)->Arg(10'000);
+void BM_Predict_Lz78_Dense(benchmark::State& state) {
+  run_predict(state, PredictorKind::Lz78, false);
+}
+BENCHMARK(BM_Predict_Lz78_Dense)->Arg(100)->Arg(10'000);
+void BM_Predict_Lz78_Filtered(benchmark::State& state) {
+  run_predict(state, PredictorKind::Lz78, true);
+}
+BENCHMARK(BM_Predict_Lz78_Filtered)->Arg(100)->Arg(10'000);
+void BM_Predict_Ppm_Dense(benchmark::State& state) {
+  run_predict(state, PredictorKind::Ppm, false);
+}
+BENCHMARK(BM_Predict_Ppm_Dense)->Arg(100)->Arg(10'000);
+void BM_Predict_Ppm_Filtered(benchmark::State& state) {
+  run_predict(state, PredictorKind::Ppm, true);
+}
+BENCHMARK(BM_Predict_Ppm_Filtered)->Arg(100)->Arg(10'000);
 
 }  // namespace

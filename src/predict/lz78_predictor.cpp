@@ -79,16 +79,8 @@ void Lz78Predictor::predict_into(std::vector<double>& out) const {
     return;
   }
 
-  // PPM-C escape: distinct successors / (total + distinct). Each symbol
-  // appears on exactly one edge, so the per-symbol assignment below is
-  // iteration-order independent.
-  const double distinct = static_cast<double>(cur.deg);
-  const double esc = distinct / (static_cast<double>(cur.total) + distinct);
-  for (std::uint32_t e = cur.head; e != kNull; e = edges_[e].next) {
-    p[static_cast<std::size_t>(edges_[e].sym)] =
-        (1.0 - esc) * static_cast<double>(edges_[e].count) /
-        static_cast<double>(cur.total);
-  }
+  const double esc = escape_weight(cur);
+  assign_successor_shares(cur, esc, p);
   for (std::size_t i = 0; i < n_; ++i) {
     p[i] += esc * base[i];
   }
@@ -96,6 +88,66 @@ void Lz78Predictor::predict_into(std::vector<double>& out) const {
   double sum = 0.0;
   for (const double x : p) sum += x;
   for (double& x : p) x /= sum;
+}
+
+double Lz78Predictor::escape_weight(const Node& node) {
+  // PPM-C escape: distinct successors / (total + distinct).
+  const double distinct = static_cast<double>(node.deg);
+  return distinct / (static_cast<double>(node.total) + distinct);
+}
+
+void Lz78Predictor::assign_successor_shares(const Node& node, double esc,
+                                            std::vector<double>& p) const {
+  // Each symbol appears on exactly one edge, so the per-symbol
+  // assignment is iteration-order independent.
+  for (std::uint32_t e = node.head; e != kNull; e = edges_[e].next) {
+    p[static_cast<std::size_t>(edges_[e].sym)] =
+        (1.0 - esc) * static_cast<double>(edges_[e].count) /
+        static_cast<double>(node.total);
+  }
+}
+
+void Lz78Predictor::predict_filtered_into(
+    double min_prob, std::vector<double>& P,
+    std::vector<ItemId>& support) const {
+  if (total_ == 0 || !screenable(min_prob)) {
+    Predictor::predict_filtered_into(min_prob, P, support);
+    return;
+  }
+  clear_filtered_row(P, support);
+  const double denom =
+      static_cast<double>(total_) + static_cast<double>(n_);
+  const Node& cur = nodes_[current_];
+  if (cur.total == 0) {
+    // The backstop row is returned unnormalized: filter it directly.
+    for (std::size_t i = 0; i < n_; ++i) {
+      const double p = min_prob_filtered(
+          (static_cast<double>(marginal_[i]) + 1.0) / denom, min_prob);
+      if (p == 0.0) continue;
+      P[i] = p;
+      support.push_back(static_cast<ItemId>(i));
+    }
+    return;
+  }
+  // The reference row, fused: P holds each edge's share (0 elsewhere)
+  // while one index-order pass adds the escape-weighted backstop, sums,
+  // keeps the candidates and clears the shares again (a sequential
+  // store is cheaper than walking a root's ~n edges a second time).
+  const double esc = escape_weight(cur);
+  assign_successor_shares(cur, esc, P);
+  const double floor = candidate_floor(min_prob);
+  candidates_.clear();
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double x =
+        P[i] + esc * ((static_cast<double>(marginal_[i]) + 1.0) / denom);
+    P[i] = 0.0;
+    sum += x;
+    if (x >= floor) candidates_.push_back({static_cast<ItemId>(i), x});
+  }
+  if (!finish_normalized_row(min_prob, sum, candidates_, P, support)) {
+    Predictor::predict_filtered_into(min_prob, P, support);
+  }
 }
 
 void Lz78Predictor::reset() {

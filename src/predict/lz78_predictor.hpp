@@ -32,6 +32,11 @@ class Lz78Predictor final : public Predictor {
 
   void observe(ItemId item) override;
   void predict_into(std::vector<double>& out) const override;
+  // One fused O(n) pass builds the pre-normalization row and its
+  // index-order sum (the rounding the reference divides by); only the
+  // entries that can clear `min_prob` are then divided.
+  void predict_filtered_into(double min_prob, std::vector<double>& P,
+                             std::vector<ItemId>& support) const override;
   std::size_t n_items() const override { return n_; }
   void reset() override;
 
@@ -64,6 +69,11 @@ class Lz78Predictor final : public Predictor {
   // beats any hash here.
   Edge* find_edge(Node& node, ItemId sym);
   const Edge* find_edge(const Node& node, ItemId sym) const;
+  // The blend both predicts share: the node's escape weight, and each
+  // successor's (1 - esc) * count / total written into `p`.
+  static double escape_weight(const Node& node);
+  void assign_successor_shares(const Node& node, double esc,
+                               std::vector<double>& p) const;
 
   std::size_t n_;
   std::vector<Node> nodes_;  // nodes_[0] is the root
@@ -75,6 +85,8 @@ class Lz78Predictor final : public Predictor {
   std::uint64_t total_ = 0;
   // Order-0 backstop distribution, reused so predict_into never allocates.
   mutable std::vector<double> base_;
+  // predict_filtered_into's survivor candidates, reused likewise.
+  mutable std::vector<FilterCandidate> candidates_;
 };
 
 }  // namespace skp

@@ -1,6 +1,14 @@
 // First-order Markov predictor with Laplace smoothing.
+//
+// Transition counts are stored sparsely: per state, an ascending list of
+// (successor, count) pairs — the per-state successor table of the
+// ChampSim Markov prefetchers, minus their width cap. Every unseen
+// successor carries the same analytic Laplace floor laplace / denom, so
+// predictions are bit-identical to a dense n x n count table while the
+// state costs O(distinct transitions) instead of 8 n^2 bytes.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "predict/predictor.hpp"
@@ -15,6 +23,11 @@ class MarkovPredictor final : public Predictor {
 
   void observe(ItemId item) override;
   void predict_into(std::vector<double>& out) const override;
+  // Walks the last state's successor list when the Laplace floor itself
+  // is filtered out (the usual case); otherwise every entry survives and
+  // the dense path runs.
+  void predict_filtered_into(double min_prob, std::vector<double>& P,
+                             std::vector<ItemId>& support) const override;
   std::size_t n_items() const override { return n_; }
   void reset() override;
 
@@ -23,9 +36,14 @@ class MarkovPredictor final : public Predictor {
   ItemId last_item() const noexcept { return last_; }
 
  private:
+  struct Successor {
+    ItemId next;
+    std::uint64_t count;
+  };
+
   std::size_t n_;
   double laplace_;
-  std::vector<std::vector<std::uint64_t>> counts_;  // [prev][next]
+  std::vector<std::vector<Successor>> succ_;  // [prev], ascending by next
   std::vector<std::uint64_t> row_total_;
   std::vector<std::uint64_t> marginal_;  // unconditioned access counts
   std::uint64_t total_ = 0;

@@ -63,12 +63,11 @@ void PpmPredictor::observe(ItemId item) {
   if (history_.size() > order_) history_.pop_front();
 }
 
-void PpmPredictor::predict_into(std::vector<double>& out) const {
-  std::vector<double>& p = out;
-  p.assign(n_, 0.0);
+double PpmPredictor::blend_contexts(std::vector<double>& p) const {
   double remaining = 1.0;  // probability mass not yet claimed (escapes)
   std::vector<char>& excluded = excluded_;
   std::fill(excluded.begin(), excluded.end(), 0);
+  claimed_.clear();
 
   for (std::size_t len = std::min(order_, history_.size()); len >= 1;
        --len) {
@@ -93,9 +92,18 @@ void PpmPredictor::predict_into(std::vector<double>& out) const {
       if (excluded[sym]) continue;
       p[sym] += remaining * static_cast<double>(edges_[e].count) / denom;
       excluded[sym] = 1;
+      claimed_.push_back(edges_[e].sym);
     }
     remaining *= static_cast<double>(distinct) / denom;
   }
+  return remaining;
+}
+
+void PpmPredictor::predict_into(std::vector<double>& out) const {
+  std::vector<double>& p = out;
+  p.assign(n_, 0.0);
+  const double remaining = blend_contexts(p);
+  const std::vector<char>& excluded = excluded_;
 
   // Order-0 / uniform backstop over not-yet-excluded symbols.
   std::uint64_t marg_total = 0;
@@ -107,16 +115,10 @@ void PpmPredictor::predict_into(std::vector<double>& out) const {
     }
   }
   if (open > 0) {
+    const double uniform = 1.0 / static_cast<double>(open);
     for (std::size_t i = 0; i < n_; ++i) {
       if (excluded[i]) continue;
-      const double base =
-          marg_total > 0
-              ? static_cast<double>(marginal_[i]) /
-                    static_cast<double>(marg_total)
-              : 1.0 / static_cast<double>(open);
-      // Blend counts with a uniform floor so unseen items keep mass.
-      const double uniform = 1.0 / static_cast<double>(open);
-      p[i] += remaining * (0.9 * base + 0.1 * uniform);
+      p[i] += backstop_share(i, marg_total, uniform, remaining);
     }
   } else {
     // Everything claimed at higher orders; renormalize below handles it.
@@ -130,6 +132,47 @@ void PpmPredictor::predict_into(std::vector<double>& out) const {
     return;
   }
   for (double& x : p) x /= sum;
+}
+
+void PpmPredictor::predict_filtered_into(
+    double min_prob, std::vector<double>& P,
+    std::vector<ItemId>& support) const {
+  if (!screenable(min_prob)) {
+    Predictor::predict_filtered_into(min_prob, P, support);
+    return;
+  }
+  clear_filtered_row(P, support);
+  // The blend claims straight into P, which is zero everywhere now.
+  const double remaining = blend_contexts(P);
+  const std::vector<char>& excluded = excluded_;
+
+  // Backstop mass over the open symbols, from the claimed ones: every
+  // observation is one marginal count, so the integers stay exact.
+  const std::size_t open = n_ - claimed_.size();
+  if (open == 0) {
+    // Every symbol claimed: the row is rescaled by a sum below 1, which
+    // the screen does not cover.
+    Predictor::predict_filtered_into(min_prob, P, support);
+    return;
+  }
+  std::uint64_t marg_total = total_;
+  for (const ItemId sym : claimed_) {
+    marg_total -= marginal_[static_cast<std::size_t>(sym)];
+  }
+  const double uniform = 1.0 / static_cast<double>(open);
+  const double floor = candidate_floor(min_prob);
+  candidates_.clear();
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n_; ++i) {
+    double x = P[i];
+    if (!excluded[i]) x += backstop_share(i, marg_total, uniform, remaining);
+    sum += x;
+    if (x >= floor) candidates_.push_back({static_cast<ItemId>(i), x});
+  }
+  for (const ItemId sym : claimed_) P[static_cast<std::size_t>(sym)] = 0.0;
+  if (!finish_normalized_row(min_prob, sum, candidates_, P, support)) {
+    Predictor::predict_filtered_into(min_prob, P, support);
+  }
 }
 
 void PpmPredictor::reset() {

@@ -31,6 +31,11 @@ class PpmPredictor final : public Predictor {
 
   void observe(ItemId item) override;
   void predict_into(std::vector<double>& out) const override;
+  // The escape blend touches only the contexts' successors; one fused
+  // O(n) pass then adds the backstop and takes the index-order sum, and
+  // only the entries that can clear `min_prob` are divided.
+  void predict_filtered_into(double min_prob, std::vector<double>& P,
+                             std::vector<ItemId>& support) const override;
   std::size_t n_items() const override { return n_; }
   void reset() override;
 
@@ -59,6 +64,22 @@ class PpmPredictor final : public Predictor {
   // Encodes a context (sequence of up to `order_` item ids) into a key.
   static std::uint64_t context_key(const std::deque<ItemId>& hist,
                                    std::size_t len, std::size_t n);
+  // The PPM-C escape blend from the longest context down: adds each
+  // not-yet-excluded successor's share into `p` (zero there on entry),
+  // flags it in excluded_ and lists it in claimed_ (both reset first).
+  // Returns the mass left unclaimed for the order-0 backstop.
+  double blend_contexts(std::vector<double>& p) const;
+  // Order-0 share of open symbol i: its marginal among the open symbols'
+  // `marg_total` (uniform when that is 0), blended with a uniform floor
+  // so unseen items keep mass, scaled by the unclaimed mass.
+  double backstop_share(std::size_t i, std::uint64_t marg_total,
+                        double uniform, double remaining) const {
+    const double base = marg_total > 0
+                            ? static_cast<double>(marginal_[i]) /
+                                  static_cast<double>(marg_total)
+                            : uniform;
+    return remaining * (0.9 * base + 0.1 * uniform);
+  }
 
   std::size_t n_;
   std::size_t order_;
@@ -69,8 +90,12 @@ class PpmPredictor final : public Predictor {
   std::uint64_t total_ = 0;
   std::deque<ItemId> history_;  // most recent at back, length <= order_
   // Per-predict escape-exclusion flags, reused so predict_into never
-  // allocates.
+  // allocates. Each predict resets them in full on entry.
   mutable std::vector<char> excluded_;
+  // predict_filtered_into scratch: the symbols the blend excluded, in
+  // exclusion order, and the survivor candidates.
+  mutable std::vector<ItemId> claimed_;
+  mutable std::vector<FilterCandidate> candidates_;
 };
 
 }  // namespace skp

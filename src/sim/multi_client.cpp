@@ -35,6 +35,7 @@ struct Client {
   std::span<const TraceRecord> cycles;   // learned drive (view)
   std::span<const double> r;             // effective retrieval catalog (view)
   std::vector<double> P;                 // learned planning row
+  std::vector<ItemId> support;           // its nonzero entries, ascending
   std::unique_ptr<SlotCache> cache;
   std::unique_ptr<FreqTracker> freq;
   Rng walk{0};
@@ -333,17 +334,16 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
       v = blend(rec.viewing_time, cl.served);
       next = rec.item;
       if (cl.served >= cfg.predictor_warmup) {
-        cl.predictor->predict_into(cl.P);
-        for (double& p : cl.P) {
-          if (p < cfg.predictor_min_prob) p = 0.0;
-        }
+        cl.predictor->predict_filtered_into(cfg.predictor_min_prob, cl.P,
+                                            cl.support);
+        // Degrading only zeroes entries, so cl.support still covers P.
         overload.degrade_row(cl.P);
       }
       const InstanceView inst(cl.P, cl.r, v);
       std::optional<ItemId> oracle;
       if (cfg.engine.policy == PrefetchPolicy::Perfect) oracle = next;
       engine.plan_with_cache(inst, *cl.cache, cl.freq.get(), cl.scratch,
-                             cl.plan, oracle);
+                             cl.plan, oracle, cl.support);
     } else {
       // Oracle drive: plan against the chain's ground-truth row, then
       // sample the next request.

@@ -1,6 +1,7 @@
 #include "sim/netsim.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/access_model.hpp"
 
@@ -40,6 +41,36 @@ const SharedClientCatalog& deref_catalog(
   return *cat;
 }
 
+// r's half of InstanceView::validate(), run once per session: the
+// catalog is immutable, so requests never re-check it.
+void validate_retrieval_times(std::span<const double> r) {
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    SKP_REQUIRE(r[i] > 0.0 && std::isfinite(r[i]),
+                "r[" << i << "] = " << r[i] << " must be > 0");
+  }
+}
+
+// P's half of InstanceView::validate(), on the support only (see
+// ClientSession::request): the skipped entries are +0.0, so the
+// ascending sum is the dense sum bit for bit.
+void validate_supported_row(std::span<const double> P,
+                            std::span<const ItemId> support) {
+  constexpr double kProbEps = 1e-9;  // InstanceView::validate's tolerance
+  ItemId prev = kNoItem;
+  double sum = 0.0;
+  for (const ItemId id : support) {
+    SKP_REQUIRE(id > prev && static_cast<std::size_t>(id) < P.size(),
+                "support id " << id << " after " << prev
+                              << " is not ascending within the catalog");
+    prev = id;
+    const double p = P[static_cast<std::size_t>(id)];
+    SKP_REQUIRE(p >= 0.0 && std::isfinite(p), "P[" << id << "] = " << p);
+    sum += p;
+  }
+  SKP_REQUIRE(sum <= 1.0 + kProbEps,
+              "probabilities sum to " << sum << " > 1");
+}
+
 }  // namespace
 
 ClientSession::ClientSession(ServerCatalog catalog, NetConfig net,
@@ -62,6 +93,7 @@ ClientSession::ClientSession(
   validate_link_schedule(net_.schedule);
   SKP_REQUIRE(cat_->r.size() == cat_->n(),
               "catalog retrieval-time vector size mismatch");
+  validate_retrieval_times(cat_->r);
   completion_.assign(cat_->n(), 0.0);
 }
 
@@ -134,7 +166,8 @@ double ClientSession::enqueue_transfer(ItemId item, bool is_prefetch) {
 double ClientSession::request(ItemId item, double viewing_time,
                               std::span<const double> next_probs,
                               std::optional<ItemId> oracle_next,
-                              std::optional<std::uint64_t> context_key) {
+                              std::optional<std::uint64_t> context_key,
+                              std::optional<std::span<const ItemId>> support) {
   SKP_REQUIRE(item >= 0 && static_cast<std::size_t>(item) < cat_->n(),
               "item out of range");
   SKP_REQUIRE(viewing_time >= 0.0, "negative viewing time");
@@ -142,9 +175,16 @@ double ClientSession::request(ItemId item, double viewing_time,
               "probability vector size mismatch");
 
   const double t0 = clock_.now();
-  P_.assign(next_probs.begin(), next_probs.end());
-  const InstanceView inst(P_, cat_->r, viewing_time);
-  inst.validate();
+  std::span<const ItemId> positive_hint;
+  if (support) {
+    validate_supported_row(next_probs, *support);
+    positive_hint = *support;
+  } else {
+    P_.assign(next_probs.begin(), next_probs.end());
+    next_probs = P_;
+  }
+  const InstanceView inst(next_probs, cat_->r, viewing_time);
+  if (!support) inst.validate();
 
   // Plan and commit prefetches (slots are reserved at enqueue time so the
   // planner never double-fetches an in-flight item; a request for such an
@@ -156,7 +196,7 @@ double ClientSession::request(ItemId item, double viewing_time,
     memo.state_key = *context_key;
   }
   engine_.plan_with_cache_cached(inst, cache_, &freq_, memo, scratch_,
-                                 plan_, oracle_next);
+                                 plan_, oracle_next, positive_hint);
   const PrefetchPlan& plan = plan_;
   metrics_.solver_nodes += plan.solver_nodes;
   {

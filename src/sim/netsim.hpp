@@ -162,10 +162,23 @@ class ClientSession {
   // memoization: the caller promises it uniquely determines
   // (next_probs, viewing_time) for the session's lifetime — e.g. a Markov
   // state id. Pass std::nullopt (the default) to plan unmemoized.
+  //
+  // `support`, when engaged, lists in ascending id order a superset of
+  // the nonzero entries of `next_probs` (e.g. a Markov row's successors,
+  // or a predictor's filtered support): every entry outside it must be
+  // +0.0. P's handling then costs O(support): the request plans on
+  // `next_probs` in place, validates P on the support only (ids
+  // ascending and in range; entries >= 0 and finite; sum <= 1 + 1e-9,
+  // the same sum the dense check takes since the skipped entries are
+  // +0.0) and hands the support to the planner's candidate filter.
+  // Without it, P is copied and validated densely. Both forms decide
+  // identically.
   double request(ItemId item, double viewing_time,
                  std::span<const double> next_probs,
                  std::optional<ItemId> oracle_next = std::nullopt,
-                 std::optional<std::uint64_t> context_key = std::nullopt);
+                 std::optional<std::uint64_t> context_key = std::nullopt,
+                 std::optional<std::span<const ItemId>> support
+                 = std::nullopt);
 
   const SimMetrics& metrics() const noexcept { return metrics_; }
   const SlotCache& cache() const noexcept { return cache_; }
@@ -207,7 +220,7 @@ class ClientSession {
   std::vector<double> completion_;   // per-item transfer completion time
   // Per-cycle planning state, reused so request() never allocates after
   // the first cycle: the retrieval-time catalog lives in cat_->r, P is
-  // refilled from the caller's next_probs.
+  // refilled from the caller's next_probs on the dense path.
   std::vector<double> P_;
   PlanScratch scratch_;
   PrefetchPlan plan_;

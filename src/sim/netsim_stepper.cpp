@@ -135,12 +135,16 @@ void NetsimStepper::step_oracle() {
   // An observe-only warmup prefix plans against a zero row (fetches
   // nothing), mirroring the learned branch's semantics.
   const bool planning = req >= spec_.predictor_warmup;
-  std::span<const double> row = planning
-                                    ? source_->transition_row(state_)
-                                    : std::span<const double>(zeros_);
+  std::span<const double> row = zeros_;
+  std::span<const ItemId> support;
+  if (planning) {
+    row = source_->transition_row(state_);
+    support = source_->successors(state_);
+  }
   if (planning && overload_.rung() != DegradationRung::kNormal) {
     // Degrade a copy — the source's rows are ground truth for every
-    // later cycle.
+    // later cycle. Degrading only zeroes entries, so the successor list
+    // still covers the row.
     degraded_.assign(row.begin(), row.end());
     overload_.degrade_row(degraded_);
     row = degraded_;
@@ -155,7 +159,8 @@ void NetsimStepper::step_oracle() {
       session_->request(next, v, row, oracle_next,
                         planning && spec_.use_plan_cache
                             ? std::optional<std::uint64_t>(state_)
-                            : std::nullopt);
+                            : std::nullopt,
+                        support);
   count_plan();
   settle_request(T);
   state_ = static_cast<std::size_t>(next);
@@ -166,18 +171,19 @@ void NetsimStepper::step_learned() {
   const std::size_t i = executed_;
   const TraceRecord& rec = mat_->cycles[i];
   std::span<const double> row = zeros_;
+  std::span<const ItemId> support;
   if (i >= spec_.predictor_warmup) {
-    predictor_->predict_into(P_);
-    for (double& p : P_) {
-      if (p < spec_.predictor_min_prob) p = 0.0;
-    }
+    predictor_->predict_filtered_into(spec_.predictor_min_prob, P_,
+                                      support_);
+    // Degrading only zeroes entries, so support_ still covers the row.
     overload_.degrade_row(P_);
     row = P_;
+    support = support_;
   }
   std::optional<ItemId> oracle_next;
   if (spec_.policy == PrefetchPolicy::Perfect) oracle_next = rec.item;
-  const double T =
-      session_->request(rec.item, rec.viewing_time, row, oracle_next);
+  const double T = session_->request(rec.item, rec.viewing_time, row,
+                                     oracle_next, std::nullopt, support);
   count_plan();
   settle_request(T);
   predictor_->observe(rec.item);

@@ -117,7 +117,8 @@ class NetsimStepper {
   // Learned mode: shared materialized cycle script + private predictor.
   const MaterializedWorkload* mat_ = nullptr;
   std::unique_ptr<Predictor> predictor_;
-  std::vector<double> P_;
+  std::vector<double> P_;         // filtered planning row
+  std::vector<ItemId> support_;   // its nonzero entries, ascending
   // Shared per-cycle scratch.
   std::vector<double> zeros_;
   std::vector<double> degraded_;  // oracle-row copy under degradation

@@ -228,8 +228,12 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
   // The whole request loop runs allocation-free: the instance is a
   // borrowed view (source row / predictor buffer), and `scratch`/`plan`
   // recycle every planning buffer across the cfg.requests iterations.
+  // A predictor's filtered planning row and its support live apart from
+  // scratch.P, which takes the unfiltered demand-victim row.
   PlanScratch scratch;
   PrefetchPlan plan;
+  std::vector<double> learned_row;
+  std::vector<ItemId> learned_support;
 
   // Cross-request memoization, two tiers (core/plan_cache.hpp): completed
   // plans keyed by (state, cache set), solver selections keyed by
@@ -311,12 +315,12 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
     InstanceView inst = source.view_at(state);
     std::span<const ItemId> positive_hint = source.successors(state);
     if (predictor) {
-      predictor->predict_into(scratch.P);
-      for (double& p : scratch.P) {
-        if (p < cfg.predictor_min_prob) p = 0.0;
-      }
-      inst.P = scratch.P;
-      positive_hint = {};  // dense support
+      predictor->predict_filtered_into(cfg.predictor_min_prob, learned_row,
+                                       learned_support);
+      inst.P = learned_row;
+      // The canonical-order table is oracle-only, so no table assumes a
+      // fixed row per state here.
+      positive_hint = learned_support;
     } else if (cfg.lookahead_horizon > 1) {
       horizon_probabilities_into(source, state, cfg.lookahead_horizon,
                                  cfg.lookahead_decay, scratch.P);
@@ -398,9 +402,8 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
       }
       if (cache.full()) {
         // "Demand-fetched item, however, must have a victim": minimal-Pr
-        // with the probabilities now in force (the new state's row).
-        // `inst` is not read past this point, so its P buffer is free to
-        // be overwritten by the new prediction.
+        // with the probabilities now in force (the new state's row,
+        // unfiltered).
         InstanceView next_inst =
             source.view_at(static_cast<std::size_t>(next));
         if (predictor) {

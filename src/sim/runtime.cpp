@@ -336,29 +336,30 @@ SimResult run_scenario_driver(const SimSpec& spec) {
   // the scratch buffer, r in the catalog vector above.
   PlanScratch scratch;
   PrefetchPlan plan;
+  std::vector<ItemId> support;
   for (std::size_t i = 0; i < mat.cycles.size(); ++i) {
     const ItemId item = mat.cycles[i].item;
     const double v = mat.cycles[i].viewing_time;
 
     if (i >= spec.predictor_warmup) {
-      predictor->predict_into(scratch.P);
+      // Shortlist: drop sliver mass; without Pr-arbitration planning
+      // additionally zero cached items (planning over N \ C, Section 5 —
+      // the Figure-6 planner does its own N \ C filtering). Every entry
+      // off the support is +0.0, so summing the support in ascending
+      // order gives the dense sum.
+      predictor->predict_filtered_into(spec.predictor_min_prob, scratch.P,
+                                       support);
       double mass = 0.0;
-      for (std::size_t j = 0; j < scratch.P.size(); ++j) {
-        // Shortlist: drop sliver mass; without Pr-arbitration planning
-        // additionally zero cached items (planning over N \ C,
-        // Section 5 — the Figure-6 planner does its own N \ C
-        // filtering).
-        if (scratch.P[j] < spec.predictor_min_prob ||
-            (!spec.pr_planning &&
-             cache.contains(static_cast<ItemId>(j)))) {
-          scratch.P[j] = 0.0;
-        }
-        mass += scratch.P[j];
+      for (const ItemId j : support) {
+        double& p = scratch.P[static_cast<std::size_t>(j)];
+        if (!spec.pr_planning && cache.contains(j)) p = 0.0;
+        mass += p;
       }
       if (mass > 0.0) {
         const InstanceView inst(scratch.P, r, v);
         if (spec.pr_planning) {
-          engine.plan_with_cache(inst, cache, &freq, scratch, plan);
+          engine.plan_with_cache(inst, cache, &freq, scratch, plan,
+                                 std::nullopt, support);
         } else {
           engine.plan(inst, scratch, plan);
         }

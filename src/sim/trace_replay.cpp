@@ -53,9 +53,12 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
   std::vector<char> unused_prefetch(n, 0);
 
   // Allocation-free replay loop: the instance borrows the trace's
-  // retrieval-time catalog and the recycled predictor buffer.
+  // retrieval-time catalog and the recycled filtered row; scratch.P takes
+  // the unfiltered post-observation row.
   PlanScratch scratch;
   PrefetchPlan plan;
+  std::vector<double> row;
+  std::vector<ItemId> support;
 
   // Memoization wiring (see TraceReplayConfig): the plan tier is keyed
   // by the predictor context (the previously replayed item) and
@@ -74,12 +77,8 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
     const TraceRecord& rec = trace.records()[idx];
     const bool counted = idx >= cfg.warmup;
 
-    predictor->predict_into(scratch.P);
-    for (double& p : scratch.P) {
-      if (p < cfg.predictor_min_prob) p = 0.0;
-    }
-    const InstanceView inst(scratch.P, trace.retrieval_times(),
-                            rec.viewing_time);
+    predictor->predict_filtered_into(cfg.predictor_min_prob, row, support);
+    const InstanceView inst(row, trace.retrieval_times(), rec.viewing_time);
 
     PlanMemo memo;
     if (plans) {
@@ -87,7 +86,10 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
       memo.state_key =
           static_cast<std::uint64_t>(static_cast<std::uint32_t>(context));
     }
-    engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, plan);
+    // No canonical-order table here, so the support may serve as the
+    // candidate filter's hint.
+    engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, plan,
+                                  std::nullopt, support);
 
     // Realized access time against the pre-plan cache (computed before the
     // plan executes — no snapshot copy needed; presence bitmap for O(1)
@@ -134,9 +136,7 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
         m.demand_network_time += inst.r[InstanceView::idx(rec.item)];
       }
       if (cache.full()) {
-        // Victim chosen with the *post-observation* belief. `inst` is not
-        // read past this point, so its P buffer can take the new
-        // prediction in place.
+        // Victim chosen with the *post-observation* belief (unfiltered).
         predictor->predict_into(scratch.P);
         const InstanceView after(scratch.P, trace.retrieval_times(),
                                  rec.viewing_time);

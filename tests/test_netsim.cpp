@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <memory>
+
 #include "core/access_model.hpp"
+#include "predict/lz78_predictor.hpp"
+#include "predict/markov_predictor.hpp"
+#include "predict/ppm_predictor.hpp"
 #include "test_util.hpp"
 #include "workload/markov_source.hpp"
 
@@ -235,6 +242,160 @@ TEST(ClientSession, PlanCacheOnOffBitIdentical) {
   EXPECT_GT(memoized.plan_cache_stats().plans.hits, 0u);
   EXPECT_FALSE(plain.plan_cache_enabled());
   EXPECT_EQ(plain.plan_cache_stats().plans.lookups(), 0u);
+}
+
+// ---- Requests with a support ------------------------------------------
+
+MarkovSource small_chain(std::uint64_t seed, Rng& walk) {
+  MarkovSourceConfig mcfg;
+  mcfg.n_states = 40;
+  mcfg.out_degree_lo = 3;
+  mcfg.out_degree_hi = 8;
+  Rng build(seed);
+  MarkovSource source(mcfg, build);
+  walk = build.split(5);
+  source.teleport(0);
+  return source;
+}
+
+ServerCatalog chain_catalog(const MarkovSource& source) {
+  ServerCatalog cat;
+  for (std::size_t i = 0; i < source.n_states(); ++i) {
+    cat.sizes.push_back(source.retrieval_time(static_cast<ItemId>(i)));
+  }
+  return cat;
+}
+
+void expect_same_books(const ClientSession& a, const ClientSession& b) {
+  const SimMetrics& ma = a.metrics();
+  const SimMetrics& mb = b.metrics();
+  EXPECT_EQ(ma.requests, mb.requests);
+  EXPECT_EQ(ma.hits, mb.hits);
+  EXPECT_EQ(ma.demand_fetches, mb.demand_fetches);
+  EXPECT_EQ(ma.prefetch_fetches, mb.prefetch_fetches);
+  EXPECT_EQ(ma.wasted_prefetches, mb.wasted_prefetches);
+  EXPECT_EQ(ma.solver_nodes, mb.solver_nodes);
+  EXPECT_EQ(ma.network_time, mb.network_time);
+  EXPECT_EQ(ma.access_time.mean(), mb.access_time.mean());
+  EXPECT_EQ(a.plan_cache_stats().selections.hits,
+            b.plan_cache_stats().selections.hits);
+  EXPECT_EQ(a.plan_cache_stats().plans.hits,
+            b.plan_cache_stats().plans.hits);
+}
+
+TEST(ClientSession, OracleSupportMatchesDensePath) {
+  // The successor list covers each oracle row; memoized and plain
+  // sessions alike decide identically with and without it.
+  for (const bool memo : {false, true}) {
+    Rng walk(0);
+    MarkovSource source = small_chain(41, walk);
+    const ServerCatalog cat = chain_catalog(source);
+    ClientSession dense(cat, NetConfig{}, skp_engine(), 6);
+    ClientSession sparse(cat, NetConfig{}, skp_engine(), 6);
+    if (memo) {
+      dense.enable_plan_cache();
+      sparse.enable_plan_cache();
+    }
+    std::size_t state = source.current_state();
+    for (int i = 0; i < 1500; ++i) {
+      const double v = source.viewing_time(state);
+      const std::span<const double> row = source.transition_row(state);
+      const auto next = static_cast<ItemId>(source.step(walk));
+      const std::optional<std::uint64_t> key =
+          memo ? std::optional<std::uint64_t>(state) : std::nullopt;
+      const double t_dense = dense.request(next, v, row, std::nullopt, key);
+      const double t_sparse = sparse.request(next, v, row, std::nullopt, key,
+                                             source.successors(state));
+      ASSERT_EQ(t_dense, t_sparse) << "cycle " << i << " memo " << memo;
+      state = static_cast<std::size_t>(next);
+    }
+    expect_same_books(dense, sparse);
+  }
+}
+
+TEST(ClientSession, LearnedSupportMatchesDensePath) {
+  // Dense session: predict_into + filter, no support. Sparse session:
+  // the filtered primitive with its support. One predictor feeds both.
+  const std::vector<std::unique_ptr<Predictor>> preds = [] {
+    std::vector<std::unique_ptr<Predictor>> v;
+    v.push_back(std::make_unique<MarkovPredictor>(40));
+    v.push_back(std::make_unique<Lz78Predictor>(40));
+    v.push_back(std::make_unique<PpmPredictor>(40, 2));
+    return v;
+  }();
+  constexpr double kMinProb = 0.01;
+  for (const auto& pred : preds) {
+    Rng walk(0);
+    MarkovSource source = small_chain(43, walk);
+    const ServerCatalog cat = chain_catalog(source);
+    ClientSession dense(cat, NetConfig{}, skp_engine(), 6);
+    ClientSession sparse(cat, NetConfig{}, skp_engine(), 6);
+    std::vector<double> P_dense, P_sparse;
+    std::vector<ItemId> support;
+    std::size_t state = source.current_state();
+    for (int i = 0; i < 1500; ++i) {
+      const double v = source.viewing_time(state);
+      const auto next = static_cast<ItemId>(source.step(walk));
+      pred->predict_into(P_dense);
+      for (double& p : P_dense) {
+        if (p < kMinProb) p = 0.0;
+      }
+      pred->predict_filtered_into(kMinProb, P_sparse, support);
+      const double t_dense = dense.request(next, v, P_dense);
+      const double t_sparse = sparse.request(next, v, P_sparse, std::nullopt,
+                                             std::nullopt, support);
+      ASSERT_EQ(t_dense, t_sparse) << "cycle " << i;
+      pred->observe(next);
+      state = static_cast<std::size_t>(next);
+    }
+    expect_same_books(dense, sparse);
+  }
+}
+
+TEST(ClientSession, SupportValidationRejectsBadRows) {
+  ClientSession s(ServerCatalog{{1.0, 2.0, 3.0, 4.0}}, NetConfig{},
+                  skp_engine(), 2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> ok{0.2, 0.3, 0.0, 0.5};
+  auto request = [&](const std::vector<double>& P,
+                     std::vector<ItemId> support) {
+    return s.request(0, 1.0, P, std::nullopt, std::nullopt,
+                     std::span<const ItemId>(support));
+  };
+  EXPECT_THROW(request(ok, {3, 1}), std::invalid_argument);  // unsorted
+  EXPECT_THROW(request(ok, {1, 1}), std::invalid_argument);  // repeated
+  EXPECT_THROW(request(ok, {1, 4}), std::invalid_argument);  // out of range
+  EXPECT_THROW(request(ok, {-1, 1}), std::invalid_argument);
+  EXPECT_THROW(request({-0.1, 0.3, 0.0, 0.5}, {0, 1, 3}),
+               std::invalid_argument);
+  EXPECT_THROW(request({nan, 0.3, 0.0, 0.5}, {0, 1, 3}),
+               std::invalid_argument);
+  EXPECT_THROW(request({inf, 0.3, 0.0, 0.5}, {0, 1, 3}),
+               std::invalid_argument);
+  EXPECT_THROW(request({0.6, 0.6, 0.0, 0.0}, {0, 1}),
+               std::invalid_argument);  // sums past 1
+  EXPECT_EQ(s.metrics().requests, 0u);  // every rejection was up front
+  EXPECT_NO_THROW(request(ok, {0, 1, 3}));
+  EXPECT_NO_THROW(request(std::vector<double>(4, 0.0), {}));
+  EXPECT_EQ(s.metrics().requests, 2u);
+}
+
+TEST(ClientSession, RejectsBadRetrievalTimesAtConstruction) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, inf, nan}) {
+    auto cat = std::make_shared<SharedClientCatalog>();
+    cat->server.sizes = {1.0, 2.0, 3.0};
+    cat->r = {1.0, bad, 3.0};
+    EXPECT_THROW(ClientSession(cat, NetConfig{}, skp_engine(), 2),
+                 std::invalid_argument)
+        << "r = " << bad;
+  }
+  // An infinite size grounds an infinite r.
+  EXPECT_THROW(ClientSession(ServerCatalog{{1.0, inf}}, NetConfig{},
+                             skp_engine(), 2),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -532,5 +532,37 @@ TEST(SkpdDaemon, SlowReaderIsForcedDownTheDegradationLadder) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
+TEST(SkpdDaemon, AbsurdCatalogIsRefusedWithoutTakingTheDaemonDown) {
+  // A catalog past any vector's max_size makes session creation throw
+  // std::length_error before anything is allocated — not an
+  // invalid_argument. The daemon must answer ERROR on that connection
+  // only and keep serving everyone else.
+  SkpdDaemonProcess daemon(daemon_binary());
+  {
+    SimSpec absurd = netsim_spec();
+    absurd.workload.n_items = std::size_t{1} << 62;
+    RawPipelineClient raw(daemon.port());
+    SkpdHello hello;
+    hello.spec_text = encode_sim_spec(absurd);
+    raw.send_frame(SkpdFrameType::kHello, encode_hello(hello));
+    std::string storage;
+    EXPECT_EQ(raw.read_frame(storage).type, SkpdFrameType::kError);
+  }
+
+  const SimSpec spec = netsim_spec(60, 3);
+  SkpdClientConfig cfg;
+  cfg.port = daemon.port();
+  SkpdClient client(cfg, spec);
+  NetsimStepper golden(spec);
+  while (!client.done()) {
+    EXPECT_EQ(client.step(), golden.step());
+  }
+  EXPECT_EQ(client.finish().metrics.requests, spec.requests);
+
+  const int status = daemon.terminate();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
 }  // namespace
 }  // namespace skp

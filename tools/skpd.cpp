@@ -427,7 +427,7 @@ class Daemon {
       std::optional<skp::SkpdFrame> frame;
       try {
         frame = skp::parse_skpd_frame(conn.rx, conn.rx_off);
-      } catch (const std::invalid_argument& e) {
+      } catch (const std::exception& e) {
         // Unframeable garbage: the stream cannot be re-synchronized.
         protocol_error(conn, e.what());
         return conns_.count(fd) != 0;
@@ -435,7 +435,11 @@ class Daemon {
       if (!frame) break;
       try {
         handle_frame(conn, *frame);
-      } catch (const std::invalid_argument& e) {
+      } catch (const std::exception& e) {
+        // Any failure a frame provokes — a rejected request, or a spec
+        // whose session cannot be built (bad_alloc, length_error) — is
+        // answered on this connection only; the daemon and every other
+        // session keep running.
         protocol_error(conn, e.what());
       }
       if (conns_.count(fd) == 0) return false;
