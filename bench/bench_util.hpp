@@ -4,7 +4,8 @@
 //   --full          paper-scale run (50 000 iterations etc.); default is a
 //                   reduced-scale run that finishes in seconds
 //   --seed <u64>    RNG seed (default 1)
-//   --csv <dir>     also write each series as CSV files into <dir>
+//   --csv <dir>     also write each series as CSV files into <dir>, which
+//                   must already exist
 //   --threads <n>   worker threads for the sweep drivers (0 = one per
 //                   hardware thread, the default; 1 = serial). Sweep
 //                   results are bit-identical for every thread count —
@@ -13,15 +14,40 @@
 //   --no-plan-cache disable cross-request plan memoization in sims that
 //                   support it (A/B switch; results are bit-identical
 //                   either way, only wall-clock changes)
+//
+// Bad input (an unknown flag, a missing or non-numeric value, a --csv
+// directory that does not exist) exits 2 with a message before the bench
+// runs anything.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 namespace skp::bench {
+
+[[noreturn]] inline void reject_arg(const std::string& message) {
+  std::cerr << message << "\n";
+  std::exit(2);
+}
+
+// Digits only, as simctl's parse_u64: strtoull would read "abc" as 0 and
+// wrap "-1" into 2^64 - 1.
+inline std::uint64_t parse_u64(const std::string& value, const char* flag) {
+  if (!value.empty() &&
+      value.find_first_not_of("0123456789") == std::string::npos) {
+    try {
+      return std::stoull(value);
+    } catch (const std::out_of_range&) {
+    }
+  }
+  reject_arg(std::string(flag) + " expects an unsigned integer, got '" +
+             value + "'");
+}
 
 struct BenchArgs {
   bool full = false;
@@ -29,9 +55,6 @@ struct BenchArgs {
   std::optional<std::string> csv_dir;
   std::size_t threads = 0;  // 0 = hardware concurrency
   bool no_plan_cache = false;
-  // Opt out of lockstep batched execution (run_sim_batch) in the benches
-  // that default to it; the solo path is the A/B baseline.
-  bool no_batch = false;
 };
 
 inline BenchArgs parse_args(int argc, char** argv) {
@@ -41,24 +64,26 @@ inline BenchArgs parse_args(int argc, char** argv) {
     if (a == "--full") {
       args.full = true;
     } else if (a == "--seed" && i + 1 < argc) {
-      args.seed = std::strtoull(argv[++i], nullptr, 10);
+      args.seed = parse_u64(argv[++i], "--seed");
     } else if (a == "--csv" && i + 1 < argc) {
       args.csv_dir = argv[++i];
+      std::error_code ec;
+      if (!std::filesystem::is_directory(*args.csv_dir, ec)) {
+        reject_arg("--csv: '" + *args.csv_dir +
+                   "' is not an existing directory");
+      }
     } else if (a == "--threads" && i + 1 < argc) {
-      args.threads = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
+      args.threads =
+          static_cast<std::size_t>(parse_u64(argv[++i], "--threads"));
     } else if (a == "--no-plan-cache") {
       args.no_plan_cache = true;
-    } else if (a == "--no-batch") {
-      args.no_batch = true;
     } else if (a == "--help" || a == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--full] [--seed <u64>] [--csv <dir>]"
-                   " [--threads <n>] [--no-plan-cache] [--no-batch]\n";
+                   " [--threads <n>] [--no-plan-cache]\n";
       std::exit(0);
     } else {
-      std::cerr << "unknown argument: " << a << "\n";
-      std::exit(2);
+      reject_arg("unknown argument: " + a);
     }
   }
   return args;

@@ -83,33 +83,11 @@ int main(int argc, char** argv) {
   };
   const std::size_t n_points = specs.size();
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<PointResult> points(n_points);
-  if (args.no_batch) {
-    points = sweep_configs(pool, specs, [&](const SimSpec& spec) {
-      const SimResult res = run_sim(spec);
-      return PointResult{res.metrics.mean_access_time(), res.plan_cache};
-    });
-  } else {
-    // Lockstep batched execution (the default): each policy row is one
-    // run_sim_batch call — every spec in the row shares the workload, so
-    // the Markov source steps once per request for the whole row and
-    // same-candidate-set SKP solves batch (results bit-identical to the
-    // solo sweep; --no-batch is the A/B baseline). Rows still fan out
-    // across the pool.
-    std::vector<std::future<void>> rows;
-    for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
-      rows.push_back(pool.submit([&, p] {
-        const std::span<const SimSpec> row(specs.data() + p * sizes.size(),
-                                           sizes.size());
-        const std::vector<SimResult> res = run_sim_batch(row);
-        for (std::size_t c = 0; c < res.size(); ++c) {
-          points[p * sizes.size() + c] = PointResult{
-              res[c].metrics.mean_access_time(), res[c].plan_cache};
-        }
-      }));
-    }
-    for (auto& f : rows) f.get();
-  }
+  const std::vector<PointResult> points =
+      sweep_configs(pool, specs, [&](const SimSpec& spec) {
+        const SimResult res = run_sim(spec);
+        return PointResult{res.metrics.mean_access_time(), res.plan_cache};
+      });
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -26,12 +26,10 @@
 #include <vector>
 
 #include "core/plan_cache.hpp"
-#include "core/skp_solver.hpp"
 #include "predict/predictor.hpp"
 #include "sim/prefetch_cache.hpp"
 #include "sim/runtime.hpp"
 #include "util/rng.hpp"
-#include "workload/markov_source.hpp"
 
 namespace {
 
@@ -244,124 +242,6 @@ const int kRegisterDriverPoints = [] {
   }
   return 0;
 }();
-
-// ---- Raw-speed round 3: batched solving + pipelined execution -----------
-
-// Batched SKP solving (core/skp_solver.hpp solve_skp_batch_into): k lanes
-// share one canonical order and one Figure-3 tail-sum build. k = 1 is the
-// baseline (the batch API at its degenerate size, directly comparable to
-// BM_SkpSolve rows in solver_micro); items/sec counts SOLVES, so the
-// k = 4 / k = 16 rows show the per-solve setup amortization.
-void run_solve_batch(benchmark::State& state, std::size_t lanes) {
-  Rng build(1);
-  MarkovSourceConfig scfg;  // paper-default chain
-  MarkovSource source(scfg, build);
-  CanonicalOrderTable canon(scfg.n_states);
-  const std::size_t state_id = 0;
-  const InstanceView base = source.view_at(state_id);
-  const CanonicalOrderTable::Row row =
-      canon.row(state_id, base, source.successors(state_id));
-
-  std::vector<SkpSolution> sols(lanes);
-  std::vector<SkpBatchItem> items;
-  for (std::size_t k = 0; k < lanes; ++k) {
-    InstanceView inst = base;
-    // Spread v across lanes (the lockstep sweep's shape: same P/r row,
-    // different cache state / viewing budget per lane).
-    inst.v = base.v * (0.5 + static_cast<double>(k) /
-                                 static_cast<double>(lanes));
-    items.push_back({inst, &sols[k]});
-  }
-  SkpOptions opts;
-  opts.delta_rule = DeltaRule::PaperTail;  // exercises the shared tail sums
-  SkpWorkspace ws;
-  std::uint64_t nodes = 0;
-  for (auto _ : state) {
-    solve_skp_batch_into(items, row.order, opts, ws);
-    nodes = 0;
-    for (const SkpSolution& s : sols) nodes += s.forward_steps;
-    benchmark::DoNotOptimize(nodes);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * lanes));
-  state.counters["solver_nodes"] = static_cast<double>(nodes);
-}
-
-void BM_SolveBatch_k1(benchmark::State& state) { run_solve_batch(state, 1); }
-BENCHMARK(BM_SolveBatch_k1);
-void BM_SolveBatch_k4(benchmark::State& state) { run_solve_batch(state, 4); }
-BENCHMARK(BM_SolveBatch_k4);
-void BM_SolveBatch_k16(benchmark::State& state) {
-  run_solve_batch(state, 16);
-}
-BENCHMARK(BM_SolveBatch_k16);
-
-// Lockstep batched sim execution (run_prefetch_cache_batch): a 16-lane
-// cache-size sweep sharing one walk, vs 16 solo runs. items/sec counts
-// lane-requests, so the two rows are directly comparable.
-void run_sweep(benchmark::State& state, bool batched) {
-  std::vector<PrefetchCacheConfig> configs;
-  for (std::size_t k = 0; k < 16; ++k) {
-    PrefetchCacheConfig cfg;
-    cfg.cache_size = 5 + 5 * k;
-    cfg.policy = PrefetchPolicy::SKP;
-    cfg.requests = kRequests;
-    cfg.seed = 1;
-    configs.push_back(cfg);
-  }
-  std::uint64_t nodes = 0;
-  for (auto _ : state) {
-    nodes = 0;
-    if (batched) {
-      for (const auto& res : run_prefetch_cache_batch(configs)) {
-        nodes += res.metrics.solver_nodes;
-      }
-    } else {
-      for (const auto& cfg : configs) {
-        nodes += run_prefetch_cache(cfg).metrics.solver_nodes;
-      }
-    }
-    benchmark::DoNotOptimize(nodes);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * kRequests * configs.size()));
-  state.counters["solver_nodes"] = static_cast<double>(nodes);
-}
-
-void BM_SimSweep16_Solo(benchmark::State& state) { run_sweep(state, false); }
-BENCHMARK(BM_SimSweep16_Solo);
-void BM_SimSweep16_Batched(benchmark::State& state) {
-  run_sweep(state, true);
-}
-BENCHMARK(BM_SimSweep16_Batched);
-
-// Pipelined single-sim execution (PrefetchCacheConfig::pipeline_workers):
-// the same Fig.-7 point with the selection stage pre-solved by worker
-// threads. Counters are bit-identical to BM_Fig7Point_SkpPr by contract;
-// only the timing differs (and only on multi-core hosts — a 1-CPU box
-// shows the coordination overhead instead).
-void run_pipelined_point(benchmark::State& state, std::size_t workers) {
-  PrefetchCacheConfig cfg;
-  cfg.cache_size = 20;
-  cfg.policy = PrefetchPolicy::SKP;
-  cfg.requests = kRequests;
-  cfg.seed = 1;
-  cfg.pipeline_workers = workers;
-  std::uint64_t nodes = 0;
-  for (auto _ : state) {
-    const auto res = run_prefetch_cache(cfg);
-    nodes = res.metrics.solver_nodes;
-    benchmark::DoNotOptimize(res.metrics.hits);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kRequests));
-  state.counters["solver_nodes"] = static_cast<double>(nodes);
-}
-
-void BM_Fig7Point_SkpPr_Pipelined2(benchmark::State& state) {
-  run_pipelined_point(state, 2);
-}
-BENCHMARK(BM_Fig7Point_SkpPr_Pipelined2);
 
 // The learned-predictor variant exercises the filtered predictor row
 // (predict_filtered_into) and the support-hinted candidate filter, the

@@ -8,8 +8,7 @@
 // Every row performs one untimed warmup solve before its timed loop (cold
 // first-call effects — lazy allocations, cold caches — stay out of the
 // numbers) and reports items_per_second with items = solves, so per-solve
-// ns is 1e9 / items_per_second straight from the snapshot next to the
-// batched-solve rows in sim_throughput.
+// ns is 1e9 / items_per_second straight from the snapshot.
 #include <benchmark/benchmark.h>
 
 #include <numeric>

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/item.hpp"
@@ -53,10 +52,6 @@ class FreqTracker {
   double delay_saving_profit(ItemId item, double retrieval_time) const {
     return frequency(item) * retrieval_time;
   }
-
-  // Raw count row (indexed by item id), for bulk SIMD gathers over many
-  // items at once (util/simd.hpp): counts()[i] == frequency(i).
-  std::span<const double> counts() const noexcept { return counts_; }
 
   std::uint64_t total_accesses() const noexcept { return total_; }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "util/simd.hpp"
-
 namespace skp {
 
 namespace {
@@ -109,7 +107,11 @@ double expected_access_time_no_prefetch_cached(
   SKP_REQUIRE(cache_presence.size() == inst.n(),
               "presence bitmap of " << cache_presence.size()
                                     << " vs catalog of " << inst.n());
-  return simd::masked_time_sum(inst.P, inst.r, cache_presence);
+  double s = 0.0;
+  for (std::size_t i = 0; i < inst.n(); ++i) {
+    if (cache_presence[i] == 0) s += inst.P[i] * inst.r[i];
+  }
+  return s;
 }
 
 double access_improvement_cached(InstanceView inst,

@@ -66,9 +66,9 @@ double expected_access_time_no_prefetch_cached(InstanceView inst,
 
 // Bitmap variant for hot loops: identical result (same ascending-i
 // accumulation order, bit-for-bit), with C supplied as a presence bitmap
-// over the whole catalog (e.g. SlotCache::presence()) so the products run
-// through the SIMD masked-sum kernel instead of per-item membership
-// scans. cache_presence.size() must equal inst.n().
+// over the whole catalog (e.g. SlotCache::presence()) so membership is
+// one load instead of a scan of C. cache_presence.size() must equal
+// inst.n().
 double expected_access_time_no_prefetch_cached(
     InstanceView inst, std::span<const char> cache_presence);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/simd.hpp"
-
 namespace skp {
 
 ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
@@ -13,27 +11,17 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
               "sub-arbitration requires a FreqTracker");
   if (cfg.sub == SubArbitration::None) {
     // Fast path (every demand miss lands here under the paper's default):
-    // plain (Pr, id) minimum, no score indirection. The Pr products are
-    // bulk-gathered a chunk at a time (util/simd.hpp — each lane an exact
-    // IEEE multiply), then the minimum scan runs over the chunk in the
-    // original ascending-k order, so the winner matches the one-at-a-time
-    // loop bit-for-bit. All sub scores are 0, so ties fall straight
-    // through to the id rule of the general loop.
-    constexpr std::size_t kChunk = 64;
-    double pr_buf[kChunk];
+    // plain (Pr, id) minimum, no score indirection. All sub scores are 0,
+    // so ties fall straight through to the id rule of the general loop.
     ItemId victim = kNoItem;
     double victim_pr = 0.0;
-    for (std::size_t base = 0; base < cached.size(); base += kChunk) {
-      const std::size_t len = std::min(kChunk, cached.size() - base);
-      simd::gather_products(inst.P, inst.r, cached.subspan(base, len),
-                            pr_buf);
-      for (std::size_t j = 0; j < len; ++j) {
-        const ItemId i = cached[base + j];
-        if (victim == kNoItem || pr_buf[j] < victim_pr ||
-            (pr_buf[j] == victim_pr && i < victim)) {
-          victim = i;
-          victim_pr = pr_buf[j];
-        }
+    for (const ItemId i : cached) {
+      const std::size_t k = InstanceView::idx(i);
+      const double pr = inst.P[k] * inst.r[k];
+      if (victim == kNoItem || pr < victim_pr ||
+          (pr == victim_pr && i < victim)) {
+        victim = i;
+        victim_pr = pr;
       }
     }
     return victim;
@@ -49,36 +37,26 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
     }
     return 0.0;  // unreachable
   };
-  // Sub-arbitrated path: the Pr products still bulk-gather (the dominant
-  // per-item cost); sub scores stay lazy — computed only when an item
-  // becomes the running minimum or ties it, exactly when the one-at-a-
-  // time loop computed them. Every score is an exact IEEE load or single
-  // product, so the winner matches that loop bit-for-bit.
-  constexpr std::size_t kChunk = 64;
-  double pr_buf[kChunk];
+  // Sub-arbitrated path: sub scores stay lazy — computed only when an
+  // item becomes the running minimum or ties it.
   ItemId victim = kNoItem;
   double victim_pr = 0.0;
   double victim_sub = 0.0;
-  for (std::size_t base = 0; base < cached.size(); base += kChunk) {
-    const std::size_t len = std::min(kChunk, cached.size() - base);
-    simd::gather_products(inst.P, inst.r, cached.subspan(base, len),
-                          pr_buf);
-    for (std::size_t j = 0; j < len; ++j) {
-      const ItemId i = cached[base + j];
-      const double pr = pr_buf[j];
-      if (victim == kNoItem || pr < victim_pr) {
-        victim = i;
-        victim_pr = pr;
-        victim_sub = sub_score(i);
-        continue;
-      }
-      if (pr > victim_pr) continue;
-      // Pr tie: sub-arbitration, then lowest id for determinism.
-      const double s = sub_score(i);
-      if (s < victim_sub || (s == victim_sub && i < victim)) {
-        victim = i;
-        victim_sub = s;
-      }
+  for (const ItemId i : cached) {
+    const std::size_t k = InstanceView::idx(i);
+    const double pr = inst.P[k] * inst.r[k];
+    if (victim == kNoItem || pr < victim_pr) {
+      victim = i;
+      victim_pr = pr;
+      victim_sub = sub_score(i);
+      continue;
+    }
+    if (pr > victim_pr) continue;
+    // Pr tie: sub-arbitration, then lowest id for determinism.
+    const double s = sub_score(i);
+    if (s < victim_sub || (s == victim_sub && i < victim)) {
+      victim = i;
+      victim_sub = s;
     }
   }
   return victim;

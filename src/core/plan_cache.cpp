@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "cache/zobrist.hpp"
+#include "core/skp_solver.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace skp {
 
@@ -249,8 +249,8 @@ CanonicalOrderTable::Row CanonicalOrderTable::row(
     }
     e.size = static_cast<std::uint32_t>(m);
     std::copy(built_.begin(), built_.end(), e.order);
-    simd::suffix_sums(inst.P, std::span<const ItemId>(e.order, m),
-                      e.suffix);
+    tail_sums_into(inst.P, std::span<const ItemId>(e.order, m),
+                   std::span<double>(e.suffix, m + 1));
     e.fp = 0;
     for (std::size_t j = m; j-- > 0;) e.fp ^= zobrist_item_key(e.order[j]);
     e.generation = generation_;

@@ -286,20 +286,6 @@ class CanonicalOrderTable {
   std::uint64_t generation_ = 1;
 };
 
-// A selection-stage solution pre-solved off the critical path (the
-// pipelined simulator's workers produce these against a predicted state
-// and a cache snapshot). select_memoized consumes one only when BOTH the
-// state key and the live candidate-set fingerprint match — the same
-// identity contract as the selection memo tier — so a stale speculation
-// is silently discarded and the solve runs inline, never changing the
-// result. `plan` carries the solver's stats (solver_nodes) exactly as an
-// inline solve would report them.
-struct SpeculativeSelection {
-  std::uint64_t state_key = 0;
-  std::uint64_t candidates_fp = 0;
-  StoredPlan plan;
-};
-
 // Memoization context threaded through PrefetchEngine::plan*_cached. All
 // pointers optional: a default PlanMemo makes the cached overloads behave
 // exactly like their uncached counterparts. `state_key` must uniquely
@@ -313,9 +299,6 @@ struct PlanMemo {
   PlanCache* selections = nullptr;  // solver-selection tier
   CanonicalOrderTable* canon = nullptr;
   std::uint64_t state_key = 0;
-  // Optional pre-solved selection for this exact planning round (see
-  // SpeculativeSelection); consulted only after a selection-tier miss.
-  const SpeculativeSelection* speculative = nullptr;
 };
 
 }  // namespace skp

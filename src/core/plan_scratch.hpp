@@ -57,21 +57,12 @@ struct PlanScratch {
   };
   std::vector<AdmitKey> admit_keys;
 
-  // Bulk-gather staging rows (util/simd.hpp): Pr products and
-  // sub-arbitration scores over the cached set, one lane per victim.
-  std::vector<double> gather_a;
-  std::vector<double> gather_b;
-
   // Solver workspaces + reusable solution slots (their internal vectors
   // are cleared, not freed, between solves).
   SkpWorkspace skp;
   SkpSolution skp_sol;
   KpWorkspace kp;
   KpSolution kp_sol;
-
-  // Batched planning (plan_with_cache_batch): the group leader's staging
-  // row of same-candidate-set lanes handed to solve_skp_batch_into.
-  std::vector<SkpBatchItem> batch_items;
 
   // Sized-cache planning: victim-gathering pool + result, and a scratch
   // copy of the cache that victim searches mutate (copy-assigned from the

@@ -7,7 +7,6 @@
 #include "core/access_model.hpp"
 #include "core/kp_solver.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace skp {
 
@@ -113,11 +112,11 @@ void profit_order_into(InstanceView inst, std::span<const ItemId> fetch,
 
 // Caches every cached item's eviction rank — (Pr, sub-arbitration score,
 // id) — for one planning round. The scores are fixed while one plan is
-// built, so victim k is simply the k-th smallest rank; extract_victim
-// pulls them lazily (selection-scan over the cached keys), which matches
-// repeated choose_victim + removal bit-for-bit while computing each Pr
-// product once instead of once per scan (the fixed-seed equivalence tests
-// pin the equality).
+// built, so victim k is simply the k-th smallest rank; admit_slot_into
+// partial-sorts the consumable prefix, which matches repeated
+// choose_victim + removal bit-for-bit while computing each Pr product
+// once instead of once per scan (the fixed-seed equivalence tests pin
+// the equality).
 void rank_victims(InstanceView inst, std::span<const ItemId> cached,
                   const FreqTracker* freq, const ArbitrationConfig& cfg,
                   PlanScratch& scratch) {
@@ -125,32 +124,19 @@ void rank_victims(InstanceView inst, std::span<const ItemId> cached,
               "sub-arbitration requires a FreqTracker");
   std::vector<PlanScratch::VictimRank>& ranked = scratch.ranked;
   ranked.clear();
-  if (cached.empty()) return;
-  // Bulk-gather the per-victim scores (util/simd.hpp). Every lane is an
-  // exact IEEE load or single product, so the ranks match the one-call-
-  // per-item loop bit-for-bit:
-  //   pr  = P_d * r_d               (all modes)
-  //   sub = freq_d                  (LFU: a plain gather)
-  //   sub = freq_d * r_d            (DS: delay_saving_profit)
-  scratch.gather_a.resize(cached.size());
-  simd::gather_products(inst.P, inst.r, cached, scratch.gather_a.data());
-  const double* sub = nullptr;
-  if (cfg.sub != SubArbitration::None) {
-    SKP_REQUIRE(freq->n() >= inst.n(),
-                "FreqTracker over " << freq->n()
-                                    << " items vs catalog of " << inst.n());
-    scratch.gather_b.resize(cached.size());
-    if (cfg.sub == SubArbitration::LFU) {
-      simd::gather_values(freq->counts(), cached, scratch.gather_b.data());
-    } else {
-      simd::gather_products(freq->counts(), inst.r, cached,
-                            scratch.gather_b.data());
+  for (const ItemId c : cached) {
+    const std::size_t ci = InstanceView::idx(c);
+    double s = 0.0;
+    switch (cfg.sub) {
+      case SubArbitration::None: break;
+      case SubArbitration::LFU:
+        s = freq->frequency(c);
+        break;
+      case SubArbitration::DS:
+        s = freq->delay_saving_profit(c, inst.r[ci]);
+        break;
     }
-    sub = scratch.gather_b.data();
-  }
-  for (std::size_t k = 0; k < cached.size(); ++k) {
-    ranked.push_back(
-        {scratch.gather_a[k], sub != nullptr ? sub[k] : 0.0, cached[k]});
+    ranked.push_back({inst.P[ci] * inst.r[ci], s, c});
   }
 }
 
@@ -414,18 +400,8 @@ void PrefetchEngine::select_memoized(
     copy_plan(*stored, out);
     return;
   }
-  if (memo.speculative != nullptr &&
-      memo.speculative->state_key == memo.state_key &&
-      memo.speculative->candidates_fp == fp) {
-    // A pipeline worker already solved this exact selection (same state,
-    // same candidate set) against a cache snapshot; adopt its result
-    // instead of re-solving. The stored plan carries the worker's solver
-    // stats, so every simulator counter matches the inline solve.
-    copy_plan(memo.speculative->plan, out);
-  } else {
-    select_into(inst, scratch.candidates, oracle_next, scratch, out,
-                candidates_canonical, suffix_prob);
-  }
+  select_into(inst, scratch.candidates, oracle_next, scratch, out,
+              candidates_canonical, suffix_prob);
   if (StoredPlan* slot = memo.selections->insert(memo.state_key, fp)) {
     copy_plan(out, *slot);
   }
@@ -479,171 +455,6 @@ void PrefetchEngine::plan_with_cache_cached(
       copy_plan(out, *slot);
     }
   }
-}
-
-void PrefetchEngine::plan_with_cache_batch(
-    InstanceView inst, std::span<PlanBatchLane> lanes,
-    std::optional<ItemId> oracle_next,
-    std::span<const ItemId> positive_hint) const {
-  inst.validate_shape();
-  SKP_REQUIRE(!positive_hint.empty(),
-              "batched planning requires a positive-support hint");
-  // Per-lane progress through the plan_with_cache_cached stages. Kept in
-  // lane-local scalars (no per-call allocation on this hot path).
-  enum : unsigned char { kStageDone, kStageAdmit, kStageSolve, kStageGrouped };
-  const bool memoized = memoizable_policy();
-
-  // Stage 1: plan-tier lookup + canonical candidate staging — the exact
-  // prefix of the solo planner, per lane. All lanes share the state, so
-  // the canonical row builds once and every later lane reuses it.
-  for (PlanBatchLane& lane : lanes) {
-    const SlotCache& cache = *lane.cache;
-    const std::span<const char> present = cache.presence();
-    SKP_REQUIRE(inst.n() == present.size(),
-                "catalog of " << inst.n() << " items vs cache catalog of "
-                              << present.size());
-    if (memoized && lane.memo.plans != nullptr) {
-      SKP_REQUIRE(lane.memo.plans->config_digest() == digest_,
-                  "PlanCache built for a different engine config");
-      if (const StoredPlan* stored =
-              lane.memo.plans->find(lane.memo.state_key,
-                                    cache.fingerprint())) {
-        copy_plan(*stored, *lane.out);
-        lane.stage = kStageDone;
-        continue;
-      }
-    }
-    SKP_REQUIRE(lane.memo.canon != nullptr,
-                "batched planning requires a canonical-order table");
-    lane.suffix = {};
-    lane.candidates_fp = filter_canonical_candidates(
-        inst, lane.memo.canon->row(lane.memo.state_key, inst, positive_hint),
-        [present](ItemId id) {
-          return present[static_cast<std::size_t>(id)] != 0;
-        },
-        config_.min_profit_threshold, lane.scratch->candidates, lane.suffix);
-    lane.stage = kStageSolve;
-  }
-
-  // Stage 2: selection tier — find per lane, then solve the misses. SKP
-  // misses sharing a candidate set are grouped and run through
-  // solve_skp_batch_into (one Figure-3 setup per group); each lane's
-  // selection insert follows its solve, exactly as select_memoized does.
-  for (PlanBatchLane& lane : lanes) {
-    if (lane.stage != kStageSolve) continue;
-    if (memoized && lane.memo.selections != nullptr) {
-      SKP_REQUIRE(lane.memo.selections->config_digest() == digest_,
-                  "selection PlanCache built for a different engine config");
-      if (const StoredPlan* stored = lane.memo.selections->find(
-              lane.memo.state_key, lane.candidates_fp)) {
-        copy_plan(*stored, *lane.out);
-        lane.stage = kStageAdmit;
-      }
-    }
-  }
-  if (config_.policy == PrefetchPolicy::SKP) {
-    SkpOptions opts;
-    opts.delta_rule = config_.delta_rule;
-    opts.max_nodes = config_.max_solver_nodes;
-    // Mirrors select_into's SKP branch, then the selection-tier insert —
-    // the tail of select_memoized after a miss.
-    const auto assemble = [&](PlanBatchLane& lane) {
-      const SkpSolution& sol = lane.scratch->skp_sol;
-      lane.out->clear();
-      lane.out->fetch.assign(sol.F.begin(), sol.F.end());
-      lane.out->predicted_g = sol.g;
-      lane.out->stretch = sol.stretch;
-      lane.out->solver_nodes = sol.forward_steps;
-      if (memoized && lane.memo.selections != nullptr) {
-        if (StoredPlan* slot = lane.memo.selections->insert(
-                lane.memo.state_key, lane.candidates_fp)) {
-          copy_plan(*lane.out, *slot);
-        }
-      }
-      lane.stage = kStageAdmit;
-    };
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (lanes[i].stage != kStageSolve) continue;
-      PlanScratch& lead = *lanes[i].scratch;
-      lead.batch_items.clear();
-      lead.batch_items.push_back({inst, &lead.skp_sol});
-      for (std::size_t j = i + 1; j < lanes.size(); ++j) {
-        // Group on the true candidate set (fingerprint as prefilter,
-        // then element equality — cheap next to a solve, and immune to
-        // fingerprint collisions merging distinct sets).
-        if (lanes[j].stage != kStageSolve) continue;
-        if (lanes[j].candidates_fp != lanes[i].candidates_fp) continue;
-        if (lanes[j].scratch->candidates != lead.candidates) continue;
-        lead.batch_items.push_back({inst, &lanes[j].scratch->skp_sol});
-        lanes[j].stage = kStageGrouped;
-      }
-      solve_skp_batch_into(lead.batch_items, lead.candidates, opts,
-                           lead.skp);
-      assemble(lanes[i]);
-      for (std::size_t j = i + 1; j < lanes.size(); ++j) {
-        if (lanes[j].stage == kStageGrouped) assemble(lanes[j]);
-      }
-    }
-  } else {
-    for (PlanBatchLane& lane : lanes) {
-      if (lane.stage != kStageSolve) continue;
-      select_into(inst, lane.scratch->candidates, oracle_next,
-                  *lane.scratch, *lane.out, /*candidates_canonical=*/true,
-                  lane.suffix);
-      if (memoized && lane.memo.selections != nullptr) {
-        if (StoredPlan* slot = lane.memo.selections->insert(
-                lane.memo.state_key, lane.candidates_fp)) {
-          copy_plan(*lane.out, *slot);
-        }
-      }
-      lane.stage = kStageAdmit;
-    }
-  }
-
-  // Stage 3: Figure-6 admission + plan-tier insert, per lane.
-  for (PlanBatchLane& lane : lanes) {
-    if (lane.stage == kStageDone) continue;
-    admit_slot_into(inst, *lane.cache, lane.freq, *lane.scratch, *lane.out);
-    if (memoized && lane.memo.plans != nullptr) {
-      if (StoredPlan* slot = lane.memo.plans->insert(
-              lane.memo.state_key, lane.cache->fingerprint())) {
-        copy_plan(*lane.out, *slot);
-      }
-    }
-  }
-}
-
-void PrefetchEngine::speculate_selection(InstanceView inst,
-                                         std::uint64_t state_key,
-                                         const CanonicalOrderTable::Row& row,
-                                         std::span<const char> present,
-                                         PlanScratch& scratch,
-                                         SpeculativeSelection& out) const {
-  SKP_REQUIRE(config_.policy == PrefetchPolicy::SKP,
-              "speculative selection is SKP-only");
-  SKP_REQUIRE(present.size() == inst.n(),
-              "presence bitmap of " << present.size()
-                                    << " vs catalog of " << inst.n());
-  std::span<const double> suffix;
-  out.state_key = state_key;
-  out.candidates_fp = filter_canonical_candidates(
-      inst, row,
-      [present](ItemId id) {
-        return present[static_cast<std::size_t>(id)] != 0;
-      },
-      config_.min_profit_threshold, scratch.candidates, suffix);
-  SkpOptions opts;
-  opts.delta_rule = config_.delta_rule;
-  opts.max_nodes = config_.max_solver_nodes;
-  solve_skp_sorted_into(inst, scratch.candidates, opts, scratch.skp,
-                        scratch.skp_sol, suffix);
-  // Mirror select_into's SKP branch into the stored-plan slice (evict
-  // stays empty: the selection stage precedes admission).
-  out.plan.fetch.assign(scratch.skp_sol.F.begin(), scratch.skp_sol.F.end());
-  out.plan.evict.clear();
-  out.plan.predicted_g = scratch.skp_sol.g;
-  out.plan.stretch = scratch.skp_sol.stretch;
-  out.plan.solver_nodes = scratch.skp_sol.forward_steps;
 }
 
 void PrefetchEngine::admit_slot_into(InstanceView inst,

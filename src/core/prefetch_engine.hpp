@@ -177,56 +177,6 @@ class PrefetchEngine {
                                     std::span<const ItemId> positive_hint
                                     = {}) const;
 
-  // ---- Batched planning (lockstep cache-size sweeps) --------------------
-  // One independent planning lane of plan_with_cache_batch: its own cache,
-  // frequency state, memo tiers, scratch, and output plan. The memo's
-  // `canon` pointers may be shared across lanes (rows depend only on the
-  // instance); `plans`/`selections` must be per-lane.
-  struct PlanBatchLane {
-    const SlotCache* cache = nullptr;
-    const FreqTracker* freq = nullptr;
-    PlanMemo memo;
-    PlanScratch* scratch = nullptr;
-    PrefetchPlan* out = nullptr;
-    // Transient per-call staging, written by plan_with_cache_batch
-    // (kept in the lane so the hot path never allocates side arrays).
-    std::uint64_t candidates_fp = 0;
-    std::span<const double> suffix;
-    unsigned char stage = 0;
-  };
-
-  // Plans the SAME instance (state) against k independent cache lanes in
-  // one call — the lockstep sweep's inner step. Per lane this is
-  // bit-identical to plan_with_cache_cached (the per-lane memo find /
-  // solve / insert order is preserved, so even the PlanCache stats
-  // match); across lanes, SKP selection-stage misses that share a
-  // candidate set are grouped and solved through solve_skp_batch_into,
-  // amortizing the canonical-row filtering and Figure-3 tail-sum build
-  // that dominate per-solve setup. Requires memo.canon set and a
-  // non-empty positive hint on every lane (the batched path exists for
-  // the canonical-order fast path; the solo planner handles the rest).
-  void plan_with_cache_batch(InstanceView inst,
-                             std::span<PlanBatchLane> lanes,
-                             std::optional<ItemId> oracle_next,
-                             std::span<const ItemId> positive_hint) const;
-
-  // ---- Speculative selection (pipelined execution) ----------------------
-  // Pre-solves the selection stage for `state_key` against a cache
-  // *snapshot* (presence bitmap over the catalog), producing a
-  // SpeculativeSelection that select_memoized can later consume if the
-  // live candidate fingerprint still matches. Mirrors the canonical-row
-  // cached path exactly: filter `row` against the snapshot (and the
-  // min-profit threshold), solve, record the solver's stats. SKP policy
-  // only (the pipelined simulator's contract); `row` must be this
-  // state's CanonicalOrderTable row for the same instance. Thread-safe
-  // for concurrent calls with distinct `scratch`/`out` (the engine is
-  // read-only here).
-  void speculate_selection(InstanceView inst, std::uint64_t state_key,
-                           const CanonicalOrderTable::Row& row,
-                           std::span<const char> present,
-                           PlanScratch& scratch,
-                           SpeculativeSelection& out) const;
-
  private:
   // Runs the configured selector over `candidates`, refilling `out` with
   // the ordered F (solver buffers from `scratch`). `candidates_canonical`

@@ -5,7 +5,6 @@
 
 #include "core/access_model.hpp"
 #include "core/kp_solver.hpp"
-#include "util/simd.hpp"
 
 namespace skp {
 
@@ -33,11 +32,8 @@ class SkpSearch {
       SKP_ASSERT(suffix_prob.size() == m + 1);
       suffix_ = suffix_prob;
     } else if (opts_.delta_rule == DeltaRule::PaperTail) {
-      // suffix_prob[j] = sum of P over order_[j..m-1]  (Figure 3's tail
-      // sum; the P_{n+1} = 0 sentinel is the final 0 entry). Vectorized
-      // gather + scalar-order accumulation (util/simd.hpp) — bit-exact.
       ws_.suffix_prob.resize(m + 1);
-      simd::suffix_sums(inst_.P, order_, ws_.suffix_prob.data());
+      tail_sums_into(inst_.P, order_, ws_.suffix_prob);
       suffix_ = ws_.suffix_prob;
     }
     ws_.selected.assign(m, 0);
@@ -165,6 +161,16 @@ class SkpSearch {
 
 }  // namespace
 
+void tail_sums_into(std::span<const double> P, std::span<const ItemId> order,
+                    std::span<double> out) {
+  const std::size_t m = order.size();
+  SKP_ASSERT(out.size() == m + 1);
+  out[m] = 0.0;
+  for (std::size_t j = m; j-- > 0;) {
+    out[j] = out[j + 1] + P[InstanceView::idx(order[j])];
+  }
+}
+
 void SkpSolution::clear() {
   F.clear();
   g = 0.0;
@@ -191,28 +197,6 @@ void solve_skp_sorted_into(InstanceView inst, std::span<const ItemId> order,
   sol.clear();
   SkpSearch search(inst, order, opts, ws, sol, suffix_prob);
   search.run();
-}
-
-void solve_skp_batch_into(std::span<const SkpBatchItem> items,
-                          std::span<const ItemId> order,
-                          const SkpOptions& opts, SkpWorkspace& ws) {
-  SKP_REQUIRE(opts.total_prob_mass > 0.0,
-              "total_prob_mass = " << opts.total_prob_mass);
-  if (items.empty()) return;
-  // One suffix build for the whole batch (PaperTail only; ExactComplement
-  // needs no tail sums). The sums are a function of P over `order`, which
-  // every lane shares, so lane 0's row serves them all.
-  std::span<const double> suffix;
-  if (opts.delta_rule == DeltaRule::PaperTail) {
-    ws.suffix_prob.resize(order.size() + 1);
-    simd::suffix_sums(items[0].inst.P, order, ws.suffix_prob.data());
-    suffix = ws.suffix_prob;
-  }
-  for (const SkpBatchItem& item : items) {
-    item.sol->clear();
-    SkpSearch search(item.inst, order, opts, ws, *item.sol, suffix);
-    search.run();
-  }
 }
 
 SkpSolution solve_skp(InstanceView inst, std::span<const ItemId> candidates,

@@ -98,6 +98,14 @@ void solve_skp_into(InstanceView inst, std::span<const ItemId> candidates,
                     const SkpOptions& opts, SkpWorkspace& ws,
                     SkpSolution& sol);
 
+// Figure-3 tail sums over `order`: out[j] = sum of P over
+// order[j..m-1] with the P_{m+1} = 0 sentinel out[m] = 0 (m =
+// order.size(); `out` holds m + 1 doubles), accumulated right to left.
+// The PaperTail search and CanonicalOrderTable rows both build theirs
+// here, so a borrowed row is bit-identical to an inline rebuild.
+void tail_sums_into(std::span<const double> P, std::span<const ItemId> order,
+                    std::span<double> out);
+
 // Presorted solve: `order` must already be the canonical (Eq. 5) order
 // of the candidate set — e.g. a precomputed CanonicalOrderTable row
 // filtered against the cache — so the per-solve sort is skipped.
@@ -109,26 +117,6 @@ void solve_skp_sorted_into(InstanceView inst, std::span<const ItemId> order,
                            const SkpOptions& opts, SkpWorkspace& ws,
                            SkpSolution& sol,
                            std::span<const double> suffix_prob = {});
-
-// One lane of a batched solve: an instance plus the solution slot to
-// fill. All lanes of one batch share a single canonical order (and thus a
-// single candidate set); they may differ in v (e.g. lockstep cache-size
-// sweeps) and in r only where it does not disturb the shared order.
-struct SkpBatchItem {
-  InstanceView inst;
-  SkpSolution* sol;
-};
-
-// Batched presorted solve: runs every lane over ONE canonical `order`
-// with ONE Figure-3 suffix-sum build amortized across the batch (the tail
-// sums depend only on P over `order`, which all lanes share by the batch
-// contract: every lane's P must agree with items[0]'s over `order`).
-// Each lane is bit-identical to solve_skp_sorted_into on that lane alone
-// — the batch changes where setup work happens, never the search
-// (tests/test_simd.cpp pins batch-vs-loop equality).
-void solve_skp_batch_into(std::span<const SkpBatchItem> items,
-                          std::span<const ItemId> order,
-                          const SkpOptions& opts, SkpWorkspace& ws);
 
 // The root upper bound U_g* of Eq. (7): Dantzig bound of the LP relaxation
 // (Theorem 2). Every feasible g*(F) is <= this value.

@@ -210,7 +210,7 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         });
       }));
     }
-    for (auto& f : pending) f.get();  // rethrows setup validation errors
+    join_all(pending);  // rethrows setup validation errors
   } else {
     for (std::size_t c = 0; c < cfg.n_clients; ++c) {
       setup_client(c, *store.find(c), &build);

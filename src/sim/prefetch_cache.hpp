@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/prefetch_engine.hpp"
+#include "predict/predictor.hpp"
 #include "sim/metrics.hpp"
 #include "workload/markov_source.hpp"
 
@@ -31,6 +32,13 @@ namespace skp {
 enum class PredictorKind { Oracle, Markov1, Ppm, DependencyWindow, Lz78 };
 
 const char* to_string(PredictorKind kind);
+
+// The learned predictor each kind names in the prefetch_cache and
+// trace_replay drivers: Markov1 with Laplace 0.05, PPM of order 2, a
+// dependency graph over a 2-access window, LZ78. Oracle has no learned
+// state and yields nullptr.
+std::unique_ptr<Predictor> make_predictor(PredictorKind kind,
+                                          std::size_t n_items);
 
 // Stream-derivation salts of run_prefetch_cache's seed layout: the
 // default entry point builds the source from Rng(seed), derives the walk
@@ -78,19 +86,6 @@ struct PrefetchCacheConfig {
   // assumed the old rows, so results stay bit-identical with the plan
   // cache on or off. 0 = static chain (the paper's protocol).
   std::size_t drift_period = 0;
-  // Pipelined single-sim execution (perf knob, 0 = off): this many
-  // worker threads pre-solve the selection stage for upcoming requests.
-  // The Markov walk is a function of (seed, structure) alone, so the
-  // whole request script can be materialized up front; workers speculate
-  // each future request's SKP selection against a cache snapshot, and
-  // the engine adopts a speculation only when the live candidate
-  // fingerprint still matches (core/plan_cache.hpp SpeculativeSelection)
-  // — a stale one is discarded and the solve runs inline. Every metric
-  // AND every plan-cache counter is bit-identical to the solo loop
-  // (tests/test_simd.cpp pins this); only wall-clock changes. Requires
-  // the oracle predictor, lookahead_horizon <= 1, no drift,
-  // use_plan_cache, and the SKP policy.
-  std::size_t pipeline_workers = 0;
 };
 
 struct PrefetchCacheResult {
@@ -113,21 +108,6 @@ PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& config);
 // when several policies must share one chain instance.
 PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& config,
                                        MarkovSource& source, Rng& walk_rng);
-
-// Lockstep batch execution: runs k experiments that share one workload
-// (identical source config, seed, request count, and drift schedule;
-// oracle predictor, lookahead_horizon <= 1) but may differ in cache
-// size, policy, arbitration, thresholds, or plan-cache settings. The
-// source is built and stepped ONCE per request for the whole batch, the
-// canonical-order table is shared, and lanes with identical engine
-// configs are planned through PrefetchEngine::plan_with_cache_batch —
-// grouping same-candidate-set SKP solves into solve_skp_batch_into runs.
-// Every lane's result (metrics AND plan-cache counters) is bit-identical
-// to run_prefetch_cache on that lane's config alone; batching changes
-// where setup work happens, never what is computed (tests/test_simd.cpp
-// pins batch == loop). Results are returned in input order.
-std::vector<PrefetchCacheResult> run_prefetch_cache_batch(
-    std::span<const PrefetchCacheConfig> configs);
 
 // ---- Heterogeneous item sizes (extension; paper Section 6) ---------------
 

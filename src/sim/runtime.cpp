@@ -29,7 +29,8 @@
 namespace skp {
 
 // The learned predictors of the scenario pipelines (same construction the
-// scenario matrix has always used; trace_replay keeps its own factory).
+// scenario matrix has always used; prefetch_cache and trace_replay share
+// make_predictor, whose Markov1 smoothing differs).
 // Shared with the multi_client driver so contention rows stay comparable
 // with scenario/netsim_des rows of the same config.
 std::unique_ptr<Predictor> make_runtime_predictor(PredictorKind kind,
@@ -186,8 +187,6 @@ SimResult run_prefetch_cache_driver(const SimSpec& spec) {
     SKP_REQUIRE(spec.min_profit_threshold == 0.0,
                 "the sized-cache experiment does not support "
                 "min_profit_threshold");
-    SKP_REQUIRE(spec.pipeline_workers == 0,
-                "the sized-cache experiment has no pipelined mode");
     SizedExperimentConfig cfg;
     cfg.source = to_markov_config(w);
     cfg.capacity = spec.sized_capacity;
@@ -218,7 +217,6 @@ SimResult run_prefetch_cache_driver(const SimSpec& spec) {
   cfg.min_profit_threshold = spec.min_profit_threshold;
   cfg.use_plan_cache = spec.use_plan_cache;
   cfg.plan_cache_capacity = spec.plan_cache_capacity;
-  cfg.pipeline_workers = spec.pipeline_workers;
   switch (w.kind) {
     case SimWorkloadKind::Markov:
       cfg.source = to_markov_config(w);
@@ -579,104 +577,7 @@ const SimDriver* find_driver(std::string_view name) {
 SimResult run_sim(const SimSpec& spec) {
   SKP_REQUIRE(spec.workload.n_items >= 2, "n_items must be >= 2");
   SKP_REQUIRE(spec.requests >= 1, "requests must be >= 1");
-  // Reject-don't-drop: only the prefetch_cache driver has a pipelined
-  // execution mode.
-  SKP_REQUIRE(spec.pipeline_workers == 0 ||
-                  spec.driver == SimDriverKind::PrefetchCache,
-              "pipeline_workers applies to the prefetch_cache driver");
   return find_driver(spec.driver).run(spec);
-}
-
-// ---- Batched execution ---------------------------------------------------
-
-namespace {
-
-// A spec routes through run_prefetch_cache_batch when it lowers to the
-// plain slot-cache Monte Carlo over a seed-built Markov chain — the only
-// entry point the lockstep runner reproduces. Everything checked here is
-// a routing decision, not validation: a spec that fails these simply runs
-// through run_sim, which applies the driver's own REQUIREs.
-bool batchable_spec(const SimSpec& spec) {
-  return spec.driver == SimDriverKind::PrefetchCache &&
-         (spec.workload.kind == SimWorkloadKind::Markov ||
-          spec.workload.kind == SimWorkloadKind::MarkovDrift) &&
-         spec.predictor == PredictorKind::Oracle &&
-         spec.predictor_warmup == 0 && spec.sized_capacity == 0.0 &&
-         spec.pipeline_workers == 0 && spec.bandwidth == 1.0 &&
-         spec.latency == 0.0 && !spec.pr_planning &&
-         spec.replacement == ReplacementKind::LRU &&
-         spec.link_schedule.empty() && spec.fault == FaultSpec{} &&
-         spec.overload == OverloadConfig{} && spec.deadline == 0.0 &&
-         spec.multi_client == MultiClientSpec{};
-}
-
-PrefetchCacheConfig lower_batchable(const SimSpec& spec) {
-  PrefetchCacheConfig cfg;
-  cfg.source = to_markov_config(spec.workload);
-  cfg.cache_size = spec.cache_size;
-  cfg.policy = spec.policy;
-  cfg.sub = spec.sub;
-  cfg.delta_rule = spec.delta_rule;
-  cfg.requests = spec.requests;
-  cfg.warmup = spec.warmup;
-  cfg.seed = spec.seed;
-  cfg.min_profit_threshold = spec.min_profit_threshold;
-  cfg.use_plan_cache = spec.use_plan_cache;
-  cfg.plan_cache_capacity = spec.plan_cache_capacity;
-  if (spec.workload.kind == SimWorkloadKind::MarkovDrift) {
-    cfg.drift_period = spec.workload.drift_period;
-  }
-  return cfg;
-}
-
-bool same_batch_workload(const PrefetchCacheConfig& a,
-                         const PrefetchCacheConfig& b) {
-  return a.source == b.source && a.seed == b.seed &&
-         a.requests == b.requests && a.drift_period == b.drift_period;
-}
-
-}  // namespace
-
-std::vector<SimResult> run_sim_batch(std::span<const SimSpec> specs) {
-  // Lanes carry full-occupancy plan caches and their own slot caches, so
-  // cap lockstep groups rather than let a giant sweep hold every lane's
-  // memo tiers live at once.
-  constexpr std::size_t kMaxLanes = 16;
-
-  std::vector<SimResult> results(specs.size());
-  std::vector<std::optional<PrefetchCacheConfig>> lowered(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (batchable_spec(specs[i])) lowered[i] = lower_batchable(specs[i]);
-  }
-
-  std::size_t i = 0;
-  while (i < specs.size()) {
-    if (!lowered[i]) {
-      results[i] = run_sim(specs[i]);
-      ++i;
-      continue;
-    }
-    // Greedy run of consecutive lanes sharing the workload.
-    std::size_t j = i + 1;
-    while (j < specs.size() && j - i < kMaxLanes && lowered[j] &&
-           same_batch_workload(*lowered[i], *lowered[j])) {
-      ++j;
-    }
-    if (j - i == 1) {
-      results[i] = run_sim(specs[i]);
-    } else {
-      std::vector<PrefetchCacheConfig> cfgs;
-      cfgs.reserve(j - i);
-      for (std::size_t k = i; k < j; ++k) cfgs.push_back(*lowered[k]);
-      const std::vector<PrefetchCacheResult> batch =
-          run_prefetch_cache_batch(cfgs);
-      for (std::size_t k = i; k < j; ++k) {
-        results[k] = from_prefetch_cache_result(batch[k - i]);
-      }
-    }
-    i = j;
-  }
-  return results;
 }
 
 // ---- String forms -------------------------------------------------------

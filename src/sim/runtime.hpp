@@ -210,10 +210,6 @@ struct SimSpec {
   std::uint64_t seed = 1;
   bool use_plan_cache = true;
   std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
-  // Pipelined single-sim execution (PrefetchCache driver only; see
-  // PrefetchCacheConfig::pipeline_workers for the contract — oracle SKP
-  // fast path, results bit-identical to 0).
-  std::size_t pipeline_workers = 0;
 
   // Multi-user DES section (multi_client driver only).
   MultiClientSpec multi_client;
@@ -290,17 +286,6 @@ const SimDriver* find_driver(std::string_view name);
 // spec names a combination the driver does not support (e.g. an oracle
 // trace replay).
 SimResult run_sim(const SimSpec& spec);
-
-// Batched dispatch: runs every spec, routing consecutive runs that share
-// one workload (prefetch_cache driver, oracle Markov/MarkovDrift, same
-// source shape/seed/requests/drift) through the lockstep
-// run_prefetch_cache_batch runner — the source is stepped once per
-// request for the whole group and same-candidate-set SKP solves are
-// batched. Each result is bit-identical to run_sim on that spec alone
-// (the determinism contract is untouched; batching only moves setup
-// work), and specs the lockstep runner cannot take simply run through
-// run_sim. Results are returned in input order.
-std::vector<SimResult> run_sim_batch(std::span<const SimSpec> specs);
 
 // ---- Stable string forms (CLI flags and CSV cells) ----------------------
 

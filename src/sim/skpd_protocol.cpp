@@ -373,7 +373,6 @@ std::string encode_sim_spec(const SimSpec& spec) {
   put_kv(out, "seed", spec.seed);
   put_kv(out, "use_plan_cache", spec.use_plan_cache);
   put_kv(out, "plan_cache_capacity", spec.plan_cache_capacity);
-  put_kv(out, "pipeline_workers", spec.pipeline_workers);
   return out;
 }
 
@@ -529,8 +528,6 @@ SimSpec decode_sim_spec(std::string_view text) {
       spec.use_plan_cache = parse_bool(v, key);
     } else if (key == "plan_cache_capacity") {
       spec.plan_cache_capacity = parse_size(v, key);
-    } else if (key == "pipeline_workers") {
-      spec.pipeline_workers = parse_size(v, key);
     } else {
       // Reject-don't-drop at the wire too: a field this build does not
       // know cannot be silently ignored without breaking the "the spec

@@ -10,12 +10,11 @@
 // (tests/test_sweep.cpp locks this down).
 //
 // Exception policy: all jobs are always joined; the first failure (by
-// input index, not completion order) is rethrown after the join, matching
-// util/thread_pool's parallel_chunks.
+// input index, not completion order) is rethrown after the join — the
+// same util/thread_pool join_all that parallel_chunks uses.
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <future>
 #include <optional>
 #include <utility>
@@ -44,15 +43,7 @@ auto sweep_points(ThreadPool& pool, std::size_t n, Job&& job)
   }
   // Join everything before rethrowing: a failed job must not leave
   // siblings running with dangling references to `slots`/`job`.
-  std::exception_ptr first_failure;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_failure) first_failure = std::current_exception();
-    }
-  }
-  if (first_failure) std::rethrow_exception(first_failure);
+  join_all(futures);
 
   std::vector<R> results;
   results.reserve(n);

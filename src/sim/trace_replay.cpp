@@ -3,39 +3,15 @@
 #include "cache/cache.hpp"
 #include "cache/freq_tracker.hpp"
 #include "core/access_model.hpp"
-#include "predict/dependency_graph.hpp"
-#include "predict/lz78_predictor.hpp"
-#include "predict/markov_predictor.hpp"
-#include "predict/ppm_predictor.hpp"
 
 namespace skp {
-
-namespace {
-
-std::unique_ptr<Predictor> make_trace_predictor(PredictorKind kind,
-                                                std::size_t n) {
-  switch (kind) {
-    case PredictorKind::Oracle:
-      SKP_REQUIRE(false, "trace replay has no oracle probabilities");
-      return nullptr;
-    case PredictorKind::Markov1:
-      return std::make_unique<MarkovPredictor>(n, 0.05);
-    case PredictorKind::Ppm:
-      return std::make_unique<PpmPredictor>(n, 2);
-    case PredictorKind::DependencyWindow:
-      return std::make_unique<DependencyGraph>(n, 2);
-    case PredictorKind::Lz78:
-      return std::make_unique<Lz78Predictor>(n);
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
                         PlanMemoStats* plan_cache_stats) {
   SKP_REQUIRE(!trace.empty(), "cannot replay an empty trace");
   SKP_REQUIRE(cfg.cache_size >= 1, "cache_size must be >= 1");
+  SKP_REQUIRE(cfg.predictor != PredictorKind::Oracle,
+              "trace replay has no oracle probabilities");
   const std::size_t n = trace.n_items();
 
   EngineConfig ecfg;
@@ -47,7 +23,7 @@ SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg,
 
   SlotCache cache(n, cfg.cache_size);
   FreqTracker freq(n);
-  auto predictor = make_trace_predictor(cfg.predictor, n);
+  auto predictor = make_predictor(cfg.predictor, n);
 
   SimMetrics m;
   std::vector<char> unused_prefetch(n, 0);

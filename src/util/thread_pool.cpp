@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "util/require.hpp"
 
@@ -62,6 +63,18 @@ void ThreadPool::worker_loop() {
   }
 }
 
+void join_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first_failure;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_failure) first_failure = std::current_exception();
+    }
+  }
+  if (first_failure) std::rethrow_exception(first_failure);
+}
+
 void parallel_chunks(ThreadPool& pool, std::size_t n, std::size_t chunks,
                      const std::function<void(std::size_t, std::size_t,
                                               std::size_t)>& body) {
@@ -79,7 +92,7 @@ void parallel_chunks(ThreadPool& pool, std::size_t n, std::size_t chunks,
     futs.push_back(pool.submit([=, &body] { body(begin, end, c); }));
     begin = end;
   }
-  for (auto& f : futs) f.get();  // propagates the first exception
+  join_all(futs);
 }
 
 }  // namespace skp

@@ -47,10 +47,15 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+// Waits for every future, then rethrows the first failure by index (not
+// by completion order). Tasks that borrow the caller's locals must all be
+// joined before the caller unwinds, so no failure returns early.
+void join_all(std::vector<std::future<void>>& futures);
+
 // Splits [0, n) into contiguous chunks and runs body(begin, end, chunk_index)
-// across the pool. Blocks until all chunks complete; rethrows the first
-// exception. chunk_index is stable, so callers can use it to derive
-// deterministic per-chunk RNG streams.
+// across the pool. Blocks until all chunks complete, then rethrows the
+// first exception by chunk index (join_all). chunk_index is stable, so
+// callers can use it to derive deterministic per-chunk RNG streams.
 void parallel_chunks(ThreadPool& pool, std::size_t n, std::size_t chunks,
                      const std::function<void(std::size_t, std::size_t,
                                               std::size_t)>& body);

@@ -33,9 +33,6 @@ struct MarkovSourceConfig {
   bool allow_self_loop = false;      // a request for the item just viewed
                                      // would always hit; default matches
                                      // "changing to another state"
-
-  // Lockstep batch runners require every lane to share the workload.
-  bool operator==(const MarkovSourceConfig&) const = default;
 };
 
 class MarkovSource {

@@ -1,6 +1,6 @@
 // Unit tests for bench/bench_util.hpp — the CLI shared by every
 // figure-reproduction binary. parse_args exits the process on --help and
-// on unrecognized input, so those paths run as death tests.
+// on bad input, so those paths run as death tests.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -46,10 +46,11 @@ TEST(BenchUtil, SeedParsesU64) {
 }
 
 TEST(BenchUtil, CsvCapturesDirectory) {
-  Argv a({"--csv", "out/dir"});
+  const std::string dir = ::testing::TempDir();  // exists
+  Argv a({"--csv", dir});
   const BenchArgs args = parse_args(a.argc(), a.argv());
   ASSERT_TRUE(args.csv_dir.has_value());
-  EXPECT_EQ(*args.csv_dir, "out/dir");
+  EXPECT_EQ(*args.csv_dir, dir);
 }
 
 TEST(BenchUtil, ThreadsDefaultsToHardware) {
@@ -70,7 +71,8 @@ TEST(BenchUtil, PlanCacheOnByDefaultAndSwitchable) {
 }
 
 TEST(BenchUtil, AllFlagsCombineInAnyOrder) {
-  Argv a({"--csv", "plots", "--threads", "3", "--full", "--seed", "42",
+  const std::string dir = ::testing::TempDir();
+  Argv a({"--csv", dir, "--threads", "3", "--full", "--seed", "42",
           "--no-plan-cache"});
   const BenchArgs args = parse_args(a.argc(), a.argv());
   EXPECT_TRUE(args.full);
@@ -78,7 +80,7 @@ TEST(BenchUtil, AllFlagsCombineInAnyOrder) {
   EXPECT_EQ(args.threads, 3u);
   EXPECT_TRUE(args.no_plan_cache);
   ASSERT_TRUE(args.csv_dir.has_value());
-  EXPECT_EQ(*args.csv_dir, "plots");
+  EXPECT_EQ(*args.csv_dir, dir);
 }
 
 TEST(BenchUtilDeathTest, UnknownFlagExits2) {
@@ -105,6 +107,49 @@ TEST(BenchUtilDeathTest, ThreadsMissingValueIsRejected) {
   Argv a({"--threads"});
   EXPECT_EXIT(parse_args(a.argc(), a.argv()),
               ::testing::ExitedWithCode(2), "unknown argument: --threads");
+}
+
+TEST(BenchUtilDeathTest, SeedRejectsNonDigits) {
+  // strtoull would have run seed 0.
+  Argv a({"--seed", "abc"});
+  EXPECT_EXIT(parse_args(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2),
+              "--seed expects an unsigned integer, got 'abc'");
+}
+
+TEST(BenchUtilDeathTest, SeedRejectsTrailingGarbageAndOverflow) {
+  Argv junk({"--seed", "12x"});
+  EXPECT_EXIT(parse_args(junk.argc(), junk.argv()),
+              ::testing::ExitedWithCode(2), "--seed expects");
+  Argv big({"--seed", "18446744073709551616"});  // 2^64
+  EXPECT_EXIT(parse_args(big.argc(), big.argv()),
+              ::testing::ExitedWithCode(2), "--seed expects");
+}
+
+TEST(BenchUtilDeathTest, ThreadsRejectsNegative) {
+  // strtoull wraps "-1" to 2^64 - 1, and the sweep pool then died in
+  // vector::reserve with an uncaught length_error.
+  Argv a({"--threads", "-1"});
+  EXPECT_EXIT(parse_args(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2),
+              "--threads expects an unsigned integer, got '-1'");
+}
+
+TEST(BenchUtilDeathTest, ThreadsRejectsEmptyAndNonDigits) {
+  Argv empty({"--threads", ""});
+  EXPECT_EXIT(parse_args(empty.argc(), empty.argv()),
+              ::testing::ExitedWithCode(2), "--threads expects");
+  Argv word({"--threads", "four"});
+  EXPECT_EXIT(parse_args(word.argc(), word.argv()),
+              ::testing::ExitedWithCode(2), "--threads expects");
+}
+
+TEST(BenchUtilDeathTest, CsvRejectsMissingDirectory) {
+  // Refused at parse time, not after the bench has printed its results.
+  const std::string dir = ::testing::TempDir() + "no/such/bench_csv_dir";
+  Argv a({"--csv", dir});
+  EXPECT_EXIT(parse_args(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2), "is not an existing directory");
 }
 
 TEST(BenchUtilDeathTest, HelpPrintsUsageAndExits0) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace skp {
@@ -117,6 +120,60 @@ TEST(ParallelChunks, PropagatesBodyException) {
                         if (b == 0) throw std::runtime_error("chunk fail");
                       }),
       std::runtime_error);
+}
+
+TEST(ParallelChunks, JoinsEveryChunkBeforeRethrowing) {
+  // Chunk 0 throws at once; chunk 1 then watches for the call to return
+  // while it is still running. Joining every chunk first means it never
+  // can. The shared state and `body` are declared before the pool, so
+  // they outlive its workers even when the call does return early.
+  std::atomic<bool> thrown{false};
+  std::atomic<bool> returned{false};
+  std::atomic<bool> sibling_saw_return{false};
+  const std::function<void(std::size_t, std::size_t, std::size_t)> body =
+      [&](std::size_t, std::size_t, std::size_t chunk) {
+        if (chunk == 0) {
+          thrown = true;
+          throw std::runtime_error("chunk 0 fails");
+        }
+        while (!thrown) std::this_thread::yield();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+        while (std::chrono::steady_clock::now() < deadline) {
+          if (returned) {
+            sibling_saw_return = true;
+            return;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      };
+  ThreadPool pool(2);
+  try {
+    parallel_chunks(pool, 2, 2, body);
+    ADD_FAILURE() << "chunk 0's exception was not rethrown";
+  } catch (const std::runtime_error&) {
+    returned = true;
+  }
+  pool.wait_idle();
+  EXPECT_FALSE(sibling_saw_return);
+}
+
+TEST(JoinAll, RethrowsFirstFailureByIndexAfterJoiningAll) {
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  std::vector<std::future<void>> futs;
+  futs.push_back(pool.submit([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ++finished;
+    throw std::runtime_error("first by index");
+  }));
+  futs.push_back(pool.submit([&] {
+    ++finished;
+    throw std::logic_error("first to finish");
+  }));
+  futs.push_back(pool.submit([&] { ++finished; }));
+  EXPECT_THROW(join_all(futs), std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
 }
 
 }  // namespace
