@@ -220,6 +220,40 @@ void PlanCache::clear() {
   if (!door_.empty()) std::fill(door_.begin(), door_.end(), 0);
 }
 
+void MemoTiers::invalidate() noexcept {
+  if (plans_) plans_->bump_generation();
+  if (selections_) selections_->bump_generation();
+  if (canon_) canon_->invalidate_all();
+}
+
+void MemoTiers::freeze(bool frozen) noexcept {
+  if (plans_) plans_->set_admission_frozen(frozen);
+  if (selections_) selections_->set_admission_frozen(frozen);
+}
+
+PlanMemoStats MemoTiers::stats() const noexcept {
+  PlanMemoStats stats;
+  if (plans_) stats.plans = plans_->stats();
+  if (selections_) stats.selections = selections_->stats();
+  return stats;
+}
+
+MemoTiers make_memo_tiers(bool use_plan_cache, std::size_t capacity,
+                          std::uint64_t engine_digest, bool learned_rows,
+                          SubArbitration sub, std::size_t canonical_states) {
+  MemoTiers tiers;
+  if (!use_plan_cache || learned_rows) return tiers;
+  if (sub == SubArbitration::None) {
+    tiers.plans_ = std::make_unique<PlanCache>(engine_digest, capacity,
+                                               /*doorkeeper=*/true);
+  }
+  tiers.selections_ = std::make_unique<PlanCache>(engine_digest, capacity);
+  if (canonical_states != 0) {
+    tiers.canon_ = std::make_unique<CanonicalOrderTable>(canonical_states);
+  }
+  return tiers;
+}
+
 CanonicalOrderTable::CanonicalOrderTable(std::size_t n_states)
     : entries_(n_states) {
   SKP_REQUIRE(n_states >= 1, "CanonicalOrderTable over empty state space");

@@ -5,7 +5,7 @@
 // thousands of times: in oracle mode the (P, r, v) triple is fully
 // determined by the current source state, so a completed plan is
 // reusable whenever the same (state, cache contents) pair recurs — which
-// is constantly under every stationary workload. Two substrates live
+// is constantly under every stationary workload. The substrates live
 // here; PrefetchEngine's plan*_cached overloads consume them via a
 // PlanMemo:
 //
@@ -22,20 +22,20 @@
 //        not on LFU/DS frequencies — so this tier hits constantly even
 //        while the cache churns, and serves every sub-arbitration mode.
 //    The generation tag is the invalidation hook for context a key does
-//    not capture: learned predictors bump both tiers on every
-//    observation, LFU/DS sub-arbitration bumps the plan tier on every
-//    recorded access, so entries that depended on that context become
+//    not capture (a drift changepoint, an overload rung change, a
+//    client's churn), so entries that depended on that context become
 //    unreachable instead of wrong.
 //  * CanonicalOrderTable — the per-state canonical solve order (Eq. 5
 //    density sort) plus the Figure-3/Dantzig suffix probability sums,
 //    built once per state and reused by every cache-miss solve (the
 //    filtered candidate list of a canonically sorted support is itself
 //    canonically sorted, so the per-solve sort disappears). Rows are
-//    generation-tagged and lazily rebuilt after invalidate_all() — the
-//    hook that keeps the table usable under learned predictors, whose
-//    rows change as they observe.
+//    generation-tagged and lazily rebuilt after invalidate_all(), the
+//    hook for rows that change under a state key.
+//  * MemoTiers — the tiers one simulation plans through, built by
+//    make_memo_tiers: the one rule deciding which tiers can hit.
 //
-// Both are plain per-simulation state, not thread-safe: parallel sweeps
+// All are plain per-simulation state, not thread-safe: parallel sweeps
 // give each sweep point its own (which also keeps results independent of
 // thread count). Correctness contract: a stored plan is replayed only
 // for keys under which the planning inputs are provably identical, so
@@ -44,9 +44,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "core/arbitration.hpp"
 #include "core/item.hpp"
 #include "util/arena.hpp"
 
@@ -137,8 +139,8 @@ class PlanCache {
 
   // Current generation; entries are only reachable under the generation
   // they were inserted at. Bump whenever planning context outside the
-  // (state, fingerprint) key changes (predictor observation, freq record
-  // under LFU/DS sub-arbitration); stale entries age out via LRU.
+  // (state, fingerprint) key changes (MemoTiers::invalidate); stale
+  // entries age out via LRU.
   std::uint64_t generation() const noexcept { return generation_; }
   void bump_generation() noexcept { ++generation_; }
 
@@ -238,8 +240,8 @@ class CanonicalOrderTable {
   }
 
   // Marks every row stale; rows rebuild lazily on next access. The
-  // invalidation hook for probability sources that change over time
-  // (learned predictors call this after observing).
+  // invalidation hook for rows that change under a state key (a drift
+  // changepoint, an overload rung change).
   void invalidate_all() noexcept { ++generation_; }
 
   struct Row {
@@ -259,8 +261,8 @@ class CanonicalOrderTable {
   // when its generation tag is stale. `positive` must cover every item
   // with inst.P > 0 (zero-probability entries are permitted and
   // skipped); `inst` must be the exact instance this state plans with —
-  // the row caches a P-dependent order, which is why mutable predictors
-  // must invalidate_all() between observations.
+  // the row caches a P-dependent order, which is why a changed row must
+  // invalidate_all() first.
   Row row(std::size_t state, InstanceView inst,
           std::span<const ItemId> positive);
 
@@ -300,5 +302,47 @@ struct PlanMemo {
   CanonicalOrderTable* canon = nullptr;
   std::uint64_t state_key = 0;
 };
+
+// The plan, selection and canonical-order tiers of one simulation, each
+// present only where it can hit (see make_memo_tiers). A default
+// MemoTiers holds none and plans unmemoized.
+class MemoTiers {
+ public:
+  // The PlanMemo of a request keyed by `state_key` (null where a tier is
+  // absent).
+  PlanMemo memo(std::uint64_t state_key) noexcept {
+    return PlanMemo{plans_.get(), selections_.get(), canon_.get(),
+                    state_key};
+  }
+  bool enabled() const noexcept { return selections_ != nullptr; }
+  // Retires every stored plan and selection and every canonical row: the
+  // rows behind the state keys changed (a drift changepoint, an overload
+  // rung change, a client's churn).
+  void invalidate() noexcept;
+  // Overload rung kStrictAdmission: freezes or thaws admission on both
+  // PlanCache tiers.
+  void freeze(bool frozen) noexcept;
+  PlanMemoStats stats() const noexcept;
+
+ private:
+  friend MemoTiers make_memo_tiers(bool, std::size_t, std::uint64_t, bool,
+                                   SubArbitration, std::size_t);
+  std::unique_ptr<PlanCache> plans_;
+  std::unique_ptr<PlanCache> selections_;
+  std::unique_ptr<CanonicalOrderTable> canon_;
+};
+
+// The memo-tier rule, shared by every driver. Nothing is built without
+// `use_plan_cache`. Learned rows change with every observation, so they
+// build no tier at all. LFU/DS sub-arbitration reads frequencies that
+// move with every request, so it builds no plan tier (the selection
+// tier still hits: the solve never reads frequencies). The canonical-
+// order table keeps one row per state, so it needs raw oracle rows:
+// `canonical_states` is the state count when they apply, 0 otherwise.
+// Plan tiers admit through a doorkeeper; `capacity` bounds each tier and
+// `engine_digest` pins them to the planning engine's config.
+MemoTiers make_memo_tiers(bool use_plan_cache, std::size_t capacity,
+                          std::uint64_t engine_digest, bool learned_rows,
+                          SubArbitration sub, std::size_t canonical_states);
 
 }  // namespace skp

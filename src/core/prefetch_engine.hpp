@@ -150,13 +150,14 @@ class PrefetchEngine {
   //
   // Memoization requires the stored value to be a pure function of its
   // key: the caller must bump memo.plans' generation whenever planning
-  // context outside (state_key, cache contents) changes — a learned
-  // predictor observing, or (under LFU/DS sub-arbitration) a frequency
-  // being recorded — and memo.selections' whenever (P, r, v) for a
-  // state_key changes (predictor observation only; frequencies never
-  // reach the solver). None-policy plans are trivially empty and
-  // Perfect-policy plans depend on the oracle item, so both bypass
-  // memoization entirely (consulting it would cost more than planning).
+  // context outside (state_key, cache contents) changes, and
+  // memo.selections' whenever (P, r, v) for a state_key changes
+  // (frequencies never reach the solver). make_memo_tiers builds no
+  // tier a per-request context change would retire: none for learned
+  // rows, no plan tier under LFU/DS. None-policy plans are trivially
+  // empty and Perfect-policy plans depend on the oracle item, so both
+  // bypass memoization entirely (consulting it would cost more than
+  // planning).
   void plan_cached(InstanceView inst, const PlanMemo& memo,
                    PlanScratch& scratch, PrefetchPlan& out,
                    std::optional<ItemId> oracle_next = std::nullopt) const;

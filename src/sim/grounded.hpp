@@ -2,14 +2,14 @@
 //
 // The netsim_des, scenario and multi_client drivers — and now the skpd
 // daemon's session runner (sim/netsim_stepper.hpp) — must agree byte for
-// byte on (a) how a SimWorkload lowers to the concrete source configs and
-// (b) the stream layout that grounds retrieval times (structure /
-// trajectory / catalog streams as fixed children of the spec seed, sizes
-// drawn U{1..30} through r_i = latency + size_i / bandwidth). That
-// agreement is what makes rows from different drivers comparable and
-// what lets a daemon-served session replay a netsim_des golden exactly,
-// so the definitions live here, in one place, instead of per-driver
-// copies.
+// byte on (a) how a SimSpec lowers to the engine config and a
+// SimWorkload to the concrete source configs and (b) the stream layout
+// that grounds retrieval times (structure / trajectory / catalog streams
+// as fixed children of the spec seed, sizes drawn U{1..30} through
+// r_i = latency + size_i / bandwidth). That agreement is what makes rows
+// from different drivers comparable and what lets a daemon-served session
+// replay a netsim_des golden exactly, so the definitions live here, in
+// one place, instead of per-driver copies.
 #pragma once
 
 #include "sim/netsim.hpp"
@@ -20,6 +20,18 @@
 #include "workload/zipf_source.hpp"
 
 namespace skp {
+
+// The planning engine of the net-grounded drivers. The Eq.-(9)
+// diagnostic is skipped: no decision reads it.
+inline EngineConfig engine_config(const SimSpec& spec) {
+  EngineConfig cfg;
+  cfg.policy = spec.policy;
+  cfg.delta_rule = spec.delta_rule;
+  cfg.arbitration.sub = spec.sub;
+  cfg.min_profit_threshold = spec.min_profit_threshold;
+  cfg.evaluate_plan_g = false;
+  return cfg;
+}
 
 inline MarkovSourceConfig to_markov_config(const SimWorkload& w) {
   MarkovSourceConfig cfg;

@@ -9,10 +9,9 @@
 #include <future>
 
 #include "cache/cache.hpp"
-#include "cache/freq_tracker.hpp"
-#include "core/access_model.hpp"
 #include "predict/predictor.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/resident_set.hpp"
 #include "sim/runtime.hpp"  // make_runtime_predictor
 #include "sim/session_store.hpp"
 #include "util/thread_pool.hpp"
@@ -36,8 +35,7 @@ struct Client {
   std::span<const double> r;             // effective retrieval catalog (view)
   std::vector<double> P;                 // learned planning row
   std::vector<ItemId> support;           // its nonzero entries, ascending
-  std::unique_ptr<SlotCache> cache;
-  std::unique_ptr<FreqTracker> freq;
+  std::optional<ResidentSet<SlotCache>> book;
   Rng walk{0};
   std::size_t state = 0;
   std::size_t served = 0;
@@ -47,17 +45,13 @@ struct Client {
   double next_churn_at = 0.0;   // first departure boundary
   SimMetrics metrics;
   std::vector<double> completion;      // per-item transfer completion time
-  std::vector<char> unused_prefetch;
   // Per-client planning buffers (clients are stepped by one DES thread,
   // but each keeps its own scratch so cycles never allocate).
   PlanScratch scratch;
   PrefetchPlan plan;
-  // Per-client memoization (oracle clients only: chains — and so
-  // states/orders — are private, and learned predictors change the
-  // planning row every observation, which no context key survives).
-  std::optional<PlanCache> plans;
-  std::optional<PlanCache> selections;
-  std::optional<CanonicalOrderTable> canon;
+  // Per-client memoization: chains — and so states and orders — are
+  // private, and learned clients build no tier (make_memo_tiers).
+  MemoTiers memo;
 };
 
 }  // namespace
@@ -152,23 +146,17 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
       cl.r = cl.chain->retrieval_times();
     }
     const std::size_t n = cl.r.size();
-    cl.cache = std::make_unique<SlotCache>(n, cfg.cache_size);
-    cl.freq = std::make_unique<FreqTracker>(n);
+    cl.book.emplace(SlotCache(n, cfg.cache_size));
     cl.completion.assign(n, 0.0);
-    cl.unused_prefetch.assign(n, 0);
+    // Memoization needs the state key to determine the planning inputs;
+    // phase alignment blends the viewing time by cycle INDEX, which
+    // breaks that promise, so flash-crowd worlds plan unmemoized.
+    cl.memo = make_memo_tiers(
+        cfg.use_plan_cache && cfg.phase_align == 0.0,
+        cfg.plan_cache_capacity, engine.config_digest(),
+        kind != PredictorKind::Oracle, cfg.engine.arbitration.sub, n);
 
-    if (kind == PredictorKind::Oracle) {
-      // Memoization needs the state key to determine the planning inputs;
-      // phase alignment blends the viewing time by cycle INDEX, which
-      // breaks that promise, so flash-crowd worlds plan unmemoized.
-      if (cfg.use_plan_cache && cfg.phase_align == 0.0) {
-        cl.plans.emplace(engine.config_digest(), cfg.plan_cache_capacity,
-                         /*doorkeeper=*/true);
-        cl.selections.emplace(engine.config_digest(),
-                              cfg.plan_cache_capacity);
-        cl.canon.emplace(n);
-      }
-    } else {
+    if (kind != PredictorKind::Oracle) {
       cl.predictor = make_runtime_predictor(kind, n);
       cl.P.assign(n, 0.0);
       if (scripted) {
@@ -224,11 +212,6 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
   for (std::size_t c = 0; c < cfg.n_clients; ++c) {
     clients[c] = store.find(c);
   }
-  // Oracle rows are static, so completed plans depend on evolving context
-  // only through LFU/DS victim scores (see the generation bump below);
-  // solver selections never do.
-  const bool volatile_plans =
-      cfg.engine.arbitration.sub != SubArbitration::None;
 
   // Herd schedule for flash crowds: one shared per-cycle viewing-time
   // sequence, drawn from its own stream (salt 999 — distinct from every
@@ -326,10 +309,12 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
 
     double v = 0.0;
     ItemId next = 0;
+    InstanceView inst;
+    std::span<const ItemId> hint;
     if (cl.predictor) {
       // Learned drive: replay the scripted cycle, plan against the
       // predictor's row (zeros during the observe-only warmup prefix, so
-      // the planner fetches nothing), no memoization.
+      // the planner fetches nothing).
       const TraceRecord& rec = cl.cycles[cl.served];
       v = blend(rec.viewing_time, cl.served);
       next = rec.item;
@@ -339,11 +324,8 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         // Degrading only zeroes entries, so cl.support still covers P.
         overload.degrade_row(cl.P);
       }
-      const InstanceView inst(cl.P, cl.r, v);
-      std::optional<ItemId> oracle;
-      if (cfg.engine.policy == PrefetchPolicy::Perfect) oracle = next;
-      engine.plan_with_cache(inst, *cl.cache, cl.freq.get(), cl.scratch,
-                             cl.plan, oracle, cl.support);
+      inst = InstanceView(cl.P, cl.r, v);
+      hint = cl.support;
     } else {
       // Oracle drive: plan against the chain's ground-truth row, then
       // sample the next request.
@@ -356,98 +338,49 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         overload.degrade_row(degraded_row);
         row = degraded_row;
       }
-      const InstanceView inst(row, cl.r, v);
+      inst = InstanceView(row, cl.r, v);
+      hint = cl.chain->successors(cl.state);
       next = static_cast<ItemId>(cl.chain->step(cl.walk));
-      std::optional<ItemId> oracle;
-      if (cfg.engine.policy == PrefetchPolicy::Perfect) oracle = next;
-
-      PlanMemo memo;
-      if (cl.plans) {
-        memo.plans = &*cl.plans;
-        memo.selections = &*cl.selections;
-        memo.canon = &*cl.canon;
-        memo.state_key = cl.state;
-      }
-      engine.plan_with_cache_cached(inst, *cl.cache, cl.freq.get(), memo,
-                                    cl.scratch, cl.plan, oracle,
-                                    cl.chain->successors(cl.state));
     }
-    const PrefetchPlan& plan = cl.plan;
-    if (!plan.fetch.empty()) ++plans_fired;
-    std::size_t victim_idx = 0;
-    for (const ItemId f : plan.fetch) {
-      if (cl.cache->full()) {
-        const ItemId d = plan.evict[victim_idx++];
-        if (cl.unused_prefetch[Instance::idx(d)]) {
-          ++cl.metrics.wasted_prefetches;
-          cl.unused_prefetch[Instance::idx(d)] = 0;
-        }
-        cl.cache->replace(d, f);
-      } else {
-        cl.cache->insert(f);
-      }
-      cl.unused_prefetch[Instance::idx(f)] = 1;
-      if (const std::optional<double> done =
-              enqueue_prefetch(cl.r[Instance::idx(f)])) {
-        cl.completion[Instance::idx(f)] = *done;
-      } else {
-        // Abandoned after exhausting its retry budget: release the slot
-        // it claimed (the victim is already gone) and fall back to a
-        // demand fetch if the item is ever actually requested.
-        cl.cache->erase(f);
-        cl.unused_prefetch[Instance::idx(f)] = 0;
-      }
-      ++cl.metrics.prefetch_fetches;
-      const double rt = cl.r[Instance::idx(f)];
-      cl.metrics.network_time += rt;
-      cl.metrics.prefetch_network_time += rt;
-    }
-    cl.metrics.solver_nodes += plan.solver_nodes;
+    std::optional<ItemId> oracle;
+    if (cfg.engine.policy == PrefetchPolicy::Perfect) oracle = next;
+    engine.plan_with_cache_cached(inst, cl.book->cache(), &cl.book->freq(),
+                                  cl.memo.memo(cl.state), cl.scratch,
+                                  cl.plan, oracle, hint);
+    if (!cl.plan.fetch.empty()) ++plans_fired;
+    cl.book->execute(cl.plan, cl.r, &cl.metrics, [&](ItemId f) {
+      const std::optional<double> done =
+          enqueue_prefetch(cl.r[Instance::idx(f)]);
+      if (done) cl.completion[Instance::idx(f)] = *done;
+      return done.has_value();
+    });
+    cl.metrics.solver_nodes += cl.plan.solver_nodes;
 
     const double t_req = t0 + v;
     clock.schedule_at(t_req, [&, c, next, v, t_req] {
       Client& me = *clients[c];
       double T = 0.0;
-      if (me.cache->contains(next)) {
+      if (me.book->cache().contains(next)) {
         T = std::max(0.0, me.completion[Instance::idx(next)] - t_req);
       } else {
         // Demand fetch queues behind every committed transfer — the
-        // paper's no-abort assumption, now spanning all clients.
-        if (me.cache->full()) {
-          ItemId d = kNoItem;
-          if (me.predictor) {
-            // The row in force this cycle arbitrates the demand victim —
-            // the chainless analogue of the oracle path's next-state row.
-            d = choose_victim(InstanceView(me.P, me.r, v),
-                              me.cache->contents(), me.freq.get(),
-                              cfg.engine.arbitration);
-          } else {
-            const auto s = static_cast<std::size_t>(next);
-            const InstanceView now_inst(me.chain->transition_row(s), me.r,
-                                        me.chain->viewing_time(s));
-            d = choose_victim(now_inst, me.cache->contents(),
-                              me.freq.get(), cfg.engine.arbitration);
-          }
-          if (me.unused_prefetch[Instance::idx(d)]) {
-            ++me.metrics.wasted_prefetches;
-            me.unused_prefetch[Instance::idx(d)] = 0;
-          }
-          me.cache->replace(d, next);
-        } else {
-          me.cache->insert(next);
-        }
+        // paper's no-abort assumption, now spanning all clients. The
+        // victim is chosen under the next state's oracle row, or for a
+        // learned client under the row in force this cycle (its
+        // chainless analogue).
+        me.book->admit_demand(next, me.r, cfg.engine.arbitration,
+                              &me.metrics, [&] {
+          if (me.predictor) return InstanceView(me.P, me.r, v);
+          const auto s = static_cast<std::size_t>(next);
+          return InstanceView(me.chain->transition_row(s), me.r,
+                              me.chain->viewing_time(s));
+        });
         const double finish = enqueue(me.r[Instance::idx(next)]);
         me.completion[Instance::idx(next)] = finish;
-        ++me.metrics.demand_fetches;
-        const double rt = me.r[Instance::idx(next)];
-        me.metrics.network_time += rt;
-        me.metrics.demand_network_time += rt;
         T = finish - t_req;
       }
-      me.freq->record(next);
-      if (me.plans && volatile_plans) me.plans->bump_generation();
+      me.book->view(next);
       if (me.predictor) me.predictor->observe(next);
-      me.unused_prefetch[Instance::idx(next)] = 0;
       me.metrics.access_time.add(T);
       ++me.metrics.requests;
       if (T == 0.0) ++me.metrics.hits;
@@ -458,15 +391,9 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         // every client at once.
         const bool frozen =
             overload.rung() >= DegradationRung::kStrictAdmission;
-        for (Client* other_p : clients) {
-          Client& other = *other_p;
-          if (other.plans) {
-            other.plans->bump_generation();
-            other.selections->bump_generation();
-            other.plans->set_admission_frozen(frozen);
-            other.selections->set_admission_frozen(frozen);
-          }
-          if (other.canon) other.canon->invalidate_all();
+        for (Client* other : clients) {
+          other->memo.invalidate();
+          other->memo.freeze(frozen);
         }
       }
       ++me.served;
@@ -480,21 +407,11 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         // frequency book, cold-restarts its predictor, and retires its
         // plan memo. Chain state and private streams survive, so a
         // churning client never shifts a sibling's request trajectory.
-        for (const ItemId item : me.cache->contents()) {
-          if (me.unused_prefetch[Instance::idx(item)]) {
-            ++me.metrics.wasted_prefetches;
-            me.unused_prefetch[Instance::idx(item)] = 0;
-          }
-        }
-        me.cache->clear();
-        me.freq->reset();
+        me.book->flush(&me.metrics);
         if (me.predictor) {
           me.predictor = make_runtime_predictor(me.kind, me.r.size());
         }
-        if (me.plans) {
-          me.plans->bump_generation();
-          me.selections->bump_generation();
-        }
+        me.memo.invalidate();
         ++churn_events;
         const double rejoin = t_end + me.churn_downtime;
         me.next_churn_at = rejoin + me.churn_period;
@@ -521,13 +438,10 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
   for (const Client* cl : clients) {
     result.per_client.push_back(cl->metrics);
     result.aggregate.merge(cl->metrics);
-    if (cl->plans) {
-      // Counter sums, never overwrites: the merged hit-rate must be
-      // recomputable from summed hits/misses (a mean of per-client rates
-      // is wrong under skewed client loads).
-      result.plan_cache.plans.merge(cl->plans->stats());
-      result.plan_cache.selections.merge(cl->selections->stats());
-    }
+    // Counter sums, never overwrites: the merged hit-rate must be
+    // recomputable from summed hits/misses (a mean of per-client rates is
+    // wrong under skewed client loads).
+    result.plan_cache.merge(cl->memo.stats());
   }
   return result;
 }

@@ -56,9 +56,11 @@ struct MultiClientConfig {
   std::size_t requests_per_client = 2'000;
   std::uint64_t seed = 1;
   // Per-client plan memoization (core/plan_cache.hpp): each oracle-mode
-  // client owns its PlanCache + CanonicalOrderTable (chains are
-  // per-client), so the single-threaded DES stays deterministic.
-  // Bit-identical on or off; a no-op for learned clients.
+  // client owns the tiers make_memo_tiers builds for it (chains are
+  // per-client) — a selection tier and a canonical-order table, plus a
+  // plan tier unless LFU/DS sub-arbitration is on — so the
+  // single-threaded DES stays deterministic. Bit-identical on or off; a
+  // no-op for learned clients, which build no tier.
   bool use_plan_cache = true;
   std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
 

@@ -85,9 +85,7 @@ ClientSession::ClientSession(
     : cat_(std::move(catalog)),
       net_(std::move(net)),
       engine_(engine),
-      cache_(deref_catalog(cat_).n(), cache_capacity),
-      freq_(cat_->n()),
-      unused_prefetch_(cat_->n(), 0) {
+      book_(SlotCache(deref_catalog(cat_).n(), cache_capacity)) {
   SKP_REQUIRE(net_.bandwidth > 0.0, "bandwidth must be positive");
   SKP_REQUIRE(net_.latency >= 0.0, "latency must be >= 0");
   validate_link_schedule(net_.schedule);
@@ -98,9 +96,10 @@ ClientSession::ClientSession(
 }
 
 void ClientSession::enable_plan_cache(std::size_t capacity) {
-  plan_cache_.emplace(engine_.config_digest(), capacity,
-                      /*doorkeeper=*/true);
-  selection_cache_.emplace(engine_.config_digest(), capacity);
+  memo_ = make_memo_tiers(/*use_plan_cache=*/true, capacity,
+                          engine_.config_digest(), /*learned_rows=*/false,
+                          engine_.config().arbitration.sub,
+                          /*canonical_states=*/0);
 }
 
 double ClientSession::link_utilization() const {
@@ -153,12 +152,15 @@ double ClientSession::enqueue_transfer(ItemId item, bool is_prefetch) {
   link_free_at_ = finish;
   in_flight_.push_back({item, start, finish, is_prefetch});
   clock_.schedule_at(finish, [this, item, start, finish] {
+    const auto it = std::find_if(
+        in_flight_.begin(), in_flight_.end(), [&](const Transfer& t) {
+          return t.item == item && t.finish == finish;
+        });
+    // A prefetch cancelled before it started (cancel_pending_on_demand)
+    // already left in_flight_ and never held the link.
+    if (it == in_flight_.end()) return;
     link_busy_total_ += finish - start;
-    in_flight_.erase(
-        std::find_if(in_flight_.begin(), in_flight_.end(),
-                     [&](const Transfer& t) {
-                       return t.item == item && t.finish == finish;
-                     }));
+    in_flight_.erase(it);
   });
   return finish;
 }
@@ -189,53 +191,22 @@ double ClientSession::request(ItemId item, double viewing_time,
   // Plan and commit prefetches (slots are reserved at enqueue time so the
   // planner never double-fetches an in-flight item; a request for such an
   // item waits for its completion).
-  PlanMemo memo;
-  if (plan_cache_ && context_key) {
-    memo.plans = &*plan_cache_;
-    memo.selections = &*selection_cache_;
-    memo.state_key = *context_key;
-  }
-  engine_.plan_with_cache_cached(inst, cache_, &freq_, memo, scratch_,
-                                 plan_, oracle_next, positive_hint);
-  const PrefetchPlan& plan = plan_;
-  metrics_.solver_nodes += plan.solver_nodes;
-  {
-    std::size_t victim_idx = 0;
-    for (ItemId f : plan.fetch) {
-      if (cache_.full()) {
-        SKP_ASSERT(victim_idx < plan.evict.size());
-        const ItemId d = plan.evict[victim_idx++];
-        if (unused_prefetch_[Instance::idx(d)]) {
-          ++metrics_.wasted_prefetches;
-          unused_prefetch_[Instance::idx(d)] = 0;
-        }
-        cache_.replace(d, f);
-      } else {
-        cache_.insert(f);
-      }
-      unused_prefetch_[Instance::idx(f)] = 1;
-      if (const std::optional<double> done = enqueue_prefetch(f)) {
-        completion_[Instance::idx(f)] = *done;
-      } else {
-        // Abandoned after exhausting its retry budget: release the slot
-        // it claimed (the victim is already gone) and fall back to a
-        // demand fetch if the item is ever actually requested.
-        cache_.erase(f);
-        unused_prefetch_[Instance::idx(f)] = 0;
-      }
-      ++metrics_.prefetch_fetches;
-      const double rt = cat_->r[Instance::idx(f)];
-      metrics_.network_time += rt;
-      metrics_.prefetch_network_time += rt;
-    }
-  }
+  const PlanMemo memo = context_key ? memo_.memo(*context_key) : PlanMemo{};
+  engine_.plan_with_cache_cached(inst, book_.cache(), &book_.freq(), memo,
+                                 scratch_, plan_, oracle_next, positive_hint);
+  metrics_.solver_nodes += plan_.solver_nodes;
+  book_.execute(plan_, cat_->r, &metrics_, [this](ItemId f) {
+    const std::optional<double> done = enqueue_prefetch(f);
+    if (done) completion_[Instance::idx(f)] = *done;
+    return done.has_value();
+  });
 
   // The user views for `viewing_time`, then requests `item`.
   const double t_req = t0 + viewing_time;
   clock_.run_until(t_req);
 
   double T = 0.0;
-  if (cache_.contains(item)) {
+  if (book_.cache().contains(item)) {
     T = std::max(0.0, completion_[Instance::idx(item)] - t_req);
   } else {
     if (net_.cancel_pending_on_demand) {
@@ -245,13 +216,7 @@ double ClientSession::request(ItemId item, double viewing_time,
       double free_at = clock_.now();
       for (const Transfer& t : in_flight_) {
         if (t.is_prefetch && t.start >= t_req) {
-          cache_.erase(t.item);
-          unused_prefetch_[Instance::idx(t.item)] = 0;
-          ++metrics_.wasted_prefetches;
-          const double rt = cat_->r[Instance::idx(t.item)];
-          metrics_.network_time -= rt;
-          metrics_.prefetch_network_time -= rt;
-          --metrics_.prefetch_fetches;
+          book_.cancel(t.item, cat_->r, metrics_);
         } else {
           kept.push_back(t);
           free_at = std::max(free_at, t.finish);
@@ -261,36 +226,17 @@ double ClientSession::request(ItemId item, double viewing_time,
       link_free_at_ = free_at;
     }
     // Demand fetch: waits behind every committed prefetch (the paper's
-    // no-abort assumption) and must claim a victim when the cache is full.
-    if (cache_.full()) {
-      const ItemId d = choose_victim(inst, cache_.contents(), &freq_,
-                                     engine_.config().arbitration);
-      if (unused_prefetch_[Instance::idx(d)]) {
-        ++metrics_.wasted_prefetches;
-        unused_prefetch_[Instance::idx(d)] = 0;
-      }
-      cache_.replace(d, item);
-    } else {
-      cache_.insert(item);
-    }
+    // no-abort assumption) and must claim a victim when the cache is
+    // full, chosen under the row in force this cycle.
+    book_.admit_demand(item, cat_->r, engine_.config().arbitration,
+                       &metrics_, [&] { return inst; });
     const double finish = enqueue_transfer(item, false);
     completion_[Instance::idx(item)] = finish;
-    ++metrics_.demand_fetches;
-    const double rt = cat_->r[Instance::idx(item)];
-    metrics_.network_time += rt;
-    metrics_.demand_network_time += rt;
     T = finish - t_req;
   }
   clock_.run_until(t_req + T);
 
-  freq_.record(item);
-  // Under LFU/DS sub-arbitration the record above changes victim scores,
-  // invalidating every stored plan that consulted them.
-  if (plan_cache_ &&
-      engine_.config().arbitration.sub != SubArbitration::None) {
-    plan_cache_->bump_generation();
-  }
-  unused_prefetch_[Instance::idx(item)] = 0;
+  book_.view(item);
   metrics_.access_time.add(T);
   ++metrics_.requests;
   if (T == 0.0) ++metrics_.hits;

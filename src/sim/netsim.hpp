@@ -23,12 +23,12 @@
 #include <vector>
 
 #include "cache/cache.hpp"
-#include "cache/freq_tracker.hpp"
 #include "core/prefetch_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
 #include "sim/link_schedule.hpp"
 #include "sim/metrics.hpp"
+#include "sim/resident_set.hpp"
 #include "util/rng.hpp"
 
 namespace skp {
@@ -108,33 +108,23 @@ class ClientSession {
                 std::size_t cache_capacity);
 
   // Opts this session into cross-request plan memoization
-  // (core/plan_cache.hpp). Cycles then planning under a `context_key`
-  // replay stored plans when the same (key, cache contents) pair recurs;
-  // the session bumps the generation itself whenever its frequency
-  // tracker invalidates LFU/DS-dependent plans. Results are bit-identical
+  // (core/plan_cache.hpp). Cycles planning under a `context_key` replay
+  // stored selections, and plans when the same (key, cache contents)
+  // pair recurs. The tiers follow make_memo_tiers with oracle rows: the
+  // caller promises a context key stands for fixed rows, and under
+  // LFU/DS no plan tier is built (frequencies move every request). The
+  // session builds no canonical-order table. Results are bit-identical
   // with or without (the memo key only ever stands in for identical
   // planning inputs).
   void enable_plan_cache(std::size_t capacity = PlanCache::kDefaultCapacity);
-  bool plan_cache_enabled() const noexcept { return plan_cache_.has_value(); }
-  // Retires every stored plan and selection (generation bump on both
-  // tiers). Callers whose context-key promise breaks — e.g. a drifting
-  // workload redrawing the rows behind its state keys — invoke this at
-  // the changepoint; a no-op when the plan cache is disabled.
-  void invalidate_plan_cache() noexcept {
-    if (plan_cache_) {
-      plan_cache_->bump_generation();
-      selection_cache_->bump_generation();
-    }
-  }
-  // Both tiers' counters (zeros when the plan cache is disabled).
-  PlanMemoStats plan_cache_stats() const noexcept {
-    PlanMemoStats stats;
-    if (plan_cache_) {
-      stats.plans = plan_cache_->stats();
-      stats.selections = selection_cache_->stats();
-    }
-    return stats;
-  }
+  bool plan_cache_enabled() const noexcept { return memo_.enabled(); }
+  // Retires every stored plan and selection. Callers whose context-key
+  // promise breaks — e.g. a drifting workload redrawing the rows behind
+  // its state keys — invoke this at the changepoint; a no-op when the
+  // plan cache is disabled.
+  void invalidate_plan_cache() noexcept { memo_.invalidate(); }
+  // Both tiers' counters (zeros for a tier that was not built).
+  PlanMemoStats plan_cache_stats() const noexcept { return memo_.stats(); }
 
   // Arms prefetch-transfer fault injection (sim/fault.hpp). `stream` must
   // be the dedicated fault stream — Rng(seed).split(kFaultStreamSalt) —
@@ -150,10 +140,7 @@ class ClientSession {
   // plan-cache admission on both memo tiers. No-op while the plan cache
   // is disabled.
   void set_plan_admission_frozen(bool frozen) noexcept {
-    if (plan_cache_) {
-      plan_cache_->set_admission_frozen(frozen);
-      selection_cache_->set_admission_frozen(frozen);
-    }
+    memo_.freeze(frozen);
   }
 
   // Runs one cycle: think for `viewing_time` (prefetching meanwhile), then
@@ -181,7 +168,7 @@ class ClientSession {
                  = std::nullopt);
 
   const SimMetrics& metrics() const noexcept { return metrics_; }
-  const SlotCache& cache() const noexcept { return cache_; }
+  const SlotCache& cache() const noexcept { return book_.cache(); }
   const SharedClientCatalog& catalog() const noexcept { return *cat_; }
   double now() const noexcept { return clock_.now(); }
   // Fraction of elapsed time the link spent transferring.
@@ -206,8 +193,7 @@ class ClientSession {
   std::shared_ptr<const SharedClientCatalog> cat_;
   NetConfig net_;
   PrefetchEngine engine_;
-  SlotCache cache_;
-  FreqTracker freq_;
+  ResidentSet<SlotCache> book_;
   EventQueue clock_;
   SimMetrics metrics_;
   FaultSpec fault_;       // default (disabled) = legacy reliable link
@@ -216,7 +202,6 @@ class ClientSession {
   double link_free_at_ = 0.0;
   double link_busy_total_ = 0.0;
   std::vector<Transfer> in_flight_;  // committed, not yet completed
-  std::vector<char> unused_prefetch_;
   std::vector<double> completion_;   // per-item transfer completion time
   // Per-cycle planning state, reused so request() never allocates after
   // the first cycle: the retrieval-time catalog lives in cat_->r, P is
@@ -224,8 +209,7 @@ class ClientSession {
   std::vector<double> P_;
   PlanScratch scratch_;
   PrefetchPlan plan_;
-  std::optional<PlanCache> plan_cache_;
-  std::optional<PlanCache> selection_cache_;
+  MemoTiers memo_;
 };
 
 }  // namespace skp

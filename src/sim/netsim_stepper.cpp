@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "sim/fault.hpp"
+#include "sim/grounded.hpp"
 #include "util/require.hpp"
 
 namespace skp {
@@ -47,15 +48,11 @@ NetsimStepper::NetsimStepper(const SimSpec& spec,
   net.latency = spec_.latency;
   net.schedule = spec_.link_schedule;
 
-  EngineConfig ecfg;
-  ecfg.policy = spec_.policy;
-  ecfg.delta_rule = spec_.delta_rule;
-  ecfg.arbitration.sub = spec_.sub;
-  ecfg.min_profit_threshold = spec_.min_profit_threshold;
-  ecfg.evaluate_plan_g = false;
-  session_.emplace(catalog_->client(), std::move(net), ecfg,
-                   spec_.cache_size);
-  if (spec_.use_plan_cache) {
+  session_.emplace(catalog_->client(), std::move(net),
+                   engine_config(spec_), spec_.cache_size);
+  // Memo tiers in oracle mode only: a learned row changes with every
+  // observation, so no context key holds and no tier could hit.
+  if (spec_.use_plan_cache && spec_.predictor == PredictorKind::Oracle) {
     session_->enable_plan_cache(spec_.plan_cache_capacity);
   }
 

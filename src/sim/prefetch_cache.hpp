@@ -10,11 +10,15 @@
 // configured sub-arbitration). Frequencies feed LFU/DS sub-arbitration.
 //
 // Extensions beyond the paper (both off by default):
-//   * use_predictor — replace the oracle transition row with a learned
+//   * predictor — replace the oracle transition row with a learned
 //     predictor (paper Section 6, "access modelling ... might serve").
 //   * min_profit_threshold — suppress low-value prefetches to trade access
 //     improvement for network usage (paper Section 6, network-usage
 //     policy).
+//
+// Every entry point here, and replay_trace (sim/trace_replay.hpp), runs
+// one request loop: the walk or the recorded sequence feeds it, and the
+// cache kind (slot or sized) is its one type parameter.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +37,14 @@ enum class PredictorKind { Oracle, Markov1, Ppm, DependencyWindow, Lz78 };
 
 const char* to_string(PredictorKind kind);
 
-// The learned predictor each kind names in the prefetch_cache and
-// trace_replay drivers: Markov1 with Laplace 0.05, PPM of order 2, a
-// dependency graph over a 2-access window, LZ78. Oracle has no learned
-// state and yields nullptr.
+// The learned predictor each kind names: Markov1 with Laplace smoothing
+// `markov1_laplace`, PPM of order 2, a dependency graph over a 2-access
+// window, LZ78. Oracle has no learned state and yields nullptr. The
+// prefetch_cache and trace_replay drivers smooth Markov1 with 0.05, the
+// runtime pipelines (make_runtime_predictor) with 0.1.
 std::unique_ptr<Predictor> make_predictor(PredictorKind kind,
-                                          std::size_t n_items);
+                                          std::size_t n_items,
+                                          double markov1_laplace);
 
 // Stream-derivation salts of run_prefetch_cache's seed layout: the
 // default entry point builds the source from Rng(seed), derives the walk
@@ -67,13 +73,16 @@ struct PrefetchCacheConfig {
   double predictor_min_prob = 0.01;
   double min_profit_threshold = 0.0;
   // Extension (paper Section 6 "looking ahead deeper"): plan against
-  // probabilities blended over this many future steps (oracle mode only;
-  // 1 = the paper's one-access lookahead). See core/lookahead.hpp.
+  // probabilities blended over this many future steps (1 = the paper's
+  // one-access lookahead). Oracle mode only: a learned predictor with a
+  // horizon > 1 is refused. See core/lookahead.hpp.
   std::size_t lookahead_horizon = 1;
   double lookahead_decay = 0.5;
   // Cross-request plan memoization (core/plan_cache.hpp): reuse completed
   // plans whenever the same (state, cache contents) pair recurs, and
   // precompute the per-state canonical solve order in oracle mode. The
+  // tiers follow make_memo_tiers: none under a learned predictor, no plan
+  // tier under LFU/DS, no canonical table under lookahead. The
   // fixed-seed equivalence suite pins on == off bit-for-bit on every
   // counter; off exists for A/B benchmarking, not correctness.
   bool use_plan_cache = true;
@@ -93,8 +102,8 @@ struct PrefetchCacheResult {
   // Requests whose access time exceeded the state's viewing time (stretch
   // intrusion diagnostics, cf. Section 4.4).
   std::uint64_t over_viewing_time = 0;
-  // Plan-memoization counters, both tiers (all zero when use_plan_cache
-  // is off).
+  // Plan-memoization counters, both tiers (zero for a tier that was not
+  // built).
   PlanMemoStats plan_cache;
 };
 
@@ -105,7 +114,9 @@ struct PrefetchCacheResult {
 PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& config);
 
 // As above but with a caller-supplied source (already constructed), useful
-// when several policies must share one chain instance.
+// when several policies must share one chain instance. Both throw when a
+// learned predictor meets lookahead_horizon > 1: the loop plans on
+// exactly one row.
 PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& config,
                                        MarkovSource& source, Rng& walk_rng);
 

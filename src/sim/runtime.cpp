@@ -9,10 +9,6 @@
 #include "cache/cache.hpp"
 #include "cache/freq_tracker.hpp"
 #include "cache/replacement.hpp"
-#include "predict/dependency_graph.hpp"
-#include "predict/lz78_predictor.hpp"
-#include "predict/markov_predictor.hpp"
-#include "predict/ppm_predictor.hpp"
 #include "sim/grounded.hpp"
 #include "sim/multi_client.hpp"
 #include "sim/netsim.hpp"
@@ -28,28 +24,15 @@
 
 namespace skp {
 
-// The learned predictors of the scenario pipelines (same construction the
-// scenario matrix has always used; prefetch_cache and trace_replay share
-// make_predictor, whose Markov1 smoothing differs).
-// Shared with the multi_client driver so contention rows stay comparable
-// with scenario/netsim_des rows of the same config.
+// make_predictor with the runtime pipelines' Markov1 smoothing (0.1;
+// prefetch_cache and trace_replay use 0.05). Shared by the scenario,
+// netsim_des and multi_client drivers so their rows stay comparable.
 std::unique_ptr<Predictor> make_runtime_predictor(PredictorKind kind,
                                                   std::size_t n_items) {
-  switch (kind) {
-    case PredictorKind::Markov1:
-      return std::make_unique<MarkovPredictor>(n_items);
-    case PredictorKind::Lz78:
-      return std::make_unique<Lz78Predictor>(n_items);
-    case PredictorKind::Ppm:
-      return std::make_unique<PpmPredictor>(n_items, 2);
-    case PredictorKind::DependencyWindow:
-      return std::make_unique<DependencyGraph>(n_items, /*window=*/2);
-    default:
-      SKP_REQUIRE(false,
-                  "this pipeline needs a learned predictor "
-                  "(markov1 | lz78 | ppm | depgraph)");
-  }
-  return nullptr;
+  SKP_REQUIRE(kind != PredictorKind::Oracle,
+              "this pipeline needs a learned predictor "
+              "(markov1 | lz78 | ppm | depgraph)");
+  return make_predictor(kind, n_items, /*markov1_laplace=*/0.1);
 }
 
 namespace {
@@ -279,11 +262,9 @@ SimResult run_trace_replay_driver(const SimSpec& spec) {
   cfg.predictor_min_prob = spec.predictor_min_prob;
   cfg.min_profit_threshold = spec.min_profit_threshold;
   cfg.warmup = spec.warmup;
-  cfg.use_plan_cache = spec.use_plan_cache;
-  cfg.plan_cache_capacity = spec.plan_cache_capacity;
 
   SimResult out;
-  out.metrics = replay_trace(trace, cfg, &out.plan_cache);
+  out.metrics = replay_trace(trace, cfg);
   return out;
 }
 
@@ -319,13 +300,7 @@ SimResult run_scenario_driver(const SimSpec& spec) {
       make_runtime_policy(spec.replacement, g.root.split(4).next_u64());
   SlotCache cache(n, spec.cache_size);
   FreqTracker freq(n);  // Pr-arbitration sub-score substrate
-
-  EngineConfig ecfg;
-  ecfg.policy = spec.policy;
-  ecfg.delta_rule = spec.delta_rule;
-  ecfg.arbitration.sub = spec.sub;
-  ecfg.min_profit_threshold = spec.min_profit_threshold;
-  const PrefetchEngine engine(ecfg);
+  const PrefetchEngine engine(engine_config(spec));
 
   SimResult res;
   SimMetrics& m = res.metrics;
@@ -458,11 +433,7 @@ SimResult run_multi_client_des_driver(const SimSpec& spec) {
   cfg.churn_downtime = mc.churn_downtime;
   cfg.link_schedule = spec.link_schedule;
   cfg.cache_size = spec.cache_size;
-  cfg.engine.policy = spec.policy;
-  cfg.engine.delta_rule = spec.delta_rule;
-  cfg.engine.arbitration.sub = spec.sub;
-  cfg.engine.min_profit_threshold = spec.min_profit_threshold;
-  cfg.engine.evaluate_plan_g = false;
+  cfg.engine = engine_config(spec);
   cfg.requests_per_client = spec.requests;
   cfg.seed = spec.seed;
   cfg.use_plan_cache = spec.use_plan_cache;

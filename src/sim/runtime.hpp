@@ -320,9 +320,10 @@ MaterializedWorkload materialize_workload(const SimWorkload& workload,
                                           std::size_t requests, Rng& build,
                                           Rng& walk);
 
-// The learned predictors of the scenario pipelines, one construction
-// shared by the scenario / netsim_des / multi_client drivers so their
-// golden rows stay comparable. Throws on Oracle (no learned state).
+// The learned predictors of the scenario pipelines: make_predictor with
+// Markov1 smoothed by 0.1, shared by the scenario / netsim_des /
+// multi_client drivers so their golden rows stay comparable. Throws on
+// Oracle (no learned state).
 std::unique_ptr<Predictor> make_runtime_predictor(PredictorKind kind,
                                                   std::size_t n_items);
 

@@ -252,6 +252,53 @@ TEST(CanonicalOrderTableTest, RowsCachedUntilInvalidated) {
 
 // ---- Engine integration -------------------------------------------------
 
+TEST(MemoTiersTest, RuleBuildsOnlyTiersThatCanHit) {
+  // (plan tier, selection tier, canonical table) per rule input.
+  const auto built = [](bool use, bool learned, SubArbitration sub,
+                        std::size_t canonical_states) {
+    MemoTiers tiers =
+        make_memo_tiers(use, 64, /*engine_digest=*/7, learned, sub,
+                        canonical_states);
+    const PlanMemo memo = tiers.memo(3);
+    EXPECT_EQ(memo.state_key, 3u);
+    EXPECT_EQ(tiers.enabled(), memo.selections != nullptr);
+    return std::vector<bool>{memo.plans != nullptr,
+                             memo.selections != nullptr,
+                             memo.canon != nullptr};
+  };
+  using V = std::vector<bool>;
+  EXPECT_EQ(built(true, false, SubArbitration::None, 10),
+            V({true, true, true}));
+  EXPECT_EQ(built(true, false, SubArbitration::LFU, 10),
+            V({false, true, true}));
+  EXPECT_EQ(built(true, false, SubArbitration::DS, 0),
+            V({false, true, false}));
+  EXPECT_EQ(built(true, true, SubArbitration::None, 10),
+            V({false, false, false}));
+  EXPECT_EQ(built(false, false, SubArbitration::None, 10),
+            V({false, false, false}));
+}
+
+TEST(MemoTiersTest, InvalidateRetiresAndFreezeRefuses) {
+  MemoTiers tiers = make_memo_tiers(true, 64, /*engine_digest=*/7,
+                                    /*learned_rows=*/false,
+                                    SubArbitration::None, 4);
+  PlanCache& selections = *tiers.memo(0).selections;
+  ASSERT_NE(selections.insert(1, 2), nullptr);
+  ASSERT_NE(selections.find(1, 2), nullptr);
+  const std::uint64_t canon_gen = tiers.memo(0).canon->generation();
+  tiers.invalidate();
+  EXPECT_EQ(selections.find(1, 2), nullptr);
+  EXPECT_NE(tiers.memo(0).canon->generation(), canon_gen);
+  tiers.freeze(true);
+  EXPECT_EQ(selections.insert(1, 2), nullptr);
+  EXPECT_TRUE(tiers.memo(0).plans->admission_frozen());
+  const PlanMemoStats stats = tiers.stats();
+  EXPECT_EQ(stats.selections.hits, 1u);
+  EXPECT_EQ(stats.selections.misses, 1u);
+  EXPECT_EQ(stats.plans.lookups(), 0u);
+}
+
 TEST(EngineConfigDigest, DistinguishesConfigs) {
   EngineConfig a;
   EXPECT_EQ(engine_config_digest(a), engine_config_digest(a));

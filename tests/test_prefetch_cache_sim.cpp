@@ -159,6 +159,17 @@ TEST(PrefetchCacheSim, SharedSourceOverloadUsesCallerChain) {
                    via_config.metrics.mean_access_time());
 }
 
+TEST(PrefetchCacheSim, RefusesLearnedPredictorWithLookahead) {
+  // The loop plans on exactly one row: a learned row or a lookahead blend
+  // of oracle rows, never both.
+  auto cfg = quick(PrefetchPolicy::SKP);
+  cfg.predictor = PredictorKind::Markov1;
+  cfg.lookahead_horizon = 3;
+  EXPECT_THROW(run_prefetch_cache(cfg), std::invalid_argument);
+  cfg.lookahead_horizon = 1;
+  EXPECT_NO_THROW(run_prefetch_cache(cfg));
+}
+
 TEST(PredictorKindNames, Stable) {
   EXPECT_STREQ(to_string(PredictorKind::Oracle), "oracle");
   EXPECT_STREQ(to_string(PredictorKind::Markov1), "markov1");

@@ -94,30 +94,19 @@ TEST(TraceReplay, PredictorKindsAllRun) {
   }
 }
 
-TEST(TraceReplay, PlanCacheOnOffBitIdentical) {
-  // An always-learning predictor bumps the memo generation every request,
-  // so the wired plan cache must be all-miss — and exactly a no-op on
-  // every counter.
-  const Trace t = markov_trace(20, 1200, 9);
-  TraceReplayConfig on;
-  TraceReplayConfig off = on;
-  off.use_plan_cache = false;
-  PlanMemoStats stats_on, stats_off;
-  const SimMetrics a = replay_trace(t, on, &stats_on);
-  const SimMetrics b = replay_trace(t, off, &stats_off);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.demand_fetches, b.demand_fetches);
-  EXPECT_EQ(a.prefetch_fetches, b.prefetch_fetches);
-  EXPECT_EQ(a.wasted_prefetches, b.wasted_prefetches);
-  EXPECT_EQ(a.solver_nodes, b.solver_nodes);
-  EXPECT_DOUBLE_EQ(a.mean_access_time(), b.mean_access_time());
-  EXPECT_DOUBLE_EQ(a.network_time, b.network_time);
-  EXPECT_EQ(stats_on.plans.hits, 0u);
-  EXPECT_GT(stats_on.plans.lookups(), 0u);
-  // The selection tier is never consulted here: its key would change
-  // with every observation.
-  EXPECT_EQ(stats_on.selections.lookups(), 0u);
-  EXPECT_EQ(stats_off.plans.lookups(), 0u);
+TEST(TraceReplay, PerfectPrefetchesTheNextRecord) {
+  // The Perfect oracle sees each record's item before it is served, so
+  // on a learnable trace it prefetches and beats no prefetching.
+  const Trace t = markov_trace(25, 3000, 3);
+  TraceReplayConfig perfect;
+  perfect.policy = PrefetchPolicy::Perfect;
+  perfect.warmup = 300;
+  TraceReplayConfig none = perfect;
+  none.policy = PrefetchPolicy::None;
+  const SimMetrics p = replay_trace(t, perfect);
+  const SimMetrics z = replay_trace(t, none);
+  EXPECT_GT(p.prefetch_fetches, 0u);
+  EXPECT_LT(p.mean_access_time(), z.mean_access_time());
 }
 
 TEST(TraceReplay, BiggerCacheHelps) {
