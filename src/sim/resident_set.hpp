@@ -8,8 +8,9 @@
 // a plan executes with each fetch claiming its victim, a demand fetch
 // claims a minimal-Pr victim under the row its caller passes, and a
 // prefetched item that leaves the cache before anyone viewed it counts
-// as a wasted prefetch. A null SimMetrics pointer (a warm-up request)
-// updates the state without counting.
+// as a wasted prefetch (an abandoned transfer, which never arrived, does
+// not). A null SimMetrics pointer (a warm-up request) updates the state
+// without counting.
 #pragma once
 
 #include <span>
@@ -45,7 +46,8 @@ class ResidentSet {
   // the whole victim set first, then inserts the fetches. `deliver(f)`
   // runs once fetch f holds its slot and returns whether the transfer
   // arrived; an abandoned one releases the slot (its victim is already
-  // gone) and the item is demand-fetched if it is ever requested.
+  // gone) uncounted, and the item is demand-fetched if it is ever
+  // requested.
   template <typename Deliver>
   void execute(const StoredPlan& plan, std::span<const double> r,
                SimMetrics* m, Deliver&& deliver) {
