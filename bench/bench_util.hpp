@@ -25,8 +25,9 @@
 #include <filesystem>
 #include <iostream>
 #include <optional>
-#include <stdexcept>
 #include <string>
+
+#include "util/parse_digits.hpp"
 
 namespace skp::bench {
 
@@ -35,18 +36,15 @@ namespace skp::bench {
   std::exit(2);
 }
 
-// Digits only, as simctl's parse_u64: strtoull would read "abc" as 0 and
+// Digits only (util/parse_digits.hpp): strtoull would read "abc" as 0 and
 // wrap "-1" into 2^64 - 1.
 inline std::uint64_t parse_u64(const std::string& value, const char* flag) {
-  if (!value.empty() &&
-      value.find_first_not_of("0123456789") == std::string::npos) {
-    try {
-      return std::stoull(value);
-    } catch (const std::out_of_range&) {
-    }
+  const std::optional<std::uint64_t> v = skp::parse_digits_u64(value);
+  if (!v) {
+    reject_arg(std::string(flag) + " expects an unsigned integer, got '" +
+               value + "'");
   }
-  reject_arg(std::string(flag) + " expects an unsigned integer, got '" +
-             value + "'");
+  return *v;
 }
 
 struct BenchArgs {

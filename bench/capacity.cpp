@@ -14,8 +14,8 @@
 //                           reduction baseline.
 //   CAP_NetsimActive_shared the shared sessions after stepping, so the
 //                           predictor/plan-cache growth shows up.
-//   CAP_SkpdIdle            sessions resident in the sharded
-//                           SkpdSessionStore, store overhead included.
+//   CAP_SkpdIdle            sessions resident in the SkpdSessionStore,
+//                           store overhead included.
 //
 // Emits a google-benchmark-compatible JSON snapshot (counters only;
 // cpu_time is zero and skipped by the comparer) so compare_bench.py can
@@ -37,7 +37,6 @@
 #include "sim/catalog.hpp"
 #include "sim/netsim_stepper.hpp"
 #include "sim/runtime.hpp"
-#include "sim/session_store.hpp"
 #include "sim/skpd_session.hpp"
 
 namespace {
@@ -233,12 +232,13 @@ int main(int argc, char** argv) {
     idle_private = rows.back().bytes_per_session;
   }
 
-  // Daemon-resident idle sessions: store sharding and replay buffers
-  // included, i.e. what one skpd process pays per preloaded session.
+  // Daemon-resident idle sessions: the store's map nodes and replay
+  // buffers included, i.e. what one skpd process pays per preloaded
+  // session.
   {
     const std::shared_ptr<const skp::SharedCatalog> catalog =
         skp::SharedCatalog::acquire(spec);
-    skp::SkpdSessionStore store(skp::recommended_shard_count(sessions));
+    skp::SkpdSessionStore store;
     const std::uint64_t before = live();
     for (std::size_t i = 0; i < sessions; ++i) {
       store.create(spec, catalog);

@@ -5,7 +5,7 @@
 // the SKP engine decides which files to stage during think time.
 //
 // Demonstrates the DES substrate with non-trivial latency and bandwidth,
-// Zipf-ian file popularity, and the cancel-pending extension.
+// Zipf-ian file popularity, and the min-profit threshold extension.
 #include <iostream>
 #include <sstream>
 
@@ -20,7 +20,6 @@ using namespace skp;
 struct Config {
   double bandwidth;     // KB per second
   double latency;       // seconds per request
-  bool cancel_pending;
   PrefetchPolicy policy;
   double threshold = 0.0;  // min P*r profit to bother prefetching
 };
@@ -44,7 +43,6 @@ Outcome run(const Config& c, std::uint64_t seed) {
   NetConfig net;
   net.bandwidth = c.bandwidth;
   net.latency = c.latency;
-  net.cancel_pending_on_demand = c.cancel_pending;
 
   EngineConfig ecfg;
   ecfg.policy = c.policy;
@@ -61,7 +59,7 @@ Outcome run(const Config& c, std::uint64_t seed) {
     if (i % 200 == 199) P = zipf_probabilities(n_files, 1.1, rng);
     const ItemId file = sample_categorical(P, walk);
     // Bursty usage: mostly quick glances, so prefetch queues regularly
-    // spill past the think time (where the cancel knob matters).
+    // spill past the think time.
     const double think = walk.bernoulli(0.7) ? walk.uniform(0.5, 3.0)
                                              : walk.uniform(10.0, 40.0);
     device.request(file, think, P);
@@ -89,13 +87,10 @@ int main() {
       {"early WLAN        (80 KB/s, 0.05 s RTT)", 80.0, 0.05, 0.2},
   };
   for (const auto& link : links) {
-    const auto none =
-        run({link.bw, link.lat, false, PrefetchPolicy::None}, 11);
-    const auto skp =
-        run({link.bw, link.lat, false, PrefetchPolicy::SKP}, 11);
-    const auto frugal = run(
-        {link.bw, link.lat, true, PrefetchPolicy::SKP, link.threshold},
-        11);
+    const auto none = run({link.bw, link.lat, PrefetchPolicy::None}, 11);
+    const auto skp = run({link.bw, link.lat, PrefetchPolicy::SKP}, 11);
+    const auto frugal =
+        run({link.bw, link.lat, PrefetchPolicy::SKP, link.threshold}, 11);
     auto cell = [](const Outcome& o) {
       std::ostringstream os;
       os << o.mean_T << " / " << o.net_per_req;
@@ -107,9 +102,8 @@ int main() {
   std::cout
       << "\nSpeculative staging pays most on the slowest links, where a "
          "demand fetch of\na media file stalls the user for minutes. The "
-         "thresholded variant (which\nalso cancels still-queued "
-         "prefetches on a miss) keeps most of the latency\nwin while "
-         "spending far less of the thin pipe - the Section-6 trade-off "
-         "the\npaper leaves open.\n";
+         "thresholded variant skips\nlow-profit prefetches, trading "
+         "part of the latency win for less of the thin\npipe - the "
+         "Section-6 trade-off the paper leaves open.\n";
   return 0;
 }

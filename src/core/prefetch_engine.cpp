@@ -330,53 +330,6 @@ PrefetchPlan PrefetchEngine::plan(InstanceView inst,
   return out;
 }
 
-void PrefetchEngine::plan_cached(InstanceView inst, const PlanMemo& memo,
-                                 PlanScratch& scratch, PrefetchPlan& out,
-                                 std::optional<ItemId> oracle_next) const {
-  // Empty-cache planning has no cache fingerprint; 0 stands in (the key
-  // space is per-PlanCache, and a cache-aware caller always has a
-  // non-degenerate fingerprint from its SlotCache/SizedCache). Only the
-  // plan tier applies: with no cache the selection IS the plan.
-  if (memo.plans != nullptr && memoizable_policy()) {
-    SKP_REQUIRE(memo.plans->config_digest() == digest_,
-                "PlanCache built for a different engine config");
-    if (const StoredPlan* stored = memo.plans->find(memo.state_key, 0)) {
-      copy_plan(*stored, out);
-      return;
-    }
-    plan(inst, scratch, out, oracle_next);
-    if (StoredPlan* slot = memo.plans->insert(memo.state_key, 0)) {
-      copy_plan(out, *slot);
-    }
-    return;
-  }
-  plan(inst, scratch, out, oracle_next);
-}
-
-void PrefetchEngine::plan_with_cache(
-    InstanceView inst, const SlotCache& cache, const FreqTracker* freq,
-    PlanScratch& scratch, PrefetchPlan& out,
-    std::optional<ItemId> oracle_next,
-    std::span<const ItemId> positive_hint) const {
-  inst.validate_shape();
-  // The instance and cache must describe the same catalog: the victim
-  // ranking and Eq.-(9) evaluation below index P/r (and the scratch mark
-  // array, sized to inst.n()) with cached item ids, so a larger cache
-  // catalog would read — and mark — out of bounds.
-  const std::span<const char> present = cache.presence();
-  SKP_REQUIRE(inst.n() == present.size(),
-              "catalog of " << inst.n() << " items vs cache catalog of "
-                            << present.size());
-  viable_candidates_into(
-      inst,
-      [present](ItemId id) {
-        return present[static_cast<std::size_t>(id)] != 0;
-      },
-      config_.min_profit_threshold, scratch.candidates, positive_hint);
-  select_into(inst, scratch.candidates, oracle_next, scratch, out);
-  admit_slot_into(inst, cache, freq, scratch, out);
-}
-
 void PrefetchEngine::select_memoized(
     InstanceView inst, const PlanMemo& memo,
     std::optional<ItemId> oracle_next, PlanScratch& scratch,
@@ -407,16 +360,22 @@ void PrefetchEngine::select_memoized(
   }
 }
 
-void PrefetchEngine::plan_with_cache_cached(
-    InstanceView inst, const SlotCache& cache, const FreqTracker* freq,
-    const PlanMemo& memo, PlanScratch& scratch, PrefetchPlan& out,
-    std::optional<ItemId> oracle_next,
-    std::span<const ItemId> positive_hint) const {
+template <typename Cache, typename SkipFn, typename AdmitFn>
+void PrefetchEngine::plan_memoized(InstanceView inst, const Cache& cache,
+                                   SkipFn skip, AdmitFn admit,
+                                   const PlanMemo& memo, PlanScratch& scratch,
+                                   PrefetchPlan& out,
+                                   std::optional<ItemId> oracle_next,
+                                   std::span<const ItemId> positive_hint)
+    const {
   inst.validate_shape();
-  const std::span<const char> present = cache.presence();
-  SKP_REQUIRE(inst.n() == present.size(),
+  // The instance and cache must describe the same catalog: the victim
+  // ranking and Eq.-(9) evaluation index P/r (and the scratch mark
+  // array, sized to inst.n()) with cached item ids, so a larger cache
+  // catalog would read — and mark — out of bounds.
+  SKP_REQUIRE(inst.n() == cache.presence().size(),
               "catalog of " << inst.n() << " items vs cache catalog of "
-                            << present.size());
+                            << cache.presence().size());
   const bool memoized = memo.plans != nullptr && memoizable_policy();
   if (memoized) {
     SKP_REQUIRE(memo.plans->config_digest() == digest_,
@@ -433,28 +392,36 @@ void PrefetchEngine::plan_with_cache_cached(
   if (memo.canon != nullptr && !positive_hint.empty()) {
     canonical = true;
     candidates_fp = filter_canonical_candidates(
-        inst, memo.canon->row(memo.state_key, inst, positive_hint),
-        [present](ItemId id) {
-          return present[static_cast<std::size_t>(id)] != 0;
-        },
+        inst, memo.canon->row(memo.state_key, inst, positive_hint), skip,
         config_.min_profit_threshold, scratch.candidates, suffix);
   } else {
-    viable_candidates_into(
-        inst,
-        [present](ItemId id) {
-          return present[static_cast<std::size_t>(id)] != 0;
-        },
-        config_.min_profit_threshold, scratch.candidates, positive_hint);
+    viable_candidates_into(inst, skip, config_.min_profit_threshold,
+                           scratch.candidates, positive_hint);
   }
   select_memoized(inst, memo, oracle_next, scratch, out, canonical, suffix,
                   candidates_fp);
-  admit_slot_into(inst, cache, freq, scratch, out);
+  admit();
   if (memoized) {
     if (StoredPlan* slot =
             memo.plans->insert(memo.state_key, cache.fingerprint())) {
       copy_plan(out, *slot);
     }
   }
+}
+
+void PrefetchEngine::plan_with_cache_cached(
+    InstanceView inst, const SlotCache& cache, const FreqTracker* freq,
+    const PlanMemo& memo, PlanScratch& scratch, PrefetchPlan& out,
+    std::optional<ItemId> oracle_next,
+    std::span<const ItemId> positive_hint) const {
+  const std::span<const char> present = cache.presence();
+  plan_memoized(
+      inst, cache,
+      [present](ItemId id) {
+        return present[static_cast<std::size_t>(id)] != 0;
+      },
+      [&] { admit_slot_into(inst, cache, freq, scratch, out); }, memo,
+      scratch, out, oracle_next, positive_hint);
 }
 
 void PrefetchEngine::admit_slot_into(InstanceView inst,
@@ -577,28 +544,9 @@ PrefetchPlan PrefetchEngine::plan_with_cache(
   inst.validate();
   PlanScratch scratch;
   PrefetchPlan out;
-  plan_with_cache(inst, cache, freq, scratch, out, oracle_next);
+  plan_with_cache_cached(inst, cache, freq, PlanMemo{}, scratch, out,
+                         oracle_next);
   return out;
-}
-
-void PrefetchEngine::plan_with_sized_cache(
-    InstanceView inst, const SizedCache& cache, const FreqTracker* freq,
-    PlanScratch& scratch, PrefetchPlan& out,
-    std::optional<ItemId> oracle_next) const {
-  inst.validate_shape();
-  // Same catalog contract as the slot planner: cached ids index P/r and
-  // the scratch mark array (sized to inst.n()) below.
-  SKP_REQUIRE(inst.n() == cache.catalog_size(),
-              "catalog of " << inst.n() << " items vs cache catalog of "
-                            << cache.catalog_size());
-  viable_candidates_into(
-      inst,
-      [&cache](ItemId id) {
-        return cache.contains(id) || !cache.cacheable(id);
-      },
-      config_.min_profit_threshold, scratch.candidates);
-  select_into(inst, scratch.candidates, oracle_next, scratch, out);
-  admit_sized_into(inst, cache, freq, scratch, out);
 }
 
 void PrefetchEngine::plan_with_sized_cache_cached(
@@ -606,48 +554,13 @@ void PrefetchEngine::plan_with_sized_cache_cached(
     const PlanMemo& memo, PlanScratch& scratch, PrefetchPlan& out,
     std::optional<ItemId> oracle_next,
     std::span<const ItemId> positive_hint) const {
-  inst.validate_shape();
-  SKP_REQUIRE(inst.n() == cache.catalog_size(),
-              "catalog of " << inst.n() << " items vs cache catalog of "
-                            << cache.catalog_size());
-  const bool memoized = memo.plans != nullptr && memoizable_policy();
-  if (memoized) {
-    SKP_REQUIRE(memo.plans->config_digest() == digest_,
-                "PlanCache built for a different engine config");
-    if (const StoredPlan* stored =
-            memo.plans->find(memo.state_key, cache.fingerprint())) {
-      copy_plan(*stored, out);
-      return;
-    }
-  }
-  bool canonical = false;
-  std::span<const double> suffix;
-  std::optional<std::uint64_t> candidates_fp;
-  if (memo.canon != nullptr && !positive_hint.empty()) {
-    canonical = true;
-    candidates_fp = filter_canonical_candidates(
-        inst, memo.canon->row(memo.state_key, inst, positive_hint),
-        [&cache](ItemId id) {
-          return cache.contains(id) || !cache.cacheable(id);
-        },
-        config_.min_profit_threshold, scratch.candidates, suffix);
-  } else {
-    viable_candidates_into(
-        inst,
-        [&cache](ItemId id) {
-          return cache.contains(id) || !cache.cacheable(id);
-        },
-        config_.min_profit_threshold, scratch.candidates, positive_hint);
-  }
-  select_memoized(inst, memo, oracle_next, scratch, out, canonical, suffix,
-                  candidates_fp);
-  admit_sized_into(inst, cache, freq, scratch, out);
-  if (memoized) {
-    if (StoredPlan* slot =
-            memo.plans->insert(memo.state_key, cache.fingerprint())) {
-      copy_plan(out, *slot);
-    }
-  }
+  plan_memoized(
+      inst, cache,
+      [&cache](ItemId id) {
+        return cache.contains(id) || !cache.cacheable(id);
+      },
+      [&] { admit_sized_into(inst, cache, freq, scratch, out); }, memo,
+      scratch, out, oracle_next, positive_hint);
 }
 
 void PrefetchEngine::admit_sized_into(InstanceView inst,
@@ -723,7 +636,8 @@ PrefetchPlan PrefetchEngine::plan_with_sized_cache(
   inst.validate();
   PlanScratch scratch;
   PrefetchPlan out;
-  plan_with_sized_cache(inst, cache, freq, scratch, out, oracle_next);
+  plan_with_sized_cache_cached(inst, cache, freq, PlanMemo{}, scratch, out,
+                               oracle_next);
   return out;
 }
 

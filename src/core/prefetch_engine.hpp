@@ -16,15 +16,15 @@
 // P_f r_f order against minimal-Pr victims (Pr-arbitration), optionally
 // tie-breaking victims by LFU or delay-saving profit (sub-arbitration).
 //
-// Each planner comes in three forms: a convenience overload returning a
-// fresh PrefetchPlan, an allocation-free overload taking a PlanScratch
-// (every working buffer) plus an output plan to refill, and a *_cached
-// overload that additionally consults a PlanMemo (core/plan_cache.hpp)
-// for cross-request memoization and per-state canonical solve orders.
-// All three are bit-identical; sim hot loops use the memoized scratch
-// form so paper-scale sweeps (25M planning rounds for Figure 7) never
-// touch the allocator and never re-solve a recurring (state, cache)
-// pair.
+// Each planner comes in two forms: a convenience overload returning a
+// fresh PrefetchPlan, and an allocation-free overload taking a
+// PlanScratch (every working buffer) plus an output plan to refill. The
+// cache-aware allocation-free forms (*_cached) also consult a PlanMemo
+// (core/plan_cache.hpp) for cross-request memoization and per-state
+// canonical solve orders; a default PlanMemo plans unmemoized. Both
+// forms are bit-identical; sim hot loops use the memoized scratch form
+// so paper-scale sweeps (25M planning rounds for Figure 7) never touch
+// the allocator and never re-solve a recurring (state, cache) pair.
 #pragma once
 
 #include <cstdint>
@@ -99,21 +99,16 @@ class PrefetchEngine {
   // slots, candidates fill them without arbitration (nothing contests);
   // once full, Pr-arbitration decides. `freq` is required for LFU/DS
   // sub-arbitration.
-  // `positive_hint`, when non-empty, must list (in ascending id order)
-  // every item with P_i > 0 — e.g. a Markov source's successor list. The
-  // candidate filter then scans those entries instead of the whole
-  // catalog; entries with P_i == 0 are permitted and skipped, so any
-  // ascending superset of the support is valid. The result is identical
-  // to the unhinted call.
+  // `positive_hint` (taken by the *_cached forms below), when non-empty,
+  // must list (in ascending id order) every item with P_i > 0 — e.g. a
+  // Markov source's successor list. The candidate filter then scans
+  // those entries instead of the whole catalog; entries with P_i == 0
+  // are permitted and skipped, so any ascending superset of the support
+  // is valid. The result is identical to the unhinted call.
   PrefetchPlan plan_with_cache(InstanceView inst, const SlotCache& cache,
                                const FreqTracker* freq,
                                std::optional<ItemId> oracle_next
                                = std::nullopt) const;
-  void plan_with_cache(InstanceView inst, const SlotCache& cache,
-                       const FreqTracker* freq, PlanScratch& scratch,
-                       PrefetchPlan& out,
-                       std::optional<ItemId> oracle_next = std::nullopt,
-                       std::span<const ItemId> positive_hint = {}) const;
 
   // Size-aware planning (extension; DESIGN.md D6 / paper Section 6): the
   // Figure-6 loop generalized to heterogeneous item sizes. Each candidate
@@ -127,26 +122,20 @@ class PrefetchEngine {
                                      const FreqTracker* freq,
                                      std::optional<ItemId> oracle_next
                                      = std::nullopt) const;
-  void plan_with_sized_cache(InstanceView inst, const SizedCache& cache,
-                             const FreqTracker* freq, PlanScratch& scratch,
-                             PrefetchPlan& out,
-                             std::optional<ItemId> oracle_next
-                             = std::nullopt) const;
 
   // ---- Memoized planning (core/plan_cache.hpp) --------------------------
   // Each *_cached overload consults memo.plans (completed plans, keyed by
-  // state + cache fingerprint) before running the pipeline above — a hit
-  // copies the stored plan into `out` and solves nothing. On a plan-tier
-  // miss, memo.selections (keyed by state + candidate-set fingerprint)
-  // can still replay the solver stage, so only the cheap Figure-6
-  // admission runs; the selection tier is deliberately blind to the full
-  // cache set and to LFU/DS frequencies, which the solve does not read.
-  // When memo.canon is set (and, for the cache-aware planners, a
-  // positive hint identifies the support) even a full miss skips the
-  // per-solve Eq.-5 sort by filtering the precomputed per-state
-  // canonical order against the cache. With a default PlanMemo these are
-  // exactly the scratch overloads above. Results are bit-identical
-  // either way.
+  // state + cache fingerprint) before running the cache-aware pipeline
+  // above — a hit copies the stored plan into `out` and solves nothing.
+  // On a plan-tier miss, memo.selections (keyed by state + candidate-set
+  // fingerprint) can still replay the solver stage, so only the cheap
+  // Figure-6 admission runs; the selection tier is deliberately blind to
+  // the full cache set and to LFU/DS frequencies, which the solve does
+  // not read. When memo.canon is set and a positive hint identifies the
+  // support, even a full miss skips the per-solve Eq.-5 sort by
+  // filtering the precomputed per-state canonical order against the
+  // cache. A default PlanMemo runs the plain pipeline. Results are
+  // bit-identical either way.
   //
   // Memoization requires the stored value to be a pure function of its
   // key: the caller must bump memo.plans' generation whenever planning
@@ -158,9 +147,6 @@ class PrefetchEngine {
   // empty and Perfect-policy plans depend on the oracle item, so both
   // bypass memoization entirely (consulting it would cost more than
   // planning).
-  void plan_cached(InstanceView inst, const PlanMemo& memo,
-                   PlanScratch& scratch, PrefetchPlan& out,
-                   std::optional<ItemId> oracle_next = std::nullopt) const;
   void plan_with_cache_cached(InstanceView inst, const SlotCache& cache,
                               const FreqTracker* freq, const PlanMemo& memo,
                               PlanScratch& scratch, PrefetchPlan& out,
@@ -201,6 +187,16 @@ class PrefetchEngine {
                        std::span<const double> suffix_prob,
                        std::optional<std::uint64_t> candidates_fp
                        = std::nullopt) const;
+
+  // The memoized pipeline behind both *_cached planners: plan-tier
+  // lookup, candidate staging, memoized selection, `admit()`, plan-tier
+  // store. `skip(id)` is the cached/uncacheable candidate predicate.
+  template <typename Cache, typename SkipFn, typename AdmitFn>
+  void plan_memoized(InstanceView inst, const Cache& cache, SkipFn skip,
+                     AdmitFn admit, const PlanMemo& memo,
+                     PlanScratch& scratch, PrefetchPlan& out,
+                     std::optional<ItemId> oracle_next,
+                     std::span<const ItemId> positive_hint) const;
 
   // The Figure-6 admission pipelines, consuming the selector's proposal
   // in `out` (select_into / select_memoized must have run).

@@ -7,8 +7,6 @@
 #include "sim/grounded.hpp"
 #include "sim/prefetch_cache.hpp"
 #include "util/require.hpp"
-#include "workload/adversarial_source.hpp"
-#include "workload/zipf_source.hpp"
 
 namespace skp {
 
@@ -70,12 +68,7 @@ std::shared_ptr<const SharedCatalog> SharedCatalog::build(
                 "oracle netsim_des needs a generative workload "
                 "(markov | markov_drift | zipf | adversarial)");
     cat->mcfg_ = to_markov_config(w);
-    cat->source_.emplace(
-        w.kind == SimWorkloadKind::Zipf
-            ? make_zipf_source(to_zipf_config(w), build)
-        : w.kind == SimWorkloadKind::Adversarial
-            ? make_adversarial_source(to_adversarial_config(w), build)
-            : MarkovSource(cat->mcfg_, build));
+    cat->source_.emplace(make_workload_source(w, build));
     cat->drift_rng_ = build.split(kPrefetchCacheDriftSalt);
     cat->drift_period_ =
         w.kind == SimWorkloadKind::MarkovDrift ? w.drift_period : 0;

@@ -6,15 +6,11 @@
 #include <optional>
 #include <span>
 
-#include <future>
-
 #include "cache/cache.hpp"
 #include "predict/predictor.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/resident_set.hpp"
 #include "sim/runtime.hpp"  // make_runtime_predictor
-#include "sim/session_store.hpp"
-#include "util/thread_pool.hpp"
 
 namespace skp {
 
@@ -74,18 +70,12 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
   const PrefetchEngine engine(cfg.engine);
   Rng build(cfg.seed);
 
-  // Clients live in shard-per-core session storage (id = client index,
-  // shard = id % N; sim/session_store.hpp). Shard setup runs in parallel
-  // when every client is privately seeded (overrides in play) — each
-  // client's streams then depend only on (seed, index), never on
-  // construction order — and sequentially under the legacy shared-stream
-  // scheme. Either way each client's state is bit-identical to what the
-  // flat-vector construction this replaces produced.
-  ShardedSessionStore<Client> store(
-      recommended_shard_count(cfg.n_clients));
-  for (std::size_t c = 0; c < cfg.n_clients; ++c) store.emplace(c);
-
-  auto setup_client = [&](std::size_t c, Client& cl, Rng* shared_build) {
+  // Clients are addressed by index. The vector is sized once and never
+  // resized, so spans into client-owned storage never move. Setup runs
+  // in index order, which is the order the shared-stream scheme draws in.
+  std::vector<Client> clients(cfg.n_clients);
+  for (std::size_t c = 0; c < cfg.n_clients; ++c) {
+    Client& cl = clients[c];
     const MultiClientConfig::ClientOverride* ov =
         cfg.overrides.empty() ? nullptr : &cfg.overrides[c];
     const PredictorKind kind =
@@ -126,10 +116,10 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
       const MarkovSourceConfig& scfg =
           ov && ov->source ? *ov->source : cfg.source;
       cl.chain = std::make_unique<MarkovSource>(
-          scfg, private_build ? *private_build : *shared_build);
+          scfg, private_build ? *private_build : build);
       cl.chain->teleport(0);
     }
-    if (!private_build) cl.walk = shared_build->split(1000 + c);
+    if (!private_build) cl.walk = build.split(1000 + c);
 
     // Effective retrieval catalog, by reference: the fleet-wide override
     // vector (alive for the whole run) or the chain's own catalog (the
@@ -183,34 +173,6 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         cl.cycles = cl.cycles_storage;
       }
     }
-  };
-
-  if (!cfg.overrides.empty() && store.n_shards() > 1) {
-    // Private streams: shard setups are independent, one worker per
-    // shard, no cross-shard state touched.
-    ThreadPool pool(store.n_shards());
-    std::vector<std::future<void>> pending;
-    pending.reserve(store.n_shards());
-    for (std::size_t s = 0; s < store.n_shards(); ++s) {
-      pending.push_back(pool.submit([&, s] {
-        store.shard(s).for_each([&](std::uint64_t id, Client& cl) {
-          setup_client(static_cast<std::size_t>(id), cl, nullptr);
-        });
-      }));
-    }
-    join_all(pending);  // rethrows setup validation errors
-  } else {
-    for (std::size_t c = 0; c < cfg.n_clients; ++c) {
-      setup_client(c, *store.find(c), &build);
-    }
-  }
-
-  // Flat index view for the event loop — shards are a storage shape;
-  // the DES addresses clients by index. Map nodes are stable, so these
-  // pointers (and spans into client-owned storage) never move.
-  std::vector<Client*> clients(cfg.n_clients);
-  for (std::size_t c = 0; c < cfg.n_clients; ++c) {
-    clients[c] = store.find(c);
   }
 
   // Herd schedule for flash crowds: one shared per-cycle viewing-time
@@ -220,8 +182,8 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
   std::vector<double> herd;
   if (cfg.phase_align > 0.0) {
     std::size_t max_quota = 0;
-    for (const Client* cl : clients) {
-      max_quota = std::max(max_quota, cl->quota);
+    for (const Client& cl : clients) {
+      max_quota = std::max(max_quota, cl.quota);
     }
     Rng herd_rng = Rng(cfg.seed).split(999);
     herd.reserve(max_quota);
@@ -300,7 +262,7 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
   // One viewing-and-request cycle for client c, starting at clock.now().
   // Defined as a std::function so completions can reschedule it.
   std::function<void(std::size_t)> start_cycle = [&](std::size_t c) {
-    Client& cl = *clients[c];
+    Client& cl = clients[c];
     if (cl.served >= cl.quota) {
       makespan = std::max(makespan, clock.now());
       return;
@@ -358,7 +320,7 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
 
     const double t_req = t0 + v;
     clock.schedule_at(t_req, [&, c, next, v, t_req] {
-      Client& me = *clients[c];
+      Client& me = clients[c];
       double T = 0.0;
       if (me.book->cache().contains(next)) {
         T = std::max(0.0, me.completion[Instance::idx(next)] - t_req);
@@ -391,9 +353,9 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
         // every client at once.
         const bool frozen =
             overload.rung() >= DegradationRung::kStrictAdmission;
-        for (Client* other : clients) {
-          other->memo.invalidate();
-          other->memo.freeze(frozen);
+        for (Client& other : clients) {
+          other.memo.invalidate();
+          other.memo.freeze(frozen);
         }
       }
       ++me.served;
@@ -435,13 +397,13 @@ MultiClientResult run_multi_client(const MultiClientConfig& cfg) {
   result.fault = fault_stats;
   result.overload = overload.stats();
   result.deadline_hits = deadline_hits;
-  for (const Client* cl : clients) {
-    result.per_client.push_back(cl->metrics);
-    result.aggregate.merge(cl->metrics);
+  for (const Client& cl : clients) {
+    result.per_client.push_back(cl.metrics);
+    result.aggregate.merge(cl.metrics);
     // Counter sums, never overwrites: the merged hit-rate must be
     // recomputable from summed hits/misses (a mean of per-client rates is
     // wrong under skewed client loads).
-    result.plan_cache.merge(cl->memo.stats());
+    result.plan_cache.merge(cl.memo.stats());
   }
   return result;
 }

@@ -108,16 +108,12 @@ double ClientSession::link_utilization() const {
 
 void ClientSession::set_fault_injection(const FaultSpec& spec, Rng stream) {
   validate_fault_spec(spec);
-  SKP_REQUIRE(!(spec.enabled() && net_.cancel_pending_on_demand),
-              "fault injection is not composable with "
-              "cancel_pending_on_demand (cancel rollback assumes queued "
-              "prefetches are cache-resident)");
   fault_ = spec;
   fault_rng_ = stream;
 }
 
 std::optional<double> ClientSession::enqueue_prefetch(ItemId item) {
-  if (!fault_.enabled()) return enqueue_transfer(item, true);
+  if (!fault_.enabled()) return enqueue_transfer(item);
   const double start = std::max(clock_.now(), link_free_at_);
   const FaultTransfer ft = run_faulty_transfer(
       fault_, fault_rng_, fault_stats_, start, [&](double attempt_start) {
@@ -127,21 +123,13 @@ std::optional<double> ClientSession::enqueue_prefetch(ItemId item) {
   // The link is held through every attempt; backoff gaps idle it, so
   // occupancy (ft.busy) is what counts toward utilization.
   link_free_at_ = ft.finish;
-  in_flight_.push_back({item, start, ft.finish, true});
   clock_.schedule_at(ft.finish,
-                     [this, item, finish = ft.finish, busy = ft.busy] {
-                       link_busy_total_ += busy;
-                       in_flight_.erase(std::find_if(
-                           in_flight_.begin(), in_flight_.end(),
-                           [&](const Transfer& t) {
-                             return t.item == item && t.finish == finish;
-                           }));
-                     });
+                     [this, busy = ft.busy] { link_busy_total_ += busy; });
   if (!ft.delivered) return std::nullopt;
   return ft.finish;
 }
 
-double ClientSession::enqueue_transfer(ItemId item, bool is_prefetch) {
+double ClientSession::enqueue_transfer(ItemId item) {
   const double start = std::max(clock_.now(), link_free_at_);
   // Priced by the link phase in force at transfer START (the base static
   // r_i when no schedule is set); metrics keep charging the base r_i so
@@ -150,17 +138,8 @@ double ClientSession::enqueue_transfer(ItemId item, bool is_prefetch) {
       net_.transfer_time(cat_->server.sizes[Instance::idx(item)], start);
   const double finish = start + duration;
   link_free_at_ = finish;
-  in_flight_.push_back({item, start, finish, is_prefetch});
-  clock_.schedule_at(finish, [this, item, start, finish] {
-    const auto it = std::find_if(
-        in_flight_.begin(), in_flight_.end(), [&](const Transfer& t) {
-          return t.item == item && t.finish == finish;
-        });
-    // A prefetch cancelled before it started (cancel_pending_on_demand)
-    // already left in_flight_ and never held the link.
-    if (it == in_flight_.end()) return;
+  clock_.schedule_at(finish, [this, start, finish] {
     link_busy_total_ += finish - start;
-    in_flight_.erase(it);
   });
   return finish;
 }
@@ -209,28 +188,12 @@ double ClientSession::request(ItemId item, double viewing_time,
   if (book_.cache().contains(item)) {
     T = std::max(0.0, completion_[Instance::idx(item)] - t_req);
   } else {
-    if (net_.cancel_pending_on_demand) {
-      // Extension: drop queued prefetches that have not started yet and
-      // free their cache slots (their victims are already gone).
-      std::vector<Transfer> kept;
-      double free_at = clock_.now();
-      for (const Transfer& t : in_flight_) {
-        if (t.is_prefetch && t.start >= t_req) {
-          book_.cancel(t.item, cat_->r, metrics_);
-        } else {
-          kept.push_back(t);
-          free_at = std::max(free_at, t.finish);
-        }
-      }
-      in_flight_ = std::move(kept);
-      link_free_at_ = free_at;
-    }
     // Demand fetch: waits behind every committed prefetch (the paper's
     // no-abort assumption) and must claim a victim when the cache is
     // full, chosen under the row in force this cycle.
     book_.admit_demand(item, cat_->r, engine_.config().arbitration,
                        &metrics_, [&] { return inst; });
-    const double finish = enqueue_transfer(item, false);
+    const double finish = enqueue_transfer(item);
     completion_[Instance::idx(item)] = finish;
     T = finish - t_req;
   }

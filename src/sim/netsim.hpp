@@ -12,8 +12,7 @@
 // With latency = 0 and sizes = r_i * bandwidth, a ClientSession reproduces
 // the closed-form access times of Sections 3/5 exactly; the integration
 // tests pin that equivalence, which is what justifies using the analytic
-// model everywhere else. The optional `cancel_pending_on_demand` knob
-// (extension) drops not-yet-started prefetches on a miss.
+// model everywhere else.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +35,6 @@ namespace skp {
 struct NetConfig {
   double bandwidth = 1.0;   // size units per time unit
   double latency = 0.0;     // per-transfer setup cost
-  // Extension: cancel queued (not yet started) prefetches when a demand
-  // fetch arrives. false = paper semantics.
-  bool cancel_pending_on_demand = false;
   // Extension: piecewise time-varying link quality (sim/link_schedule.hpp).
   // Non-empty overrides (bandwidth, latency) for transfer PRICING only —
   // the phase in force at a transfer's start sets its whole duration,
@@ -130,9 +126,7 @@ class ClientSession {
   // be the dedicated fault stream — Rng(seed).split(kFaultStreamSalt) —
   // so fault draws never perturb the workload or decision streams; draws
   // happen only when a prefetch commits, in link order. Demand fetches
-  // stay reliable (they are the fallback). Not composable with
-  // cancel_pending_on_demand, whose rollback bookkeeping assumes every
-  // queued prefetch is still cache-resident.
+  // stay reliable (they are the fallback).
   void set_fault_injection(const FaultSpec& spec, Rng stream);
   const FaultStats& fault_stats() const noexcept { return fault_stats_; }
 
@@ -175,16 +169,9 @@ class ClientSession {
   double link_utilization() const;
 
  private:
-  struct Transfer {
-    ItemId item;
-    double start;
-    double finish;
-    bool is_prefetch;
-  };
-
   // Schedules a transfer after everything currently committed; returns its
   // completion time.
-  double enqueue_transfer(ItemId item, bool is_prefetch);
+  double enqueue_transfer(ItemId item);
   // Schedules a prefetch through the fault model (the reliable path when
   // faults are disarmed). nullopt = the retry budget was exhausted and
   // the transfer abandoned; the caller rolls the claimed slot back.
@@ -201,7 +188,6 @@ class ClientSession {
   FaultStats fault_stats_;
   double link_free_at_ = 0.0;
   double link_busy_total_ = 0.0;
-  std::vector<Transfer> in_flight_;  // committed, not yet completed
   std::vector<double> completion_;   // per-item transfer completion time
   // Per-cycle planning state, reused so request() never allocates after
   // the first cycle: the retrieval-time catalog lives in cat_->r, P is

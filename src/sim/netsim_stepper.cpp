@@ -21,16 +21,9 @@ NetsimStepper::NetsimStepper(const SimSpec& spec,
               "netsim_des counts every request; use predictor_warmup for "
               "an observe-only prefix");
   // The session arbitrates its own victims (Figure-6 Pr-arbitration).
-  SKP_REQUIRE(!spec_.pr_planning &&
-                  spec_.replacement == ReplacementKind::LRU,
-              "netsim_des has no replacement-policy pipeline; "
-              "replacement/pr apply to the scenario driver");
-  SKP_REQUIRE(spec_.sized_capacity == 0.0,
-              "netsim_des has no byte-addressed cache; sized_capacity "
-              "applies to the prefetch_cache driver");
-  SKP_REQUIRE(spec_.multi_client == MultiClientSpec{},
-              "netsim_des is single-client; the multi_client section "
-              "applies to the multi_client driver");
+  require_no_scenario_fields(spec_, "netsim_des");
+  require_unsized(spec_, "netsim_des");
+  require_single_client(spec_, "netsim_des");
   const std::size_t n = w.n_items;
 
   // The read-mostly group state (sizes, r, master chain, cycle script)

@@ -2,26 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
-#include <optional>
 
 #include "core/access_model.hpp"
 #include "workload/request_stream.hpp"
 
 namespace skp {
 
-namespace {
-
-// Runs `count` iterations into `result` using `rng`.
-void run_block(const PrefetchOnlyConfig& cfg, std::size_t count, Rng& rng,
-               PrefetchOnlyResult& result) {
+PrefetchOnlyResult run_prefetch_only(const PrefetchOnlyConfig& cfg) {
+  SKP_REQUIRE(cfg.n_items >= 1, "n_items");
+  SKP_REQUIRE(cfg.r_lo > 0 && cfg.r_lo <= cfg.r_hi, "r range");
+  SKP_REQUIRE(cfg.v_lo >= 0 && cfg.v_lo <= cfg.v_hi, "v range");
+  PrefetchOnlyResult result(static_cast<std::int64_t>(cfg.v_lo),
+                            static_cast<std::int64_t>(cfg.v_hi));
+  Rng rng(cfg.seed);
   EngineConfig ecfg;
   ecfg.policy = cfg.policy;
   ecfg.delta_rule = cfg.delta_rule;
   const PrefetchEngine engine(ecfg);
 
   // Every iteration redraws (P, r, v) into the same storage and plans
-  // through the same scratch buffers — the block never allocates after
+  // through the same scratch buffers — the run never allocates after
   // the first iteration.
   Instance inst;
   inst.P.resize(cfg.n_items);
@@ -29,19 +29,11 @@ void run_block(const PrefetchOnlyConfig& cfg, std::size_t count, Rng& rng,
   PlanScratch scratch;
   PrefetchPlan plan;
 
-  // Uniform memoization wiring; i.i.d. instances can never recur, so the
-  // per-iteration key guarantees all-miss (see PrefetchOnlyConfig).
-  std::optional<PlanCache> plans;
-  if (cfg.use_plan_cache) {
-    plans.emplace(engine_config_digest(ecfg), cfg.plan_cache_capacity,
-                  /*doorkeeper=*/true);
-  }
-
   // Residual transfer time intruding into the next viewing window
   // (stretch_intrudes extension only; stays 0 under the paper protocol).
   double carry = 0.0;
 
-  for (std::size_t it = 0; it < count; ++it) {
+  for (std::size_t it = 0; it < cfg.iterations; ++it) {
     // Step 1: generate P, r, v.
     generate_probabilities_into(cfg.n_items, cfg.method, rng, inst.P,
                                 cfg.skew_exponent);
@@ -58,12 +50,7 @@ void run_block(const PrefetchOnlyConfig& cfg, std::size_t count, Rng& rng,
     const ItemId requested = sample_categorical(inst.P, rng);
 
     // Step 2: prefetch.
-    PlanMemo memo;
-    if (plans) {
-      memo.plans = &*plans;
-      memo.state_key = it;  // unique per iteration: instances are i.i.d.
-    }
-    engine.plan_cached(inst, memo, scratch, plan, requested);
+    engine.plan(inst, scratch, plan, requested);
 
     // Step 4: access time per Figure 2.
     const double T = realized_access_time(inst, plan.fetch, requested);
@@ -101,63 +88,7 @@ void run_block(const PrefetchOnlyConfig& cfg, std::size_t count, Rng& rng,
       result.scatter.emplace_back(v_drawn, T);
     }
   }
-  if (plans) result.plan_cache.merge(plans->stats());
-}
-
-void validate_config(const PrefetchOnlyConfig& cfg) {
-  SKP_REQUIRE(cfg.n_items >= 1, "n_items");
-  SKP_REQUIRE(cfg.r_lo > 0 && cfg.r_lo <= cfg.r_hi, "r range");
-  SKP_REQUIRE(cfg.v_lo >= 0 && cfg.v_lo <= cfg.v_hi, "v range");
-}
-
-}  // namespace
-
-PrefetchOnlyResult run_prefetch_only(const PrefetchOnlyConfig& cfg) {
-  validate_config(cfg);
-  PrefetchOnlyResult result(static_cast<std::int64_t>(cfg.v_lo),
-                            static_cast<std::int64_t>(cfg.v_hi));
-  Rng rng(cfg.seed);
-  run_block(cfg, cfg.iterations, rng, result);
   return result;
-}
-
-PrefetchOnlyResult run_prefetch_only_parallel(const PrefetchOnlyConfig& cfg,
-                                              ThreadPool& pool,
-                                              std::size_t chunks) {
-  validate_config(cfg);
-  if (chunks == 0) chunks = pool.thread_count();
-  chunks = std::max<std::size_t>(1, chunks);
-
-  PrefetchOnlyResult total(static_cast<std::int64_t>(cfg.v_lo),
-                           static_cast<std::int64_t>(cfg.v_hi));
-  std::mutex merge_mu;
-  Rng parent(cfg.seed);
-
-  // Derive all chunk streams up-front so they depend only on (seed, chunk).
-  std::vector<Rng> streams;
-  streams.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    streams.push_back(parent.split(c + 1));
-  }
-
-  parallel_chunks(pool, cfg.iterations, chunks,
-                  [&](std::size_t begin, std::size_t end, std::size_t c) {
-                    PrefetchOnlyResult local(
-                        static_cast<std::int64_t>(cfg.v_lo),
-                        static_cast<std::int64_t>(cfg.v_hi));
-                    Rng rng = streams[c];
-                    run_block(cfg, end - begin, rng, local);
-                    const std::lock_guard lk(merge_mu);
-                    total.avg_T_by_v.merge(local.avg_T_by_v);
-                    total.metrics.merge(local.metrics);
-                    total.plan_cache.merge(local.plan_cache);
-                    for (const auto& pt : local.scatter) {
-                      if (total.scatter.size() < cfg.scatter_limit) {
-                        total.scatter.push_back(pt);
-                      }
-                    }
-                  });
-  return total;
 }
 
 }  // namespace skp

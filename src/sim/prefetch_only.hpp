@@ -18,7 +18,6 @@
 #include "core/prefetch_engine.hpp"
 #include "sim/metrics.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/prob_gen.hpp"
 
 namespace skp {
@@ -42,21 +41,12 @@ struct PrefetchOnlyConfig {
   // the *next* iteration's viewing time before planning — the carryover
   // the per-iteration analytic model ignores. false = paper protocol.
   bool stretch_intrudes = false;
-  // Plan memoization (core/plan_cache.hpp). This protocol redraws
-  // (P, r, v) i.i.d. every iteration, so no instance ever recurs and
-  // every lookup misses by construction — the wiring exists to keep the
-  // sim surface uniform and to measure the overhead bound (the honest
-  // all-miss stats flow into the result). Bit-identical on or off.
-  bool use_plan_cache = true;
-  std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
 };
 
 struct PrefetchOnlyResult {
   // Average T conditioned on integer v — the Fig. 5 curves.
   BinnedMeans avg_T_by_v;
   SimMetrics metrics;
-  // Plan-memoization counters (all-miss by construction; see config).
-  PlanCacheStats plan_cache;
   // First `scatter_limit` raw samples — the Fig. 4 scatter.
   std::vector<std::pair<double, double>> scatter;
 
@@ -64,14 +54,8 @@ struct PrefetchOnlyResult {
       : avg_T_by_v(v_lo, v_hi) {}
 };
 
-// Single-threaded run (fully deterministic in config.seed).
+// Fully deterministic in config.seed. The protocol redraws (P, r, v)
+// i.i.d. every iteration, so no instance recurs and no plan is memoized.
 PrefetchOnlyResult run_prefetch_only(const PrefetchOnlyConfig& config);
-
-// Parallel run: iterations are split into chunks with independent derived
-// RNG streams; the result is deterministic in (seed, chunk count) and
-// independent of thread scheduling.
-PrefetchOnlyResult run_prefetch_only_parallel(
-    const PrefetchOnlyConfig& config, ThreadPool& pool,
-    std::size_t chunks = 0 /* 0 = pool thread count */);
 
 }  // namespace skp

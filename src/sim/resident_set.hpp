@@ -113,17 +113,6 @@ class ResidentSet {
     cache_.insert(item);
   }
 
-  // Drops the queued prefetch of `item` (cancel_pending_on_demand):
-  // frees its slot, charges it as wasted and takes back its booking.
-  void cancel(ItemId item, std::span<const double> r, SimMetrics& m) {
-    cache_.erase(item);
-    unviewed_[InstanceView::idx(item)] = 0;
-    ++m.wasted_prefetches;
-    m.network_time -= r[InstanceView::idx(item)];
-    m.prefetch_network_time -= r[InstanceView::idx(item)];
-    --m.prefetch_fetches;
-  }
-
   // The client walks away (churn): every unviewed resident is wasted,
   // and the cache and frequency book start over.
   void flush(SimMetrics* m) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -16,11 +17,10 @@
 #include "sim/prefetch_only.hpp"
 #include "sim/skpd_loopback.hpp"
 #include "sim/trace_replay.hpp"
+#include "util/parse_digits.hpp"
 #include "util/require.hpp"
-#include "workload/adversarial_source.hpp"
 #include "workload/markov_source.hpp"
 #include "workload/request_stream.hpp"
-#include "workload/zipf_source.hpp"
 
 namespace skp {
 
@@ -37,10 +37,10 @@ std::unique_ptr<Predictor> make_runtime_predictor(PredictorKind kind,
 
 namespace {
 
-// to_markov_config / to_zipf_config / to_adversarial_config and the
-// GroundedStreams layout live in sim/grounded.hpp now — the netsim
-// stepper (and through it the skpd daemon) must agree on them byte for
-// byte with the drivers here.
+// The workload lowerings (to_*_config, make_workload_source) and the
+// GroundedStreams layout live in sim/grounded.hpp — the netsim stepper
+// (and through it the skpd daemon) must agree on them byte for byte
+// with the drivers here.
 
 std::unique_ptr<ReplacementPolicy> make_runtime_policy(ReplacementKind kind,
                                                        std::uint64_t seed) {
@@ -53,9 +53,10 @@ std::unique_ptr<ReplacementPolicy> make_runtime_policy(ReplacementKind kind,
   return make_lru();
 }
 
-// Reject-don't-drop: a spec field a driver cannot honor must fail the
-// run, not silently fall back to a default the CSV then records as if it
-// had been applied.
+}  // namespace
+
+// ---- Reject-don't-drop checks (contract in runtime.hpp) -----------------
+
 void require_default_net(const SimSpec& spec, const char* driver) {
   SKP_REQUIRE(spec.bandwidth == 1.0 && spec.latency == 0.0,
               driver << " does not model the network link; "
@@ -96,6 +97,8 @@ void require_reliable_full_effort(const SimSpec& spec, const char* driver) {
                         "multi_client");
 }
 
+namespace {
+
 // ---- Drivers ------------------------------------------------------------
 
 SimResult run_prefetch_only_driver(const SimSpec& spec) {
@@ -133,13 +136,10 @@ SimResult run_prefetch_only_driver(const SimSpec& spec) {
   cfg.delta_rule = spec.delta_rule;
   cfg.iterations = spec.requests;
   cfg.seed = spec.seed;
-  cfg.use_plan_cache = spec.use_plan_cache;
-  cfg.plan_cache_capacity = spec.plan_cache_capacity;
 
   PrefetchOnlyResult res = run_prefetch_only(cfg);
   SimResult out;
   out.metrics = res.metrics;
-  out.plan_cache.plans = res.plan_cache;
   out.avg_T_by_v.emplace(std::move(res.avg_T_by_v));
   return out;
 }
@@ -200,34 +200,21 @@ SimResult run_prefetch_cache_driver(const SimSpec& spec) {
   cfg.min_profit_threshold = spec.min_profit_threshold;
   cfg.use_plan_cache = spec.use_plan_cache;
   cfg.plan_cache_capacity = spec.plan_cache_capacity;
-  switch (w.kind) {
-    case SimWorkloadKind::Markov:
-      cfg.source = to_markov_config(w);
-      return from_prefetch_cache_result(run_prefetch_cache(cfg));
-    case SimWorkloadKind::MarkovDrift:
-      cfg.source = to_markov_config(w);
-      cfg.drift_period = w.drift_period;
-      return from_prefetch_cache_result(run_prefetch_cache(cfg));
-    case SimWorkloadKind::Zipf:
-    case SimWorkloadKind::Adversarial: {
-      // Mirror the default entry point's stream split: the source is
-      // built from Rng(seed), the walk from its kPrefetchCacheWalkSalt child.
-      Rng build(spec.seed);
-      MarkovSource source =
-          w.kind == SimWorkloadKind::Zipf
-              ? make_zipf_source(to_zipf_config(w), build)
-              : make_adversarial_source(to_adversarial_config(w), build);
-      Rng walk = build.split(kPrefetchCacheWalkSalt);
-      source.teleport(0);
-      return from_prefetch_cache_result(
-          run_prefetch_cache(cfg, source, walk));
-    }
-    default:
-      SKP_REQUIRE(false,
-                  "prefetch_cache supports markov | markov_drift | zipf | "
-                  "adversarial workloads");
-  }
-  return {};
+  SKP_REQUIRE(w.kind == SimWorkloadKind::Markov ||
+                  w.kind == SimWorkloadKind::MarkovDrift ||
+                  w.kind == SimWorkloadKind::Zipf ||
+                  w.kind == SimWorkloadKind::Adversarial,
+              "prefetch_cache supports markov | markov_drift | zipf | "
+              "adversarial workloads");
+  // run_prefetch_cache(cfg)'s stream split: the source is built from
+  // Rng(seed), the walk from its kPrefetchCacheWalkSalt child.
+  cfg.source = to_markov_config(w);
+  if (w.kind == SimWorkloadKind::MarkovDrift) cfg.drift_period = w.drift_period;
+  Rng build(spec.seed);
+  MarkovSource source = make_workload_source(w, build);
+  Rng walk = build.split(kPrefetchCacheWalkSalt);
+  source.teleport(0);
+  return from_prefetch_cache_result(run_prefetch_cache(cfg, source, walk));
 }
 
 SimResult run_trace_replay_driver(const SimSpec& spec) {
@@ -331,8 +318,9 @@ SimResult run_scenario_driver(const SimSpec& spec) {
       if (mass > 0.0) {
         const InstanceView inst(scratch.P, r, v);
         if (spec.pr_planning) {
-          engine.plan_with_cache(inst, cache, &freq, scratch, plan,
-                                 std::nullopt, support);
+          engine.plan_with_cache_cached(inst, cache, &freq, PlanMemo{},
+                                        scratch, plan, std::nullopt,
+                                        support);
         } else {
           engine.plan(inst, scratch, plan);
         }
@@ -708,12 +696,7 @@ MaterializedWorkload materialize_workload(const SimWorkload& w,
     case SimWorkloadKind::Zipf:
     case SimWorkloadKind::Adversarial: {
       const MarkovSourceConfig mcfg = to_markov_config(w);
-      MarkovSource src =
-          w.kind == SimWorkloadKind::Zipf
-              ? make_zipf_source(to_zipf_config(w), build)
-          : w.kind == SimWorkloadKind::Adversarial
-              ? make_adversarial_source(to_adversarial_config(w), build)
-              : MarkovSource(mcfg, build);
+      MarkovSource src = make_workload_source(w, build);
       Rng drift_rng = build.split(kPrefetchCacheDriftSalt);
       const std::size_t period =
           w.kind == SimWorkloadKind::MarkovDrift ? w.drift_period : 0;
@@ -905,16 +888,10 @@ std::string merge_sharded_csv(const std::vector<std::string>& shards,
                          : names[i];
   };
   const auto parse_field = [](const std::string& text, const char* what) {
-    std::size_t pos = 0;
-    std::size_t value = 0;
-    try {
-      value = std::stoull(text, &pos);
-    } catch (const std::exception&) {
-      pos = 0;
-    }
-    SKP_REQUIRE(pos == text.size() && pos > 0,
+    const std::optional<std::uint64_t> value = parse_digits_u64(text);
+    SKP_REQUIRE(value.has_value(),
                 "non-numeric row " << what << ": " << text);
-    return value;
+    return static_cast<std::size_t>(*value);
   };
   std::string header;
   // A per-client companion document keys on (index, client); the main

@@ -287,6 +287,20 @@ const SimDriver* find_driver(std::string_view name);
 // trace replay).
 SimResult run_sim(const SimSpec& spec);
 
+// ---- Reject-don't-drop checks -------------------------------------------
+// A spec field a driver cannot honor fails the run with
+// std::invalid_argument instead of silently falling back to a default
+// the CSV then records as if it had been applied. `driver` names the
+// caller in the diagnostic. The drivers and NetsimStepper share these
+// checks, so each message is written once.
+
+void require_default_net(const SimSpec& spec, const char* driver);
+void require_no_scenario_fields(const SimSpec& spec, const char* driver);
+void require_unsized(const SimSpec& spec, const char* driver);
+void require_single_client(const SimSpec& spec, const char* driver);
+void require_static_link(const SimSpec& spec, const char* driver);
+void require_reliable_full_effort(const SimSpec& spec, const char* driver);
+
 // ---- Stable string forms (CLI flags and CSV cells) ----------------------
 
 const char* to_string(SimDriverKind kind);

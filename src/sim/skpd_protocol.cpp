@@ -3,7 +3,9 @@
 #include <bit>
 #include <charconv>
 #include <cstring>
+#include <optional>
 
+#include "util/parse_digits.hpp"
 #include "util/require.hpp"
 
 namespace skp {
@@ -124,12 +126,10 @@ double parse_double(std::string_view text, std::string_view key) {
 }
 
 std::uint64_t parse_u64(std::string_view text, std::string_view key) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), v);
-  SKP_REQUIRE(ec == std::errc() && ptr == text.data() + text.size(),
+  const std::optional<std::uint64_t> v = parse_digits_u64(text);
+  SKP_REQUIRE(v.has_value(),
               "bad integer for skpd key " << key << ": " << text);
-  return v;
+  return *v;
 }
 
 std::size_t parse_size(std::string_view text, std::string_view key) {

@@ -48,7 +48,7 @@ SkpdSession& SkpdSessionStore::create(
                      ? std::make_unique<SkpdSession>(token, spec,
                                                      std::move(catalog))
                      : std::make_unique<SkpdSession>(token, spec);
-  return sessions_.insert(token, std::move(session));
+  return *sessions_.emplace(token, std::move(session)).first->second;
 }
 
 }  // namespace skp

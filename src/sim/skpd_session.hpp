@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -24,7 +25,6 @@
 
 #include "sim/catalog.hpp"
 #include "sim/netsim_stepper.hpp"
-#include "sim/session_store.hpp"
 
 namespace skp {
 
@@ -72,17 +72,12 @@ class SkpdSession {
 
 // Token-keyed session table. Tokens are dense counters starting at 1 —
 // they are resumption handles on a loopback socket, not authentication
-// (ROADMAP scopes the daemon to localhost single-user). Sessions live in
-// a sharded store (sim/session_store.hpp): dense tokens round-robin over
-// shards, so bulk preloads spread evenly and a 100k-idle-session daemon
-// never rebalances one giant tree. All request-path calls stay on the
-// poll thread; sharding here buys O(log(n/shards)) lookups and gives the
-// embedder per-shard ownership if it ever steps sessions from workers.
+// (ROADMAP scopes the daemon to localhost single-user). Every call runs
+// on the poll thread. Sessions sit behind unique_ptr so the map's
+// rebalancing never moves one: the poll loop parks raw SkpdSession*
+// across cycles, valid until erase.
 class SkpdSessionStore {
  public:
-  explicit SkpdSessionStore(std::size_t n_shards = 1)
-      : sessions_(n_shards) {}
-
   // Creates a session for `spec_text` (decoded via decode_sim_spec) and
   // returns it. Throws std::invalid_argument on a malformed or
   // unservable spec.
@@ -94,21 +89,24 @@ class SkpdSessionStore {
                       std::shared_ptr<const SharedCatalog> catalog);
 
   // nullptr when the token is unknown (expired or never issued).
-  SkpdSession* find(std::uint64_t token) { return sessions_.find(token); }
+  SkpdSession* find(std::uint64_t token) {
+    const auto it = sessions_.find(token);
+    return it == sessions_.end() ? nullptr : it->second.get();
+  }
 
   void erase(std::uint64_t token) { sessions_.erase(token); }
   std::size_t size() const noexcept { return sessions_.size(); }
 
-  // Token-ordered iteration for drain-time stats emission; fn receives
-  // (token, SkpdSession&). Order is shard-count independent.
+  // Ascending-token iteration for drain-time stats emission; fn receives
+  // (token, SkpdSession&).
   template <typename Fn>
   void for_each(Fn&& fn) {
-    sessions_.for_each_ordered(std::forward<Fn>(fn));
+    for (auto& [token, session] : sessions_) fn(token, *session);
   }
 
  private:
   std::uint64_t next_token_ = 1;
-  ShardedSessionStore<SkpdSession> sessions_;
+  std::map<std::uint64_t, std::unique_ptr<SkpdSession>> sessions_;
 };
 
 }  // namespace skp

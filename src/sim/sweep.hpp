@@ -10,8 +10,8 @@
 // (tests/test_sweep.cpp locks this down).
 //
 // Exception policy: all jobs are always joined; the first failure (by
-// input index, not completion order) is rethrown after the join — the
-// same util/thread_pool join_all that parallel_chunks uses.
+// input index, not completion order) is rethrown after the join
+// (util/thread_pool's join_all).
 #pragma once
 
 #include <cstddef>

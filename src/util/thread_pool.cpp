@@ -38,11 +38,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return fut;
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lk(mu_);
-  idle_cv_.wait(lk, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::packaged_task<void()> task;
@@ -52,14 +47,8 @@ void ThreadPool::worker_loop() {
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop();
-      ++active_;
     }
     task();  // exceptions are captured in the packaged_task's future
-    {
-      std::lock_guard lk(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 
@@ -73,26 +62,6 @@ void join_all(std::vector<std::future<void>>& futures) {
     }
   }
   if (first_failure) std::rethrow_exception(first_failure);
-}
-
-void parallel_chunks(ThreadPool& pool, std::size_t n, std::size_t chunks,
-                     const std::function<void(std::size_t, std::size_t,
-                                              std::size_t)>& body) {
-  SKP_REQUIRE(chunks > 0, "parallel_chunks requires chunks > 0");
-  if (n == 0) return;
-  chunks = std::min(chunks, n);
-  const std::size_t base = n / chunks;
-  const std::size_t rem = n % chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < rem ? 1 : 0);
-    const std::size_t end = begin + len;
-    futs.push_back(pool.submit([=, &body] { body(begin, end, c); }));
-    begin = end;
-  }
-  join_all(futs);
 }
 
 }  // namespace skp

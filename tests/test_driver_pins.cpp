@@ -1,7 +1,7 @@
 // Fixed-seed pins for the decision paths outside the kEquivalence table
 // (test_prefetch_cache_sim.cpp): replay_trace, the netsim_des and
-// multi_client drivers through run_sim, and a ClientSession that cancels
-// queued prefetches on a miss. Same contract and row format as that
+// multi_client drivers through run_sim, and a DS-arbitrated
+// ClientSession driven directly. Same contract and row format as that
 // table: every counter bit for bit, doubles at 17 significant digits, so
 // any drift here is a real behaviour change, not noise.
 //
@@ -121,11 +121,9 @@ SimMetrics multi_client_faulty_overload() {
   return run_des(spec);
 }
 
-// A DS-arbitrated session with cancel_pending_on_demand armed. At these
-// viewing times no prefetch is still queued when a miss arrives, so the
-// row pins the armed path's plans and books; the cancellation itself is
-// pinned by ClientSession.CancelledPrefetchNeverHoldsTheLink.
-SimMetrics session_cancel_pending() {
+// A DS-arbitrated ClientSession driven directly on its dense request
+// path (no support passed), at a quarter of each state's viewing time.
+SimMetrics session_ds_dense() {
   MarkovSourceConfig mcfg;
   mcfg.n_states = 30;
   mcfg.out_degree_lo = 3;
@@ -138,11 +136,9 @@ SimMetrics session_cancel_pending() {
   for (std::size_t i = 0; i < source.n_states(); ++i) {
     cat.sizes.push_back(source.retrieval_time(static_cast<ItemId>(i)));
   }
-  NetConfig net;
-  net.cancel_pending_on_demand = true;
   EngineConfig ecfg;
   ecfg.arbitration.sub = SubArbitration::DS;
-  ClientSession session(cat, net, ecfg, 6);
+  ClientSession session(cat, NetConfig{}, ecfg, 6);
   std::size_t state = source.current_state();
   for (int i = 0; i < 1500; ++i) {
     const double v = source.viewing_time(state) / 4.0;
@@ -179,7 +175,7 @@ const PinCase kPinCases[] = {
     {"multi_oracle_ds", [] { return run_des(des_spec(SimDriverKind::MultiClientDes, SubArbitration::DS)); }},
     {"multi_mixed_churn", &multi_client_mixed_churn},
     {"multi_lfu_faulty_overload", &multi_client_faulty_overload},
-    {"session_cancel_pending", &session_cancel_pending},
+    {"session_ds_dense", &session_ds_dense},
     // clang-format on
 };
 
@@ -209,7 +205,7 @@ const PinRow kPins[] = {
     {"multi_oracle_ds", 285, 198, 3931, 3015, 5885, 78.881249999999994, 53568.5},
     {"multi_mixed_churn", 248, 716, 3843, 3362, 317247, 56.970833333333296, 50796.5},
     {"multi_lfu_faulty_overload", 416, 673, 731, 431, 1050, 24.582916666666666, 20029},
-    {"session_cancel_pending", 667, 587, 1689, 1087, 3848, 8.063499999999987, 27662},
+    {"session_ds_dense", 667, 587, 1689, 1087, 3848, 8.063499999999987, 27662},
     // clang-format on
 };
 

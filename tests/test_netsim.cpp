@@ -130,45 +130,6 @@ TEST(ClientSession, StretchCarryoverDelaysNextCycle) {
   EXPECT_DOUBLE_EQ(s.request(3, 1.0, P2), 15.0);
 }
 
-TEST(ClientSession, CancelPendingRecoversQueuedTime) {
-  // Same scenario as above but queued prefetches are dropped on demand:
-  // the demand fetch only waits for the in-flight transfer (t = 11),
-  // T = 11 + 2 - 3 = 10.
-  ServerCatalog cat{{3.0, 1.0, 10.0, 2.0, 5.0}};
-  NetConfig net;
-  net.cancel_pending_on_demand = true;
-  ClientSession s(cat, net, skp_engine(), 5);
-  const std::vector<double> P1{0.0, 0.6, 0.4, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(s.request(1, 2.0, P1), 0.0);
-  const std::vector<double> P2{0.0, 0.0, 0.0, 0.0, 1.0};
-  EXPECT_DOUBLE_EQ(s.request(3, 1.0, P2), 10.0);
-}
-
-TEST(ClientSession, CancelledPrefetchNeverHoldsTheLink) {
-  // The scenario above, then a third cycle runs the clock past t = 16,
-  // where the cancelled prefetch of 4 would have completed. It never
-  // started, so it neither counts as link time nor disturbs the transfer
-  // of 0 that completes at the same instant.
-  ServerCatalog cat{{3.0, 1.0, 10.0, 2.0, 5.0}};
-  NetConfig net;
-  net.cancel_pending_on_demand = true;
-  ClientSession s(cat, net, skp_engine(), 5);
-  const std::vector<double> P1{0.0, 0.6, 0.4, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(s.request(1, 2.0, P1), 0.0);
-  const std::vector<double> P2{0.0, 0.0, 0.0, 0.0, 1.0};
-  EXPECT_DOUBLE_EQ(s.request(3, 1.0, P2), 10.0);
-  // Cycle 3 (t0 = 13): prefetch 0 over [13, 16], request it at t = 18.
-  const std::vector<double> P3{1.0, 0.0, 0.0, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(s.request(0, 5.0, P3), 0.0);
-  const SimMetrics& m = s.metrics();
-  EXPECT_EQ(m.prefetch_fetches, 3u);  // 1, 2 and 0; 4 was taken back
-  EXPECT_EQ(m.wasted_prefetches, 1u);
-  EXPECT_DOUBLE_EQ(m.prefetch_network_time, 14.0);
-  EXPECT_DOUBLE_EQ(m.demand_network_time, 2.0);
-  // Busy: 1 + 10 (cycle 1), 2 (demand of 3), 3 (prefetch of 0).
-  EXPECT_DOUBLE_EQ(s.link_utilization(), 16.0 / 18.0);
-}
-
 TEST(ClientSession, LatencyAddsPerTransfer) {
   ServerCatalog cat{{4.0, 1.0}};
   NetConfig net;

@@ -336,7 +336,8 @@ TEST(EnginePlanCached, HitReplaysThePlanBitForBit) {
 
   PlanScratch scratch;
   PrefetchPlan uncached, first, second;
-  engine.plan_with_cache(inst, cache, &freq, scratch, uncached);
+  engine.plan_with_cache_cached(inst, cache, &freq, PlanMemo{}, scratch,
+                                uncached);
   engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, first,
                                 std::nullopt, hint);
   engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, second,
@@ -357,7 +358,8 @@ TEST(EnginePlanCached, HitReplaysThePlanBitForBit) {
   PrefetchPlan third, fresh;
   engine.plan_with_cache_cached(inst, cache, &freq, memo, scratch, third,
                                 std::nullopt, hint);
-  engine.plan_with_cache(inst, cache, &freq, scratch, fresh);
+  engine.plan_with_cache_cached(inst, cache, &freq, PlanMemo{}, scratch,
+                                fresh);
   EXPECT_EQ(plans.stats().misses, 2u);
   EXPECT_EQ(third.fetch, fresh.fetch);
   EXPECT_EQ(third.evict, fresh.evict);
@@ -417,7 +419,8 @@ TEST(EnginePlanCached, SelectionTierSurvivesCacheChurn) {
 
   // The replayed selection must drive the exact plan a fresh solve
   // produces against cache b.
-  engine.plan_with_cache(inst, b, &freq, scratch, fresh_b);
+  engine.plan_with_cache_cached(inst, b, &freq, PlanMemo{}, scratch,
+                                fresh_b);
   EXPECT_EQ(plan_b.fetch, fresh_b.fetch);
   EXPECT_EQ(plan_b.evict, fresh_b.evict);
   EXPECT_DOUBLE_EQ(plan_b.predicted_g, fresh_b.predicted_g);

@@ -131,27 +131,6 @@ TEST(PrefetchOnlySim, FlatMethodNarrowsSkpKpGap) {
   EXPECT_NEAR(skp, kp, 0.5);
 }
 
-TEST(PrefetchOnlySim, ParallelMatchesSequentialStatistically) {
-  // Parallel chunking uses different RNG streams, so expect statistical
-  // (not bitwise) agreement.
-  auto cfg = quick(PrefetchPolicy::SKP, ProbMethod::Skewy, 20000);
-  const auto seq = run_prefetch_only(cfg);
-  ThreadPool pool(4);
-  const auto par = run_prefetch_only_parallel(cfg, pool, 4);
-  EXPECT_EQ(par.metrics.requests, cfg.iterations);
-  EXPECT_NEAR(par.metrics.mean_access_time(),
-              seq.metrics.mean_access_time(), 0.5);
-}
-
-TEST(PrefetchOnlySim, ParallelDeterministicInChunkCount) {
-  auto cfg = quick(PrefetchPolicy::KP, ProbMethod::Flat, 5000);
-  ThreadPool pool(4);
-  const auto a = run_prefetch_only_parallel(cfg, pool, 3);
-  const auto b = run_prefetch_only_parallel(cfg, pool, 3);
-  EXPECT_DOUBLE_EQ(a.metrics.mean_access_time(),
-                   b.metrics.mean_access_time());
-}
-
 TEST(PrefetchOnlySim, StretchIntrusionRaisesAccessTimes) {
   // Section 4.4: carrying the stretch into the next viewing window can
   // only reduce the prefetching asset, so mean T must not improve.

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/prefetch_cache.hpp"
@@ -674,6 +676,27 @@ TEST(SimShard, MergeRejectsBrokenDocuments) {
   // Happy path, input order irrelevant.
   EXPECT_EQ(merge_sharded_csv({header + "1,b\n", header + "0,a\n"}),
             header + "0,a\n1,b\n");
+}
+
+TEST(SimShard, MergeRejectsSignedOrPaddedFields) {
+  // Index and client cells are digits only: a sign or a leading space is
+  // a malformed row, never a quiet alias of a valid index (and "-1" must
+  // not wrap into 2^64 - 1).
+  for (const std::string bad : {"+0", " 0", "-1"}) {
+    const std::pair<std::string, const char*> docs[] = {
+        {"index,x\n" + bad + ",a\n", "non-numeric row index"},
+        {"index,client,x\n0," + bad + ",a\n", "non-numeric row client"},
+    };
+    for (const auto& [doc, diagnostic] : docs) {
+      try {
+        merge_sharded_csv({doc});
+        ADD_FAILURE() << "accepted '" << bad << "' in " << doc;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(diagnostic), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(SimShard, MergeRejectsInterruptedPartialShards) {

@@ -265,6 +265,29 @@ TEST(SkpdSessionStore, RejectsMalformedSpecs) {
   EXPECT_THROW(store.create(encode_sim_spec(bad)), std::invalid_argument);
 }
 
+TEST(SkpdSessionStore, ForEachVisitsTokensAscending) {
+  // The drain-order contract: for_each yields the live tokens in
+  // ascending order, and erasing or creating sessions never moves a
+  // live one (the poll loop parks raw SkpdSession*).
+  SkpdSessionStore store;
+  const std::string spec = encode_sim_spec(netsim_spec(50));
+  for (int i = 0; i < 5; ++i) store.create(spec);
+  SkpdSession* first = store.find(1);
+  store.erase(2);
+  store.erase(4);
+  for (int i = 0; i < 3; ++i) store.create(spec);
+  EXPECT_EQ(store.size(), 6u);
+  EXPECT_EQ(store.find(1), first);
+  EXPECT_EQ(store.find(2), nullptr);
+
+  std::vector<std::uint64_t> order;
+  store.for_each([&](std::uint64_t token, SkpdSession& session) {
+    EXPECT_EQ(session.token(), token);
+    order.push_back(token);
+  });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 5, 6, 7, 8}));
+}
+
 // ---- Live daemon over loopback ------------------------------------------
 
 std::string daemon_binary() { return SKPD_TEST_BIN; }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 #include "sim/fault.hpp"
 #include "sim/link_schedule.hpp"
 #include "util/json.hpp"
+#include "util/parse_digits.hpp"
 
 namespace skp::simctl {
 
@@ -32,19 +34,14 @@ inline std::vector<std::string> split(const std::string& value, char sep) {
 }
 
 inline std::uint64_t parse_u64(const std::string& value, const char* flag) {
-  // Digits only: std::stoull would parse a leading '-' and wrap it into
-  // a huge value, turning a typo into a near-infinite sweep.
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
+  // Digits only (util/parse_digits.hpp): a wrapped "-1" would turn a
+  // typo into a near-infinite sweep.
+  const std::optional<std::uint64_t> v = skp::parse_digits_u64(value);
+  if (!v) {
     bad_arg(std::string(flag) + " expects an unsigned integer, got '" +
             value + "'");
   }
-  try {
-    return std::stoull(value);
-  } catch (const std::exception&) {
-    bad_arg(std::string(flag) + " expects an unsigned integer, got '" +
-            value + "'");
-  }
+  return *v;
 }
 
 inline double parse_double(const std::string& value, const char* flag) {

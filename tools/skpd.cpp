@@ -57,7 +57,6 @@
 #include "sim/catalog.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/netsim_stepper.hpp"
-#include "sim/session_store.hpp"
 #include "sim/skpd_protocol.hpp"
 #include "sim/skpd_session.hpp"
 #include "util/csv.hpp"
@@ -179,10 +178,7 @@ struct Conn {
 
 class Daemon {
  public:
-  explicit Daemon(Options opt)
-      : opt_(std::move(opt)),
-        store_(skp::recommended_shard_count(
-            std::max<std::size_t>(opt_.preload_sessions, 1024))) {}
+  explicit Daemon(Options opt) : opt_(std::move(opt)) {}
 
   int run() {
     if (!preload_sessions()) return 1;
@@ -270,9 +266,7 @@ class Daemon {
       log("preload failed: %s", e.what());
       return false;
     }
-    log("preloaded %zu idle session(s) across %zu shard(s)",
-        store_.size(),
-        skp::recommended_shard_count(opt_.preload_sessions));
+    log("preloaded %zu idle session(s)", store_.size());
     return true;
   }
 
