@@ -3,7 +3,9 @@
 // multi_client drivers through run_sim, and a DS-arbitrated
 // ClientSession driven directly. Same contract and row format as that
 // table: every counter bit for bit, doubles at 17 significant digits, so
-// any drift here is a real behaviour change, not noise.
+// any drift here is a real behaviour change, not noise. Each row also
+// pins the DES books (link utilization, churn departures, deadline hits)
+// and, for multi_client, every client's requests:hits:demand.
 //
 // Refresh after an INTENTIONAL behavior change:
 //   ./build/tests/test_driver_pins --gtest_also_run_disabled_tests
@@ -14,6 +16,7 @@
 
 #include <cstdio>
 #include <iterator>
+#include <string>
 
 #include "sim/netsim.hpp"
 #include "sim/runtime.hpp"
@@ -43,8 +46,14 @@ Trace pin_trace() {
   return trace;
 }
 
-SimMetrics replay(PredictorKind predictor, PrefetchPolicy policy,
-                  SubArbitration sub) {
+SimResult metrics_only(const SimMetrics& m) {
+  SimResult r;
+  r.metrics = m;
+  return r;
+}
+
+SimResult replay(PredictorKind predictor, PrefetchPolicy policy,
+                 SubArbitration sub) {
   static const Trace trace = pin_trace();
   TraceReplayConfig cfg;
   cfg.cache_size = 6;
@@ -52,7 +61,7 @@ SimMetrics replay(PredictorKind predictor, PrefetchPolicy policy,
   cfg.sub = sub;
   cfg.predictor = predictor;
   cfg.warmup = 400;
-  return replay_trace(trace, cfg);
+  return metrics_only(replay_trace(trace, cfg));
 }
 
 SimSpec des_spec(SimDriverKind driver, SubArbitration sub) {
@@ -72,33 +81,31 @@ SimSpec des_spec(SimDriverKind driver, SubArbitration sub) {
   return spec;
 }
 
-SimMetrics run_des(const SimSpec& spec) { return run_sim(spec).metrics; }
-
-SimMetrics netsim_learned_faulty() {
+SimResult netsim_learned_faulty() {
   SimSpec spec = des_spec(SimDriverKind::NetsimDes, SubArbitration::None);
   spec.predictor = PredictorKind::Markov1;
   spec.predictor_warmup = 50;
   spec.fault.fail_rate = 0.2;
-  return run_des(spec);
+  return run_sim(spec);
 }
 
-SimMetrics netsim_drift() {
+SimResult netsim_drift() {
   SimSpec spec = des_spec(SimDriverKind::NetsimDes, SubArbitration::None);
   spec.workload.kind = SimWorkloadKind::MarkovDrift;
   spec.workload.drift_period = 300;
-  return run_des(spec);
+  return run_sim(spec);
 }
 
-SimMetrics netsim_overload() {
+SimResult netsim_overload() {
   SimSpec spec = des_spec(SimDriverKind::NetsimDes, SubArbitration::DS);
   spec.overload.enabled = true;
   spec.overload.window = 16;
   spec.overload.degrade_ratio = 1.5;
   spec.overload.recover_ratio = 1.1;
-  return run_des(spec);
+  return run_sim(spec);
 }
 
-SimMetrics multi_client_mixed_churn() {
+SimResult multi_client_mixed_churn() {
   SimSpec spec =
       des_spec(SimDriverKind::MultiClientDes, SubArbitration::None);
   spec.multi_client.churn_period = 300.0;
@@ -107,10 +114,10 @@ SimMetrics multi_client_mixed_churn() {
   spec.multi_client.overrides[0].predictor = PredictorKind::Ppm;
   spec.multi_client.overrides[1].predictor = PredictorKind::Lz78;
   spec.predictor_warmup = 20;
-  return run_des(spec);
+  return run_sim(spec);
 }
 
-SimMetrics multi_client_faulty_overload() {
+SimResult multi_client_faulty_overload() {
   SimSpec spec =
       des_spec(SimDriverKind::MultiClientDes, SubArbitration::LFU);
   spec.fault.fail_rate = 0.2;
@@ -118,12 +125,46 @@ SimMetrics multi_client_faulty_overload() {
   spec.overload.window = 16;
   spec.overload.degrade_ratio = 1.5;
   spec.overload.recover_ratio = 1.1;
-  return run_des(spec);
+  return run_sim(spec);
+}
+
+// Flash-crowd herd at half strength over a two-phase link twice as fast
+// as the base, with a deadline.
+SimResult multi_client_herd_phases() {
+  SimSpec spec =
+      des_spec(SimDriverKind::MultiClientDes, SubArbitration::None);
+  spec.multi_client.phase_align = 0.5;
+  spec.multi_client.link_speedup = 2.0;
+  spec.link_schedule = {{150.0, 1.0, 0.0}, {50.0, 0.5, 1.0}};
+  spec.deadline = 4.0;
+  return run_sim(spec);
+}
+
+// Every per-client override: a learned client on zipf, a reseeded
+// client, a learned iid client that churns, and uneven quotas.
+SimResult multi_client_overrides() {
+  SimSpec spec = des_spec(SimDriverKind::MultiClientDes, SubArbitration::DS);
+  spec.predictor_warmup = 20;
+  spec.deadline = 2.0;
+  std::vector<MultiClientOverride>& ov = spec.multi_client.overrides;
+  ov.resize(3);
+  ov[0].workload = spec.workload;
+  ov[0].workload->kind = SimWorkloadKind::Zipf;
+  ov[0].predictor = PredictorKind::Lz78;
+  ov[0].requests = 250;
+  ov[1].seed = 99;
+  ov[1].requests = 520;
+  ov[2].workload = spec.workload;
+  ov[2].workload->kind = SimWorkloadKind::Iid;
+  ov[2].predictor = PredictorKind::Markov1;
+  ov[2].churn_period = 200.0;
+  ov[2].churn_downtime = 30.0;
+  return run_sim(spec);
 }
 
 // A DS-arbitrated ClientSession driven directly on its dense request
 // path (no support passed), at a quarter of each state's viewing time.
-SimMetrics session_ds_dense() {
+SimResult session_ds_dense() {
   MarkovSourceConfig mcfg;
   mcfg.n_states = 30;
   mcfg.out_degree_lo = 3;
@@ -147,12 +188,12 @@ SimMetrics session_ds_dense() {
     session.request(next, v, row);
     state = static_cast<std::size_t>(next);
   }
-  return session.metrics();
+  return metrics_only(session.metrics());
 }
 
 struct PinCase {
   const char* name;
-  SimMetrics (*run)();
+  SimResult (*run)();
 };
 
 const PinCase kPinCases[] = {
@@ -164,17 +205,19 @@ const PinCase kPinCases[] = {
     {"replay_markov1_none", [] { return replay(PredictorKind::Markov1, PrefetchPolicy::None, SubArbitration::None); }},
     {"replay_markov1_kp", [] { return replay(PredictorKind::Markov1, PrefetchPolicy::KP, SubArbitration::None); }},
     {"replay_markov1_skp_ds", [] { return replay(PredictorKind::Markov1, PrefetchPolicy::SKP, SubArbitration::DS); }},
-    {"netsim_oracle_none", [] { return run_des(des_spec(SimDriverKind::NetsimDes, SubArbitration::None)); }},
-    {"netsim_oracle_lfu", [] { return run_des(des_spec(SimDriverKind::NetsimDes, SubArbitration::LFU)); }},
-    {"netsim_oracle_ds", [] { return run_des(des_spec(SimDriverKind::NetsimDes, SubArbitration::DS)); }},
+    {"netsim_oracle_none", [] { return run_sim(des_spec(SimDriverKind::NetsimDes, SubArbitration::None)); }},
+    {"netsim_oracle_lfu", [] { return run_sim(des_spec(SimDriverKind::NetsimDes, SubArbitration::LFU)); }},
+    {"netsim_oracle_ds", [] { return run_sim(des_spec(SimDriverKind::NetsimDes, SubArbitration::DS)); }},
     {"netsim_markov1_faulty", &netsim_learned_faulty},
     {"netsim_oracle_drift", &netsim_drift},
     {"netsim_oracle_ds_overload", &netsim_overload},
-    {"multi_oracle_none", [] { return run_des(des_spec(SimDriverKind::MultiClientDes, SubArbitration::None)); }},
-    {"multi_oracle_lfu", [] { return run_des(des_spec(SimDriverKind::MultiClientDes, SubArbitration::LFU)); }},
-    {"multi_oracle_ds", [] { return run_des(des_spec(SimDriverKind::MultiClientDes, SubArbitration::DS)); }},
+    {"multi_oracle_none", [] { return run_sim(des_spec(SimDriverKind::MultiClientDes, SubArbitration::None)); }},
+    {"multi_oracle_lfu", [] { return run_sim(des_spec(SimDriverKind::MultiClientDes, SubArbitration::LFU)); }},
+    {"multi_oracle_ds", [] { return run_sim(des_spec(SimDriverKind::MultiClientDes, SubArbitration::DS)); }},
     {"multi_mixed_churn", &multi_client_mixed_churn},
     {"multi_lfu_faulty_overload", &multi_client_faulty_overload},
+    {"multi_herd_phases", &multi_client_herd_phases},
+    {"multi_overrides", &multi_client_overrides},
     {"session_ds_dense", &session_ds_dense},
     // clang-format on
 };
@@ -182,30 +225,44 @@ const PinCase kPinCases[] = {
 struct PinRow {
   const char* name;
   std::uint64_t hits, demand, prefetch, wasted, nodes;
-  double mean_T, net_time;
+  double mean_T, net_time, link_util;
+  std::uint64_t churn, deadline_hits;
+  const char* clients;  // per client "requests:hits:demand", space-separated
 };
+
+std::string client_books(const SimResult& r) {
+  std::string out;
+  for (const SimMetrics& m : r.per_client) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(m.requests) + ':' + std::to_string(m.hits) + ':' +
+           std::to_string(m.demand_fetches);
+  }
+  return out;
+}
 
 const PinRow kPins[] = {
     // clang-format off
-    {"replay_markov1_skp", 1415, 466, 3955, 2521, 6429, 4.6530000000000005, 72359},
-    {"replay_lz78_skp", 1126, 839, 2669, 1957, 39146, 6.299499999999985, 54539},
-    {"replay_ppm_skp", 1444, 460, 4031, 2650, 9984, 4.3130000000000095, 73723},
-    {"replay_depgraph_skp", 1494, 476, 4718, 3273, 17668, 4.1674999999999924, 86087},
-    {"replay_markov1_none", 629, 1371, 0, 0, 0, 10.191999999999984, 20384},
-    {"replay_markov1_kp", 1432, 568, 3831, 2501, 12488, 4.9724999999999966, 71418},
-    {"replay_markov1_skp_ds", 1493, 418, 3685, 2568, 5610, 3.9259999999999988, 60544},
-    {"netsim_oracle_none", 1135, 216, 4831, 3596, 7714, 3.320666666666662, 74177.5},
-    {"netsim_oracle_lfu", 1211, 166, 4779, 3562, 7348, 2.3460000000000005, 71861.5},
-    {"netsim_oracle_ds", 1196, 166, 4945, 3704, 7460, 2.3676666666666644, 70130.5},
-    {"netsim_markov1_faulty", 908, 520, 3735, 2071, 82232, 5.4173333333333433, 61993.5},
-    {"netsim_oracle_drift", 1176, 229, 4516, 3361, 7209, 3.1366666666666676, 64252.5},
-    {"netsim_oracle_ds_overload", 468, 1025, 373, 272, 561, 8.1533333333333342, 17082},
-    {"multi_oracle_none", 269, 221, 3730, 2802, 6025, 82.754583333333358, 54977.5},
-    {"multi_oracle_lfu", 313, 204, 3755, 2886, 5909, 82.327916666666653, 54852.5},
-    {"multi_oracle_ds", 285, 198, 3931, 3015, 5885, 78.881249999999994, 53568.5},
-    {"multi_mixed_churn", 248, 716, 3843, 3362, 317247, 56.970833333333296, 50796.5},
-    {"multi_lfu_faulty_overload", 416, 673, 731, 431, 1050, 24.582916666666666, 20029},
-    {"session_ds_dense", 667, 587, 1689, 1087, 3848, 8.063499999999987, 27662},
+    {"replay_markov1_skp", 1415, 466, 3955, 2521, 6429, 4.6530000000000005, 72359, 0, 0, 0, ""},
+    {"replay_lz78_skp", 1126, 839, 2669, 1957, 39146, 6.299499999999985, 54539, 0, 0, 0, ""},
+    {"replay_ppm_skp", 1444, 460, 4031, 2650, 9984, 4.3130000000000095, 73723, 0, 0, 0, ""},
+    {"replay_depgraph_skp", 1494, 476, 4718, 3273, 17668, 4.1674999999999924, 86087, 0, 0, 0, ""},
+    {"replay_markov1_none", 629, 1371, 0, 0, 0, 10.191999999999984, 20384, 0, 0, 0, ""},
+    {"replay_markov1_kp", 1432, 568, 3831, 2501, 12488, 4.9724999999999966, 71418, 0, 0, 0, ""},
+    {"replay_markov1_skp_ds", 1493, 418, 3685, 2568, 5610, 3.9259999999999988, 60544, 0, 0, 0, ""},
+    {"netsim_oracle_none", 1135, 216, 4831, 3596, 7714, 3.320666666666662, 74177.5, 0.91513891630477695, 0, 0, ""},
+    {"netsim_oracle_lfu", 1211, 166, 4779, 3562, 7348, 2.3460000000000005, 71861.5, 0.90285071739075806, 0, 0, ""},
+    {"netsim_oracle_ds", 1196, 166, 4945, 3704, 7460, 2.3676666666666644, 70130.5, 0.88074321990794524, 0, 0, ""},
+    {"netsim_markov1_faulty", 908, 520, 3735, 2071, 82232, 5.4173333333333433, 61993.5, 0.73625610147147891, 0, 0, ""},
+    {"netsim_oracle_drift", 1176, 229, 4516, 3361, 7209, 3.1366666666666676, 64252.5, 0.83230783180911427, 0, 0, ""},
+    {"netsim_oracle_ds_overload", 468, 1025, 373, 272, 561, 8.1533333333333342, 17082, 0.19344317988788856, 0, 0, ""},
+    {"multi_oracle_none", 269, 221, 3730, 2802, 6025, 82.754583333333358, 54977.5, 0.9976681305121039, 0, 0, "400:93:62 400:90:96 400:86:63"},
+    {"multi_oracle_lfu", 313, 204, 3755, 2886, 5909, 82.327916666666653, 54852.5, 0.9967654300796831, 0, 0, "400:110:60 400:103:84 400:100:60"},
+    {"multi_oracle_ds", 285, 198, 3931, 3015, 5885, 78.881249999999994, 53568.5, 0.99577106104543089, 0, 0, "400:100:56 400:99:80 400:86:62"},
+    {"multi_mixed_churn", 248, 716, 3843, 3362, 317247, 56.970833333333296, 50796.5, 0.92321183537344498, 355, 0, "400:54:329 400:59:321 400:135:66"},
+    {"multi_lfu_faulty_overload", 416, 673, 731, 431, 1050, 24.582916666666666, 20029, 0.61522630584693827, 0, 0, "400:152:210 400:141:230 400:123:233"},
+    {"multi_herd_phases", 439, 168, 3946, 2966, 6510, 29.289583333333336, 56321, 0.98045349098256385, 0, 472, "400:159:47 400:138:64 400:142:57"},
+    {"multi_overrides", 434, 463, 3783, 3261, 207187, 45.071794871794872, 43074, 0.99173439550572151, 152, 445, "250:124:121 520:250:61 400:60:281"},
+    {"session_ds_dense", 667, 587, 1689, 1087, 3848, 8.063499999999987, 27662, 0, 0, 0, ""},
     // clang-format on
 };
 
@@ -216,7 +273,8 @@ TEST(DriverPins, MetricsBitIdenticalAtFixedSeed) {
     const PinCase& c = kPinCases[i];
     const PinRow& g = kPins[i];
     ASSERT_STREQ(c.name, g.name);
-    const SimMetrics m = c.run();
+    const SimResult r = c.run();
+    const SimMetrics& m = r.metrics;
     EXPECT_EQ(m.hits, g.hits) << c.name;
     EXPECT_EQ(m.demand_fetches, g.demand) << c.name;
     EXPECT_EQ(m.prefetch_fetches, g.prefetch) << c.name;
@@ -224,6 +282,10 @@ TEST(DriverPins, MetricsBitIdenticalAtFixedSeed) {
     EXPECT_EQ(m.solver_nodes, g.nodes) << c.name;
     EXPECT_DOUBLE_EQ(m.mean_access_time(), g.mean_T) << c.name;
     EXPECT_DOUBLE_EQ(m.network_time, g.net_time) << c.name;
+    EXPECT_DOUBLE_EQ(r.link_utilization, g.link_util) << c.name;
+    EXPECT_EQ(r.churn_events, g.churn) << c.name;
+    EXPECT_EQ(r.deadline_hits, g.deadline_hits) << c.name;
+    EXPECT_EQ(client_books(r), g.clients) << c.name;
   }
 }
 
@@ -231,14 +293,19 @@ TEST(DriverPins, MetricsBitIdenticalAtFixedSeed) {
 // digits, round-trip exact). Disabled so ctest never depends on it.
 TEST(DriverPins, DISABLED_PrintPinTable) {
   for (const PinCase& c : kPinCases) {
-    const SimMetrics m = c.run();
-    std::printf("    {\"%s\", %llu, %llu, %llu, %llu, %llu, %.17g, %.17g},\n",
+    const SimResult r = c.run();
+    const SimMetrics& m = r.metrics;
+    std::printf("    {\"%s\", %llu, %llu, %llu, %llu, %llu, %.17g, %.17g, "
+                "%.17g, %llu, %llu, \"%s\"},\n",
                 c.name, static_cast<unsigned long long>(m.hits),
                 static_cast<unsigned long long>(m.demand_fetches),
                 static_cast<unsigned long long>(m.prefetch_fetches),
                 static_cast<unsigned long long>(m.wasted_prefetches),
                 static_cast<unsigned long long>(m.solver_nodes),
-                m.mean_access_time(), m.network_time);
+                m.mean_access_time(), m.network_time, r.link_utilization,
+                static_cast<unsigned long long>(r.churn_events),
+                static_cast<unsigned long long>(r.deadline_hits),
+                client_books(r).c_str());
   }
 }
 
