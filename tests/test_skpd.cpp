@@ -17,8 +17,10 @@
 #include <unistd.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -376,6 +378,65 @@ TEST(SkpdDaemon, DriverRejectsWithoutDaemonEnvironment) {
   SimSpec spec = netsim_spec(10);
   spec.driver = SimDriverKind::SkpdLoopback;
   EXPECT_THROW(run_sim(spec), std::invalid_argument);
+}
+
+// Runs the daemon with one flag and collects its stdout and exit status.
+// A daemon that starts listening anyway prints its banner and is killed,
+// and an alarm ends one that never gets that far (say, preloading 2^64-1
+// sessions), so a regression fails the test instead of hanging it.
+struct FlagRun {
+  int status = 0;
+  std::string out;
+};
+
+FlagRun run_daemon_with_flag(const std::string& flag) {
+  int fds[2];
+  if (::pipe(fds) != 0) throw std::runtime_error("pipe failed");
+  const std::string bin = daemon_binary();
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::alarm(5);  // survives execv; skpd leaves SIGALRM at its default
+    ::dup2(fds[1], STDOUT_FILENO);
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, STDERR_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    char* argv[] = {const_cast<char*>(bin.c_str()),
+                    const_cast<char*>(flag.c_str()), nullptr};
+    ::execv(bin.c_str(), argv);
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+  FlagRun run;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::read(fds[0], buf, sizeof buf)) > 0) {
+    run.out.append(buf, static_cast<std::size_t>(n));
+    if (run.out.find("SKPD_PORT=") != std::string::npos) {
+      ::kill(pid, SIGKILL);
+      break;
+    }
+  }
+  ::close(fds[0]);
+  ::waitpid(pid, &run.status, 0);
+  return run;
+}
+
+TEST(SkpdDaemon, MalformedNumericFlagsExitTwoBeforeListening) {
+  // Trailing junk, signs, padding, NaN/infinity and out-of-range values
+  // are usage errors: exit 2 before the daemon binds a port.
+  for (const char* flag :
+       {"--port=0x", "--port=-1", "--port=65536", "--port= 1",
+        "--keepalive=nan", "--keepalive=inf", "--keepalive=5s",
+        "--session-linger=", "--drain-timeout=1e999",
+        "--write-queue-soft=4096abc", "--write-queue-hard=-1",
+        "--sndbuf=-1", "--sndbuf=2147483648", "--preload-sessions=-1",
+        "--preload-sessions=+1"}) {
+    const FlagRun run = run_daemon_with_flag(flag);
+    EXPECT_EQ(run.out.find("SKPD_PORT="), std::string::npos) << flag;
+    EXPECT_TRUE(WIFEXITED(run.status) && WEXITSTATUS(run.status) == 2)
+        << flag << ": wait status " << run.status;
+  }
 }
 
 TEST(SkpdDaemon, KeepaliveEvictsSilentPeerButSessionSurvives) {

@@ -39,7 +39,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdarg>
 #include <cstdint>
@@ -47,6 +49,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -60,6 +63,7 @@
 #include "sim/skpd_protocol.hpp"
 #include "sim/skpd_session.hpp"
 #include "util/csv.hpp"
+#include "util/parse_digits.hpp"
 
 namespace {
 
@@ -108,55 +112,71 @@ bool parse_flag(const std::string& arg, const char* name,
   return true;
 }
 
+// Integer flags: digits only (util/parse_digits.hpp), at most `max`, so
+// "-1" cannot wrap and "4096abc" cannot pass as 4096.
+template <typename T>
+bool parse_count(const std::string& text, T* out,
+                 std::uint64_t max = std::numeric_limits<T>::max()) {
+  const std::optional<std::uint64_t> v = skp::parse_digits_u64(text);
+  if (!v || *v > max) return false;
+  *out = static_cast<T>(*v);
+  return true;
+}
+
+// Durations in seconds: the whole text is one finite number.
+bool parse_seconds(const std::string& text, double* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
 std::optional<Options> parse_args(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string v;
-    try {
-      if (arg == "--help" || arg == "-h") {
-        usage(stdout);
-        std::exit(0);
-      } else if (parse_flag(arg, "--port", &v)) {
-        opt.port = std::stoi(v);
-      } else if (parse_flag(arg, "--keepalive", &v)) {
-        opt.keepalive = std::stod(v);
-      } else if (parse_flag(arg, "--session-linger", &v)) {
-        opt.session_linger = std::stod(v);
-      } else if (parse_flag(arg, "--write-queue-soft", &v)) {
-        opt.write_queue_soft = std::stoull(v);
-      } else if (parse_flag(arg, "--write-queue-hard", &v)) {
-        opt.write_queue_hard = std::stoull(v);
-      } else if (parse_flag(arg, "--drain-timeout", &v)) {
-        opt.drain_timeout = std::stod(v);
-      } else if (parse_flag(arg, "--sndbuf", &v)) {
-        // Caps each connection's kernel send buffer so the userspace
-        // write-queue limits (not kernel autotuning) govern when a slow
-        // reader is detected. 0 keeps the kernel default.
-        opt.sndbuf = std::stoi(v);
-      } else if (parse_flag(arg, "--stats-csv", &v)) {
-        opt.stats_csv = v;
-      } else if (parse_flag(arg, "--preload-sessions", &v)) {
-        opt.preload_sessions = std::stoull(v);
-      } else if (parse_flag(arg, "--preload-spec", &v)) {
-        opt.preload_spec = v;
-      } else {
-        std::fprintf(stderr, "skpd: unknown argument '%s'\n", arg.c_str());
-        return std::nullopt;
-      }
-    } catch (const std::exception&) {
+    bool ok = true;
+    if (arg == "--help" || arg == "-h") {
+      usage(stdout);
+      std::exit(0);
+    } else if (parse_flag(arg, "--port", &v)) {
+      ok = parse_count(v, &opt.port, 65535);
+    } else if (parse_flag(arg, "--keepalive", &v)) {
+      ok = parse_seconds(v, &opt.keepalive);
+    } else if (parse_flag(arg, "--session-linger", &v)) {
+      ok = parse_seconds(v, &opt.session_linger);
+    } else if (parse_flag(arg, "--write-queue-soft", &v)) {
+      ok = parse_count(v, &opt.write_queue_soft);
+    } else if (parse_flag(arg, "--write-queue-hard", &v)) {
+      ok = parse_count(v, &opt.write_queue_hard);
+    } else if (parse_flag(arg, "--drain-timeout", &v)) {
+      ok = parse_seconds(v, &opt.drain_timeout);
+    } else if (parse_flag(arg, "--sndbuf", &v)) {
+      // Caps each connection's kernel send buffer so the userspace
+      // write-queue limits (not kernel autotuning) govern when a slow
+      // reader is detected. 0 keeps the kernel default.
+      ok = parse_count(v, &opt.sndbuf);
+    } else if (parse_flag(arg, "--stats-csv", &v)) {
+      opt.stats_csv = v;
+    } else if (parse_flag(arg, "--preload-sessions", &v)) {
+      ok = parse_count(v, &opt.preload_sessions);
+    } else if (parse_flag(arg, "--preload-spec", &v)) {
+      opt.preload_spec = v;
+    } else {
+      std::fprintf(stderr, "skpd: unknown argument '%s'\n", arg.c_str());
+      return std::nullopt;
+    }
+    if (!ok) {
       std::fprintf(stderr, "skpd: bad value in '%s'\n", arg.c_str());
       return std::nullopt;
     }
   }
-  if (opt.port < 0 || opt.port > 65535 || opt.sndbuf < 0 ||
-      opt.keepalive <= 0.0 ||
-      opt.session_linger <= 0.0 || opt.drain_timeout <= 0.0 ||
-      opt.write_queue_soft == 0 ||
+  if (opt.keepalive <= 0.0 || opt.session_linger <= 0.0 ||
+      opt.drain_timeout <= 0.0 || opt.write_queue_soft == 0 ||
       opt.write_queue_hard < opt.write_queue_soft) {
     std::fprintf(stderr,
-                 "skpd: invalid flag values (need 0<=port<=65535, positive "
-                 "durations, 0 < soft <= hard write-queue limits)\n");
+                 "skpd: invalid flag values (need positive durations, "
+                 "0 < soft <= hard write-queue limits)\n");
     return std::nullopt;
   }
   return opt;
