@@ -269,6 +269,11 @@ SimResult run_scenario_driver(const SimSpec& spec) {
   SKP_REQUIRE(spec.warmup == 0,
               "the scenario pipeline counts every request; use "
               "predictor_warmup for the observe-only prefix");
+  // Without Pr-arbitration the replacement policy picks every victim,
+  // so there is no Pr tie for a sub-arbitration to break.
+  SKP_REQUIRE(spec.pr_planning || spec.sub == SubArbitration::None,
+              "the scenario driver sub-arbitrates only Pr-arbitration "
+              "victims; set pr_planning or use sub none");
   require_unsized(spec, "scenario");
   require_single_client(spec, "scenario");
   // The scenario pipeline consumes the net only as a static r catalog;
@@ -300,6 +305,8 @@ SimResult run_scenario_driver(const SimSpec& spec) {
   for (std::size_t i = 0; i < mat.cycles.size(); ++i) {
     const ItemId item = mat.cycles[i].item;
     const double v = mat.cycles[i].viewing_time;
+    std::optional<ItemId> oracle;
+    if (spec.policy == PrefetchPolicy::Perfect) oracle = item;
 
     if (i >= spec.predictor_warmup) {
       // Shortlist: drop sliver mass; without Pr-arbitration planning
@@ -319,10 +326,9 @@ SimResult run_scenario_driver(const SimSpec& spec) {
         const InstanceView inst(scratch.P, r, v);
         if (spec.pr_planning) {
           engine.plan_with_cache_cached(inst, cache, &freq, PlanMemo{},
-                                        scratch, plan, std::nullopt,
-                                        support);
+                                        scratch, plan, oracle, support);
         } else {
-          engine.plan(inst, scratch, plan);
+          engine.plan(inst, scratch, plan, oracle);
         }
         m.solver_nodes += plan.solver_nodes;
         // Bandwidth budget (Eq. 1): every fetch but the last must finish

@@ -540,6 +540,45 @@ TEST(SimRuntime, InvalidSpecsAreRejected) {
   EXPECT_THROW(run_sim(scenario_oracle), std::invalid_argument);
 }
 
+SimSpec quick_scenario_spec() {
+  SimSpec spec;
+  spec.driver = SimDriverKind::Scenario;
+  spec.predictor = PredictorKind::Markov1;
+  spec.workload.n_items = 24;
+  spec.cache_size = 6;
+  spec.requests = 300;
+  spec.seed = 3;
+  return spec;
+}
+
+TEST(SimRuntime, ScenarioRejectsSubArbitrationWithoutPrPlanning) {
+  // Without Pr-arbitration the replacement policy picks every victim, so
+  // a sub-arbitration would be silently dropped: reject it instead.
+  SimSpec spec = quick_scenario_spec();
+  for (const auto sub : {SubArbitration::LFU, SubArbitration::DS}) {
+    spec.sub = sub;
+    spec.pr_planning = false;
+    EXPECT_THROW(run_sim(spec), std::invalid_argument) << sub_token(sub);
+    spec.pr_planning = true;
+    EXPECT_EQ(run_sim(spec).metrics.requests, 300u) << sub_token(sub);
+  }
+}
+
+TEST(SimRuntime, ScenarioPerfectPrefetchesTheRequestedItem) {
+  // Perfect plans with the item about to be requested, as in every other
+  // driver, so it must fetch and hit where no-prefetch cannot.
+  SimSpec spec = quick_scenario_spec();
+  for (const bool pr : {false, true}) {
+    spec.pr_planning = pr;
+    spec.policy = PrefetchPolicy::None;
+    const SimResult none = run_sim(spec);
+    spec.policy = PrefetchPolicy::Perfect;
+    const SimResult perfect = run_sim(spec);
+    EXPECT_GT(perfect.metrics.prefetch_fetches, 0u) << "pr " << pr;
+    EXPECT_GT(perfect.metrics.hits, none.metrics.hits) << "pr " << pr;
+  }
+}
+
 // ---- simctl substrate ---------------------------------------------------
 
 TEST(SimShard, OwnershipPartitionsEveryIndexExactlyOnce) {
