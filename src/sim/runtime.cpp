@@ -397,112 +397,6 @@ SimResult run_scenario_driver(const SimSpec& spec) {
   return res;
 }
 
-SimResult run_multi_client_des_driver(const SimSpec& spec) {
-  const MultiClientSpec& mc = spec.multi_client;
-  SKP_REQUIRE(mc.clients >= 1, "multi_client needs at least one client");
-  SKP_REQUIRE(mc.overrides.empty() || mc.overrides.size() == mc.clients,
-              "multi_client overrides must have one entry per client "
-              "(got " << mc.overrides.size() << " for " << mc.clients
-                      << " clients)");
-  SKP_REQUIRE(spec.warmup == 0,
-              "multi_client counts every request; use predictor_warmup "
-              "for an observe-only prefix");
-  require_no_scenario_fields(spec, "multi_client");
-  require_unsized(spec, "multi_client");
-  const std::size_t n = spec.workload.n_items;
-
-  // Shared grounded catalog: the netsim_des/scenario stream layout, so a
-  // multi_client row is comparable with the single-client rows of the
-  // same config (the clients' chains keep their own P/v draws; only the
-  // retrieval-time catalog is shared — items are per-client, the link
-  // and the server catalog are not).
-  GroundedStreams g = ground_streams(spec);
-
-  MultiClientConfig cfg;
-  cfg.n_clients = mc.clients;
-  cfg.source = to_markov_config(spec.workload);
-  cfg.link_speedup = mc.link_speedup;
-  cfg.phase_align = mc.phase_align;
-  cfg.churn_period = mc.churn_period;
-  cfg.churn_downtime = mc.churn_downtime;
-  cfg.link_schedule = spec.link_schedule;
-  cfg.cache_size = spec.cache_size;
-  cfg.engine = engine_config(spec);
-  cfg.requests_per_client = spec.requests;
-  cfg.seed = spec.seed;
-  cfg.use_plan_cache = spec.use_plan_cache;
-  cfg.plan_cache_capacity = spec.plan_cache_capacity;
-  cfg.predictor = spec.predictor;
-  cfg.predictor_min_prob = spec.predictor_min_prob;
-  cfg.predictor_warmup = spec.predictor_warmup;
-  cfg.retrieval_times = g.catalog.retrieval_times(g.net);
-  cfg.fault = spec.fault;
-  cfg.overload = spec.overload;
-  cfg.deadline = spec.deadline;
-
-  cfg.overrides.resize(mc.clients);
-  for (std::size_t c = 0; c < mc.clients; ++c) {
-    const MultiClientOverride* ov =
-        mc.overrides.empty() ? nullptr : &mc.overrides[c];
-    const SimWorkload w = ov && ov->workload ? *ov->workload
-                                             : spec.workload;
-    SKP_REQUIRE(w.n_items == n,
-                "multi_client clients must share n_items (one grounded "
-                "catalog serves every client)");
-    const PredictorKind predictor =
-        ov && ov->predictor ? *ov->predictor : spec.predictor;
-    // Per-client private streams derived from (effective seed, client
-    // index): homogeneous clients walk distinct trajectories, and
-    // reseeding or reshaping one client never shifts another.
-    const std::uint64_t base_seed = ov && ov->seed ? *ov->seed : spec.seed;
-    Rng mix(base_seed);
-    const std::uint64_t client_seed = mix.split(1000 + c).next_u64();
-
-    // Per-client cycle quota: a total request budget split by the caller
-    // (scenario harness) must not silently drop its remainder, so the
-    // quota rides the override all the way into the DES.
-    const std::size_t quota =
-        ov && ov->requests ? *ov->requests : spec.requests;
-    SKP_REQUIRE(quota >= 1, "client " << c << " quota must be >= 1");
-
-    MultiClientConfig::ClientOverride& out = cfg.overrides[c];
-    out.seed = client_seed;
-    out.predictor = predictor;
-    out.requests = quota;
-    if (ov) {
-      out.churn_period = ov->churn_period;
-      out.churn_downtime = ov->churn_downtime;
-    }
-    if (predictor == PredictorKind::Oracle) {
-      SKP_REQUIRE(w.kind == SimWorkloadKind::Markov,
-                  "oracle multi_client clients walk a markov chain; "
-                  "learned predictors unlock iid/zipf/drift/trace/"
-                  "adversarial workloads");
-      out.source = to_markov_config(w);
-    } else {
-      // Scripted learned drive: materialize the client's cycle script
-      // with the same stream layout a private-seeded chain would use.
-      Rng root(client_seed);
-      Rng build = root.split(1);
-      Rng walk = root.split(2);
-      out.cycles = materialize_workload(w, quota, build, walk).cycles;
-    }
-  }
-
-  const MultiClientResult res = run_multi_client(cfg);
-  SimResult out;
-  out.metrics = res.aggregate;
-  out.per_client = res.per_client;
-  out.plan_cache = res.plan_cache;
-  out.plans = res.plans;
-  out.churn_events = res.churn_events;
-  out.link_utilization = res.link_utilization();
-  out.fault = res.fault;
-  out.overload = res.overload;
-  out.deadline_hits = res.deadline_hits;
-  return out;
-}
-
 constexpr SimDriver kDrivers[] = {
     {SimDriverKind::PrefetchOnly, "prefetch_only",
      &run_prefetch_only_driver},
@@ -512,8 +406,7 @@ constexpr SimDriver kDrivers[] = {
      &run_trace_replay_driver},
     {SimDriverKind::NetsimDes, "netsim_des", &run_netsim_des_driver},
     {SimDriverKind::Scenario, "scenario", &run_scenario_driver},
-    {SimDriverKind::MultiClientDes, "multi_client",
-     &run_multi_client_des_driver},
+    {SimDriverKind::MultiClientDes, "multi_client", &run_multi_client},
     {SimDriverKind::SkpdLoopback, "skpd_loopback",
      &run_skpd_loopback_driver},
 };

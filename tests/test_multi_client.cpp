@@ -2,68 +2,66 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/prefetch_cache.hpp"
+#include <cmath>
 
 namespace skp {
 namespace {
 
-MultiClientConfig quick(std::size_t clients, double threshold = 0.0) {
-  MultiClientConfig cfg;
-  cfg.n_clients = clients;
-  cfg.source.n_states = 25;
-  cfg.source.out_degree_lo = 4;
-  cfg.source.out_degree_hi = 7;
-  cfg.cache_size = 6;
-  cfg.engine.policy = PrefetchPolicy::SKP;
-  cfg.engine.min_profit_threshold = threshold;
-  cfg.requests_per_client = 400;
-  cfg.seed = 13;
-  return cfg;
+SimSpec quick(std::size_t clients, double threshold = 0.0) {
+  SimSpec spec;
+  spec.driver = SimDriverKind::MultiClientDes;
+  spec.workload.n_items = 25;
+  spec.workload.out_degree_lo = 4;
+  spec.workload.out_degree_hi = 7;
+  spec.cache_size = 6;
+  spec.policy = PrefetchPolicy::SKP;
+  spec.min_profit_threshold = threshold;
+  spec.requests = 400;  // per client
+  spec.seed = 13;
+  spec.multi_client.clients = clients;
+  return spec;
 }
 
 TEST(MultiClient, Validation) {
-  auto cfg = quick(1);
-  cfg.n_clients = 0;
-  EXPECT_THROW(run_multi_client(cfg), std::invalid_argument);
-  cfg = quick(1);
-  cfg.link_speedup = 0.0;
-  EXPECT_THROW(run_multi_client(cfg), std::invalid_argument);
-  cfg = quick(1);
-  cfg.cache_size = 0;
-  EXPECT_THROW(run_multi_client(cfg), std::invalid_argument);
+  auto spec = quick(1);
+  spec.multi_client.clients = 0;
+  EXPECT_THROW(run_sim(spec), std::invalid_argument);
+  spec = quick(1);
+  spec.multi_client.link_speedup = 0.0;
+  EXPECT_THROW(run_sim(spec), std::invalid_argument);
+  spec = quick(1);
+  spec.cache_size = 0;
+  EXPECT_THROW(run_sim(spec), std::invalid_argument);
 }
 
 TEST(MultiClient, EveryClientServesItsQuota) {
-  const auto res = run_multi_client(quick(3));
+  const SimResult res = run_sim(quick(3));
   ASSERT_EQ(res.per_client.size(), 3u);
   for (const auto& m : res.per_client) {
     EXPECT_EQ(m.requests, 400u);
   }
-  EXPECT_EQ(res.aggregate.requests, 1200u);
+  EXPECT_EQ(res.metrics.requests, 1200u);
 }
 
 TEST(MultiClient, DeterministicInSeed) {
-  const auto a = run_multi_client(quick(2));
-  const auto b = run_multi_client(quick(2));
-  EXPECT_DOUBLE_EQ(a.aggregate.mean_access_time(),
-                   b.aggregate.mean_access_time());
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+  const SimResult a = run_sim(quick(2));
+  const SimResult b = run_sim(quick(2));
+  EXPECT_DOUBLE_EQ(a.metrics.mean_access_time(),
+                   b.metrics.mean_access_time());
+  EXPECT_DOUBLE_EQ(a.link_utilization, b.link_utilization);
 }
 
 TEST(MultiClient, LinkUtilizationBounded) {
-  const auto res = run_multi_client(quick(4));
-  EXPECT_GE(res.link_utilization(), 0.0);
-  EXPECT_LE(res.link_utilization(), 1.0 + 1e-9);
-  EXPECT_GT(res.makespan, 0.0);
+  const SimResult res = run_sim(quick(4));
+  EXPECT_GT(res.link_utilization, 0.0);
+  EXPECT_LE(res.link_utilization, 1.0 + 1e-9);
 }
 
 TEST(MultiClient, ContentionHurtsAtFixedLinkSpeed) {
   // More clients on the SAME link (no speedup) must not make the average
   // access time better.
-  auto one = quick(1);
-  auto four = quick(4);
-  const double t1 = run_multi_client(one).aggregate.mean_access_time();
-  const double t4 = run_multi_client(four).aggregate.mean_access_time();
+  const double t1 = run_sim(quick(1)).metrics.mean_access_time();
+  const double t4 = run_sim(quick(4)).metrics.mean_access_time();
   EXPECT_GE(t4, t1 * 0.9);
 }
 
@@ -71,43 +69,37 @@ TEST(MultiClient, ThrottlingHelpsUnderHeavyContention) {
   // At 6 clients on an unscaled link, disabling speculation must not be
   // worse than unbounded speculation by any large margin — and typically
   // strictly beats it.
-  auto eager = quick(6, 0.0);
-  auto off = quick(6, 1e9);
-  const auto res_eager = run_multi_client(eager);
-  const auto res_off = run_multi_client(off);
-  EXPECT_EQ(res_off.aggregate.prefetch_fetches, 0u);
-  EXPECT_LE(res_off.aggregate.mean_access_time(),
-            res_eager.aggregate.mean_access_time() * 1.5);
+  const SimResult res_eager = run_sim(quick(6, 0.0));
+  const SimResult res_off = run_sim(quick(6, 1e9));
+  EXPECT_EQ(res_off.metrics.prefetch_fetches, 0u);
+  EXPECT_LE(res_off.metrics.mean_access_time(),
+            res_eager.metrics.mean_access_time() * 1.5);
 }
 
 TEST(MultiClient, SingleClientMatchesAnalyticOrdering) {
   // With one client the system degenerates to the Fig.-7 setting: SKP
   // must beat no-prefetch.
-  auto skp_cfg = quick(1);
-  auto none_cfg = quick(1);
-  none_cfg.engine.policy = PrefetchPolicy::None;
-  EXPECT_LT(run_multi_client(skp_cfg).aggregate.mean_access_time(),
-            run_multi_client(none_cfg).aggregate.mean_access_time());
+  auto none_spec = quick(1);
+  none_spec.policy = PrefetchPolicy::None;
+  EXPECT_LT(run_sim(quick(1)).metrics.mean_access_time(),
+            run_sim(none_spec).metrics.mean_access_time());
 }
 
 TEST(MultiClient, FasterLinkNeverHurts) {
-  auto slow = quick(4);
   auto fast = quick(4);
-  fast.link_speedup = 4.0;
-  EXPECT_LE(run_multi_client(fast).aggregate.mean_access_time(),
-            run_multi_client(slow).aggregate.mean_access_time() + 1e-9);
+  fast.multi_client.link_speedup = 4.0;
+  EXPECT_LE(run_sim(fast).metrics.mean_access_time(),
+            run_sim(quick(4)).metrics.mean_access_time() + 1e-9);
 }
 
 TEST(MultiClient, SeedOverrideNeverShiftsSiblingClients) {
-  // With an override vector in play, reseeding the FIRST client must
-  // leave every sibling's trajectory untouched (each client's streams
-  // are private — the earlier shared-sequential scheme shifted every
-  // later chain when one client stopped consuming it).
-  auto cfg = quick(3);
-  cfg.overrides.resize(3);
-  const auto base = run_multi_client(cfg);
-  cfg.overrides[0].seed = 42;
-  const auto reseeded = run_multi_client(cfg);
+  // Reseeding the FIRST client must leave every sibling's trajectory
+  // untouched: each client draws from its own private streams.
+  auto spec = quick(3);
+  const SimResult base = run_sim(spec);
+  spec.multi_client.overrides.resize(3);
+  spec.multi_client.overrides[0].seed = 42;
+  const SimResult reseeded = run_sim(spec);
   ASSERT_EQ(reseeded.per_client.size(), 3u);
   EXPECT_NE(base.per_client[0].network_time,
             reseeded.per_client[0].network_time);
@@ -122,46 +114,42 @@ TEST(MultiClient, SeedOverrideNeverShiftsSiblingClients) {
 }
 
 TEST(MultiClient, PlanMemoStatsSumAcrossAsymmetricClients) {
-  // Two clients under deliberately skewed loads: a 10-state chain whose
-  // (state, cache) pairs recur constantly versus a 120-state chain that
-  // mostly misses. Per-client seed overrides give each client private
-  // streams, so the same client config run SOLO must reproduce exactly
-  // the per-client memoization counters of the JOINT run (cache
-  // evolution depends on the request sequence, never on link timing).
+  // Two clients under deliberately skewed loads on one catalog: a sparse
+  // chain (out-degree 1-2) whose (state, cache) pairs recur constantly
+  // versus a dense one (out-degree 20-30) that mostly misses. A learned
+  // client builds no memo tier, so swapping either client for a learned
+  // one leaves exactly the other's memoization counters — the same
+  // counters it contributes to the joint run, because cache evolution
+  // depends on the client's own request sequence, never on link timing.
   // The merged stats must then be the counter SUMS — and the merged hit
   // rate the recomputation from summed hits/misses, which under skew is
   // far from the mean of the per-client rates.
-  auto client = [](std::size_t n_states, std::uint64_t seed) {
-    MultiClientConfig::ClientOverride ov;
-    MarkovSourceConfig src;
-    src.n_states = n_states;
-    src.out_degree_lo = 3;
-    src.out_degree_hi = 6;
-    ov.source = src;
-    ov.seed = seed;
-    return ov;
+  auto fleet = [](bool hot_oracle, bool cold_oracle) {
+    SimSpec spec;
+    spec.driver = SimDriverKind::MultiClientDes;
+    spec.workload.n_items = 60;
+    spec.cache_size = 5;
+    spec.requests = 800;
+    spec.seed = 4;
+    spec.multi_client.clients = 2;
+    spec.multi_client.overrides.resize(2);
+    MultiClientOverride& hot = spec.multi_client.overrides[0];
+    hot.workload = spec.workload;
+    hot.workload->out_degree_lo = 1;
+    hot.workload->out_degree_hi = 2;
+    hot.seed = 101;
+    if (!hot_oracle) hot.predictor = PredictorKind::Markov1;
+    MultiClientOverride& cold = spec.multi_client.overrides[1];
+    cold.workload = spec.workload;
+    cold.workload->out_degree_lo = 20;
+    cold.workload->out_degree_hi = 30;
+    cold.seed = 202;
+    if (!cold_oracle) cold.predictor = PredictorKind::Markov1;
+    return run_sim(spec);
   };
-  auto solo = [&](const MultiClientConfig::ClientOverride& ov) {
-    MultiClientConfig cfg;
-    cfg.n_clients = 1;
-    cfg.cache_size = 5;
-    cfg.requests_per_client = 800;
-    cfg.seed = 4;
-    cfg.overrides = {ov};
-    return run_multi_client(cfg);
-  };
-  const auto hot = client(10, 101);
-  const auto cold = client(120, 202);
-  const MultiClientResult a = solo(hot);
-  const MultiClientResult b = solo(cold);
-
-  MultiClientConfig joint_cfg;
-  joint_cfg.n_clients = 2;
-  joint_cfg.cache_size = 5;
-  joint_cfg.requests_per_client = 800;
-  joint_cfg.seed = 4;
-  joint_cfg.overrides = {hot, cold};
-  const MultiClientResult joint = run_multi_client(joint_cfg);
+  const SimResult a = fleet(true, false);  // the hot client's counters
+  const SimResult b = fleet(false, true);  // the cold client's counters
+  const SimResult joint = fleet(true, true);
 
   for (const auto tier : {&PlanMemoStats::plans,
                           &PlanMemoStats::selections}) {
@@ -189,19 +177,18 @@ TEST(MultiClient, PlanMemoStatsSumAcrossAsymmetricClients) {
 
 TEST(MultiClient, PlanCacheOnOffBitIdentical) {
   auto on = quick(3);
-  on.requests_per_client = 800;
+  on.requests = 800;
   auto off = on;
   off.use_plan_cache = false;
-  const auto a = run_multi_client(on);
-  const auto b = run_multi_client(off);
-  EXPECT_EQ(a.aggregate.hits, b.aggregate.hits);
-  EXPECT_EQ(a.aggregate.demand_fetches, b.aggregate.demand_fetches);
-  EXPECT_EQ(a.aggregate.prefetch_fetches, b.aggregate.prefetch_fetches);
-  EXPECT_EQ(a.aggregate.solver_nodes, b.aggregate.solver_nodes);
-  EXPECT_DOUBLE_EQ(a.aggregate.mean_access_time(),
-                   b.aggregate.mean_access_time());
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_DOUBLE_EQ(a.link_busy_time, b.link_busy_time);
+  const SimResult a = run_sim(on);
+  const SimResult b = run_sim(off);
+  EXPECT_EQ(a.metrics.hits, b.metrics.hits);
+  EXPECT_EQ(a.metrics.demand_fetches, b.metrics.demand_fetches);
+  EXPECT_EQ(a.metrics.prefetch_fetches, b.metrics.prefetch_fetches);
+  EXPECT_EQ(a.metrics.solver_nodes, b.metrics.solver_nodes);
+  EXPECT_DOUBLE_EQ(a.metrics.mean_access_time(),
+                   b.metrics.mean_access_time());
+  EXPECT_DOUBLE_EQ(a.link_utilization, b.link_utilization);
   // Oracle rows + default sub-arbitration: recurring states must replay
   // stored solver selections (and some full plans).
   EXPECT_GT(a.plan_cache.selections.hits, 0u);
@@ -213,19 +200,18 @@ TEST(MultiClient, PlanCacheOnOffBitIdentical) {
 // ---- Hostile worlds -----------------------------------------------------
 
 TEST(MultiClientHostile, ChurnStillServesEveryQuota) {
-  auto cfg = quick(3);
-  cfg.churn_period = 300.0;
-  cfg.churn_downtime = 50.0;
-  const auto res = run_multi_client(cfg);
+  auto spec = quick(3);
+  spec.multi_client.churn_period = 300.0;
+  spec.multi_client.churn_downtime = 50.0;
+  const SimResult res = run_sim(spec);
   EXPECT_GT(res.churn_events, 0u);
   ASSERT_EQ(res.per_client.size(), 3u);
   for (const auto& m : res.per_client) EXPECT_EQ(m.requests, 400u);
-  EXPECT_EQ(res.aggregate.requests, 1200u);
+  EXPECT_EQ(res.metrics.requests, 1200u);
   // Walking away from a warm cache strands prefetched-but-unviewed
   // residents: the flush must charge them as wasted.
-  const auto calm = run_multi_client(quick(3));
-  EXPECT_GT(res.aggregate.wasted_prefetches,
-            calm.aggregate.wasted_prefetches);
+  const SimResult calm = run_sim(quick(3));
+  EXPECT_GT(res.metrics.wasted_prefetches, calm.metrics.wasted_prefetches);
 }
 
 TEST(MultiClientHostile, ChurningOneClientNeverShiftsSiblingDecisions) {
@@ -234,12 +220,12 @@ TEST(MultiClientHostile, ChurningOneClientNeverShiftsSiblingDecisions) {
   // 1 and 2 must be bit-identical to the calm run. (hits and access
   // times legitimately move — the churning client changes when the
   // shared link is busy.)
-  auto cfg = quick(3);
-  cfg.overrides.resize(3);
-  const auto calm = run_multi_client(cfg);
-  cfg.overrides[0].churn_period = 250.0;
-  cfg.overrides[0].churn_downtime = 40.0;
-  const auto churned = run_multi_client(cfg);
+  auto spec = quick(3);
+  const SimResult calm = run_sim(spec);
+  spec.multi_client.overrides.resize(3);
+  spec.multi_client.overrides[0].churn_period = 250.0;
+  spec.multi_client.overrides[0].churn_downtime = 40.0;
+  const SimResult churned = run_sim(spec);
   EXPECT_GT(churned.churn_events, 0u);
   ASSERT_EQ(churned.per_client.size(), 3u);
   for (std::size_t c = 1; c < 3; ++c) {
@@ -261,35 +247,35 @@ TEST(MultiClientHostile, ChurnPlanCacheOnOffBitIdentical) {
   // Rejoin invalidates the plan memo by generation bump; the memo must
   // stay a pure cache through every flush.
   auto on = quick(3);
-  on.churn_period = 300.0;
-  on.churn_downtime = 50.0;
+  on.multi_client.churn_period = 300.0;
+  on.multi_client.churn_downtime = 50.0;
   auto off = on;
   off.use_plan_cache = false;
-  const auto a = run_multi_client(on);
-  const auto b = run_multi_client(off);
+  const SimResult a = run_sim(on);
+  const SimResult b = run_sim(off);
   EXPECT_EQ(a.churn_events, b.churn_events);
-  EXPECT_EQ(a.aggregate.hits, b.aggregate.hits);
-  EXPECT_EQ(a.aggregate.demand_fetches, b.aggregate.demand_fetches);
-  EXPECT_EQ(a.aggregate.prefetch_fetches, b.aggregate.prefetch_fetches);
-  EXPECT_EQ(a.aggregate.wasted_prefetches, b.aggregate.wasted_prefetches);
-  EXPECT_EQ(a.aggregate.solver_nodes, b.aggregate.solver_nodes);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.metrics.hits, b.metrics.hits);
+  EXPECT_EQ(a.metrics.demand_fetches, b.metrics.demand_fetches);
+  EXPECT_EQ(a.metrics.prefetch_fetches, b.metrics.prefetch_fetches);
+  EXPECT_EQ(a.metrics.wasted_prefetches, b.metrics.wasted_prefetches);
+  EXPECT_EQ(a.metrics.solver_nodes, b.metrics.solver_nodes);
+  EXPECT_DOUBLE_EQ(a.link_utilization, b.link_utilization);
   EXPECT_EQ(b.plan_cache.plans.lookups(), 0u);
 }
 
 TEST(MultiClientHostile, FlashCrowdDeterministicAndDistinct) {
-  auto cfg = quick(3);
-  cfg.phase_align = 1.0;
-  const auto a = run_multi_client(cfg);
-  const auto b = run_multi_client(cfg);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.aggregate.hits, b.aggregate.hits);
-  EXPECT_DOUBLE_EQ(a.aggregate.mean_access_time(),
-                   b.aggregate.mean_access_time());
+  auto spec = quick(3);
+  spec.multi_client.phase_align = 1.0;
+  const SimResult a = run_sim(spec);
+  const SimResult b = run_sim(spec);
+  EXPECT_DOUBLE_EQ(a.link_utilization, b.link_utilization);
+  EXPECT_EQ(a.metrics.hits, b.metrics.hits);
+  EXPECT_DOUBLE_EQ(a.metrics.mean_access_time(),
+                   b.metrics.mean_access_time());
   // Herd viewing times genuinely change the trajectory vs. independent
   // phases...
-  const auto calm = run_multi_client(quick(3));
-  EXPECT_NE(a.makespan, calm.makespan);
+  const SimResult calm = run_sim(quick(3));
+  EXPECT_NE(a.metrics.mean_access_time(), calm.metrics.mean_access_time());
   // ...and the blended v varies with the cycle index, which breaks the
   // oracle memo's context-key promise — the memo must sit out entirely.
   EXPECT_EQ(a.plan_cache.plans.lookups(), 0u);
@@ -301,42 +287,41 @@ TEST(MultiClientHostile, LinkScheduleRepricesTimingNotDecisions) {
   // the planner fetches: planning and the network_time metrics keep
   // seeing the static base r_i (the stale-estimate regime), so every
   // decision-path counter is bit-identical to the static-link run while
-  // the realized makespan moves.
-  auto calm_cfg = quick(3);
-  auto stormy_cfg = quick(3);
-  stormy_cfg.link_schedule = {{200.0, 1.0, 0.0}, {60.0, 0.25, 2.0}};
-  const auto calm = run_multi_client(calm_cfg);
-  const auto stormy = run_multi_client(stormy_cfg);
-  EXPECT_EQ(calm.aggregate.demand_fetches, stormy.aggregate.demand_fetches);
-  EXPECT_EQ(calm.aggregate.prefetch_fetches,
-            stormy.aggregate.prefetch_fetches);
-  EXPECT_EQ(calm.aggregate.solver_nodes, stormy.aggregate.solver_nodes);
-  EXPECT_DOUBLE_EQ(calm.aggregate.network_time,
-                   stormy.aggregate.network_time);
-  EXPECT_NE(calm.makespan, stormy.makespan);
+  // the realized timing moves.
+  auto stormy_spec = quick(3);
+  stormy_spec.link_schedule = {{200.0, 1.0, 0.0}, {60.0, 0.25, 2.0}};
+  const SimResult calm = run_sim(quick(3));
+  const SimResult stormy = run_sim(stormy_spec);
+  EXPECT_EQ(calm.metrics.demand_fetches, stormy.metrics.demand_fetches);
+  EXPECT_EQ(calm.metrics.prefetch_fetches, stormy.metrics.prefetch_fetches);
+  EXPECT_EQ(calm.metrics.solver_nodes, stormy.metrics.solver_nodes);
+  EXPECT_DOUBLE_EQ(calm.metrics.network_time, stormy.metrics.network_time);
+  EXPECT_NE(calm.link_utilization, stormy.link_utilization);
   // A degraded window can only serialize MORE wall-clock per unit of
-  // base network time, never less (bandwidth 0.25 < 1, latency 2 > 0).
-  EXPECT_GT(stormy.makespan, calm.makespan);
-  const auto again = run_multi_client(stormy_cfg);
-  EXPECT_DOUBLE_EQ(stormy.makespan, again.makespan);
+  // base network time, never less (bandwidth 0.25 < 1, latency 2 > 0),
+  // so requests wait longer.
+  EXPECT_GT(stormy.metrics.mean_access_time(),
+            calm.metrics.mean_access_time());
+  const SimResult again = run_sim(stormy_spec);
+  EXPECT_DOUBLE_EQ(stormy.link_utilization, again.link_utilization);
 }
 
 TEST(MultiClientHostile, HostileFieldValidation) {
-  auto cfg = quick(2);
-  cfg.phase_align = 1.5;
-  EXPECT_THROW(run_multi_client(cfg), std::invalid_argument);
-  cfg = quick(2);
-  cfg.phase_align = -0.1;
-  EXPECT_THROW(run_multi_client(cfg), std::invalid_argument);
-  cfg = quick(2);
-  cfg.churn_period = -1.0;
-  EXPECT_THROW(run_multi_client(cfg), std::invalid_argument);
-  cfg = quick(2);
-  cfg.link_schedule = {{0.0, 1.0, 0.0}};  // zero-duration phase
-  EXPECT_THROW(run_multi_client(cfg), std::invalid_argument);
-  cfg = quick(2);
-  cfg.link_schedule = {{100.0, -1.0, 0.0}};  // negative bandwidth
-  EXPECT_THROW(run_multi_client(cfg), std::invalid_argument);
+  auto spec = quick(2);
+  spec.multi_client.phase_align = 1.5;
+  EXPECT_THROW(run_sim(spec), std::invalid_argument);
+  spec = quick(2);
+  spec.multi_client.phase_align = -0.1;
+  EXPECT_THROW(run_sim(spec), std::invalid_argument);
+  spec = quick(2);
+  spec.multi_client.churn_period = -1.0;
+  EXPECT_THROW(run_sim(spec), std::invalid_argument);
+  spec = quick(2);
+  spec.link_schedule = {{0.0, 1.0, 0.0}};  // zero-duration phase
+  EXPECT_THROW(run_sim(spec), std::invalid_argument);
+  spec = quick(2);
+  spec.link_schedule = {{100.0, -1.0, 0.0}};  // negative bandwidth
+  EXPECT_THROW(run_sim(spec), std::invalid_argument);
 }
 
 }  // namespace

@@ -110,11 +110,8 @@ run flags (single-value spec fields):
                          client (oracle | markov1 | ppm | lz78 |
                          depgraph | inherit), lowering to per-client
                          overrides for mixed-predictor fleets. Count
-                         must equal --clients. NOTE: any use switches
-                         every client to its private override-derived
-                         streams (the documented override seeding), so
-                         results are not comparable with a no-override
-                         run even when every token is "inherit".
+                         must equal --clients; an all-"inherit" list
+                         reproduces the run without the flag.
   --link-phases LIST     time-varying link (netsim_des / multi_client):
                          comma list of DUR:BW:LAT phases, cycling
   --fail-rate X          fault injection (netsim_des / multi_client):
