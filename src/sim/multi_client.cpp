@@ -109,10 +109,13 @@ SimResult run_multi_client(const SimSpec& spec) {
       cl.chain = std::make_unique<MarkovSource>(to_markov_config(w), build);
       cl.chain->teleport(0);
     } else {
-      cl.predictor = make_runtime_predictor(cl.kind, n);
-      cl.P.assign(n, 0.0);
       cl.cycles = materialize_workload(w, cl.quota, build, cl.walk).cycles;
     }
+  }
+  // Simulation state comes after every drive is drawn: each script is
+  // materialized through a temporary source, and interleaving those with
+  // the books fragments the heap (+1.2% peak RSS on learned_des).
+  for (Client& cl : clients) {
     cl.book.emplace(SlotCache(n, spec.cache_size));
     cl.completion.assign(n, 0.0);
     // Memoization needs the state key to determine the planning inputs;
@@ -122,6 +125,10 @@ SimResult run_multi_client(const SimSpec& spec) {
                               spec.plan_cache_capacity,
                               engine.config_digest(),
                               cl.kind != PredictorKind::Oracle, spec.sub, n);
+    if (cl.kind != PredictorKind::Oracle) {
+      cl.predictor = make_runtime_predictor(cl.kind, n);
+      cl.P.assign(n, 0.0);
+    }
   }
 
   // Herd schedule for flash crowds: one shared per-cycle viewing-time
