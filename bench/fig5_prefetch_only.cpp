@@ -7,7 +7,7 @@
 // (except very small v, where SKP dips below no-prefetch quality); SKP and
 // KP indistinguishable under flat; n = 25 raises all curves.
 //
-// Reproduction note (DESIGN.md D1, EXPERIMENTS.md): the paper's two SKP
+// Reproduction note (DESIGN.md D1): the paper's two SKP
 // claims are split across the two delta accountings. The verbatim
 // Figure-3 rule ("SKP paper") reproduces the small-v exception — at tiny
 // v it always stretches on some item (the tail-sum delta of the last

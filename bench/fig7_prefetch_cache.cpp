@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       spec.sub = pol.sub;
       // ExactComplement reproduces the paper's "SKP prefetch performs
       // better than KP prefetch"; the verbatim Figure-3 tail-sum delta
-      // inverts that ordering (see EXPERIMENTS.md / ablation_delta).
+      // inverts that ordering (see DESIGN.md D1 / ablation_delta).
       spec.delta_rule = DeltaRule::ExactComplement;
       spec.requests = requests;
       spec.seed = args.seed;  // same chain + walk for every policy

@@ -73,8 +73,6 @@ SimResult run_multi_client(const SimSpec& spec) {
   const std::vector<double> r = g.catalog.retrieval_times(g.net);
   const PrefetchEngine engine(engine_config(spec));
 
-  // Clients are addressed by index; the vector is sized once and never
-  // resized.
   std::vector<Client> clients(mc.clients);
   for (std::size_t c = 0; c < mc.clients; ++c) {
     Client& cl = clients[c];
