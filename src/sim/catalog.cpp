@@ -68,7 +68,7 @@ std::shared_ptr<const SharedCatalog> SharedCatalog::build(
                 "oracle netsim_des needs a generative workload "
                 "(markov | markov_drift | zipf | adversarial)");
     cat->mcfg_ = to_markov_config(w);
-    cat->source_.emplace(make_workload_source(w, build));
+    cat->source_.emplace(make_workload_chain(w, build));
     cat->drift_rng_ = build.split(kPrefetchCacheDriftSalt);
     cat->drift_period_ =
         w.kind == SimWorkloadKind::MarkovDrift ? w.drift_period : 0;

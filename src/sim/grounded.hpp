@@ -17,7 +17,7 @@
 #include "util/require.hpp"
 #include "util/rng.hpp"
 #include "workload/adversarial_source.hpp"
-#include "workload/markov_source.hpp"
+#include "workload/markov_chain.hpp"
 #include "workload/zipf_source.hpp"
 
 namespace skp {
@@ -76,20 +76,20 @@ inline AdversarialSourceConfig to_adversarial_config(const SimWorkload& w) {
 // The generative chain of a chain workload (markov | markov_drift |
 // zipf | adversarial), drawn from `build`. Every site that grounds one
 // (the shared catalog, materialize_workload, the prefetch_cache driver)
-// builds it here, so the source choice and its stream consumption live
-// in one place. Callers reject the other workload kinds with their own
-// messages first.
-inline MarkovSource make_workload_source(const SimWorkload& w, Rng& build) {
+// builds it here, so the chain choice and its stream consumption live
+// in one place. Sites that plan on oracle rows wrap it in a MarkovSource.
+// Callers reject the other workload kinds with their own messages first.
+inline MarkovChain make_workload_chain(const SimWorkload& w, Rng& build) {
   if (w.kind == SimWorkloadKind::Zipf) {
-    return make_zipf_source(to_zipf_config(w), build);
+    return make_zipf_chain(to_zipf_config(w), build);
   }
   if (w.kind == SimWorkloadKind::Adversarial) {
-    return make_adversarial_source(to_adversarial_config(w), build);
+    return make_adversarial_chain(to_adversarial_config(w), build);
   }
   SKP_REQUIRE(w.kind == SimWorkloadKind::Markov ||
                   w.kind == SimWorkloadKind::MarkovDrift,
               "no generative chain for workload " << to_string(w.kind));
-  return MarkovSource(to_markov_config(w), build);
+  return MarkovChain(to_markov_config(w), build);
 }
 
 // The stream layout of the net-grounded pipelines. `root` is kept so

@@ -11,6 +11,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/grounded.hpp"
 #include "sim/resident_set.hpp"
+#include "workload/markov_source.hpp"
 
 namespace skp {
 

@@ -114,8 +114,8 @@ void NetsimStepper::step_oracle() {
       // First changepoint: this session's chain diverges from the
       // shared master, so it takes a private copy to mutate
       // (copy-on-write — sessions that never drift never copy).
-      owned_source_.emplace(*source_);
-      source_ = &*owned_source_;
+      owned_source_ = std::make_unique<MarkovSource>(*source_);
+      source_ = owned_source_.get();
     }
     owned_source_->redraw_transitions(mcfg_, drift_rng_);
     // The context keys' promise (state -> row) just broke.

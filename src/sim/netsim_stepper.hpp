@@ -107,9 +107,9 @@ class NetsimStepper {
   // Oracle mode: the session walks the shared master chain through its
   // private (state_, walk_) cursor. A drifting session copies the chain
   // into owned_source_ at its first changepoint (copy-on-write) and
-  // mutates only the copy.
+  // mutates only the copy; a session that never drifts pays one pointer.
   const MarkovSource* source_ = nullptr;
-  std::optional<MarkovSource> owned_source_;
+  std::unique_ptr<MarkovSource> owned_source_;
   MarkovSourceConfig mcfg_;
   Rng drift_rng_;
   std::size_t drift_period_ = 0;

@@ -37,7 +37,7 @@ std::unique_ptr<Predictor> make_runtime_predictor(PredictorKind kind,
 
 namespace {
 
-// The workload lowerings (to_*_config, make_workload_source) and the
+// The workload lowerings (to_*_config, make_workload_chain) and the
 // GroundedStreams layout live in sim/grounded.hpp — the netsim stepper
 // (and through it the skpd daemon) must agree on them byte for byte
 // with the drivers here.
@@ -211,7 +211,7 @@ SimResult run_prefetch_cache_driver(const SimSpec& spec) {
   cfg.source = to_markov_config(w);
   if (w.kind == SimWorkloadKind::MarkovDrift) cfg.drift_period = w.drift_period;
   Rng build(spec.seed);
-  MarkovSource source = make_workload_source(w, build);
+  MarkovSource source(make_workload_chain(w, build));
   Rng walk = build.split(kPrefetchCacheWalkSalt);
   source.teleport(0);
   return from_prefetch_cache_result(run_prefetch_cache(cfg, source, walk));
@@ -594,21 +594,23 @@ MaterializedWorkload materialize_workload(const SimWorkload& w,
     case SimWorkloadKind::MarkovDrift:
     case SimWorkloadKind::Zipf:
     case SimWorkloadKind::Adversarial: {
+      // A walk needs only the sparse chain, never its dense rows.
       const MarkovSourceConfig mcfg = to_markov_config(w);
-      MarkovSource src = make_workload_source(w, build);
+      MarkovChain chain = make_workload_chain(w, build);
       Rng drift_rng = build.split(kPrefetchCacheDriftSalt);
       const std::size_t period =
           w.kind == SimWorkloadKind::MarkovDrift ? w.drift_period : 0;
+      std::size_t state = 0;
       for (std::size_t i = 0; i < requests; ++i) {
         if (period != 0 && i != 0 && i % period == 0) {
-          src.redraw_transitions(mcfg, drift_rng);
+          chain.redraw_transitions(mcfg, drift_rng);
         }
-        const double v = src.viewing_time(src.current_state());
-        const auto item = static_cast<ItemId>(src.step(walk));
-        out.cycles.push_back({item, v});
+        const double v = chain.viewing_time(state);
+        state = chain.sample_from(state, walk);
+        out.cycles.push_back({static_cast<ItemId>(state), v});
       }
-      out.retrieval_times.assign(src.retrieval_times().begin(),
-                                 src.retrieval_times().end());
+      out.retrieval_times.assign(chain.retrieval_times().begin(),
+                                 chain.retrieval_times().end());
       break;
     }
     case SimWorkloadKind::Iid: {
@@ -632,14 +634,15 @@ MaterializedWorkload materialize_workload(const SimWorkload& w,
       break;
     }
     case SimWorkloadKind::TraceText: {
-      const MarkovSourceConfig mcfg = to_markov_config(w);
-      MarkovSource src(mcfg, build);
+      const MarkovChain chain(to_markov_config(w), build);
       Trace recorded(w.n_items,
-                     std::vector<double>(src.retrieval_times().begin(),
-                                         src.retrieval_times().end()));
+                     std::vector<double>(chain.retrieval_times().begin(),
+                                         chain.retrieval_times().end()));
+      std::size_t state = 0;
       for (std::size_t i = 0; i < requests; ++i) {
-        const double v = src.viewing_time(src.current_state());
-        recorded.append(static_cast<ItemId>(src.step(walk)), v);
+        const double v = chain.viewing_time(state);
+        state = chain.sample_from(state, walk);
+        recorded.append(static_cast<ItemId>(state), v);
       }
       std::stringstream io;
       recorded.save(io);

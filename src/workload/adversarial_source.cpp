@@ -4,8 +4,8 @@
 
 namespace skp {
 
-MarkovSource make_adversarial_source(const AdversarialSourceConfig& config,
-                                     Rng& rng) {
+MarkovChain make_adversarial_chain(const AdversarialSourceConfig& config,
+                                   Rng& rng) {
   const std::size_t n = config.n_items;
   const std::size_t h = config.hot_set;
   SKP_REQUIRE(h >= 2, "AdversarialSource needs hot_set >= 2");
@@ -68,8 +68,7 @@ MarkovSource make_adversarial_source(const AdversarialSourceConfig& config,
     }
   }
 
-  return MarkovSource(std::move(v), std::move(r), std::move(succ),
-                      std::move(prob));
+  return MarkovChain(std::move(v), std::move(r), succ, prob);
 }
 
 }  // namespace skp

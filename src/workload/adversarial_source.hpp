@@ -11,8 +11,9 @@
 // just learned. States outside the cliques are cold entry points that
 // drop the walk into clique A.
 //
-// The result is still a plain MarkovSource — oracle rows, successor
-// hints, plan memoization, and the DES all consume it unchanged — but
+// The result is still a plain MarkovChain — walks, oracle rows (once
+// wrapped in a MarkovSource), successor hints, plan memoization, and the
+// DES all consume it unchanged — but
 // its stationary behaviour alternates hot sets of `hot_set` items each,
 // so any cache with capacity < hot_set thrashes within a clique and
 // any cache with capacity < 2*hot_set thrashes across escapes. Tests
@@ -20,7 +21,7 @@
 #pragma once
 
 #include "util/rng.hpp"
-#include "workload/markov_source.hpp"
+#include "workload/markov_chain.hpp"
 
 namespace skp {
 
@@ -36,7 +37,7 @@ struct AdversarialSourceConfig {
 // Draws the v/r catalogs from `rng` (deterministic in the stream) and
 // assembles the two-clique chain: clique A = items [0, hot_set), clique
 // B = items [hot_set, 2*hot_set), cold states = the rest.
-MarkovSource make_adversarial_source(const AdversarialSourceConfig& config,
-                                     Rng& rng);
+MarkovChain make_adversarial_chain(const AdversarialSourceConfig& config,
+                                   Rng& rng);
 
 }  // namespace skp

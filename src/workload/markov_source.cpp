@@ -1,160 +1,49 @@
 #include "workload/markov_source.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/require.hpp"
 
 namespace skp {
 
-MarkovSource::MarkovSource(const MarkovSourceConfig& config, Rng& rng) {
-  const std::size_t n = config.n_states;
-  SKP_REQUIRE(n >= 2, "MarkovSource needs at least 2 states");
-  SKP_REQUIRE(config.v_lo >= 1.0 && config.v_lo <= config.v_hi,
-              "viewing time range");
-  SKP_REQUIRE(config.r_lo > 0.0 && config.r_lo <= config.r_hi,
-              "retrieval time range");
+MarkovSource::MarkovSource(const MarkovSourceConfig& config, Rng& rng)
+    : MarkovSource(MarkovChain(config, rng)) {}
 
-  v_.resize(n);
-  r_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v_[i] = rng.uniform_time(config.v_lo, config.v_hi,
-                             config.integer_times);
-    r_[i] = rng.uniform_time(config.r_lo, config.r_hi,
-                             config.integer_times);
-  }
-  redraw_transitions(config, rng);
-}
+MarkovSource::MarkovSource(
+    std::vector<double> v, std::vector<double> r,
+    const std::vector<std::vector<ItemId>>& successors,
+    const std::vector<std::vector<double>>& probabilities)
+    : MarkovSource(MarkovChain(std::move(v), std::move(r), successors,
+                               probabilities)) {}
 
-MarkovSource::MarkovSource(std::vector<double> v, std::vector<double> r,
-                           std::vector<std::vector<ItemId>> successors,
-                           std::vector<std::vector<double>> probabilities)
-    : v_(std::move(v)),
-      r_(std::move(r)),
-      succ_(std::move(successors)),
-      succ_prob_(std::move(probabilities)) {
-  const std::size_t n = v_.size();
-  SKP_REQUIRE(n >= 2, "MarkovSource needs at least 2 states");
-  SKP_REQUIRE(r_.size() == n, "v/r size mismatch");
-  SKP_REQUIRE(succ_.size() == n && succ_prob_.size() == n,
-              "successor structure size mismatch");
-  for (std::size_t i = 0; i < n; ++i) {
-    SKP_REQUIRE(v_[i] > 0.0, "viewing time of state " << i);
-    SKP_REQUIRE(r_[i] > 0.0, "retrieval time of item " << i);
-  }
-  dense_row_.resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    SKP_REQUIRE(!succ_[s].empty(), "state " << s << " has no successors");
-    SKP_REQUIRE(succ_[s].size() == succ_prob_[s].size(),
-                "successor/probability size mismatch at state " << s);
-    dense_row_[s].assign(n, 0.0);
-    double sum = 0.0;
-    for (std::size_t k = 0; k < succ_[s].size(); ++k) {
-      const ItemId t = succ_[s][k];
-      SKP_REQUIRE(t >= 0 && static_cast<std::size_t>(t) < n,
-                  "successor out of range at state " << s);
-      SKP_REQUIRE(k == 0 || succ_[s][k - 1] < t,
-                  "successors of state " << s << " not ascending");
-      SKP_REQUIRE(succ_prob_[s][k] > 0.0,
-                  "non-positive transition probability at state " << s);
-      dense_row_[s][static_cast<std::size_t>(t)] = succ_prob_[s][k];
-      sum += succ_prob_[s][k];
-    }
-    SKP_REQUIRE(std::abs(sum - 1.0) <= 1e-9,
-                "row of state " << s << " sums to " << sum);
-  }
+MarkovSource::MarkovSource(MarkovChain chain) : chain_(std::move(chain)) {
+  fill_dense_rows();
 }
 
 void MarkovSource::redraw_transitions(const MarkovSourceConfig& config,
                                       Rng& rng) {
-  const std::size_t n = v_.size();
-  SKP_REQUIRE(config.n_states == n,
-              "redraw_transitions: state count mismatch");
-  SKP_REQUIRE(config.out_degree_lo >= 1, "out-degree lower bound");
-  SKP_REQUIRE(config.out_degree_lo <= config.out_degree_hi,
-              "out-degree bounds inverted");
+  chain_.redraw_transitions(config, rng);
+  fill_dense_rows();
+}
 
-  // The pool of possible successors per state excludes the state itself
-  // unless self-loops are allowed.
-  const std::size_t pool = config.allow_self_loop ? n : n - 1;
-  succ_.resize(n);
-  succ_prob_.resize(n);
-  dense_row_.resize(n);
+void MarkovSource::fill_dense_rows() {
+  const std::size_t n = chain_.n_states();
+  dense_.assign(n * n, 0.0);
   for (std::size_t s = 0; s < n; ++s) {
-    std::size_t degree = static_cast<std::size_t>(rng.uniform_int(
-        static_cast<std::int64_t>(config.out_degree_lo),
-        static_cast<std::int64_t>(config.out_degree_hi)));
-    degree = std::min(degree, pool);
-    // Partial Fisher–Yates over candidate targets.
-    std::vector<ItemId> targets;
-    targets.reserve(pool);
-    for (std::size_t t = 0; t < n; ++t) {
-      if (!config.allow_self_loop && t == s) continue;
-      targets.push_back(static_cast<ItemId>(t));
-    }
-    for (std::size_t k = 0; k < degree; ++k) {
-      const std::size_t j =
-          k + static_cast<std::size_t>(rng.next_below(targets.size() - k));
-      std::swap(targets[k], targets[j]);
-    }
-    targets.resize(degree);
-    std::sort(targets.begin(), targets.end());
-
-    // Dirichlet(1) probabilities over the successors.
-    std::vector<double> w(degree);
-    double sum = 0.0;
-    for (auto& x : w) {
-      x = rng.exponential(1.0) + 1e-12;
-      sum += x;
-    }
-    dense_row_[s].assign(n, 0.0);
-    succ_[s] = targets;
-    succ_prob_[s].resize(degree);
-    for (std::size_t k = 0; k < degree; ++k) {
-      succ_prob_[s][k] = w[k] / sum;
-      dense_row_[s][static_cast<std::size_t>(targets[k])] = w[k] / sum;
+    const std::span<const ItemId> succ = chain_.successors(s);
+    const std::span<const double> prob = chain_.probabilities(s);
+    double* row = dense_.data() + s * n;
+    for (std::size_t k = 0; k < succ.size(); ++k) {
+      row[static_cast<std::size_t>(succ[k])] = prob[k];
     }
   }
-}
-
-double MarkovSource::viewing_time(std::size_t state) const {
-  SKP_REQUIRE(state < v_.size(), "state " << state << " out of range");
-  return v_[state];
-}
-
-double MarkovSource::retrieval_time(ItemId item) const {
-  SKP_REQUIRE(item >= 0 && static_cast<std::size_t>(item) < r_.size(),
-              "item " << item << " out of range");
-  return r_[static_cast<std::size_t>(item)];
 }
 
 std::span<const double> MarkovSource::transition_row(
     std::size_t state) const {
-  SKP_REQUIRE(state < dense_row_.size(), "state out of range");
-  return dense_row_[state];
-}
-
-std::span<const ItemId> MarkovSource::successors(std::size_t state) const {
-  SKP_REQUIRE(state < succ_.size(), "state out of range");
-  return succ_[state];
-}
-
-std::size_t MarkovSource::sample_from(std::size_t state, Rng& rng) const {
-  SKP_REQUIRE(state < succ_.size(), "state out of range");
-  const auto& probs = succ_prob_[state];
-  const auto& targets = succ_[state];
-  SKP_ASSERT(!targets.empty());
-  const double u = rng.next_double();
-  double cum = 0.0;
-  std::size_t pick = targets.size() - 1;  // guard against fp round-off
-  for (std::size_t k = 0; k < probs.size(); ++k) {
-    cum += probs[k];
-    if (u < cum) {
-      pick = k;
-      break;
-    }
-  }
-  return static_cast<std::size_t>(targets[pick]);
+  const std::size_t n = n_states();
+  SKP_REQUIRE(state < n, "state out of range");
+  return std::span<const double>(dense_).subspan(state * n, n);
 }
 
 std::size_t MarkovSource::step(Rng& rng) {
@@ -163,33 +52,26 @@ std::size_t MarkovSource::step(Rng& rng) {
 }
 
 std::size_t MarkovSource::footprint_bytes() const noexcept {
-  std::size_t total = (v_.capacity() + r_.capacity()) * sizeof(double);
-  for (const auto& s : succ_) total += s.capacity() * sizeof(ItemId);
-  for (const auto& p : succ_prob_) total += p.capacity() * sizeof(double);
-  for (const auto& row : dense_row_) total += row.capacity() * sizeof(double);
-  total += (succ_.capacity() * sizeof(std::vector<ItemId>)) +
-           ((succ_prob_.capacity() + dense_row_.capacity()) *
-            sizeof(std::vector<double>));
-  return total;
+  return chain_.footprint_bytes() + dense_.capacity() * sizeof(double);
 }
 
 void MarkovSource::teleport(std::size_t state) {
-  SKP_REQUIRE(state < v_.size(), "state out of range");
+  SKP_REQUIRE(state < n_states(), "state out of range");
   state_ = state;
 }
 
 Instance MarkovSource::instance_at(std::size_t state) const {
-  SKP_REQUIRE(state < v_.size(), "state out of range");
+  const std::span<const double> row = transition_row(state);
   Instance inst;
-  inst.P = dense_row_[state];
-  inst.r = r_;
-  inst.v = v_[state];
+  inst.P.assign(row.begin(), row.end());
+  inst.r.assign(retrieval_times().begin(), retrieval_times().end());
+  inst.v = viewing_time(state);
   return inst;
 }
 
 InstanceView MarkovSource::view_at(std::size_t state) const {
-  SKP_REQUIRE(state < v_.size(), "state out of range");
-  return InstanceView(dense_row_[state], r_, v_[state]);
+  return InstanceView(transition_row(state), retrieval_times(),
+                      viewing_time(state));
 }
 
 }  // namespace skp

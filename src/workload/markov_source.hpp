@@ -1,17 +1,12 @@
-// The Markov request source of the paper's Figure 7 experiment.
+// The Markov request source with oracle rows: a MarkovChain (see
+// workload/markov_chain.hpp for the paper's Figure 7 chain) plus its dense
+// next-access rows and a current state.
 //
-// From the figure caption: "The requests are generated using a 100-state
-// Markov source. When going to state i, the Markov source generates a
-// request for item i and, after the request is served, it waits for the
-// duration of v_i, where 1 <= v_i <= 100, before changing to another
-// state. The state transition matrix is constructed such that there are 10
-// to 20 possible transitions from any state. Retrieval times for items are
-// between 1 and 30."
-//
-// State i <-> item i (one item per state). Each state carries its viewing
-// time v_i; each item carries its retrieval time r_i. Transition rows are
-// sparse (out-degree uniform in [out_lo, out_hi]) with Dirichlet(1)
-// probabilities over the chosen successors.
+// Only the consumers that plan on oracle rows hold one — the
+// prefetch_cache driver, oracle netsim_des sessions and multi_client
+// clients, lookahead blending and MarkovStream. The rows cost n x n
+// doubles; pipelines that only walk the chain (materialize_workload, so
+// every learned-predictor driver) hold the bare MarkovChain instead.
 #pragma once
 
 #include <cstdint>
@@ -20,52 +15,43 @@
 
 #include "core/item.hpp"
 #include "util/rng.hpp"
+#include "workload/markov_chain.hpp"
 
 namespace skp {
 
-struct MarkovSourceConfig {
-  std::size_t n_states = 100;
-  std::size_t out_degree_lo = 10;
-  std::size_t out_degree_hi = 20;
-  double v_lo = 1.0, v_hi = 100.0;   // per-state viewing times
-  double r_lo = 1.0, r_hi = 30.0;    // per-item retrieval times
-  bool integer_times = true;         // draw v, r as integers (paper-style)
-  bool allow_self_loop = false;      // a request for the item just viewed
-                                     // would always hit; default matches
-                                     // "changing to another state"
-};
-
 class MarkovSource {
  public:
-  // Builds the random chain from `rng`; the chain itself is then fixed and
-  // stepping uses a separate stream so structure and trajectory are
-  // independently reproducible.
+  // Draws the chain from `rng` (MarkovChain's constructor) and builds its
+  // dense rows.
   MarkovSource(const MarkovSourceConfig& config, Rng& rng);
 
-  // Explicit-chain constructor: per-state viewing times, per-item
-  // retrieval times, and per-state successor lists (ascending ids) with
-  // aligned probabilities (each row sums to 1). This is how synthetic
-  // sources with a prescribed structure — e.g. workload/zipf_source's
-  // rank-1 chain — drop into every simulator that consumes a
-  // MarkovSource.
+  // Explicit-chain constructor (same contract as MarkovChain's).
   MarkovSource(std::vector<double> v, std::vector<double> r,
-               std::vector<std::vector<ItemId>> successors,
-               std::vector<std::vector<double>> probabilities);
+               const std::vector<std::vector<ItemId>>& successors,
+               const std::vector<std::vector<double>>& probabilities);
 
-  // Redraws the transition structure (successor sets + probabilities)
-  // from `rng`, keeping the v/r catalogs and the current state. This is
-  // the phase-shift primitive behind drifting workloads: at a
-  // changepoint the access pattern changes while the items themselves do
-  // not. `config` supplies the out-degree bounds and must describe the
-  // same state count.
+  // Adds dense rows to a drawn chain — how the zipf and adversarial
+  // chains drop into every simulator that plans on oracle rows.
+  explicit MarkovSource(MarkovChain chain);
+
+  // Redraws the chain's transition structure (MarkovChain::
+  // redraw_transitions) and its dense rows, keeping the v/r catalogs and
+  // the current state.
   void redraw_transitions(const MarkovSourceConfig& config, Rng& rng);
 
-  std::size_t n_states() const noexcept { return v_.size(); }
+  const MarkovChain& chain() const noexcept { return chain_; }
+  std::size_t n_states() const noexcept { return chain_.n_states(); }
   std::size_t current_state() const noexcept { return state_; }
 
-  double viewing_time(std::size_t state) const;
-  double retrieval_time(ItemId item) const;
-  std::span<const double> retrieval_times() const noexcept { return r_; }
+  double viewing_time(std::size_t state) const {
+    return chain_.viewing_time(state);
+  }
+  double retrieval_time(ItemId item) const {
+    return chain_.retrieval_time(item);
+  }
+  std::span<const double> retrieval_times() const noexcept {
+    return chain_.retrieval_times();
+  }
 
   // Dense next-access probability row of `state` (length n_states; zeros
   // for non-successors). This is the oracle P the paper's model
@@ -73,7 +59,9 @@ class MarkovSource {
   std::span<const double> transition_row(std::size_t state) const;
 
   // Successor list of `state` (items with positive probability).
-  std::span<const ItemId> successors(std::size_t state) const;
+  std::span<const ItemId> successors(std::size_t state) const {
+    return chain_.successors(state);
+  }
 
   // Samples the next state/request and advances. Returns the new state
   // (== requested item id).
@@ -84,10 +72,13 @@ class MarkovSource {
   // same state and stream — this is what lets many sessions walk private
   // trajectories over ONE shared immutable source (each keeps its own
   // state + walk stream; the chain structure is read-only).
-  std::size_t sample_from(std::size_t state, Rng& rng) const;
+  std::size_t sample_from(std::size_t state, Rng& rng) const {
+    return chain_.sample_from(state, rng);
+  }
 
-  // Heap bytes behind the chain (dense rows dominate at n^2 doubles) —
-  // the shared-catalog savings the capacity bench measures.
+  // Heap bytes behind the source: the chain plus n^2 doubles of dense
+  // rows, which dominate — the shared-catalog savings the capacity bench
+  // measures.
   std::size_t footprint_bytes() const noexcept;
 
   // Re-seats the chain at `state` without sampling (tests, replays).
@@ -104,11 +95,10 @@ class MarkovSource {
   InstanceView view_at(std::size_t state) const;
 
  private:
-  std::vector<double> v_;                       // per-state viewing time
-  std::vector<double> r_;                       // per-item retrieval time
-  std::vector<std::vector<ItemId>> succ_;       // successor ids
-  std::vector<std::vector<double>> succ_prob_;  // aligned probabilities
-  std::vector<std::vector<double>> dense_row_;  // cached dense rows
+  void fill_dense_rows();
+
+  MarkovChain chain_;
+  std::vector<double> dense_;  // n x n row-major next-access rows
   std::size_t state_ = 0;
 };
 

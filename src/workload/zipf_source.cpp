@@ -7,7 +7,7 @@
 
 namespace skp {
 
-MarkovSource make_zipf_source(const ZipfSourceConfig& config, Rng& rng) {
+MarkovChain make_zipf_chain(const ZipfSourceConfig& config, Rng& rng) {
   const std::size_t n = config.n_items;
   SKP_REQUIRE(n >= 2, "ZipfSource needs at least 2 items");
   SKP_REQUIRE(config.exponent > 0.0, "Zipf exponent must be positive");
@@ -34,8 +34,7 @@ MarkovSource make_zipf_source(const ZipfSourceConfig& config, Rng& rng) {
   std::iota(all.begin(), all.end(), ItemId{0});
   std::vector<std::vector<ItemId>> succ(n, all);
   std::vector<std::vector<double>> prob(n, row);
-  return MarkovSource(std::move(v), std::move(r), std::move(succ),
-                      std::move(prob));
+  return MarkovChain(std::move(v), std::move(r), succ, prob);
 }
 
 }  // namespace skp

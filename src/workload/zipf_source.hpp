@@ -3,10 +3,10 @@
 //
 // Web/file-access traces are classically Zipf-distributed: the k-th most
 // popular item draws probability proportional to k^-s. This builds that
-// workload as a rank-1 Markov chain — every state carries the SAME dense
-// next-access row, the Zipf distribution itself — so it drops unchanged
-// into every simulator that consumes a MarkovSource (oracle rows,
-// successor hints, plan memoization, the DES). Requests are therefore
+// workload as a rank-1 Markov chain — every state carries the SAME
+// next-access row over all items, the Zipf distribution itself — so it
+// drops unchanged into every simulator that walks a MarkovChain or, once
+// wrapped in a MarkovSource, plans on its oracle rows. Requests are therefore
 // i.i.d. Zipf draws, but with a persistent item catalog (fixed per-item
 // retrieval times and per-state viewing times), unlike the
 // flush-per-iteration prefetch-only protocol.
@@ -17,7 +17,7 @@
 #pragma once
 
 #include "util/rng.hpp"
-#include "workload/markov_source.hpp"
+#include "workload/markov_chain.hpp"
 
 namespace skp {
 
@@ -32,7 +32,8 @@ struct ZipfSourceConfig {
 
 // Draws the v/r catalogs and the Zipf row from `rng` (deterministic in the
 // stream) and assembles the rank-1 chain. Self-transitions are allowed —
-// an i.i.d. draw may repeat the current item.
-MarkovSource make_zipf_source(const ZipfSourceConfig& config, Rng& rng);
+// an i.i.d. draw may repeat the current item. Every state lists all n
+// items, so this chain alone is O(n^2).
+MarkovChain make_zipf_chain(const ZipfSourceConfig& config, Rng& rng);
 
 }  // namespace skp

@@ -25,7 +25,7 @@ AdversarialSourceConfig small() {
 TEST(AdversarialSource, CliqueRowStructure) {
   Rng rng(7);
   const auto cfg = small();
-  const MarkovSource src = make_adversarial_source(cfg, rng);
+  const MarkovSource src(make_adversarial_chain(cfg, rng));
   const std::size_t h = cfg.hot_set;
   ASSERT_EQ(src.n_states(), cfg.n_items);
 
@@ -75,9 +75,9 @@ TEST(AdversarialSource, CliqueRowStructure) {
 TEST(AdversarialSource, DeterministicInTheRngStream) {
   Rng a(42), b(42), c(43);
   const auto cfg = small();
-  const MarkovSource sa = make_adversarial_source(cfg, a);
-  const MarkovSource sb = make_adversarial_source(cfg, b);
-  const MarkovSource sc = make_adversarial_source(cfg, c);
+  const MarkovSource sa(make_adversarial_chain(cfg, a));
+  const MarkovSource sb(make_adversarial_chain(cfg, b));
+  const MarkovSource sc(make_adversarial_chain(cfg, c));
   bool any_diff = false;
   for (std::size_t s = 0; s < sa.n_states(); ++s) {
     EXPECT_EQ(sa.viewing_time(s), sb.viewing_time(s));
@@ -96,7 +96,7 @@ TEST(AdversarialSource, WalkPingPongsBetweenCliques) {
   Rng build(7);
   auto cfg = small();
   cfg.escape_prob = 0.25;  // frequent defections so a short walk flips
-  MarkovSource src = make_adversarial_source(cfg, build);
+  MarkovSource src(make_adversarial_chain(cfg, build));
   const std::size_t h = cfg.hot_set;
 
   // A cold entry state must drop straight into clique A.
@@ -118,20 +118,20 @@ TEST(AdversarialSource, RejectsDegenerateConfigs) {
   Rng rng(1);
   auto cfg = small();
   cfg.hot_set = 1;  // no "other member" to move to
-  EXPECT_THROW(make_adversarial_source(cfg, rng), std::invalid_argument);
+  EXPECT_THROW(make_adversarial_chain(cfg, rng), std::invalid_argument);
   cfg = small();
   cfg.hot_set = 13;  // 2*13 > 24: cliques would overlap
-  EXPECT_THROW(make_adversarial_source(cfg, rng), std::invalid_argument);
+  EXPECT_THROW(make_adversarial_chain(cfg, rng), std::invalid_argument);
   cfg = small();
   cfg.escape_prob = 0.0;  // walk could never defect
-  EXPECT_THROW(make_adversarial_source(cfg, rng), std::invalid_argument);
+  EXPECT_THROW(make_adversarial_chain(cfg, rng), std::invalid_argument);
   cfg = small();
   cfg.escape_prob = 1.0;  // no within-clique mass left
-  EXPECT_THROW(make_adversarial_source(cfg, rng), std::invalid_argument);
+  EXPECT_THROW(make_adversarial_chain(cfg, rng), std::invalid_argument);
   cfg = small();
   cfg.v_lo = 10.0;
   cfg.v_hi = 5.0;
-  EXPECT_THROW(make_adversarial_source(cfg, rng), std::invalid_argument);
+  EXPECT_THROW(make_adversarial_chain(cfg, rng), std::invalid_argument);
 }
 
 SimSpec thrash_spec(SimWorkloadKind kind) {

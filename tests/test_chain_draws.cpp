@@ -6,21 +6,91 @@
 // digest mismatch naming the config.
 //
 // The expected values were generated before the chain/dense-row split
-// and pin its bit-identity. Refresh (only for a deliberate change of the
-// draws) with
+// and pin its bit-identity: a bare MarkovChain and a MarkovSource (whose
+// probabilities are read back from its dense rows) must both reproduce
+// them. Refresh (only for a deliberate change of the draws) with
 //   test_chain_draws --gtest_also_run_disabled_tests
 //                    --gtest_filter='*PrintDigestTables*'
+//
+// The suite also bounds what walk-only grounding allocates. Global
+// operator new/delete count live heap bytes here (as bench/capacity
+// does), so a test can assert the peak one call reaches.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <new>
 #include <vector>
 
+#include "sim/catalog.hpp"
+#include "sim/grounded.hpp"
 #include "sim/runtime.hpp"
 #include "util/rng.hpp"
+#include "workload/markov_chain.hpp"
 #include "workload/markov_source.hpp"
+
+namespace {
+
+// Live and peak heap bytes through plain (default-aligned) new/delete;
+// each block carries its size in a header. Kept out of line so the
+// compiler never inlines the header arithmetic into a delete of a known
+// object (a -Warray-bounds false positive).
+std::atomic<std::size_t> g_live{0};
+std::atomic<std::size_t> g_peak{0};
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+
+[[gnu::noinline]] void* counted_alloc(std::size_t size) noexcept {
+  void* base = std::malloc(kHeader + size);
+  if (base == nullptr) return nullptr;
+  std::memcpy(base, &size, sizeof(size));
+  const std::size_t live =
+      g_live.fetch_add(size, std::memory_order_relaxed) + size;
+  std::size_t peak = g_peak.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+  }
+  return static_cast<char*>(base) + kHeader;
+}
+
+[[gnu::noinline]] void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  void* base = static_cast<char*>(p) - kHeader;
+  std::size_t size = 0;
+  std::memcpy(&size, base, sizeof(size));
+  g_live.fetch_sub(size, std::memory_order_relaxed);
+  std::free(base);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  void* p = counted_alloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace skp {
 namespace {
@@ -31,22 +101,41 @@ struct Digest {
   void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
 };
 
-// Catalogs, successor lists with their probabilities (read from the
-// dense row), the drawing stream's next output and a 200-step walk.
-std::uint64_t source_digest(const MarkovSource& src, const Rng& after_draw,
-                            std::uint64_t walk_seed) {
+// The transition probabilities of `state`'s successors: a chain's aligned
+// list, or a source's dense row read at each successor.
+std::vector<double> successor_probabilities(const MarkovChain& chain,
+                                            std::size_t state) {
+  const auto p = chain.probabilities(state);
+  return {p.begin(), p.end()};
+}
+
+std::vector<double> successor_probabilities(const MarkovSource& src,
+                                            std::size_t state) {
+  const auto row = src.transition_row(state);
+  std::vector<double> p;
+  for (const ItemId t : src.successors(state)) {
+    p.push_back(row[static_cast<std::size_t>(t)]);
+  }
+  return p;
+}
+
+// Catalogs, successor lists with their probabilities, the drawing
+// stream's next output and a 200-step walk.
+template <typename Chain>
+std::uint64_t draw_digest(const Chain& chain, const Rng& after_draw,
+                          std::uint64_t walk_seed) {
   Digest d;
-  const std::size_t n = src.n_states();
+  const std::size_t n = chain.n_states();
   d.add(static_cast<std::uint64_t>(n));
   for (std::size_t s = 0; s < n; ++s) {
-    d.add(src.viewing_time(s));
-    d.add(src.retrieval_time(static_cast<ItemId>(s)));
-    const auto succ = src.successors(s);
-    const auto row = src.transition_row(s);
+    d.add(chain.viewing_time(s));
+    d.add(chain.retrieval_time(static_cast<ItemId>(s)));
+    const auto succ = chain.successors(s);
+    const std::vector<double> prob = successor_probabilities(chain, s);
     d.add(static_cast<std::uint64_t>(succ.size()));
-    for (const ItemId t : succ) {
-      d.add(static_cast<std::uint64_t>(t));
-      d.add(row[static_cast<std::size_t>(t)]);
+    for (std::size_t k = 0; k < succ.size(); ++k) {
+      d.add(static_cast<std::uint64_t>(succ[k]));
+      d.add(prob[k]);
     }
   }
   Rng probe = after_draw;
@@ -54,7 +143,7 @@ std::uint64_t source_digest(const MarkovSource& src, const Rng& after_draw,
   Rng walk(walk_seed);
   std::size_t state = 0;
   for (int i = 0; i < 200; ++i) {
-    state = src.sample_from(state, walk);
+    state = chain.sample_from(state, walk);
     d.add(static_cast<std::uint64_t>(state));
   }
   return d.h;
@@ -94,14 +183,15 @@ MarkovSourceConfig config_of(const DrawCase& c) {
 
 // Digest of the first draw and of a second redraw_transitions continuing
 // on the same stream.
+template <typename Chain>
 std::pair<std::uint64_t, std::uint64_t> draw_digests(std::size_t index,
                                                      const DrawCase& c) {
   const MarkovSourceConfig cfg = config_of(c);
   Rng rng(1000 + index);
-  MarkovSource src(cfg, rng);
-  const std::uint64_t first = source_digest(src, rng, 7000 + index);
-  src.redraw_transitions(cfg, rng);
-  const std::uint64_t second = source_digest(src, rng, 9000 + index);
+  Chain chain(cfg, rng);
+  const std::uint64_t first = draw_digest(chain, rng, 7000 + index);
+  chain.redraw_transitions(cfg, rng);
+  const std::uint64_t second = draw_digest(chain, rng, 9000 + index);
   return {first, second};
 }
 
@@ -207,12 +297,13 @@ constexpr std::uint64_t kWorkloadDigests[] = {
     0xfccacb3e5058e254ULL,  // iid
 };
 
-TEST(ChainDraws, SourceDrawsMatchPinnedDigests) {
+template <typename Chain>
+void expect_pinned_draws() {
   const std::vector<DrawCase> cases = draw_cases();
   ASSERT_EQ(cases.size(), std::size(kDrawDigests));
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const DrawCase& c = cases[i];
-    const auto [first, second] = draw_digests(i, c);
+    const auto [first, second] = draw_digests<Chain>(i, c);
     EXPECT_EQ(first, kDrawDigests[i].first)
         << "n=" << c.n << " degree " << c.lo << ":" << c.hi
         << " self_loop=" << c.self_loop;
@@ -220,6 +311,14 @@ TEST(ChainDraws, SourceDrawsMatchPinnedDigests) {
         << "redraw: n=" << c.n << " degree " << c.lo << ":" << c.hi
         << " self_loop=" << c.self_loop;
   }
+}
+
+TEST(ChainDraws, ChainDrawsMatchPinnedDigests) {
+  expect_pinned_draws<MarkovChain>();
+}
+
+TEST(ChainDraws, SourceDrawsMatchPinnedDigests) {
+  expect_pinned_draws<MarkovSource>();
 }
 
 TEST(ChainDraws, MaterializedWorkloadsMatchPinnedDigests) {
@@ -230,10 +329,99 @@ TEST(ChainDraws, MaterializedWorkloadsMatchPinnedDigests) {
   }
 }
 
+// materialize_workload walks the bare chain; the reference walks a
+// MarkovSource (dense rows and all) drawn from the same streams with
+// step(), redrawing it at the same changepoints.
+TEST(ChainDraws, MaterializedCyclesWalkASourceDrawnFromTheSameStreams) {
+  for (const SimWorkloadKind kind :
+       {SimWorkloadKind::Markov, SimWorkloadKind::MarkovDrift,
+        SimWorkloadKind::Zipf, SimWorkloadKind::Adversarial,
+        SimWorkloadKind::TraceText}) {
+    SimWorkload w;
+    w.kind = kind;
+    w.n_items = 30;
+    w.out_degree_lo = 2;
+    w.out_degree_hi = 7;
+    w.drift_period = 50;
+    w.adv_hot_set = 5;
+    constexpr std::size_t kRequests = 300;
+    Rng build(31), walk(32);
+    const MaterializedWorkload m =
+        materialize_workload(w, kRequests, build, walk);
+
+    Rng ref_build(31), ref_walk(32);
+    MarkovSource src = kind == SimWorkloadKind::TraceText
+                           ? MarkovSource(to_markov_config(w), ref_build)
+                           : MarkovSource(make_workload_chain(w, ref_build));
+    Rng drift = ref_build.split(kPrefetchCacheDriftSalt);
+    ASSERT_EQ(m.cycles.size(), kRequests);
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      if (kind == SimWorkloadKind::MarkovDrift && i != 0 &&
+          i % w.drift_period == 0) {
+        src.redraw_transitions(to_markov_config(w), drift);
+      }
+      const double v = src.viewing_time(src.current_state());
+      const auto item = static_cast<ItemId>(src.step(ref_walk));
+      ASSERT_EQ(m.cycles[i].item, item) << to_string(kind) << " cycle " << i;
+      ASSERT_EQ(m.cycles[i].viewing_time, v)
+          << to_string(kind) << " cycle " << i;
+    }
+    const auto r = src.retrieval_times();
+    EXPECT_EQ(m.retrieval_times, std::vector<double>(r.begin(), r.end()))
+        << to_string(kind);
+  }
+}
+
+// A learned spec grounds without any n x n term: at n = 20000 a dense row
+// per state would be 3.2 GB of doubles.
+TEST(ChainDraws, WalkOnlyGroundingHasNoQuadraticTerm) {
+  constexpr std::size_t n = 20000;
+  SimSpec spec;
+  spec.driver = SimDriverKind::NetsimDes;
+  spec.predictor = PredictorKind::Markov1;
+  spec.workload.n_items = n;
+  spec.requests = 1000;
+  const std::size_t bound = 64 * n * spec.workload.out_degree_hi;
+
+  Rng build(3);
+  const MarkovChain chain(to_markov_config(spec.workload), build);
+  EXPECT_LT(chain.footprint_bytes(), bound);
+
+  // Peak heap reached while grounding, over what was live before.
+  const std::size_t before = g_live.load();
+  g_peak.store(before);
+  const std::shared_ptr<const SharedCatalog> catalog =
+      SharedCatalog::build(spec);
+  EXPECT_LT(g_peak.load() - before, bound);
+  EXPECT_EQ(catalog->materialized().cycles.size(), spec.requests);
+}
+
+TEST(ChainDraws, OutDegreeBoundMustFitTheSignedDraw) {
+  MarkovSourceConfig cfg;
+  cfg.n_states = 50;
+  cfg.out_degree_lo = 2;
+  Rng rng(1);
+  constexpr auto kMax = static_cast<std::size_t>(
+      std::numeric_limits<std::int64_t>::max());
+  for (const std::size_t hi :
+       {kMax + 1, std::numeric_limits<std::size_t>::max()}) {
+    cfg.out_degree_hi = hi;
+    EXPECT_THROW(MarkovChain(cfg, rng), std::invalid_argument) << hi;
+  }
+  // The largest bound the draw can take is still valid; the degree is
+  // capped at the pool as always.
+  cfg.out_degree_hi = kMax;
+  const MarkovChain chain(cfg, rng);
+  for (std::size_t s = 0; s < chain.n_states(); ++s) {
+    EXPECT_GE(chain.successors(s).size(), 2u);
+    EXPECT_LE(chain.successors(s).size(), 49u);
+  }
+}
+
 TEST(ChainDraws, DISABLED_PrintDigestTables) {
   const std::vector<DrawCase> cases = draw_cases();
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto [first, second] = draw_digests(i, cases[i]);
+    const auto [first, second] = draw_digests<MarkovChain>(i, cases[i]);
     std::printf("    {0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL},\n", first,
                 second);
   }

@@ -3,6 +3,7 @@
 // netsim DES driver, and the simctl sharding/merge substrate.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -538,6 +539,20 @@ TEST(SimRuntime, InvalidSpecsAreRejected) {
   scenario_oracle.predictor = PredictorKind::Oracle;
   scenario_oracle.workload.n_items = 24;
   EXPECT_THROW(run_sim(scenario_oracle), std::invalid_argument);
+}
+
+TEST(SimRuntime, OutDegreeBoundPastInt64IsRejected) {
+  // The chain draws its degree as a signed 64-bit integer; a larger
+  // bound used to wrap to -1 there.
+  SimSpec spec;
+  spec.driver = SimDriverKind::PrefetchCache;
+  spec.workload.n_items = 50;
+  spec.requests = 100;
+  spec.workload.out_degree_lo = 2;
+  spec.workload.out_degree_hi = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(run_sim(spec), std::invalid_argument);
+  spec.workload.out_degree_hi = 18;
+  EXPECT_EQ(run_sim(spec).metrics.requests, 100u);
 }
 
 SimSpec quick_scenario_spec() {

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -643,6 +644,31 @@ TEST(SkpdDaemon, AbsurdCatalogIsRefusedWithoutTakingTheDaemonDown) {
   }
   EXPECT_EQ(client.finish().metrics.requests, spec.requests);
 
+  const int status = daemon.terminate();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(SkpdDaemon, OutDegreeBoundPastInt64IsRefusedWithAnError) {
+  // A HELLO's out_degree_hi reaches the chain draw, which takes the bound
+  // as a signed 64-bit integer: a larger value is refused on that
+  // connection, not wrapped.
+  SkpdDaemonProcess daemon(daemon_binary());
+  {
+    SimSpec bad = netsim_spec();
+    bad.workload.out_degree_lo = 2;
+    bad.workload.out_degree_hi = std::numeric_limits<std::size_t>::max();
+    RawPipelineClient raw(daemon.port());
+    SkpdHello hello;
+    hello.spec_text = encode_sim_spec(bad);
+    raw.send_frame(SkpdFrameType::kHello, encode_hello(hello));
+    std::string storage;
+    const SkpdFrame reply = raw.read_frame(storage);
+    EXPECT_EQ(reply.type, SkpdFrameType::kError);
+    EXPECT_NE(std::string(reply.payload).find("out-degree upper bound"),
+              std::string::npos)
+        << reply.payload;
+  }
   const int status = daemon.terminate();
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);

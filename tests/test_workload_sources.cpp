@@ -30,7 +30,7 @@ TEST(ZipfSource, TailExponentMatchesConfiguredS) {
   // cancels in the ratio).
   for (const double s : {0.7, 1.1, 2.0}) {
     Rng rng(11);
-    const MarkovSource src = make_zipf_source(unshuffled_zipf(64, s), rng);
+    const MarkovSource src(make_zipf_chain(unshuffled_zipf(64, s), rng));
     const auto row = src.transition_row(0);
     for (const std::size_t k : {1UL, 7UL, 63UL}) {
       const double slope = std::log(row[0] / row[k]) /
@@ -42,7 +42,7 @@ TEST(ZipfSource, TailExponentMatchesConfiguredS) {
 
 TEST(ZipfSource, RowIsANormalizedDistributionSharedByAllStates) {
   Rng rng(3);
-  const MarkovSource src = make_zipf_source(unshuffled_zipf(32, 1.1), rng);
+  const MarkovSource src(make_zipf_chain(unshuffled_zipf(32, 1.1), rng));
   const auto row0 = src.transition_row(0);
   double sum = 0.0;
   for (const double p : row0) {
@@ -69,8 +69,8 @@ TEST(ZipfSource, FixedSeedReproducible) {
   ZipfSourceConfig cfg;
   cfg.n_items = 40;
   Rng a(99), b(99);
-  const MarkovSource s1 = make_zipf_source(cfg, a);
-  const MarkovSource s2 = make_zipf_source(cfg, b);
+  const MarkovSource s1(make_zipf_chain(cfg, a));
+  const MarkovSource s2(make_zipf_chain(cfg, b));
   for (std::size_t i = 0; i < cfg.n_items; ++i) {
     EXPECT_EQ(s1.viewing_time(i), s2.viewing_time(i));
     EXPECT_EQ(s1.retrieval_time(static_cast<ItemId>(i)),
@@ -91,10 +91,10 @@ TEST(ZipfSource, RejectsBadConfiguration) {
   Rng rng(1);
   ZipfSourceConfig one;
   one.n_items = 1;
-  EXPECT_THROW(make_zipf_source(one, rng), std::invalid_argument);
+  EXPECT_THROW(make_zipf_chain(one, rng), std::invalid_argument);
   ZipfSourceConfig bad_s;
   bad_s.exponent = 0.0;
-  EXPECT_THROW(make_zipf_source(bad_s, rng), std::invalid_argument);
+  EXPECT_THROW(make_zipf_chain(bad_s, rng), std::invalid_argument);
 }
 
 // ---- Explicit-chain constructor -----------------------------------------
@@ -232,7 +232,7 @@ TEST(ZipfWorkload, PrefetchCacheSimFavorsHotItems) {
   ZipfSourceConfig zcfg;
   zcfg.n_items = 100;
   zcfg.exponent = 1.4;
-  MarkovSource source = make_zipf_source(zcfg, build);
+  MarkovSource source(make_zipf_chain(zcfg, build));
   Rng walk = build.split(kPrefetchCacheWalkSalt);
   source.teleport(0);
   PrefetchCacheConfig cfg;
