@@ -110,11 +110,6 @@ SimResult run_multi_client(const SimSpec& spec) {
     } else {
       cl.cycles = materialize_workload(w, cl.quota, build, cl.walk).cycles;
     }
-  }
-  // Simulation state comes after every drive is drawn: each script is
-  // materialized through a temporary source, and interleaving those with
-  // the books fragments the heap (+1.2% peak RSS on learned_des).
-  for (Client& cl : clients) {
     cl.book.emplace(SlotCache(n, spec.cache_size));
     cl.completion.assign(n, 0.0);
     // Memoization needs the state key to determine the planning inputs;
