@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "sim/trace_replay.hpp"
-#include "workload/markov_source.hpp"
+#include "workload/markov_chain.hpp"
 
 namespace {
 
@@ -25,15 +25,17 @@ Trace synthesize_session(std::uint64_t seed) {
   cfg.out_degree_hi = 9;
   cfg.v_lo = 2.0;
   cfg.v_hi = 60.0;
-  MarkovSource src(cfg, build);
-  src.teleport(0);
+  // Recording only walks the chain, so no dense oracle rows are built.
+  const MarkovChain chain(cfg, build);
   Trace trace(cfg.n_states,
-              std::vector<double>(src.retrieval_times().begin(),
-                                  src.retrieval_times().end()));
+              std::vector<double>(chain.retrieval_times().begin(),
+                                  chain.retrieval_times().end()));
   Rng walk = build.split(5);
+  std::size_t state = 0;
   for (int i = 0; i < 5000; ++i) {
-    const double v = src.viewing_time(src.current_state());
-    trace.append(static_cast<ItemId>(src.step(walk)), v);
+    const double v = chain.viewing_time(state);
+    state = chain.sample_from(state, walk);
+    trace.append(static_cast<ItemId>(state), v);
   }
   return trace;
 }

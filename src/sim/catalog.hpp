@@ -3,21 +3,23 @@
 // Every netsim_des-style session built from the same spec group —
 // identical (seed, workload, bandwidth, latency) and, in learned mode,
 // request count — derives the exact same immutable grounding state: the
-// server size catalog, the canonical retrieval costs r_i, the oracle
-// Markov chain (dense rows are ~n^2 doubles — the dominant idle-session
-// footprint), the drift/walk stream seeds, and the materialized cycle
-// script of learned mode. Before this layer each session rebuilt and
-// privately owned all of it, which is what capped the sessions-per-GB a
-// daemon could hold. A SharedCatalog is built ONCE per group and
-// referenced via shared_ptr by every session; sessions keep only their
-// mutable trajectory (cache, metrics, RNG cursors, predictor state).
+// server size catalog, the canonical retrieval costs r_i, the drift/walk
+// stream seeds, and either the oracle master source (oracle mode: its
+// dense rows are n^2 doubles, the dominant footprint) or the
+// materialized cycle script (learned mode: grounded from the sparse
+// chain alone, O(n * degree + requests), and only the script is kept).
+// Before this layer each session rebuilt and privately owned all of it,
+// which is what capped the sessions-per-GB a daemon could hold. A
+// SharedCatalog is built ONCE per group and referenced via shared_ptr by
+// every session; sessions keep only their mutable trajectory (cache,
+// metrics, RNG cursors, predictor state).
 //
 // Determinism contract: build() consumes ground_streams(spec) stream for
 // stream exactly as the per-session constructors used to, so a session
 // running off a SharedCatalog is bit-identical to one that grounded
 // itself. Sharing is safe because everything here is immutable after
 // build — sessions sample trajectories with MarkovSource::sample_from
-// (const) and take a private copy-on-write chain only at a drift
+// (const) and take a private copy-on-write source only at a drift
 // changepoint.
 #pragma once
 
@@ -75,8 +77,9 @@ class SharedCatalog {
   }
 
   // ---- Oracle mode --------------------------------------------------
-  // The master chain. Immutable: sessions walk it with sample_from and
-  // their own state cursor; a drifting session copies it first.
+  // The master source: the chain plus its dense oracle rows. Immutable:
+  // sessions walk it with sample_from and their own state cursor; a
+  // drifting session copies it first.
   const MarkovSource& source() const {
     SKP_REQUIRE(source_.has_value(), "learned-mode catalog has no source");
     return *source_;
@@ -102,7 +105,7 @@ class SharedCatalog {
 
   Key key_;
   std::shared_ptr<const SharedClientCatalog> client_;
-  std::optional<MarkovSource> source_;  // oracle master chain
+  std::optional<MarkovSource> source_;  // oracle master source
   MarkovSourceConfig mcfg_;
   Rng walk_{0};
   Rng drift_rng_{0};

@@ -27,7 +27,7 @@ MarkovChain make_zipf_chain(const ZipfSourceConfig& config, Rng& rng) {
   const std::vector<double> row =
       zipf_probabilities(n, config.exponent, rng, config.shuffle);
 
-  // Rank-1 chain: every state shares the same dense row over all items
+  // Rank-1 chain: every state shares the same row over all items
   // (every probability is strictly positive, so the successor list is the
   // full catalog in ascending id order).
   std::vector<ItemId> all(n);
