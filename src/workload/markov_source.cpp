@@ -9,13 +9,6 @@ namespace skp {
 MarkovSource::MarkovSource(const MarkovSourceConfig& config, Rng& rng)
     : MarkovSource(MarkovChain(config, rng)) {}
 
-MarkovSource::MarkovSource(
-    std::vector<double> v, std::vector<double> r,
-    const std::vector<std::vector<ItemId>>& successors,
-    const std::vector<std::vector<double>>& probabilities)
-    : MarkovSource(MarkovChain(std::move(v), std::move(r), successors,
-                               probabilities)) {}
-
 MarkovSource::MarkovSource(MarkovChain chain) : chain_(std::move(chain)) {
   fill_dense_rows();
 }

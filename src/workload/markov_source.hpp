@@ -25,13 +25,9 @@ class MarkovSource {
   // dense rows.
   MarkovSource(const MarkovSourceConfig& config, Rng& rng);
 
-  // Explicit-chain constructor (same contract as MarkovChain's).
-  MarkovSource(std::vector<double> v, std::vector<double> r,
-               const std::vector<std::vector<ItemId>>& successors,
-               const std::vector<std::vector<double>>& probabilities);
-
-  // Adds dense rows to a drawn chain — how the zipf and adversarial
-  // chains drop into every simulator that plans on oracle rows.
+  // Adds dense rows to a chain — how the zipf and adversarial chains,
+  // and any chain assembled explicitly, drop into every simulator that
+  // plans on oracle rows.
   explicit MarkovSource(MarkovChain chain);
 
   // Redraws the chain's transition structure (MarkovChain::

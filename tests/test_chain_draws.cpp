@@ -5,10 +5,10 @@
 // change to how a chain is drawn, stored or walked shows up here as a
 // digest mismatch naming the config.
 //
-// The expected values were generated before the chain/dense-row split
-// and pin its bit-identity: a bare MarkovChain and a MarkovSource (whose
-// probabilities are read back from its dense rows) must both reproduce
-// them. Refresh (only for a deliberate change of the draws) with
+// The expected values pin every draw bit for bit: a bare MarkovChain and
+// a MarkovSource (whose probabilities are read back from its dense rows)
+// must both reproduce them. Refresh (only for a deliberate change of the
+// draws) with
 //   test_chain_draws --gtest_also_run_disabled_tests
 //                    --gtest_filter='*PrintDigestTables*'
 //
@@ -26,6 +26,7 @@
 #include <cstring>
 #include <limits>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "sim/catalog.hpp"

@@ -102,18 +102,20 @@ TEST(ZipfSource, RejectsBadConfiguration) {
 TEST(MarkovSourceExplicit, ValidatesStructure) {
   const std::vector<double> v{10.0, 20.0};
   const std::vector<double> r{1.0, 2.0};
-  // Row of state 0 -> state 1, row of state 1 -> state 0.
-  EXPECT_NO_THROW(MarkovSource(v, r, {{1}, {0}}, {{1.0}, {1.0}}));
+  // Row of state 0 -> state 1, row of state 1 -> state 0. The chain
+  // validates; the source adds its dense rows.
+  EXPECT_NO_THROW(
+      MarkovSource(MarkovChain(v, r, {{1}, {0}}, {{1.0}, {1.0}})));
   // Probabilities must sum to 1.
-  EXPECT_THROW(MarkovSource(v, r, {{1}, {0}}, {{0.5}, {1.0}}),
+  EXPECT_THROW(MarkovChain(v, r, {{1}, {0}}, {{0.5}, {1.0}}),
                std::invalid_argument);
   // Successors must be ascending and in range.
-  EXPECT_THROW(MarkovSource(v, r, {{1, 0}, {0}}, {{0.5, 0.5}, {1.0}}),
+  EXPECT_THROW(MarkovChain(v, r, {{1, 0}, {0}}, {{0.5, 0.5}, {1.0}}),
                std::invalid_argument);
-  EXPECT_THROW(MarkovSource(v, r, {{2}, {0}}, {{1.0}, {1.0}}),
+  EXPECT_THROW(MarkovChain(v, r, {{2}, {0}}, {{1.0}, {1.0}}),
                std::invalid_argument);
   // No empty rows.
-  EXPECT_THROW(MarkovSource(v, r, {{}, {0}}, {{}, {1.0}}),
+  EXPECT_THROW(MarkovChain(v, r, {{}, {0}}, {{}, {1.0}}),
                std::invalid_argument);
 }
 
