@@ -35,7 +35,6 @@ class MarkovSource {
   // the current state.
   void redraw_transitions(const MarkovSourceConfig& config, Rng& rng);
 
-  const MarkovChain& chain() const noexcept { return chain_; }
   std::size_t n_states() const noexcept { return chain_.n_states(); }
   std::size_t current_state() const noexcept { return state_; }
 
