@@ -1,6 +1,6 @@
 #include "workload/markov_source.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/require.hpp"
 

@@ -9,7 +9,6 @@
 // every learned-predictor driver) hold the bare MarkovChain instead.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
