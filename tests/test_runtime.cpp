@@ -542,8 +542,8 @@ TEST(SimRuntime, InvalidSpecsAreRejected) {
 }
 
 TEST(SimRuntime, OutDegreeBoundPastInt64IsRejected) {
-  // The chain draws its degree as a signed 64-bit integer; a larger
-  // bound used to wrap to -1 there.
+  // The chain draws its degree as a signed 64-bit integer, so a larger
+  // bound is refused rather than wrapped.
   SimSpec spec;
   spec.driver = SimDriverKind::PrefetchCache;
   spec.workload.n_items = 50;
