@@ -183,29 +183,34 @@ class Lz78Reference {
 
 TEST(Lz78Arena, BitIdenticalToMapReference) {
   constexpr std::size_t kN = 40;
-  Lz78Predictor arena(kN);
-  Lz78Reference ref(kN);
-  Rng rng(99);
-  std::vector<double> pa, pr;
-  // A sticky random walk so contexts actually recur and the tree deepens.
-  ItemId prev = 0;
-  for (int step = 0; step < 8'000; ++step) {
-    const ItemId item =
-        (rng.next_u64() % 4 != 0)
-            ? static_cast<ItemId>((static_cast<std::uint64_t>(prev) +
-                                   1 + rng.next_u64() % 3) % kN)
-            : static_cast<ItemId>(rng.next_u64() % kN);
-    arena.observe(item);
-    ref.observe(item);
-    prev = item;
-    if (step % 37 == 0) {
-      arena.predict_into(pa);
-      ref.predict_into(pr);
-      ASSERT_EQ(pa.size(), pr.size());
-      for (std::size_t i = 0; i < pa.size(); ++i) {
-        // Exact — not near: the arena trie must preserve the arithmetic
-        // to the last bit.
-        ASSERT_EQ(pa[i], pr[i]) << "step " << step << " item " << i;
+  // A sticky random walk, so contexts actually recur and the tree
+  // deepens, and an i.i.d. uniform stream, whose phrases start with
+  // every symbol, so the root's dense index fills up.
+  for (const bool sticky : {true, false}) {
+    SCOPED_TRACE(sticky ? "sticky walk" : "i.i.d. uniform");
+    Lz78Predictor arena(kN);
+    Lz78Reference ref(kN);
+    Rng rng(99);
+    std::vector<double> pa, pr;
+    ItemId prev = 0;
+    for (int step = 0; step < 8'000; ++step) {
+      const ItemId item =
+          (sticky && rng.next_u64() % 4 != 0)
+              ? static_cast<ItemId>((static_cast<std::uint64_t>(prev) +
+                                     1 + rng.next_u64() % 3) % kN)
+              : static_cast<ItemId>(rng.next_u64() % kN);
+      arena.observe(item);
+      ref.observe(item);
+      prev = item;
+      if (step % 37 == 0) {
+        arena.predict_into(pa);
+        ref.predict_into(pr);
+        ASSERT_EQ(pa.size(), pr.size());
+        for (std::size_t i = 0; i < pa.size(); ++i) {
+          // Exact — not near: the arena trie must preserve the
+          // arithmetic to the last bit.
+          ASSERT_EQ(pa[i], pr[i]) << "step " << step << " item " << i;
+        }
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "core/access_model.hpp"
 #include "predict/lz78_predictor.hpp"
@@ -232,9 +233,10 @@ TEST(ClientSession, PlanCacheOnOffBitIdentical) {
 
 // ---- Requests with a support ------------------------------------------
 
-MarkovSource small_chain(std::uint64_t seed, Rng& walk) {
+MarkovSource small_chain(std::uint64_t seed, Rng& walk,
+                         std::size_t n_states = 40) {
   MarkovSourceConfig mcfg;
-  mcfg.n_states = 40;
+  mcfg.n_states = n_states;
   mcfg.out_degree_lo = 3;
   mcfg.out_degree_hi = 8;
   Rng build(seed);
@@ -302,39 +304,51 @@ TEST(ClientSession, OracleSupportMatchesDensePath) {
 TEST(ClientSession, LearnedSupportMatchesDensePath) {
   // Dense session: predict_into + filter, no support. Sparse session:
   // the filtered primitive with its support. One predictor feeds both.
-  const std::vector<std::unique_ptr<Predictor>> preds = [] {
-    std::vector<std::unique_ptr<Predictor>> v;
-    v.push_back(std::make_unique<MarkovPredictor>(40));
-    v.push_back(std::make_unique<Lz78Predictor>(40));
-    v.push_back(std::make_unique<PpmPredictor>(40, 2));
-    return v;
-  }();
+  // At n = 40 every row keeps an entry >= 1/n > min_prob; the n = 1000
+  // LZ78 input also plans on empty supports (a fresh node's backstop
+  // row is all slivers), which the planner trusts without a scan.
+  struct Input {
+    std::unique_ptr<Predictor> pred;
+    std::size_t n;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({std::make_unique<MarkovPredictor>(40), 40});
+  inputs.push_back({std::make_unique<Lz78Predictor>(40), 40});
+  inputs.push_back({std::make_unique<PpmPredictor>(40, 2), 40});
+  inputs.push_back({std::make_unique<Lz78Predictor>(1000), 1000});
   constexpr double kMinProb = 0.01;
-  for (const auto& pred : preds) {
+  for (const Input& in : inputs) {
+    SCOPED_TRACE("n=" + std::to_string(in.n));
+    Predictor& pred = *in.pred;
     Rng walk(0);
-    MarkovSource source = small_chain(43, walk);
+    MarkovSource source = small_chain(43, walk, in.n);
     const ServerCatalog cat = chain_catalog(source);
     ClientSession dense(cat, NetConfig{}, skp_engine(), 6);
     ClientSession sparse(cat, NetConfig{}, skp_engine(), 6);
     std::vector<double> P_dense, P_sparse;
     std::vector<ItemId> support;
+    std::size_t empty_supports = 0;
     std::size_t state = source.current_state();
     for (int i = 0; i < 1500; ++i) {
       const double v = source.viewing_time(state);
       const auto next = static_cast<ItemId>(source.step(walk));
-      pred->predict_into(P_dense);
+      pred.predict_into(P_dense);
       for (double& p : P_dense) {
         if (p < kMinProb) p = 0.0;
       }
-      pred->predict_filtered_into(kMinProb, P_sparse, support);
+      pred.predict_filtered_into(kMinProb, P_sparse, support);
+      if (support.empty()) ++empty_supports;
       const double t_dense = dense.request(next, v, P_dense);
       const double t_sparse = sparse.request(next, v, P_sparse, std::nullopt,
                                              std::nullopt, support);
       ASSERT_EQ(t_dense, t_sparse) << "cycle " << i;
-      pred->observe(next);
+      pred.observe(next);
       state = static_cast<std::size_t>(next);
     }
     expect_same_books(dense, sparse);
+    if (in.n == 1000) {
+      EXPECT_GT(empty_supports, 100u);
+    }
   }
 }
 

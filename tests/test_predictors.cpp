@@ -253,6 +253,18 @@ std::vector<ItemId> structured_stream(std::size_t n, std::size_t steps,
   return out;
 }
 
+// An i.i.d. uniform stream: every symbol starts LZ78 phrases, so the
+// tree's root soon holds the whole catalog.
+std::vector<ItemId> iid_stream(std::size_t n, std::size_t steps,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ItemId> out;
+  for (std::size_t i = 0; i < steps; ++i) {
+    out.push_back(static_cast<ItemId>(rng.next_below(n)));
+  }
+  return out;
+}
+
 // The definition predict_filtered_into must reproduce, written out
 // independently of the library's filter helpers.
 void reference_filtered(const Predictor& pred, double min_prob,
@@ -316,14 +328,24 @@ TEST(PredictFiltered, MatchesDenseFilterInLockstep) {
          return std::make_unique<DependencyGraph>(n, 2);
        }},
   };
+  struct Input {
+    std::string name;
+    std::size_t n;
+    std::vector<ItemId> stream;
+  };
+  std::vector<Input> inputs;
   for (const std::size_t n : {2u, 7u, 100u, 1000u}) {
-    const std::vector<ItemId> stream = structured_stream(n, 4096, 11 + n);
+    inputs.push_back({"structured", n, structured_stream(n, 4096, 11 + n)});
+  }
+  // LZ78's root holds every symbol, before and after the halfway reset.
+  inputs.push_back({"iid", 100, iid_stream(100, 4096, 23)});
+  for (const Input& in : inputs) {
     for (const double min_prob : {0.0, 1e-4, 0.01, 0.3}) {
       for (const auto& [name, make] : kinds) {
-        SCOPED_TRACE(name + " n=" + std::to_string(n) +
+        SCOPED_TRACE(name + " " + in.name + " n=" + std::to_string(in.n) +
                      " min_prob=" + std::to_string(min_prob));
-        const std::unique_ptr<Predictor> pred = make(n);
-        expect_lockstep(*pred, stream, min_prob);
+        const std::unique_ptr<Predictor> pred = make(in.n);
+        expect_lockstep(*pred, in.stream, min_prob);
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
