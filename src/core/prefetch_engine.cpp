@@ -51,14 +51,16 @@ namespace {
 // network-usage threshold (extension knob; 0 = paper behaviour). The
 // `cached` predicate abstracts over slot and sized caches.
 template <typename CachedFn>
-void viable_candidates_into(InstanceView inst, CachedFn cached,
-                            double min_profit, std::vector<ItemId>& out,
-                            std::span<const ItemId> positive_hint = {}) {
+void viable_candidates_into(
+    InstanceView inst, CachedFn cached, double min_profit,
+    std::vector<ItemId>& out,
+    std::optional<std::span<const ItemId>> positive_hint = std::nullopt) {
   out.clear();
-  if (!positive_hint.empty()) {
+  if (positive_hint) {
     // Sparse support scan: the hint lists every positive-P item in
-    // ascending id order, so iterating it reproduces the catalog scan.
-    for (const ItemId id : positive_hint) {
+    // ascending id order, so iterating it reproduces the catalog scan
+    // (an empty hint leaves no candidate).
+    for (const ItemId id : *positive_hint) {
       const std::size_t i = InstanceView::idx(id);
       if (inst.P[i] <= 0.0) continue;
       if (cached(id)) continue;
@@ -366,8 +368,8 @@ void PrefetchEngine::plan_memoized(InstanceView inst, const Cache& cache,
                                    const PlanMemo& memo, PlanScratch& scratch,
                                    PrefetchPlan& out,
                                    std::optional<ItemId> oracle_next,
-                                   std::span<const ItemId> positive_hint)
-    const {
+                                   std::optional<std::span<const ItemId>>
+                                       positive_hint) const {
   inst.validate_shape();
   // The instance and cache must describe the same catalog: the victim
   // ranking and Eq.-(9) evaluation index P/r (and the scratch mark
@@ -389,10 +391,10 @@ void PrefetchEngine::plan_memoized(InstanceView inst, const Cache& cache,
   bool canonical = false;
   std::span<const double> suffix;
   std::optional<std::uint64_t> candidates_fp;
-  if (memo.canon != nullptr && !positive_hint.empty()) {
+  if (memo.canon != nullptr && positive_hint && !positive_hint->empty()) {
     canonical = true;
     candidates_fp = filter_canonical_candidates(
-        inst, memo.canon->row(memo.state_key, inst, positive_hint), skip,
+        inst, memo.canon->row(memo.state_key, inst, *positive_hint), skip,
         config_.min_profit_threshold, scratch.candidates, suffix);
   } else {
     viable_candidates_into(inst, skip, config_.min_profit_threshold,
@@ -413,7 +415,7 @@ void PrefetchEngine::plan_with_cache_cached(
     InstanceView inst, const SlotCache& cache, const FreqTracker* freq,
     const PlanMemo& memo, PlanScratch& scratch, PrefetchPlan& out,
     std::optional<ItemId> oracle_next,
-    std::span<const ItemId> positive_hint) const {
+    std::optional<std::span<const ItemId>> positive_hint) const {
   const std::span<const char> present = cache.presence();
   plan_memoized(
       inst, cache,
@@ -553,7 +555,7 @@ void PrefetchEngine::plan_with_sized_cache_cached(
     InstanceView inst, const SizedCache& cache, const FreqTracker* freq,
     const PlanMemo& memo, PlanScratch& scratch, PrefetchPlan& out,
     std::optional<ItemId> oracle_next,
-    std::span<const ItemId> positive_hint) const {
+    std::optional<std::span<const ItemId>> positive_hint) const {
   plan_memoized(
       inst, cache,
       [&cache](ItemId id) {

@@ -99,12 +99,16 @@ class PrefetchEngine {
   // slots, candidates fill them without arbitration (nothing contests);
   // once full, Pr-arbitration decides. `freq` is required for LFU/DS
   // sub-arbitration.
-  // `positive_hint` (taken by the *_cached forms below), when non-empty,
+  // `positive_hint` (taken by the *_cached forms below), when engaged,
   // must list (in ascending id order) every item with P_i > 0 — e.g. a
-  // Markov source's successor list. The candidate filter then scans
-  // those entries instead of the whole catalog; entries with P_i == 0
-  // are permitted and skipped, so any ascending superset of the support
-  // is valid. The result is identical to the unhinted call.
+  // Markov source's successor list or a predictor's filtered support.
+  // The candidate filter then scans those entries instead of the whole
+  // catalog; entries with P_i == 0 are permitted and skipped, so any
+  // ascending superset of the support is valid. An engaged EMPTY hint
+  // is trusted too: the row has no positive entry, so the plan is the
+  // cleared plan at no O(n) cost. std::nullopt means "no hint" (e.g. a
+  // lookahead blend) and scans the catalog. The result is identical to
+  // the unhinted call.
   PrefetchPlan plan_with_cache(InstanceView inst, const SlotCache& cache,
                                const FreqTracker* freq,
                                std::optional<ItemId> oracle_next
@@ -131,10 +135,10 @@ class PrefetchEngine {
   // fingerprint) can still replay the solver stage, so only the cheap
   // Figure-6 admission runs; the selection tier is deliberately blind to
   // the full cache set and to LFU/DS frequencies, which the solve does
-  // not read. When memo.canon is set and a positive hint identifies the
-  // support, even a full miss skips the per-solve Eq.-5 sort by
-  // filtering the precomputed per-state canonical order against the
-  // cache. A default PlanMemo runs the plain pipeline. Results are
+  // not read. When memo.canon is set and a non-empty positive hint
+  // identifies the support, even a full miss skips the per-solve Eq.-5
+  // sort by filtering the precomputed per-state canonical order against
+  // the cache. A default PlanMemo runs the plain pipeline. Results are
   // bit-identical either way.
   //
   // Memoization requires the stored value to be a pure function of its
@@ -152,8 +156,8 @@ class PrefetchEngine {
                               PlanScratch& scratch, PrefetchPlan& out,
                               std::optional<ItemId> oracle_next
                               = std::nullopt,
-                              std::span<const ItemId> positive_hint
-                              = {}) const;
+                              std::optional<std::span<const ItemId>>
+                                  positive_hint = std::nullopt) const;
   void plan_with_sized_cache_cached(InstanceView inst,
                                     const SizedCache& cache,
                                     const FreqTracker* freq,
@@ -161,8 +165,8 @@ class PrefetchEngine {
                                     PlanScratch& scratch, PrefetchPlan& out,
                                     std::optional<ItemId> oracle_next
                                     = std::nullopt,
-                                    std::span<const ItemId> positive_hint
-                                    = {}) const;
+                                    std::optional<std::span<const ItemId>>
+                                        positive_hint = std::nullopt) const;
 
  private:
   // Runs the configured selector over `candidates`, refilling `out` with
@@ -196,7 +200,8 @@ class PrefetchEngine {
                      AdmitFn admit, const PlanMemo& memo,
                      PlanScratch& scratch, PrefetchPlan& out,
                      std::optional<ItemId> oracle_next,
-                     std::span<const ItemId> positive_hint) const;
+                     std::optional<std::span<const ItemId>> positive_hint)
+      const;
 
   // The Figure-6 admission pipelines, consuming the selector's proposal
   // in `out` (select_into / select_memoized must have run).

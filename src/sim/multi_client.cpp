@@ -223,11 +223,12 @@ SimResult run_multi_client(const SimSpec& spec) {
     double v = 0.0;
     ItemId next = 0;
     InstanceView inst;
-    std::span<const ItemId> hint;
+    std::optional<std::span<const ItemId>> hint;
     if (cl.predictor) {
       // Learned drive: replay the scripted cycle, plan against the
-      // predictor's row (zeros during the observe-only warmup prefix, so
-      // the planner fetches nothing).
+      // predictor's row and support (zeros and an empty support during
+      // the observe-only warmup prefix, so the planner fetches nothing
+      // without scanning the catalog).
       const TraceRecord& rec = cl.cycles[cl.served];
       v = blend(rec.viewing_time, cl.served);
       next = rec.item;

@@ -156,10 +156,8 @@ double ClientSession::request(ItemId item, double viewing_time,
               "probability vector size mismatch");
 
   const double t0 = clock_.now();
-  std::span<const ItemId> positive_hint;
   if (support) {
     validate_supported_row(next_probs, *support);
-    positive_hint = *support;
   } else {
     P_.assign(next_probs.begin(), next_probs.end());
     next_probs = P_;
@@ -172,7 +170,7 @@ double ClientSession::request(ItemId item, double viewing_time,
   // item waits for its completion).
   const PlanMemo memo = context_key ? memo_.memo(*context_key) : PlanMemo{};
   engine_.plan_with_cache_cached(inst, book_.cache(), &book_.freq(), memo,
-                                 scratch_, plan_, oracle_next, positive_hint);
+                                 scratch_, plan_, oracle_next, support);
   metrics_.solver_nodes += plan_.solver_nodes;
   book_.execute(plan_, cat_->r, &metrics_, [this](ItemId f) {
     const std::optional<double> done = enqueue_prefetch(f);

@@ -151,9 +151,10 @@ class ClientSession {
   // `next_probs` in place, validates P on the support only (ids
   // ascending and in range; entries >= 0 and finite; sum <= 1 + 1e-9,
   // the same sum the dense check takes since the skipped entries are
-  // +0.0) and hands the support to the planner's candidate filter.
-  // Without it, P is copied and validated densely. Both forms decide
-  // identically.
+  // +0.0) and hands the support to the planner's candidate filter as
+  // its positive_hint — an empty support plans nothing without a
+  // catalog scan. Without it, P is copied and validated densely. Both
+  // forms decide identically.
   double request(ItemId item, double viewing_time,
                  std::span<const double> next_probs,
                  std::optional<ItemId> oracle_next = std::nullopt,

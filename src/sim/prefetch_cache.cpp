@@ -136,7 +136,7 @@ PrefetchCacheResult run_requests(const PrefetchCacheConfig& cfg,
     if (cfg.policy == PrefetchPolicy::Perfect) oracle = next;
 
     InstanceView inst;
-    std::span<const ItemId> hint;
+    std::optional<std::span<const ItemId>> hint;  // nullopt: no hint
     if (predictor) {
       predictor->predict_filtered_into(cfg.predictor_min_prob, learned_row,
                                        learned_support);

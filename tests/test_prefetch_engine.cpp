@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "core/access_model.hpp"
 #include "test_util.hpp"
@@ -211,6 +213,82 @@ TEST(EnginePlanCache, StrictTiesBlockEqualProfitSwap) {
       PrefetchEngine(listing).plan_with_cache(inst, cache, &freq);
   ASSERT_EQ(plan.fetch.size(), 1u);  // listing rule admits the tie
   EXPECT_EQ(plan.fetch.front(), 1);
+}
+
+// ---- positive_hint ------------------------------------------------------
+
+void expect_same_plan(const PrefetchPlan& a, const PrefetchPlan& b) {
+  EXPECT_EQ(a.fetch, b.fetch);
+  EXPECT_EQ(a.evict, b.evict);
+  EXPECT_EQ(a.predicted_g, b.predicted_g);
+  EXPECT_EQ(a.stretch, b.stretch);
+  EXPECT_EQ(a.solver_nodes, b.solver_nodes);
+}
+
+TEST(EnginePlanHint, ExactSupportMatchesNoHintAndEmptyHintPlansNothing) {
+  // An engaged hint is trusted. Planning a row with its exact support
+  // (an all-zero row's support is empty) equals planning with no hint,
+  // and an engaged empty hint returns the cleared plan whatever the row
+  // holds. Both cache kinds, every policy, caches from empty to full.
+  Rng rng(1801);
+  constexpr std::size_t kN = 12;
+  const PrefetchPlan cleared;
+  for (const PrefetchPolicy policy :
+       {PrefetchPolicy::None, PrefetchPolicy::KP, PrefetchPolicy::SKP,
+        PrefetchPolicy::Perfect}) {
+    SCOPED_TRACE(to_string(policy));
+    const PrefetchEngine engine(cfg_for(policy));
+    PlanScratch scratch;
+    PrefetchPlan plain, hinted, empty;
+    for (int trial = 0; trial < 90; ++trial) {
+      testing::RandomInstanceOptions opt;
+      opt.n = kN;
+      Instance inst = testing::random_instance(rng, opt);
+      const bool all_zero = trial % 3 == 0;
+      std::vector<ItemId> support;
+      for (std::size_t i = 0; i < kN; ++i) {
+        if (all_zero || rng.bernoulli(0.5)) {
+          inst.P[i] = 0.0;
+        } else {
+          support.push_back(static_cast<ItemId>(i));
+        }
+      }
+      const auto oracle = static_cast<ItemId>(rng.next_below(kN));
+      FreqTracker freq(kN);
+      SlotCache slots(kN, 4);
+      std::vector<double> sizes(kN);
+      for (double& size : sizes) size = rng.uniform(1.0, 8.0);
+      SizedCache sized(sizes, 20.0);
+      const auto fill = rng.next_below(5);
+      for (std::size_t k = 0; k < fill; ++k) {
+        const auto id = static_cast<ItemId>(rng.next_below(kN));
+        if (!slots.contains(id)) slots.insert(id);
+        if (!sized.contains(id) && sized.fits(id)) sized.insert(id);
+      }
+
+      engine.plan_with_cache_cached(inst, slots, &freq, PlanMemo{}, scratch,
+                                    plain, oracle);
+      engine.plan_with_cache_cached(inst, slots, &freq, PlanMemo{}, scratch,
+                                    hinted, oracle,
+                                    std::span<const ItemId>(support));
+      engine.plan_with_cache_cached(inst, slots, &freq, PlanMemo{}, scratch,
+                                    empty, oracle, std::span<const ItemId>());
+      expect_same_plan(hinted, plain);
+      expect_same_plan(empty, cleared);
+
+      engine.plan_with_sized_cache_cached(inst, sized, &freq, PlanMemo{},
+                                          scratch, plain, oracle);
+      engine.plan_with_sized_cache_cached(inst, sized, &freq, PlanMemo{},
+                                          scratch, hinted, oracle,
+                                          std::span<const ItemId>(support));
+      engine.plan_with_sized_cache_cached(inst, sized, &freq, PlanMemo{},
+                                          scratch, empty, oracle,
+                                          std::span<const ItemId>());
+      expect_same_plan(hinted, plain);
+      expect_same_plan(empty, cleared);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 TEST(PolicyNames, ToStringCoverage) {
