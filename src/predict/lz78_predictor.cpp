@@ -9,7 +9,7 @@ namespace skp {
 Lz78Predictor::Lz78Predictor(std::size_t n) : n_(n) {
   SKP_REQUIRE(n > 0, "Lz78Predictor over empty catalog");
   nodes_.emplace_back();  // root
-  marginal_.assign(n, 0);
+  marginal_.assign(n, 0.0);
 }
 
 Lz78Predictor::Edge* Lz78Predictor::find_edge(Node& node, ItemId sym) {
@@ -19,92 +19,99 @@ Lz78Predictor::Edge* Lz78Predictor::find_edge(Node& node, ItemId sym) {
   return nullptr;
 }
 
-const Lz78Predictor::Edge* Lz78Predictor::find_edge(const Node& node,
-                                                    ItemId sym) const {
-  for (std::uint32_t e = node.head; e != kNull; e = edges_[e].next) {
-    if (edges_[e].sym == sym) return &edges_[e];
-  }
-  return nullptr;
-}
-
 void Lz78Predictor::observe(ItemId item) {
   SKP_REQUIRE(item >= 0 && static_cast<std::size_t>(item) < n_,
               "item " << item << " out of range");
-  Node& cur = nodes_[current_];
-  ++cur.total;
-  ++marginal_[static_cast<std::size_t>(item)];
+  const auto sym = static_cast<std::size_t>(item);
+  if (root_child_.empty()) {  // first observe: the root's dense index
+    root_count_.assign(n_, 0.0);
+    root_child_.assign(n_, kNull);
+  }
+  ++nodes_[current_].total;
+  marginal_[sym] += 1.0;
   ++total_;
 
-  if (Edge* edge = find_edge(cur, item)) {
+  std::uint32_t* root_child = nullptr;
+  if (current_ == 0) {
+    root_child = &root_child_[sym];
+    if (*root_child != kNull) {
+      root_count_[sym] += 1.0;
+      current_ = *root_child;
+      ++depth_;
+      return;
+    }
+  } else if (Edge* edge = find_edge(nodes_[current_], item)) {
     ++edge->count;
     current_ = edge->child;
     ++depth_;
     return;
   }
   // New phrase: grow the tree by one node and one edge, restart at the
-  // root (LZ78). The edge is appended at the list head; since each
+  // root (LZ78). A non-root edge is appended at its list head; since each
   // symbol is created exactly once per node, traversal still visits
   // every distinct successor exactly once.
   const auto id = static_cast<std::uint32_t>(nodes_.size());
   nodes_.emplace_back();
-  Node& reloaded = nodes_[current_];  // emplace may have reallocated
-  const std::uint32_t e =
-      edges_.alloc(Edge{item, id, 1, reloaded.head});
-  reloaded.head = e;
-  ++reloaded.deg;
+  Node& parent = nodes_[current_];  // emplace may have reallocated
+  if (root_child != nullptr) {
+    *root_child = id;
+    root_count_[sym] = 1.0;
+  } else {
+    parent.head = edges_.alloc(Edge{item, id, 1, parent.head});
+  }
+  ++parent.deg;
   current_ = 0;
   depth_ = 0;
   ++phrases_;
 }
 
-void Lz78Predictor::predict_into(std::vector<double>& out) const {
-  std::vector<double>& p = out;
-  p.assign(n_, 0.0);
-  if (total_ == 0) {
-    std::fill(p.begin(), p.end(), 1.0 / static_cast<double>(n_));
-    return;
-  }
-  // Order-0 backstop: smoothed marginal.
-  std::vector<double>& base = base_;
-  base.resize(n_);
+void Lz78Predictor::blend_into(std::span<double> p) const {
+  const Node& node = nodes_[current_];
+  // PPM-C escape: distinct successors / (total + distinct).
+  const double distinct = static_cast<double>(node.deg);
+  const double total = static_cast<double>(node.total);
+  const double esc = distinct / (total + distinct);
   const double denom =
       static_cast<double>(total_) + static_cast<double>(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    base[i] = (static_cast<double>(marginal_[i]) + 1.0) / denom;
-  }
-
-  const Node& cur = nodes_[current_];
-  if (cur.total == 0) {
-    p.assign(base.begin(), base.end());
+  // A successor's entry is share + esc * base, in the reference's
+  // operation order (addition commutes bit for bit). At the root a
+  // symbol without a child has count 0, whose share is +0.0.
+  if (current_ == 0) {
+    for (std::size_t i = 0; i < n_; ++i) {
+      p[i] = (1.0 - esc) * root_count_[i] / total +
+             esc * ((marginal_[i] + 1.0) / denom);
+    }
     return;
   }
-
-  const double esc = escape_weight(cur);
-  assign_successor_shares(cur, esc, p);
   for (std::size_t i = 0; i < n_; ++i) {
-    p[i] += esc * base[i];
+    p[i] = esc * ((marginal_[i] + 1.0) / denom);
   }
+  for (std::uint32_t e = node.head; e != kNull; e = edges_[e].next) {
+    p[static_cast<std::size_t>(edges_[e].sym)] +=
+        (1.0 - esc) * static_cast<double>(edges_[e].count) / total;
+  }
+}
+
+void Lz78Predictor::predict_into(std::vector<double>& out) const {
+  std::vector<double>& p = out;
+  if (total_ == 0) {
+    p.assign(n_, 1.0 / static_cast<double>(n_));
+    return;
+  }
+  p.resize(n_);
+  const Node& cur = nodes_[current_];
+  if (cur.total == 0) {
+    // Order-0 backstop only: the smoothed marginal.
+    const double denom =
+        static_cast<double>(total_) + static_cast<double>(n_);
+    for (std::size_t i = 0; i < n_; ++i) p[i] = (marginal_[i] + 1.0) / denom;
+    return;
+  }
+  blend_into(p);
   // Normalize away fp residue.
   double sum = 0.0;
   for (const double x : p) sum += x;
   for (double& x : p) x /= sum;
-}
-
-double Lz78Predictor::escape_weight(const Node& node) {
-  // PPM-C escape: distinct successors / (total + distinct).
-  const double distinct = static_cast<double>(node.deg);
-  return distinct / (static_cast<double>(node.total) + distinct);
-}
-
-void Lz78Predictor::assign_successor_shares(const Node& node, double esc,
-                                            std::vector<double>& p) const {
-  // Each symbol appears on exactly one edge, so the per-symbol
-  // assignment is iteration-order independent.
-  for (std::uint32_t e = node.head; e != kNull; e = edges_[e].next) {
-    p[static_cast<std::size_t>(edges_[e].sym)] =
-        (1.0 - esc) * static_cast<double>(edges_[e].count) /
-        static_cast<double>(node.total);
-  }
 }
 
 void Lz78Predictor::predict_filtered_into(
@@ -115,32 +122,32 @@ void Lz78Predictor::predict_filtered_into(
     return;
   }
   clear_filtered_row(P, support);
-  const double denom =
-      static_cast<double>(total_) + static_cast<double>(n_);
   const Node& cur = nodes_[current_];
   if (cur.total == 0) {
-    // The backstop row is returned unnormalized: filter it directly.
+    // The backstop row is returned unnormalized, so it needs no sum:
+    // only the counts that pass the screen are divided and filtered.
+    const double denom =
+        static_cast<double>(total_) + static_cast<double>(n_);
+    const double screen = screen_below(min_prob, denom);
     for (std::size_t i = 0; i < n_; ++i) {
-      const double p = min_prob_filtered(
-          (static_cast<double>(marginal_[i]) + 1.0) / denom, min_prob);
+      const double x = marginal_[i] + 1.0;
+      if (x < screen) continue;
+      const double p = min_prob_filtered(x / denom, min_prob);
       if (p == 0.0) continue;
       P[i] = p;
       support.push_back(static_cast<ItemId>(i));
     }
     return;
   }
-  // The reference row, fused: P holds each edge's share (0 elsewhere)
-  // while one index-order pass adds the escape-weighted backstop, sums,
-  // keeps the candidates and clears the shares again (a sequential
-  // store is cheaper than walking a root's ~n edges a second time).
-  const double esc = escape_weight(cur);
-  assign_successor_shares(cur, esc, P);
+  // P is the only row: the reference row goes into it element-wise, then
+  // one index-order pass sums it, keeps the candidates and re-zeroes it
+  // for finish_normalized_row.
+  blend_into(P);
   const double floor = candidate_floor(min_prob);
   candidates_.clear();
   double sum = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
-    const double x =
-        P[i] + esc * ((static_cast<double>(marginal_[i]) + 1.0) / denom);
+    const double x = P[i];
     P[i] = 0.0;
     sum += x;
     if (x >= floor) candidates_.push_back({static_cast<ItemId>(i), x});
@@ -154,10 +161,12 @@ void Lz78Predictor::reset() {
   nodes_.clear();
   nodes_.emplace_back();
   edges_.clear();
+  std::fill(root_count_.begin(), root_count_.end(), 0.0);
+  std::fill(root_child_.begin(), root_child_.end(), kNull);
   current_ = 0;
   depth_ = 0;
   phrases_ = 0;
-  std::fill(marginal_.begin(), marginal_.end(), 0);
+  std::fill(marginal_.begin(), marginal_.end(), 0.0);
   total_ = 0;
 }
 

@@ -11,7 +11,7 @@ PpmPredictor::PpmPredictor(std::size_t n, std::size_t order)
   SKP_REQUIRE(n > 0, "PpmPredictor over empty catalog");
   SKP_REQUIRE(order >= 1 && order <= 8, "order must be in [1, 8]");
   tables_.resize(order);
-  marginal_.assign(n, 0);
+  marginal_.assign(n, 0.0);
   excluded_.assign(n, 0);
 }
 
@@ -57,7 +57,7 @@ void PpmPredictor::observe(ItemId item) {
       stats.head = edges_.alloc(Edge{item, 1, stats.head});
     }
   }
-  ++marginal_[static_cast<std::size_t>(item)];
+  marginal_[static_cast<std::size_t>(item)] += 1.0;
   ++total_;
   history_.push_back(item);
   if (history_.size() > order_) history_.pop_front();
@@ -99,30 +99,44 @@ double PpmPredictor::blend_contexts(std::vector<double>& p) const {
   return remaining;
 }
 
+double PpmPredictor::open_marginal_total() const {
+  // Every observation is one marginal count, so the open symbols'
+  // counts are the total less the claimed ones (exact integers).
+  double marg_total = static_cast<double>(total_);
+  for (const ItemId sym : claimed_) {
+    marg_total -= marginal_[static_cast<std::size_t>(sym)];
+  }
+  return marg_total;
+}
+
+void PpmPredictor::add_backstop(std::span<double> p, double marg_total,
+                                std::size_t open, double remaining) const {
+  // Every symbol's share is computed and scaled by its 0/1 open flag
+  // (an exact product), so the loops have no branch and vectorize.
+  const std::vector<char>& excluded = excluded_;
+  const double uniform = 1.0 / static_cast<double>(open);
+  if (marg_total > 0.0) {
+    for (std::size_t i = 0; i < n_; ++i) {
+      const double share =
+          remaining * (0.9 * (marginal_[i] / marg_total) + 0.1 * uniform);
+      p[i] += share * (1.0 - excluded[i]);
+    }
+    return;
+  }
+  const double share = remaining * (0.9 * uniform + 0.1 * uniform);
+  for (std::size_t i = 0; i < n_; ++i) p[i] += share * (1.0 - excluded[i]);
+}
+
 void PpmPredictor::predict_into(std::vector<double>& out) const {
   std::vector<double>& p = out;
   p.assign(n_, 0.0);
   const double remaining = blend_contexts(p);
-  const std::vector<char>& excluded = excluded_;
 
-  // Order-0 / uniform backstop over not-yet-excluded symbols.
-  std::uint64_t marg_total = 0;
-  std::size_t open = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (!excluded[i]) {
-      marg_total += marginal_[i];
-      ++open;
-    }
-  }
-  if (open > 0) {
-    const double uniform = 1.0 / static_cast<double>(open);
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (excluded[i]) continue;
-      p[i] += backstop_share(i, marg_total, uniform, remaining);
-    }
-  } else {
-    // Everything claimed at higher orders; renormalize below handles it.
-  }
+  // Order-0 / uniform backstop over not-yet-excluded symbols. With
+  // everything claimed at higher orders, the renormalization below
+  // handles the row.
+  const std::size_t open = n_ - claimed_.size();
+  if (open > 0) add_backstop(p, open_marginal_total(), open, remaining);
 
   // Normalize (escape arithmetic can leave tiny residue).
   double sum = 0.0;
@@ -144,10 +158,6 @@ void PpmPredictor::predict_filtered_into(
   clear_filtered_row(P, support);
   // The blend claims straight into P, which is zero everywhere now.
   const double remaining = blend_contexts(P);
-  const std::vector<char>& excluded = excluded_;
-
-  // Backstop mass over the open symbols, from the claimed ones: every
-  // observation is one marginal count, so the integers stay exact.
   const std::size_t open = n_ - claimed_.size();
   if (open == 0) {
     // Every symbol claimed: the row is rescaled by a sum below 1, which
@@ -155,21 +165,18 @@ void PpmPredictor::predict_filtered_into(
     Predictor::predict_filtered_into(min_prob, P, support);
     return;
   }
-  std::uint64_t marg_total = total_;
-  for (const ItemId sym : claimed_) {
-    marg_total -= marginal_[static_cast<std::size_t>(sym)];
-  }
-  const double uniform = 1.0 / static_cast<double>(open);
+  // P now holds the reference row; one index-order pass sums it, keeps
+  // the candidates and re-zeroes it for finish_normalized_row.
+  add_backstop(P, open_marginal_total(), open, remaining);
   const double floor = candidate_floor(min_prob);
   candidates_.clear();
   double sum = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
-    double x = P[i];
-    if (!excluded[i]) x += backstop_share(i, marg_total, uniform, remaining);
+    const double x = P[i];
+    P[i] = 0.0;
     sum += x;
     if (x >= floor) candidates_.push_back({static_cast<ItemId>(i), x});
   }
-  for (const ItemId sym : claimed_) P[static_cast<std::size_t>(sym)] = 0.0;
   if (!finish_normalized_row(min_prob, sum, candidates_, P, support)) {
     Predictor::predict_filtered_into(min_prob, P, support);
   }
@@ -179,7 +186,7 @@ void PpmPredictor::reset() {
   for (auto& t : tables_) t.clear();
   contexts_.clear();
   edges_.clear();
-  std::fill(marginal_.begin(), marginal_.end(), 0);
+  std::fill(marginal_.begin(), marginal_.end(), 0.0);
   total_ = 0;
   history_.clear();
 }

@@ -14,10 +14,13 @@
 // context's successor set through order-independent integer sums and a
 // single per-symbol touch (exclusion flags), so predictions are
 // bit-identical to the map-based predecessor regardless of edge order.
+// Marginal counts are held as doubles, exact below 2^53 observations,
+// so the per-entry backstop divisions vectorize.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "predict/predictor.hpp"
@@ -31,9 +34,10 @@ class PpmPredictor final : public Predictor {
 
   void observe(ItemId item) override;
   void predict_into(std::vector<double>& out) const override;
-  // The escape blend touches only the contexts' successors; one fused
-  // O(n) pass then adds the backstop and takes the index-order sum, and
-  // only the entries that can clear `min_prob` are divided.
+  // The escape blend touches only the contexts' successors and the
+  // backstop is added element-wise; one index-order pass then takes the
+  // sum, keeps the entries that can clear `min_prob` and re-zeroes P,
+  // and only those entries are divided.
   void predict_filtered_into(double min_prob, std::vector<double>& P,
                              std::vector<ItemId>& support) const override;
   std::size_t n_items() const override { return n_; }
@@ -44,7 +48,7 @@ class PpmPredictor final : public Predictor {
   std::size_t footprint_bytes() const noexcept {
     std::size_t total = contexts_.footprint_bytes() +
                         edges_.footprint_bytes() +
-                        marginal_.capacity() * sizeof(std::uint64_t);
+                        marginal_.capacity() * sizeof(double);
     for (const Key64Map& t : tables_) total += t.footprint_bytes();
     return total;
   }
@@ -69,31 +73,29 @@ class PpmPredictor final : public Predictor {
   // flags it in excluded_ and lists it in claimed_ (both reset first).
   // Returns the mass left unclaimed for the order-0 backstop.
   double blend_contexts(std::vector<double>& p) const;
-  // Order-0 share of open symbol i: its marginal among the open symbols'
-  // `marg_total` (uniform when that is 0), blended with a uniform floor
-  // so unseen items keep mass, scaled by the unclaimed mass.
-  double backstop_share(std::size_t i, std::uint64_t marg_total,
-                        double uniform, double remaining) const {
-    const double base = marg_total > 0
-                            ? static_cast<double>(marginal_[i]) /
-                                  static_cast<double>(marg_total)
-                            : uniform;
-    return remaining * (0.9 * base + 0.1 * uniform);
-  }
+  // Adds the order-0 backstop onto every open (not excluded) symbol of
+  // `p`: its marginal among the open symbols' `marg_total` (uniform when
+  // that is 0), blended with a uniform floor so unseen items keep mass,
+  // scaled by the unclaimed mass. Excluded symbols gain +0.0, which
+  // leaves them bit for bit.
+  void add_backstop(std::span<double> p, double marg_total,
+                    std::size_t open, double remaining) const;
+  // The open symbols' marginal total after a blend (from claimed_).
+  double open_marginal_total() const;
 
   std::size_t n_;
   std::size_t order_;
   std::vector<Key64Map> tables_;  // per order: context key -> contexts_ idx
   PoolArena<Context> contexts_;   // shared across orders
   PoolArena<Edge> edges_;
-  std::vector<std::uint64_t> marginal_;
+  std::vector<double> marginal_;
   std::uint64_t total_ = 0;
   std::deque<ItemId> history_;  // most recent at back, length <= order_
   // Per-predict escape-exclusion flags, reused so predict_into never
   // allocates. Each predict resets them in full on entry.
   mutable std::vector<char> excluded_;
-  // predict_filtered_into scratch: the symbols the blend excluded, in
-  // exclusion order, and the survivor candidates.
+  // Per-predict scratch: the symbols the blend excluded, in exclusion
+  // order, and predict_filtered_into's survivor candidates.
   mutable std::vector<ItemId> claimed_;
   mutable std::vector<FilterCandidate> candidates_;
 };

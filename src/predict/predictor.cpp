@@ -38,15 +38,19 @@ bool Predictor::screenable(double min_prob) noexcept {
   return min_prob >= 1e-300;
 }
 
+double Predictor::screen_below(double min_prob, double scale) noexcept {
+  return min_prob * scale * kScreenMargin;
+}
+
 double Predictor::candidate_floor(double min_prob) noexcept {
-  return min_prob * kSumLo * kScreenMargin;
+  return screen_below(min_prob, kSumLo);
 }
 
 bool Predictor::finish_normalized_row(
     double min_prob, double sum, std::span<const FilterCandidate> candidates,
     std::vector<double>& P, std::vector<ItemId>& support) {
   if (!(sum >= kSumLo && sum <= kSumHi)) return false;
-  const double screen = min_prob * sum * kScreenMargin;
+  const double screen = screen_below(min_prob, sum);
   for (const FilterCandidate& c : candidates) {
     if (c.x < screen) continue;
     const double p = min_prob_filtered(c.x / sum, min_prob);

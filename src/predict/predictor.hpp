@@ -93,6 +93,11 @@ class Predictor {
   // subnormal range, where the margin argument fails).
   static bool screenable(double min_prob) noexcept;
   static double candidate_floor(double min_prob) noexcept;
+  // min_prob * scale * (1 - 1e-9): the screen above for any divisor
+  // `scale` >= 1/2 (LZ78's unnormalized backstop divides by total + n).
+  // An x below it has fl(x / scale) < min_prob, so the filter zeroes it
+  // undivided.
+  static double screen_below(double min_prob, double scale) noexcept;
   static bool finish_normalized_row(
       double min_prob, double sum,
       std::span<const FilterCandidate> candidates, std::vector<double>& P,
