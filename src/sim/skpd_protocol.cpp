@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <optional>
 
@@ -122,6 +123,18 @@ double parse_double(std::string_view text, std::string_view key) {
       std::from_chars(text.data(), text.data() + text.size(), v);
   SKP_REQUIRE(ec == std::errc() && ptr == text.data() + text.size(),
               "bad double for skpd key " << key << ": " << text);
+  return v;
+}
+
+// Spec values must be finite. from_chars accepts "nan" and "inf", and
+// a non-finite knob runs as nonsense instead of failing: a NaN
+// predictor_min_prob filters nothing, an infinite v_hi reads mean T 0.
+// decode_sim_result keeps parse_double: it carries back whatever a run
+// recorded.
+double parse_spec_double(std::string_view text, std::string_view key) {
+  const double v = parse_double(text, key);
+  SKP_REQUIRE(std::isfinite(v),
+              "non-finite value for skpd key " << key << ": " << text);
   return v;
 }
 
@@ -395,13 +408,13 @@ SimSpec decode_sim_spec(std::string_view text) {
     } else if (key == "out_degree_hi") {
       w.out_degree_hi = parse_size(v, key);
     } else if (key == "v_lo") {
-      w.v_lo = parse_double(v, key);
+      w.v_lo = parse_spec_double(v, key);
     } else if (key == "v_hi") {
-      w.v_hi = parse_double(v, key);
+      w.v_hi = parse_spec_double(v, key);
     } else if (key == "r_lo") {
-      w.r_lo = parse_double(v, key);
+      w.r_lo = parse_spec_double(v, key);
     } else if (key == "r_hi") {
-      w.r_hi = parse_double(v, key);
+      w.r_hi = parse_spec_double(v, key);
     } else if (key == "integer_times") {
       w.integer_times = parse_bool(v, key);
     } else if (key == "method") {
@@ -409,11 +422,11 @@ SimSpec decode_sim_spec(std::string_view text) {
       SKP_REQUIRE(method, "unknown method token: " << v);
       w.method = *method;
     } else if (key == "skew_exponent") {
-      w.skew_exponent = parse_double(v, key);
+      w.skew_exponent = parse_spec_double(v, key);
     } else if (key == "iid_viewing_time") {
-      w.iid_viewing_time = parse_double(v, key);
+      w.iid_viewing_time = parse_spec_double(v, key);
     } else if (key == "zipf_exponent") {
-      w.zipf_exponent = parse_double(v, key);
+      w.zipf_exponent = parse_spec_double(v, key);
     } else if (key == "zipf_shuffle") {
       w.zipf_shuffle = parse_bool(v, key);
     } else if (key == "drift_period") {
@@ -421,7 +434,7 @@ SimSpec decode_sim_spec(std::string_view text) {
     } else if (key == "adv_hot_set") {
       w.adv_hot_set = parse_size(v, key);
     } else if (key == "adv_escape") {
-      w.adv_escape = parse_double(v, key);
+      w.adv_escape = parse_spec_double(v, key);
     } else if (key == "policy") {
       const auto policy = parse_policy(std::string(v));
       SKP_REQUIRE(policy, "unknown policy token: " << v);
@@ -435,25 +448,25 @@ SimSpec decode_sim_spec(std::string_view text) {
       SKP_REQUIRE(delta, "unknown delta token: " << v);
       spec.delta_rule = *delta;
     } else if (key == "min_profit_threshold") {
-      spec.min_profit_threshold = parse_double(v, key);
+      spec.min_profit_threshold = parse_spec_double(v, key);
     } else if (key == "predictor") {
       const auto predictor = parse_predictor_kind(std::string(v));
       SKP_REQUIRE(predictor, "unknown predictor token: " << v);
       spec.predictor = *predictor;
     } else if (key == "predictor_min_prob") {
-      spec.predictor_min_prob = parse_double(v, key);
+      spec.predictor_min_prob = parse_spec_double(v, key);
     } else if (key == "predictor_warmup") {
       spec.predictor_warmup = parse_size(v, key);
     } else if (key == "cache_size") {
       spec.cache_size = parse_size(v, key);
     } else if (key == "sized_capacity") {
-      spec.sized_capacity = parse_double(v, key);
+      spec.sized_capacity = parse_spec_double(v, key);
     } else if (key == "size_per_r") {
-      spec.size_per_r = parse_double(v, key);
+      spec.size_per_r = parse_spec_double(v, key);
     } else if (key == "size_lo") {
-      spec.size_lo = parse_double(v, key);
+      spec.size_lo = parse_spec_double(v, key);
     } else if (key == "size_hi") {
-      spec.size_hi = parse_double(v, key);
+      spec.size_hi = parse_spec_double(v, key);
     } else if (key == "replacement") {
       const auto repl = parse_replacement_kind(std::string(v));
       SKP_REQUIRE(repl, "unknown replacement token: " << v);
@@ -461,9 +474,9 @@ SimSpec decode_sim_spec(std::string_view text) {
     } else if (key == "pr_planning") {
       spec.pr_planning = parse_bool(v, key);
     } else if (key == "bandwidth") {
-      spec.bandwidth = parse_double(v, key);
+      spec.bandwidth = parse_spec_double(v, key);
     } else if (key == "latency") {
-      spec.latency = parse_double(v, key);
+      spec.latency = parse_spec_double(v, key);
     } else if (key == "link_schedule") {
       spec.link_schedule.clear();
       std::size_t pos = 0;
@@ -479,45 +492,46 @@ SimSpec decode_sim_spec(std::string_view text) {
                         c2 != std::string_view::npos,
                     "malformed link phase: " << phase);
         LinkPhase p;
-        p.duration = parse_double(phase.substr(0, c1), key);
-        p.bandwidth = parse_double(phase.substr(c1 + 1, c2 - c1 - 1), key);
-        p.latency = parse_double(phase.substr(c2 + 1), key);
+        p.duration = parse_spec_double(phase.substr(0, c1), key);
+        p.bandwidth =
+            parse_spec_double(phase.substr(c1 + 1, c2 - c1 - 1), key);
+        p.latency = parse_spec_double(phase.substr(c2 + 1), key);
         spec.link_schedule.push_back(p);
       }
     } else if (key == "fail_rate") {
-      spec.fault.fail_rate = parse_double(v, key);
+      spec.fault.fail_rate = parse_spec_double(v, key);
     } else if (key == "stall_rate") {
-      spec.fault.stall_rate = parse_double(v, key);
+      spec.fault.stall_rate = parse_spec_double(v, key);
     } else if (key == "stall_factor") {
-      spec.fault.stall_factor = parse_double(v, key);
+      spec.fault.stall_factor = parse_spec_double(v, key);
     } else if (key == "fault_timeout") {
-      spec.fault.timeout = parse_double(v, key);
+      spec.fault.timeout = parse_spec_double(v, key);
     } else if (key == "retry_max_attempts") {
       spec.fault.retry.max_attempts = parse_size(v, key);
     } else if (key == "retry_backoff_base") {
-      spec.fault.retry.backoff_base = parse_double(v, key);
+      spec.fault.retry.backoff_base = parse_spec_double(v, key);
     } else if (key == "retry_backoff_factor") {
-      spec.fault.retry.backoff_factor = parse_double(v, key);
+      spec.fault.retry.backoff_factor = parse_spec_double(v, key);
     } else if (key == "retry_jitter") {
-      spec.fault.retry.jitter = parse_double(v, key);
+      spec.fault.retry.jitter = parse_spec_double(v, key);
     } else if (key == "overload_enabled") {
       spec.overload.enabled = parse_bool(v, key);
     } else if (key == "overload_window") {
       spec.overload.window = parse_size(v, key);
     } else if (key == "overload_degrade_ratio") {
-      spec.overload.degrade_ratio = parse_double(v, key);
+      spec.overload.degrade_ratio = parse_spec_double(v, key);
     } else if (key == "overload_recover_ratio") {
-      spec.overload.recover_ratio = parse_double(v, key);
+      spec.overload.recover_ratio = parse_spec_double(v, key);
     } else if (key == "overload_recover_windows") {
       spec.overload.recover_windows = parse_size(v, key);
     } else if (key == "overload_headroom") {
-      spec.overload.headroom = parse_double(v, key);
+      spec.overload.headroom = parse_spec_double(v, key);
     } else if (key == "overload_lookahead_depth") {
       spec.overload.lookahead_depth = parse_size(v, key);
     } else if (key == "overload_budget_items") {
       spec.overload.budget_items = parse_size(v, key);
     } else if (key == "deadline") {
-      spec.deadline = parse_double(v, key);
+      spec.deadline = parse_spec_double(v, key);
     } else if (key == "requests") {
       spec.requests = parse_size(v, key);
     } else if (key == "warmup") {

@@ -169,6 +169,27 @@ TEST(SkpdProtocol, SimSpecDecodeRejectsUnknownKeys) {
   EXPECT_THROW(decode_sim_spec(text), std::invalid_argument);
 }
 
+TEST(SkpdProtocol, SimSpecDecodeRejectsNonFiniteValues) {
+  // std::from_chars parses "nan" and "inf". Each of these decoded and
+  // ran before: a NaN min-prob filtered nothing, a NaN threshold and an
+  // infinite deadline disabled their checks, an infinite v_hi read mean
+  // T 0. A later key overrides an earlier one, so each case appends one
+  // line to a valid spec.
+  const std::string base = encode_sim_spec(netsim_spec());
+  for (const char* line :
+       {"predictor_min_prob=nan", "min_profit_threshold=nan", "v_hi=inf",
+        "deadline=inf", "bandwidth=-inf", "link_schedule=1:inf:0"}) {
+    SCOPED_TRACE(line);
+    EXPECT_THROW(decode_sim_spec(base + line + "\n"),
+                 std::invalid_argument);
+  }
+  // The same keys with finite values still decode.
+  const SimSpec ok =
+      decode_sim_spec(base + "predictor_min_prob=0.02\ndeadline=5\n");
+  EXPECT_EQ(ok.predictor_min_prob, 0.02);
+  EXPECT_EQ(ok.deadline, 5.0);
+}
+
 TEST(SkpdProtocol, SimResultRoundTripsTheNetsimBooks) {
   const SimResult res = run_sim(netsim_spec(300, 11));
   const SimResult back = decode_sim_result(encode_sim_result(res));
@@ -632,6 +653,41 @@ TEST(SkpdDaemon, AbsurdCatalogIsRefusedWithoutTakingTheDaemonDown) {
     raw.send_frame(SkpdFrameType::kHello, encode_hello(hello));
     std::string storage;
     EXPECT_EQ(raw.read_frame(storage).type, SkpdFrameType::kError);
+  }
+
+  const SimSpec spec = netsim_spec(60, 3);
+  SkpdClientConfig cfg;
+  cfg.port = daemon.port();
+  SkpdClient client(cfg, spec);
+  NetsimStepper golden(spec);
+  while (!client.done()) {
+    EXPECT_EQ(client.step(), golden.step());
+  }
+  EXPECT_EQ(client.finish().metrics.requests, spec.requests);
+
+  const int status = daemon.terminate();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(SkpdDaemon, NonFiniteSpecValueIsRefusedAndTheNextClientServed) {
+  // A NaN predictor_min_prob used to run every learned row unfiltered.
+  // The HELLO now draws ERROR on its connection, and the daemon keeps
+  // serving the next one.
+  SkpdDaemonProcess daemon(daemon_binary());
+  {
+    SimSpec learned = netsim_spec();
+    learned.predictor = PredictorKind::Lz78;
+    RawPipelineClient raw(daemon.port());
+    SkpdHello hello;
+    hello.spec_text = encode_sim_spec(learned) + "predictor_min_prob=nan\n";
+    raw.send_frame(SkpdFrameType::kHello, encode_hello(hello));
+    std::string storage;
+    const SkpdFrame reply = raw.read_frame(storage);
+    EXPECT_EQ(reply.type, SkpdFrameType::kError);
+    EXPECT_NE(std::string(reply.payload).find("predictor_min_prob"),
+              std::string::npos)
+        << reply.payload;
   }
 
   const SimSpec spec = netsim_spec(60, 3);
