@@ -19,6 +19,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -161,6 +162,252 @@ TEST(SkpdProtocol, SimSpecRoundTripsIncludingLinkSchedule) {
   spec.link_schedule = {{10.0, 1.0, 0.0}, {5.0, 0.25, 1.5}};
   const SimSpec back = decode_sim_spec(encode_sim_spec(spec));
   EXPECT_EQ(back, spec);
+}
+
+// Every SimSpec field except multi_client (which the wire refuses) set
+// away from its default.
+SimSpec every_field_spec() {
+  SimSpec spec;
+  spec.driver = SimDriverKind::Scenario;
+  SimWorkload& w = spec.workload;
+  w.kind = SimWorkloadKind::Adversarial;
+  w.n_items = 321;
+  w.out_degree_lo = 3;
+  w.out_degree_hi = 7;
+  w.v_lo = 2.5;
+  w.v_hi = 80.25;
+  w.r_lo = 0.5;
+  w.r_hi = 12.75;
+  w.integer_times = false;
+  w.method = ProbMethod::Flat;
+  w.skew_exponent = 3.5;
+  w.iid_viewing_time = 17.125;
+  w.zipf_exponent = 0.9;
+  w.zipf_shuffle = false;
+  w.drift_period = 777;
+  w.adv_hot_set = 11;
+  w.adv_escape = 0.1 + 0.2;  // not 0.3: the text must carry every bit
+  spec.policy = PrefetchPolicy::KP;
+  spec.sub = SubArbitration::DS;
+  spec.delta_rule = DeltaRule::PaperTail;
+  spec.min_profit_threshold = 0.07;
+  spec.predictor = PredictorKind::Lz78;
+  spec.predictor_min_prob = 0.02;
+  spec.predictor_warmup = 64;
+  spec.cache_size = 23;
+  spec.sized_capacity = 150.5;
+  spec.size_per_r = 0.0;
+  spec.size_lo = 2.0;
+  spec.size_hi = 9.0;
+  spec.replacement = ReplacementKind::Random;
+  spec.pr_planning = true;
+  spec.bandwidth = 2.5;
+  spec.latency = 0.125;
+  spec.link_schedule = {{10.0, 1.0, 0.0}, {5.0, 0.25, 1.5}};
+  spec.fault.fail_rate = 0.1;
+  spec.fault.stall_rate = 0.05;
+  spec.fault.stall_factor = 6.0;
+  spec.fault.timeout = 40.0;
+  spec.fault.retry.max_attempts = 3;
+  spec.fault.retry.backoff_base = 0.5;
+  spec.fault.retry.backoff_factor = 3.0;
+  spec.fault.retry.jitter = 0.25;
+  spec.overload.enabled = true;
+  spec.overload.window = 32;
+  spec.overload.degrade_ratio = 1.75;
+  spec.overload.recover_ratio = 1.1;
+  spec.overload.recover_windows = 5;
+  spec.overload.headroom = 0.5;
+  spec.overload.lookahead_depth = 6;
+  spec.overload.budget_items = 2;
+  spec.deadline = 12.5;
+  spec.requests = 500;
+  spec.warmup = 25;
+  spec.seed = 0xfedcba9876543210ull;  // above 2^63
+  spec.use_plan_cache = false;
+  spec.plan_cache_capacity = 99;
+  return spec;
+}
+
+std::vector<std::string> text_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(SkpdProtocol, SimSpecRoundTripsEveryField) {
+  const SimSpec spec = every_field_spec();
+  // Each field differs from its default, so no line of the spec's text
+  // may also appear in the default spec's text.
+  const std::vector<std::string> defaults = text_lines(encode_sim_spec({}));
+  for (const std::string& line : text_lines(encode_sim_spec(spec))) {
+    EXPECT_EQ(std::count(defaults.begin(), defaults.end(), line), 0)
+        << line;
+  }
+  EXPECT_EQ(decode_sim_spec(encode_sim_spec(spec)), spec);
+}
+
+TEST(SkpdProtocol, SimSpecTextIsPinned) {
+  // The wire text byte for byte: key names, key order and the
+  // shortest-round-trip doubles.
+  EXPECT_EQ(encode_sim_spec(every_field_spec()), R"(driver=scenario
+workload=adversarial
+n_items=321
+out_degree_lo=3
+out_degree_hi=7
+v_lo=2.5
+v_hi=80.25
+r_lo=0.5
+r_hi=12.75
+integer_times=0
+method=flat
+skew_exponent=3.5
+iid_viewing_time=17.125
+zipf_exponent=0.9
+zipf_shuffle=0
+drift_period=777
+adv_hot_set=11
+adv_escape=0.30000000000000004
+policy=kp
+sub=ds
+delta=paper
+min_profit_threshold=0.07
+predictor=lz78
+predictor_min_prob=0.02
+predictor_warmup=64
+cache_size=23
+sized_capacity=150.5
+size_per_r=0
+size_lo=2
+size_hi=9
+replacement=random
+pr_planning=1
+bandwidth=2.5
+latency=0.125
+link_schedule=10:1:0;5:0.25:1.5
+fail_rate=0.1
+stall_rate=0.05
+stall_factor=6
+fault_timeout=40
+retry_max_attempts=3
+retry_backoff_base=0.5
+retry_backoff_factor=3
+retry_jitter=0.25
+overload_enabled=1
+overload_window=32
+overload_degrade_ratio=1.75
+overload_recover_ratio=1.1
+overload_recover_windows=5
+overload_headroom=0.5
+overload_lookahead_depth=6
+overload_budget_items=2
+deadline=12.5
+requests=500
+warmup=25
+seed=18364758544493064720
+use_plan_cache=0
+plan_cache_capacity=99
+)");
+}
+
+TEST(SkpdProtocol, SimResultTextIsPinned) {
+  // A netsim_des-shaped result with every wire field distinct, so a key
+  // bound to the wrong field shows as a changed line.
+  SimResult r;
+  SimMetrics& m = r.metrics;
+  m.requests = 1000;
+  m.hits = 401;
+  m.demand_fetches = 502;
+  m.prefetch_fetches = 603;
+  m.wasted_prefetches = 104;
+  m.network_time = 12345.5;
+  m.prefetch_network_time = 0.1 + 0.2;
+  m.demand_network_time = 6789.25;
+  m.solver_nodes = 0xfedcba9876543210ull;
+  m.access_time = OnlineStats::restore(1000, 3.0625, 4321.75, 0.5, 97.0);
+  r.plan_cache.plans = {11, 12, 13, 14, 15};
+  r.plan_cache.selections = {21, 22, 23, 24, 25};
+  r.over_viewing_time = 31;
+  r.plans = 32;
+  r.churn_events = 33;
+  r.budget_violations = 34;
+  r.worst_budget_overrun = 1.0 / 3.0;
+  r.link_utilization = 0.875;
+  r.fault = {41, 42, 43, 44, 45};
+  r.overload.transitions = 51;
+  r.overload.forced_transitions = 52;
+  r.overload.max_rung = 3;
+  r.overload.degraded_requests = 54;
+  r.overload.requests_at_rung = {61, 62, 63, 64, 65};
+  r.deadline_hits = 71;
+  const std::string text = encode_sim_result(r);
+  EXPECT_EQ(text, R"(requests=1000
+hits=401
+demand_fetches=502
+prefetch_fetches=603
+wasted_prefetches=104
+network_time=12345.5
+prefetch_network_time=0.30000000000000004
+demand_network_time=6789.25
+solver_nodes=18364758544493064720
+at_n=1000
+at_mean=3.0625
+at_m2=4321.75
+at_min=0.5
+at_max=97
+pc_plan_hits=11
+pc_plan_misses=12
+pc_plan_inserts=13
+pc_plan_evictions=14
+pc_plan_door_rejects=15
+pc_sel_hits=21
+pc_sel_misses=22
+pc_sel_inserts=23
+pc_sel_evictions=24
+pc_sel_door_rejects=25
+over_viewing_time=31
+plans=32
+churn_events=33
+budget_violations=34
+worst_budget_overrun=0.3333333333333333
+link_utilization=0.875
+fault_failed=41
+fault_timeouts=42
+fault_stalled=43
+fault_retries=44
+fault_abandoned=45
+ov_transitions=51
+ov_forced_transitions=52
+ov_max_rung=3
+ov_degraded_requests=54
+ov_rung0=61
+ov_rung1=62
+ov_rung2=63
+ov_rung3=64
+ov_rung4=65
+deadline_hits=71
+)");
+  EXPECT_EQ(encode_sim_result(decode_sim_result(text)), text);
+}
+
+TEST(SkpdProtocol, SimResultReencodesIdenticallyUnderFaultsAndOverload) {
+  SimSpec spec = netsim_spec(400, 13);
+  spec.fault.fail_rate = 0.2;
+  spec.fault.stall_rate = 0.1;
+  spec.fault.timeout = 25.0;
+  spec.fault.retry.max_attempts = 3;
+  spec.fault.retry.backoff_base = 0.5;
+  spec.overload.enabled = true;
+  spec.overload.window = 16;
+  spec.deadline = 10.0;
+  const SimResult res = run_sim(spec);
+  // The books the text must carry are really populated.
+  ASSERT_GT(res.fault.failed_transfers, 0u);
+  ASSERT_GT(res.deadline_hits, 0u);
+  ASSERT_GT(res.overload.requests_at_rung[0], 0u);
+  const std::string text = encode_sim_result(res);
+  EXPECT_EQ(encode_sim_result(decode_sim_result(text)), text);
 }
 
 TEST(SkpdProtocol, SimSpecDecodeRejectsUnknownKeys) {
