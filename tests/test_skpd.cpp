@@ -12,6 +12,7 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -27,6 +28,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -773,8 +775,7 @@ class RawPipelineClient {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
     // A tiny receive buffer makes the daemon's send() back up quickly.
-    const int tiny = 1024;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+    set_receive_buffer(1024);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -799,7 +800,12 @@ class RawPipelineClient {
     }
   }
 
-  // Blocking read of the next frame (test-scale simplicity).
+  void set_receive_buffer(int bytes) {
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+  }
+
+  // Blocking read of the next frame (test-scale simplicity). Past the
+  // time set by widen_at(), the receive buffer is raised to 1 MB, once.
   SkpdFrame read_frame(std::string& storage) {
     for (;;) {
       std::size_t off = off_;
@@ -807,6 +813,17 @@ class RawPipelineClient {
         off_ = off;
         storage.assign(frame->payload);
         return SkpdFrame{frame->type, storage};
+      }
+      if (widen_at_) {
+        using std::chrono::milliseconds;
+        const auto wait = std::chrono::duration_cast<milliseconds>(
+            *widen_at_ - std::chrono::steady_clock::now());
+        pollfd ready{fd_, POLLIN, 0};
+        if (wait.count() <= 0 ||
+            ::poll(&ready, 1, static_cast<int>(wait.count())) == 0) {
+          set_receive_buffer(1 << 20);
+          widen_at_.reset();
+        }
       }
       char buf[512];
       const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
@@ -817,10 +834,15 @@ class RawPipelineClient {
     }
   }
 
+  void widen_at(std::chrono::steady_clock::time_point when) {
+    widen_at_ = when;
+  }
+
  private:
   int fd_ = -1;
   std::string rx_;
   std::size_t off_ = 0;
+  std::optional<std::chrono::steady_clock::time_point> widen_at_;
 };
 
 TEST(SkpdDaemon, SlowReaderIsForcedDownTheDegradationLadder) {
@@ -851,7 +873,17 @@ TEST(SkpdDaemon, SlowReaderIsForcedDownTheDegradationLadder) {
     raw.send_frame(SkpdFrameType::kStep, encode_step(step));
   }
   // Now drain all results (answering keepalive PINGs if they interleave)
-  // and fetch the final books.
+  // and fetch the final books. The drain takes ~50 ms, except when the
+  // 1 KB buffer makes the kernel advertise a receive window smaller
+  // than the daemon's MSS (half the largest window the client ever
+  // offered). The daemon's TCP then sends only on its persist timer,
+  // one sub-MSS probe per ~200 ms, the drain crawls at ~2.5 KB/s, and
+  // the ~150 KB of STEP_RESULTs would outlast the daemon's 30 s
+  // keepalive: the PING that could keep the connection alive waits
+  // behind them. A drain still running after a second is that crawl.
+  // The daemon's queue is backed up by then, so the forced degrade
+  // asserted below has happened, and the buffer is widened.
+  raw.widen_at(std::chrono::steady_clock::now() + std::chrono::seconds(1));
   std::uint64_t last_seq = 0;
   while (last_seq < spec.requests) {
     const SkpdFrame frame = raw.read_frame(storage);
