@@ -3,7 +3,6 @@
 //
 //   simctl run [spec flags] [sweep flags] [--shard I/N] [--csv PATH]
 //   simctl run --spec FILE [overriding flags]
-//   simctl run --preset NAME --csv DIR [--full] [--seed N]
 //   simctl merge OUT IN1 [IN2 ...]
 //   simctl drivers
 //
@@ -19,9 +18,7 @@
 // `--spec FILE` reads the same flags from a JSON sweep definition
 // (tools/simctl_args.hpp documents the schema) so cluster runs are a
 // committed document, not a hand-assembled flag string; flags after
-// --spec override the file. `--preset NAME` short-circuits into a canned
-// figure enumeration that reproduces the corresponding bench binary's
-// CSV files byte for byte (tools/simctl_presets.hpp).
+// --spec override the file.
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -35,7 +32,6 @@
 #include "sim/runtime.hpp"
 #include "sim/sweep.hpp"
 #include "simctl_args.hpp"
-#include "simctl_presets.hpp"
 #include "util/csv.hpp"
 #include "util/thread_pool.hpp"
 
@@ -64,11 +60,6 @@ void on_interrupt(int) { g_interrupted = 1; }
   simctl run [flags]         execute a spec sweep, emit CSV
   simctl run --spec FILE     read base/axes/shard from a JSON sweep file
                              (later flags override the file)
-  simctl run --preset NAME --csv DIR
-                             emit a figure bench's CSV files byte-for-byte
-                             (fig5 | fig7 | ablation_sizes | network_usage;
-                             also accepts --full --seed --threads
-                             --no-plan-cache)
   simctl merge OUT IN...     merge shard CSVs into the single-run document
                              (rejects duplicate/overlapping spec indices)
   simctl drivers             list registered drivers and enum tokens
@@ -193,39 +184,6 @@ std::vector<std::string> expand_args(int argc, char** argv) {
     }
   }
   return out;
-}
-
-int preset_command(const std::vector<std::string>& args) {
-  std::string name;
-  simctl::PresetArgs preset;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    auto need_value = [&](const char* f) -> const std::string& {
-      if (i + 1 >= args.size()) fail(std::string(f) + " needs a value");
-      return args[++i];
-    };
-    if (flag == "--preset") {
-      name = need_value("--preset");
-    } else if (flag == "--full") {
-      preset.full = true;
-    } else if (flag == "--seed") {
-      preset.seed = parse_u64(need_value("--seed"), "--seed");
-    } else if (flag == "--csv") {
-      preset.csv_dir = need_value("--csv");
-    } else if (flag == "--threads") {
-      preset.threads = parse_u64(need_value("--threads"), "--threads");
-    } else if (flag == "--no-plan-cache") {
-      preset.no_plan_cache = true;
-    } else if (flag == "--help" || flag == "-h") {
-      usage(0);
-    } else {
-      fail("flag '" + flag +
-           "' does not apply to --preset (a preset is a canned "
-           "enumeration; use a plain run for custom sweeps)");
-    }
-  }
-  simctl::run_preset(name, preset);
-  return 0;
 }
 
 int run_command(const std::vector<std::string>& args) {
@@ -747,13 +705,6 @@ int run_command(const std::vector<std::string>& args) {
   return 0;
 }
 
-int run_dispatch(int argc, char** argv) {
-  const std::vector<std::string> args = expand_args(argc, argv);
-  for (const std::string& arg : args) {
-    if (arg == "--preset") return preset_command(args);
-  }
-  return run_command(args);
-}
 
 int merge_command(int argc, char** argv) {
   if (argc < 2) usage(2);
@@ -788,8 +739,7 @@ int drivers_command() {
                "adversarial\n"
             << "policies: none kp skp perfect | subs: none lfu ds\n"
             << "predictors: oracle markov1 ppm lz78 depgraph\n"
-            << "replacements: lru fifo lfu random\n"
-            << "presets: " << simctl::preset_names() << "\n";
+            << "replacements: lru fifo lfu random\n";
   return 0;
 }
 
@@ -799,7 +749,7 @@ int main(int argc, char** argv) {
   if (argc < 2) usage(2);
   const std::string command = argv[1];
   try {
-    if (command == "run") return run_dispatch(argc - 2, argv + 2);
+    if (command == "run") return run_command(expand_args(argc - 2, argv + 2));
     if (command == "merge") return merge_command(argc - 2, argv + 2);
     if (command == "drivers") return drivers_command();
     if (command == "--help" || command == "-h") usage(0);
