@@ -1,10 +1,13 @@
 #include "sim/skpd_protocol.hpp"
 
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <type_traits>
+#include <vector>
 
 #include "util/parse_digits.hpp"
 #include "util/require.hpp"
@@ -309,409 +312,314 @@ std::uint64_t decode_ping(std::string_view payload) {
   return nonce;
 }
 
-// ---- Spec text ----------------------------------------------------------
+// ---- Spec and result text ----------------------------------------------
+
+namespace {
+
+// Wire tokens of the enum fields.
+const char* token(SimDriverKind v) { return to_string(v); }
+const char* token(SimWorkloadKind v) { return to_string(v); }
+const char* token(ProbMethod v) { return to_string(v); }
+const char* token(PrefetchPolicy v) { return policy_token(v); }
+const char* token(SubArbitration v) { return sub_token(v); }
+const char* token(DeltaRule v) { return delta_token(v); }
+const char* token(PredictorKind v) { return to_string(v); }
+const char* token(ReplacementKind v) { return to_string(v); }
+
+// Parsers of those tokens; the second argument only picks the overload.
+auto from_token(std::string_view t, SimDriverKind) {
+  return parse_driver_kind(t);
+}
+auto from_token(std::string_view t, SimWorkloadKind) {
+  return parse_workload_kind(t);
+}
+auto from_token(std::string_view t, ProbMethod) { return parse_prob_method(t); }
+auto from_token(std::string_view t, PrefetchPolicy) { return parse_policy(t); }
+auto from_token(std::string_view t, SubArbitration) {
+  return parse_sub_arbitration(t);
+}
+auto from_token(std::string_view t, DeltaRule) { return parse_delta_rule(t); }
+auto from_token(std::string_view t, PredictorKind) {
+  return parse_predictor_kind(t);
+}
+auto from_token(std::string_view t, ReplacementKind) {
+  return parse_replacement_kind(t);
+}
+
+// The wire's key for every SimSpec field, in wire order. Both codecs walk
+// this one list: `fn(key, field)` for each field of `spec`, which is a
+// const SimSpec when encoding and a mutable one when decoding.
+// multi_client is not on the wire (encode_sim_spec refuses it).
+template <typename Spec, typename Fn>
+void visit_spec_fields(Spec& spec, Fn&& fn) {
+  auto& w = spec.workload;
+  fn("driver", spec.driver);
+  fn("workload", w.kind);
+  fn("n_items", w.n_items);
+  fn("out_degree_lo", w.out_degree_lo);
+  fn("out_degree_hi", w.out_degree_hi);
+  fn("v_lo", w.v_lo);
+  fn("v_hi", w.v_hi);
+  fn("r_lo", w.r_lo);
+  fn("r_hi", w.r_hi);
+  fn("integer_times", w.integer_times);
+  fn("method", w.method);
+  fn("skew_exponent", w.skew_exponent);
+  fn("iid_viewing_time", w.iid_viewing_time);
+  fn("zipf_exponent", w.zipf_exponent);
+  fn("zipf_shuffle", w.zipf_shuffle);
+  fn("drift_period", w.drift_period);
+  fn("adv_hot_set", w.adv_hot_set);
+  fn("adv_escape", w.adv_escape);
+  fn("policy", spec.policy);
+  fn("sub", spec.sub);
+  fn("delta", spec.delta_rule);
+  fn("min_profit_threshold", spec.min_profit_threshold);
+  fn("predictor", spec.predictor);
+  fn("predictor_min_prob", spec.predictor_min_prob);
+  fn("predictor_warmup", spec.predictor_warmup);
+  fn("cache_size", spec.cache_size);
+  fn("sized_capacity", spec.sized_capacity);
+  fn("size_per_r", spec.size_per_r);
+  fn("size_lo", spec.size_lo);
+  fn("size_hi", spec.size_hi);
+  fn("replacement", spec.replacement);
+  fn("pr_planning", spec.pr_planning);
+  fn("bandwidth", spec.bandwidth);
+  fn("latency", spec.latency);
+  fn("link_schedule", spec.link_schedule);  // written only when non-empty
+  fn("fail_rate", spec.fault.fail_rate);
+  fn("stall_rate", spec.fault.stall_rate);
+  fn("stall_factor", spec.fault.stall_factor);
+  fn("fault_timeout", spec.fault.timeout);
+  fn("retry_max_attempts", spec.fault.retry.max_attempts);
+  fn("retry_backoff_base", spec.fault.retry.backoff_base);
+  fn("retry_backoff_factor", spec.fault.retry.backoff_factor);
+  fn("retry_jitter", spec.fault.retry.jitter);
+  fn("overload_enabled", spec.overload.enabled);
+  fn("overload_window", spec.overload.window);
+  fn("overload_degrade_ratio", spec.overload.degrade_ratio);
+  fn("overload_recover_ratio", spec.overload.recover_ratio);
+  fn("overload_recover_windows", spec.overload.recover_windows);
+  fn("overload_headroom", spec.overload.headroom);
+  fn("overload_lookahead_depth", spec.overload.lookahead_depth);
+  fn("overload_budget_items", spec.overload.budget_items);
+  fn("deadline", spec.deadline);
+  fn("requests", spec.requests);
+  fn("warmup", spec.warmup);
+  fn("seed", spec.seed);
+  fn("use_plan_cache", spec.use_plan_cache);
+  fn("plan_cache_capacity", spec.plan_cache_capacity);
+}
+
+// The access-time OnlineStats state, which travels as five keys so the
+// client-side accumulator is the same object the in-process run holds.
+struct AccessTimeState {
+  std::uint64_t n = 0;
+  double mean = 0.0, m2 = 0.0, min = 0.0, max = 0.0;
+};
+
+// The SimResult counterpart of visit_spec_fields. The access-time state
+// goes through `at`; the overload rungs are the keys ov_rung0, ov_rung1...
+template <typename Result, typename At, typename Fn>
+void visit_result_fields(Result& result, At& at, Fn&& fn) {
+  auto& m = result.metrics;
+  auto& plans = result.plan_cache.plans;
+  auto& sel = result.plan_cache.selections;
+  fn("requests", m.requests);
+  fn("hits", m.hits);
+  fn("demand_fetches", m.demand_fetches);
+  fn("prefetch_fetches", m.prefetch_fetches);
+  fn("wasted_prefetches", m.wasted_prefetches);
+  fn("network_time", m.network_time);
+  fn("prefetch_network_time", m.prefetch_network_time);
+  fn("demand_network_time", m.demand_network_time);
+  fn("solver_nodes", m.solver_nodes);
+  fn("at_n", at.n);
+  fn("at_mean", at.mean);
+  fn("at_m2", at.m2);
+  fn("at_min", at.min);
+  fn("at_max", at.max);
+  fn("pc_plan_hits", plans.hits);
+  fn("pc_plan_misses", plans.misses);
+  fn("pc_plan_inserts", plans.inserts);
+  fn("pc_plan_evictions", plans.evictions);
+  fn("pc_plan_door_rejects", plans.door_rejects);
+  fn("pc_sel_hits", sel.hits);
+  fn("pc_sel_misses", sel.misses);
+  fn("pc_sel_inserts", sel.inserts);
+  fn("pc_sel_evictions", sel.evictions);
+  fn("pc_sel_door_rejects", sel.door_rejects);
+  fn("over_viewing_time", result.over_viewing_time);
+  fn("plans", result.plans);
+  fn("churn_events", result.churn_events);
+  fn("budget_violations", result.budget_violations);
+  fn("worst_budget_overrun", result.worst_budget_overrun);
+  fn("link_utilization", result.link_utilization);
+  fn("fault_failed", result.fault.failed_transfers);
+  fn("fault_timeouts", result.fault.timeouts);
+  fn("fault_stalled", result.fault.stalled);
+  fn("fault_retries", result.fault.retries);
+  fn("fault_abandoned", result.fault.abandoned);
+  fn("ov_transitions", result.overload.transitions);
+  fn("ov_forced_transitions", result.overload.forced_transitions);
+  fn("ov_max_rung", result.overload.max_rung);
+  fn("ov_degraded_requests", result.overload.degraded_requests);
+  fn("ov_rung", result.overload.requests_at_rung);
+  fn("deadline_hits", result.deadline_hits);
+}
+
+// ---- Encoding: one put_kv overload per field type ----
+
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+void put_kv(std::string& out, std::string_view key, Enum v) {
+  put_kv(out, key, token(v));
+}
+
+// duration:bandwidth:latency phases, ';'-separated.
+void put_kv(std::string& out, std::string_view key,
+            const std::vector<LinkPhase>& schedule) {
+  if (schedule.empty()) return;
+  std::string phases;
+  for (const LinkPhase& p : schedule) {
+    if (!phases.empty()) phases += ';';
+    phases += fmt_double(p.duration);
+    phases += ':';
+    phases += fmt_double(p.bandwidth);
+    phases += ':';
+    phases += fmt_double(p.latency);
+  }
+  put_kv(out, key, std::string_view(phases));
+}
+
+template <std::size_t N>
+void put_kv(std::string& out, std::string_view key,
+            const std::array<std::uint64_t, N>& rungs) {
+  for (std::size_t i = 0; i < N; ++i) {
+    put_kv(out, std::string(key) + std::to_string(i), rungs[i]);
+  }
+}
+
+// ---- Decoding: one parse_value overload per field type ----
+
+void parse_value(std::string_view text, std::string_view key, bool& out) {
+  out = parse_bool(text, key);
+}
+
+template <typename Int>
+  requires std::is_integral_v<Int>
+void parse_value(std::string_view text, std::string_view key, Int& out) {
+  out = static_cast<Int>(parse_u64(text, key));
+}
+
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+void parse_value(std::string_view text, std::string_view key, Enum& out) {
+  const std::optional<Enum> v = from_token(text, out);
+  SKP_REQUIRE(v, "unknown " << key << " token: " << text);
+  out = *v;
+}
+
+void parse_value(std::string_view text, std::string_view key,
+                 std::vector<LinkPhase>& schedule) {
+  schedule.clear();
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find(';', pos);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view phase = text.substr(pos, end - pos);
+    pos = end + 1;
+    const std::size_t c1 = phase.find(':');
+    const std::size_t c2 =
+        c1 == std::string_view::npos ? c1 : phase.find(':', c1 + 1);
+    SKP_REQUIRE(c1 != std::string_view::npos && c2 != std::string_view::npos,
+                "malformed link phase: " << phase);
+    LinkPhase p;
+    p.duration = parse_spec_double(phase.substr(0, c1), key);
+    p.bandwidth = parse_spec_double(phase.substr(c1 + 1, c2 - c1 - 1), key);
+    p.latency = parse_spec_double(phase.substr(c2 + 1), key);
+    schedule.push_back(p);
+  }
+}
+
+template <typename T>
+inline constexpr bool kIsRungArray = false;
+template <std::size_t N>
+inline constexpr bool kIsRungArray<std::array<std::uint64_t, N>> = true;
+
+// Decodes every `key=value` line of `text` into the field `visit` binds
+// to that key; double fields go through `ParseDouble` (parse_spec_double
+// for a spec, parse_double for a result). A later line overrides an
+// earlier one. A key no field claims is refused (reject-don't-drop: a
+// field this build does not know cannot be silently ignored without
+// breaking "the spec you sent is the spec that ran").
+template <auto ParseDouble, typename Visit>
+void decode_fields(std::string_view text, const char* what, Visit&& visit) {
+  for_each_kv(text, [&](std::string_view key, std::string_view v) {
+    bool known = false;
+    visit([&](std::string_view name, auto& field) {
+      using Field = std::remove_cvref_t<decltype(field)>;
+      if (known) return;
+      if (kIsRungArray<Field> ? !key.starts_with(name) : key != name) return;
+      known = true;
+      if constexpr (kIsRungArray<Field>) {
+        const std::size_t i = parse_size(key.substr(name.size()), key);
+        SKP_REQUIRE(i < field.size(),
+                    "overload rung index out of range: " << key);
+        field[i] = parse_u64(v, key);
+      } else if constexpr (std::is_same_v<Field, double>) {
+        field = ParseDouble(v, key);
+      } else {
+        parse_value(v, key, field);
+      }
+    });
+    SKP_REQUIRE(known, "unknown skpd " << what << " key: " << key);
+  });
+}
+
+}  // namespace
 
 std::string encode_sim_spec(const SimSpec& spec) {
   SKP_REQUIRE(spec.multi_client == MultiClientSpec{},
               "the skpd wire carries single-client specs; the "
               "multi_client section does not serialize");
   std::string out;
-  put_kv(out, "driver", to_string(spec.driver));
-  const SimWorkload& w = spec.workload;
-  put_kv(out, "workload", to_string(w.kind));
-  put_kv(out, "n_items", w.n_items);
-  put_kv(out, "out_degree_lo", w.out_degree_lo);
-  put_kv(out, "out_degree_hi", w.out_degree_hi);
-  put_kv(out, "v_lo", w.v_lo);
-  put_kv(out, "v_hi", w.v_hi);
-  put_kv(out, "r_lo", w.r_lo);
-  put_kv(out, "r_hi", w.r_hi);
-  put_kv(out, "integer_times", w.integer_times);
-  put_kv(out, "method", w.method == ProbMethod::Skewy ? "skewy" : "flat");
-  put_kv(out, "skew_exponent", w.skew_exponent);
-  put_kv(out, "iid_viewing_time", w.iid_viewing_time);
-  put_kv(out, "zipf_exponent", w.zipf_exponent);
-  put_kv(out, "zipf_shuffle", w.zipf_shuffle);
-  put_kv(out, "drift_period", w.drift_period);
-  put_kv(out, "adv_hot_set", w.adv_hot_set);
-  put_kv(out, "adv_escape", w.adv_escape);
-  put_kv(out, "policy", policy_token(spec.policy));
-  put_kv(out, "sub", sub_token(spec.sub));
-  put_kv(out, "delta", delta_token(spec.delta_rule));
-  put_kv(out, "min_profit_threshold", spec.min_profit_threshold);
-  put_kv(out, "predictor", to_string(spec.predictor));
-  put_kv(out, "predictor_min_prob", spec.predictor_min_prob);
-  put_kv(out, "predictor_warmup", spec.predictor_warmup);
-  put_kv(out, "cache_size", spec.cache_size);
-  put_kv(out, "sized_capacity", spec.sized_capacity);
-  put_kv(out, "size_per_r", spec.size_per_r);
-  put_kv(out, "size_lo", spec.size_lo);
-  put_kv(out, "size_hi", spec.size_hi);
-  put_kv(out, "replacement", to_string(spec.replacement));
-  put_kv(out, "pr_planning", spec.pr_planning);
-  put_kv(out, "bandwidth", spec.bandwidth);
-  put_kv(out, "latency", spec.latency);
-  if (!spec.link_schedule.empty()) {
-    // duration:bandwidth:latency phases, ';'-separated.
-    std::string phases;
-    for (const LinkPhase& p : spec.link_schedule) {
-      if (!phases.empty()) phases += ';';
-      phases += fmt_double(p.duration);
-      phases += ':';
-      phases += fmt_double(p.bandwidth);
-      phases += ':';
-      phases += fmt_double(p.latency);
-    }
-    put_kv(out, "link_schedule", std::string_view(phases));
-  }
-  put_kv(out, "fail_rate", spec.fault.fail_rate);
-  put_kv(out, "stall_rate", spec.fault.stall_rate);
-  put_kv(out, "stall_factor", spec.fault.stall_factor);
-  put_kv(out, "fault_timeout", spec.fault.timeout);
-  put_kv(out, "retry_max_attempts", spec.fault.retry.max_attempts);
-  put_kv(out, "retry_backoff_base", spec.fault.retry.backoff_base);
-  put_kv(out, "retry_backoff_factor", spec.fault.retry.backoff_factor);
-  put_kv(out, "retry_jitter", spec.fault.retry.jitter);
-  put_kv(out, "overload_enabled", spec.overload.enabled);
-  put_kv(out, "overload_window", spec.overload.window);
-  put_kv(out, "overload_degrade_ratio", spec.overload.degrade_ratio);
-  put_kv(out, "overload_recover_ratio", spec.overload.recover_ratio);
-  put_kv(out, "overload_recover_windows", spec.overload.recover_windows);
-  put_kv(out, "overload_headroom", spec.overload.headroom);
-  put_kv(out, "overload_lookahead_depth", spec.overload.lookahead_depth);
-  put_kv(out, "overload_budget_items", spec.overload.budget_items);
-  put_kv(out, "deadline", spec.deadline);
-  put_kv(out, "requests", spec.requests);
-  put_kv(out, "warmup", spec.warmup);
-  put_kv(out, "seed", spec.seed);
-  put_kv(out, "use_plan_cache", spec.use_plan_cache);
-  put_kv(out, "plan_cache_capacity", spec.plan_cache_capacity);
+  visit_spec_fields(spec, [&](std::string_view key, const auto& value) {
+    put_kv(out, key, value);
+  });
   return out;
 }
 
 SimSpec decode_sim_spec(std::string_view text) {
   SimSpec spec;
-  for_each_kv(text, [&](std::string_view key, std::string_view v) {
-    SimWorkload& w = spec.workload;
-    if (key == "driver") {
-      const auto kind = parse_driver_kind(std::string(v));
-      SKP_REQUIRE(kind, "unknown driver token: " << v);
-      spec.driver = *kind;
-    } else if (key == "workload") {
-      const auto kind = parse_workload_kind(std::string(v));
-      SKP_REQUIRE(kind, "unknown workload token: " << v);
-      w.kind = *kind;
-    } else if (key == "n_items") {
-      w.n_items = parse_size(v, key);
-    } else if (key == "out_degree_lo") {
-      w.out_degree_lo = parse_size(v, key);
-    } else if (key == "out_degree_hi") {
-      w.out_degree_hi = parse_size(v, key);
-    } else if (key == "v_lo") {
-      w.v_lo = parse_spec_double(v, key);
-    } else if (key == "v_hi") {
-      w.v_hi = parse_spec_double(v, key);
-    } else if (key == "r_lo") {
-      w.r_lo = parse_spec_double(v, key);
-    } else if (key == "r_hi") {
-      w.r_hi = parse_spec_double(v, key);
-    } else if (key == "integer_times") {
-      w.integer_times = parse_bool(v, key);
-    } else if (key == "method") {
-      const auto method = parse_prob_method(std::string(v));
-      SKP_REQUIRE(method, "unknown method token: " << v);
-      w.method = *method;
-    } else if (key == "skew_exponent") {
-      w.skew_exponent = parse_spec_double(v, key);
-    } else if (key == "iid_viewing_time") {
-      w.iid_viewing_time = parse_spec_double(v, key);
-    } else if (key == "zipf_exponent") {
-      w.zipf_exponent = parse_spec_double(v, key);
-    } else if (key == "zipf_shuffle") {
-      w.zipf_shuffle = parse_bool(v, key);
-    } else if (key == "drift_period") {
-      w.drift_period = parse_size(v, key);
-    } else if (key == "adv_hot_set") {
-      w.adv_hot_set = parse_size(v, key);
-    } else if (key == "adv_escape") {
-      w.adv_escape = parse_spec_double(v, key);
-    } else if (key == "policy") {
-      const auto policy = parse_policy(std::string(v));
-      SKP_REQUIRE(policy, "unknown policy token: " << v);
-      spec.policy = *policy;
-    } else if (key == "sub") {
-      const auto sub = parse_sub_arbitration(std::string(v));
-      SKP_REQUIRE(sub, "unknown sub token: " << v);
-      spec.sub = *sub;
-    } else if (key == "delta") {
-      const auto delta = parse_delta_rule(std::string(v));
-      SKP_REQUIRE(delta, "unknown delta token: " << v);
-      spec.delta_rule = *delta;
-    } else if (key == "min_profit_threshold") {
-      spec.min_profit_threshold = parse_spec_double(v, key);
-    } else if (key == "predictor") {
-      const auto predictor = parse_predictor_kind(std::string(v));
-      SKP_REQUIRE(predictor, "unknown predictor token: " << v);
-      spec.predictor = *predictor;
-    } else if (key == "predictor_min_prob") {
-      spec.predictor_min_prob = parse_spec_double(v, key);
-    } else if (key == "predictor_warmup") {
-      spec.predictor_warmup = parse_size(v, key);
-    } else if (key == "cache_size") {
-      spec.cache_size = parse_size(v, key);
-    } else if (key == "sized_capacity") {
-      spec.sized_capacity = parse_spec_double(v, key);
-    } else if (key == "size_per_r") {
-      spec.size_per_r = parse_spec_double(v, key);
-    } else if (key == "size_lo") {
-      spec.size_lo = parse_spec_double(v, key);
-    } else if (key == "size_hi") {
-      spec.size_hi = parse_spec_double(v, key);
-    } else if (key == "replacement") {
-      const auto repl = parse_replacement_kind(std::string(v));
-      SKP_REQUIRE(repl, "unknown replacement token: " << v);
-      spec.replacement = *repl;
-    } else if (key == "pr_planning") {
-      spec.pr_planning = parse_bool(v, key);
-    } else if (key == "bandwidth") {
-      spec.bandwidth = parse_spec_double(v, key);
-    } else if (key == "latency") {
-      spec.latency = parse_spec_double(v, key);
-    } else if (key == "link_schedule") {
-      spec.link_schedule.clear();
-      std::size_t pos = 0;
-      while (pos < v.size()) {
-        std::size_t end = v.find(';', pos);
-        if (end == std::string_view::npos) end = v.size();
-        const std::string_view phase = v.substr(pos, end - pos);
-        pos = end + 1;
-        const std::size_t c1 = phase.find(':');
-        const std::size_t c2 =
-            c1 == std::string_view::npos ? c1 : phase.find(':', c1 + 1);
-        SKP_REQUIRE(c1 != std::string_view::npos &&
-                        c2 != std::string_view::npos,
-                    "malformed link phase: " << phase);
-        LinkPhase p;
-        p.duration = parse_spec_double(phase.substr(0, c1), key);
-        p.bandwidth =
-            parse_spec_double(phase.substr(c1 + 1, c2 - c1 - 1), key);
-        p.latency = parse_spec_double(phase.substr(c2 + 1), key);
-        spec.link_schedule.push_back(p);
-      }
-    } else if (key == "fail_rate") {
-      spec.fault.fail_rate = parse_spec_double(v, key);
-    } else if (key == "stall_rate") {
-      spec.fault.stall_rate = parse_spec_double(v, key);
-    } else if (key == "stall_factor") {
-      spec.fault.stall_factor = parse_spec_double(v, key);
-    } else if (key == "fault_timeout") {
-      spec.fault.timeout = parse_spec_double(v, key);
-    } else if (key == "retry_max_attempts") {
-      spec.fault.retry.max_attempts = parse_size(v, key);
-    } else if (key == "retry_backoff_base") {
-      spec.fault.retry.backoff_base = parse_spec_double(v, key);
-    } else if (key == "retry_backoff_factor") {
-      spec.fault.retry.backoff_factor = parse_spec_double(v, key);
-    } else if (key == "retry_jitter") {
-      spec.fault.retry.jitter = parse_spec_double(v, key);
-    } else if (key == "overload_enabled") {
-      spec.overload.enabled = parse_bool(v, key);
-    } else if (key == "overload_window") {
-      spec.overload.window = parse_size(v, key);
-    } else if (key == "overload_degrade_ratio") {
-      spec.overload.degrade_ratio = parse_spec_double(v, key);
-    } else if (key == "overload_recover_ratio") {
-      spec.overload.recover_ratio = parse_spec_double(v, key);
-    } else if (key == "overload_recover_windows") {
-      spec.overload.recover_windows = parse_size(v, key);
-    } else if (key == "overload_headroom") {
-      spec.overload.headroom = parse_spec_double(v, key);
-    } else if (key == "overload_lookahead_depth") {
-      spec.overload.lookahead_depth = parse_size(v, key);
-    } else if (key == "overload_budget_items") {
-      spec.overload.budget_items = parse_size(v, key);
-    } else if (key == "deadline") {
-      spec.deadline = parse_spec_double(v, key);
-    } else if (key == "requests") {
-      spec.requests = parse_size(v, key);
-    } else if (key == "warmup") {
-      spec.warmup = parse_size(v, key);
-    } else if (key == "seed") {
-      spec.seed = parse_u64(v, key);
-    } else if (key == "use_plan_cache") {
-      spec.use_plan_cache = parse_bool(v, key);
-    } else if (key == "plan_cache_capacity") {
-      spec.plan_cache_capacity = parse_size(v, key);
-    } else {
-      // Reject-don't-drop at the wire too: a field this build does not
-      // know cannot be silently ignored without breaking the "the spec
-      // you sent is the spec that ran" contract.
-      SKP_REQUIRE(false, "unknown skpd spec key: " << key);
-    }
-  });
+  decode_fields<parse_spec_double>(
+      text, "spec", [&](auto&& fn) { visit_spec_fields(spec, fn); });
   return spec;
 }
-
-// ---- Result text --------------------------------------------------------
-
-namespace {
-
-void put_plan_cache_stats(std::string& out, std::string_view prefix,
-                          const PlanCacheStats& s) {
-  put_kv(out, std::string(prefix) + "_hits", s.hits);
-  put_kv(out, std::string(prefix) + "_misses", s.misses);
-  put_kv(out, std::string(prefix) + "_inserts", s.inserts);
-  put_kv(out, std::string(prefix) + "_evictions", s.evictions);
-  put_kv(out, std::string(prefix) + "_door_rejects", s.door_rejects);
-}
-
-}  // namespace
 
 std::string encode_sim_result(const SimResult& result) {
   SKP_REQUIRE(!result.avg_T_by_v && result.per_client.empty(),
               "the skpd wire carries netsim_des results; per-client rows "
               "and the avg-T-by-v curve do not serialize");
+  const OnlineStats& a = result.metrics.access_time;
+  const AccessTimeState at{a.count(), a.mean(), a.m2(), a.min(), a.max()};
   std::string out;
-  const SimMetrics& m = result.metrics;
-  put_kv(out, "requests", m.requests);
-  put_kv(out, "hits", m.hits);
-  put_kv(out, "demand_fetches", m.demand_fetches);
-  put_kv(out, "prefetch_fetches", m.prefetch_fetches);
-  put_kv(out, "wasted_prefetches", m.wasted_prefetches);
-  put_kv(out, "network_time", m.network_time);
-  put_kv(out, "prefetch_network_time", m.prefetch_network_time);
-  put_kv(out, "demand_network_time", m.demand_network_time);
-  put_kv(out, "solver_nodes", m.solver_nodes);
-  // Exact OnlineStats state so the client-side accumulator is the same
-  // object the in-process run would hold.
-  put_kv(out, "at_n", m.access_time.count());
-  put_kv(out, "at_mean", m.access_time.mean());
-  put_kv(out, "at_m2", m.access_time.m2());
-  put_kv(out, "at_min", m.access_time.min());
-  put_kv(out, "at_max", m.access_time.max());
-  put_plan_cache_stats(out, "pc_plan", result.plan_cache.plans);
-  put_plan_cache_stats(out, "pc_sel", result.plan_cache.selections);
-  put_kv(out, "over_viewing_time", result.over_viewing_time);
-  put_kv(out, "plans", result.plans);
-  put_kv(out, "churn_events", result.churn_events);
-  put_kv(out, "budget_violations", result.budget_violations);
-  put_kv(out, "worst_budget_overrun", result.worst_budget_overrun);
-  put_kv(out, "link_utilization", result.link_utilization);
-  put_kv(out, "fault_failed", result.fault.failed_transfers);
-  put_kv(out, "fault_timeouts", result.fault.timeouts);
-  put_kv(out, "fault_stalled", result.fault.stalled);
-  put_kv(out, "fault_retries", result.fault.retries);
-  put_kv(out, "fault_abandoned", result.fault.abandoned);
-  put_kv(out, "ov_transitions", result.overload.transitions);
-  put_kv(out, "ov_forced_transitions", result.overload.forced_transitions);
-  put_kv(out, "ov_max_rung", result.overload.max_rung);
-  put_kv(out, "ov_degraded_requests", result.overload.degraded_requests);
-  for (std::size_t i = 0; i < result.overload.requests_at_rung.size();
-       ++i) {
-    put_kv(out, "ov_rung" + std::to_string(i),
-           result.overload.requests_at_rung[i]);
-  }
-  put_kv(out, "deadline_hits", result.deadline_hits);
+  visit_result_fields(result, at,
+                      [&](std::string_view key, const auto& value) {
+                        put_kv(out, key, value);
+                      });
   return out;
 }
 
 SimResult decode_sim_result(std::string_view text) {
   SimResult result;
-  std::uint64_t at_n = 0;
-  double at_mean = 0.0, at_m2 = 0.0, at_min = 0.0, at_max = 0.0;
-  for_each_kv(text, [&](std::string_view key, std::string_view v) {
-    SimMetrics& m = result.metrics;
-    if (key == "requests") {
-      m.requests = parse_u64(v, key);
-    } else if (key == "hits") {
-      m.hits = parse_u64(v, key);
-    } else if (key == "demand_fetches") {
-      m.demand_fetches = parse_u64(v, key);
-    } else if (key == "prefetch_fetches") {
-      m.prefetch_fetches = parse_u64(v, key);
-    } else if (key == "wasted_prefetches") {
-      m.wasted_prefetches = parse_u64(v, key);
-    } else if (key == "network_time") {
-      m.network_time = parse_double(v, key);
-    } else if (key == "prefetch_network_time") {
-      m.prefetch_network_time = parse_double(v, key);
-    } else if (key == "demand_network_time") {
-      m.demand_network_time = parse_double(v, key);
-    } else if (key == "solver_nodes") {
-      m.solver_nodes = parse_u64(v, key);
-    } else if (key == "at_n") {
-      at_n = parse_u64(v, key);
-    } else if (key == "at_mean") {
-      at_mean = parse_double(v, key);
-    } else if (key == "at_m2") {
-      at_m2 = parse_double(v, key);
-    } else if (key == "at_min") {
-      at_min = parse_double(v, key);
-    } else if (key == "at_max") {
-      at_max = parse_double(v, key);
-    } else if (key == "pc_plan_hits") {
-      result.plan_cache.plans.hits = parse_u64(v, key);
-    } else if (key == "pc_plan_misses") {
-      result.plan_cache.plans.misses = parse_u64(v, key);
-    } else if (key == "pc_plan_inserts") {
-      result.plan_cache.plans.inserts = parse_u64(v, key);
-    } else if (key == "pc_plan_evictions") {
-      result.plan_cache.plans.evictions = parse_u64(v, key);
-    } else if (key == "pc_plan_door_rejects") {
-      result.plan_cache.plans.door_rejects = parse_u64(v, key);
-    } else if (key == "pc_sel_hits") {
-      result.plan_cache.selections.hits = parse_u64(v, key);
-    } else if (key == "pc_sel_misses") {
-      result.plan_cache.selections.misses = parse_u64(v, key);
-    } else if (key == "pc_sel_inserts") {
-      result.plan_cache.selections.inserts = parse_u64(v, key);
-    } else if (key == "pc_sel_evictions") {
-      result.plan_cache.selections.evictions = parse_u64(v, key);
-    } else if (key == "pc_sel_door_rejects") {
-      result.plan_cache.selections.door_rejects = parse_u64(v, key);
-    } else if (key == "over_viewing_time") {
-      result.over_viewing_time = parse_u64(v, key);
-    } else if (key == "plans") {
-      result.plans = parse_u64(v, key);
-    } else if (key == "churn_events") {
-      result.churn_events = parse_u64(v, key);
-    } else if (key == "budget_violations") {
-      result.budget_violations = parse_u64(v, key);
-    } else if (key == "worst_budget_overrun") {
-      result.worst_budget_overrun = parse_double(v, key);
-    } else if (key == "link_utilization") {
-      result.link_utilization = parse_double(v, key);
-    } else if (key == "fault_failed") {
-      result.fault.failed_transfers = parse_u64(v, key);
-    } else if (key == "fault_timeouts") {
-      result.fault.timeouts = parse_u64(v, key);
-    } else if (key == "fault_stalled") {
-      result.fault.stalled = parse_u64(v, key);
-    } else if (key == "fault_retries") {
-      result.fault.retries = parse_u64(v, key);
-    } else if (key == "fault_abandoned") {
-      result.fault.abandoned = parse_u64(v, key);
-    } else if (key == "ov_transitions") {
-      result.overload.transitions = parse_u64(v, key);
-    } else if (key == "ov_forced_transitions") {
-      result.overload.forced_transitions = parse_u64(v, key);
-    } else if (key == "ov_max_rung") {
-      result.overload.max_rung = static_cast<int>(parse_u64(v, key));
-    } else if (key == "ov_degraded_requests") {
-      result.overload.degraded_requests = parse_u64(v, key);
-    } else if (key.rfind("ov_rung", 0) == 0) {
-      const std::size_t i = parse_size(key.substr(7), key);
-      SKP_REQUIRE(i < result.overload.requests_at_rung.size(),
-                  "overload rung index out of range: " << key);
-      result.overload.requests_at_rung[i] = parse_u64(v, key);
-    } else if (key == "deadline_hits") {
-      result.deadline_hits = parse_u64(v, key);
-    } else {
-      SKP_REQUIRE(false, "unknown skpd result key: " << key);
-    }
+  AccessTimeState at;
+  decode_fields<parse_double>(text, "result", [&](auto&& fn) {
+    visit_result_fields(result, at, fn);
   });
   result.metrics.access_time = OnlineStats::restore(
-      static_cast<std::size_t>(at_n), at_mean, at_m2, at_min, at_max);
+      static_cast<std::size_t>(at.n), at.mean, at.m2, at.min, at.max);
   return result;
 }
 
