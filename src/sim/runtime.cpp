@@ -614,16 +614,14 @@ MaterializedWorkload materialize_workload(const SimWorkload& w,
       break;
     }
     case SimWorkloadKind::Iid: {
-      Instance inst;
-      inst.P = w.method == ProbMethod::Skewy
-                   ? skewy_probabilities(w.n_items, build, w.skew_exponent)
-                   : flat_probabilities(w.n_items, build);
-      inst.r.assign(w.n_items, 1.0);  // placeholder; re-drawn below
-      inst.v = w.iid_viewing_time;
-      IidStream stream(std::move(inst));
+      const std::vector<double> P =
+          w.method == ProbMethod::Skewy
+              ? skewy_probabilities(w.n_items, build, w.skew_exponent)
+              : flat_probabilities(w.n_items, build);
+      const double v = w.iid_viewing_time;
+      SKP_REQUIRE(v >= 0.0, "viewing time v = " << v << " must be >= 0");
       for (std::size_t i = 0; i < requests; ++i) {
-        const RequestEvent e = stream.next(walk);
-        out.cycles.push_back({e.item, e.instance.v});
+        out.cycles.push_back({sample_categorical(P, walk), v});
       }
       // Catalog retrieval times drawn after the row so consumers that
       // re-ground r elsewhere (scenario/netsim catalogs) see the same P.

@@ -4,7 +4,7 @@
 //
 // Only the consumers that plan on oracle rows hold one — the
 // prefetch_cache driver, oracle netsim_des sessions and multi_client
-// clients, lookahead blending and MarkovStream. The rows cost n x n
+// clients, and lookahead blending. The rows cost n x n
 // doubles; pipelines that only walk the chain (materialize_workload, so
 // every learned-predictor driver) hold the bare MarkovChain instead.
 #pragma once

@@ -1,6 +1,6 @@
 #include "workload/request_stream.hpp"
 
-#include <numeric>
+#include "util/require.hpp"
 
 namespace skp {
 
@@ -20,31 +20,6 @@ ItemId sample_categorical(std::span<const double> p, Rng& rng) {
   }
   SKP_REQUIRE(any, "sample_categorical: all probabilities zero");
   return static_cast<ItemId>(last_positive);  // fp round-off fallback
-}
-
-IidStream::IidStream(Instance inst) : inst_(std::move(inst)) {
-  inst_.validate();
-  cdf_.resize(inst_.n());
-  std::partial_sum(inst_.P.begin(), inst_.P.end(), cdf_.begin());
-}
-
-RequestEvent IidStream::next(Rng& rng) {
-  RequestEvent ev;
-  ev.instance = inst_;
-  ev.item = sample_categorical(inst_.P, rng);
-  return ev;
-}
-
-MarkovStream::MarkovStream(std::shared_ptr<MarkovSource> source)
-    : source_(std::move(source)) {
-  SKP_REQUIRE(source_ != nullptr, "MarkovStream requires a source");
-}
-
-RequestEvent MarkovStream::next(Rng& rng) {
-  RequestEvent ev;
-  ev.instance = source_->instance_at(source_->current_state());
-  ev.item = static_cast<ItemId>(source_->step(rng));
-  return ev;
 }
 
 }  // namespace skp

@@ -1,65 +1,16 @@
-// Request streams: common interface for sources of (request, instance)
-// pairs consumed by simulators, predictors and examples.
-//
-// Two concrete streams live here:
-//   * IidStream   — each request drawn i.i.d. from a fixed P (the
-//                   prefetch-only world of Section 4.4, but with a stable
-//                   catalog across iterations).
-//   * MarkovStream — adapter over MarkovSource (the Fig. 7 world).
-// Trace-backed replay lives in workload/trace.hpp.
+// Request draws shared by the simulators, tests and examples. Markov
+// walks live on MarkovChain/MarkovSource (workload/markov_source.hpp),
+// trace-backed replay in workload/trace.hpp.
 #pragma once
 
-#include <memory>
+#include <span>
 
 #include "core/item.hpp"
 #include "util/rng.hpp"
-#include "workload/markov_source.hpp"
 
 namespace skp {
 
-// One user-visible request cycle: the item requested next and the model
-// parameters (P, r, v) that were in force while it was awaited.
-struct RequestEvent {
-  ItemId item = kNoItem;
-  Instance instance;  // P/r/v the prefetcher saw before this request
-};
-
-class RequestStream {
- public:
-  virtual ~RequestStream() = default;
-  // Produces the next request cycle.
-  virtual RequestEvent next(Rng& rng) = 0;
-  // Catalog size.
-  virtual std::size_t n_items() const = 0;
-};
-
-// I.i.d. draws from a fixed catalog (P, r, v all constant).
-class IidStream final : public RequestStream {
- public:
-  explicit IidStream(Instance inst);
-  RequestEvent next(Rng& rng) override;
-  std::size_t n_items() const override { return inst_.n(); }
-
- private:
-  Instance inst_;
-  std::vector<double> cdf_;
-};
-
-// Markov-source adapter: the instance of each event is the transition row
-// and viewing time of the state *before* the step (what the prefetcher
-// knew), and `item` is the state stepped into.
-class MarkovStream final : public RequestStream {
- public:
-  explicit MarkovStream(std::shared_ptr<MarkovSource> source);
-  RequestEvent next(Rng& rng) override;
-  std::size_t n_items() const override { return source_->n_states(); }
-  const MarkovSource& source() const { return *source_; }
-
- private:
-  std::shared_ptr<MarkovSource> source_;
-};
-
-// Samples an index from a dense probability vector (shared helper).
+// Samples an index from a dense probability vector.
 ItemId sample_categorical(std::span<const double> p, Rng& rng);
 
 }  // namespace skp

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "test_util.hpp"
+#include <stdexcept>
+#include <vector>
 
 namespace skp {
 namespace {
@@ -50,69 +51,6 @@ TEST(SampleCategorical, SubUnitMassStillReturnsValidItem) {
     const ItemId x = sample_categorical(p, rng);
     EXPECT_TRUE(x == 0 || x == 1);
   }
-}
-
-TEST(IidStream, EventsCarryTheFixedInstance) {
-  const Instance inst = testing::small_instance();
-  IidStream stream(inst);
-  Rng rng(6);
-  const RequestEvent ev = stream.next(rng);
-  EXPECT_EQ(ev.instance.n(), inst.n());
-  EXPECT_DOUBLE_EQ(ev.instance.v, inst.v);
-  EXPECT_GE(ev.item, 0);
-  EXPECT_LT(static_cast<std::size_t>(ev.item), inst.n());
-}
-
-TEST(IidStream, RequestFrequenciesMatchP) {
-  const Instance inst = testing::small_instance();
-  IidStream stream(inst);
-  Rng rng(7);
-  std::vector<int> counts(inst.n(), 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[stream.next(rng).item];
-  for (std::size_t j = 0; j < inst.n(); ++j) {
-    EXPECT_NEAR(static_cast<double>(counts[j]) / n, inst.P[j], 0.01);
-  }
-}
-
-TEST(IidStream, ValidatesInstance) {
-  Instance bad;
-  bad.P = {0.9, 0.9};
-  bad.r = {1.0, 1.0};
-  EXPECT_THROW(IidStream{bad}, std::invalid_argument);
-}
-
-TEST(MarkovStream, EventInstanceReflectsPreStepState) {
-  Rng build(8);
-  MarkovSourceConfig cfg;
-  cfg.n_states = 12;
-  cfg.out_degree_lo = 3;
-  cfg.out_degree_hi = 5;
-  auto src = std::make_shared<MarkovSource>(cfg, build);
-  src->teleport(4);
-  MarkovStream stream(src);
-  Rng walk(9);
-  const RequestEvent ev = stream.next(walk);
-  // Instance P must equal the row of state 4, and the item must be one of
-  // state 4's successors.
-  const auto row = src->transition_row(4);
-  EXPECT_GT(row[static_cast<std::size_t>(ev.item)], 0.0);
-  EXPECT_DOUBLE_EQ(ev.instance.v, src->viewing_time(4));
-}
-
-TEST(MarkovStream, NItemsMatchesSource) {
-  Rng build(10);
-  MarkovSourceConfig cfg;
-  cfg.n_states = 16;
-  cfg.out_degree_lo = 2;
-  cfg.out_degree_hi = 4;
-  auto src = std::make_shared<MarkovSource>(cfg, build);
-  MarkovStream stream(src);
-  EXPECT_EQ(stream.n_items(), 16u);
-}
-
-TEST(MarkovStream, NullSourceThrows) {
-  EXPECT_THROW(MarkovStream(nullptr), std::invalid_argument);
 }
 
 }  // namespace

@@ -235,6 +235,18 @@ TEST(SimRuntime, MaterializedWorkloadsAreDeterministic) {
   }
 }
 
+TEST(SimRuntime, IidWorkloadRejectsNegativeOrNanViewingTime) {
+  for (const double v : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SimWorkload w;
+    w.kind = SimWorkloadKind::Iid;
+    w.iid_viewing_time = v;
+    Rng build(1), walk(2);
+    EXPECT_THROW(materialize_workload(w, 10, build, walk),
+                 std::invalid_argument)
+        << v;
+  }
+}
+
 // ---- multi_client driver ------------------------------------------------
 
 SimSpec quick_multi_client_spec() {
