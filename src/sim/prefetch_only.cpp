@@ -29,10 +29,6 @@ PrefetchOnlyResult run_prefetch_only(const PrefetchOnlyConfig& cfg) {
   PlanScratch scratch;
   PrefetchPlan plan;
 
-  // Residual transfer time intruding into the next viewing window
-  // (stretch_intrudes extension only; stays 0 under the paper protocol).
-  double carry = 0.0;
-
   for (std::size_t it = 0; it < cfg.iterations; ++it) {
     // Step 1: generate P, r, v.
     generate_probabilities_into(cfg.n_items, cfg.method, rng, inst.P,
@@ -40,10 +36,7 @@ PrefetchOnlyResult run_prefetch_only(const PrefetchOnlyConfig& cfg) {
     for (auto& x : inst.r) {
       x = rng.uniform_time(cfg.r_lo, cfg.r_hi, cfg.integer_times);
     }
-    const double v_drawn =
-        rng.uniform_time(cfg.v_lo, cfg.v_hi, cfg.integer_times);
-    inst.v = cfg.stretch_intrudes ? std::max(0.0, v_drawn - carry)
-                                  : v_drawn;
+    inst.v = rng.uniform_time(cfg.v_lo, cfg.v_hi, cfg.integer_times);
 
     // Step 3 (drawn before planning so the Perfect oracle can see it; the
     // request is independent of the plan for every other policy).
@@ -55,18 +48,8 @@ PrefetchOnlyResult run_prefetch_only(const PrefetchOnlyConfig& cfg) {
     // Step 4: access time per Figure 2.
     const double T = realized_access_time(inst, plan.fetch, requested);
 
-    // Carryover for the next window: after a hit in K the tail of F is
-    // still on the wire for st(F) beyond the request instant.
-    if (cfg.stretch_intrudes) {
-      const bool hit_in_K =
-          !plan.fetch.empty() && requested != plan.fetch.back() &&
-          std::find(plan.fetch.begin(), plan.fetch.end() - 1, requested) !=
-              plan.fetch.end() - 1;
-      carry = hit_in_K ? stretch_time(inst, plan.fetch) : 0.0;
-    }
-
-    // Step 5: output v and T (binned by the drawn v, as the paper plots).
-    const auto vbin = static_cast<std::int64_t>(std::llround(v_drawn));
+    // Step 5: output v and T (binned by v, as the paper plots).
+    const auto vbin = static_cast<std::int64_t>(std::llround(inst.v));
     result.avg_T_by_v.add(vbin, T);
     result.metrics.access_time.add(T);
     ++result.metrics.requests;
@@ -85,7 +68,7 @@ PrefetchOnlyResult run_prefetch_only(const PrefetchOnlyConfig& cfg) {
       result.metrics.demand_network_time += inst.r[Instance::idx(requested)];
     }
     if (result.scatter.size() < cfg.scatter_limit) {
-      result.scatter.emplace_back(v_drawn, T);
+      result.scatter.emplace_back(inst.v, T);
     }
   }
   return result;

@@ -35,12 +35,6 @@ struct PrefetchOnlyConfig {
   std::uint64_t seed = 1;
   // Keep the first `scatter_limit` (v, T) samples (Fig. 4 plots 500).
   std::size_t scatter_limit = 0;
-  // Extension (Section 4.4: "the stretch time may intrude into the next
-  // viewing time"). When true, the residual transfer time left after a
-  // hit-in-K request (the still-downloading tail of F) is deducted from
-  // the *next* iteration's viewing time before planning — the carryover
-  // the per-iteration analytic model ignores. false = paper protocol.
-  bool stretch_intrudes = false;
 };
 
 struct PrefetchOnlyResult {

@@ -131,28 +131,6 @@ TEST(PrefetchOnlySim, FlatMethodNarrowsSkpKpGap) {
   EXPECT_NEAR(skp, kp, 0.5);
 }
 
-TEST(PrefetchOnlySim, StretchIntrusionRaisesAccessTimes) {
-  // Section 4.4: carrying the stretch into the next viewing window can
-  // only reduce the prefetching asset, so mean T must not improve.
-  auto base = quick(PrefetchPolicy::SKP, ProbMethod::Skewy, 20000);
-  auto intruding = base;
-  intruding.stretch_intrudes = true;
-  const double plain = run_prefetch_only(base).metrics.mean_access_time();
-  const double carry =
-      run_prefetch_only(intruding).metrics.mean_access_time();
-  EXPECT_GE(carry, plain - 0.05);
-}
-
-TEST(PrefetchOnlySim, StretchIntrusionNoopForKp) {
-  // KP never stretches, so the carryover is identically zero and the two
-  // modes draw identical random streams -> identical results.
-  auto base = quick(PrefetchPolicy::KP, ProbMethod::Skewy, 5000);
-  auto intruding = base;
-  intruding.stretch_intrudes = true;
-  EXPECT_DOUBLE_EQ(run_prefetch_only(base).metrics.mean_access_time(),
-                   run_prefetch_only(intruding).metrics.mean_access_time());
-}
-
 TEST(PrefetchOnlySim, ConfigValidation) {
   PrefetchOnlyConfig cfg;
   cfg.n_items = 0;
