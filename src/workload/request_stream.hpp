@@ -1,6 +1,6 @@
 // Request draws shared by the simulators, tests and examples. Markov
-// walks live on MarkovChain/MarkovSource (workload/markov_source.hpp),
-// trace-backed replay in workload/trace.hpp.
+// walks live on MarkovChain (workload/markov_chain.hpp), trace-backed
+// replay in workload/trace.hpp.
 #pragma once
 
 #include <span>
