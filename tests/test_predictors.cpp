@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -339,6 +342,12 @@ TEST(PredictFiltered, MatchesDenseFilterInLockstep) {
   }
   // LZ78's root holds every symbol, before and after the halfway reset.
   inputs.push_back({"iid", 100, iid_stream(100, 4096, 23)});
+  // Catalogs the size of learned_des: most LZ78 rows sit at the root or
+  // at a node with no observations, and the long stream grows the root's
+  // largest counts well past the rest.
+  inputs.push_back({"iid", 1000, iid_stream(1000, 4096, 29)});
+  inputs.push_back(
+      {"structured_long", 1000, structured_stream(1000, 20000, 31)});
   for (const Input& in : inputs) {
     for (const double min_prob : {0.0, 1e-4, 0.01, 0.3}) {
       for (const auto& [name, make] : kinds) {
@@ -350,6 +359,168 @@ TEST(PredictFiltered, MatchesDenseFilterInLockstep) {
       }
     }
   }
+}
+
+// Exposes the library's filter screens, so a test can find the min_prob
+// at which a screen meets a given entry. Never instantiated.
+struct FilterScreens : Predictor {
+  using Predictor::candidate_floor;
+  using Predictor::screen_below;
+};
+
+// The smallest positive min_prob whose `screen` reaches `x` (0 < x <= 1),
+// by bisection: positive doubles order like their bit patterns.
+double screen_edge(double x, const std::function<double(double)>& screen) {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = std::bit_cast<std::uint64_t>(4.0);
+  EXPECT_LT(screen(0.0), x);
+  EXPECT_GE(screen(4.0), x);
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (screen(std::bit_cast<double>(mid)) >= x ? hi : lo) = mid;
+  }
+  return std::bit_cast<double>(hi);
+}
+
+// Checks predict_filtered_into against the reference at the 2 * width + 1
+// nextafter neighbours of `edge`, into a fresh buffer and into one that
+// holds the previous step's row.
+void expect_matches_around(const Predictor& pred, double edge, int width) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double min_prob = edge;
+  for (int k = 0; k < width; ++k) min_prob = std::nextafter(min_prob, 0.0);
+  std::vector<double> P, reused, ref;
+  std::vector<ItemId> support, reused_support, ref_support;
+  for (int k = -width; k <= width; ++k) {
+    SCOPED_TRACE("edge " + std::to_string(k) + " ulps away");
+    P.clear();
+    support.clear();
+    pred.predict_filtered_into(min_prob, P, support);
+    pred.predict_filtered_into(min_prob, reused, reused_support);
+    reference_filtered(pred, min_prob, ref, ref_support);
+    ASSERT_EQ(std::memcmp(P.data(), ref.data(), P.size() * sizeof(double)),
+              0);
+    ASSERT_EQ(std::memcmp(reused.data(), ref.data(),
+                          reused.size() * sizeof(double)),
+              0);
+    ASSERT_EQ(support, ref_support);
+    ASSERT_EQ(reused_support, ref_support);
+    min_prob = std::nextafter(min_prob, kInf);
+  }
+}
+
+// Where the LZ78 parse stands: the kind of row the next prediction
+// blends. Mirrors the phrase rule with a map so the test can tell the
+// kinds apart from outside.
+class Lz78Mirror {
+ public:
+  enum class Row { kRoot, kInner, kFresh };
+  void observe(ItemId sym) {
+    ++total_[cur_];
+    const auto it = child_.find({cur_, sym});
+    if (it != child_.end()) {
+      cur_ = it->second;
+      return;
+    }
+    child_[{cur_, sym}] = total_.size();
+    total_.push_back(0);
+    cur_ = 0;
+  }
+  Row row() const {
+    if (cur_ == 0) return Row::kRoot;
+    return total_[cur_] == 0 ? Row::kFresh : Row::kInner;
+  }
+
+ private:
+  std::map<std::pair<std::size_t, ItemId>, std::size_t> child_;
+  std::vector<std::uint64_t> total_{0};
+  std::size_t cur_ = 0;
+};
+
+// A stream whose symbol 0 is half of all requests, so it usually holds
+// the largest marginal, root and successor counts at once and the
+// predictors' bounds on a row's largest entry are tight.
+std::vector<ItemId> skewed_stream(std::size_t n, std::size_t steps,
+                                  std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ItemId> out;
+  for (std::size_t i = 0; i < steps; ++i) {
+    out.push_back(rng.next_below(2) == 0
+                      ? 0
+                      : static_cast<ItemId>(1 + rng.next_below(n - 1)));
+  }
+  return out;
+}
+
+// Sweeps min_prob across the knife edges of four row kinds: where
+// candidate_floor (LZ78's root and inner rows), the fresh-node screen or
+// the Markov1 no-context row's own entries meet the row's largest entry,
+// and where the reference filter itself starts to drop that entry.
+TEST(PredictFiltered, KnifeEdgesMatchTheDenseFilter) {
+  constexpr std::size_t n = 6;
+  constexpr int kWidth = 48;
+  const auto floor = [](double m) {
+    return FilterScreens::candidate_floor(m);
+  };
+  const std::vector<ItemId> stream = skewed_stream(n, 400, 41);
+
+  Lz78Predictor lz78(n);
+  Lz78Mirror mirror;
+  std::vector<double> marginal(n, 0.0);
+  std::vector<double> dense;
+  int seen[3] = {0, 0, 0};
+  for (std::size_t t = 0; t < stream.size(); ++t) {
+    const Lz78Mirror::Row row = mirror.row();
+    int& count = seen[static_cast<int>(row)];
+    if (t >= 40 && count < 4) {
+      ++count;
+      SCOPED_TRACE("lz78 row kind " + std::to_string(static_cast<int>(row)) +
+                   " at step " + std::to_string(t));
+      lz78.predict_into(dense);
+      const double p_max = *std::max_element(dense.begin(), dense.end());
+      if (row == Lz78Mirror::Row::kFresh) {
+        // The unnormalized backstop: x = marginal + 1 over total + n.
+        const double denom = static_cast<double>(t) + static_cast<double>(n);
+        const double x_max =
+            *std::max_element(marginal.begin(), marginal.end()) + 1.0;
+        expect_matches_around(lz78,
+                              screen_edge(x_max,
+                                          [denom](double m) {
+                                            return FilterScreens::screen_below(
+                                                m, denom);
+                                          }),
+                              kWidth);
+      } else {
+        // The row sum is 1 within a few ulps, so the pre-normalization
+        // maximum is within a few ulps of p_max.
+        expect_matches_around(lz78, screen_edge(p_max, floor), kWidth);
+      }
+      expect_matches_around(lz78, p_max, kWidth);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    lz78.observe(stream[t]);
+    mirror.observe(stream[t]);
+    marginal[static_cast<std::size_t>(stream[t])] += 1.0;
+  }
+  for (const int count : seen) EXPECT_EQ(count, 4);
+
+  // Markov1 without context: the last item has never been followed, so
+  // the row is the smoothed marginal and p < min_prob is the only screen.
+  MarkovPredictor markov(n);
+  for (const ItemId item : skewed_stream(n - 1, 60, 43)) markov.observe(item);
+  markov.observe(static_cast<ItemId>(n - 1));  // a symbol never followed
+  for (std::size_t t = 0; t < n; ++t) {
+    ASSERT_EQ(markov.count(static_cast<ItemId>(n - 1),
+                           static_cast<ItemId>(t)),
+              0u);
+  }
+  markov.predict_into(dense);
+  expect_matches_around(
+      markov, *std::max_element(dense.begin(), dense.end()), kWidth);
+  // The empty predictor's uniform row, before any observation.
+  MarkovPredictor fresh(n);
+  fresh.predict_into(dense);
+  expect_matches_around(fresh, dense[0], kWidth);
 }
 
 TEST(PredictFiltered, WrongSizedBufferIsReset) {
