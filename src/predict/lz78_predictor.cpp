@@ -29,6 +29,7 @@ void Lz78Predictor::observe(ItemId item) {
   }
   ++nodes_[current_].total;
   marginal_[sym] += 1.0;
+  max_marginal_ = std::max(max_marginal_, marginal_[sym]);
   ++total_;
 
   std::uint32_t* root_child = nullptr;
@@ -36,6 +37,7 @@ void Lz78Predictor::observe(ItemId item) {
     root_child = &root_child_[sym];
     if (*root_child != kNull) {
       root_count_[sym] += 1.0;
+      max_root_count_ = std::max(max_root_count_, root_count_[sym]);
       current_ = *root_child;
       ++depth_;
       return;
@@ -56,6 +58,7 @@ void Lz78Predictor::observe(ItemId item) {
   if (root_child != nullptr) {
     *root_child = id;
     root_count_[sym] = 1.0;
+    max_root_count_ = std::max(max_root_count_, 1.0);
   } else {
     parent.head = edges_.alloc(Edge{item, id, 1, parent.head});
   }
@@ -65,31 +68,47 @@ void Lz78Predictor::observe(ItemId item) {
   ++phrases_;
 }
 
-void Lz78Predictor::blend_into(std::span<double> p) const {
+Lz78Predictor::Blend Lz78Predictor::blend() const {
   const Node& node = nodes_[current_];
   // PPM-C escape: distinct successors / (total + distinct).
   const double distinct = static_cast<double>(node.deg);
   const double total = static_cast<double>(node.total);
-  const double esc = distinct / (total + distinct);
-  const double denom =
-      static_cast<double>(total_) + static_cast<double>(n_);
-  // A successor's entry is share + esc * base, in the reference's
+  return {distinct / (total + distinct), total,
+          static_cast<double>(total_) + static_cast<double>(n_)};
+}
+
+void Lz78Predictor::blend_into(Blend b, std::span<double> p) const {
+  // A successor's entry is share + backstop, in the reference's
   // operation order (addition commutes bit for bit). At the root a
   // symbol without a child has count 0, whose share is +0.0.
   if (current_ == 0) {
     for (std::size_t i = 0; i < n_; ++i) {
-      p[i] = (1.0 - esc) * root_count_[i] / total +
-             esc * ((marginal_[i] + 1.0) / denom);
+      p[i] = b.share(root_count_[i]) + b.backstop(marginal_[i]);
     }
     return;
   }
-  for (std::size_t i = 0; i < n_; ++i) {
-    p[i] = esc * ((marginal_[i] + 1.0) / denom);
-  }
+  for (std::size_t i = 0; i < n_; ++i) p[i] = b.backstop(marginal_[i]);
+  const Node& node = nodes_[current_];
   for (std::uint32_t e = node.head; e != kNull; e = edges_[e].next) {
     p[static_cast<std::size_t>(edges_[e].sym)] +=
-        (1.0 - esc) * static_cast<double>(edges_[e].count) / total;
+        b.share(static_cast<double>(edges_[e].count));
   }
+}
+
+bool Lz78Predictor::blend_below(Blend b, double floor) const {
+  // Rounding is monotone in every operand, so blend_into's expression
+  // evaluated on the largest counts is at least every entry it writes.
+  // A node with observations has a successor, whose share is >= +0.0.
+  double count = max_root_count_;
+  if (current_ != 0) {
+    std::uint64_t largest = 0;
+    const Node& node = nodes_[current_];
+    for (std::uint32_t e = node.head; e != kNull; e = edges_[e].next) {
+      largest = std::max(largest, edges_[e].count);
+    }
+    count = static_cast<double>(largest);
+  }
+  return b.share(count) + b.backstop(max_marginal_) < floor;
 }
 
 void Lz78Predictor::predict_into(std::vector<double>& out) const {
@@ -107,7 +126,7 @@ void Lz78Predictor::predict_into(std::vector<double>& out) const {
     for (std::size_t i = 0; i < n_; ++i) p[i] = (marginal_[i] + 1.0) / denom;
     return;
   }
-  blend_into(p);
+  blend_into(blend(), p);
   // Normalize away fp residue.
   double sum = 0.0;
   for (const double x : p) sum += x;
@@ -129,6 +148,10 @@ void Lz78Predictor::predict_filtered_into(
     const double denom =
         static_cast<double>(total_) + static_cast<double>(n_);
     const double screen = screen_below(min_prob, denom);
+    if (max_marginal_ + 1.0 < screen) {  // no count passes
+      SKP_ASSERT(filters_to_empty(min_prob));
+      return;
+    }
     for (std::size_t i = 0; i < n_; ++i) {
       const double x = marginal_[i] + 1.0;
       if (x < screen) continue;
@@ -139,11 +162,19 @@ void Lz78Predictor::predict_filtered_into(
     }
     return;
   }
+  // A row whose largest entry cannot reach the candidate floor filters
+  // to nothing: its exact sum is 1, so the reference divides by a sum of
+  // at least 1/2 (see finish_normalized_row).
+  const Blend b = blend();
+  const double floor = candidate_floor(min_prob);
+  if (blend_below(b, floor)) {
+    SKP_ASSERT(filters_to_empty(min_prob));
+    return;
+  }
   // P is the only row: the reference row goes into it element-wise, then
   // one index-order pass sums it, keeps the candidates and re-zeroes it
   // for finish_normalized_row.
-  blend_into(P);
-  const double floor = candidate_floor(min_prob);
+  blend_into(b, P);
   candidates_.clear();
   double sum = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
@@ -167,6 +198,8 @@ void Lz78Predictor::reset() {
   depth_ = 0;
   phrases_ = 0;
   std::fill(marginal_.begin(), marginal_.end(), 0.0);
+  max_marginal_ = 0.0;
+  max_root_count_ = 0.0;
   total_ = 0;
 }
 

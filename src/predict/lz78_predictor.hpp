@@ -23,6 +23,13 @@
 //
 // Marginal and root counts are held as doubles, exact below 2^53
 // observations, so the per-entry backstop divisions vectorize.
+//
+// A filtered row that cannot clear min_prob skips the O(n) pass. Running
+// maxima of the marginal and root counts feed the blend's own
+// floating-point expressions; rounding is monotone, so the result is at
+// least every entry. That check is O(1) at the root and at a node with
+// no observations, and O(degree) below the root (the largest successor
+// count).
 #pragma once
 
 #include <cstdint>
@@ -43,7 +50,8 @@ class Lz78Predictor final : public Predictor {
   // The pre-normalization row is written element-wise into P, then one
   // index-order pass takes its sum (the rounding the reference divides
   // by), keeps the entries that can clear `min_prob` and re-zeroes P;
-  // only those entries are then divided.
+  // only those entries are then divided. A row whose bound is below the
+  // candidate floor (blend_below) is returned empty before the pass.
   void predict_filtered_into(double min_prob, std::vector<double>& P,
                              std::vector<ItemId>& support) const override;
   std::size_t n_items() const override { return n_; }
@@ -76,15 +84,31 @@ class Lz78Predictor final : public Predictor {
     std::uint64_t total = 0;
   };
 
+  // The blend's terms at the current node, which must have observations.
+  struct Blend {
+    double esc;    // PPM-C escape: distinct / (total + distinct)
+    double total;  // the node's observations
+    double denom;  // total_ + n, the order-0 backstop's divisor
+    // A symbol's escape-weighted order-0 backstop.
+    double backstop(double marginal) const {
+      return esc * ((marginal + 1.0) / denom);
+    }
+    // A successor's (1 - esc) * count / total share.
+    double share(double count) const { return (1.0 - esc) * count / total; }
+  };
+
   // The non-root node's edge for `sym`, or nullptr. Below the root,
   // out-degrees are small (the paper's sources have 10-20 successors
   // per state), so a linear scan of the list beats a hash.
   Edge* find_edge(Node& node, ItemId sym);
+  Blend blend() const;
   // The reference's pre-normalization row at the current node, which
-  // must have observations: each entry's escape-weighted order-0
-  // backstop plus, for a successor, its (1 - esc) * count / total share.
-  // Writes all n entries of `p`.
-  void blend_into(std::span<double> p) const;
+  // must have observations: each entry's backstop plus, for a successor,
+  // its share. Writes all n entries of `p`.
+  void blend_into(Blend b, std::span<double> p) const;
+  // True when every entry blend_into would write is below `floor`,
+  // shown from the running maxima: O(1) at the root, O(degree) below.
+  bool blend_below(Blend b, double floor) const;
 
   std::size_t n_;
   std::vector<Node> nodes_;  // nodes_[0] is the root
@@ -97,6 +121,9 @@ class Lz78Predictor final : public Predictor {
   std::size_t depth_ = 0;
   std::size_t phrases_ = 0;
   std::vector<double> marginal_;
+  // Running maxima of marginal_ and root_count_, for blend_below.
+  double max_marginal_ = 0.0;
+  double max_root_count_ = 0.0;
   std::uint64_t total_ = 0;
   // predict_filtered_into's survivor candidates, reused so it never
   // allocates.

@@ -1,5 +1,7 @@
 #include "predict/predictor.hpp"
 
+#include <algorithm>
+
 namespace skp {
 
 void Predictor::predict_filtered_into(double min_prob, std::vector<double>& P,
@@ -21,6 +23,14 @@ void Predictor::clear_filtered_row(std::vector<double>& P,
     for (const ItemId id : support) P[static_cast<std::size_t>(id)] = 0.0;
   }
   support.clear();
+}
+
+bool Predictor::filters_to_empty(double min_prob) const {
+  std::vector<double> row;
+  predict_into(row);
+  return std::all_of(row.begin(), row.end(), [min_prob](double p) {
+    return min_prob_filtered(p, min_prob) == 0.0;
+  });
 }
 
 namespace {

@@ -73,6 +73,9 @@ class Predictor {
   // (touching only the previous support) and clears `support`.
   void clear_filtered_row(std::vector<double>& P,
                           std::vector<ItemId>& support) const;
+  // True when the reference row filters to all zeros. O(n) and
+  // allocating: for SKP_ASSERT on the paths that skip the row.
+  bool filters_to_empty(double min_prob) const;
 
   // ---- Rows normalized as x_i / sum (LZ78, PPM) ------------------------
   // The reference divides every pre-normalization entry x_i by their
@@ -81,10 +84,17 @@ class Predictor {
   // fl(x / sum) < min_prob, so the reference filters it to 0 anyway.
   // A sparse predictor makes one O(n) pass that sums x in index order
   // and keeps every x >= candidate_floor(min_prob) as a candidate, then
-  // calls finish_normalized_row. The floor assumes sum >= 1/2 (the exact
-  // row sum is 1); finish_normalized_row returns false when the computed
-  // sum breaks that or is not finite, and the caller must then take the
-  // dense path.
+  // calls finish_normalized_row. The floor assumes sum >= 1/2;
+  // finish_normalized_row returns false when the computed sum breaks
+  // that or is not finite, and the caller must then take the dense path.
+  // The assumption holds because these rows sum to exactly 1 in real
+  // arithmetic: each escape level claims its share and passes the rest
+  // to a backstop that sums to 1 (in LZ78, the marginals plus n sum to
+  // total + n, and a node's child counts sum to its total). The computed
+  // sum is 1 within a few ulps per entry, far inside [1/2, 2]. So a row
+  // whose largest x is below the floor filters to nothing, and a
+  // predictor that can bound that largest x before the pass (LZ78) may
+  // return the empty row without summing.
   struct FilterCandidate {
     ItemId id;
     double x;  // pre-normalization value
