@@ -1,8 +1,8 @@
 // skpd daemon tests: wire protocol round-trips, the session store's
 // exactly-once replay discipline, and live loopback runs against a
 // spawned daemon (equivalence with netsim_des, resume bit-identity under
-// forced connection drops, keepalive eviction, SIGTERM drain, slow-reader
-// backpressure).
+// forced connection drops, keepalive eviction with and without a
+// backed-up write queue, SIGTERM drain, slow-reader backpressure).
 //
 // The socket tests spawn the real skpd binary (SKPD_TEST_BIN, injected by
 // CMake as the built tools/skpd path) through the same SkpdDaemonProcess
@@ -771,11 +771,11 @@ TEST(SkpdDaemon, SigtermDrainWritesCompleteStatsCsvAndExitsZero) {
 // up unread.
 class RawPipelineClient {
  public:
-  explicit RawPipelineClient(int port) {
+  // A tiny receive buffer makes the daemon's send() back up quickly.
+  explicit RawPipelineClient(int port, int receive_buffer = 1024) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
-    // A tiny receive buffer makes the daemon's send() back up quickly.
-    set_receive_buffer(1024);
+    set_receive_buffer(receive_buffer);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -804,16 +804,32 @@ class RawPipelineClient {
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
   }
 
+  // The next frame already received, if a whole one is buffered.
+  std::optional<SkpdFrame> buffered_frame(std::string& storage) {
+    std::size_t off = off_;
+    const auto frame = parse_skpd_frame(rx_, off);
+    if (!frame) return std::nullopt;
+    off_ = off;
+    storage.assign(frame->payload);
+    return SkpdFrame{frame->type, storage};
+  }
+
+  // One blocking recv() of at most `max_bytes`.
+  void receive(std::size_t max_bytes) {
+    char buf[512];
+    const ssize_t n =
+        ::recv(fd_, buf, std::min(max_bytes, sizeof(buf)), 0);
+    if (n <= 0) {
+      throw std::runtime_error("daemon closed the pipe");
+    }
+    rx_.append(buf, static_cast<std::size_t>(n));
+  }
+
   // Blocking read of the next frame (test-scale simplicity). Past the
   // time set by widen_at(), the receive buffer is raised to 1 MB, once.
   SkpdFrame read_frame(std::string& storage) {
     for (;;) {
-      std::size_t off = off_;
-      if (const auto frame = parse_skpd_frame(rx_, off)) {
-        off_ = off;
-        storage.assign(frame->payload);
-        return SkpdFrame{frame->type, storage};
-      }
+      if (const auto frame = buffered_frame(storage)) return *frame;
       if (widen_at_) {
         using std::chrono::milliseconds;
         const auto wait = std::chrono::duration_cast<milliseconds>(
@@ -825,12 +841,7 @@ class RawPipelineClient {
           widen_at_.reset();
         }
       }
-      char buf[512];
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n <= 0) {
-        throw std::runtime_error("daemon closed the pipe");
-      }
-      rx_.append(buf, static_cast<std::size_t>(n));
+      receive(512);
     }
   }
 
@@ -912,6 +923,110 @@ TEST(SkpdDaemon, SlowReaderIsForcedDownTheDegradationLadder) {
   EXPECT_EQ(result.metrics.requests, spec.requests);
   raw.send_frame(SkpdFrameType::kBye, {});
 
+  const int status = daemon.terminate();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// Opens a session on `raw` and pipelines every STEP of `spec` without
+// reading a result, so the daemon's write queue backs up.
+void pipeline_every_step(RawPipelineClient& raw, const SimSpec& spec) {
+  SkpdHello hello;
+  hello.spec_text = encode_sim_spec(spec);
+  raw.send_frame(SkpdFrameType::kHello, encode_hello(hello));
+  std::string storage;
+  ASSERT_EQ(raw.read_frame(storage).type, SkpdFrameType::kWelcome);
+  for (std::uint64_t seq = 1; seq <= spec.requests; ++seq) {
+    SkpdStep step;
+    step.seq = seq;
+    step.ack = seq - 1;
+    raw.send_frame(SkpdFrameType::kStep, encode_step(step));
+  }
+}
+
+// Daemon flags for the keepalive-under-backlog tests: a 0.4 s deadline
+// (PING at 0.2 s idle), a small kernel send buffer so results queue in
+// the daemon, and a hard limit no backlog here reaches, so only the
+// keepalive can close the connection.
+const std::vector<std::string> kBacklogFlags = {
+    "--keepalive=0.4", "--sndbuf=4096", "--write-queue-hard=100000000"};
+constexpr double kBacklogKeepalive = 0.4;
+// The client's receive buffer: small enough that the ~150 KB of results
+// back up in the daemon, large enough that TCP's receive window never
+// drops below the daemon's segment size (see the slow-reader test).
+constexpr int kBacklogReceiveBuffer = 8192;
+
+TEST(SkpdDaemon, SlowDrainOutlivesKeepalive) {
+  const SimSpec spec = netsim_spec(2000, 31);
+  SkpdDaemonProcess daemon(daemon_binary(), kBacklogFlags);
+  RawPipelineClient raw(daemon.port(), kBacklogReceiveBuffer);
+  pipeline_every_step(raw, spec);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Read a few hundred bytes per tick and send nothing back, not even a
+  // PONG. The daemon hears nothing for the whole drain; the queue's
+  // progress is all that keeps the connection.
+  const auto start = std::chrono::steady_clock::now();
+  std::string storage;
+  std::uint64_t last_seq = 0;
+  while (last_seq < spec.requests) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    raw.receive(256);
+    while (const auto frame = raw.buffered_frame(storage)) {
+      if (frame->type == SkpdFrameType::kPing) continue;
+      ASSERT_EQ(frame->type, SkpdFrameType::kStepResult);
+      const std::uint64_t seq = decode_step_result(frame->payload).seq;
+      ASSERT_EQ(seq, last_seq + 1);
+      last_seq = seq;
+    }
+  }
+  const std::chrono::duration<double> drain =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_GT(drain.count(), 2.0 * kBacklogKeepalive);
+
+  raw.send_frame(SkpdFrameType::kStats, {});
+  SkpdFrame stats = raw.read_frame(storage);
+  while (stats.type == SkpdFrameType::kPing) {
+    raw.send_frame(SkpdFrameType::kPong,
+                   encode_ping(decode_ping(stats.payload)));
+    stats = raw.read_frame(storage);
+  }
+  ASSERT_EQ(stats.type, SkpdFrameType::kStatsResult);
+  EXPECT_EQ(decode_sim_result(stats.payload).metrics.requests,
+            spec.requests);
+  raw.send_frame(SkpdFrameType::kBye, {});
+  const int status = daemon.terminate();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(SkpdDaemon, StalledReaderWithBacklogIsEvicted) {
+  const SimSpec spec = netsim_spec(2000, 31);
+  SkpdDaemonProcess daemon(daemon_binary(), kBacklogFlags);
+  RawPipelineClient raw(daemon.port(), kBacklogReceiveBuffer);
+  pipeline_every_step(raw, spec);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Read nothing for three deadlines: the queue makes no progress.
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(3.0 * kBacklogKeepalive));
+  // What the kernels buffered still arrives, then the stream ends: the
+  // daemon dropped the rest of the queue with the connection.
+  std::string storage;
+  std::uint64_t last_seq = 0;
+  bool closed = false;
+  try {
+    while (last_seq < spec.requests) {
+      const SkpdFrame frame = raw.read_frame(storage);
+      if (frame.type == SkpdFrameType::kStepResult) {
+        last_seq = decode_step_result(frame.payload).seq;
+      }
+    }
+  } catch (const std::runtime_error&) {
+    closed = true;
+  }
+  EXPECT_TRUE(closed);
+  EXPECT_LT(last_seq, spec.requests);
   const int status = daemon.terminate();
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);

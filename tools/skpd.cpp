@@ -10,9 +10,10 @@
 // Robustness machinery, all deadline-driven off one EventQueue (the DES
 // timer core from sim/event_queue.hpp, here run against the wall clock):
 //
-//   keepalive   Peers idle for keepalive/2 get a PING; peers still silent
-//               at the full keepalive deadline are evicted. The SESSION
-//               survives eviction — only the connection dies.
+//   keepalive   A peer is alive while it sends bytes or drains a backed-up
+//               write queue. Peers idle for keepalive/2 get a PING; peers
+//               still idle at the full keepalive deadline are evicted. The
+//               SESSION survives eviction — only the connection dies.
 //   linger      A session with no attached connection (client crashed, or
 //               evicted) is reaped after --session-linger seconds.
 //   backpressure  Per-connection write queues are bounded. Crossing the
@@ -73,7 +74,7 @@ void on_stop_signal(int) { g_stop = 1; }
 
 struct Options {
   int port = 0;                           // 0 = kernel-assigned
-  double keepalive = 30.0;                // seconds of peer silence
+  double keepalive = 30.0;                // seconds of peer idleness
   double session_linger = 120.0;          // detached-session lifetime
   std::size_t write_queue_soft = 1u << 16;  // bytes: degrade rung
   std::size_t write_queue_hard = 1u << 18;  // bytes: evict connection
@@ -189,7 +190,12 @@ struct Conn {
   std::size_t rx_off = 0;
   std::string tx;
   std::size_t tx_off = 0;
-  double last_rx = 0.0;        // daemon-clock time of last inbound byte
+  // Daemon-clock time of the last inbound byte, or of the last send
+  // from a backed-up write queue. A peer draining a long queue has
+  // nothing to say, and the PING that could prove it alive waits
+  // behind that queue.
+  double last_alive = 0.0;
+  bool tx_blocked = false;  // a send hit EAGAIN since tx was last empty
   bool ping_outstanding = false;
   bool above_soft = false;     // edge detector for the degrade ladder
   bool closing = false;        // flush tx, then close
@@ -403,7 +409,7 @@ class Daemon {
       }
       Conn conn;
       conn.fd = fd;
-      conn.last_rx = wall_now();
+      conn.last_alive = wall_now();
       conns_.emplace(fd, std::move(conn));
     }
   }
@@ -416,7 +422,7 @@ class Daemon {
       const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
       if (n > 0) {
         conn.rx.append(buf, static_cast<std::size_t>(n));
-        conn.last_rx = wall_now();
+        conn.last_alive = wall_now();
         conn.ping_outstanding = false;
         if (static_cast<std::size_t>(n) < sizeof(buf)) break;
         continue;
@@ -626,15 +632,20 @@ class Daemon {
                  conn.tx.size() - conn.tx_off, MSG_NOSIGNAL);
       if (n > 0) {
         conn.tx_off += static_cast<std::size_t>(n);
+        if (conn.tx_blocked) conn.last_alive = wall_now();  // peer reads
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        conn.tx_blocked = true;
+        return;
+      }
       close_conn(fd, "send failed");
       return;
     }
     conn.tx.clear();
     conn.tx_off = 0;
+    conn.tx_blocked = false;
     conn.above_soft = false;  // re-arm the degrade ladder edge detector
   }
 
@@ -676,7 +687,7 @@ class Daemon {
     std::vector<int> to_ping, to_evict;
     for (auto& [fd, conn] : conns_) {
       if (conn.closing) continue;
-      const double idle = now - conn.last_rx;
+      const double idle = now - conn.last_alive;
       if (idle >= opt_.keepalive) {
         to_evict.push_back(fd);
       } else if (idle >= opt_.keepalive / 2.0 && !conn.ping_outstanding) {
