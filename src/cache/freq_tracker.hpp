@@ -2,9 +2,7 @@
 //
 // The paper's DS-arbitration scores cached items by the "delay-saving
 // profit" freq_i * r_i (a simplified WATCHMAN metric); LFU sub-arbitration
-// uses freq_i alone. The tracker also supports exponential decay so
-// long-running deployments can age out stale popularity (an extension
-// beyond the paper; decay factor 1.0 reproduces the paper's plain counts).
+// uses freq_i alone.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +14,8 @@ namespace skp {
 
 class FreqTracker {
  public:
-  // Tracks items 0..n-1. decay in (0, 1]: counts are multiplied by `decay`
-  // every `decay_interval` recorded accesses (1.0 = paper behaviour).
-  explicit FreqTracker(std::size_t n, double decay = 1.0,
-                       std::uint64_t decay_interval = 1000);
+  // Tracks items 0..n-1.
+  explicit FreqTracker(std::size_t n);
 
   std::size_t n() const noexcept { return counts_.size(); }
 
@@ -33,13 +29,9 @@ class FreqTracker {
         "item " << item << " out of range");
     counts_[static_cast<std::size_t>(item)] += 1.0;
     ++total_;
-    if (decay_ < 1.0 && ++since_decay_ >= decay_interval_) {
-      since_decay_ = 0;
-      for (auto& c : counts_) c *= decay_;
-    }
   }
 
-  // Access count (possibly decayed) of `item`.
+  // Access count of `item`.
   double frequency(ItemId item) const {
     SKP_REQUIRE(
         item >= 0 && static_cast<std::size_t>(item) < counts_.size(),
@@ -59,9 +51,6 @@ class FreqTracker {
 
  private:
   std::vector<double> counts_;
-  double decay_;
-  std::uint64_t decay_interval_;
-  std::uint64_t since_decay_ = 0;
   std::uint64_t total_ = 0;
 };
 

@@ -9,9 +9,6 @@ namespace {
 
 TEST(FreqTracker, ConstructionValidation) {
   EXPECT_THROW(FreqTracker(0), std::invalid_argument);
-  EXPECT_THROW(FreqTracker(5, 0.0), std::invalid_argument);
-  EXPECT_THROW(FreqTracker(5, 1.5), std::invalid_argument);
-  EXPECT_THROW(FreqTracker(5, 0.5, 0), std::invalid_argument);
   EXPECT_NO_THROW(FreqTracker(5));
 }
 
@@ -55,24 +52,6 @@ TEST(FreqTracker, NoDecayByDefault) {
   FreqTracker t(2);
   for (int i = 0; i < 5000; ++i) t.record(0);
   EXPECT_DOUBLE_EQ(t.frequency(0), 5000.0);
-}
-
-TEST(FreqTracker, DecayAgesCounts) {
-  FreqTracker t(2, /*decay=*/0.5, /*decay_interval=*/10);
-  for (int i = 0; i < 10; ++i) t.record(0);
-  // After the 10th record the decay fires: 10 * 0.5 = 5.
-  EXPECT_DOUBLE_EQ(t.frequency(0), 5.0);
-}
-
-TEST(FreqTracker, DecayAppliesToAllItems) {
-  FreqTracker t(3, 0.5, 4);
-  t.record(0);
-  t.record(1);
-  t.record(1);
-  t.record(2);  // triggers decay
-  EXPECT_DOUBLE_EQ(t.frequency(0), 0.5);
-  EXPECT_DOUBLE_EQ(t.frequency(1), 1.0);
-  EXPECT_DOUBLE_EQ(t.frequency(2), 0.5);
 }
 
 }  // namespace
