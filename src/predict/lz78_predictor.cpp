@@ -95,22 +95,6 @@ void Lz78Predictor::blend_into(Blend b, std::span<double> p) const {
   }
 }
 
-bool Lz78Predictor::blend_below(Blend b, double floor) const {
-  // Rounding is monotone in every operand, so blend_into's expression
-  // evaluated on the largest counts is at least every entry it writes.
-  // A node with observations has a successor, whose share is >= +0.0.
-  double count = max_root_count_;
-  if (current_ != 0) {
-    std::uint64_t largest = 0;
-    const Node& node = nodes_[current_];
-    for (std::uint32_t e = node.head; e != kNull; e = edges_[e].next) {
-      largest = std::max(largest, edges_[e].count);
-    }
-    count = static_cast<double>(largest);
-  }
-  return b.share(count) + b.backstop(max_marginal_) < floor;
-}
-
 void Lz78Predictor::predict_into(std::vector<double>& out) const {
   std::vector<double>& p = out;
   if (total_ == 0) {
@@ -164,10 +148,14 @@ void Lz78Predictor::predict_filtered_into(
   }
   // A row whose largest entry cannot reach the candidate floor filters
   // to nothing: its exact sum is 1, so the reference divides by a sum of
-  // at least 1/2 (see finish_normalized_row).
+  // at least 1/2 (see finish_normalized_row). At the root, blend_into's
+  // expression evaluated on the two running maxima is at least every
+  // entry it writes, since rounding is monotone in every operand. Rows
+  // below the root go straight to the pass.
   const Blend b = blend();
   const double floor = candidate_floor(min_prob);
-  if (blend_below(b, floor)) {
+  if (current_ == 0 &&
+      b.share(max_root_count_) + b.backstop(max_marginal_) < floor) {
     SKP_ASSERT(filters_to_empty(min_prob));
     return;
   }

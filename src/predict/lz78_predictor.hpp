@@ -24,12 +24,11 @@
 // Marginal and root counts are held as doubles, exact below 2^53
 // observations, so the per-entry backstop divisions vectorize.
 //
-// A filtered row that cannot clear min_prob skips the O(n) pass. Running
-// maxima of the marginal and root counts feed the blend's own
-// floating-point expressions; rounding is monotone, so the result is at
-// least every entry. That check is O(1) at the root and at a node with
-// no observations, and O(degree) below the root (the largest successor
-// count).
+// A filtered row at the root or at a node with no observations that
+// cannot clear min_prob skips the O(n) pass. Running maxima of the
+// marginal and root counts feed the row's own floating-point
+// expressions; rounding is monotone, so the result is at least every
+// entry, and the check is O(1). Rows below the root take the pass.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +49,8 @@ class Lz78Predictor final : public Predictor {
   // The pre-normalization row is written element-wise into P, then one
   // index-order pass takes its sum (the rounding the reference divides
   // by), keeps the entries that can clear `min_prob` and re-zeroes P;
-  // only those entries are then divided. A row whose bound is below the
-  // candidate floor (blend_below) is returned empty before the pass.
+  // only those entries are then divided. A root row whose bound is below
+  // the candidate floor is returned empty before the pass.
   void predict_filtered_into(double min_prob, std::vector<double>& P,
                              std::vector<ItemId>& support) const override;
   std::size_t n_items() const override { return n_; }
@@ -106,9 +105,6 @@ class Lz78Predictor final : public Predictor {
   // must have observations: each entry's backstop plus, for a successor,
   // its share. Writes all n entries of `p`.
   void blend_into(Blend b, std::span<double> p) const;
-  // True when every entry blend_into would write is below `floor`,
-  // shown from the running maxima: O(1) at the root, O(degree) below.
-  bool blend_below(Blend b, double floor) const;
 
   std::size_t n_;
   std::vector<Node> nodes_;  // nodes_[0] is the root
@@ -121,7 +117,8 @@ class Lz78Predictor final : public Predictor {
   std::size_t depth_ = 0;
   std::size_t phrases_ = 0;
   std::vector<double> marginal_;
-  // Running maxima of marginal_ and root_count_, for blend_below.
+  // Running maxima of marginal_ and root_count_, which bound the root
+  // and fresh-node rows in predict_filtered_into.
   double max_marginal_ = 0.0;
   double max_root_count_ = 0.0;
   std::uint64_t total_ = 0;
