@@ -944,13 +944,13 @@ void pipeline_every_step(RawPipelineClient& raw, const SimSpec& spec) {
   }
 }
 
-// Daemon flags for the keepalive-under-backlog tests: a 0.4 s deadline
-// (PING at 0.2 s idle), a small kernel send buffer so results queue in
+// Daemon flags for the keepalive-under-backlog tests: a 1 s deadline
+// (PING at 0.5 s idle), a small kernel send buffer so results queue in
 // the daemon, and a hard limit no backlog here reaches, so only the
 // keepalive can close the connection.
 const std::vector<std::string> kBacklogFlags = {
-    "--keepalive=0.4", "--sndbuf=4096", "--write-queue-hard=100000000"};
-constexpr double kBacklogKeepalive = 0.4;
+    "--keepalive=1", "--sndbuf=4096", "--write-queue-hard=100000000"};
+constexpr double kBacklogKeepalive = 1.0;
 // The client's receive buffer: small enough that the ~150 KB of results
 // back up in the daemon, large enough that TCP's receive window never
 // drops below the daemon's segment size (see the slow-reader test).
@@ -963,15 +963,16 @@ TEST(SkpdDaemon, SlowDrainOutlivesKeepalive) {
   pipeline_every_step(raw, spec);
   if (::testing::Test::HasFatalFailure()) return;
 
-  // Read a few hundred bytes per tick and send nothing back, not even a
-  // PONG. The daemon hears nothing for the whole drain; the queue's
-  // progress is all that keeps the connection.
+  // Read at most 128 bytes per 2 ms tick, so the ~150 KB of results
+  // take longer than two deadlines to drain, and send nothing back, not
+  // even a PONG. The daemon hears nothing for the whole drain; the
+  // queue's progress is all that keeps the connection.
   const auto start = std::chrono::steady_clock::now();
   std::string storage;
   std::uint64_t last_seq = 0;
   while (last_seq < spec.requests) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    raw.receive(256);
+    raw.receive(128);
     while (const auto frame = raw.buffered_frame(storage)) {
       if (frame->type == SkpdFrameType::kPing) continue;
       ASSERT_EQ(frame->type, SkpdFrameType::kStepResult);
