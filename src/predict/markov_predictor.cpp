@@ -42,24 +42,16 @@ void MarkovPredictor::observe(ItemId item) {
     ++row_total_[p];
   }
   ++marginal_[i];
-  max_marginal_ = std::max(max_marginal_, marginal_[i]);
   ++total_;
   last_ = item;
 }
 
-bool MarkovPredictor::has_context() const noexcept {
-  return last_ != kNoItem && row_total_[static_cast<std::size_t>(last_)] > 0;
-}
-
-double MarkovPredictor::marginal_denom() const noexcept {
-  return static_cast<double>(total_) + laplace_ * static_cast<double>(n_);
-}
-
 void MarkovPredictor::predict_into(std::vector<double>& out) const {
   out.resize(n_);
-  if (!has_context()) {
+  if (last_ == kNoItem || row_total_[static_cast<std::size_t>(last_)] == 0) {
     // No context yet: fall back to the (smoothed) marginal distribution.
-    const double denom = marginal_denom();
+    const double denom =
+        static_cast<double>(total_) + laplace_ * static_cast<double>(n_);
     for (std::size_t i = 0; i < n_; ++i) {
       out[i] = (static_cast<double>(marginal_[i]) + laplace_) / denom;
     }
@@ -79,18 +71,8 @@ void MarkovPredictor::predict_into(std::vector<double>& out) const {
 void MarkovPredictor::predict_filtered_into(
     double min_prob, std::vector<double>& P,
     std::vector<ItemId>& support) const {
-  if (!has_context()) {
-    // predict_into's entry for the largest count is the row's largest
-    // (rounding is monotone), so one comparison shows a row that filters
-    // to nothing.
-    const double largest =
-        (static_cast<double>(max_marginal_) + laplace_) / marginal_denom();
-    if (min_prob_filtered(largest, min_prob) == 0.0) {
-      clear_filtered_row(P, support);
-      SKP_ASSERT(filters_to_empty(min_prob));
-    } else {
-      Predictor::predict_filtered_into(min_prob, P, support);
-    }
+  if (last_ == kNoItem || row_total_[static_cast<std::size_t>(last_)] == 0) {
+    Predictor::predict_filtered_into(min_prob, P, support);
     return;
   }
   const auto row = static_cast<std::size_t>(last_);
@@ -115,7 +97,6 @@ void MarkovPredictor::reset() {
   for (auto& list : succ_) list.clear();
   std::fill(row_total_.begin(), row_total_.end(), 0);
   std::fill(marginal_.begin(), marginal_.end(), 0);
-  max_marginal_ = 0;
   total_ = 0;
   last_ = kNoItem;
 }
