@@ -28,7 +28,7 @@
 // cannot clear min_prob skips the O(n) pass. Running maxima of the
 // marginal and root counts feed the row's own floating-point
 // expressions; rounding is monotone, so the result is at least every
-// entry, and the check is O(1). Rows below the root take the pass.
+// entry, and the check is O(1). Other rows take the pass.
 #pragma once
 
 #include <cstdint>

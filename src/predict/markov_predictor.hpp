@@ -26,7 +26,7 @@ class MarkovPredictor final : public Predictor {
   // Walks the last state's successor list when the Laplace floor itself
   // is filtered out (the usual case); otherwise every entry survives and
   // the dense path runs. A row without a context (the smoothed marginal)
-  // takes the dense path too: on learned_des ~3% of Markov1 rows have
+  // takes the dense path too: on learned_des 3-13% of Markov1 rows have
   // none, and skipping them did not show end to end.
   void predict_filtered_into(double min_prob, std::vector<double>& P,
                              std::vector<ItemId>& support) const override;
