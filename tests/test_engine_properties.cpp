@@ -3,10 +3,14 @@
 // random instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "core/access_model.hpp"
+#include "core/kp_solver.hpp"
 #include "core/prefetch_engine.hpp"
 #include "test_util.hpp"
 
@@ -170,6 +174,145 @@ INSTANTIATE_TEST_SUITE_P(
         EngineParam{PrefetchPolicy::Perfect, SubArbitration::DS, false,
                     2}),
     engine_param_name);
+
+// ---- Differential Figure-6 admission -----------------------------------
+// plan_with_cache against a reference Figure-6 loop built from public
+// calls only: solve over the uncached positive items, admit the proposal
+// in descending P r (ties in Eq.-5 order), fill free slots, then repeat
+// choose_victim plus removal under the Pr-arbitration test. The engine
+// extracts its victims without those repeated scans, so fetch and evict
+// must match exactly, on catalogs on both sides of the 64-item word
+// boundary.
+PrefetchPlan reference_plan(const Instance& inst, const SlotCache& cache,
+                            const FreqTracker& freq,
+                            const EngineConfig& cfg) {
+  std::vector<ItemId> candidates;
+  for (std::size_t i = 0; i < inst.n(); ++i) {
+    const auto id = static_cast<ItemId>(i);
+    if (inst.P[i] > 0.0 && !cache.contains(id)) candidates.push_back(id);
+  }
+  const std::vector<ItemId> proposal =
+      cfg.policy == PrefetchPolicy::SKP ? solve_skp(inst, candidates).F
+                                        : solve_kp_bb(inst, candidates).items;
+  std::vector<ItemId> by_profit = proposal;
+  std::sort(by_profit.begin(), by_profit.end(), [&](ItemId a, ItemId b) {
+    const auto i = static_cast<std::size_t>(a);
+    const auto j = static_cast<std::size_t>(b);
+    if (inst.profit(a) != inst.profit(b)) {
+      return inst.profit(a) > inst.profit(b);
+    }
+    if (inst.P[i] != inst.P[j]) return inst.P[i] > inst.P[j];
+    if (inst.r[i] != inst.r[j]) return inst.r[i] < inst.r[j];
+    return a < b;
+  });
+
+  std::vector<ItemId> resident(cache.contents().begin(),
+                               cache.contents().end());
+  std::size_t free_slots = cache.capacity() - cache.size();
+  std::map<ItemId, std::optional<ItemId>> committed;  // fetch -> victim
+  for (const ItemId f : by_profit) {
+    if (free_slots > 0) {
+      --free_slots;
+      committed[f] = std::nullopt;
+      continue;
+    }
+    if (resident.empty()) break;
+    const ItemId d = choose_victim(inst, resident, &freq, cfg.arbitration);
+    if (!admits_prefetch(inst, f, d, cfg.arbitration)) break;
+    resident.erase(std::find(resident.begin(), resident.end(), d));
+    committed[f] = d;
+  }
+
+  PrefetchPlan out;
+  for (const ItemId f : proposal) {
+    const auto it = committed.find(f);
+    if (it == committed.end()) continue;
+    out.fetch.push_back(f);
+    if (it->second) out.evict.push_back(*it->second);
+  }
+  return out;
+}
+
+// A sparse row has ties on purpose: `support` positive entries with small
+// integer weights and integer r in 1..4, so equal P r values (and zero-Pr
+// residents) leave many decisions to the sub-score and the id rule. A
+// dense row gives every item continuous weight and r instead.
+Instance admission_instance(Rng& rng, std::size_t n, bool dense,
+                            std::size_t support) {
+  Instance inst;
+  inst.r.resize(n);
+  if (dense) support = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    inst.r[i] = dense ? rng.uniform(1.0, 4.0)
+                      : static_cast<double>(rng.uniform_int(1, 4));
+  }
+  std::vector<std::size_t> ids(n);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  rng.shuffle(ids);
+  std::vector<double> w(n, 0.0);
+  for (std::size_t k = 0; k < support; ++k) {
+    w[ids[k]] = dense ? rng.uniform(0.1, 1.0)
+                      : static_cast<double>(rng.uniform_int(1, 3));
+  }
+  inst.P = normalize_probabilities(w);
+  inst.v = static_cast<double>(rng.uniform_int(4, 40));
+  return inst;
+}
+
+TEST(EngineAdmissionDifferential, MatchesChooseVictimReferenceLoop) {
+  Rng rng(7700);
+  std::size_t contested = 0;  // plans that evicted at least one item
+  for (const std::size_t n : {10, 63, 64, 65, 130, 1000}) {
+    for (const PrefetchPolicy policy :
+         {PrefetchPolicy::KP, PrefetchPolicy::SKP}) {
+      for (const SubArbitration sub :
+           {SubArbitration::None, SubArbitration::LFU,
+            SubArbitration::DS}) {
+        for (const bool strict : {false, true}) {
+          EngineConfig cfg;
+          cfg.policy = policy;
+          cfg.arbitration.sub = sub;
+          cfg.arbitration.strict_ties = strict;
+          const PrefetchEngine engine(cfg);
+          for (int trial = 0; trial < 12; ++trial) {
+            const bool dense = trial % 3 == 2;
+            const Instance inst = admission_instance(
+                rng, n, dense, std::min<std::size_t>(n - 1, 3 + trial));
+            const std::size_t capacity = std::max<std::size_t>(
+                2, static_cast<std::size_t>(rng.next_below(n / 2 + 1)));
+            SlotCache cache(n, capacity);
+            std::vector<ItemId> ids(n);
+            std::iota(ids.begin(), ids.end(), 0);
+            rng.shuffle(ids);
+            const std::size_t fill =
+                trial % 2 == 0 ? capacity
+                               : static_cast<std::size_t>(
+                                     rng.next_below(capacity + 1));
+            for (std::size_t k = 0; k < fill; ++k) cache.insert(ids[k]);
+            FreqTracker freq(n);
+            for (std::size_t k = 0; k < n / 2 + 5; ++k) {
+              freq.record(static_cast<ItemId>(rng.next_below(n)));
+            }
+
+            const PrefetchPlan got = engine.plan_with_cache(inst, cache,
+                                                            &freq);
+            const PrefetchPlan want = reference_plan(inst, cache, freq,
+                                                     cfg);
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " " << to_string(policy) << " "
+                         << to_string(sub) << (strict ? " strict" : "")
+                         << " trial " << trial);
+            ASSERT_EQ(got.fetch, want.fetch);
+            ASSERT_EQ(got.evict, want.evict);
+            if (!got.evict.empty()) ++contested;
+          }
+        }
+      }
+    }
+  }
+  // The comparison must reach the victim path, not only free slots.
+  EXPECT_GT(contested, 200u);
+}
 
 // Sized-planner analogue of the structural grid.
 class SizedEngineTest : public ::testing::Test {};

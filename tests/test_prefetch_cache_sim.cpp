@@ -201,6 +201,11 @@ struct EquivCase {
   double min_profit;
   double size_per_r;  // sized only: 0 = uniform 15.5-unit items
   bool strict_ties;
+  // Slot only. 30 states is quick()'s 4-8 out-degree chain; any other
+  // count takes the paper-default chain shape (out-degree 10-20), whose
+  // catalog spans more than one 64-item presence word at 100.
+  std::size_t n_states = 30;
+  std::size_t cache_size = 6;
 };
 
 const EquivCase kEquivCases[] = {
@@ -222,10 +227,17 @@ const EquivCase kEquivCases[] = {
     {"sized_uniform",  true,  PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 0.0, false},
     {"sized_kp_lfu",   true,  PrefetchPolicy::KP,      SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0, false},
     {"sized_perfect",  true,  PrefetchPolicy::Perfect, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, false},
+    {"paper_skp_c10",     false, PrefetchPolicy::SKP, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 10},
+    {"paper_skp_lfu_c10", false, PrefetchPolicy::SKP, SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 10},
+    {"paper_skp_ds_c10",  false, PrefetchPolicy::SKP, SubArbitration::DS,   PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 10},
+    {"paper_skp_c75",     false, PrefetchPolicy::SKP, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 75},
+    {"paper_skp_lfu_c75", false, PrefetchPolicy::SKP, SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 75},
+    {"paper_skp_ds_c75",  false, PrefetchPolicy::SKP, SubArbitration::DS,   PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 75},
     // clang-format on
 };
 
-PrefetchCacheResult run_equiv_case(const EquivCase& c) {
+PrefetchCacheResult run_equiv_case(const EquivCase& c,
+                                   bool use_plan_cache = true) {
   if (c.sized) {
     SizedExperimentConfig cfg;
     cfg.source.n_states = 30;
@@ -239,14 +251,21 @@ PrefetchCacheResult run_equiv_case(const EquivCase& c) {
     cfg.strict_ties = c.strict_ties;
     cfg.requests = 1500;
     cfg.seed = 11;
+    cfg.use_plan_cache = use_plan_cache;
     return run_prefetch_cache_sized(cfg);
   }
   auto cfg = quick(c.policy, c.sub);
+  if (c.n_states != cfg.source.n_states) {
+    cfg.source = MarkovSourceConfig{};
+    cfg.source.n_states = c.n_states;
+  }
+  cfg.cache_size = c.cache_size;
   cfg.predictor = c.predictor;
   cfg.lookahead_horizon = c.lookahead;
   cfg.min_profit_threshold = c.min_profit;
   cfg.strict_ties = c.strict_ties;
   cfg.requests = 2000;
+  cfg.use_plan_cache = use_plan_cache;
   return run_prefetch_cache(cfg);
 }
 
@@ -275,6 +294,12 @@ const EquivRow kEquivalence[] = {
     {"sized_uniform", 1090, 322, 4721, 3558, 7078, 175, 3.859333333333332, 69992},
     {"sized_kp_lfu", 1154, 346, 4081, 3117, 12737, 233, 4.3813333333333331, 60095},
     {"sized_perfect", 1260, 0, 1183, 0, 0, 84, 1.2866666666666653, 17486},
+    {"paper_skp_c10", 1041, 949, 7256, 6224, 33911, 219, 8.0319999999999965, 113290},
+    {"paper_skp_lfu_c10", 1072, 920, 7285, 6254, 34930, 220, 7.8034999999999997, 112746},
+    {"paper_skp_ds_c10", 1080, 910, 7519, 6461, 34799, 213, 7.4009999999999989, 112099},
+    {"paper_skp_c75", 1865, 132, 4655, 4111, 7975, 82, 1.3380000000000012, 66225},
+    {"paper_skp_lfu_c75", 1899, 98, 4018, 3637, 6672, 59, 1.009500000000003, 59848},
+    {"paper_skp_ds_c75", 1941, 57, 5914, 5357, 7526, 27, 0.33300000000000018, 42915},
     // clang-format on
 };
 
@@ -289,32 +314,7 @@ TEST(PrefetchCacheEquivalence, PlanCacheOnOffBitIdentical) {
   for (const EquivCase& c : kEquivCases) {
     const PrefetchCacheResult on = run_equiv_case(c);
 
-    PrefetchCacheResult off;
-    if (c.sized) {
-      SizedExperimentConfig cfg;
-      cfg.source.n_states = 30;
-      cfg.source.out_degree_lo = 4;
-      cfg.source.out_degree_hi = 8;
-      cfg.capacity = 90.0;
-      cfg.size_per_r = c.size_per_r;
-      cfg.size_lo = cfg.size_hi = 15.5;
-      cfg.policy = c.policy;
-      cfg.sub = c.sub;
-      cfg.strict_ties = c.strict_ties;
-      cfg.requests = 1500;
-      cfg.seed = 11;
-      cfg.use_plan_cache = false;
-      off = run_prefetch_cache_sized(cfg);
-    } else {
-      auto cfg = quick(c.policy, c.sub);
-      cfg.predictor = c.predictor;
-      cfg.lookahead_horizon = c.lookahead;
-      cfg.min_profit_threshold = c.min_profit;
-      cfg.strict_ties = c.strict_ties;
-      cfg.requests = 2000;
-      cfg.use_plan_cache = false;
-      off = run_prefetch_cache(cfg);
-    }
+    const PrefetchCacheResult off = run_equiv_case(c, false);
 
     EXPECT_EQ(on.metrics.hits, off.metrics.hits) << c.name;
     EXPECT_EQ(on.metrics.demand_fetches, off.metrics.demand_fetches)
