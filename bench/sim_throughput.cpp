@@ -38,9 +38,10 @@ using namespace skp;
 constexpr std::size_t kRequests = 2'000;
 
 void run_point(benchmark::State& state, PrefetchPolicy policy,
-               SubArbitration sub, bool use_plan_cache = true) {
+               SubArbitration sub, bool use_plan_cache = true,
+               std::size_t cache_size = 20) {
   PrefetchCacheConfig cfg;  // paper-default Markov source
-  cfg.cache_size = 20;
+  cfg.cache_size = cache_size;
   cfg.policy = policy;
   cfg.sub = sub;
   cfg.requests = kRequests;
@@ -150,6 +151,18 @@ void BM_Fig7Point_SkpPrDs_SelOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig7Point_SkpPrDs_SelOnly);
 
+// The largest resident set Figure 7 ranks victims in: LFU/DS at cache 75
+// of 100 items, where admission picks a few victims out of 75.
+void BM_Fig7Point_SkpPrLfu_C75(benchmark::State& state) {
+  run_point(state, PrefetchPolicy::SKP, SubArbitration::LFU, true, 75);
+}
+BENCHMARK(BM_Fig7Point_SkpPrLfu_C75);
+
+void BM_Fig7Point_SkpPrDs_C75(benchmark::State& state) {
+  run_point(state, PrefetchPolicy::SKP, SubArbitration::DS, true, 75);
+}
+BENCHMARK(BM_Fig7Point_SkpPrDs_C75);
+
 // One representative SimSpec per registered driver, dispatched through
 // run_sim. Reduced scale (kRequests cycles each); the scenario/netsim
 // points use the scenario-matrix shape (24 items, cache 6, learned or
@@ -242,6 +255,18 @@ const int kRegisterDriverPoints = [] {
   }
   return 0;
 }();
+
+// The other side of that trade: the zero-Pr victim walk visits the cache's
+// presence words in id order, so its cost grows with the catalog, not the
+// cache. This lz78 netsim_des point walks 313 words for 10 slots.
+void BM_Driver_netsim_des_Lz78_N20000(benchmark::State& state) {
+  SimSpec spec = driver_spec(SimDriverKind::NetsimDes);
+  spec.workload.n_items = 20'000;
+  spec.predictor = PredictorKind::Lz78;
+  spec.cache_size = 10;
+  run_driver_point(state, spec);
+}
+BENCHMARK(BM_Driver_netsim_des_Lz78_N20000);
 
 // The learned-predictor variant exercises the filtered predictor row
 // (predict_filtered_into) and the support-hinted candidate filter, the
