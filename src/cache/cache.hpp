@@ -2,12 +2,13 @@
 //
 // The cache stores item ids; capacity counts items. Membership queries are
 // O(1) via a presence bitmap; the content list is maintained in insertion
-// order so iteration is deterministic. Eviction decisions are made by the
-// caller (arbitration / replacement policies) — the cache itself only
-// enforces capacity and uniqueness.
+// order so iteration is deterministic, and one presence bit per item
+// yields the contents in ascending id order on demand. Eviction decisions
+// are made by the caller (arbitration / replacement policies) — the cache
+// itself only enforces capacity and uniqueness.
 #pragma once
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -52,12 +53,11 @@ class SlotCache {
     SKP_REQUIRE(!contains(item), "item " << item << " already cached");
     SKP_REQUIRE(contents_.size() < capacity_,
                 "cache full (capacity " << capacity_ << "); evict first");
-    pos_[static_cast<std::size_t>(item)] =
-        static_cast<std::uint32_t>(contents_.size());
+    const auto i = static_cast<std::size_t>(item);
+    pos_[i] = static_cast<std::uint32_t>(contents_.size());
     contents_.push_back(item);
-    sorted_.insert(std::lower_bound(sorted_.begin(), sorted_.end(), item),
-                   item);
-    present_[static_cast<std::size_t>(item)] = 1;
+    present_[i] = 1;
+    bits_[i / 64] |= std::uint64_t{1} << (i % 64);
     fingerprint_ ^= zobrist_item_key(item);
   }
 
@@ -76,8 +76,9 @@ class SlotCache {
           static_cast<std::uint32_t>(k - 1);
     }
     contents_.pop_back();
-    sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(), item));
     present_[static_cast<std::size_t>(item)] = 0;
+    bits_[static_cast<std::size_t>(item) / 64] &=
+        ~(std::uint64_t{1} << (static_cast<std::size_t>(item) % 64));
     fingerprint_ ^= zobrist_item_key(item);
   }
 
@@ -91,11 +92,19 @@ class SlotCache {
   // compaction — order of survivors is preserved).
   std::span<const ItemId> contents() const noexcept { return contents_; }
 
-  // Current contents in ascending id order (maintained incrementally;
-  // O(size) memmove per mutation). The Figure-6 victim fast path walks
-  // this to yield zero-Pr victims in their exact arbitration order.
-  std::span<const ItemId> sorted_contents() const noexcept {
-    return sorted_;
+  // The smallest cached id >= `from`, or kNoItem: one step of an
+  // ascending-id walk over the presence bits (std::countr_zero per word;
+  // a full walk is O(catalog/64 + size)). The Figure-6 victim fast path
+  // takes zero-Pr victims this way in their exact arbitration order.
+  ItemId next_cached(std::size_t from) const {
+    std::size_t w = from / 64;
+    if (w >= bits_.size()) return kNoItem;
+    std::uint64_t b = bits_[w] & (~std::uint64_t{0} << (from % 64));
+    while (b == 0) {
+      if (++w == bits_.size()) return kNoItem;
+      b = bits_[w];
+    }
+    return static_cast<ItemId>(w * 64 + std::countr_zero(b));
   }
 
   void clear();
@@ -109,8 +118,8 @@ class SlotCache {
 
   std::size_t capacity_;
   std::vector<ItemId> contents_;
-  std::vector<ItemId> sorted_;  // same set, ascending id
   std::vector<char> present_;
+  std::vector<std::uint64_t> bits_;  // presence, 64 items per word
   std::uint64_t fingerprint_ = 0;
   // item -> index in contents_ (meaningful only while present_); turns
   // erase's membership scan into an O(1) lookup.

@@ -35,10 +35,11 @@ struct PlanScratch {
   std::vector<ItemId> by_profit;
   std::vector<std::pair<ItemId, ItemId>> victim_of;  // (fetch, victim)
 
-  // Eviction candidates ranked once per planning round: Pr values and
-  // sub-arbitration scores are fixed while one plan is built, so
-  // consuming this ascending (Pr, sub, id) order left-to-right replays
-  // repeated minimal-Pr victim extraction exactly.
+  // The next victims of one planning round, ascending (Pr, sub, id): Pr
+  // values and sub-arbitration scores are fixed while one plan is built,
+  // so consuming this buffer left-to-right replays repeated minimal-Pr
+  // victim extraction exactly. It holds only as many ranks as candidates
+  // were left to place when it was filled.
   struct VictimRank {
     double pr;   // P_d * r_d
     double sub;  // sub-arbitration score (0 when sub == None)

@@ -112,45 +112,49 @@ void profit_order_into(InstanceView inst, std::span<const ItemId> fetch,
   for (const auto& k : keys) out.push_back(k.id);
 }
 
-// Caches every cached item's eviction rank — (Pr, sub-arbitration score,
-// id) — for one planning round. The scores are fixed while one plan is
-// built, so victim k is simply the k-th smallest rank; admit_slot_into
-// partial-sorts the consumable prefix, which matches repeated
-// choose_victim + removal bit-for-bit while computing each Pr product
-// once instead of once per scan (the fixed-seed equivalence tests pin
-// the equality).
-void rank_victims(InstanceView inst, std::span<const ItemId> cached,
-                  const FreqTracker* freq, const ArbitrationConfig& cfg,
-                  PlanScratch& scratch) {
-  SKP_REQUIRE(cfg.sub == SubArbitration::None || freq != nullptr,
-              "sub-arbitration requires a FreqTracker");
-  std::vector<PlanScratch::VictimRank>& ranked = scratch.ranked;
-  ranked.clear();
-  for (const ItemId c : cached) {
-    const std::size_t ci = InstanceView::idx(c);
-    double s = 0.0;
-    switch (cfg.sub) {
-      case SubArbitration::None: break;
-      case SubArbitration::LFU:
-        s = freq->frequency(c);
-        break;
-      case SubArbitration::DS:
-        s = freq->delay_saving_profit(c, inst.r[ci]);
-        break;
-    }
-    ranked.push_back({inst.P[ci] * inst.r[ci], s, c});
-  }
-}
-
 // Eviction order: ascending (Pr, sub score, id) — choose_victim's exact
 // tie chain. Ids are unique, so this is a TOTAL order: the k-th victim is
 // determined by the order alone, independent of the algorithm that
-// extracts it (admit_slot_into partial_sorts the consumable prefix).
+// extracts it.
 bool victim_rank_less(const PlanScratch::VictimRank& a,
                       const PlanScratch::VictimRank& b) {
   if (a.pr != b.pr) return a.pr < b.pr;
   if (a.sub != b.sub) return a.sub < b.sub;
   return a.id < b.id;
+}
+
+// Leaves the k (>= 1) smallest eviction ranks of the cached items in
+// `out`, ascending, in one pass over `cached`. The scores are fixed while
+// one plan is built, so these are exactly the next k victims repeated
+// choose_victim + removal would yield; an item whose Pr already loses to
+// the k-th rank never gets its sub score computed. `positive_only` skips
+// P == 0 items (the zero-Pr walk has consumed them).
+void select_victims_into(InstanceView inst, std::span<const ItemId> cached,
+                         const FreqTracker* freq, SubArbitration sub,
+                         std::size_t k, bool positive_only,
+                         std::vector<PlanScratch::VictimRank>& out) {
+  SKP_REQUIRE(sub == SubArbitration::None || freq != nullptr,
+              "sub-arbitration requires a FreqTracker");
+  out.clear();
+  for (const ItemId c : cached) {
+    const std::size_t ci = InstanceView::idx(c);
+    if (positive_only && inst.P[ci] == 0.0) continue;
+    const double pr = inst.P[ci] * inst.r[ci];
+    const bool full = out.size() == k;
+    if (full && pr > out.back().pr) continue;
+    const double s =
+        sub == SubArbitration::LFU ? freq->frequency(c)
+        : sub == SubArbitration::DS ? freq->delay_saving_profit(c, inst.r[ci])
+                                    : 0.0;
+    const PlanScratch::VictimRank rank{pr, s, c};
+    if (full) {
+      if (!victim_rank_less(rank, out.back())) continue;
+      out.pop_back();
+    }
+    out.insert(std::upper_bound(out.begin(), out.end(), rank,
+                                victim_rank_less),
+               rank);
+  }
 }
 
 // Engine-internal Eq.-(9) evaluation over the committed plan: the same
@@ -445,22 +449,24 @@ void PrefetchEngine::admit_slot_into(InstanceView inst,
   // Victim extraction: the eviction order is ascending (Pr, sub, id) with
   // Pr = P_d r_d == 0 exactly when P_d == 0 (r is positive). Without
   // sub-arbitration that order is "cached items with P == 0 by ascending
-  // id, then positive-Pr items by rank" — the zero-Pr group falls
-  // straight out of the cache's id-sorted index, so the common case
-  // (sparse P rows, few victims) never builds the O(|C|) ranking; only
-  // the positive-Pr tail ranks, and only if reached. LFU/DS tie-breaks
-  // depend on frequencies, so sub-arbitration keeps the full ranking.
+  // id, then positive-Pr items by rank", and the zero-Pr group falls
+  // straight out of the cache's id-order walk over its presence bits, so
+  // the common case (sparse P rows, few victims) ranks nothing. Once the
+  // walk runs dry, or from the first contested candidate under LFU/DS
+  // (whose ties follow frequencies, not ids), one pass keeps just the
+  // ranks the remaining candidates can consume: each claims at most one.
   profit_order_into(inst, out.fetch, scratch.admit_keys, scratch.by_profit);
-  const bool fast_victims =
-      config_.arbitration.sub == SubArbitration::None;
-  const std::span<const ItemId> sorted = cache.sorted_contents();
-  std::size_t zero_cursor = 0;  // cursor over the id-sorted cached items
-  bool ranked_built = false;    // rank lazily: uncontested rounds skip it
+  const SubArbitration sub = config_.arbitration.sub;
+  bool walking = sub == SubArbitration::None;  // zero-Pr items may remain
+  std::size_t walk_from = 0;  // the id-order walk's next id to visit
+  bool ranked_built = false;  // rank lazily: uncontested rounds skip it
   std::size_t next_victim = 0;
   std::size_t free_slots = cache.capacity() - cache.size();
   scratch.begin_epoch(inst.n());  // marks = committed membership
   scratch.victim_of.clear();
-  for (ItemId f : scratch.by_profit) {
+  const std::size_t proposed = scratch.by_profit.size();
+  for (std::size_t at = 0; at < proposed; ++at) {
+    const ItemId f = scratch.by_profit[at];
     if (free_slots > 0) {
       --free_slots;
       scratch.set_mark(f);
@@ -468,43 +474,21 @@ void PrefetchEngine::admit_slot_into(InstanceView inst,
     }
     double victim_pr = 0.0;
     ItemId victim_id = kNoItem;
-    if (fast_victims) {
-      while (zero_cursor < sorted.size() &&
-             inst.P[static_cast<std::size_t>(sorted[zero_cursor])] != 0.0) {
-        ++zero_cursor;
-      }
-      if (zero_cursor < sorted.size()) {
-        victim_id = sorted[zero_cursor++];  // Pr == 0, minimal id first
+    while (walking) {
+      const ItemId c = cache.next_cached(walk_from);
+      walking = c != kNoItem;
+      if (!walking) break;
+      walk_from = static_cast<std::size_t>(c) + 1;
+      if (inst.P[static_cast<std::size_t>(c)] == 0.0) {
+        victim_id = c;  // Pr == 0, minimal id first
+        break;
       }
     }
     if (victim_id == kNoItem) {
       if (!ranked_built) {
-        if (fast_victims) {
-          // Zero-Pr pool exhausted: rank the remaining (positive-Pr)
-          // cached items. Every zero-Pr item was already consumed, so
-          // restricting the ranking to P > 0 reproduces the tail of the
-          // full ranking exactly.
-          scratch.ranked.clear();
-          for (const ItemId c : sorted) {
-            const auto ci = static_cast<std::size_t>(c);
-            if (inst.P[ci] == 0.0) continue;
-            scratch.ranked.push_back({inst.P[ci] * inst.r[ci], 0.0, c});
-          }
-        } else {
-          rank_victims(inst, cache.contents(), freq, config_.arbitration,
-                       scratch);
-        }
-        // At most one victim per remaining fetch candidate can be
-        // consumed, so sorting that prefix replaces the per-victim
-        // selection scans of extract_victim — (pr, sub, id) is a total
-        // order (ids are unique), so ANY algorithm extracting ascending
-        // ranks yields the same victim sequence bit for bit.
-        const std::size_t need =
-            std::min(scratch.by_profit.size(), scratch.ranked.size());
-        std::partial_sort(scratch.ranked.begin(),
-                          scratch.ranked.begin() +
-                              static_cast<std::ptrdiff_t>(need),
-                          scratch.ranked.end(), victim_rank_less);
+        select_victims_into(inst, cache.contents(), freq, sub,
+                            proposed - at, sub == SubArbitration::None,
+                            scratch.ranked);
         ranked_built = true;
       }
       if (next_victim >= scratch.ranked.size()) break;  // nothing to

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/sized_cache.hpp"
@@ -30,10 +31,21 @@ void check_fingerprint(std::uint64_t cache_fp, const std::set<ItemId>& model,
   }
 }
 
-TEST(CacheFuzz, SlotCacheMatchesSetModel) {
-  Rng rng(111);
-  const std::size_t catalog = 30;
-  const std::size_t capacity = 7;
+// The id-order walk must yield exactly the model set, ascending, and find
+// nothing past the catalog.
+void check_id_walk(const SlotCache& cache, const std::set<ItemId>& model) {
+  std::vector<ItemId> walked;
+  for (ItemId id = cache.next_cached(0); id != kNoItem;
+       id = cache.next_cached(static_cast<std::size_t>(id) + 1)) {
+    walked.push_back(id);
+  }
+  ASSERT_EQ(walked, std::vector<ItemId>(model.begin(), model.end()));
+  ASSERT_EQ(cache.next_cached(cache.presence().size()), kNoItem);
+}
+
+void fuzz_slot_cache(std::size_t catalog, std::size_t capacity,
+                     std::uint64_t seed) {
+  Rng rng(seed);
   SlotCache cache(catalog, capacity);
   std::set<ItemId> model;
   std::map<std::uint64_t, std::set<ItemId>> fp_seen;
@@ -63,11 +75,31 @@ TEST(CacheFuzz, SlotCacheMatchesSetModel) {
     ASSERT_EQ(cache.size(), model.size());
     ASSERT_EQ(cache.full(), model.size() == capacity);
     check_fingerprint(cache.fingerprint(), model, fp_seen);
+    check_id_walk(cache, model);
   }
   // Final contents agree as sets.
   std::set<ItemId> final_contents(cache.contents().begin(),
                                   cache.contents().end());
   EXPECT_EQ(final_contents, model);
+
+  // clear() empties every view; a refill walks from a clean slate.
+  cache.clear();
+  model.clear();
+  check_id_walk(cache, model);
+  EXPECT_EQ(cache.fingerprint(), 0u);
+  for (std::size_t k = 0; k < capacity; ++k) {
+    const auto item = static_cast<ItemId>(catalog - 1 - 2 * k);
+    cache.insert(item);
+    model.insert(item);
+  }
+  check_id_walk(cache, model);
+}
+
+// Two inputs: a catalog inside one 64-item presence word, and one that
+// spans four words with a cache large enough to populate all of them.
+TEST(CacheFuzz, SlotCacheMatchesSetModel) {
+  fuzz_slot_cache(30, 7, 111);
+  fuzz_slot_cache(200, 40, 112);
 }
 
 TEST(CacheFuzz, SlotCacheReplacePreservesInvariants) {
