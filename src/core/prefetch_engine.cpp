@@ -115,19 +115,20 @@ void profit_order_into(InstanceView inst, std::span<const ItemId> fetch,
 // Eviction order: ascending (Pr, sub score, id) — choose_victim's exact
 // tie chain. Ids are unique, so this is a TOTAL order: the k-th victim is
 // determined by the order alone, independent of the algorithm that
-// extracts it.
+// extracts it. Written without short-circuits so it compiles branch-free:
+// whether a cached item beats the k-th rank is data no predictor guesses.
 bool victim_rank_less(const PlanScratch::VictimRank& a,
                       const PlanScratch::VictimRank& b) {
-  if (a.pr != b.pr) return a.pr < b.pr;
-  if (a.sub != b.sub) return a.sub < b.sub;
-  return a.id < b.id;
+  return (a.pr < b.pr) |
+         ((a.pr == b.pr) &
+          ((a.sub < b.sub) | ((a.sub == b.sub) & (a.id < b.id))));
 }
 
 // Leaves the k (>= 1) smallest eviction ranks of the cached items in
-// `out`, ascending, in one pass over `cached`. The scores are fixed while
-// one plan is built, so these are exactly the next k victims repeated
-// choose_victim + removal would yield; an item whose Pr already loses to
-// the k-th rank never gets its sub score computed. `positive_only` skips
+// `out`, ascending, in one pass over `cached`: an item enters only when it
+// beats the k-th rank so far, and is sifted into place. The scores are
+// fixed while one plan is built, so these are exactly the next k victims
+// repeated choose_victim + removal would yield. `positive_only` skips
 // P == 0 items (the zero-Pr walk has consumed them).
 void select_victims_into(InstanceView inst, std::span<const ItemId> cached,
                          const FreqTracker* freq, SubArbitration sub,
@@ -139,21 +140,22 @@ void select_victims_into(InstanceView inst, std::span<const ItemId> cached,
   for (const ItemId c : cached) {
     const std::size_t ci = InstanceView::idx(c);
     if (positive_only && inst.P[ci] == 0.0) continue;
-    const double pr = inst.P[ci] * inst.r[ci];
-    const bool full = out.size() == k;
-    if (full && pr > out.back().pr) continue;
     const double s =
         sub == SubArbitration::LFU ? freq->frequency(c)
         : sub == SubArbitration::DS ? freq->delay_saving_profit(c, inst.r[ci])
                                     : 0.0;
-    const PlanScratch::VictimRank rank{pr, s, c};
-    if (full) {
-      if (!victim_rank_less(rank, out.back())) continue;
-      out.pop_back();
+    const PlanScratch::VictimRank rank{inst.P[ci] * inst.r[ci], s, c};
+    if (out.size() < k) {
+      out.push_back(rank);
+    } else if (victim_rank_less(rank, out.back())) {
+      out.back() = rank;
+    } else {
+      continue;
     }
-    out.insert(std::upper_bound(out.begin(), out.end(), rank,
-                                victim_rank_less),
-               rank);
+    for (std::size_t j = out.size() - 1;
+         j > 0 && victim_rank_less(out[j], out[j - 1]); --j) {
+      std::swap(out[j], out[j - 1]);
+    }
   }
 }
 
