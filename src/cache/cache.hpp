@@ -68,17 +68,16 @@ class SlotCache {
     // O(1) position lookup; one fused pass shifts the tail down and
     // reindexes it, keeping the documented insertion-order iteration for
     // the survivors.
-    const std::size_t at = pos_[static_cast<std::size_t>(item)];
-    for (std::size_t k = at + 1; k < contents_.size(); ++k) {
+    const auto i = static_cast<std::size_t>(item);
+    for (std::size_t k = pos_[i] + 1; k < contents_.size(); ++k) {
       const ItemId moved = contents_[k];
       contents_[k - 1] = moved;
       pos_[static_cast<std::size_t>(moved)] =
           static_cast<std::uint32_t>(k - 1);
     }
     contents_.pop_back();
-    present_[static_cast<std::size_t>(item)] = 0;
-    bits_[static_cast<std::size_t>(item) / 64] &=
-        ~(std::uint64_t{1} << (static_cast<std::size_t>(item) % 64));
+    present_[i] = 0;
+    bits_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
     fingerprint_ ^= zobrist_item_key(item);
   }
 
