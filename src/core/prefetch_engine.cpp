@@ -128,18 +128,18 @@ bool victim_rank_less(const PlanScratch::VictimRank& a,
 // `out`, ascending, in one pass over `cached`: an item enters only when it
 // beats the k-th rank so far, and is sifted into place. The scores are
 // fixed while one plan is built, so these are exactly the next k victims
-// repeated choose_victim + removal would yield. `positive_only` skips
-// P == 0 items (the zero-Pr walk has consumed them).
+// repeated choose_victim + removal would yield. Without sub-arbitration
+// the zero-Pr walk has consumed every P == 0 item, so they are skipped.
 void select_victims_into(InstanceView inst, std::span<const ItemId> cached,
                          const FreqTracker* freq, SubArbitration sub,
-                         std::size_t k, bool positive_only,
+                         std::size_t k,
                          std::vector<PlanScratch::VictimRank>& out) {
   SKP_REQUIRE(sub == SubArbitration::None || freq != nullptr,
               "sub-arbitration requires a FreqTracker");
   out.clear();
   for (const ItemId c : cached) {
     const std::size_t ci = InstanceView::idx(c);
-    if (positive_only && inst.P[ci] == 0.0) continue;
+    if (sub == SubArbitration::None && inst.P[ci] == 0.0) continue;
     const double s =
         sub == SubArbitration::LFU ? freq->frequency(c)
         : sub == SubArbitration::DS ? freq->delay_saving_profit(c, inst.r[ci])
@@ -489,8 +489,7 @@ void PrefetchEngine::admit_slot_into(InstanceView inst,
     if (victim_id == kNoItem) {
       if (!ranked_built) {
         select_victims_into(inst, cache.contents(), freq, sub,
-                            proposed - at, sub == SubArbitration::None,
-                            scratch.ranked);
+                            proposed - at, scratch.ranked);
         ranked_built = true;
       }
       if (next_victim >= scratch.ranked.size()) break;  // nothing to
