@@ -37,6 +37,8 @@ void check_id_walk(const SlotCache& cache, const std::set<ItemId>& model) {
   std::vector<ItemId> walked;
   for (ItemId id = cache.next_cached(0); id != kNoItem;
        id = cache.next_cached(static_cast<std::size_t>(id) + 1)) {
+    ASSERT_TRUE(walked.empty() || id > walked.back())
+        << "walk went back from " << walked.back() << " to " << id;
     walked.push_back(id);
   }
   ASSERT_EQ(walked, std::vector<ItemId>(model.begin(), model.end()));
