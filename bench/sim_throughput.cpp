@@ -258,7 +258,7 @@ const int kRegisterDriverPoints = [] {
 
 // The other side of that trade: the zero-Pr victim walk visits the cache's
 // presence words in id order, so its cost grows with the catalog, not the
-// cache. This lz78 netsim_des point walks 313 words for 10 slots.
+// cache. This lz78 netsim_des point spreads 10 slots over 313 words.
 void BM_Driver_netsim_des_Lz78_N20000(benchmark::State& state) {
   SimSpec spec = driver_spec(SimDriverKind::NetsimDes);
   spec.workload.n_items = 20'000;
