@@ -1,9 +1,11 @@
 // Fixed-seed pins for the decision paths outside the kEquivalence table
 // (test_prefetch_cache_sim.cpp): replay_trace, the netsim_des and
-// multi_client drivers through run_sim, and a DS-arbitrated
-// ClientSession driven directly. Same contract and row format as that
-// table: every counter bit for bit, doubles at 17 significant digits, so
-// any drift here is a real behaviour change, not noise. Each row also
+// multi_client drivers through run_sim, a DS-arbitrated ClientSession
+// driven directly, and LFU/DS rows of both DES drivers on the
+// paper-default chain at caches of 25 and 75. Same contract and row
+// format as that table: every counter bit for bit, doubles at 17
+// significant digits, so any drift here is a real behaviour change, not
+// noise. Each row also
 // pins the DES books (link utilization, churn departures, deadline hits)
 // and, for multi_client, every client's requests:hits:demand.
 //
@@ -78,6 +80,17 @@ SimSpec des_spec(SimDriverKind driver, SubArbitration sub) {
   if (driver == SimDriverKind::MultiClientDes) {
     spec.multi_client.clients = 3;
   }
+  return spec;
+}
+
+// The paper-default 100-item chain (out-degree 10-20) at `cache` slots:
+// des_spec's 8-slot cache never holds more than 8 residents, so these
+// rows pin LFU/DS victim choice over tens of residents.
+SimSpec chain_spec(SimDriverKind driver, SubArbitration sub,
+                   std::size_t cache) {
+  SimSpec spec = des_spec(driver, sub);
+  spec.workload = SimWorkload{};
+  spec.cache_size = cache;
   return spec;
 }
 
@@ -219,6 +232,14 @@ const PinCase kPinCases[] = {
     {"multi_herd_phases", &multi_client_herd_phases},
     {"multi_overrides", &multi_client_overrides},
     {"session_ds_dense", &session_ds_dense},
+    {"netsim_chain_lfu_c25", [] { return run_sim(chain_spec(SimDriverKind::NetsimDes, SubArbitration::LFU, 25)); }},
+    {"netsim_chain_lfu_c75", [] { return run_sim(chain_spec(SimDriverKind::NetsimDes, SubArbitration::LFU, 75)); }},
+    {"netsim_chain_ds_c25", [] { return run_sim(chain_spec(SimDriverKind::NetsimDes, SubArbitration::DS, 25)); }},
+    {"netsim_chain_ds_c75", [] { return run_sim(chain_spec(SimDriverKind::NetsimDes, SubArbitration::DS, 75)); }},
+    {"multi_chain_lfu_c25", [] { return run_sim(chain_spec(SimDriverKind::MultiClientDes, SubArbitration::LFU, 25)); }},
+    {"multi_chain_lfu_c75", [] { return run_sim(chain_spec(SimDriverKind::MultiClientDes, SubArbitration::LFU, 75)); }},
+    {"multi_chain_ds_c25", [] { return run_sim(chain_spec(SimDriverKind::MultiClientDes, SubArbitration::DS, 25)); }},
+    {"multi_chain_ds_c75", [] { return run_sim(chain_spec(SimDriverKind::MultiClientDes, SubArbitration::DS, 75)); }},
     // clang-format on
 };
 
@@ -263,6 +284,14 @@ const PinRow kPins[] = {
     {"multi_herd_phases", 439, 168, 3946, 2966, 6510, 29.289583333333336, 56321, 0.98045349098256385, 0, 472, "400:159:47 400:138:64 400:142:57"},
     {"multi_overrides", 434, 463, 3783, 3261, 207187, 45.071794871794872, 43074, 0.99173439550572151, 152, 445, "250:124:121 520:250:61 400:60:281"},
     {"session_ds_dense", 667, 587, 1689, 1087, 3848, 8.063499999999987, 27662, 0, 0, 0, ""},
+    {"netsim_chain_lfu_c25", 1085, 400, 5843, 5122, 23400, 4.6923333333333295, 87707.5, 0.95899734849520268, 0, 0, ""},
+    {"netsim_chain_lfu_c75", 1446, 52, 3556, 3260, 5411, 0.64933333333333287, 54148, 0.63410349794479637, 0, 0, ""},
+    {"netsim_chain_ds_c25", 1137, 348, 6763, 5893, 23075, 3.5520000000000045, 86525.5, 0.96410464973759569, 0, 0, ""},
+    {"netsim_chain_ds_c75", 1467, 33, 4360, 3940, 5456, 0.27533333333333337, 34531.5, 0.40705747831007166, 0, 0, ""},
+    {"multi_chain_lfu_c25", 368, 362, 4333, 3760, 17960, 109.90916666666666, 66237.5, 0.99971323568253678, 0, 0, "400:139:105 400:115:122 400:114:135"},
+    {"multi_chain_lfu_c75", 906, 75, 2725, 2380, 5011, 52.467083333333342, 42650, 0.99705442304095759, 0, 0, "400:304:27 400:302:26 400:300:22"},
+    {"multi_chain_ds_c25", 362, 335, 4891, 4266, 18697, 108.71583333333335, 65409, 0.99993120686096904, 0, 0, "400:139:96 400:120:108 400:103:131"},
+    {"multi_chain_ds_c75", 928, 53, 3179, 2773, 5006, 35.059166666666648, 34776, 0.98518371625258505, 0, 0, "400:314:18 400:313:18 400:301:17"},
     // clang-format on
 };
 
