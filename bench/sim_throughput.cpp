@@ -151,8 +151,18 @@ void BM_Fig7Point_SkpPrDs_SelOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig7Point_SkpPrDs_SelOnly);
 
-// The largest resident set Figure 7 ranks victims in: LFU/DS at cache 75
-// of 100 items, where admission picks a few victims out of 75.
+// The smallest and largest resident sets Figure 7 picks LFU/DS victims
+// from: cache 10 and 75 of 100 items, a few victims out of each.
+void BM_Fig7Point_SkpPrLfu_C10(benchmark::State& state) {
+  run_point(state, PrefetchPolicy::SKP, SubArbitration::LFU, true, 10);
+}
+BENCHMARK(BM_Fig7Point_SkpPrLfu_C10);
+
+void BM_Fig7Point_SkpPrDs_C10(benchmark::State& state) {
+  run_point(state, PrefetchPolicy::SKP, SubArbitration::DS, true, 10);
+}
+BENCHMARK(BM_Fig7Point_SkpPrDs_C10);
+
 void BM_Fig7Point_SkpPrLfu_C75(benchmark::State& state) {
   run_point(state, PrefetchPolicy::SKP, SubArbitration::LFU, true, 75);
 }
