@@ -62,6 +62,24 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
   return victim;
 }
 
+ItemId choose_victim_in_order(InstanceView inst,
+                              std::span<const ItemId> order) {
+  SKP_REQUIRE(!order.empty(), "choose_victim over empty cache");
+  ItemId victim = kNoItem;
+  double victim_pr = 0.0;
+  for (std::size_t j = order.size(); j-- > 0;) {
+    const ItemId c = order[j];
+    const std::size_t k = InstanceView::idx(c);
+    const double pr = inst.P[k] * inst.r[k];
+    if (pr == 0.0) return c;
+    if (victim == kNoItem || pr < victim_pr) {
+      victim = c;
+      victim_pr = pr;
+    }
+  }
+  return victim;
+}
+
 bool admits_prefetch(InstanceView inst, ItemId f, ItemId d,
                      const ArbitrationConfig& cfg) {
   const double pf = inst.profit(f);

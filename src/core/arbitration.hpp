@@ -37,6 +37,16 @@ struct ArbitrationConfig {
 ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
                      const FreqTracker* freq, const ArbitrationConfig& cfg);
 
+// choose_victim over `order`, which lists every cached item exactly once
+// in descending (sub score, id) order under the sub-arbitration the
+// victim is chosen for (the order a ResidentSet keeps for LFU/DS). The
+// walk runs from the back, so it visits equal-Pr items in ascending
+// (sub, id) order: the victim is the first zero-Pr item it meets or, if
+// there is none, the least Pr, the first walked winning ties. Equal to
+// choose_victim over the same items; no sub score is read.
+ItemId choose_victim_in_order(InstanceView inst,
+                              std::span<const ItemId> order);
+
 // True when prefetch candidate `f` is allowed to displace victim `d`
 // (Pr-arbitration admission test).
 bool admits_prefetch(InstanceView inst, ItemId f, ItemId d,

@@ -124,12 +124,11 @@ bool victim_rank_less(const PlanScratch::VictimRank& a,
           ((a.sub < b.sub) | ((a.sub == b.sub) & (a.id < b.id))));
 }
 
-// Leaves the k (>= 1) smallest eviction ranks of the cached items in
-// `out`, ascending, in one pass over `cached`: an item enters only when it
-// beats the k-th rank so far, and is sifted into place. The scores are
-// fixed while one plan is built, so these are exactly the next k victims
-// repeated choose_victim + removal would yield. Without sub-arbitration
-// the zero-Pr walk has consumed every P == 0 item, so they are skipped.
+// Leaves the k (>= 1) smallest eviction ranks of the `cached` items in
+// `out`, ascending, in one pass: an item enters only when it beats the
+// k-th rank so far, and is sifted into place. The scores are fixed while
+// one plan is built, so these are exactly the next k victims repeated
+// choose_victim + removal over those items would yield.
 void select_victims_into(InstanceView inst, std::span<const ItemId> cached,
                          const FreqTracker* freq, SubArbitration sub,
                          std::size_t k,
@@ -139,7 +138,6 @@ void select_victims_into(InstanceView inst, std::span<const ItemId> cached,
   out.clear();
   for (const ItemId c : cached) {
     const std::size_t ci = InstanceView::idx(c);
-    if (sub == SubArbitration::None && inst.P[ci] == 0.0) continue;
     const double s =
         sub == SubArbitration::LFU ? freq->frequency(c)
         : sub == SubArbitration::DS ? freq->delay_saving_profit(c, inst.r[ci])
@@ -157,6 +155,21 @@ void select_victims_into(InstanceView inst, std::span<const ItemId> cached,
       std::swap(out[j], out[j - 1]);
     }
   }
+}
+
+// SKP_ASSERT cross-check of admission: the victims claimed, in claim
+// order, are the smallest eviction ranks over the whole cache.
+[[maybe_unused]] bool victims_match_ranking(
+    InstanceView inst, std::span<const ItemId> cached,
+    const FreqTracker* freq, SubArbitration sub,
+    std::span<const std::pair<ItemId, ItemId>> victim_of) {
+  if (victim_of.empty()) return true;
+  std::vector<PlanScratch::VictimRank> want;
+  select_victims_into(inst, cached, freq, sub, victim_of.size(), want);
+  for (std::size_t j = 0; j < victim_of.size(); ++j) {
+    if (want[j].id != victim_of[j].second) return false;
+  }
+  return true;
 }
 
 // Engine-internal Eq.-(9) evaluation over the committed plan: the same
@@ -421,22 +434,24 @@ void PrefetchEngine::plan_with_cache_cached(
     InstanceView inst, const SlotCache& cache, const FreqTracker* freq,
     const PlanMemo& memo, PlanScratch& scratch, PrefetchPlan& out,
     std::optional<ItemId> oracle_next,
-    std::optional<std::span<const ItemId>> positive_hint) const {
+    std::optional<std::span<const ItemId>> positive_hint,
+    std::optional<std::span<const ItemId>> eviction_order) const {
   const std::span<const char> present = cache.presence();
   plan_memoized(
       inst, cache,
       [present](ItemId id) {
         return present[static_cast<std::size_t>(id)] != 0;
       },
-      [&] { admit_slot_into(inst, cache, freq, scratch, out); }, memo,
-      scratch, out, oracle_next, positive_hint);
+      [&] {
+        admit_slot_into(inst, cache, freq, eviction_order, scratch, out);
+      },
+      memo, scratch, out, oracle_next, positive_hint);
 }
 
-void PrefetchEngine::admit_slot_into(InstanceView inst,
-                                     const SlotCache& cache,
-                                     const FreqTracker* freq,
-                                     PlanScratch& scratch,
-                                     PrefetchPlan& out) const {
+void PrefetchEngine::admit_slot_into(
+    InstanceView inst, const SlotCache& cache, const FreqTracker* freq,
+    std::optional<std::span<const ItemId>> eviction_order,
+    PlanScratch& scratch, PrefetchPlan& out) const {
   if (out.fetch.empty()) {
     out.clear();  // an empty proposal reports no solver stats (pre-refactor
                   // behaviour, kept for bit-identical metrics)
@@ -448,19 +463,26 @@ void PrefetchEngine::admit_slot_into(InstanceView inst,
   // uncontested. The Perfect oracle bypasses the admission test (it knows
   // its item is the next access) but still evicts the minimal-Pr victim.
   //
-  // Victim extraction: the eviction order is ascending (Pr, sub, id) with
-  // Pr = P_d r_d == 0 exactly when P_d == 0 (r is positive). Without
-  // sub-arbitration that order is "cached items with P == 0 by ascending
-  // id, then positive-Pr items by rank", and the zero-Pr group falls
-  // straight out of the cache's id-order walk over its presence bits, so
-  // the common case (sparse P rows, few victims) ranks nothing. Once the
-  // walk runs dry, or from the first contested candidate under LFU/DS
-  // (whose ties follow frequencies, not ids), one pass keeps just the
-  // ranks the remaining candidates can consume: each claims at most one.
+  // Victim extraction: the eviction order is ascending (Pr, sub, id), so
+  // every zero-Pr resident comes before every positive one, in (sub, id)
+  // order. A walk yields that group exactly: the kept eviction order from
+  // its back, or, without sub-arbitration (all sub scores 0), the cache's
+  // ascending-id walk over its presence bits. The common case (sparse P
+  // rows, few victims) then ranks nothing. Once the walk runs dry, it has
+  // passed every positive-Pr resident, and one pass over those keeps just
+  // the ranks the remaining candidates can consume (each claims at most
+  // one); LFU/DS without a kept order rank the whole cache that way from
+  // the first contested candidate.
   profit_order_into(inst, out.fetch, scratch.admit_keys, scratch.by_profit);
   const SubArbitration sub = config_.arbitration.sub;
-  bool walking = sub == SubArbitration::None;  // zero-Pr items may remain
-  std::size_t walk_from = 0;  // the id-order walk's next id to visit
+  const bool kept = eviction_order.has_value();
+  const bool walks = kept || sub == SubArbitration::None;
+  bool walking = walks;  // zero-Pr residents may remain
+  // The walk's next step: a kept-order index counting down, or the next
+  // id to visit.
+  std::size_t walk_at = kept ? eviction_order->size() : 0;
+  std::vector<ItemId>& passed = scratch.pool;  // positive-Pr, walked past
+  passed.clear();
   bool ranked_built = false;  // rank lazily: uncontested rounds skip it
   std::size_t next_victim = 0;
   std::size_t free_slots = cache.capacity() - cache.size();
@@ -477,19 +499,28 @@ void PrefetchEngine::admit_slot_into(InstanceView inst,
     double victim_pr = 0.0;
     ItemId victim_id = kNoItem;
     while (walking) {
-      const ItemId c = cache.next_cached(walk_from);
+      ItemId c = kNoItem;
+      if (kept) {
+        if (walk_at > 0) c = (*eviction_order)[--walk_at];
+      } else {
+        c = cache.next_cached(walk_at);
+        if (c != kNoItem) walk_at = static_cast<std::size_t>(c) + 1;
+      }
       walking = c != kNoItem;
       if (!walking) break;
-      walk_from = static_cast<std::size_t>(c) + 1;
-      if (inst.P[static_cast<std::size_t>(c)] == 0.0) {
-        victim_id = c;  // Pr == 0, minimal id first
+      const std::size_t ci = InstanceView::idx(c);
+      if (inst.P[ci] * inst.r[ci] == 0.0) {
+        victim_id = c;
         break;
       }
+      passed.push_back(c);
     }
     if (victim_id == kNoItem) {
       if (!ranked_built) {
-        select_victims_into(inst, cache.contents(), freq, sub,
-                            proposed - at, scratch.ranked);
+        select_victims_into(inst,
+                            walks ? std::span<const ItemId>(passed)
+                                  : cache.contents(),
+                            freq, sub, proposed - at, scratch.ranked);
         ranked_built = true;
       }
       if (next_victim >= scratch.ranked.size()) break;  // nothing to
@@ -511,6 +542,8 @@ void PrefetchEngine::admit_slot_into(InstanceView inst,
     scratch.set_mark(f);
     scratch.victim_of.emplace_back(f, victim_id);
   }
+  SKP_ASSERT(victims_match_ranking(inst, cache.contents(), freq, sub,
+                                   scratch.victim_of));
 
   emit_committed(scratch, out);
   if (out.fetch.empty()) {

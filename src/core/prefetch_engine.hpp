@@ -109,6 +109,18 @@ class PrefetchEngine {
   // cleared plan at no O(n) cost. std::nullopt means "no hint" (e.g. a
   // lookahead blend) and scans the catalog. The result is identical to
   // the unhinted call.
+  // `eviction_order` (the trailing argument of plan_with_cache_cached),
+  // when engaged, must list every cached item exactly once in descending
+  // (sub score, id) order: LFU's freq_i or DS's freq_i * r_i, read from
+  // `freq` and inst.r (descending id without sub-arbitration) — the order
+  // a ResidentSet keeps for LFU/DS, whose back holds the next victims.
+  // Admission then walks it from the back and takes zero-Pr residents
+  // until every remaining candidate has a victim, ranking the positive-Pr
+  // residents it passed only if the walk runs dry, so it reads a few
+  // entries instead of every resident. The order is trusted like the
+  // positive hint (SKP_ASSERT builds check the victims against a ranking
+  // of the whole cache); std::nullopt ranks the cache. The result is
+  // identical to the call without it.
   PrefetchPlan plan_with_cache(InstanceView inst, const SlotCache& cache,
                                const FreqTracker* freq,
                                std::optional<ItemId> oracle_next
@@ -157,7 +169,9 @@ class PrefetchEngine {
                               std::optional<ItemId> oracle_next
                               = std::nullopt,
                               std::optional<std::span<const ItemId>>
-                                  positive_hint = std::nullopt) const;
+                                  positive_hint = std::nullopt,
+                              std::optional<std::span<const ItemId>>
+                                  eviction_order = std::nullopt) const;
   void plan_with_sized_cache_cached(InstanceView inst,
                                     const SizedCache& cache,
                                     const FreqTracker* freq,
@@ -206,8 +220,9 @@ class PrefetchEngine {
   // The Figure-6 admission pipelines, consuming the selector's proposal
   // in `out` (select_into / select_memoized must have run).
   void admit_slot_into(InstanceView inst, const SlotCache& cache,
-                       const FreqTracker* freq, PlanScratch& scratch,
-                       PrefetchPlan& out) const;
+                       const FreqTracker* freq,
+                       std::optional<std::span<const ItemId>> eviction_order,
+                       PlanScratch& scratch, PrefetchPlan& out) const;
   void admit_sized_into(InstanceView inst, const SizedCache& cache,
                         const FreqTracker* freq, PlanScratch& scratch,
                         PrefetchPlan& out) const;

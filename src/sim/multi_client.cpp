@@ -110,7 +110,8 @@ SimResult run_multi_client(const SimSpec& spec) {
     } else {
       cl.cycles = materialize_workload(w, cl.quota, build, cl.walk).cycles;
     }
-    cl.book.emplace(SlotCache(n, spec.cache_size));
+    cl.book.emplace(SlotCache(n, spec.cache_size), r,
+                    engine.config().arbitration);
     cl.completion.assign(n, 0.0);
     // Memoization needs the state key to determine the planning inputs;
     // phase alignment blends the viewing time by cycle INDEX, which
@@ -260,9 +261,10 @@ SimResult run_multi_client(const SimSpec& spec) {
     if (spec.policy == PrefetchPolicy::Perfect) oracle = next;
     engine.plan_with_cache_cached(inst, cl.book->cache(), &cl.book->freq(),
                                   cl.memo.memo(cl.state), cl.scratch,
-                                  cl.plan, oracle, hint);
+                                  cl.plan, oracle, hint,
+                                  cl.book->eviction_order());
     if (!cl.plan.fetch.empty()) ++plans_fired;
-    cl.book->execute(cl.plan, r, &cl.metrics, [&](ItemId f) {
+    cl.book->execute(cl.plan, &cl.metrics, [&](ItemId f) {
       const std::optional<double> done =
           enqueue_prefetch(r[Instance::idx(f)]);
       if (done) cl.completion[Instance::idx(f)] = *done;
@@ -282,8 +284,7 @@ SimResult run_multi_client(const SimSpec& spec) {
         // victim is chosen under the next state's oracle row, or for a
         // learned client under the row in force this cycle (its
         // chainless analogue).
-        me.book->admit_demand(next, r, engine.config().arbitration,
-                              &me.metrics, [&] {
+        me.book->admit_demand(next, &me.metrics, [&] {
           if (me.predictor) return InstanceView(me.P, r, v);
           const auto s = static_cast<std::size_t>(next);
           return InstanceView(me.chain->transition_row(s), r,

@@ -85,7 +85,8 @@ ClientSession::ClientSession(
     : cat_(std::move(catalog)),
       net_(std::move(net)),
       engine_(engine),
-      book_(SlotCache(deref_catalog(cat_).n(), cache_capacity)) {
+      book_(SlotCache(deref_catalog(cat_).n(), cache_capacity), cat_->r,
+            engine.arbitration) {
   SKP_REQUIRE(net_.bandwidth > 0.0, "bandwidth must be positive");
   SKP_REQUIRE(net_.latency >= 0.0, "latency must be >= 0");
   validate_link_schedule(net_.schedule);
@@ -170,9 +171,10 @@ double ClientSession::request(ItemId item, double viewing_time,
   // item waits for its completion).
   const PlanMemo memo = context_key ? memo_.memo(*context_key) : PlanMemo{};
   engine_.plan_with_cache_cached(inst, book_.cache(), &book_.freq(), memo,
-                                 scratch_, plan_, oracle_next, support);
+                                 scratch_, plan_, oracle_next, support,
+                                 book_.eviction_order());
   metrics_.solver_nodes += plan_.solver_nodes;
-  book_.execute(plan_, cat_->r, &metrics_, [this](ItemId f) {
+  book_.execute(plan_, &metrics_, [this](ItemId f) {
     const std::optional<double> done = enqueue_prefetch(f);
     if (done) completion_[Instance::idx(f)] = *done;
     return done.has_value();
@@ -189,8 +191,7 @@ double ClientSession::request(ItemId item, double viewing_time,
     // Demand fetch: waits behind every committed prefetch (the paper's
     // no-abort assumption) and must claim a victim when the cache is
     // full, chosen under the row in force this cycle.
-    book_.admit_demand(item, cat_->r, engine_.config().arbitration,
-                       &metrics_, [&] { return inst; });
+    book_.admit_demand(item, &metrics_, [&] { return inst; });
     const double finish = enqueue_transfer(item);
     completion_[Instance::idx(item)] = finish;
     T = finish - t_req;

@@ -86,7 +86,7 @@ PrefetchCacheResult run_requests(const PrefetchCacheConfig& cfg,
 
   const std::unique_ptr<Predictor> predictor =
       make_predictor(cfg.predictor, n, kMonteCarloLaplace);
-  ResidentSet<Cache> book(std::move(cache));
+  ResidentSet<Cache> book(std::move(cache), r, ecfg.arbitration);
   MemoTiers tiers = make_memo_tiers(
       cfg.use_plan_cache, cfg.plan_cache_capacity, engine.config_digest(),
       predictor != nullptr, cfg.sub, cfg.lookahead_horizon <= 1 ? n : 0);
@@ -154,7 +154,8 @@ PrefetchCacheResult run_requests(const PrefetchCacheConfig& cfg,
     const PlanMemo memo = tiers.memo(state);
     if constexpr (std::is_same_v<Cache, SlotCache>) {
       engine.plan_with_cache_cached(inst, book.cache(), &book.freq(), memo,
-                                    scratch, plan, oracle, hint);
+                                    scratch, plan, oracle, hint,
+                                    book.eviction_order());
     } else {
       engine.plan_with_sized_cache_cached(inst, book.cache(), &book.freq(),
                                           memo, scratch, plan, oracle, hint);
@@ -165,7 +166,7 @@ PrefetchCacheResult run_requests(const PrefetchCacheConfig& cfg,
     // "cache before" snapshot the model asks for.
     const double T = realized_access_time_cached(
         inst, plan.fetch, plan.evict, book.cache().presence(), next);
-    book.execute(plan, r, m);
+    book.execute(plan, m);
     if (m) {
       m->solver_nodes += plan.solver_nodes;
       m->access_time.add(T);
@@ -182,7 +183,7 @@ PrefetchCacheResult run_requests(const PrefetchCacheConfig& cfg,
     book.view(next);
     if (predictor) predictor->observe(next);
     if (!book.cache().contains(next)) {
-      book.admit_demand(next, r, ecfg.arbitration, m, [&] {
+      book.admit_demand(next, m, [&] {
         if (!predictor) {
           return src.chain->view_at(static_cast<std::size_t>(next));
         }

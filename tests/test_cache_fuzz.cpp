@@ -5,12 +5,17 @@
 // smoke-checks for collisions across all states the fuzz visits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/sized_cache.hpp"
+#include "core/arbitration.hpp"
+#include "sim/resident_set.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -189,6 +194,151 @@ TEST(CacheFuzz, SizedCacheFitsConsistentWithInsert) {
       EXPECT_THROW(cache.insert(item), std::invalid_argument);
     }
   }
+}
+
+// ---- The resident book's LFU/DS eviction order --------------------------
+
+// The residents by descending (sub score, id), scored as choose_victim
+// scores them: the order the book must keep after every operation.
+std::vector<ItemId> model_order(const ResidentSet<SlotCache>& book,
+                                std::span<const double> r,
+                                SubArbitration sub) {
+  std::vector<ItemId> want(book.cache().contents().begin(),
+                           book.cache().contents().end());
+  const auto score = [&](ItemId i) {
+    return sub == SubArbitration::DS
+               ? book.freq().delay_saving_profit(
+                     i, r[static_cast<std::size_t>(i)])
+               : book.freq().frequency(i);
+  };
+  std::sort(want.begin(), want.end(), [&](ItemId a, ItemId b) {
+    const double sa = score(a);
+    const double sb = score(b);
+    return sa != sb ? sa > sb : a > b;
+  });
+  return want;
+}
+
+// A victim row with zero entries and ties (small integer weights), or a
+// dense one with continuous weights.
+std::vector<double> victim_row(Rng& rng, std::size_t n) {
+  const bool dense = rng.next_below(4) == 0;
+  std::vector<double> P(n, 0.0);
+  for (double& p : P) {
+    if (dense) {
+      p = rng.uniform(0.1, 1.0);
+    } else if (rng.next_below(3) == 0) {
+      p = static_cast<double>(rng.uniform_int(1, 3));
+    }
+  }
+  double sum = 0.0;
+  for (const double p : P) sum += p;
+  if (sum > 0.0) {
+    for (double& p : P) p /= sum;
+  }
+  return P;
+}
+
+// Random execute (some deliveries abandoned), view, admit_demand and
+// flush calls on one book; after each, the kept order equals the sorted
+// residents, and each demand miss evicts choose_victim's pick.
+void fuzz_resident_book(SubArbitration sub, std::size_t catalog,
+                        std::size_t capacity, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> r(catalog);
+  for (double& x : r) x = static_cast<double>(rng.uniform_int(1, 4));
+  ArbitrationConfig arb;
+  arb.sub = sub;
+  ResidentSet<SlotCache> book(SlotCache(catalog, capacity), r, arb);
+  SimMetrics metrics;
+  std::size_t demand_victims = 0;
+  std::size_t abandoned = 0;
+  const auto non_resident = [&] {
+    ItemId item = kNoItem;
+    do {
+      item = static_cast<ItemId>(rng.next_below(catalog));
+    } while (book.cache().contains(item));
+    return item;
+  };
+  for (int op = 0; op < 6000; ++op) {
+    SimMetrics* const m = rng.next_below(2) == 0 ? &metrics : nullptr;
+    const std::uint64_t kind = rng.next_below(20);
+    if (kind < 6) {
+      // A plan of up to `capacity` fetches; its victims are distinct
+      // residents, one for each fetch that finds the cache full.
+      StoredPlan plan;
+      const std::size_t k = 1 + rng.next_below(capacity);
+      while (plan.fetch.size() < k) {
+        const ItemId f = non_resident();
+        if (std::find(plan.fetch.begin(), plan.fetch.end(), f) ==
+            plan.fetch.end()) {
+          plan.fetch.push_back(f);
+        }
+      }
+      std::vector<ItemId> residents(book.cache().contents().begin(),
+                                    book.cache().contents().end());
+      rng.shuffle(residents);
+      residents.resize(std::min(k, residents.size()));
+      plan.evict = residents;
+      book.execute(plan, m, [&](ItemId) {
+        const bool arrived = rng.next_below(4) != 0;
+        if (!arrived) ++abandoned;
+        return arrived;
+      });
+    } else if (kind < 13) {
+      book.view(static_cast<ItemId>(rng.next_below(catalog)));
+    } else if (kind < 19) {
+      const ItemId item = non_resident();
+      const std::vector<double> P = victim_row(rng, catalog);
+      const InstanceView row(P, r, 1.0);
+      ItemId want = kNoItem;
+      if (book.cache().full()) {
+        want = choose_victim(row, book.cache().contents(), &book.freq(),
+                             arb);
+      }
+      book.admit_demand(item, m, [&] { return row; });
+      ASSERT_TRUE(book.cache().contains(item));
+      if (want != kNoItem) {
+        ASSERT_FALSE(book.cache().contains(want)) << "op " << op;
+        ++demand_victims;
+      }
+    } else {
+      book.flush(m);
+    }
+    const std::optional<std::span<const ItemId>> kept =
+        book.eviction_order();
+    ASSERT_TRUE(kept.has_value());
+    ASSERT_EQ(std::vector<ItemId>(kept->begin(), kept->end()),
+              model_order(book, r, sub))
+        << "op " << op;
+  }
+  EXPECT_GT(demand_victims, 500u);
+  EXPECT_GT(abandoned, 100u);
+}
+
+// A small catalog keeps frequencies tied (LFU's integer counts tie
+// often); a larger one spreads the book over tens of residents.
+TEST(CacheFuzz, ResidentBookKeepsLfuOrder) {
+  fuzz_resident_book(SubArbitration::LFU, 12, 6, 121);
+  fuzz_resident_book(SubArbitration::LFU, 100, 40, 122);
+}
+
+TEST(CacheFuzz, ResidentBookKeepsDsOrder) {
+  fuzz_resident_book(SubArbitration::DS, 12, 6, 123);
+  fuzz_resident_book(SubArbitration::DS, 100, 40, 124);
+}
+
+// Without sub-arbitration, and on a sized cache, no order is kept.
+TEST(CacheFuzz, ResidentBookKeepsNoOrderWithoutSubArbitration) {
+  const std::vector<double> r(10, 1.0);
+  ArbitrationConfig arb;
+  EXPECT_FALSE(ResidentSet<SlotCache>(SlotCache(10, 3), r, arb)
+                   .eviction_order()
+                   .has_value());
+  arb.sub = SubArbitration::LFU;
+  EXPECT_FALSE(ResidentSet<SizedCache>(SizedCache(r, 5.0), r, arb)
+                   .eviction_order()
+                   .has_value());
 }
 
 }  // namespace

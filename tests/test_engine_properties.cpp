@@ -259,6 +259,55 @@ Instance admission_instance(Rng& rng, std::size_t n, bool dense,
   return inst;
 }
 
+// The eviction order a ResidentSet keeps under LFU/DS: every resident by
+// descending (sub score, id).
+std::vector<ItemId> kept_order(const Instance& inst, const SlotCache& cache,
+                               const FreqTracker& freq, SubArbitration sub) {
+  std::vector<ItemId> order(cache.contents().begin(),
+                            cache.contents().end());
+  const auto score = [&](ItemId i) {
+    return sub == SubArbitration::DS
+               ? freq.delay_saving_profit(i,
+                                          inst.r[static_cast<std::size_t>(i)])
+               : freq.frequency(i);
+  };
+  std::sort(order.begin(), order.end(), [&](ItemId a, ItemId b) {
+    const double sa = score(a);
+    const double sb = score(b);
+    return sa != sb ? sa > sb : a > b;
+  });
+  return order;
+}
+
+// One state against the reference loop: the plan without a kept order,
+// and under LFU/DS the plan walking the kept order and the demand walk
+// over it (choose_victim_in_order against choose_victim). Counts plans
+// that evicted.
+void check_admission(const PrefetchEngine& engine, const Instance& inst,
+                     const SlotCache& cache, const FreqTracker& freq,
+                     std::size_t& contested) {
+  const EngineConfig& cfg = engine.config();
+  const PrefetchPlan got = engine.plan_with_cache(inst, cache, &freq);
+  const PrefetchPlan want = reference_plan(inst, cache, freq, cfg);
+  ASSERT_EQ(got.fetch, want.fetch);
+  ASSERT_EQ(got.evict, want.evict);
+  if (!got.evict.empty()) ++contested;
+  if (cfg.arbitration.sub == SubArbitration::None) return;
+  const std::vector<ItemId> order =
+      kept_order(inst, cache, freq, cfg.arbitration.sub);
+  PlanScratch scratch;
+  PrefetchPlan walked;
+  engine.plan_with_cache_cached(inst, cache, &freq, PlanMemo{}, scratch,
+                                walked, std::nullopt, std::nullopt, order);
+  ASSERT_EQ(walked.fetch, want.fetch);
+  ASSERT_EQ(walked.evict, want.evict);
+  if (!cache.empty()) {
+    ASSERT_EQ(choose_victim_in_order(inst, order),
+              choose_victim(inst, cache.contents(), &freq,
+                            cfg.arbitration));
+  }
+}
+
 TEST(EngineAdmissionDifferential, MatchesChooseVictimReferenceLoop) {
   Rng rng(7700);
   std::size_t contested = 0;  // plans that evicted at least one item
@@ -294,17 +343,12 @@ TEST(EngineAdmissionDifferential, MatchesChooseVictimReferenceLoop) {
               freq.record(static_cast<ItemId>(rng.next_below(n)));
             }
 
-            const PrefetchPlan got = engine.plan_with_cache(inst, cache,
-                                                            &freq);
-            const PrefetchPlan want = reference_plan(inst, cache, freq,
-                                                     cfg);
             SCOPED_TRACE(::testing::Message()
                          << "n=" << n << " " << to_string(policy) << " "
                          << to_string(sub) << (strict ? " strict" : "")
                          << " trial " << trial);
-            ASSERT_EQ(got.fetch, want.fetch);
-            ASSERT_EQ(got.evict, want.evict);
-            if (!got.evict.empty()) ++contested;
+            ASSERT_NO_FATAL_FAILURE(
+                check_admission(engine, inst, cache, freq, contested));
           }
         }
       }
@@ -312,6 +356,61 @@ TEST(EngineAdmissionDifferential, MatchesChooseVictimReferenceLoop) {
   }
   // The comparison must reach the victim path, not only free slots.
   EXPECT_GT(contested, 200u);
+
+  // LFU/DS states whose residents all have P > 0, so a kept-order walk
+  // runs dry on its first contested candidate and ranks the positive
+  // residents it passed: sparse rows with more positive items than slots
+  // (ties left to sub scores and ids), and dense rows, which also walk
+  // the whole order on a demand miss.
+  Rng dry_rng(7701);
+  std::size_t dry_contested = 0;
+  for (const std::size_t n : {10, 65, 130}) {
+    for (const PrefetchPolicy policy :
+         {PrefetchPolicy::KP, PrefetchPolicy::SKP}) {
+      for (const SubArbitration sub :
+           {SubArbitration::LFU, SubArbitration::DS}) {
+        for (const bool strict : {false, true}) {
+          EngineConfig cfg;
+          cfg.policy = policy;
+          cfg.arbitration.sub = sub;
+          cfg.arbitration.strict_ties = strict;
+          const PrefetchEngine engine(cfg);
+          for (int trial = 0; trial < 8; ++trial) {
+            const bool dense = trial % 2 == 1;
+            const std::size_t capacity = std::max<std::size_t>(
+                2, static_cast<std::size_t>(dry_rng.next_below(n / 2 + 1)));
+            const std::size_t support = std::min<std::size_t>(
+                n - 1, capacity + 2 +
+                           static_cast<std::size_t>(
+                               dry_rng.next_below(capacity + 1)));
+            const Instance inst =
+                admission_instance(dry_rng, n, dense, support);
+            std::vector<ItemId> positive;
+            for (std::size_t i = 0; i < n; ++i) {
+              if (inst.P[i] > 0.0) positive.push_back(static_cast<ItemId>(i));
+            }
+            dry_rng.shuffle(positive);
+            SlotCache cache(n, capacity);
+            for (std::size_t k = 0; k < capacity; ++k) {
+              cache.insert(positive[k]);
+            }
+            FreqTracker freq(n);
+            for (std::size_t k = 0; k < n / 2 + 5; ++k) {
+              freq.record(static_cast<ItemId>(dry_rng.next_below(n)));
+            }
+            SCOPED_TRACE(::testing::Message()
+                         << "all-positive n=" << n << " "
+                         << to_string(policy) << " " << to_string(sub)
+                         << (strict ? " strict" : "") << " trial "
+                         << trial << (dense ? " dense" : ""));
+            ASSERT_NO_FATAL_FAILURE(
+                check_admission(engine, inst, cache, freq, dry_contested));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(dry_contested, 40u);
 }
 
 // Sized-planner analogue of the structural grid.
