@@ -67,8 +67,7 @@ struct PlanScratch {
 
   // Sized-cache planning: victim-gathering pool + result, and a scratch
   // copy of the cache that victim searches mutate (copy-assigned from the
-  // real cache each round, reusing its storage). Slot-cache admission
-  // stages in `pool` the positive-Pr residents its zero-Pr walk passed.
+  // real cache each round, reusing its storage).
   std::vector<ItemId> pool;
   VictimSet victims;
   std::optional<SizedCache> sized;

@@ -124,25 +124,28 @@ bool victim_rank_less(const PlanScratch::VictimRank& a,
           ((a.sub < b.sub) | ((a.sub == b.sub) & (a.id < b.id))));
 }
 
-// Leaves the k (>= 1) smallest eviction ranks of the `cached` items in
-// `out`, ascending, in one pass: an item enters only when it beats the
-// k-th rank so far, and is sifted into place. The scores are fixed while
-// one plan is built, so these are exactly the next k victims repeated
-// choose_victim + removal over those items would yield.
+// Leaves the k (>= 1) smallest eviction ranks of the cached items in
+// `out`, ascending, in one pass over `cached`: an item enters only when it
+// beats the k-th rank so far, and is sifted into place. The scores are
+// fixed while one plan is built, so these are exactly the next k victims
+// repeated choose_victim + removal would yield. `positive_only` skips the
+// zero-Pr items, which a zero-Pr walk that ran dry has consumed.
 void select_victims_into(InstanceView inst, std::span<const ItemId> cached,
                          const FreqTracker* freq, SubArbitration sub,
-                         std::size_t k,
+                         bool positive_only, std::size_t k,
                          std::vector<PlanScratch::VictimRank>& out) {
   SKP_REQUIRE(sub == SubArbitration::None || freq != nullptr,
               "sub-arbitration requires a FreqTracker");
   out.clear();
   for (const ItemId c : cached) {
     const std::size_t ci = InstanceView::idx(c);
+    const double pr = inst.P[ci] * inst.r[ci];
+    if (positive_only && pr == 0.0) continue;
     const double s =
         sub == SubArbitration::LFU ? freq->frequency(c)
         : sub == SubArbitration::DS ? freq->delay_saving_profit(c, inst.r[ci])
                                     : 0.0;
-    const PlanScratch::VictimRank rank{inst.P[ci] * inst.r[ci], s, c};
+    const PlanScratch::VictimRank rank{pr, s, c};
     if (out.size() < k) {
       out.push_back(rank);
     } else if (victim_rank_less(rank, out.back())) {
@@ -165,7 +168,8 @@ void select_victims_into(InstanceView inst, std::span<const ItemId> cached,
     std::span<const std::pair<ItemId, ItemId>> victim_of) {
   if (victim_of.empty()) return true;
   std::vector<PlanScratch::VictimRank> want;
-  select_victims_into(inst, cached, freq, sub, victim_of.size(), want);
+  select_victims_into(inst, cached, freq, sub, false, victim_of.size(),
+                      want);
   for (std::size_t j = 0; j < victim_of.size(); ++j) {
     if (want[j].id != victim_of[j].second) return false;
   }
@@ -468,11 +472,11 @@ void PrefetchEngine::admit_slot_into(
   // order. A walk yields that group exactly: the kept eviction order from
   // its back, or, without sub-arbitration (all sub scores 0), the cache's
   // ascending-id walk over its presence bits. The common case (sparse P
-  // rows, few victims) then ranks nothing. Once the walk runs dry, it has
-  // passed every positive-Pr resident, and one pass over those keeps just
-  // the ranks the remaining candidates can consume (each claims at most
-  // one); LFU/DS without a kept order rank the whole cache that way from
-  // the first contested candidate.
+  // rows, few victims) then ranks nothing. Once the walk runs dry, one
+  // pass over the positive-Pr residents keeps just the ranks the
+  // remaining candidates can consume (each claims at most one); LFU/DS
+  // without a kept order rank the whole cache that way from the first
+  // contested candidate.
   profit_order_into(inst, out.fetch, scratch.admit_keys, scratch.by_profit);
   const SubArbitration sub = config_.arbitration.sub;
   const bool kept = eviction_order.has_value();
@@ -481,8 +485,6 @@ void PrefetchEngine::admit_slot_into(
   // The walk's next step: a kept-order index counting down, or the next
   // id to visit.
   std::size_t walk_at = kept ? eviction_order->size() : 0;
-  std::vector<ItemId>& passed = scratch.pool;  // positive-Pr, walked past
-  passed.clear();
   bool ranked_built = false;  // rank lazily: uncontested rounds skip it
   std::size_t next_victim = 0;
   std::size_t free_slots = cache.capacity() - cache.size();
@@ -513,14 +515,11 @@ void PrefetchEngine::admit_slot_into(
         victim_id = c;
         break;
       }
-      passed.push_back(c);
     }
     if (victim_id == kNoItem) {
       if (!ranked_built) {
-        select_victims_into(inst,
-                            walks ? std::span<const ItemId>(passed)
-                                  : cache.contents(),
-                            freq, sub, proposed - at, scratch.ranked);
+        select_victims_into(inst, cache.contents(), freq, sub, walks,
+                            proposed - at, scratch.ranked);
         ranked_built = true;
       }
       if (next_victim >= scratch.ranked.size()) break;  // nothing to
