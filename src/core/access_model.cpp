@@ -62,8 +62,7 @@ double expected_access_time_prefetch(InstanceView inst,
   return e;
 }
 
-double access_improvement(InstanceView inst, std::span<const ItemId> F,
-                          double total_prob_mass) {
+double access_improvement(InstanceView inst, std::span<const ItemId> F) {
   if (F.empty()) return 0.0;
   SKP_REQUIRE(is_valid_prefetch_list(inst, F), "invalid prefetch list");
   const double st = stretch_time(inst, F);
@@ -71,12 +70,12 @@ double access_improvement(InstanceView inst, std::span<const ItemId> F,
   for (ItemId i : F) gain += inst.profit(i);
   // Penalty mass: everything outside K = F \ {z} pays st(F).
   const double prob_K = sum_P(inst, F.subspan(0, F.size() - 1));
-  return gain - (total_prob_mass - prob_K) * st;
+  return gain - (1.0 - prob_K) * st;
 }
 
 double theorem3_delta(InstanceView inst, ItemId z, double prob_in_K,
-                      double stretch, double total_prob_mass) {
-  return inst.profit(z) - (total_prob_mass - prob_in_K) * stretch;
+                      double stretch) {
+  return inst.profit(z) - (1.0 - prob_in_K) * stretch;
 }
 
 double realized_access_time(InstanceView inst, std::span<const ItemId> F,
@@ -122,7 +121,7 @@ double access_improvement_cached(InstanceView inst,
     SKP_REQUIRE(!contains(C, f), "prefetch item " << f << " already cached");
   for (ItemId d : D)
     SKP_REQUIRE(contains(C, d), "eviction victim " << d << " not in cache");
-  const double g_star = access_improvement(inst, F, /*total_prob_mass=*/1.0);
+  const double g_star = access_improvement(inst, F);
   const double st = stretch_time(inst, F);
   double anti_g = 0.0;
   for (ItemId d : D) anti_g += inst.profit(d);

@@ -6,12 +6,10 @@
 //  * st(F) = max(0, sum(r over F) - v)                        (Eq. 2)
 //  * Empty-cache access improvement                            (Eq. 3)
 //        g*(F) = sum_{i in F} P_i r_i  -  sum_{i in N\K} P_i * st(F)
-//    The penalty mass sum_{i in N\K} P_i equals
-//        total_prob_mass - sum_{i in K} P_i,
-//    where total_prob_mass is the probability of the *whole catalog*
-//    (1.0 when the instance covers all of N). Cache-aware planning solves
-//    the SKP over N \ C yet the stretch still delays every non-K outcome,
-//    so the same complement form applies with the full mass.
+//    The penalty mass sum_{i in N\K} P_i equals 1 - sum_{i in K} P_i,
+//    the whole catalog's probability less K's. Cache-aware planning
+//    solves the SKP over N \ C yet the stretch still delays every non-K
+//    outcome, so the same complement form applies.
 //  * Cache-aware improvement                                   (Eq. 9)
 //        g(F, D) = g*(F) - ( sum_{i in D} P_i r_i
 //                            - sum_{i in C\D} P_i * st(F) )
@@ -38,17 +36,14 @@ double expected_access_time_no_prefetch(InstanceView inst);
 double expected_access_time_prefetch(InstanceView inst,
                                      std::span<const ItemId> F);
 
-// g*(F) per Eq. (3). `total_prob_mass` is the total catalog probability
-// entering the stretch penalty (see header comment); 1.0 for a full
-// catalog.
-double access_improvement(InstanceView inst, std::span<const ItemId> F,
-                          double total_prob_mass = 1.0);
+// g*(F) per Eq. (3).
+double access_improvement(InstanceView inst, std::span<const ItemId> F);
 
 // Theorem 3: g*(K ++ <z>) = g*(K) + delta with
-//   delta = P_z r_z - (total_prob_mass - sum_{i in K} P_i) * st(K ++ <z>).
+//   delta = P_z r_z - (1 - sum_{i in K} P_i) * st(K ++ <z>).
 // `prob_in_K` = sum of P over K; `stretch` = st(K ++ <z>).
 double theorem3_delta(InstanceView inst, ItemId z, double prob_in_K,
-                      double stretch, double total_prob_mass = 1.0);
+                      double stretch);
 
 // Realized (not expected) access time of the empty-cache model, given the
 // item actually requested (Figure 2 of the paper):

@@ -26,17 +26,6 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
     }
     return victim;
   }
-  auto sub_score = [&](ItemId i) {
-    switch (cfg.sub) {
-      case SubArbitration::LFU:
-        return freq->frequency(i);
-      case SubArbitration::DS:
-        return freq->delay_saving_profit(i, inst.r[InstanceView::idx(i)]);
-      case SubArbitration::None:
-        return 0.0;
-    }
-    return 0.0;  // unreachable
-  };
   // Sub-arbitrated path: sub scores stay lazy — computed only when an
   // item becomes the running minimum or ties it.
   ItemId victim = kNoItem;
@@ -48,12 +37,12 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
     if (victim == kNoItem || pr < victim_pr) {
       victim = i;
       victim_pr = pr;
-      victim_sub = sub_score(i);
+      victim_sub = sub_score(*freq, cfg.sub, i, inst.r[k]);
       continue;
     }
     if (pr > victim_pr) continue;
     // Pr tie: sub-arbitration, then lowest id for determinism.
-    const double s = sub_score(i);
+    const double s = sub_score(*freq, cfg.sub, i, inst.r[k]);
     if (s < victim_sub || (s == victim_sub && i < victim)) {
       victim = i;
       victim_sub = s;
@@ -123,16 +112,11 @@ void gather_victims_by_density_into(InstanceView inst,
     return;
   }
   pool.assign(cache.contents().begin(), cache.contents().end());
-  auto sub_score = [&](ItemId i) {
-    switch (cfg.sub) {
-      case SubArbitration::LFU:
-        return freq->frequency(i);
-      case SubArbitration::DS:
-        return freq->delay_saving_profit(i, inst.r[InstanceView::idx(i)]);
-      case SubArbitration::None:
-        return 0.0;
-    }
-    return 0.0;
+  // Without sub-arbitration `freq` may be null and every score is 0.
+  auto sub_of = [&](ItemId i) {
+    return freq == nullptr
+               ? 0.0
+               : sub_score(*freq, cfg.sub, i, inst.r[InstanceView::idx(i)]);
   };
   auto density = [&](ItemId i) {
     return inst.profit(i) / cache.size_of(i);
@@ -140,7 +124,7 @@ void gather_victims_by_density_into(InstanceView inst,
   std::sort(pool.begin(), pool.end(), [&](ItemId a, ItemId b) {
     const double da = density(a), db = density(b);
     if (da != db) return da < db;
-    const double sa = sub_score(a), sb = sub_score(b);
+    const double sa = sub_of(a), sb = sub_of(b);
     if (sa != sb) return sa < sb;
     return a < b;
   });

@@ -31,6 +31,23 @@ struct ArbitrationConfig {
   bool strict_ties = false;  // true = prose rule, false = Figure-6 listing
 };
 
+// The sub-arbitration score of item `i`, whose retrieval time is `r_i`:
+// LFU's freq_i, DS's delay-saving profit freq_i * r_i, 0 under None. Every
+// victim ranking and the LFU/DS eviction order a ResidentSet keeps score
+// through this one definition. Inline: ranking loops call it per resident.
+inline double sub_score(const FreqTracker& freq, SubArbitration sub,
+                        ItemId i, double r_i) {
+  switch (sub) {
+    case SubArbitration::LFU:
+      return freq.frequency(i);
+    case SubArbitration::DS:
+      return freq.delay_saving_profit(i, r_i);
+    case SubArbitration::None:
+      return 0.0;
+  }
+  return 0.0;  // unreachable
+}
+
 // Chooses the eviction victim among `cached` (non-empty): minimal
 // P_d * r_d, ties resolved by `cfg.sub` (then by lowest id). `freq` may be
 // null only when cfg.sub == None.

@@ -16,16 +16,14 @@ std::vector<ItemId> all_items(const Instance& inst) {
 }
 
 // g* of the ordered list `K ++ <z>` given precomputed sums, per Eq. (3).
-double g_of(double profit_sum, double prob_K, double stretch,
-            double total_prob_mass) {
-  return profit_sum - (total_prob_mass - prob_K) * stretch;
+double g_of(double profit_sum, double prob_K, double stretch) {
+  return profit_sum - (1.0 - prob_K) * stretch;
 }
 
 }  // namespace
 
 BruteForceResult brute_force_skp(const Instance& inst,
                                  std::span<const ItemId> candidates,
-                                 double total_prob_mass,
                                  std::size_t max_items) {
   inst.validate();
   const std::size_t m = candidates.size();
@@ -55,7 +53,7 @@ BruteForceResult brute_force_skp(const Instance& inst,
       ++best.evaluated;
       const double stretch = std::max(0.0, r_sum - inst.v);
       const double prob_K = p_sum - inst.P[Instance::idx(z)];
-      const double g = g_of(profit_sum, prob_K, stretch, total_prob_mass);
+      const double g = g_of(profit_sum, prob_K, stretch);
       if (g > best.g) {
         best.g = g;
         best.F.clear();
@@ -72,15 +70,14 @@ BruteForceResult brute_force_skp(const Instance& inst,
 }
 
 BruteForceResult brute_force_skp(const Instance& inst,
-                                 double total_prob_mass,
                                  std::size_t max_items) {
   const auto ids = all_items(inst);
-  return brute_force_skp(inst, ids, total_prob_mass, max_items);
+  return brute_force_skp(inst, ids, max_items);
 }
 
 BruteForceResult brute_force_skp_canonical(
     const Instance& inst, std::span<const ItemId> candidates,
-    double total_prob_mass, std::size_t max_items) {
+    std::size_t max_items) {
   inst.validate();
   const std::size_t m = candidates.size();
   SKP_REQUIRE(m <= max_items, "brute_force_skp_canonical over " << m
@@ -104,8 +101,7 @@ BruteForceResult brute_force_skp_canonical(
     if (!(r_sum - r_z < inst.v)) continue;  // Eq. (1) in canonical order
     ++best.evaluated;
     const double stretch = std::max(0.0, r_sum - inst.v);
-    const double g =
-        g_of(profit_sum, p_sum - p_z, stretch, total_prob_mass);
+    const double g = g_of(profit_sum, p_sum - p_z, stretch);
     if (g > best.g) {
       best.g = g;
       best.F.clear();
@@ -118,14 +114,12 @@ BruteForceResult brute_force_skp_canonical(
 }
 
 BruteForceResult brute_force_skp_canonical(const Instance& inst,
-                                           double total_prob_mass,
                                            std::size_t max_items) {
   const auto ids = all_items(inst);
-  return brute_force_skp_canonical(inst, ids, total_prob_mass, max_items);
+  return brute_force_skp_canonical(inst, ids, max_items);
 }
 
 BruteForceResult brute_force_skp_permutations(const Instance& inst,
-                                              double total_prob_mass,
                                               std::size_t max_items) {
   inst.validate();
   const std::size_t m = inst.n();
@@ -143,7 +137,7 @@ BruteForceResult brute_force_skp_permutations(const Instance& inst,
     do {
       if (!is_valid_prefetch_list(inst, subset)) continue;
       ++best.evaluated;
-      const double g = access_improvement(inst, subset, total_prob_mass);
+      const double g = access_improvement(inst, subset);
       if (g > best.g) {
         best.g = g;
         best.F = subset;

@@ -24,10 +24,8 @@ struct BruteForceResult {
 // `max_items` candidates (guard against accidental exponential blowups).
 BruteForceResult brute_force_skp(const Instance& inst,
                                  std::span<const ItemId> candidates,
-                                 double total_prob_mass = 1.0,
                                  std::size_t max_items = 22);
 BruteForceResult brute_force_skp(const Instance& inst,
-                                 double total_prob_mass = 1.0,
                                  std::size_t max_items = 22);
 
 // Exhaustive SKP restricted to the canonical-order subspace the paper's
@@ -39,17 +37,14 @@ BruteForceResult brute_force_skp(const Instance& inst,
 // of brute_force_skp can therefore exceed this one.)
 BruteForceResult brute_force_skp_canonical(const Instance& inst,
                                            std::span<const ItemId> candidates,
-                                           double total_prob_mass = 1.0,
                                            std::size_t max_items = 22);
 BruteForceResult brute_force_skp_canonical(const Instance& inst,
-                                           double total_prob_mass = 1.0,
                                            std::size_t max_items = 22);
 
 // Exhaustive SKP over *all permutations* of all subsets — the raw search
 // space described in Section 4.1. Only for tiny n (<= 8); used to verify
 // that restricting to (subset, z) pairs loses nothing.
 BruteForceResult brute_force_skp_permutations(const Instance& inst,
-                                              double total_prob_mass = 1.0,
                                               std::size_t max_items = 8);
 
 // Exhaustive 0/1 knapsack (profit P*r, weight r, capacity v).

@@ -16,8 +16,9 @@ std::vector<ItemId> all_items(InstanceView inst) {
 
 // Recursive Horowitz–Sahni style depth-first search. Items are visited in
 // canonical (profit-density descending) order; at each node the Dantzig
-// bound prunes subtrees that cannot beat the incumbent. All working memory
-// is borrowed from a KpWorkspace so repeated solves never allocate.
+// bound prunes subtrees that cannot beat the incumbent. The search visits
+// at most kSolveNodeBudget nodes. All working memory is borrowed from a
+// KpWorkspace so repeated solves never allocate.
 class KpSearch {
  public:
   KpSearch(InstanceView inst, std::span<const ItemId> order, KpWorkspace& ws)
@@ -32,6 +33,7 @@ class KpSearch {
     sol.value = best_value_;
     sol.nodes = nodes_;
     sol.pruned = pruned_;
+    sol.node_limit_hit = limit_hit_;
     for (std::size_t i = 0; i < order_.size(); ++i) {
       if (ws_.best_chosen[i]) {
         sol.items.push_back(order_[i]);
@@ -42,6 +44,10 @@ class KpSearch {
 
  private:
   void dfs(std::size_t depth, double value, double weight) {
+    if (nodes_ >= kSolveNodeBudget) {
+      limit_hit_ = true;
+      return;
+    }
     ++nodes_;
     if (value > best_value_) {
       best_value_ = value;
@@ -72,6 +78,7 @@ class KpSearch {
   double best_value_ = 0.0;
   std::uint64_t nodes_ = 0;
   std::uint64_t pruned_ = 0;
+  bool limit_hit_ = false;
 };
 
 }  // namespace
@@ -82,6 +89,7 @@ void KpSolution::clear() {
   weight = 0.0;
   nodes = 0;
   pruned = 0;
+  node_limit_hit = false;
 }
 
 double dantzig_bound(InstanceView inst, std::span<const ItemId> order,

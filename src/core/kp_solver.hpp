@@ -22,6 +22,15 @@
 
 namespace skp {
 
+// The effort bound of both exact searches (DESIGN.md D9): the KP
+// branch-and-bound stops after this many DFS nodes, the SKP search of
+// Figure 3 after this many forward steps, and each returns its
+// incumbent. Neither search is bounded in the paper; on tie-heavy rows a
+// one-ulp rounding keeps Eq. (7)'s prune from firing and one solve can
+// run for hundreds of millions of steps. The budget is ~7x the largest
+// solve of any pinned workload, so none of them reaches it.
+inline constexpr std::uint64_t kSolveNodeBudget = 1'000'000;
+
 struct KpSolution {
   // Selected items in canonical order.
   std::vector<ItemId> items;
@@ -32,6 +41,9 @@ struct KpSolution {
   // Search statistics (branch-and-bound only; zero for DP/greedy).
   std::uint64_t nodes = 0;
   std::uint64_t pruned = 0;
+  // The branch-and-bound reached kSolveNodeBudget nodes and `items` is
+  // its incumbent.
+  bool node_limit_hit = false;
 
   // Resets to the empty solution, keeping `items`' capacity (hot-path
   // reuse).
@@ -49,6 +61,8 @@ struct KpWorkspace {
 
 // Exact B&B over the given candidates (defaults to the whole catalog when
 // `candidates` is empty and `use_all` is true via the convenience overload).
+// Every form stops at kSolveNodeBudget nodes and returns its incumbent, at
+// least the take-first DFS's first leaf, the greedy fill.
 KpSolution solve_kp_bb(InstanceView inst, std::span<const ItemId> candidates);
 KpSolution solve_kp_bb(InstanceView inst);
 

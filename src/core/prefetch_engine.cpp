@@ -20,7 +20,6 @@ std::uint64_t engine_config_digest(const EngineConfig& config) {
   fold(static_cast<std::uint64_t>(config.arbitration.sub));
   fold(config.arbitration.strict_ties ? 1 : 0);
   fold(std::bit_cast<std::uint64_t>(config.min_profit_threshold));
-  fold(config.max_solver_nodes);
   fold(config.evaluate_plan_g ? 1 : 0);
   return h;
 }
@@ -69,20 +68,11 @@ void viable_candidates_into(
     }
     return;
   }
-  if (min_profit <= 0.0) {  // paper behaviour: no threshold to evaluate
-    for (std::size_t i = 0; i < inst.n(); ++i) {
-      const auto id = static_cast<ItemId>(i);
-      if (inst.P[i] <= 0.0) continue;
-      if (cached(id)) continue;
-      out.push_back(id);
-    }
-    return;
-  }
   for (std::size_t i = 0; i < inst.n(); ++i) {
     const auto id = static_cast<ItemId>(i);
     if (inst.P[i] <= 0.0) continue;
     if (cached(id)) continue;
-    if (inst.P[i] * inst.r[i] < min_profit) continue;
+    if (min_profit > 0.0 && inst.P[i] * inst.r[i] < min_profit) continue;
     out.push_back(id);
   }
 }
@@ -142,9 +132,7 @@ void select_victims_into(InstanceView inst, std::span<const ItemId> cached,
     const double pr = inst.P[ci] * inst.r[ci];
     if (positive_only && pr == 0.0) continue;
     const double s =
-        sub == SubArbitration::LFU ? freq->frequency(c)
-        : sub == SubArbitration::DS ? freq->delay_saving_profit(c, inst.r[ci])
-                                    : 0.0;
+        freq == nullptr ? 0.0 : sub_score(*freq, sub, c, inst.r[ci]);
     const PlanScratch::VictimRank rank{pr, s, c};
     if (out.size() < k) {
       out.push_back(rank);
@@ -317,9 +305,7 @@ void PrefetchEngine::select_into(InstanceView inst,
       break;
     }
     case PrefetchPolicy::SKP: {
-      SkpOptions opts;
-      opts.delta_rule = config_.delta_rule;
-      opts.max_nodes = config_.max_solver_nodes;
+      const SkpOptions opts{config_.delta_rule};
       if (candidates_canonical) {
         solve_skp_sorted_into(inst, candidates, opts, scratch.skp,
                               scratch.skp_sol, suffix_prob);

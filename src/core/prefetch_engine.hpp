@@ -55,8 +55,6 @@ struct EngineConfig {
   // marginal contribution P_f r_f falls below this threshold, trading
   // access improvement for network usage. 0 reproduces the paper.
   double min_profit_threshold = 0.0;
-  // Node budget forwarded to the SKP search (0 = unlimited).
-  std::uint64_t max_solver_nodes = 0;
   // Evaluate the cache-aware plan's Eq.-(9) improvement into
   // PrefetchPlan::predicted_g (an O(|cache|) diagnostic per planning
   // round that no decision in the pipeline consumes — Figure 6 commits

@@ -52,7 +52,7 @@ class SkpSearch {
     Phase phase = Phase::Bound;
 
     for (;;) {
-      if (opts_.max_nodes && sol_.forward_steps >= opts_.max_nodes) {
+      if (sol_.forward_steps >= kSolveNodeBudget) {
         sol_.node_limit_hit = true;
         break;
       }
@@ -128,7 +128,7 @@ class SkpSearch {
         }
       }
     }
-    finish();  // node-limit exit: report the incumbent
+    finish();  // budget exit: report the incumbent
   }
 
  private:
@@ -137,9 +137,9 @@ class SkpSearch {
       case DeltaRule::PaperTail:
         return suffix_[j];
       case DeltaRule::ExactComplement:
-        return opts_.total_prob_mass - prob_selected;
+        return 1.0 - prob_selected;
     }
-    return opts_.total_prob_mass - prob_selected;  // unreachable
+    return 1.0 - prob_selected;  // unreachable
   }
 
   void finish() {
@@ -192,8 +192,6 @@ void solve_skp_sorted_into(InstanceView inst, std::span<const ItemId> order,
                            const SkpOptions& opts, SkpWorkspace& ws,
                            SkpSolution& sol,
                            std::span<const double> suffix_prob) {
-  SKP_REQUIRE(opts.total_prob_mass > 0.0,
-              "total_prob_mass = " << opts.total_prob_mass);
   sol.clear();
   SkpSearch search(inst, order, opts, ws, sol, suffix_prob);
   search.run();

@@ -11,7 +11,7 @@
 // Delta accounting (DESIGN.md, D1): the paper's Figure 3 computes the
 // stretch penalty with the *tail* probability sum_{i=j..n} P_i, which
 // silently drops items excluded earlier in the search; Eq. (3)/Theorem 3
-// require the complement total_mass - sum_{i in K} P_i. Both rules are
+// require the complement 1 - sum_{i in K} P_i. Both rules are
 // implemented:
 //   * DeltaRule::ExactComplement — consistent with Eq. (3); property tests
 //     show it matches exhaustive search.
@@ -25,29 +25,27 @@
 #include <vector>
 
 #include "core/item.hpp"
+#include "core/kp_solver.hpp"
 
 namespace skp {
 
 enum class DeltaRule {
-  ExactComplement,  // penalty = total_prob_mass - sum_{i in K} P_i
-  PaperTail,        // penalty = sum_{i=j..n} P_i   (Figure 3, verbatim)
+  // penalty = 1 - sum_{i in K} P_i: the whole catalog's mass, also under
+  // cache-aware planning, because the stretch delays every outcome
+  // outside K (Section 5).
+  ExactComplement,
+  PaperTail,  // penalty = sum_{i=j..n} P_i   (Figure 3, verbatim)
 };
 
 struct SkpOptions {
   DeltaRule delta_rule = DeltaRule::ExactComplement;
-  // Probability mass paying the stretch penalty when nothing is selected.
-  // 1.0 for a full catalog; cache-aware planning keeps 1.0 as well because
-  // the stretch delays every outcome outside K (Section 5).
-  double total_prob_mass = 1.0;
-  // Safety valve for adversarial instances; 0 = unlimited.
-  std::uint64_t max_nodes = 0;
 };
 
 struct SkpSolution {
   // Optimal prefetch list in canonical order; last element is z.
   PrefetchList F;
   // g*(F) under the solver's accounting rule. For ExactComplement this
-  // equals access_improvement(inst, F, total_prob_mass).
+  // equals access_improvement(inst, F).
   double g = 0.0;
   // st(F) of the returned list.
   double stretch = 0.0;
@@ -55,6 +53,9 @@ struct SkpSolution {
   std::uint64_t forward_steps = 0;   // item insertions attempted
   std::uint64_t backtracks = 0;      // step-5 moves
   std::uint64_t bound_prunes = 0;    // subtrees cut by Eq. (7)
+  // The search reached kSolveNodeBudget forward steps and F is its
+  // incumbent. The budget is checked between forward passes, so the
+  // count may end fewer than |candidates| steps past it.
   bool node_limit_hit = false;
 
   // Resets to the empty solution, keeping `F`'s capacity (hot-path reuse).
@@ -84,7 +85,9 @@ struct SkpWorkspace {
 
 // Solves the SKP over `candidates` (item ids into `inst`). Items with
 // P_i == 0 can never enter an optimal list and may be pre-filtered by the
-// caller; the solver handles them correctly either way.
+// caller; the solver handles them correctly either way. Every form stops
+// at kSolveNodeBudget forward steps and returns its incumbent, at least
+// Figure 3's first leaf, the greedy fill (DESIGN.md D9).
 SkpSolution solve_skp(InstanceView inst, std::span<const ItemId> candidates,
                       const SkpOptions& opts = {});
 

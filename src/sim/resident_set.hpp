@@ -116,7 +116,7 @@ class ResidentSet {
   // resident's sub score rises, so its order entry moves forward.
   void view(ItemId item) {
     const bool rekey = keeps_order() && cache_.contains(item);
-    const std::size_t at = rekey ? order_find(sub_score(item), item) : 0;
+    const std::size_t at = rekey ? order_find(order_key(item), item) : 0;
     freq_.record(item);
     if (rekey) order_raise(at, item);
     unviewed_[InstanceView::idx(item)] = 0;
@@ -168,11 +168,9 @@ class ResidentSet {
   bool keeps_order() const noexcept {
     return !kSized && arb_.sub != SubArbitration::None;
   }
-  // choose_victim's LFU/DS score, computed the same way.
-  double sub_score(ItemId item) const {
-    return arb_.sub == SubArbitration::DS
-               ? freq_.delay_saving_profit(item, r_[InstanceView::idx(item)])
-               : freq_.frequency(item);
+  // An entry's key: the LFU/DS score choose_victim ranks by.
+  double order_key(ItemId item) const {
+    return sub_score(freq_, arb_.sub, item, r_[InstanceView::idx(item)]);
   }
   // True when order entry j sorts before (s, item): a larger key.
   bool order_before(std::size_t j, double s, ItemId item) const {
@@ -196,7 +194,7 @@ class ResidentSet {
   // Re-keys the entry at `at`, holding `item`, at its current (not
   // lower) score: it moves forward past every entry it now outranks.
   void order_raise(std::size_t at, ItemId item) {
-    const double s = sub_score(item);
+    const double s = order_key(item);
     for (; at > 0 && !order_before(at - 1, s, item); --at) {
       order_[at] = order_[at - 1];
       order_sub_[at] = order_sub_[at - 1];

@@ -70,7 +70,7 @@ TEST(BruteForceSkp, ThrowsOverItemCap) {
   inst.P.assign(30, 1.0 / 30);
   inst.r.assign(30, 1.0);
   inst.v = 5.0;
-  EXPECT_THROW(brute_force_skp(inst, 1.0, 22), std::invalid_argument);
+  EXPECT_THROW(brute_force_skp(inst, 22), std::invalid_argument);
 }
 
 TEST(BruteForceSkp, SingleItemStretch) {
@@ -117,8 +117,7 @@ TEST(BruteForcePermutations, RespectsItemCap) {
   inst.P.assign(10, 0.1);
   inst.r.assign(10, 1.0);
   inst.v = 5.0;
-  EXPECT_THROW(brute_force_skp_permutations(inst, 1.0, 8),
-               std::invalid_argument);
+  EXPECT_THROW(brute_force_skp_permutations(inst, 8), std::invalid_argument);
 }
 
 }  // namespace

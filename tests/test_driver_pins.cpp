@@ -1,8 +1,9 @@
 // Fixed-seed pins for the decision paths outside the kEquivalence table
 // (test_prefetch_cache_sim.cpp): replay_trace, the netsim_des and
 // multi_client drivers through run_sim, a DS-arbitrated ClientSession
-// driven directly, and LFU/DS rows of both DES drivers on the
-// paper-default chain at caches of 25 and 75. Same contract and row
+// driven directly, LFU/DS rows of both DES drivers on the paper-default
+// chain at caches of 25 and 75, and three cold-started ppm chains whose
+// exact solves stop at kSolveNodeBudget. Same contract and row
 // format as that table: every counter bit for bit, doubles at 17
 // significant digits, so any drift here is a real behaviour change, not
 // noise. Each row also
@@ -23,6 +24,7 @@
 #include "sim/netsim.hpp"
 #include "sim/runtime.hpp"
 #include "sim/trace_replay.hpp"
+#include "util/rng.hpp"
 #include "workload/markov_source.hpp"
 
 namespace skp {
@@ -204,6 +206,28 @@ SimResult session_ds_dense() {
   return metrics_only(session.metrics());
 }
 
+// A ppm predictor with no warm-up on a 1000-item lossy link (perfbench's
+// cold-start shape): its first rows put ~1% on dozens of items, and one
+// exact solve per chain hits kSolveNodeBudget. Without the budget these
+// rows spend 19,801,034, 9,753,196 and 363,022,262 solver nodes; every
+// other counter is the unbudgeted run's, so the budget kept each plan.
+SimResult ppm_cold_start(std::uint64_t root, std::uint64_t salt,
+                         PrefetchPolicy policy, std::size_t requests) {
+  SimSpec spec;
+  spec.driver = SimDriverKind::NetsimDes;
+  spec.workload.n_items = 1000;
+  spec.cache_size = 50;
+  spec.requests = requests;
+  spec.seed = Rng(root).split(salt).next_u64();
+  spec.policy = policy;
+  spec.predictor = PredictorKind::Ppm;
+  spec.predictor_warmup = 0;
+  spec.fault.fail_rate = 0.05;
+  spec.fault.retry.max_attempts = 3;
+  spec.fault.retry.backoff_base = 1.0;
+  return run_sim(spec);
+}
+
 struct PinCase {
   const char* name;
   SimResult (*run)();
@@ -240,6 +264,9 @@ const PinCase kPinCases[] = {
     {"multi_chain_lfu_c75", [] { return run_sim(chain_spec(SimDriverKind::MultiClientDes, SubArbitration::LFU, 75)); }},
     {"multi_chain_ds_c25", [] { return run_sim(chain_spec(SimDriverKind::MultiClientDes, SubArbitration::DS, 25)); }},
     {"multi_chain_ds_c75", [] { return run_sim(chain_spec(SimDriverKind::MultiClientDes, SubArbitration::DS, 75)); }},
+    {"netsim_ppm_cold_skp", [] { return ppm_cold_start(106, 102, PrefetchPolicy::SKP, 200); }},
+    {"netsim_ppm_cold_kp", [] { return ppm_cold_start(106, 102, PrefetchPolicy::KP, 300); }},
+    {"netsim_ppm_cold_skp_7_226", [] { return ppm_cold_start(7, 226, PrefetchPolicy::SKP, 300); }},
     // clang-format on
 };
 
@@ -292,6 +319,9 @@ const PinRow kPins[] = {
     {"multi_chain_lfu_c75", 906, 75, 2725, 2380, 5011, 52.467083333333342, 42650, 0.99705442304095759, 0, 0, "400:304:27 400:302:26 400:300:22"},
     {"multi_chain_ds_c25", 362, 335, 4891, 4266, 18697, 108.71583333333335, 65409, 0.99993120686096904, 0, 0, "400:139:96 400:120:108 400:103:131"},
     {"multi_chain_ds_c75", 928, 53, 3179, 2773, 5006, 35.059166666666648, 34776, 0.98518371625258505, 0, 0, "400:314:18 400:313:18 400:301:17"},
+    {"netsim_ppm_cold_skp", 11, 189, 49, 48, 1004371, 14.255000000000004, 3227, 0.24060709768618407, 0, 0, ""},
+    {"netsim_ppm_cold_kp", 19, 281, 80, 74, 1003792, 14.483333333333336, 5094, 0.25656372598330146, 0, 0, ""},
+    {"netsim_ppm_cold_skp_7_226", 22, 276, 95, 86, 1246596, 14.073333333333343, 5415, 0.29344683584966269, 0, 0, ""},
     // clang-format on
 };
 

@@ -18,6 +18,7 @@ TEST(KpBb, HandCheckedSelection) {
   EXPECT_DOUBLE_EQ(sol.value, 5.0);
   EXPECT_EQ(sol.items, (std::vector<ItemId>{0}));
   EXPECT_DOUBLE_EQ(sol.weight, 10.0);
+  EXPECT_FALSE(sol.node_limit_hit);
 }
 
 TEST(KpBb, TakesEverythingWhenCapacityLarge) {
@@ -100,6 +101,29 @@ TEST(KpBb, MatchesBruteForce) {
     const BruteForceResult bf = brute_force_kp(inst, ids);
     EXPECT_NEAR(bb.value, bf.g, 1e-9) << "trial " << trial;
   }
+}
+
+// The KP twin of test_skp_solver's cold-start row: the same chain under
+// KP (DriverPins' netsim_ppm_cold_kp) reaches a 30-candidate row (ids
+// renumbered 0..29 in their original order) with integer r summing to
+// 180 and v = 86. The Dantzig bound misses the perfect fill's value by
+// an ulp, so the unbudgeted branch-and-bound visits 9,749,404 nodes.
+TEST(KpBb, BudgetStopsTieBoundSearchWithItsOptimum) {
+  Instance inst;
+  inst.r = {17, 13, 2, 7, 2, 1, 11, 2, 8, 3, 6, 3, 1, 7, 4,
+            7,  3,  7, 4, 6, 9, 8,  8, 10, 8, 9, 1, 5, 2, 6};
+  inst.P.assign(inst.r.size(), 0.010565116279069866);
+  inst.P[2] = 0.021030232558139732;
+  inst.v = 86.0;
+  const KpSolution sol = solve_kp_bb(inst);
+  EXPECT_TRUE(sol.node_limit_hit);
+  EXPECT_EQ(sol.nodes, kSolveNodeBudget);  // checked before each node
+  // The selection and value the unbudgeted search returns.
+  EXPECT_EQ(sol.items, (std::vector<ItemId>{2, 5, 12, 26, 4, 7, 28, 9, 11,
+                                            16, 14, 18, 27, 10, 19, 29, 3,
+                                            13, 8, 1}));
+  EXPECT_EQ(sol.value, 0.92953023255814804);
+  EXPECT_EQ(sol.weight, 86.0);
 }
 
 TEST(GreedyKp, NeverExceedsExact) {

@@ -228,7 +228,7 @@ TEST(SkpEdgeCases, SubUnitMassCatalog) {
   inst.r = {8.0, 4.0};
   inst.v = 6.0;
   const SkpSolution sol = solve_skp(inst);
-  const BruteForceResult bf = brute_force_skp(inst, 1.0);
+  const BruteForceResult bf = brute_force_skp(inst);
   EXPECT_NEAR(sol.g, bf.g, 1e-12);
 }
 
