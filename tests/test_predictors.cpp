@@ -9,6 +9,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "predict/dependency_graph.hpp"
@@ -309,6 +310,29 @@ void expect_lockstep(Predictor& pred, const std::vector<ItemId>& stream,
   }
 }
 
+struct LockstepInput {
+  std::string name;
+  std::size_t n;
+  std::vector<ItemId> stream;
+};
+
+// The n = 2 and n = 7 streams drive every count far past n.
+std::vector<LockstepInput> lockstep_inputs() {
+  std::vector<LockstepInput> inputs;
+  for (const std::size_t n : {2u, 7u, 100u, 1000u}) {
+    inputs.push_back({"structured", n, structured_stream(n, 4096, 11 + n)});
+  }
+  // LZ78's root holds every symbol, before and after the halfway reset.
+  inputs.push_back({"iid", 100, iid_stream(100, 4096, 23)});
+  // Catalogs the size of learned_des: most LZ78 rows sit at the root or
+  // at a node with no observations, and the long stream grows the root's
+  // largest counts well past the rest.
+  inputs.push_back({"iid", 1000, iid_stream(1000, 4096, 29)});
+  inputs.push_back(
+      {"structured_long", 1000, structured_stream(1000, 20000, 31)});
+  return inputs;
+}
+
 TEST(PredictFiltered, MatchesDenseFilterInLockstep) {
   using Make = std::function<std::unique_ptr<Predictor>(std::size_t)>;
   const std::vector<std::pair<std::string, Make>> kinds = {
@@ -331,24 +355,7 @@ TEST(PredictFiltered, MatchesDenseFilterInLockstep) {
          return std::make_unique<DependencyGraph>(n, 2);
        }},
   };
-  struct Input {
-    std::string name;
-    std::size_t n;
-    std::vector<ItemId> stream;
-  };
-  std::vector<Input> inputs;
-  for (const std::size_t n : {2u, 7u, 100u, 1000u}) {
-    inputs.push_back({"structured", n, structured_stream(n, 4096, 11 + n)});
-  }
-  // LZ78's root holds every symbol, before and after the halfway reset.
-  inputs.push_back({"iid", 100, iid_stream(100, 4096, 23)});
-  // Catalogs the size of learned_des: most LZ78 rows sit at the root or
-  // at a node with no observations, and the long stream grows the root's
-  // largest counts well past the rest.
-  inputs.push_back({"iid", 1000, iid_stream(1000, 4096, 29)});
-  inputs.push_back(
-      {"structured_long", 1000, structured_stream(1000, 20000, 31)});
-  for (const Input& in : inputs) {
+  for (const LockstepInput& in : lockstep_inputs()) {
     for (const double min_prob : {0.0, 1e-4, 0.01, 0.3}) {
       for (const auto& [name, make] : kinds) {
         SCOPED_TRACE(name + " " + in.name + " n=" + std::to_string(in.n) +
@@ -409,33 +416,223 @@ void expect_matches_around(const Predictor& pred, double edge, int width) {
   }
 }
 
-// Where the LZ78 parse stands: the kind of row the next prediction
-// blends. Mirrors the phrase rule with a map so the test can tell the
-// kinds apart from outside.
+// The LZ78 parse with map-based counts, written out independently of the
+// library: the phrase rule, the kind of row the next prediction blends
+// (so a test can tell the kinds apart from outside) and the row itself.
 class Lz78Mirror {
  public:
   enum class Row { kRoot, kInner, kFresh };
+  explicit Lz78Mirror(std::size_t n) : marginal_(n, 0) {}
   void observe(ItemId sym) {
-    ++total_[cur_];
-    const auto it = child_.find({cur_, sym});
-    if (it != child_.end()) {
-      cur_ = it->second;
+    ++nodes_[cur_].total;
+    ++marginal_[static_cast<std::size_t>(sym)];
+    ++total_;
+    const auto it = nodes_[cur_].child.find(sym);
+    if (it != nodes_[cur_].child.end()) {
+      ++it->second.count;
+      cur_ = it->second.node;
       return;
     }
-    child_[{cur_, sym}] = total_.size();
-    total_.push_back(0);
+    nodes_[cur_].child[sym] = {nodes_.size(), 1};
+    nodes_.emplace_back();
     cur_ = 0;
   }
   Row row() const {
     if (cur_ == 0) return Row::kRoot;
-    return total_[cur_] == 0 ? Row::kFresh : Row::kInner;
+    return nodes_[cur_].total == 0 ? Row::kFresh : Row::kInner;
   }
+  // The row predict_into must emit: the order-0 backstop (marginal + 1
+  // over total + n) weighted by the PPM-C escape, plus each successor's
+  // (1 - esc) * count / total, every entry divided by the index-order
+  // sum. A node without observations returns the backstop unnormalized.
+  // Returns that sum for the rows that take one (they sum to 1 in real
+  // arithmetic), nullopt otherwise.
+  std::optional<double> predict(std::vector<double>& p) const {
+    const std::size_t n = marginal_.size();
+    p.assign(n, 1.0 / static_cast<double>(n));
+    if (total_ == 0) return std::nullopt;
+    const double denom =
+        static_cast<double>(total_) + static_cast<double>(n);
+    const Node& node = nodes_[cur_];
+    if (node.total == 0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        p[i] = (static_cast<double>(marginal_[i]) + 1.0) / denom;
+      }
+      return std::nullopt;
+    }
+    const double distinct = static_cast<double>(node.child.size());
+    const double total = static_cast<double>(node.total);
+    const double esc = distinct / (total + distinct);
+    for (std::size_t i = 0; i < n; ++i) {
+      p[i] = esc * ((static_cast<double>(marginal_[i]) + 1.0) / denom);
+    }
+    for (const auto& [sym, edge] : node.child) {
+      p[static_cast<std::size_t>(sym)] +=
+          (1.0 - esc) * static_cast<double>(edge.count) / total;
+    }
+    double sum = 0.0;
+    for (const double x : p) sum += x;
+    for (double& x : p) x /= sum;
+    return sum;
+  }
+  void reset() { *this = Lz78Mirror(marginal_.size()); }
 
  private:
-  std::map<std::pair<std::size_t, ItemId>, std::size_t> child_;
-  std::vector<std::uint64_t> total_{0};
+  struct Edge {
+    std::size_t node;
+    std::uint64_t count;
+  };
+  struct Node {
+    std::uint64_t total = 0;
+    std::map<ItemId, Edge> child;
+  };
+  std::vector<Node> nodes_{1};
+  std::vector<std::uint64_t> marginal_;
+  std::uint64_t total_ = 0;
   std::size_t cur_ = 0;
 };
+
+// Order-k PPM with map-based contexts, written out independently of the
+// library in its operation order: from the longest context down, each
+// not-yet-excluded successor claims remaining * count / (total +
+// distinct) of the open successors' counts, and the escape keeps
+// distinct / (total + distinct); every open symbol then gains remaining
+// times 0.9 of its marginal share among the open symbols plus 0.1 of
+// the uniform one, and every entry is divided by the index-order sum.
+class PpmReference {
+ public:
+  PpmReference(std::size_t n, std::size_t order)
+      : order_(order), marginal_(n, 0) {}
+  void observe(ItemId item) {
+    for (std::size_t len = 1; len <= std::min(order_, history_.size());
+         ++len) {
+      ++contexts_[context(len)][item];
+    }
+    ++marginal_[static_cast<std::size_t>(item)];
+    ++total_;
+    history_.push_back(item);
+    if (history_.size() > order_) history_.erase(history_.begin());
+  }
+  // Returns the pre-normalization sum for a row with an open symbol (it
+  // sums to 1 in real arithmetic), nullopt when every symbol is claimed.
+  std::optional<double> predict(std::vector<double>& p) const {
+    const std::size_t n = marginal_.size();
+    p.assign(n, 0.0);
+    std::vector<bool> excluded(n, false);
+    std::size_t claimed = 0;
+    double remaining = 1.0;
+    for (std::size_t len = std::min(order_, history_.size()); len >= 1;
+         --len) {
+      const auto it = contexts_.find(context(len));
+      if (it == contexts_.end()) continue;
+      std::uint64_t total = 0;
+      std::uint64_t distinct = 0;
+      for (const auto& [sym, count] : it->second) {
+        if (excluded[static_cast<std::size_t>(sym)]) continue;
+        total += count;
+        ++distinct;
+      }
+      if (total == 0) continue;
+      const double denom = static_cast<double>(total + distinct);
+      for (const auto& [sym, count] : it->second) {
+        const auto i = static_cast<std::size_t>(sym);
+        if (excluded[i]) continue;
+        p[i] += remaining * static_cast<double>(count) / denom;
+        excluded[i] = true;
+        ++claimed;
+      }
+      remaining *= static_cast<double>(distinct) / denom;
+    }
+    const std::size_t open = n - claimed;
+    if (open > 0) {
+      double marg_total = static_cast<double>(total_);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (excluded[i]) marg_total -= static_cast<double>(marginal_[i]);
+      }
+      const double uniform = 1.0 / static_cast<double>(open);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (excluded[i]) continue;
+        p[i] += marg_total > 0.0
+                    ? remaining * (0.9 * (static_cast<double>(marginal_[i]) /
+                                          marg_total) +
+                                   0.1 * uniform)
+                    : remaining * (0.9 * uniform + 0.1 * uniform);
+      }
+    }
+    double sum = 0.0;
+    for (const double x : p) sum += x;
+    if (sum <= 0.0) {
+      std::fill(p.begin(), p.end(), 1.0 / static_cast<double>(n));
+      return std::nullopt;
+    }
+    for (double& x : p) x /= sum;
+    if (open == 0) return std::nullopt;
+    return sum;
+  }
+  void reset() { *this = PpmReference(marginal_.size(), order_); }
+
+ private:
+  std::vector<ItemId> context(std::size_t len) const {
+    return {history_.end() - static_cast<std::ptrdiff_t>(len),
+            history_.end()};
+  }
+  std::size_t order_;
+  std::map<std::vector<ItemId>, std::map<ItemId, std::uint64_t>> contexts_;
+  std::vector<std::uint64_t> marginal_;
+  std::uint64_t total_ = 0;
+  std::vector<ItemId> history_;
+};
+
+// Drives `pred` and its written-out `ref` through `stream` (reset
+// halfway, like expect_lockstep), comparing predict_into with the
+// reference bit for bit at every step. A row that sums to 1 in real
+// arithmetic must also have a computed sum within (n + 32) * 2^-53 of 1,
+// the bound the library's candidate floor rests on.
+template <typename Reference>
+void expect_reference_lockstep(Predictor& pred, Reference& ref,
+                               const std::vector<ItemId>& stream) {
+  const std::size_t n = pred.n_items();
+  const double bound =
+      (static_cast<double>(n) + 32.0) * std::ldexp(1.0, -53);
+  std::vector<double> row, ref_row;
+  for (std::size_t t = 0; t < stream.size(); ++t) {
+    if (t == stream.size() / 2) {
+      pred.reset();
+      ref.reset();
+    }
+    pred.predict_into(row);
+    const std::optional<double> sum = ref.predict(ref_row);
+    ASSERT_EQ(row.size(), ref_row.size()) << "step " << t;
+    ASSERT_EQ(
+        std::memcmp(row.data(), ref_row.data(), row.size() * sizeof(double)),
+        0)
+        << "step " << t;
+    if (sum) {
+      ASSERT_LE(std::abs(*sum - 1.0), bound) << "step " << t;
+    }
+    pred.observe(stream[t]);
+    ref.observe(stream[t]);
+  }
+}
+
+TEST(PredictInto, MatchesWrittenOutReferencesInLockstep) {
+  for (const LockstepInput& in : lockstep_inputs()) {
+    const std::string where = in.name + " n=" + std::to_string(in.n);
+    {
+      SCOPED_TRACE("lz78 " + where);
+      Lz78Predictor pred(in.n);
+      Lz78Mirror ref(in.n);
+      expect_reference_lockstep(pred, ref, in.stream);
+    }
+    for (const std::size_t order : {2u, 3u}) {
+      SCOPED_TRACE("ppm" + std::to_string(order) + " " + where);
+      PpmPredictor pred(in.n, order);
+      PpmReference ref(in.n, order);
+      expect_reference_lockstep(pred, ref, in.stream);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
 
 // A stream whose symbol 0 is half of all requests, so it usually holds
 // the largest marginal, root and successor counts at once and the
@@ -465,7 +662,7 @@ TEST(PredictFiltered, KnifeEdgesMatchTheDenseFilter) {
   const std::vector<ItemId> stream = skewed_stream(n, 400, 41);
 
   Lz78Predictor lz78(n);
-  Lz78Mirror mirror;
+  Lz78Mirror mirror(n);
   std::vector<double> marginal(n, 0.0);
   std::vector<double> dense;
   int seen[3] = {0, 0, 0};
