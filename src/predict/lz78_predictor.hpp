@@ -21,8 +21,13 @@
 // backstop, so predictions are bit-identical to the map-based
 // predecessor.
 //
-// Marginal and root counts are held as doubles, exact below 2^53
-// observations, so the per-entry backstop divisions vectorize.
+// Marginal and root counts are 32-bit integers (observe() rejects the
+// 2^32-th observation). A blended row's backstop and, at the root, its
+// shares depend only on those counts, so each row reads them from
+// per-count tables (Predictor::CountTable) and forms every entry in one
+// index-order pass: the largest counts on a learned_des chain stay
+// below 60 while n = 1000, so a row divides about 60 times, not n or
+// 2n. The dense and filtered rows share that pass (blend_pass).
 //
 // A filtered row at the root or at a node with no observations that
 // cannot clear min_prob skips the O(n) pass. Running maxima of the
@@ -46,11 +51,11 @@ class Lz78Predictor final : public Predictor {
 
   void observe(ItemId item) override;
   void predict_into(std::vector<double>& out) const override;
-  // The pre-normalization row is written element-wise into P, then one
-  // index-order pass takes its sum (the rounding the reference divides
-  // by), keeps the entries that can clear `min_prob` and re-zeroes P;
-  // only those entries are then divided. A root row whose bound is below
-  // the candidate floor is returned empty before the pass.
+  // One index-order pass forms the pre-normalization row, takes its sum
+  // (the rounding the reference divides by) and keeps the entries that
+  // can clear `min_prob`; only those entries are then divided. A root
+  // row whose bound is below the candidate floor is returned empty
+  // before the pass.
   void predict_filtered_into(double min_prob, std::vector<double>& P,
                              std::vector<ItemId>& support) const override;
   std::size_t n_items() const override { return n_; }
@@ -63,9 +68,9 @@ class Lz78Predictor final : public Predictor {
   // Heap bytes behind the trie (capacity bench).
   std::size_t footprint_bytes() const noexcept {
     return nodes_.capacity() * sizeof(Node) + edges_.footprint_bytes() +
-           root_count_.capacity() * sizeof(double) +
+           root_count_.capacity() * sizeof(Count) +
            root_child_.capacity() * sizeof(std::uint32_t) +
-           marginal_.capacity() * sizeof(double);
+           marginal_.capacity() * sizeof(Count);
   }
 
  private:
@@ -101,29 +106,36 @@ class Lz78Predictor final : public Predictor {
   // per state), so a linear scan of the list beats a hash.
   Edge* find_edge(Node& node, ItemId sym);
   Blend blend() const;
-  // The reference's pre-normalization row at the current node, which
-  // must have observations: each entry's backstop plus, for a successor,
-  // its share. Writes all n entries of `p`.
-  void blend_into(Blend b, std::span<double> p) const;
+  // The one index-order pass over the pre-normalization row at the
+  // current node, which must have observations: entry i is its backstop
+  // plus, for a successor, its share, in the reference's operand order
+  // (at the root both from the count tables; below it the node's edge
+  // shares are scattered into `p`, which must be zero, and re-zeroed as
+  // the pass reads them). Calls visit(i, x_i) in index order and returns
+  // the index-order sum of the x_i.
+  template <typename Visit>
+  double blend_pass(Blend b, std::span<double> p, Visit visit) const;
 
   std::size_t n_;
   std::vector<Node> nodes_;  // nodes_[0] is the root
   PoolArena<Edge> edges_;    // successors of the non-root nodes
   // The root's successors by symbol: traversal count (0 = no child) and
   // child node (kNull = none). Empty until the first observe.
-  std::vector<double> root_count_;
+  std::vector<Count> root_count_;
   std::vector<std::uint32_t> root_child_;
   std::uint32_t current_ = 0;
   std::size_t depth_ = 0;
   std::size_t phrases_ = 0;
-  std::vector<double> marginal_;
-  // Running maxima of marginal_ and root_count_, which bound the root
-  // and fresh-node rows in predict_filtered_into.
-  double max_marginal_ = 0.0;
-  double max_root_count_ = 0.0;
+  std::vector<Count> marginal_;
+  // Running maxima of marginal_ and root_count_: they bound the root and
+  // fresh-node rows in predict_filtered_into and size the count tables.
+  Count max_marginal_ = 0;
+  Count max_root_count_ = 0;
   std::uint64_t total_ = 0;
-  // predict_filtered_into's survivor candidates, reused so it never
-  // allocates.
+  // Per-row scratch, reused so predicting never allocates after warm-up:
+  // the count tables and predict_filtered_into's survivor candidates.
+  mutable std::vector<double> backstop_table_;
+  mutable std::vector<double> share_table_;
   mutable std::vector<FilterCandidate> candidates_;
 };
 

@@ -11,7 +11,7 @@ PpmPredictor::PpmPredictor(std::size_t n, std::size_t order)
   SKP_REQUIRE(n > 0, "PpmPredictor over empty catalog");
   SKP_REQUIRE(order >= 1 && order <= 8, "order must be in [1, 8]");
   tables_.resize(order);
-  marginal_.assign(n, 0.0);
+  marginal_.assign(n, 0);
   excluded_.assign(n, 0);
 }
 
@@ -33,6 +33,9 @@ std::uint64_t PpmPredictor::context_key(const std::deque<ItemId>& hist,
 void PpmPredictor::observe(ItemId item) {
   SKP_REQUIRE(item >= 0 && static_cast<std::size_t>(item) < n_,
               "item " << item << " out of range");
+  SKP_REQUIRE(total_ < kMaxObservations,
+              "PpmPredictor holds at most " << kMaxObservations
+                                            << " observations");
   // Update every context length that currently has enough history.
   for (std::size_t len = 1; len <= std::min(order_, history_.size());
        ++len) {
@@ -57,16 +60,17 @@ void PpmPredictor::observe(ItemId item) {
       stats.head = edges_.alloc(Edge{item, 1, stats.head});
     }
   }
-  marginal_[static_cast<std::size_t>(item)] += 1.0;
+  max_marginal_ =
+      std::max(max_marginal_, ++marginal_[static_cast<std::size_t>(item)]);
   ++total_;
   history_.push_back(item);
   if (history_.size() > order_) history_.pop_front();
 }
 
-double PpmPredictor::blend_contexts(std::vector<double>& p) const {
+double PpmPredictor::blend_contexts(std::span<double> p) const {
   double remaining = 1.0;  // probability mass not yet claimed (escapes)
   std::vector<char>& excluded = excluded_;
-  std::fill(excluded.begin(), excluded.end(), 0);
+  for (const ItemId sym : claimed_) excluded[static_cast<std::size_t>(sym)] = 0;
   claimed_.clear();
 
   for (std::size_t len = std::min(order_, history_.size()); len >= 1;
@@ -99,48 +103,46 @@ double PpmPredictor::blend_contexts(std::vector<double>& p) const {
   return remaining;
 }
 
-double PpmPredictor::open_marginal_total() const {
+template <typename Visit>
+double PpmPredictor::blend_pass(std::span<double> p, Visit visit) const {
+  const double remaining = blend_contexts(p);
+  const std::size_t open = n_ - claimed_.size();
   // Every observation is one marginal count, so the open symbols'
   // counts are the total less the claimed ones (exact integers).
-  double marg_total = static_cast<double>(total_);
+  std::uint64_t open_total = total_;
   for (const ItemId sym : claimed_) {
-    marg_total -= marginal_[static_cast<std::size_t>(sym)];
+    open_total -= marginal_[static_cast<std::size_t>(sym)];
   }
-  return marg_total;
-}
-
-void PpmPredictor::add_backstop(std::span<double> p, double marg_total,
-                                std::size_t open, double remaining) const {
-  // Every symbol's share is computed and scaled by its 0/1 open flag
-  // (an exact product), so the loops have no branch and vectorize.
-  const std::vector<char>& excluded = excluded_;
-  const double uniform = 1.0 / static_cast<double>(open);
-  if (marg_total > 0.0) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double share =
-          remaining * (0.9 * (marginal_[i] / marg_total) + 0.1 * uniform);
-      p[i] += share * (1.0 - excluded[i]);
-    }
-    return;
+  const double marg_total = static_cast<double>(open_total);
+  const double uniform = open > 0 ? 1.0 / static_cast<double>(open) : 0.0;
+  // With every symbol claimed the table is never read.
+  const CountTable backstop(
+      backstop_table_, open > 0 ? max_marginal_ : 0, n_,
+      [remaining, marg_total, uniform](double m) {
+        return marg_total > 0.0
+                   ? remaining * (0.9 * (m / marg_total) + 0.1 * uniform)
+                   : remaining * (0.9 * uniform + 0.1 * uniform);
+      });
+  // The reference adds the backstop times the 0/1 open flag onto the
+  // claimed share: an open symbol's +0.0 + backstop is the backstop,
+  // and a claimed share plus +0.0 is the share.
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double x = excluded_[i] ? p[i] : backstop(marginal_[i]);
+    p[i] = 0.0;
+    sum += x;
+    visit(i, x);
   }
-  const double share = remaining * (0.9 * uniform + 0.1 * uniform);
-  for (std::size_t i = 0; i < n_; ++i) p[i] += share * (1.0 - excluded[i]);
+  return sum;
 }
 
 void PpmPredictor::predict_into(std::vector<double>& out) const {
   std::vector<double>& p = out;
   p.assign(n_, 0.0);
-  const double remaining = blend_contexts(p);
-
-  // Order-0 / uniform backstop over not-yet-excluded symbols. With
-  // everything claimed at higher orders, the renormalization below
-  // handles the row.
-  const std::size_t open = n_ - claimed_.size();
-  if (open > 0) add_backstop(p, open_marginal_total(), open, remaining);
-
-  // Normalize (escape arithmetic can leave tiny residue).
-  double sum = 0.0;
-  for (double x : p) sum += x;
+  const double sum =
+      blend_pass(p, [&p](std::size_t i, double x) { p[i] = x; });
+  // Normalize (escape arithmetic can leave tiny residue). With every
+  // symbol claimed at higher orders this rescales the claimed shares.
   if (sum <= 0.0) {
     std::fill(p.begin(), p.end(), 1.0 / static_cast<double>(n_));
     return;
@@ -157,26 +159,11 @@ void PpmPredictor::predict_filtered_into(
   }
   clear_filtered_row(P, support);
   // The blend claims straight into P, which is zero everywhere now.
-  const double remaining = blend_contexts(P);
-  const std::size_t open = n_ - claimed_.size();
-  if (open == 0) {
-    // Every symbol claimed: the row is rescaled by a sum below 1, which
-    // the screen does not cover.
-    Predictor::predict_filtered_into(min_prob, P, support);
-    return;
-  }
-  // P now holds the reference row; one index-order pass sums it, keeps
-  // the candidates and re-zeroes it for finish_normalized_row.
-  add_backstop(P, open_marginal_total(), open, remaining);
   const double floor = candidate_floor(min_prob);
   candidates_.clear();
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double x = P[i];
-    P[i] = 0.0;
-    sum += x;
+  const double sum = blend_pass(P, [this, floor](std::size_t i, double x) {
     if (x >= floor) candidates_.push_back({static_cast<ItemId>(i), x});
-  }
+  });
   if (!finish_normalized_row(min_prob, sum, candidates_, P, support)) {
     Predictor::predict_filtered_into(min_prob, P, support);
   }
@@ -186,7 +173,8 @@ void PpmPredictor::reset() {
   for (auto& t : tables_) t.clear();
   contexts_.clear();
   edges_.clear();
-  std::fill(marginal_.begin(), marginal_.end(), 0.0);
+  std::fill(marginal_.begin(), marginal_.end(), 0);
+  max_marginal_ = 0;
   total_ = 0;
   history_.clear();
 }

@@ -14,8 +14,12 @@
 // context's successor set through order-independent integer sums and a
 // single per-symbol touch (exclusion flags), so predictions are
 // bit-identical to the map-based predecessor regardless of edge order.
-// Marginal counts are held as doubles, exact below 2^53 observations,
-// so the per-entry backstop divisions vectorize.
+// Marginal counts are 32-bit integers (observe() rejects the 2^32-th
+// observation). An open symbol's order-0 backstop depends only on its
+// count, so each row reads it from a per-count table
+// (Predictor::CountTable) in one index-order pass that the dense and
+// filtered rows share (blend_pass): a learned_des row divides about 60
+// times, not once per item.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +38,9 @@ class PpmPredictor final : public Predictor {
 
   void observe(ItemId item) override;
   void predict_into(std::vector<double>& out) const override;
-  // The escape blend touches only the contexts' successors and the
-  // backstop is added element-wise; one index-order pass then takes the
-  // sum, keeps the entries that can clear `min_prob` and re-zeroes P,
-  // and only those entries are divided.
+  // The escape blend touches only the contexts' successors; one
+  // index-order pass then forms every entry, takes the sum and keeps the
+  // entries that can clear `min_prob`, and only those are divided.
   void predict_filtered_into(double min_prob, std::vector<double>& P,
                              std::vector<ItemId>& support) const override;
   std::size_t n_items() const override { return n_; }
@@ -48,7 +51,7 @@ class PpmPredictor final : public Predictor {
   std::size_t footprint_bytes() const noexcept {
     std::size_t total = contexts_.footprint_bytes() +
                         edges_.footprint_bytes() +
-                        marginal_.capacity() * sizeof(double);
+                        marginal_.capacity() * sizeof(Count);
     for (const Key64Map& t : tables_) total += t.footprint_bytes();
     return total;
   }
@@ -70,33 +73,38 @@ class PpmPredictor final : public Predictor {
                                    std::size_t len, std::size_t n);
   // The PPM-C escape blend from the longest context down: adds each
   // not-yet-excluded successor's share into `p` (zero there on entry),
-  // flags it in excluded_ and lists it in claimed_ (both reset first).
-  // Returns the mass left unclaimed for the order-0 backstop.
-  double blend_contexts(std::vector<double>& p) const;
-  // Adds the order-0 backstop onto every open (not excluded) symbol of
-  // `p`: its marginal among the open symbols' `marg_total` (uniform when
-  // that is 0), blended with a uniform floor so unseen items keep mass,
-  // scaled by the unclaimed mass. Excluded symbols gain +0.0, which
-  // leaves them bit for bit.
-  void add_backstop(std::span<double> p, double marg_total,
-                    std::size_t open, double remaining) const;
-  // The open symbols' marginal total after a blend (from claimed_).
-  double open_marginal_total() const;
+  // flags it in excluded_ and lists it in claimed_ (both reset first,
+  // through the previous claimed_). Returns the mass left unclaimed for
+  // the order-0 backstop.
+  double blend_contexts(std::span<double> p) const;
+  // The one index-order pass over the pre-normalization row: blends the
+  // contexts into `p` (zero on entry), then forms entry i as its claimed
+  // share, re-zeroing p[i], or for an open symbol the order-0 backstop:
+  // its marginal among the open symbols (uniform when those are all 0),
+  // blended with a uniform floor so unseen items keep mass, scaled by
+  // the unclaimed mass. Calls visit(i, x_i) in index order and returns
+  // the index-order sum of the x_i.
+  template <typename Visit>
+  double blend_pass(std::span<double> p, Visit visit) const;
 
   std::size_t n_;
   std::size_t order_;
   std::vector<Key64Map> tables_;  // per order: context key -> contexts_ idx
   PoolArena<Context> contexts_;   // shared across orders
   PoolArena<Edge> edges_;
-  std::vector<double> marginal_;
+  std::vector<Count> marginal_;
+  Count max_marginal_ = 0;  // running maximum; sizes the count table
   std::uint64_t total_ = 0;
   std::deque<ItemId> history_;  // most recent at back, length <= order_
   // Per-predict escape-exclusion flags, reused so predict_into never
-  // allocates. Each predict resets them in full on entry.
+  // allocates. Set exactly on claimed_ between predicts, so each blend
+  // clears only those.
   mutable std::vector<char> excluded_;
   // Per-predict scratch: the symbols the blend excluded, in exclusion
-  // order, and predict_filtered_into's survivor candidates.
+  // order, the backstop's count table and predict_filtered_into's
+  // survivor candidates.
   mutable std::vector<ItemId> claimed_;
+  mutable std::vector<double> backstop_table_;
   mutable std::vector<FilterCandidate> candidates_;
 };
 

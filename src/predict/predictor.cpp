@@ -35,9 +35,11 @@ bool Predictor::filters_to_empty(double min_prob) const {
 
 namespace {
 
-// Bounds on the computed row sum under which the candidate floor holds.
-constexpr double kSumLo = 0.5;
-constexpr double kSumHi = 2.0;
+// The window the computed row sum must fall in (see predictor.hpp): the
+// candidate floor holds for any sum >= kSumLo, and every row that sums
+// to 1 in real arithmetic lands within 2^-21 of 1.
+constexpr double kSumLo = 1.0 - 0x1p-20;
+constexpr double kSumHi = 1.0 + 0x1p-20;
 // Relative screening margin; dwarfs the few ulps of rounding in
 // min_prob * sum and x / sum.
 constexpr double kScreenMargin = 1.0 - 1e-9;

@@ -14,6 +14,9 @@
 //                          (Padmanabhan & Mogul).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -84,17 +87,26 @@ class Predictor {
   // fl(x / sum) < min_prob, so the reference filters it to 0 anyway.
   // A sparse predictor makes one O(n) pass that sums x in index order
   // and keeps every x >= candidate_floor(min_prob) as a candidate, then
-  // calls finish_normalized_row. The floor assumes sum >= 1/2;
-  // finish_normalized_row returns false when the computed sum breaks
-  // that or is not finite, and the caller must then take the dense path.
-  // The assumption holds because these rows sum to exactly 1 in real
-  // arithmetic: each escape level claims its share and passes the rest
-  // to a backstop that sums to 1 (in LZ78, the marginals plus n sum to
-  // total + n, and a node's child counts sum to its total). The computed
-  // sum is 1 within a few ulps per entry, far inside [1/2, 2]. So a row
-  // whose largest x is below the floor filters to nothing, and a
-  // predictor that can bound that largest x before the pass (LZ78) may
-  // return the empty row without summing.
+  // calls finish_normalized_row. The floor assumes sum >= 1 - 2^-20;
+  // finish_normalized_row checks the computed sum against that (and
+  // against sum <= 1 + 2^-20 and finiteness) and returns false when it
+  // fails, and the caller must then take the dense path. A row that sums
+  // to 1 in real arithmetic always passes: each escape level claims its
+  // share and passes the rest to a backstop that sums to 1 (in LZ78, the
+  // marginals plus n sum to total + n, and a node's child counts sum to
+  // its total). Each computed entry is within 24 units of roundoff
+  // (u = 2^-53, relative) of its real value: PPM's escape chain over at
+  // most 8 orders is the longest, 2 roundings per order plus 6 in the
+  // backstop, and 0.9 + 0.1 in doubles exceeds 1 by a quarter unit. The
+  // index-order sum of n entries adds at most (n - 1) u, so the computed
+  // sum is within (n + 32) u of 1: under 2^-21 for any n <= 2^31 (ItemId
+  // is 32-bit), half the window. So a row whose largest x is below the
+  // floor filters to nothing, and a predictor that can bound that
+  // largest x before the pass (LZ78) may return the empty row without
+  // summing: the sum it skips would pass the check. The check itself is
+  // what makes the floor sound on the pass, so a row that does not sum
+  // to 1 (PPM with every symbol claimed) is still screened correctly
+  // whenever its sum lands in the window.
   struct FilterCandidate {
     ItemId id;
     double x;  // pre-normalization value
@@ -104,14 +116,52 @@ class Predictor {
   static bool screenable(double min_prob) noexcept;
   static double candidate_floor(double min_prob) noexcept;
   // min_prob * scale * (1 - 1e-9): the screen above for any divisor
-  // `scale` >= 1/2 (LZ78's unnormalized backstop divides by total + n).
-  // An x below it has fl(x / scale) < min_prob, so the filter zeroes it
-  // undivided.
+  // `scale` >= 1 - 2^-20 (LZ78's unnormalized backstop divides by
+  // total + n). An x below it has fl(x / scale) < min_prob, so the
+  // filter zeroes it undivided.
   static double screen_below(double min_prob, double scale) noexcept;
   static bool finish_normalized_row(
       double min_prob, double sum,
       std::span<const FilterCandidate> candidates, std::vector<double>& P,
       std::vector<ItemId>& support);
+
+  // ---- Per-count value tables (LZ78, PPM) --------------------------------
+  // Per-item counts of the normalized rows. Every count is at most the
+  // predictor's observation total, which observe() keeps below 2^32.
+  using Count = std::uint32_t;
+  static constexpr std::uint64_t kMaxObservations =
+      std::numeric_limits<Count>::max();
+
+  // A row term that depends only on an item's count c, read from
+  // `values` = f(0), ..., f(cap), cap = min(max_count, n - 1), which the
+  // constructor fills: a row evaluates f at most n times instead of once
+  // per entry (the counts on a learned_des chain stay below 60 while
+  // n = 1000). A count above cap evaluates f inline. f takes the count as
+  // a double, as the row's own expression does, so a looked-up term is
+  // the inline one bit for bit. Indexing with an integer count keeps the
+  // lookup as cheap as a load.
+  template <typename F>
+  class CountTable {
+   public:
+    CountTable(std::vector<double>& values, Count max_count, std::size_t n,
+               F f)
+        : f_(f) {
+      values.resize(std::min<std::size_t>(max_count, n - 1) + 1);
+      for (std::size_t c = 0; c < values.size(); ++c) {
+        values[c] = f(static_cast<double>(c));
+      }
+      data_ = values.data();
+      size_ = values.size();
+    }
+    double operator()(Count c) const {
+      return c < size_ ? data_[c] : f_(static_cast<double>(c));
+    }
+
+   private:
+    F f_;
+    const double* data_ = nullptr;
+    std::size_t size_ = 0;
+  };
 };
 
 }  // namespace skp

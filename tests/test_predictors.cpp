@@ -649,10 +649,12 @@ std::vector<ItemId> skewed_stream(std::size_t n, std::size_t steps,
   return out;
 }
 
-// Sweeps min_prob across the knife edges of four row kinds: where
-// candidate_floor (LZ78's root and inner rows), the fresh-node screen or
-// the Markov1 no-context row's own entries meet the row's largest entry,
-// and where the reference filter itself starts to drop that entry.
+// Sweeps min_prob across the knife edges of six row kinds: where
+// candidate_floor (LZ78's root and inner rows, PPM rows with an open
+// symbol or with every symbol claimed), the fresh-node screen or the
+// Markov1 no-context row's own entries meet the row's largest entry, and
+// where the reference filter itself starts to drop that entry. The floor
+// sits within 2^-20 of min_prob, so the two edges are close but apart.
 TEST(PredictFiltered, KnifeEdgesMatchTheDenseFilter) {
   constexpr std::size_t n = 6;
   constexpr int kWidth = 48;
@@ -700,6 +702,29 @@ TEST(PredictFiltered, KnifeEdgesMatchTheDenseFilter) {
     marginal[static_cast<std::size_t>(stream[t])] += 1.0;
   }
   for (const int count : seen) EXPECT_EQ(count, 4);
+
+  // PPM screens every entry of its pass against the same floor. A row
+  // whose symbols are all claimed sums to less than 1 and is screened
+  // only when its computed sum lands in the window.
+  PpmPredictor ppm(n, 2);
+  PpmReference ppm_ref(n, 2);
+  int ppm_seen[2] = {0, 0};  // [every symbol claimed]
+  for (std::size_t t = 0; t < stream.size(); ++t) {
+    const bool open = ppm_ref.predict(dense).has_value();
+    int& count = ppm_seen[open ? 0 : 1];
+    if (t >= 40 && count < 4) {
+      ++count;
+      SCOPED_TRACE("ppm row with " + std::string(open ? "an open" : "no") +
+                   " symbol at step " + std::to_string(t));
+      const double p_max = *std::max_element(dense.begin(), dense.end());
+      if (open) expect_matches_around(ppm, screen_edge(p_max, floor), kWidth);
+      expect_matches_around(ppm, p_max, kWidth);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    ppm.observe(stream[t]);
+    ppm_ref.observe(stream[t]);
+  }
+  for (const int count : ppm_seen) EXPECT_EQ(count, 4);
 
   // Markov1 without context: the last item has never been followed, so
   // the row is the smoothed marginal and p < min_prob is the only screen.
