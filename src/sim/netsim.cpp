@@ -104,7 +104,34 @@ void ClientSession::enable_plan_cache(std::size_t capacity) {
 }
 
 double ClientSession::link_utilization() const {
-  return clock_.now() > 0.0 ? link_busy_total_ / clock_.now() : 0.0;
+  return now_ > 0.0 ? link_busy_total_ / now_ : 0.0;
+}
+
+void ClientSession::book_link_busy(double finish, double busy) {
+  SKP_REQUIRE(finish >= now_,
+              "transfer finishing at " << finish << " before now=" << now_);
+  SKP_ASSERT(link_pending_.empty() || link_pending_.back().finish <= finish);
+  link_pending_.push_back({finish, busy});
+}
+
+void ClientSession::run_until(double horizon) {
+  std::size_t head = link_head_;
+  while (head < link_pending_.size() &&
+         link_pending_[head].finish <= horizon) {
+    link_busy_total_ += link_pending_[head].busy;
+    ++head;
+  }
+  if (head == link_pending_.size()) {
+    link_pending_.clear();
+    head = 0;
+  } else if (2 * head >= link_pending_.size()) {
+    link_pending_.erase(link_pending_.begin(),
+                        link_pending_.begin() +
+                            static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  link_head_ = head;
+  now_ = std::max(now_, horizon);
 }
 
 void ClientSession::set_fault_injection(const FaultSpec& spec, Rng stream) {
@@ -115,7 +142,7 @@ void ClientSession::set_fault_injection(const FaultSpec& spec, Rng stream) {
 
 std::optional<double> ClientSession::enqueue_prefetch(ItemId item) {
   if (!fault_.enabled()) return enqueue_transfer(item);
-  const double start = std::max(clock_.now(), link_free_at_);
+  const double start = std::max(now_, link_free_at_);
   const FaultTransfer ft = run_faulty_transfer(
       fault_, fault_rng_, fault_stats_, start, [&](double attempt_start) {
         return net_.transfer_time(cat_->server.sizes[Instance::idx(item)],
@@ -124,14 +151,13 @@ std::optional<double> ClientSession::enqueue_prefetch(ItemId item) {
   // The link is held through every attempt; backoff gaps idle it, so
   // occupancy (ft.busy) is what counts toward utilization.
   link_free_at_ = ft.finish;
-  clock_.schedule_at(ft.finish,
-                     [this, busy = ft.busy] { link_busy_total_ += busy; });
+  book_link_busy(ft.finish, ft.busy);
   if (!ft.delivered) return std::nullopt;
   return ft.finish;
 }
 
 double ClientSession::enqueue_transfer(ItemId item) {
-  const double start = std::max(clock_.now(), link_free_at_);
+  const double start = std::max(now_, link_free_at_);
   // Priced by the link phase in force at transfer START (the base static
   // r_i when no schedule is set); metrics keep charging the base r_i so
   // network_time stays comparable across schedules.
@@ -139,9 +165,7 @@ double ClientSession::enqueue_transfer(ItemId item) {
       net_.transfer_time(cat_->server.sizes[Instance::idx(item)], start);
   const double finish = start + duration;
   link_free_at_ = finish;
-  clock_.schedule_at(finish, [this, start, finish] {
-    link_busy_total_ += finish - start;
-  });
+  book_link_busy(finish, finish - start);
   return finish;
 }
 
@@ -156,7 +180,7 @@ double ClientSession::request(ItemId item, double viewing_time,
   SKP_REQUIRE(next_probs.size() == cat_->n(),
               "probability vector size mismatch");
 
-  const double t0 = clock_.now();
+  const double t0 = now_;
   if (support) {
     validate_supported_row(next_probs, *support);
   } else {
@@ -182,7 +206,7 @@ double ClientSession::request(ItemId item, double viewing_time,
 
   // The user views for `viewing_time`, then requests `item`.
   const double t_req = t0 + viewing_time;
-  clock_.run_until(t_req);
+  run_until(t_req);
 
   double T = 0.0;
   if (book_.cache().contains(item)) {
@@ -196,7 +220,7 @@ double ClientSession::request(ItemId item, double viewing_time,
     completion_[Instance::idx(item)] = finish;
     T = finish - t_req;
   }
-  clock_.run_until(t_req + T);
+  run_until(t_req + T);
 
   book_.view(item);
   metrics_.access_time.add(T);

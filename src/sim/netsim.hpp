@@ -23,7 +23,6 @@
 
 #include "cache/cache.hpp"
 #include "core/prefetch_engine.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
 #include "sim/link_schedule.hpp"
 #include "sim/metrics.hpp"
@@ -165,7 +164,7 @@ class ClientSession {
   const SimMetrics& metrics() const noexcept { return metrics_; }
   const SlotCache& cache() const noexcept { return book_.cache(); }
   const SharedClientCatalog& catalog() const noexcept { return *cat_; }
-  double now() const noexcept { return clock_.now(); }
+  double now() const noexcept { return now_; }
   // Fraction of elapsed time the link spent transferring.
   double link_utilization() const;
 
@@ -173,6 +172,11 @@ class ClientSession {
   // Schedules a transfer after everything currently committed; returns its
   // completion time.
   double enqueue_transfer(ItemId item);
+  // Books a transfer's link occupancy `busy` at its `finish` (>= now).
+  void book_link_busy(double finish, double busy);
+  // Advances the clock to `horizon`, first adding the occupancy of every
+  // transfer that finishes by then, in finish order.
+  void run_until(double horizon);
   // Schedules a prefetch through the fault model (the reliable path when
   // faults are disarmed). nullopt = the retry budget was exhausted and
   // the transfer abandoned; the caller rolls the claimed slot back.
@@ -182,7 +186,17 @@ class ClientSession {
   NetConfig net_;
   PrefetchEngine engine_;
   ResidentSet<SlotCache> book_;
-  EventQueue clock_;
+  // The link clock. Transfers are serialized on one link, so their
+  // finishes never decrease: pending occupancies form a FIFO, drained
+  // from link_head_ and compacted once the drained prefix is half of it
+  // (a vector, so an idle session allocates nothing).
+  struct LinkBusy {
+    double finish;
+    double busy;
+  };
+  double now_ = 0.0;
+  std::vector<LinkBusy> link_pending_;
+  std::size_t link_head_ = 0;
   SimMetrics metrics_;
   FaultSpec fault_;       // default (disabled) = legacy reliable link
   Rng fault_rng_;         // dedicated stream, armed by set_fault_injection
