@@ -14,7 +14,6 @@
 //                          (Padmanabhan & Mogul).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -133,20 +132,23 @@ class Predictor {
       std::numeric_limits<Count>::max();
 
   // A row term that depends only on an item's count c, read from
-  // `values` = f(0), ..., f(cap), cap = min(max_count, n - 1), which the
-  // constructor fills: a row evaluates f at most n times instead of once
-  // per entry (the counts on a learned_des chain stay below 60 while
-  // n = 1000). A count above cap evaluates f inline. f takes the count as
-  // a double, as the row's own expression does, so a looked-up term is
-  // the inline one bit for bit. Indexing with an integer count keeps the
-  // lookup as cheap as a load.
+  // `values` = f(0), ..., f(max_count), which the constructor fills when
+  // max_count < n: a row then evaluates f at most n times, once per
+  // possible count instead of once per entry (the counts on a
+  // learned_des chain stay below 60 while n = 1000). A larger max_count
+  // leaves the table empty and every term is evaluated inline, once per
+  // entry as without a table; a table capped at n - 1 would evaluate f
+  // up to 2n times when most counts exceed n (a long stream over a small
+  // catalog). f takes the count as a double, as the row's own expression
+  // does, so a looked-up term is the inline one bit for bit. Indexing
+  // with an integer count keeps the lookup as cheap as a load.
   template <typename F>
   class CountTable {
    public:
     CountTable(std::vector<double>& values, Count max_count, std::size_t n,
                F f)
         : f_(f) {
-      values.resize(std::min<std::size_t>(max_count, n - 1) + 1);
+      values.resize(max_count < n ? std::size_t{max_count} + 1 : 0);
       for (std::size_t c = 0; c < values.size(); ++c) {
         values[c] = f(static_cast<double>(c));
       }
