@@ -21,6 +21,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -297,40 +298,55 @@ void BM_Fig7Point_SkpMarkov1(benchmark::State& state) {
 BENCHMARK(BM_Fig7Point_SkpMarkov1);
 
 // ---- Predictor layer ----------------------------------------------------
-// One planning row per iteration from a predictor that has observed a
-// fixed 20 000-request stream (a few preferred successors per item, one
-// jump in eight anywhere). _Dense is predict_into plus the min-prob
-// filter loop the drivers ran before predict_filtered_into; _Filtered is
-// that primitive, which the learned drivers now call. Both produce the
-// same row bit for bit (tests/test_predictors.cpp); the pair attributes
-// the learned-request saving to the predict layer. The n = 10^4 Markov1
-// rows rely on the sparse transition table (a dense one is 800 MB).
+// Planning rows along a replayed stream of predictor states. Each
+// predictor observes a 20 000-request warm-up (a few preferred successors
+// per item, one jump in eight anywhere); every iteration then times one
+// row at the current state and, outside the timed region, observes the
+// next of 20 000 replay requests. After the last one the predictor is
+// rebuilt and the replay starts over, so a run times the same mix of
+// states (LZ78 root, inner and fresh rows; PPM contexts of every order)
+// instead of whichever row kind one fixed state lands on. _Dense is
+// predict_into plus the min-prob filter loop the drivers ran before
+// predict_filtered_into; _Filtered is that primitive, which the learned
+// drivers now call. Both produce the same row bit for bit
+// (tests/test_predictors.cpp); the pair attributes the learned-request
+// saving to the predict layer. The n = 10^4 Markov1 rows rely on the
+// sparse transition table (a dense one is 800 MB).
 constexpr double kBenchMinProb = 0.01;  // SimSpec::predictor_min_prob
+constexpr std::size_t kPredictWarmup = 20'000;
+constexpr std::size_t kPredictReplay = 20'000;
 
-std::unique_ptr<Predictor> observed_predictor(PredictorKind kind,
-                                              std::size_t n) {
-  std::unique_ptr<Predictor> pred = make_runtime_predictor(kind, n);
+std::vector<ItemId> predictor_stream(std::size_t n) {
   Rng rng(29);
   const std::size_t k = std::min<std::size_t>(n, 4);
   std::vector<ItemId> succ(n * k);
   for (ItemId& s : succ) s = static_cast<ItemId>(rng.next_below(n));
+  std::vector<ItemId> stream;
   std::size_t cur = 0;
-  for (int i = 0; i < 20'000; ++i) {
+  for (std::size_t i = 0; i < kPredictWarmup + kPredictReplay; ++i) {
     cur = rng.next_below(8) == 0
               ? static_cast<std::size_t>(rng.next_below(n))
               : static_cast<std::size_t>(succ[cur * k + rng.next_below(k)]);
-    pred->observe(static_cast<ItemId>(cur));
+    stream.push_back(static_cast<ItemId>(cur));
   }
-  return pred;
+  return stream;
 }
 
 void run_predict(benchmark::State& state, PredictorKind kind,
                  bool filtered) {
+  using Clock = std::chrono::steady_clock;
   const auto n = static_cast<std::size_t>(state.range(0));
-  const std::unique_ptr<Predictor> pred = observed_predictor(kind, n);
+  const std::vector<ItemId> stream = predictor_stream(n);
+  std::unique_ptr<Predictor> pred;
+  std::size_t t = stream.size();
   std::vector<double> P;
   std::vector<ItemId> support;
   for (auto _ : state) {
+    if (t == stream.size()) {
+      pred = make_runtime_predictor(kind, n);
+      for (t = 0; t < kPredictWarmup; ++t) pred->observe(stream[t]);
+    }
+    const Clock::time_point start = Clock::now();
     if (filtered) {
       pred->predict_filtered_into(kBenchMinProb, P, support);
     } else {
@@ -341,6 +357,9 @@ void run_predict(benchmark::State& state, PredictorKind kind,
     }
     benchmark::DoNotOptimize(P.data());
     benchmark::ClobberMemory();
+    state.SetIterationTime(
+        std::chrono::duration<double>(Clock::now() - start).count());
+    pred->observe(stream[t++]);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -348,26 +367,32 @@ void run_predict(benchmark::State& state, PredictorKind kind,
 void BM_Predict_Markov1_Dense(benchmark::State& state) {
   run_predict(state, PredictorKind::Markov1, false);
 }
-BENCHMARK(BM_Predict_Markov1_Dense)->Arg(100)->Arg(10'000);
+BENCHMARK(BM_Predict_Markov1_Dense)->Arg(100)->Arg(10'000)
+    ->UseManualTime();
 void BM_Predict_Markov1_Filtered(benchmark::State& state) {
   run_predict(state, PredictorKind::Markov1, true);
 }
-BENCHMARK(BM_Predict_Markov1_Filtered)->Arg(100)->Arg(10'000);
+BENCHMARK(BM_Predict_Markov1_Filtered)->Arg(100)->Arg(10'000)
+    ->UseManualTime();
 void BM_Predict_Lz78_Dense(benchmark::State& state) {
   run_predict(state, PredictorKind::Lz78, false);
 }
-BENCHMARK(BM_Predict_Lz78_Dense)->Arg(100)->Arg(10'000);
+BENCHMARK(BM_Predict_Lz78_Dense)->Arg(100)->Arg(10'000)
+    ->UseManualTime();
 void BM_Predict_Lz78_Filtered(benchmark::State& state) {
   run_predict(state, PredictorKind::Lz78, true);
 }
-BENCHMARK(BM_Predict_Lz78_Filtered)->Arg(100)->Arg(10'000);
+BENCHMARK(BM_Predict_Lz78_Filtered)->Arg(100)->Arg(10'000)
+    ->UseManualTime();
 void BM_Predict_Ppm_Dense(benchmark::State& state) {
   run_predict(state, PredictorKind::Ppm, false);
 }
-BENCHMARK(BM_Predict_Ppm_Dense)->Arg(100)->Arg(10'000);
+BENCHMARK(BM_Predict_Ppm_Dense)->Arg(100)->Arg(10'000)
+    ->UseManualTime();
 void BM_Predict_Ppm_Filtered(benchmark::State& state) {
   run_predict(state, PredictorKind::Ppm, true);
 }
-BENCHMARK(BM_Predict_Ppm_Filtered)->Arg(100)->Arg(10'000);
+BENCHMARK(BM_Predict_Ppm_Filtered)->Arg(100)->Arg(10'000)
+    ->UseManualTime();
 
 }  // namespace
