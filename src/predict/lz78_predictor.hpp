@@ -26,8 +26,9 @@
 // shares depend only on those counts, so each row reads them from
 // per-count tables (Predictor::CountTable) and forms every entry in one
 // index-order pass: the largest counts on a learned_des chain stay
-// below 60 while n = 1000, so a row divides about 60 times, not n or
-// 2n. The dense and filtered rows share that pass (blend_pass).
+// below 60 while n = 1000, so a table holds about 60 terms where the
+// row has 1,000 (two tables at the root). The dense and filtered rows
+// share that pass (blend_pass).
 //
 // A filtered row at the root or at a node with no observations that
 // cannot clear min_prob skips the O(n) pass. Running maxima of the

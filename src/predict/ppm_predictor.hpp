@@ -18,8 +18,8 @@
 // observation). An open symbol's order-0 backstop depends only on its
 // count, so each row reads it from a per-count table
 // (Predictor::CountTable) in one index-order pass that the dense and
-// filtered rows share (blend_pass): a learned_des row divides about 60
-// times, not once per item.
+// filtered rows share (blend_pass): on learned_des the table holds
+// about 60 terms where the row has 1,000.
 #pragma once
 
 #include <cstdint>

@@ -141,7 +141,8 @@ class Predictor {
   // up to 2n times when most counts exceed n (a long stream over a small
   // catalog). f takes the count as a double, as the row's own expression
   // does, so a looked-up term is the inline one bit for bit. Indexing
-  // with an integer count keeps the lookup as cheap as a load.
+  // with an integer count keeps the lookup as cheap as a load
+  // (DESIGN.md D10).
   template <typename F>
   class CountTable {
    public:
