@@ -316,7 +316,8 @@ struct LockstepInput {
   std::vector<ItemId> stream;
 };
 
-// The n = 2 and n = 7 streams drive every count far past n.
+// The n = 2 and n = 7 streams drive every count far past n, so the
+// LZ78 and PPM rows run from count tables early and inline later.
 std::vector<LockstepInput> lockstep_inputs() {
   std::vector<LockstepInput> inputs;
   for (const std::size_t n : {2u, 7u, 100u, 1000u}) {
