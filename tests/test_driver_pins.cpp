@@ -10,6 +10,11 @@
 // pins the DES books (link utilization, churn departures, deadline hits)
 // and, for multi_client, every client's requests:hits:demand.
 //
+// A second table (kRunSimPins) pins the prefetch_cache, trace_replay and
+// prefetch_only drivers through run_sim. Its rows add the requests whose
+// T exceeded the viewing time, both memo tiers' hits and misses, and a
+// digest of prefetch_only's Figure-5 avg_T_by_v series.
+//
 // Refresh after an INTENTIONAL behavior change:
 //   ./build/tests/test_driver_pins --gtest_also_run_disabled_tests
 //       --gtest_filter='*PrintPinTable*'   (one command line)
@@ -17,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -348,8 +354,171 @@ TEST(DriverPins, MetricsBitIdenticalAtFixedSeed) {
   }
 }
 
-// Manual refresh: prints the kPins initializer rows (17 significant
-// digits, round-trip exact). Disabled so ctest never depends on it.
+// ---- prefetch_cache, trace_replay and prefetch_only through run_sim ----
+
+// The paper-default 100-item chain through the prefetch_cache driver.
+SimSpec cache_spec(SimWorkloadKind kind, std::size_t cache,
+                   std::uint64_t seed) {
+  SimSpec spec;
+  spec.workload.kind = kind;
+  spec.cache_size = cache;
+  spec.requests = 3000;
+  spec.seed = seed;
+  return spec;
+}
+
+SimSpec sized_spec(double size_per_r) {
+  SimSpec spec;
+  spec.sized_capacity = 155.0;
+  spec.size_per_r = size_per_r;
+  spec.sub = SubArbitration::DS;
+  spec.requests = 1500;
+  spec.seed = 3;
+  return spec;
+}
+
+// A learnable 40-item chain (or its iid/trace-text variants) replayed
+// through a learned predictor.
+SimSpec replay_spec(SimWorkloadKind kind, PredictorKind predictor,
+                    PrefetchPolicy policy) {
+  SimSpec spec;
+  spec.driver = SimDriverKind::TraceReplay;
+  spec.workload.kind = kind;
+  spec.workload.n_items = 40;
+  spec.workload.out_degree_lo = 4;
+  spec.workload.out_degree_hi = 8;
+  spec.policy = policy;
+  spec.sub = SubArbitration::DS;
+  spec.predictor = predictor;
+  spec.cache_size = 8;
+  spec.requests = 2000;
+  spec.warmup = 200;
+  spec.seed = 17;
+  return spec;
+}
+
+// The Figure-4/5 protocol at n = 10.
+SimSpec only_spec(ProbMethod method, PrefetchPolicy policy, DeltaRule rule) {
+  SimSpec spec;
+  spec.driver = SimDriverKind::PrefetchOnly;
+  spec.workload.kind = SimWorkloadKind::Iid;
+  spec.workload.n_items = 10;
+  spec.workload.method = method;
+  spec.policy = policy;
+  spec.delta_rule = rule;
+  spec.requests = 4000;
+  spec.seed = 9;
+  return spec;
+}
+
+struct RunSimPinCase {
+  const char* name;
+  SimSpec (*spec)();
+};
+
+const RunSimPinCase kRunSimPinCases[] = {
+    // clang-format off
+    {"cache_markov_skp", [] { return cache_spec(SimWorkloadKind::Markov, 20, 5); }},
+    {"cache_markov_skp_ds", [] { SimSpec s = cache_spec(SimWorkloadKind::Markov, 20, 5); s.sub = SubArbitration::DS; return s; }},
+    {"cache_markov_kp_lfu", [] { SimSpec s = cache_spec(SimWorkloadKind::Markov, 10, 6); s.policy = PrefetchPolicy::KP; s.sub = SubArbitration::LFU; return s; }},
+    {"cache_markov_perfect", [] { SimSpec s = cache_spec(SimWorkloadKind::Markov, 10, 6); s.policy = PrefetchPolicy::Perfect; return s; }},
+    {"cache_zipf", [] { SimSpec s = cache_spec(SimWorkloadKind::Zipf, 15, 21); s.workload.zipf_exponent = 1.4; return s; }},
+    {"cache_adversarial", [] { return cache_spec(SimWorkloadKind::Adversarial, 6, 9); }},
+    {"cache_markov_drift", [] { SimSpec s = cache_spec(SimWorkloadKind::MarkovDrift, 12, 13); s.workload.drift_period = 500; return s; }},
+    {"cache_markov_drift_ds", [] { SimSpec s = cache_spec(SimWorkloadKind::MarkovDrift, 12, 13); s.workload.drift_period = 500; s.sub = SubArbitration::DS; return s; }},
+    {"cache_markov1_warmup", [] { SimSpec s = cache_spec(SimWorkloadKind::Markov, 10, 7); s.predictor = PredictorKind::Markov1; s.warmup = 600; return s; }},
+    {"cache_lz78_threshold", [] { SimSpec s = cache_spec(SimWorkloadKind::Markov, 10, 7); s.predictor = PredictorKind::Lz78; s.min_profit_threshold = 1.0; s.predictor_min_prob = 0.02; return s; }},
+    {"cache_sized_coupled", [] { return sized_spec(1.0); }},
+    {"cache_sized_uniform", [] { return sized_spec(0.0); }},
+    {"replay_markov_markov1", [] { return replay_spec(SimWorkloadKind::Markov, PredictorKind::Markov1, PrefetchPolicy::SKP); }},
+    {"replay_markov_perfect", [] { return replay_spec(SimWorkloadKind::Markov, PredictorKind::Markov1, PrefetchPolicy::Perfect); }},
+    {"replay_trace_text_ppm", [] { return replay_spec(SimWorkloadKind::TraceText, PredictorKind::Ppm, PrefetchPolicy::SKP); }},
+    {"replay_iid_lz78_kp", [] { return replay_spec(SimWorkloadKind::Iid, PredictorKind::Lz78, PrefetchPolicy::KP); }},
+    {"only_skewy_skp_exact", [] { return only_spec(ProbMethod::Skewy, PrefetchPolicy::SKP, DeltaRule::ExactComplement); }},
+    {"only_skewy_kp", [] { return only_spec(ProbMethod::Skewy, PrefetchPolicy::KP, DeltaRule::ExactComplement); }},
+    {"only_skewy_skp_paper", [] { return only_spec(ProbMethod::Skewy, PrefetchPolicy::SKP, DeltaRule::PaperTail); }},
+    {"only_flat_skp_exact", [] { return only_spec(ProbMethod::Flat, PrefetchPolicy::SKP, DeltaRule::ExactComplement); }},
+    {"only_flat_kp", [] { return only_spec(ProbMethod::Flat, PrefetchPolicy::KP, DeltaRule::ExactComplement); }},
+    {"only_flat_skp_paper", [] { return only_spec(ProbMethod::Flat, PrefetchPolicy::SKP, DeltaRule::PaperTail); }},
+    // clang-format on
+};
+
+struct RunSimPinRow {
+  const char* name;
+  std::uint64_t hits, demand, prefetch, wasted, nodes, over;
+  std::uint64_t plan_hits, plan_misses, select_hits, select_misses;
+  double mean_T, net_time;
+  std::uint64_t curve;  // curve_digest of avg_T_by_v (0 when absent)
+};
+
+// FNV-1a over the bit patterns of the (v, mean T) series.
+std::uint64_t curve_digest(const SimResult& r) {
+  if (!r.avg_T_by_v) return 0;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& [v, mean] : r.avg_T_by_v->series()) {
+    for (const double x : {v, mean}) {
+      h ^= std::bit_cast<std::uint64_t>(x);
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+const RunSimPinRow kRunSimPins[] = {
+    // clang-format off
+    {"cache_markov_skp", 1806, 1169, 11116, 9580, 44377, 336, 5, 2995, 1323, 1672, 6.843333333333339, 159323, 0x0000000000000000ull},
+    {"cache_markov_skp_ds", 2007, 976, 12797, 11152, 45289, 244, 0, 0, 806, 2194, 4.8523333333333412, 153483, 0x0000000000000000ull},
+    {"cache_markov_kp_lfu", 1821, 1179, 13108, 11349, 79482, 333, 0, 0, 1360, 1640, 6.6379999999999955, 177467, 0x0000000000000000ull},
+    {"cache_markov_perfect", 2646, 0, 2688, 0, 0, 191, 0, 0, 0, 0, 1.2723333333333353, 40614, 0x0000000000000000ull},
+    {"cache_zipf", 2454, 546, 579, 517, 64121, 98, 2784, 216, 96, 120, 2.3550000000000031, 11149, 0x0000000000000000ull},
+    {"cache_adversarial", 2381, 603, 3799, 1410, 108552, 245, 2176, 824, 289, 535, 2.7760000000000025, 64647, 0x0000000000000000ull},
+    {"cache_markov_drift", 1716, 1251, 11307, 9643, 46340, 428, 2, 2998, 595, 2403, 7.5399999999999894, 169384, 0x0000000000000000ull},
+    {"cache_markov_drift_ds", 1794, 1180, 12011, 10287, 47152, 407, 0, 0, 522, 2478, 6.7973333333333352, 167482, 0x0000000000000000ull},
+    {"cache_markov1_warmup", 1072, 1304, 7372, 6327, 30856, 302, 0, 0, 0, 0, 9.2299999999999738, 127598, 0x0000000000000000ull},
+    {"cache_lz78_threshold", 565, 2422, 2008, 1677, 3222, 377, 0, 0, 0, 0, 12.067333333333369, 72224, 0x0000000000000000ull},
+    {"cache_sized_coupled", 774, 709, 5494, 4730, 25793, 158, 0, 0, 625, 875, 7.764666666666681, 86832, 0x0000000000000000ull},
+    {"cache_sized_uniform", 790, 696, 5470, 4687, 25526, 154, 0, 0, 542, 958, 7.6039999999999974, 86368, 0x0000000000000000ull},
+    {"replay_markov_markov1", 1447, 286, 5032, 3678, 11695, 0, 0, 0, 0, 0, 3.1850000000000023, 72974, 0x0000000000000000ull},
+    {"replay_markov_perfect", 1628, 76, 1301, 0, 0, 0, 0, 0, 0, 0, 1.1466666666666674, 16936, 0x0000000000000000ull},
+    {"replay_trace_text_ppm", 1412, 357, 5278, 3987, 14335, 0, 0, 0, 0, 0, 3.6311111111111045, 76801, 0x0000000000000000ull},
+    {"replay_iid_lz78_kp", 1567, 233, 1905, 1807, 18918, 0, 0, 0, 0, 0, 1.6855555555555548, 29879, 0x0000000000000000ull},
+    {"only_skewy_skp_exact", 2948, 677, 15177, 11854, 25727, 0, 0, 0, 0, 0, 4.017499999999985, 227234, 0x3f13ef2432640c83ull},
+    {"only_skewy_kp", 3005, 995, 15522, 12517, 61980, 0, 0, 0, 0, 0, 4.7900000000000293, 208013, 0x0245c282cfaa419cull},
+    {"only_skewy_skp_paper", 2930, 646, 15815, 12461, 20695, 0, 0, 0, 0, 0, 4.8882499999999984, 243678, 0x3912ce320950288eull},
+    {"only_flat_skp_exact", 2283, 1611, 14922, 12533, 46551, 0, 0, 0, 0, 0, 7.2305000000000055, 224306, 0x678dfc88e576ca9full},
+    {"only_flat_kp", 2338, 1662, 15034, 12696, 78800, 0, 0, 0, 0, 0, 7.3652499999999872, 221005, 0x079bbc5cb2b61bbcull},
+    {"only_flat_skp_paper", 2274, 1550, 16633, 14183, 40745, 0, 0, 0, 0, 0, 9.6529999999999916, 253779, 0x4b9ec05268472681ull},
+    // clang-format on
+};
+
+TEST(DriverPins, RunSimRowsBitIdenticalAtFixedSeed) {
+  ASSERT_EQ(std::size(kRunSimPins), std::size(kRunSimPinCases))
+      << "pin table out of date — rerun PrintPinTable";
+  for (std::size_t i = 0; i < std::size(kRunSimPinCases); ++i) {
+    const RunSimPinCase& c = kRunSimPinCases[i];
+    const RunSimPinRow& g = kRunSimPins[i];
+    ASSERT_STREQ(c.name, g.name);
+    const SimResult r = run_sim(c.spec());
+    const SimMetrics& m = r.metrics;
+    EXPECT_EQ(m.hits, g.hits) << c.name;
+    EXPECT_EQ(m.demand_fetches, g.demand) << c.name;
+    EXPECT_EQ(m.prefetch_fetches, g.prefetch) << c.name;
+    EXPECT_EQ(m.wasted_prefetches, g.wasted) << c.name;
+    EXPECT_EQ(m.solver_nodes, g.nodes) << c.name;
+    EXPECT_EQ(r.over_viewing_time, g.over) << c.name;
+    EXPECT_EQ(r.plan_cache.plans.hits, g.plan_hits) << c.name;
+    EXPECT_EQ(r.plan_cache.plans.misses, g.plan_misses) << c.name;
+    EXPECT_EQ(r.plan_cache.selections.hits, g.select_hits) << c.name;
+    EXPECT_EQ(r.plan_cache.selections.misses, g.select_misses) << c.name;
+    EXPECT_DOUBLE_EQ(m.mean_access_time(), g.mean_T) << c.name;
+    EXPECT_DOUBLE_EQ(m.network_time, g.net_time) << c.name;
+    EXPECT_EQ(curve_digest(r), g.curve) << c.name;
+  }
+}
+
+// Manual refresh: prints the kPins and kRunSimPins initializer rows (17
+// significant digits, round-trip exact). Disabled so ctest never depends
+// on it.
 TEST(DriverPins, DISABLED_PrintPinTable) {
   for (const PinCase& c : kPinCases) {
     const SimResult r = c.run();
@@ -365,6 +534,25 @@ TEST(DriverPins, DISABLED_PrintPinTable) {
                 static_cast<unsigned long long>(r.churn_events),
                 static_cast<unsigned long long>(r.deadline_hits),
                 client_books(r).c_str());
+  }
+  for (const RunSimPinCase& c : kRunSimPinCases) {
+    const SimResult r = run_sim(c.spec());
+    const SimMetrics& m = r.metrics;
+    const PlanMemoStats& memo = r.plan_cache;
+    std::printf("    {\"%s\", %llu, %llu, %llu, %llu, %llu, %llu, %llu, "
+                "%llu, %llu, %llu, %.17g, %.17g, 0x%016llxull},\n",
+                c.name, static_cast<unsigned long long>(m.hits),
+                static_cast<unsigned long long>(m.demand_fetches),
+                static_cast<unsigned long long>(m.prefetch_fetches),
+                static_cast<unsigned long long>(m.wasted_prefetches),
+                static_cast<unsigned long long>(m.solver_nodes),
+                static_cast<unsigned long long>(r.over_viewing_time),
+                static_cast<unsigned long long>(memo.plans.hits),
+                static_cast<unsigned long long>(memo.plans.misses),
+                static_cast<unsigned long long>(memo.selections.hits),
+                static_cast<unsigned long long>(memo.selections.misses),
+                m.mean_access_time(), m.network_time,
+                static_cast<unsigned long long>(curve_digest(r)));
   }
 }
 
