@@ -9,6 +9,8 @@
 //       (high-probability items whose r exceeds v are never prefetched);
 //   (b)/(d) flat: SKP and KP look almost identical.
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "sim/prefetch_only.hpp"
@@ -26,15 +28,17 @@ struct Panel {
 };
 
 void run_panel(const Panel& panel, const bench::BenchArgs& args) {
-  PrefetchOnlyConfig cfg;
-  cfg.n_items = 10;
-  cfg.policy = panel.policy;
-  cfg.method = panel.method;
-  cfg.delta_rule = DeltaRule::PaperTail;  // paper-faithful Figure-3 rule
-  cfg.iterations = args.full ? 50'000 : 8'000;
-  cfg.scatter_limit = 500;  // the paper plots 500 points
-  cfg.seed = args.seed;
-  const PrefetchOnlyResult res = run_prefetch_only(cfg);
+  SimSpec spec;
+  spec.driver = SimDriverKind::PrefetchOnly;
+  spec.workload.kind = SimWorkloadKind::Iid;
+  spec.workload.n_items = 10;
+  spec.workload.method = panel.method;
+  spec.policy = panel.policy;
+  spec.delta_rule = DeltaRule::PaperTail;  // paper-faithful Figure-3 rule
+  spec.requests = args.full ? 50'000 : 8'000;
+  spec.seed = args.seed;
+  std::vector<std::pair<double, double>> scatter(500);  // the paper's 500
+  const SimResult res = run_prefetch_only(spec, scatter);
 
   PlotOptions opts;
   opts.title = std::string("Fig 4") + panel.label + "  " +
@@ -48,11 +52,11 @@ void run_panel(const Panel& panel, const bench::BenchArgs& args) {
   opts.y_max = 50;
   opts.width = 76;
   opts.height = 24;
-  std::cout << render_scatter(res.scatter, opts, '*') << "\n";
+  std::cout << render_scatter(scatter, opts, '*') << "\n";
 
   // Shape diagnostics the paper calls out.
   std::size_t above_max_r = 0, above_line_T_eq_v = 0;
-  for (const auto& [v, T] : res.scatter) {
+  for (const auto& [v, T] : scatter) {
     if (T > 30.0) ++above_max_r;
     if (T > v) ++above_line_T_eq_v;
   }
@@ -66,7 +70,7 @@ void run_panel(const Panel& panel, const bench::BenchArgs& args) {
                       to_string(panel.method) + ".csv");
     CsvWriter w(f);
     w.row({"v", "T"});
-    for (const auto& [v, T] : res.scatter) w.row_of(v, T);
+    for (const auto& [v, T] : scatter) w.row_of(v, T);
   }
 }
 

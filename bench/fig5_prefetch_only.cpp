@@ -21,7 +21,6 @@
 #include <span>
 
 #include "bench_util.hpp"
-#include "sim/prefetch_only.hpp"  // PrefetchOnlyResult curve type
 #include "sim/runtime.hpp"
 #include "sim/sweep.hpp"
 #include "util/ascii_plot.hpp"

@@ -32,15 +32,13 @@ int main(int argc, char** argv) {
   std::cout << "  horizon  cache  mean T    hit rate  net time/req\n";
   for (const std::size_t horizon : {1u, 2u, 3u, 4u}) {
     for (const std::size_t cache_size : {10u, 30u, 60u}) {
-      PrefetchCacheConfig cfg;  // paper-default Markov source
-      cfg.cache_size = cache_size;
-      cfg.policy = PrefetchPolicy::SKP;
-      cfg.sub = SubArbitration::DS;
-      cfg.requests = requests;
-      cfg.seed = args.seed;
-      cfg.lookahead_horizon = horizon;
-      cfg.lookahead_decay = 0.5;
-      const auto res = run_prefetch_cache(cfg);
+      SimSpec spec;  // prefetch_cache driver, paper-default Markov source
+      spec.cache_size = cache_size;
+      spec.policy = PrefetchPolicy::SKP;
+      spec.sub = SubArbitration::DS;
+      spec.requests = requests;
+      spec.seed = args.seed;
+      const SimResult res = run_prefetch_cache_lookahead(spec, horizon);
       std::cout << "  " << std::setw(7) << horizon << "  " << std::setw(5)
                 << cache_size << "  " << std::setw(8)
                 << res.metrics.mean_access_time() << "  " << std::setw(8)

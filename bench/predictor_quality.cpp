@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "sim/prefetch_cache.hpp"
+#include "sim/runtime.hpp"
 #include "util/csv.hpp"
 
 namespace {
@@ -39,15 +39,15 @@ int main(int argc, char** argv) {
   std::cout << "  predictor  cache  mean T    hit rate  net time/req\n";
   for (const auto kind : kinds) {
     for (const std::size_t cache_size : cache_sizes) {
-      PrefetchCacheConfig cfg;
-      cfg.cache_size = cache_size;
-      cfg.policy = PrefetchPolicy::SKP;
-      cfg.sub = SubArbitration::DS;
-      cfg.requests = requests;
-      cfg.warmup = requests / 5;  // let the predictor train
-      cfg.seed = args.seed;
-      cfg.predictor = kind;
-      const auto res = run_prefetch_cache(cfg);
+      SimSpec spec;  // prefetch_cache driver, paper-default Markov source
+      spec.cache_size = cache_size;
+      spec.policy = PrefetchPolicy::SKP;
+      spec.sub = SubArbitration::DS;
+      spec.requests = requests;
+      spec.warmup = requests / 5;  // let the predictor train
+      spec.seed = args.seed;
+      spec.predictor = kind;
+      const SimResult res = run_sim(spec);
       std::cout << "  " << std::setw(9) << to_string(kind) << "  "
                 << std::setw(5) << cache_size << "  " << std::setw(8)
                 << res.metrics.mean_access_time() << "  " << std::setw(8)

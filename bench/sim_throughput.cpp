@@ -1,7 +1,7 @@
 // Sim-throughput microbenchmarks (google-benchmark) for the CI perf
 // snapshot.
 //
-// One reduced Figure-7 point per policy: a complete run_prefetch_cache sim
+// One reduced Figure-7 point per policy: a complete prefetch_cache sim
 // (paper-default 100-state source, cache size 20) measured end to end.
 // `items_per_second` in the JSON output is requests/second — the number
 // the ROADMAP "Perf baseline" item asks to track next to the solver
@@ -28,7 +28,6 @@
 
 #include "core/plan_cache.hpp"
 #include "predict/predictor.hpp"
-#include "sim/prefetch_cache.hpp"
 #include "sim/runtime.hpp"
 #include "util/rng.hpp"
 
@@ -41,17 +40,17 @@ constexpr std::size_t kRequests = 2'000;
 void run_point(benchmark::State& state, PrefetchPolicy policy,
                SubArbitration sub, bool use_plan_cache = true,
                std::size_t cache_size = 20) {
-  PrefetchCacheConfig cfg;  // paper-default Markov source
-  cfg.cache_size = cache_size;
-  cfg.policy = policy;
-  cfg.sub = sub;
-  cfg.requests = kRequests;
-  cfg.seed = 1;
-  cfg.use_plan_cache = use_plan_cache;
+  SimSpec spec;  // prefetch_cache driver, paper-default Markov source
+  spec.cache_size = cache_size;
+  spec.policy = policy;
+  spec.sub = sub;
+  spec.requests = kRequests;
+  spec.seed = 1;
+  spec.use_plan_cache = use_plan_cache;
   std::uint64_t nodes = 0;
   PlanMemoStats pc;
   for (auto _ : state) {
-    const auto res = run_prefetch_cache(cfg);
+    const SimResult res = run_sim(spec);
     nodes = res.metrics.solver_nodes;
     pc = res.plan_cache;
     benchmark::DoNotOptimize(res.metrics.hits);
@@ -103,22 +102,22 @@ BENCHMARK(BM_Fig7Point_SkpPr_NoPlanCache);
 // steady-state plan-cache speedup and hit rate the reduced points
 // understate.
 void run_full_point(benchmark::State& state, bool use_plan_cache) {
-  PrefetchCacheConfig cfg;
-  cfg.cache_size = 20;
-  cfg.policy = PrefetchPolicy::SKP;
-  cfg.requests = 50'000;
-  cfg.seed = 1;
-  cfg.use_plan_cache = use_plan_cache;
+  SimSpec spec;
+  spec.cache_size = 20;
+  spec.policy = PrefetchPolicy::SKP;
+  spec.requests = 50'000;
+  spec.seed = 1;
+  spec.use_plan_cache = use_plan_cache;
   PlanMemoStats pc;
   std::uint64_t nodes = 0;
   for (auto _ : state) {
-    const auto res = run_prefetch_cache(cfg);
+    const SimResult res = run_sim(spec);
     nodes = res.metrics.solver_nodes;
     pc = res.plan_cache;
     benchmark::DoNotOptimize(res.metrics.hits);
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * cfg.requests));
+      static_cast<std::int64_t>(state.iterations() * spec.requests));
   state.counters["solver_nodes"] = static_cast<double>(nodes);
   if (use_plan_cache) {
     state.counters["plan_hit_rate"] = pc.plans.hit_rate();
@@ -283,14 +282,14 @@ BENCHMARK(BM_Driver_netsim_des_Lz78_N20000);
 // (predict_filtered_into) and the support-hinted candidate filter, the
 // other per-request hot path.
 void BM_Fig7Point_SkpMarkov1(benchmark::State& state) {
-  PrefetchCacheConfig cfg;
-  cfg.cache_size = 20;
-  cfg.policy = PrefetchPolicy::SKP;
-  cfg.predictor = PredictorKind::Markov1;
-  cfg.requests = kRequests;
-  cfg.seed = 1;
+  SimSpec spec;
+  spec.cache_size = 20;
+  spec.policy = PrefetchPolicy::SKP;
+  spec.predictor = PredictorKind::Markov1;
+  spec.requests = kRequests;
+  spec.seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_prefetch_cache(cfg).metrics.hits);
+    benchmark::DoNotOptimize(run_sim(spec).metrics.hits);
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kRequests));

@@ -74,12 +74,13 @@ int main(int argc, char** argv) {
       {PrefetchPolicy::SKP, PredictorKind::DependencyWindow},
   };
   for (const auto& row : rows) {
-    TraceReplayConfig cfg;
-    cfg.cache_size = 12;
-    cfg.policy = row.policy;
-    cfg.predictor = row.predictor;
-    cfg.warmup = trace.size() / 10;
-    const SimMetrics m = replay_trace(trace, cfg);
+    SimSpec spec;  // the trace supplies the catalog and the requests
+    spec.cache_size = 12;
+    spec.policy = row.policy;
+    spec.sub = SubArbitration::DS;
+    spec.predictor = row.predictor;
+    spec.warmup = trace.size() / 10;
+    const SimMetrics m = replay_trace(trace, spec).metrics;
     std::cout << "  " << std::setw(8) << to_string(row.policy) << "  "
               << std::setw(9) << to_string(row.predictor) << "  "
               << std::setw(9) << m.mean_access_time() << "  "

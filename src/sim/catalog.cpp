@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/grounded.hpp"
-#include "sim/prefetch_cache.hpp"
 #include "util/require.hpp"
 
 namespace skp {

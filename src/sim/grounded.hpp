@@ -12,6 +12,8 @@
 // one place, instead of per-driver copies.
 #pragma once
 
+#include <cstdint>
+
 #include "sim/netsim.hpp"
 #include "sim/runtime.hpp"
 #include "util/require.hpp"
@@ -22,8 +24,17 @@
 
 namespace skp {
 
-// The planning engine of the net-grounded drivers. The Eq.-(9)
-// diagnostic is skipped: no decision reads it.
+// Stream-derivation salts of the prefetch_cache driver's seed layout
+// (sim/prefetch_cache.cpp): the chain is drawn from Rng(seed), the walk
+// from that stream's kPrefetchCacheWalkSalt child, and a drifting
+// chain's redraws from Rng(seed)'s kPrefetchCacheDriftSalt child.
+// materialize_workload and the shared catalog salt their drift streams
+// with the same constant.
+inline constexpr std::uint64_t kPrefetchCacheWalkSalt = 0x57a1f;
+inline constexpr std::uint64_t kPrefetchCacheDriftSalt = 0xd21f7;
+
+// The planning engine of every driver. The Eq.-(9) diagnostic is
+// skipped: no decision or counter reads it.
 inline EngineConfig engine_config(const SimSpec& spec) {
   EngineConfig cfg;
   cfg.policy = spec.policy;

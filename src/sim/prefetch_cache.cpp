@@ -1,57 +1,32 @@
 #include "sim/prefetch_cache.hpp"
 
+#include <cmath>
 #include <optional>
 #include <type_traits>
 
 #include "core/access_model.hpp"
 #include "core/lookahead.hpp"
-#include "predict/dependency_graph.hpp"
-#include "predict/lz78_predictor.hpp"
-#include "predict/markov_predictor.hpp"
-#include "predict/ppm_predictor.hpp"
+#include "sim/grounded.hpp"
 #include "sim/resident_set.hpp"
 #include "sim/trace_replay.hpp"
+#include "workload/markov_source.hpp"
 
 namespace skp {
-
-const char* to_string(PredictorKind kind) {
-  switch (kind) {
-    case PredictorKind::Oracle: return "oracle";
-    case PredictorKind::Markov1: return "markov1";
-    case PredictorKind::Ppm: return "ppm";
-    case PredictorKind::DependencyWindow: return "depgraph";
-    case PredictorKind::Lz78: return "lz78";
-  }
-  return "?";
-}
-
-std::unique_ptr<Predictor> make_predictor(PredictorKind kind, std::size_t n,
-                                          double markov1_laplace) {
-  switch (kind) {
-    case PredictorKind::Oracle: return nullptr;
-    case PredictorKind::Markov1:
-      return std::make_unique<MarkovPredictor>(n, markov1_laplace);
-    case PredictorKind::Ppm:
-      return std::make_unique<PpmPredictor>(n, /*order=*/2);
-    case PredictorKind::DependencyWindow:
-      return std::make_unique<DependencyGraph>(n, /*window=*/2);
-    case PredictorKind::Lz78:
-      return std::make_unique<Lz78Predictor>(n);
-  }
-  return nullptr;
-}
 
 namespace {
 
 // Markov1's Laplace smoothing in the Monte-Carlo drivers.
 constexpr double kMonteCarloLaplace = 0.05;
+// Per-step weight decay of a lookahead blend.
+constexpr double kLookaheadDecay = 0.5;
 
 // What feeds the request loop: the Markov walk of `chain` drawn from
-// `walk` (with its drift changepoints), or the recorded (item, v)
-// sequence of `trace`.
+// `walk` (redrawn every `drift_period` requests when nonzero), or the
+// recorded (item, v) sequence of `trace`.
 struct RequestSource {
   MarkovSource* chain = nullptr;
   Rng* walk = nullptr;
+  std::size_t drift_period = 0;
   const Trace* trace = nullptr;
 
   std::span<const double> r() const {
@@ -65,31 +40,20 @@ struct RequestSource {
 // against the pre-plan cache, executes the plan, and is then served or
 // demand-fetched over a minimal-Pr victim. The planning row is exactly
 // one of: the oracle row (its successor list hints the candidate
-// filter), the lookahead blend, or the learned filtered row (hinted by
-// its support).
+// filter), the lookahead blend over `horizon` steps, or the learned
+// filtered row (hinted by its support).
 template <typename Cache>
-PrefetchCacheResult run_requests(const PrefetchCacheConfig& cfg,
-                                 const RequestSource& src, Cache cache) {
+SimResult run_requests(const SimSpec& spec, const RequestSource& src,
+                       Cache cache, std::size_t horizon) {
   const std::span<const double> r = src.r();
   const std::size_t n = r.size();
-
-  EngineConfig ecfg;
-  ecfg.policy = cfg.policy;
-  ecfg.delta_rule = cfg.delta_rule;
-  ecfg.arbitration.sub = cfg.sub;
-  ecfg.arbitration.strict_ties = cfg.strict_ties;
-  ecfg.min_profit_threshold = cfg.min_profit_threshold;
-  // Monte-Carlo hot loop: skip the per-round Eq.-(9) diagnostic no
-  // counter consumes.
-  ecfg.evaluate_plan_g = false;
-  const PrefetchEngine engine(ecfg);
-
+  const PrefetchEngine engine(engine_config(spec));
   const std::unique_ptr<Predictor> predictor =
-      make_predictor(cfg.predictor, n, kMonteCarloLaplace);
-  ResidentSet<Cache> book(std::move(cache), r, ecfg.arbitration);
+      make_predictor(spec.predictor, n, kMonteCarloLaplace);
+  ResidentSet<Cache> book(std::move(cache), r, engine.config().arbitration);
   MemoTiers tiers = make_memo_tiers(
-      cfg.use_plan_cache, cfg.plan_cache_capacity, engine.config_digest(),
-      predictor != nullptr, cfg.sub, cfg.lookahead_horizon <= 1 ? n : 0);
+      spec.use_plan_cache, spec.plan_cache_capacity, engine.config_digest(),
+      predictor != nullptr, spec.sub, horizon <= 1 ? n : 0);
 
   // The loop runs allocation-free: the instance is a borrowed view
   // (source row / predictor buffer), and `scratch`/`plan` recycle every
@@ -101,22 +65,24 @@ PrefetchCacheResult run_requests(const PrefetchCacheConfig& cfg,
   std::vector<double> learned_row;
   std::vector<ItemId> learned_support;
 
-  PrefetchCacheResult result;
-  // Phase-shift stream, derived from the config seed (not from the
-  // walk, so drifting and static runs share the walk stream between
+  SimResult result;
+  // Phase-shift stream, derived from the spec seed (not from the walk,
+  // so drifting and static runs share the walk stream between
   // changepoints).
-  Rng drift_rng = Rng(cfg.seed).split(kPrefetchCacheDriftSalt);
+  Rng drift_rng = Rng(spec.seed).split(kPrefetchCacheDriftSalt);
+  const std::size_t requests = src.trace ? src.trace->size() : spec.requests;
 
   std::size_t state = src.chain ? src.chain->current_state() : 0;
   // A walk's predictor sees the start state; a trace has none.
   if (predictor && src.chain) predictor->observe(static_cast<ItemId>(state));
 
-  for (std::size_t req = 0; req < cfg.requests; ++req) {
-    SimMetrics* const m = req >= cfg.warmup ? &result.metrics : nullptr;
-    if (cfg.drift_period != 0 && req != 0 && req % cfg.drift_period == 0) {
+  for (std::size_t req = 0; req < requests; ++req) {
+    SimMetrics* const m = req >= spec.warmup ? &result.metrics : nullptr;
+    if (src.drift_period != 0 && req != 0 && req % src.drift_period == 0) {
       // Changepoint: the rows every memoized plan, solver selection and
       // canonical order was computed from are gone.
-      src.chain->redraw_transitions(cfg.source, drift_rng);
+      src.chain->redraw_transitions(to_markov_config(spec.workload),
+                                    drift_rng);
       tiers.invalidate();
     }
 
@@ -133,19 +99,19 @@ PrefetchCacheResult run_requests(const PrefetchCacheConfig& cfg,
       next = rec.item;
     }
     std::optional<ItemId> oracle;
-    if (cfg.policy == PrefetchPolicy::Perfect) oracle = next;
+    if (spec.policy == PrefetchPolicy::Perfect) oracle = next;
 
     InstanceView inst;
     std::optional<std::span<const ItemId>> hint;  // nullopt: no hint
     if (predictor) {
-      predictor->predict_filtered_into(cfg.predictor_min_prob, learned_row,
+      predictor->predict_filtered_into(spec.predictor_min_prob, learned_row,
                                        learned_support);
       inst = InstanceView(learned_row, r, v);
       hint = learned_support;
-    } else if (cfg.lookahead_horizon > 1) {
+    } else if (horizon > 1) {
       // Blended rows widen the support, so no hint.
-      horizon_probabilities_into(*src.chain, state, cfg.lookahead_horizon,
-                                 cfg.lookahead_decay, scratch.P);
+      horizon_probabilities_into(*src.chain, state, horizon,
+                                 kLookaheadDecay, scratch.P);
       inst = InstanceView(scratch.P, r, v);
     } else {
       inst = src.chain->view_at(state);
@@ -197,77 +163,141 @@ PrefetchCacheResult run_requests(const PrefetchCacheConfig& cfg,
   return result;
 }
 
-}  // namespace
-
-PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg,
-                                       MarkovSource& source, Rng& walk_rng) {
-  SKP_REQUIRE(cfg.cache_size >= 1, "cache_size must be >= 1");
-  SKP_REQUIRE(cfg.predictor == PredictorKind::Oracle ||
-                  cfg.lookahead_horizon <= 1,
+// The prefetch_cache driver: its one validation list and stream layout.
+SimResult run_chain(const SimSpec& spec, std::size_t horizon) {
+  const SimWorkload& w = spec.workload;
+  SKP_REQUIRE(spec.predictor_warmup == 0,
+              "prefetch_cache has no observe-only prefix; use warmup to "
+              "exclude leading requests from metrics");
+  require_default_net(spec, "prefetch_cache");
+  require_no_scenario_fields(spec, "prefetch_cache");
+  require_single_client(spec, "prefetch_cache");
+  require_static_link(spec, "prefetch_cache");
+  require_reliable_full_effort(spec, "prefetch_cache");
+  SKP_REQUIRE(horizon >= 1, "lookahead horizon must be >= 1");
+  SKP_REQUIRE(spec.predictor == PredictorKind::Oracle || horizon == 1,
               "lookahead_horizon > 1 blends oracle rows; a learned "
               "predictor plans on its own row");
-  return run_requests(cfg, RequestSource{&source, &walk_rng, nullptr},
-                      SlotCache(source.n_states(), cfg.cache_size));
-}
-
-PrefetchCacheResult run_prefetch_cache(const PrefetchCacheConfig& cfg) {
-  Rng build_rng(cfg.seed);
-  MarkovSource source(cfg.source, build_rng);
-  Rng walk_rng = build_rng.split(kPrefetchCacheWalkSalt);
-  // Deterministic initial state.
-  source.teleport(0);
-  return run_prefetch_cache(cfg, source, walk_rng);
-}
-
-PrefetchCacheResult run_prefetch_cache_sized(
-    const SizedExperimentConfig& cfg) {
-  SKP_REQUIRE(cfg.capacity > 0.0, "capacity must be positive");
-  // Stream order: the chain, then the walk split, then the sizes.
-  Rng build_rng(cfg.seed);
-  MarkovSource source(cfg.source, build_rng);
-  Rng walk_rng = build_rng.split(kPrefetchCacheWalkSalt);
-  source.teleport(0);
-  std::vector<double> sizes(source.n_states());
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    sizes[i] = cfg.size_per_r > 0.0
-                   ? cfg.size_per_r *
-                         source.retrieval_time(static_cast<ItemId>(i))
-                   : build_rng.uniform(cfg.size_lo, cfg.size_hi);
+  const bool sized = spec.sized_capacity != 0.0;
+  if (sized) {
+    SKP_REQUIRE(w.kind == SimWorkloadKind::Markov,
+                "the sized-cache experiment runs the Markov workload");
+    SKP_REQUIRE(spec.predictor == PredictorKind::Oracle,
+                "the sized-cache experiment is oracle-mode only");
+    SKP_REQUIRE(spec.min_profit_threshold == 0.0,
+                "the sized-cache experiment does not support "
+                "min_profit_threshold");
+    SKP_REQUIRE(horizon == 1,
+                "the sized-cache experiment plans on one-step rows");
+    SKP_REQUIRE(spec.sized_capacity > 0.0,
+                "sized_capacity = " << spec.sized_capacity
+                                    << " must be positive");
+    SKP_REQUIRE(spec.size_per_r >= 0.0 && std::isfinite(spec.size_per_r),
+                "size_per_r = " << spec.size_per_r
+                                << " must be > 0 (sizes size_per_r * r_i) "
+                                   "or 0 (sizes drawn U[size_lo, size_hi])");
+    if (spec.size_per_r == 0.0) {
+      SKP_REQUIRE(spec.size_lo > 0.0,
+                  "size_lo = " << spec.size_lo << " must be positive");
+      SKP_REQUIRE(spec.size_lo <= spec.size_hi && std::isfinite(spec.size_hi),
+                  "size_hi = " << spec.size_hi
+                               << " must be finite and >= size_lo = "
+                               << spec.size_lo);
+    }
+  } else {
+    SKP_REQUIRE(spec.cache_size >= 1, "cache_size must be >= 1");
+    require_unsized(spec, "prefetch_cache");
+    SKP_REQUIRE(w.kind == SimWorkloadKind::Markov ||
+                    w.kind == SimWorkloadKind::MarkovDrift ||
+                    w.kind == SimWorkloadKind::Zipf ||
+                    w.kind == SimWorkloadKind::Adversarial,
+                "prefetch_cache supports markov | markov_drift | zipf | "
+                "adversarial workloads");
   }
 
-  PrefetchCacheConfig lowered;
-  lowered.source = cfg.source;
-  lowered.policy = cfg.policy;
-  lowered.sub = cfg.sub;
-  lowered.delta_rule = cfg.delta_rule;
-  lowered.strict_ties = cfg.strict_ties;
-  lowered.requests = cfg.requests;
-  lowered.warmup = cfg.warmup;
-  lowered.seed = cfg.seed;
-  lowered.use_plan_cache = cfg.use_plan_cache;
-  lowered.plan_cache_capacity = cfg.plan_cache_capacity;
-  return run_requests(lowered, RequestSource{&source, &walk_rng, nullptr},
-                      SizedCache(std::move(sizes), cfg.capacity));
+  // Stream layout: the chain from Rng(seed), the walk from that stream's
+  // kPrefetchCacheWalkSalt child, then a sized run's item sizes from the
+  // chain's stream. The walk starts in state 0.
+  Rng build(spec.seed);
+  MarkovSource source(make_workload_chain(w, build));
+  Rng walk = build.split(kPrefetchCacheWalkSalt);
+  source.teleport(0);
+  const RequestSource src{
+      &source, &walk,
+      w.kind == SimWorkloadKind::MarkovDrift ? w.drift_period : 0, nullptr};
+  if (!sized) {
+    return run_requests(spec, src,
+                        SlotCache(source.n_states(), spec.cache_size),
+                        horizon);
+  }
+  std::vector<double> sizes(source.n_states());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    sizes[i] = spec.size_per_r > 0.0
+                   ? spec.size_per_r *
+                         source.retrieval_time(static_cast<ItemId>(i))
+                   : build.uniform(spec.size_lo, spec.size_hi);
+  }
+  return run_requests(spec, src,
+                      SizedCache(std::move(sizes), spec.sized_capacity),
+                      horizon);
 }
 
-SimMetrics replay_trace(const Trace& trace, const TraceReplayConfig& cfg) {
-  SKP_REQUIRE(!trace.empty(), "cannot replay an empty trace");
-  SKP_REQUIRE(cfg.cache_size >= 1, "cache_size must be >= 1");
-  SKP_REQUIRE(cfg.predictor != PredictorKind::Oracle,
+// The trace_replay driver's one validation list.
+void require_replayable(const SimSpec& spec) {
+  SKP_REQUIRE(spec.predictor != PredictorKind::Oracle,
               "trace replay has no oracle probabilities");
-  PrefetchCacheConfig lowered;
-  lowered.cache_size = cfg.cache_size;
-  lowered.policy = cfg.policy;
-  lowered.sub = cfg.sub;
-  lowered.delta_rule = cfg.delta_rule;
-  lowered.predictor = cfg.predictor;
-  lowered.predictor_min_prob = cfg.predictor_min_prob;
-  lowered.min_profit_threshold = cfg.min_profit_threshold;
-  lowered.requests = trace.size();
-  lowered.warmup = cfg.warmup;
-  return run_requests(lowered, RequestSource{nullptr, nullptr, &trace},
-                      SlotCache(trace.n_items(), cfg.cache_size))
-      .metrics;
+  SKP_REQUIRE(spec.predictor_warmup == 0,
+              "trace replay has no observe-only prefix; use warmup to "
+              "exclude leading requests from metrics");
+  SKP_REQUIRE(spec.cache_size >= 1, "cache_size must be >= 1");
+  require_default_net(spec, "trace_replay");
+  require_no_scenario_fields(spec, "trace_replay");
+  require_unsized(spec, "trace_replay");
+  require_single_client(spec, "trace_replay");
+  require_static_link(spec, "trace_replay");
+  require_reliable_full_effort(spec, "trace_replay");
+}
+
+SimResult replay_unchecked(const Trace& trace, const SimSpec& spec) {
+  const SimResult res =
+      run_requests(spec, RequestSource{nullptr, nullptr, 0, &trace},
+                   SlotCache(trace.n_items(), spec.cache_size), 1);
+  // A replay reports its metrics alone: the over-viewing count is a
+  // prefetch_cache diagnostic, and a learned replay builds no memo tier.
+  SimResult out;
+  out.metrics = res.metrics;
+  return out;
+}
+
+}  // namespace
+
+SimResult run_prefetch_cache(const SimSpec& spec) {
+  return run_chain(spec, 1);
+}
+
+SimResult run_prefetch_cache_lookahead(const SimSpec& spec,
+                                       std::size_t horizon) {
+  return run_chain(spec, horizon);
+}
+
+SimResult run_trace_replay(const SimSpec& spec) {
+  require_replayable(spec);
+  Rng root(spec.seed);
+  Rng build = root.split(1);
+  Rng walk = root.split(2);
+  const MaterializedWorkload w =
+      materialize_workload(spec.workload, spec.requests, build, walk);
+  Trace trace(w.n_items, w.retrieval_times);
+  for (const TraceRecord& rec : w.cycles) {
+    trace.append(rec.item, rec.viewing_time);
+  }
+  return replay_unchecked(trace, spec);
+}
+
+SimResult replay_trace(const Trace& trace, const SimSpec& spec) {
+  SKP_REQUIRE(!trace.empty(), "cannot replay an empty trace");
+  require_replayable(spec);
+  return replay_unchecked(trace, spec);
 }
 
 }  // namespace skp

@@ -10,19 +10,39 @@
 #include "cache/cache.hpp"
 #include "cache/freq_tracker.hpp"
 #include "cache/replacement.hpp"
+#include "predict/dependency_graph.hpp"
+#include "predict/lz78_predictor.hpp"
+#include "predict/markov_predictor.hpp"
+#include "predict/ppm_predictor.hpp"
 #include "sim/grounded.hpp"
 #include "sim/multi_client.hpp"
 #include "sim/netsim.hpp"
 #include "sim/netsim_stepper.hpp"
+#include "sim/prefetch_cache.hpp"
 #include "sim/prefetch_only.hpp"
 #include "sim/skpd_loopback.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/parse_digits.hpp"
 #include "util/require.hpp"
-#include "workload/markov_source.hpp"
 #include "workload/request_stream.hpp"
 
 namespace skp {
+
+std::unique_ptr<Predictor> make_predictor(PredictorKind kind, std::size_t n,
+                                          double markov1_laplace) {
+  switch (kind) {
+    case PredictorKind::Oracle: return nullptr;
+    case PredictorKind::Markov1:
+      return std::make_unique<MarkovPredictor>(n, markov1_laplace);
+    case PredictorKind::Ppm:
+      return std::make_unique<PpmPredictor>(n, /*order=*/2);
+    case PredictorKind::DependencyWindow:
+      return std::make_unique<DependencyGraph>(n, /*window=*/2);
+    case PredictorKind::Lz78:
+      return std::make_unique<Lz78Predictor>(n);
+  }
+  return nullptr;
+}
 
 // make_predictor with the runtime pipelines' Markov1 smoothing (0.1;
 // prefetch_cache and trace_replay use 0.05). Shared by the scenario,
@@ -73,6 +93,13 @@ void require_unsized(const SimSpec& spec, const char* driver) {
   SKP_REQUIRE(spec.sized_capacity == 0.0,
               driver << " has no byte-addressed cache; sized_capacity "
                         "applies to the prefetch_cache driver");
+  const SimSpec defaults;
+  SKP_REQUIRE(spec.size_per_r == defaults.size_per_r &&
+                  spec.size_lo == defaults.size_lo &&
+                  spec.size_hi == defaults.size_hi,
+              driver << " has no item sizes without sized_capacity; "
+                        "size_per_r/size_lo/size_hi apply to the "
+                        "prefetch_cache driver's sized cache");
 }
 
 void require_single_client(const SimSpec& spec, const char* driver) {
@@ -100,160 +127,8 @@ void require_reliable_full_effort(const SimSpec& spec, const char* driver) {
 namespace {
 
 // ---- Drivers ------------------------------------------------------------
-
-SimResult run_prefetch_only_driver(const SimSpec& spec) {
-  const SimWorkload& w = spec.workload;
-  SKP_REQUIRE(w.kind == SimWorkloadKind::Iid,
-              "prefetch_only redraws P each iteration — use an iid "
-              "workload");
-  SKP_REQUIRE(spec.predictor == PredictorKind::Oracle,
-              "prefetch_only has no predictor pipeline");
-  SKP_REQUIRE(spec.warmup == 0 && spec.predictor_warmup == 0,
-              "prefetch_only has no warmup phase");
-  // Reject rather than silently drop fields this protocol cannot honor:
-  // the cache is flushed per iteration, so there is no sub-arbitration
-  // and no profit thresholding to apply.
-  SKP_REQUIRE(spec.sub == SubArbitration::None,
-              "prefetch_only has no cache to sub-arbitrate");
-  SKP_REQUIRE(spec.min_profit_threshold == 0.0,
-              "prefetch_only does not support min_profit_threshold");
-  require_default_net(spec, "prefetch_only");
-  require_no_scenario_fields(spec, "prefetch_only");
-  require_unsized(spec, "prefetch_only");
-  require_single_client(spec, "prefetch_only");
-  require_static_link(spec, "prefetch_only");
-  require_reliable_full_effort(spec, "prefetch_only");
-  PrefetchOnlyConfig cfg;
-  cfg.n_items = w.n_items;
-  cfg.method = w.method;
-  cfg.skew_exponent = w.skew_exponent;
-  cfg.r_lo = w.r_lo;
-  cfg.r_hi = w.r_hi;
-  cfg.v_lo = w.v_lo;
-  cfg.v_hi = w.v_hi;
-  cfg.integer_times = w.integer_times;
-  cfg.policy = spec.policy;
-  cfg.delta_rule = spec.delta_rule;
-  cfg.iterations = spec.requests;
-  cfg.seed = spec.seed;
-
-  PrefetchOnlyResult res = run_prefetch_only(cfg);
-  SimResult out;
-  out.metrics = res.metrics;
-  out.avg_T_by_v.emplace(std::move(res.avg_T_by_v));
-  return out;
-}
-
-SimResult from_prefetch_cache_result(const PrefetchCacheResult& res) {
-  SimResult out;
-  out.metrics = res.metrics;
-  out.plan_cache = res.plan_cache;
-  out.over_viewing_time = res.over_viewing_time;
-  return out;
-}
-
-SimResult run_prefetch_cache_driver(const SimSpec& spec) {
-  const SimWorkload& w = spec.workload;
-  SKP_REQUIRE(spec.predictor_warmup == 0,
-              "prefetch_cache has no observe-only prefix; use warmup to "
-              "exclude leading requests from metrics");
-  require_default_net(spec, "prefetch_cache");
-  require_no_scenario_fields(spec, "prefetch_cache");
-  require_single_client(spec, "prefetch_cache");
-  require_static_link(spec, "prefetch_cache");
-  require_reliable_full_effort(spec, "prefetch_cache");
-  if (spec.sized_capacity > 0.0) {
-    SKP_REQUIRE(w.kind == SimWorkloadKind::Markov,
-                "the sized-cache experiment runs the Markov workload");
-    SKP_REQUIRE(spec.predictor == PredictorKind::Oracle,
-                "the sized-cache experiment is oracle-mode only");
-    SKP_REQUIRE(spec.min_profit_threshold == 0.0,
-                "the sized-cache experiment does not support "
-                "min_profit_threshold");
-    SizedExperimentConfig cfg;
-    cfg.source = to_markov_config(w);
-    cfg.capacity = spec.sized_capacity;
-    cfg.size_per_r = spec.size_per_r;
-    cfg.size_lo = spec.size_lo;
-    cfg.size_hi = spec.size_hi;
-    cfg.policy = spec.policy;
-    cfg.sub = spec.sub;
-    cfg.delta_rule = spec.delta_rule;
-    cfg.requests = spec.requests;
-    cfg.warmup = spec.warmup;
-    cfg.seed = spec.seed;
-    cfg.use_plan_cache = spec.use_plan_cache;
-    cfg.plan_cache_capacity = spec.plan_cache_capacity;
-    return from_prefetch_cache_result(run_prefetch_cache_sized(cfg));
-  }
-
-  PrefetchCacheConfig cfg;
-  cfg.cache_size = spec.cache_size;
-  cfg.policy = spec.policy;
-  cfg.sub = spec.sub;
-  cfg.delta_rule = spec.delta_rule;
-  cfg.requests = spec.requests;
-  cfg.warmup = spec.warmup;
-  cfg.seed = spec.seed;
-  cfg.predictor = spec.predictor;
-  cfg.predictor_min_prob = spec.predictor_min_prob;
-  cfg.min_profit_threshold = spec.min_profit_threshold;
-  cfg.use_plan_cache = spec.use_plan_cache;
-  cfg.plan_cache_capacity = spec.plan_cache_capacity;
-  SKP_REQUIRE(w.kind == SimWorkloadKind::Markov ||
-                  w.kind == SimWorkloadKind::MarkovDrift ||
-                  w.kind == SimWorkloadKind::Zipf ||
-                  w.kind == SimWorkloadKind::Adversarial,
-              "prefetch_cache supports markov | markov_drift | zipf | "
-              "adversarial workloads");
-  // run_prefetch_cache(cfg)'s stream split: the source is built from
-  // Rng(seed), the walk from its kPrefetchCacheWalkSalt child.
-  cfg.source = to_markov_config(w);
-  if (w.kind == SimWorkloadKind::MarkovDrift) cfg.drift_period = w.drift_period;
-  Rng build(spec.seed);
-  MarkovSource source(make_workload_chain(w, build));
-  Rng walk = build.split(kPrefetchCacheWalkSalt);
-  source.teleport(0);
-  return from_prefetch_cache_result(run_prefetch_cache(cfg, source, walk));
-}
-
-SimResult run_trace_replay_driver(const SimSpec& spec) {
-  SKP_REQUIRE(spec.predictor != PredictorKind::Oracle,
-              "trace replay has no oracle probabilities");
-  SKP_REQUIRE(spec.predictor_warmup == 0,
-              "trace replay has no observe-only prefix; use warmup to "
-              "exclude leading requests from metrics");
-  require_default_net(spec, "trace_replay");
-  require_no_scenario_fields(spec, "trace_replay");
-  require_unsized(spec, "trace_replay");
-  require_single_client(spec, "trace_replay");
-  require_static_link(spec, "trace_replay");
-  require_reliable_full_effort(spec, "trace_replay");
-  Rng root(spec.seed);
-  Rng build = root.split(1);
-  Rng walk = root.split(2);
-  const MaterializedWorkload w =
-      materialize_workload(spec.workload, spec.requests, build, walk);
-
-  Trace trace(w.n_items, w.retrieval_times);
-  for (const TraceRecord& rec : w.cycles) {
-    trace.append(rec.item, rec.viewing_time);
-  }
-
-  TraceReplayConfig cfg;
-  cfg.cache_size = spec.cache_size;
-  cfg.policy = spec.policy;
-  cfg.sub = spec.sub;
-  cfg.delta_rule = spec.delta_rule;
-  cfg.predictor = spec.predictor;
-  cfg.predictor_min_prob = spec.predictor_min_prob;
-  cfg.min_profit_threshold = spec.min_profit_threshold;
-  cfg.warmup = spec.warmup;
-
-  SimResult out;
-  out.metrics = replay_trace(trace, cfg);
-  return out;
-}
+// prefetch_only, prefetch_cache and trace_replay live in their own files
+// (sim/prefetch_only.hpp, sim/prefetch_cache.hpp, sim/trace_replay.hpp).
 
 SimResult run_netsim_des_driver(const SimSpec& spec) {
   // The whole decision path — validation, stream layout, per-cycle loop
@@ -398,12 +273,9 @@ SimResult run_scenario_driver(const SimSpec& spec) {
 }
 
 constexpr SimDriver kDrivers[] = {
-    {SimDriverKind::PrefetchOnly, "prefetch_only",
-     &run_prefetch_only_driver},
-    {SimDriverKind::PrefetchCache, "prefetch_cache",
-     &run_prefetch_cache_driver},
-    {SimDriverKind::TraceReplay, "trace_replay",
-     &run_trace_replay_driver},
+    {SimDriverKind::PrefetchOnly, "prefetch_only", &run_prefetch_only},
+    {SimDriverKind::PrefetchCache, "prefetch_cache", &run_prefetch_cache},
+    {SimDriverKind::TraceReplay, "trace_replay", &run_trace_replay},
     {SimDriverKind::NetsimDes, "netsim_des", &run_netsim_des_driver},
     {SimDriverKind::Scenario, "scenario", &run_scenario_driver},
     {SimDriverKind::MultiClientDes, "multi_client", &run_multi_client},
@@ -445,66 +317,28 @@ const char* to_string(SimDriverKind kind) {
 }
 
 const char* to_string(SimWorkloadKind kind) {
-  switch (kind) {
-    case SimWorkloadKind::Markov: return "markov";
-    case SimWorkloadKind::Iid: return "iid";
-    case SimWorkloadKind::Zipf: return "zipf";
-    case SimWorkloadKind::MarkovDrift: return "markov_drift";
-    case SimWorkloadKind::TraceText: return "trace_text";
-    case SimWorkloadKind::Adversarial: return "adversarial";
-  }
-  return "?";
+  return token_of<SimWorkloadKind>(kWorkloadTokens, kind);
 }
 
 const char* to_string(ReplacementKind kind) {
-  switch (kind) {
-    case ReplacementKind::LRU: return "lru";
-    case ReplacementKind::FIFO: return "fifo";
-    case ReplacementKind::LFU: return "lfu";
-    case ReplacementKind::Random: return "random";
-  }
-  return "?";
+  return token_of<ReplacementKind>(kReplacementTokens, kind);
+}
+
+const char* to_string(PredictorKind kind) {
+  return token_of<PredictorKind>(kPredictorTokens, kind);
 }
 
 const char* policy_token(PrefetchPolicy policy) {
-  switch (policy) {
-    case PrefetchPolicy::None: return "none";
-    case PrefetchPolicy::KP: return "kp";
-    case PrefetchPolicy::SKP: return "skp";
-    case PrefetchPolicy::Perfect: return "perfect";
-  }
-  return "?";
+  return token_of<PrefetchPolicy>(kPolicyTokens, policy);
 }
 
 const char* sub_token(SubArbitration sub) {
-  switch (sub) {
-    case SubArbitration::None: return "none";
-    case SubArbitration::LFU: return "lfu";
-    case SubArbitration::DS: return "ds";
-  }
-  return "?";
+  return token_of<SubArbitration>(kSubTokens, sub);
 }
 
 const char* delta_token(DeltaRule rule) {
-  switch (rule) {
-    case DeltaRule::ExactComplement: return "exact";
-    case DeltaRule::PaperTail: return "paper";
-  }
-  return "?";
+  return token_of<DeltaRule>(kDeltaTokens, rule);
 }
-
-namespace {
-
-template <typename Enum, std::size_t N>
-std::optional<Enum> parse_token(
-    std::string_view name, const std::pair<const char*, Enum> (&table)[N]) {
-  for (const auto& [token, value] : table) {
-    if (name == token) return value;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 std::optional<SimDriverKind> parse_driver_kind(std::string_view name) {
   if (const SimDriver* d = find_driver(name)) return d->kind;
@@ -512,72 +346,32 @@ std::optional<SimDriverKind> parse_driver_kind(std::string_view name) {
 }
 
 std::optional<SimWorkloadKind> parse_workload_kind(std::string_view name) {
-  static constexpr std::pair<const char*, SimWorkloadKind> table[] = {
-      {"markov", SimWorkloadKind::Markov},
-      {"iid", SimWorkloadKind::Iid},
-      {"zipf", SimWorkloadKind::Zipf},
-      {"markov_drift", SimWorkloadKind::MarkovDrift},
-      {"trace_text", SimWorkloadKind::TraceText},
-      {"adversarial", SimWorkloadKind::Adversarial},
-  };
-  return parse_token(name, table);
+  return parse_token<SimWorkloadKind>(kWorkloadTokens, name);
 }
 
 std::optional<ReplacementKind> parse_replacement_kind(
     std::string_view name) {
-  static constexpr std::pair<const char*, ReplacementKind> table[] = {
-      {"lru", ReplacementKind::LRU},
-      {"fifo", ReplacementKind::FIFO},
-      {"lfu", ReplacementKind::LFU},
-      {"random", ReplacementKind::Random},
-  };
-  return parse_token(name, table);
+  return parse_token<ReplacementKind>(kReplacementTokens, name);
 }
 
 std::optional<PrefetchPolicy> parse_policy(std::string_view name) {
-  static constexpr std::pair<const char*, PrefetchPolicy> table[] = {
-      {"none", PrefetchPolicy::None},
-      {"kp", PrefetchPolicy::KP},
-      {"skp", PrefetchPolicy::SKP},
-      {"perfect", PrefetchPolicy::Perfect},
-  };
-  return parse_token(name, table);
+  return parse_token<PrefetchPolicy>(kPolicyTokens, name);
 }
 
 std::optional<SubArbitration> parse_sub_arbitration(std::string_view name) {
-  static constexpr std::pair<const char*, SubArbitration> table[] = {
-      {"none", SubArbitration::None},
-      {"lfu", SubArbitration::LFU},
-      {"ds", SubArbitration::DS},
-  };
-  return parse_token(name, table);
+  return parse_token<SubArbitration>(kSubTokens, name);
 }
 
 std::optional<DeltaRule> parse_delta_rule(std::string_view name) {
-  static constexpr std::pair<const char*, DeltaRule> table[] = {
-      {"exact", DeltaRule::ExactComplement},
-      {"paper", DeltaRule::PaperTail},
-  };
-  return parse_token(name, table);
+  return parse_token<DeltaRule>(kDeltaTokens, name);
 }
 
 std::optional<PredictorKind> parse_predictor_kind(std::string_view name) {
-  static constexpr std::pair<const char*, PredictorKind> table[] = {
-      {"oracle", PredictorKind::Oracle},
-      {"markov1", PredictorKind::Markov1},
-      {"ppm", PredictorKind::Ppm},
-      {"depgraph", PredictorKind::DependencyWindow},
-      {"lz78", PredictorKind::Lz78},
-  };
-  return parse_token(name, table);
+  return parse_token<PredictorKind>(kPredictorTokens, name);
 }
 
 std::optional<ProbMethod> parse_prob_method(std::string_view name) {
-  static constexpr std::pair<const char*, ProbMethod> table[] = {
-      {"skewy", ProbMethod::Skewy},
-      {"flat", ProbMethod::Flat},
-  };
-  return parse_token(name, table);
+  return parse_token<ProbMethod>(kProbMethodTokens, name);
 }
 
 // ---- Workload materialization -------------------------------------------

@@ -36,8 +36,8 @@
 #include "sim/fault.hpp"
 #include "sim/link_schedule.hpp"
 #include "sim/metrics.hpp"
-#include "sim/prefetch_cache.hpp"  // PredictorKind + PrefetchCacheConfig
 #include "util/csv.hpp"
+#include "util/enum_tokens.hpp"
 #include "util/stats.hpp"
 #include "workload/prob_gen.hpp"
 #include "workload/trace.hpp"
@@ -70,6 +70,10 @@ enum class SimWorkloadKind {
   Adversarial,  // two-clique cache-thrashing chain
                 // (workload/adversarial_source.hpp)
 };
+
+// Where the next-access probabilities come from: the workload's
+// ground-truth rows (Oracle) or an online-learned predictor.
+enum class PredictorKind { Oracle, Markov1, Ppm, DependencyWindow, Lz78 };
 
 // Demand-miss eviction policy for the Scenario driver (prefetch victims
 // come from the ReplacementPolicy too unless `pr_planning` engages the
@@ -169,9 +173,11 @@ struct SimSpec {
   // Observe-only prefix before planning starts (Scenario/NetsimDes).
   std::size_t predictor_warmup = 0;
 
-  // Cache sizing. `sized_capacity` > 0 switches the PrefetchCache driver
-  // to the byte-addressed SizedCache (capacity in size units; item sizes
-  // are size_per_r * r_i when size_per_r > 0, else U[size_lo, size_hi]).
+  // Cache sizing. A nonzero `sized_capacity` switches the PrefetchCache
+  // driver to the byte-addressed SizedCache (capacity in size units; item
+  // sizes are size_per_r * r_i when size_per_r > 0, else U[size_lo,
+  // size_hi] when size_per_r is 0). Every other run rejects a size field
+  // that differs from its default.
   std::size_t cache_size = 10;
   double sized_capacity = 0.0;
   double size_per_r = 1.0;
@@ -301,11 +307,54 @@ void require_single_client(const SimSpec& spec, const char* driver);
 void require_static_link(const SimSpec& spec, const char* driver);
 void require_reliable_full_effort(const SimSpec& spec, const char* driver);
 
-// ---- Stable string forms (CLI flags and CSV cells) ----------------------
+// ---- Stable string forms (CLI flags, CSV cells, skpd wire text) ---------
+//
+// One token table per enum (util/enum_tokens.hpp); the to_string /
+// *_token and parse_* functions below read it in both directions, and
+// `simctl drivers` prints it. ProbMethod's table is kProbMethodTokens
+// (workload/prob_gen.hpp); SimDriverKind's is the driver registry.
+
+inline constexpr EnumToken<SimWorkloadKind> kWorkloadTokens[] = {
+    {"markov", SimWorkloadKind::Markov},
+    {"iid", SimWorkloadKind::Iid},
+    {"zipf", SimWorkloadKind::Zipf},
+    {"markov_drift", SimWorkloadKind::MarkovDrift},
+    {"trace_text", SimWorkloadKind::TraceText},
+    {"adversarial", SimWorkloadKind::Adversarial},
+};
+inline constexpr EnumToken<PrefetchPolicy> kPolicyTokens[] = {
+    {"none", PrefetchPolicy::None},
+    {"kp", PrefetchPolicy::KP},
+    {"skp", PrefetchPolicy::SKP},
+    {"perfect", PrefetchPolicy::Perfect},
+};
+inline constexpr EnumToken<SubArbitration> kSubTokens[] = {
+    {"none", SubArbitration::None},
+    {"lfu", SubArbitration::LFU},
+    {"ds", SubArbitration::DS},
+};
+inline constexpr EnumToken<DeltaRule> kDeltaTokens[] = {
+    {"exact", DeltaRule::ExactComplement},
+    {"paper", DeltaRule::PaperTail},
+};
+inline constexpr EnumToken<PredictorKind> kPredictorTokens[] = {
+    {"oracle", PredictorKind::Oracle},
+    {"markov1", PredictorKind::Markov1},
+    {"ppm", PredictorKind::Ppm},
+    {"depgraph", PredictorKind::DependencyWindow},
+    {"lz78", PredictorKind::Lz78},
+};
+inline constexpr EnumToken<ReplacementKind> kReplacementTokens[] = {
+    {"lru", ReplacementKind::LRU},
+    {"fifo", ReplacementKind::FIFO},
+    {"lfu", ReplacementKind::LFU},
+    {"random", ReplacementKind::Random},
+};
 
 const char* to_string(SimDriverKind kind);
 const char* to_string(SimWorkloadKind kind);
 const char* to_string(ReplacementKind kind);
+const char* to_string(PredictorKind kind);
 std::optional<SimDriverKind> parse_driver_kind(std::string_view name);
 std::optional<SimWorkloadKind> parse_workload_kind(std::string_view name);
 std::optional<ReplacementKind> parse_replacement_kind(std::string_view name);
@@ -333,6 +382,15 @@ struct MaterializedWorkload {
 MaterializedWorkload materialize_workload(const SimWorkload& workload,
                                           std::size_t requests, Rng& build,
                                           Rng& walk);
+
+// The learned predictor each kind names: Markov1 with Laplace smoothing
+// `markov1_laplace`, PPM of order 2, a dependency graph over a 2-access
+// window, LZ78. Oracle has no learned state and yields nullptr. The
+// prefetch_cache and trace_replay drivers smooth Markov1 with 0.05, the
+// runtime pipelines (make_runtime_predictor) with 0.1.
+std::unique_ptr<Predictor> make_predictor(PredictorKind kind,
+                                          std::size_t n_items,
+                                          double markov1_laplace);
 
 // The learned predictors of the scenario pipelines: make_predictor with
 // Markov1 smoothed by 0.1, shared by the scenario / netsim_des /

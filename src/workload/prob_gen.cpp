@@ -128,7 +128,7 @@ double entropy(const std::vector<double>& p) {
 }
 
 const char* to_string(ProbMethod m) {
-  return m == ProbMethod::Skewy ? "skewy" : "flat";
+  return token_of<ProbMethod>(kProbMethodTokens, m);
 }
 
 }  // namespace skp

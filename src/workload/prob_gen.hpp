@@ -16,11 +16,17 @@
 
 #include <vector>
 
+#include "util/enum_tokens.hpp"
 #include "util/rng.hpp"
 
 namespace skp {
 
 enum class ProbMethod { Skewy, Flat };
+
+inline constexpr EnumToken<ProbMethod> kProbMethodTokens[] = {
+    {"skewy", ProbMethod::Skewy},
+    {"flat", ProbMethod::Flat},
+};
 
 // Draws an n-vector of next-access probabilities (sums to 1).
 std::vector<double> generate_probabilities(std::size_t n, ProbMethod method,

@@ -67,7 +67,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/prefetch_cache.hpp"  // PredictorKind + to_string
 #include "sim/runtime.hpp"
 
 namespace skp::testing {

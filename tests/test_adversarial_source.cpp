@@ -10,6 +10,7 @@
 
 #include "sim/runtime.hpp"
 #include "util/rng.hpp"
+#include "workload/markov_source.hpp"
 
 namespace skp {
 namespace {

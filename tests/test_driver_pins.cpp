@@ -65,13 +65,13 @@ SimResult metrics_only(const SimMetrics& m) {
 SimResult replay(PredictorKind predictor, PrefetchPolicy policy,
                  SubArbitration sub) {
   static const Trace trace = pin_trace();
-  TraceReplayConfig cfg;
-  cfg.cache_size = 6;
-  cfg.policy = policy;
-  cfg.sub = sub;
-  cfg.predictor = predictor;
-  cfg.warmup = 400;
-  return metrics_only(replay_trace(trace, cfg));
+  SimSpec spec;
+  spec.cache_size = 6;
+  spec.policy = policy;
+  spec.sub = sub;
+  spec.predictor = predictor;
+  spec.warmup = 400;
+  return replay_trace(trace, spec);
 }
 
 SimSpec des_spec(SimDriverKind driver, SubArbitration sub) {

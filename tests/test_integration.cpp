@@ -10,16 +10,26 @@
 #include "sim/netsim.hpp"
 #include "sim/prefetch_cache.hpp"
 #include "sim/prefetch_only.hpp"
+#include "workload/markov_source.hpp"
 
 namespace skp {
 namespace {
 
+// The Figure-5 prefetch-only protocol at n = 10.
+SimSpec prefetch_only_spec() {
+  SimSpec spec;
+  spec.driver = SimDriverKind::PrefetchOnly;
+  spec.workload.kind = SimWorkloadKind::Iid;
+  spec.workload.n_items = 10;
+  return spec;
+}
+
 TEST(Integration, Fig5OrderingSkewySmallScale) {
   // perfect <= SKP < none, KP < none under the skewy method (Fig. 5a).
-  PrefetchOnlyConfig base;
-  base.iterations = 12000;
+  SimSpec base = prefetch_only_spec();
+  base.requests = 12000;
   base.seed = 42;
-  base.method = ProbMethod::Skewy;
+  base.workload.method = ProbMethod::Skewy;
   auto run = [&](PrefetchPolicy p) {
     auto cfg = base;
     cfg.policy = p;
@@ -42,10 +52,10 @@ TEST(Integration, Fig5SmallVAnomalyIsTheDeltaRule) {
   // complement rule never loses to no-prefetch in expectation (it only
   // prefetches when the true expected improvement is positive).
   auto run = [](PrefetchPolicy pol, DeltaRule rule) {
-    PrefetchOnlyConfig cfg;
-    cfg.iterations = 120000;
+    SimSpec cfg = prefetch_only_spec();
+    cfg.requests = 120000;
     cfg.seed = 5;
-    cfg.method = ProbMethod::Skewy;
+    cfg.workload.method = ProbMethod::Skewy;
     cfg.policy = pol;
     cfg.delta_rule = rule;
     return run_prefetch_only(cfg);
@@ -60,23 +70,23 @@ TEST(Integration, Fig5SmallVAnomalyIsTheDeltaRule) {
     return s.mean();
   };
   // Paper-faithful rule reproduces the paper's small-v exception ...
-  EXPECT_GT(mean_over(tail.avg_T_by_v, 1, 3),
-            mean_over(none.avg_T_by_v, 1, 3) + 2.0);
+  EXPECT_GT(mean_over(*tail.avg_T_by_v, 1, 3),
+            mean_over(*none.avg_T_by_v, 1, 3) + 2.0);
   // ... the corrected rule removes it ...
-  EXPECT_LE(mean_over(exact.avg_T_by_v, 1, 3),
-            mean_over(none.avg_T_by_v, 1, 3) + 0.5);
+  EXPECT_LE(mean_over(*exact.avg_T_by_v, 1, 3),
+            mean_over(*none.avg_T_by_v, 1, 3) + 0.5);
   // ... and both beat no-prefetch handily at moderate v.
-  EXPECT_LT(mean_over(tail.avg_T_by_v, 30, 50),
-            mean_over(none.avg_T_by_v, 30, 50));
-  EXPECT_LT(mean_over(exact.avg_T_by_v, 30, 50),
-            mean_over(none.avg_T_by_v, 30, 50));
+  EXPECT_LT(mean_over(*tail.avg_T_by_v, 30, 50),
+            mean_over(*none.avg_T_by_v, 30, 50));
+  EXPECT_LT(mean_over(*exact.avg_T_by_v, 30, 50),
+            mean_over(*none.avg_T_by_v, 30, 50));
 }
 
 TEST(Integration, Fig7PolicyOrderingSmallScale) {
-  PrefetchCacheConfig base;
-  base.source.n_states = 40;
-  base.source.out_degree_lo = 5;
-  base.source.out_degree_hi = 10;
+  SimSpec base;  // prefetch_cache driver, markov workload
+  base.workload.n_items = 40;
+  base.workload.out_degree_lo = 5;
+  base.workload.out_degree_hi = 10;
   base.cache_size = 8;
   base.requests = 6000;
   base.seed = 9;
@@ -99,10 +109,10 @@ TEST(Integration, Fig7PolicyOrderingSmallScale) {
 TEST(Integration, CacheSizeSweepMonotoneTrend) {
   // Fig. 7 x-axis: access time decreases (weakly, within noise) as the
   // cache grows. Compare the two endpoints with a healthy margin.
-  PrefetchCacheConfig base;
-  base.source.n_states = 40;
-  base.source.out_degree_lo = 5;
-  base.source.out_degree_hi = 10;
+  SimSpec base;  // prefetch_cache driver, markov workload
+  base.workload.n_items = 40;
+  base.workload.out_degree_lo = 5;
+  base.workload.out_degree_hi = 10;
   base.requests = 4000;
   base.seed = 10;
   base.policy = PrefetchPolicy::SKP;

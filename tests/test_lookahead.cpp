@@ -104,17 +104,15 @@ TEST(Lookahead, HorizonTwoMatchesHandChainCalculation) {
 TEST(LookaheadSim, DeeperHorizonHelpsWithRoomyCache) {
   // With a cache big enough to keep step-2 items around, a 2-step horizon
   // should not hurt and typically helps (more cache hits).
-  PrefetchCacheConfig base;
-  base.source.n_states = 40;
-  base.source.out_degree_lo = 4;
-  base.source.out_degree_hi = 8;
+  SimSpec base;  // prefetch_cache driver, markov workload
+  base.workload.n_items = 40;
+  base.workload.out_degree_lo = 4;
+  base.workload.out_degree_hi = 8;
   base.cache_size = 20;
   base.requests = 5000;
   base.seed = 21;
   auto run_h = [&](std::size_t h) {
-    auto cfg = base;
-    cfg.lookahead_horizon = h;
-    return run_prefetch_cache(cfg).metrics.mean_access_time();
+    return run_prefetch_cache_lookahead(base, h).metrics.mean_access_time();
   };
   const double h1 = run_h(1);
   const double h2 = run_h(2);
@@ -122,17 +120,16 @@ TEST(LookaheadSim, DeeperHorizonHelpsWithRoomyCache) {
 }
 
 TEST(LookaheadSim, HorizonOneIsThePaperBehaviour) {
-  PrefetchCacheConfig a;
-  a.source.n_states = 30;
-  a.source.out_degree_lo = 4;
-  a.source.out_degree_hi = 6;
+  SimSpec a;  // prefetch_cache driver, markov workload
+  a.workload.n_items = 30;
+  a.workload.out_degree_lo = 4;
+  a.workload.out_degree_hi = 6;
   a.cache_size = 8;
   a.requests = 2000;
   a.seed = 5;
-  auto b = a;
-  b.lookahead_horizon = 1;  // explicit default
+  // Horizon 1 given explicitly to the lookahead entry.
   EXPECT_DOUBLE_EQ(run_prefetch_cache(a).metrics.mean_access_time(),
-                   run_prefetch_cache(b).metrics.mean_access_time());
+                   run_prefetch_cache_lookahead(a, 1).metrics.mean_access_time());
 }
 
 }  // namespace

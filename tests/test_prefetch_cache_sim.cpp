@@ -8,18 +8,18 @@
 namespace skp {
 namespace {
 
-PrefetchCacheConfig quick(PrefetchPolicy policy,
-                          SubArbitration sub = SubArbitration::None) {
-  PrefetchCacheConfig cfg;
-  cfg.source.n_states = 30;
-  cfg.source.out_degree_lo = 4;
-  cfg.source.out_degree_hi = 8;
-  cfg.cache_size = 6;
-  cfg.policy = policy;
-  cfg.sub = sub;
-  cfg.requests = 3000;
-  cfg.seed = 11;
-  return cfg;
+SimSpec quick(PrefetchPolicy policy,
+              SubArbitration sub = SubArbitration::None) {
+  SimSpec spec;  // prefetch_cache driver, markov workload
+  spec.workload.n_items = 30;
+  spec.workload.out_degree_lo = 4;
+  spec.workload.out_degree_hi = 8;
+  spec.cache_size = 6;
+  spec.policy = policy;
+  spec.sub = sub;
+  spec.requests = 3000;
+  spec.seed = 11;
+  return spec;
 }
 
 TEST(PrefetchCacheSim, DeterministicInSeed) {
@@ -87,7 +87,7 @@ TEST(PrefetchCacheSim, BiggerCacheHelps) {
 TEST(PrefetchCacheSim, FullCoverageCacheMakesHitsCheap) {
   // Cache as large as the catalog: after warmup nearly everything hits.
   auto cfg = quick(PrefetchPolicy::SKP);
-  cfg.cache_size = cfg.source.n_states;
+  cfg.cache_size = cfg.workload.n_items;
   cfg.requests = 4000;
   cfg.warmup = 2000;
   const auto res = run_prefetch_cache(cfg);
@@ -147,27 +147,13 @@ TEST(PrefetchCacheSim, CacheSizeValidation) {
   EXPECT_THROW(run_prefetch_cache(cfg), std::invalid_argument);
 }
 
-TEST(PrefetchCacheSim, SharedSourceOverloadUsesCallerChain) {
-  auto cfg = quick(PrefetchPolicy::SKP);
-  Rng build(cfg.seed);
-  MarkovSource source(cfg.source, build);
-  Rng walk = build.split(0x57a1f);
-  source.teleport(0);
-  const auto via_overload = run_prefetch_cache(cfg, source, walk);
-  const auto via_config = run_prefetch_cache(cfg);
-  EXPECT_DOUBLE_EQ(via_overload.metrics.mean_access_time(),
-                   via_config.metrics.mean_access_time());
-}
-
 TEST(PrefetchCacheSim, RefusesLearnedPredictorWithLookahead) {
   // The loop plans on exactly one row: a learned row or a lookahead blend
   // of oracle rows, never both.
   auto cfg = quick(PrefetchPolicy::SKP);
   cfg.predictor = PredictorKind::Markov1;
-  cfg.lookahead_horizon = 3;
-  EXPECT_THROW(run_prefetch_cache(cfg), std::invalid_argument);
-  cfg.lookahead_horizon = 1;
-  EXPECT_NO_THROW(run_prefetch_cache(cfg));
+  EXPECT_THROW(run_prefetch_cache_lookahead(cfg, 3), std::invalid_argument);
+  EXPECT_NO_THROW(run_prefetch_cache_lookahead(cfg, 1));
 }
 
 TEST(PredictorKindNames, Stable) {
@@ -200,7 +186,6 @@ struct EquivCase {
   std::size_t lookahead;
   double min_profit;
   double size_per_r;  // sized only: 0 = uniform 15.5-unit items
-  bool strict_ties;
   // Slot only. 30 states is quick()'s 4-8 out-degree chain; any other
   // count takes the paper-default chain shape (out-degree 10-20), whose
   // catalog spans more than one 64-item presence word at 100.
@@ -210,63 +195,50 @@ struct EquivCase {
 
 const EquivCase kEquivCases[] = {
     // clang-format off
-    {"slot_none",      false, PrefetchPolicy::None,    SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, false},
-    {"slot_kp",        false, PrefetchPolicy::KP,      SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, false},
-    {"slot_skp",       false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, false},
-    {"slot_skp_lfu",   false, PrefetchPolicy::SKP,     SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0, false},
-    {"slot_skp_ds",    false, PrefetchPolicy::SKP,     SubArbitration::DS,   PredictorKind::Oracle, 1, 0.0, 1.0, false},
-    {"slot_perfect",   false, PrefetchPolicy::Perfect, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, false},
-    {"slot_strict",    false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, true},
-    {"slot_markov1",   false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Markov1, 1, 0.0, 1.0, false},
-    {"slot_ppm",       false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Ppm, 1, 0.0, 1.0, false},
-    {"slot_lz78",      false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Lz78, 1, 0.0, 1.0, false},
-    {"slot_depgraph",  false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::DependencyWindow, 1, 0.0, 1.0, false},
-    {"slot_lookahead", false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Oracle, 3, 0.0, 1.0, false},
-    {"slot_threshold", false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Oracle, 1, 2.0, 1.0, false},
-    {"sized_skp_ds",   true,  PrefetchPolicy::SKP,     SubArbitration::DS,   PredictorKind::Oracle, 1, 0.0, 1.0, false},
-    {"sized_uniform",  true,  PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 0.0, false},
-    {"sized_kp_lfu",   true,  PrefetchPolicy::KP,      SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0, false},
-    {"sized_perfect",  true,  PrefetchPolicy::Perfect, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, false},
-    {"paper_skp_c10",     false, PrefetchPolicy::SKP, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 10},
-    {"paper_skp_lfu_c10", false, PrefetchPolicy::SKP, SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 10},
-    {"paper_skp_ds_c10",  false, PrefetchPolicy::SKP, SubArbitration::DS,   PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 10},
-    {"paper_skp_c75",     false, PrefetchPolicy::SKP, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 75},
-    {"paper_skp_lfu_c75", false, PrefetchPolicy::SKP, SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 75},
-    {"paper_skp_ds_c75",  false, PrefetchPolicy::SKP, SubArbitration::DS,   PredictorKind::Oracle, 1, 0.0, 1.0, false, 100, 75},
+    {"slot_none",      false, PrefetchPolicy::None,    SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0},
+    {"slot_kp",        false, PrefetchPolicy::KP,      SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0},
+    {"slot_skp",       false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0},
+    {"slot_skp_lfu",   false, PrefetchPolicy::SKP,     SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0},
+    {"slot_skp_ds",    false, PrefetchPolicy::SKP,     SubArbitration::DS,   PredictorKind::Oracle, 1, 0.0, 1.0},
+    {"slot_perfect",   false, PrefetchPolicy::Perfect, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0},
+    {"slot_markov1",   false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Markov1, 1, 0.0, 1.0},
+    {"slot_ppm",       false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Ppm, 1, 0.0, 1.0},
+    {"slot_lz78",      false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Lz78, 1, 0.0, 1.0},
+    {"slot_depgraph",  false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::DependencyWindow, 1, 0.0, 1.0},
+    {"slot_lookahead", false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Oracle, 3, 0.0, 1.0},
+    {"slot_threshold", false, PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Oracle, 1, 2.0, 1.0},
+    {"sized_skp_ds",   true,  PrefetchPolicy::SKP,     SubArbitration::DS,   PredictorKind::Oracle, 1, 0.0, 1.0},
+    {"sized_uniform",  true,  PrefetchPolicy::SKP,     SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 0.0},
+    {"sized_kp_lfu",   true,  PrefetchPolicy::KP,      SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0},
+    {"sized_perfect",  true,  PrefetchPolicy::Perfect, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0},
+    {"paper_skp_c10",     false, PrefetchPolicy::SKP, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, 100, 10},
+    {"paper_skp_lfu_c10", false, PrefetchPolicy::SKP, SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0, 100, 10},
+    {"paper_skp_ds_c10",  false, PrefetchPolicy::SKP, SubArbitration::DS,   PredictorKind::Oracle, 1, 0.0, 1.0, 100, 10},
+    {"paper_skp_c75",     false, PrefetchPolicy::SKP, SubArbitration::None, PredictorKind::Oracle, 1, 0.0, 1.0, 100, 75},
+    {"paper_skp_lfu_c75", false, PrefetchPolicy::SKP, SubArbitration::LFU,  PredictorKind::Oracle, 1, 0.0, 1.0, 100, 75},
+    {"paper_skp_ds_c75",  false, PrefetchPolicy::SKP, SubArbitration::DS,   PredictorKind::Oracle, 1, 0.0, 1.0, 100, 75},
     // clang-format on
 };
 
-PrefetchCacheResult run_equiv_case(const EquivCase& c,
-                                   bool use_plan_cache = true) {
+SimResult run_equiv_case(const EquivCase& c, bool use_plan_cache = true) {
+  auto cfg = quick(c.policy, c.sub);
+  cfg.use_plan_cache = use_plan_cache;
   if (c.sized) {
-    SizedExperimentConfig cfg;
-    cfg.source.n_states = 30;
-    cfg.source.out_degree_lo = 4;
-    cfg.source.out_degree_hi = 8;
-    cfg.capacity = 90.0;
+    cfg.sized_capacity = 90.0;
     cfg.size_per_r = c.size_per_r;
     cfg.size_lo = cfg.size_hi = 15.5;
-    cfg.policy = c.policy;
-    cfg.sub = c.sub;
-    cfg.strict_ties = c.strict_ties;
     cfg.requests = 1500;
-    cfg.seed = 11;
-    cfg.use_plan_cache = use_plan_cache;
-    return run_prefetch_cache_sized(cfg);
+    return run_prefetch_cache(cfg);
   }
-  auto cfg = quick(c.policy, c.sub);
-  if (c.n_states != cfg.source.n_states) {
-    cfg.source = MarkovSourceConfig{};
-    cfg.source.n_states = c.n_states;
+  if (c.n_states != cfg.workload.n_items) {
+    cfg.workload = SimWorkload{};
+    cfg.workload.n_items = c.n_states;
   }
   cfg.cache_size = c.cache_size;
   cfg.predictor = c.predictor;
-  cfg.lookahead_horizon = c.lookahead;
   cfg.min_profit_threshold = c.min_profit;
-  cfg.strict_ties = c.strict_ties;
   cfg.requests = 2000;
-  cfg.use_plan_cache = use_plan_cache;
-  return run_prefetch_cache(cfg);
+  return run_prefetch_cache_lookahead(cfg, c.lookahead);
 }
 
 struct EquivRow {
@@ -283,7 +255,6 @@ const EquivRow kEquivalence[] = {
     {"slot_skp_lfu", 1497, 387, 6165, 4624, 8946, 229, 3.6485000000000043, 89485},
     {"slot_skp_ds", 1523, 372, 6418, 4864, 9107, 227, 3.3630000000000004, 89163},
     {"slot_perfect", 1686, 0, 1597, 0, 0, 122, 1.2900000000000005, 22851},
-    {"slot_strict", 1492, 388, 6257, 4679, 8878, 222, 3.6070000000000024, 90990},
     {"slot_markov1", 1411, 471, 5547, 4128, 19699, 218, 4.1320000000000006, 81233},
     {"slot_ppm", 1412, 527, 5646, 4285, 18818, 256, 4.1510000000000096, 83471},
     {"slot_lz78", 923, 1053, 3563, 2856, 51142, 252, 6.5534999999999988, 63943},
@@ -312,9 +283,9 @@ const EquivRow kEquivalence[] = {
 // contexts (predictors, LFU/DS) must be all-miss by generation design.
 TEST(PrefetchCacheEquivalence, PlanCacheOnOffBitIdentical) {
   for (const EquivCase& c : kEquivCases) {
-    const PrefetchCacheResult on = run_equiv_case(c);
+    const SimResult on = run_equiv_case(c);
 
-    const PrefetchCacheResult off = run_equiv_case(c, false);
+    const SimResult off = run_equiv_case(c, false);
 
     EXPECT_EQ(on.metrics.hits, off.metrics.hits) << c.name;
     EXPECT_EQ(on.metrics.demand_fetches, off.metrics.demand_fetches)
@@ -368,7 +339,7 @@ TEST(PrefetchCacheEquivalence, MetricsBitIdenticalAtFixedSeed) {
     const EquivCase& c = kEquivCases[i];
     const EquivRow& g = kEquivalence[i];
     ASSERT_STREQ(c.name, g.name);
-    const PrefetchCacheResult res = run_equiv_case(c);
+    const SimResult res = run_equiv_case(c);
     const auto& m = res.metrics;
     EXPECT_EQ(m.hits, g.hits) << c.name;
     EXPECT_EQ(m.demand_fetches, g.demand) << c.name;
@@ -385,7 +356,7 @@ TEST(PrefetchCacheEquivalence, MetricsBitIdenticalAtFixedSeed) {
 // digits, round-trip exact). Disabled so ctest never depends on it.
 TEST(PrefetchCacheEquivalence, DISABLED_PrintEquivalenceTable) {
   for (const EquivCase& c : kEquivCases) {
-    const PrefetchCacheResult res = run_equiv_case(c);
+    const SimResult res = run_equiv_case(c);
     const auto& m = res.metrics;
     std::printf("    {\"%s\", %llu, %llu, %llu, %llu, %llu, %llu, %.17g, "
                 "%.17g},\n",

@@ -2,15 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace skp {
 namespace {
 
-PrefetchOnlyConfig quick(PrefetchPolicy policy, ProbMethod method,
-                         std::size_t iters = 4000) {
-  PrefetchOnlyConfig cfg;
+// The Figure-4/5 protocol at n = 10.
+SimSpec quick(PrefetchPolicy policy, ProbMethod method,
+              std::size_t iters = 4000) {
+  SimSpec cfg;
+  cfg.driver = SimDriverKind::PrefetchOnly;
+  cfg.workload.kind = SimWorkloadKind::Iid;
+  cfg.workload.n_items = 10;
+  cfg.workload.method = method;
   cfg.policy = policy;
-  cfg.method = method;
-  cfg.iterations = iters;
+  cfg.requests = iters;
   cfg.seed = 7;
   return cfg;
 }
@@ -44,8 +51,8 @@ TEST(PrefetchOnlySim, NoPrefetchMeanMatchesTheory) {
 TEST(PrefetchOnlySim, PerfectPrefetchIsMaxZeroRMinusV) {
   // Perfect prefetch: T = max(0, r - v); with v >= 30 always 0.
   auto cfg = quick(PrefetchPolicy::Perfect, ProbMethod::Flat, 5000);
-  cfg.v_lo = 30.0;
-  cfg.v_hi = 100.0;
+  cfg.workload.v_lo = 30.0;
+  cfg.workload.v_hi = 100.0;
   const auto res = run_prefetch_only(cfg);
   EXPECT_DOUBLE_EQ(res.metrics.mean_access_time(), 0.0);
   EXPECT_EQ(res.metrics.hits, res.metrics.requests);
@@ -73,10 +80,10 @@ TEST(PrefetchOnlySim, PolicyOrderingUnderSkewyMethod) {
 
 TEST(PrefetchOnlySim, ScatterCollectsRequestedSamples) {
   auto cfg = quick(PrefetchPolicy::SKP, ProbMethod::Skewy, 2000);
-  cfg.scatter_limit = 500;
-  const auto res = run_prefetch_only(cfg);
-  EXPECT_EQ(res.scatter.size(), 500u);
-  for (const auto& [v, T] : res.scatter) {
+  std::vector<std::pair<double, double>> scatter(500);
+  run_prefetch_only(cfg, scatter);
+  EXPECT_EQ(scatter.size(), 500u);
+  for (const auto& [v, T] : scatter) {
     EXPECT_GE(v, 1.0);
     EXPECT_LE(v, 100.0);
     EXPECT_GE(T, 0.0);
@@ -87,18 +94,18 @@ TEST(PrefetchOnlySim, SkpScatterShowsStretchTail) {
   // Fig. 4a: SKP points can exceed max r = 30 (stretch intrusion); KP
   // points cannot exceed st + r... with st = 0, T <= 30 always.
   auto skp_cfg = quick(PrefetchPolicy::SKP, ProbMethod::Skewy, 30000);
-  skp_cfg.scatter_limit = 30000;
-  const auto skp_res = run_prefetch_only(skp_cfg);
+  std::vector<std::pair<double, double>> skp_scatter(30000);
+  run_prefetch_only(skp_cfg, skp_scatter);
   bool skp_above_30 = false;
-  for (const auto& [v, T] : skp_res.scatter) {
+  for (const auto& [v, T] : skp_scatter) {
     if (T > 30.0) skp_above_30 = true;
   }
   EXPECT_TRUE(skp_above_30);
 
   auto kp_cfg = quick(PrefetchPolicy::KP, ProbMethod::Skewy, 10000);
-  kp_cfg.scatter_limit = 10000;
-  const auto kp_res = run_prefetch_only(kp_cfg);
-  for (const auto& [v, T] : kp_res.scatter) {
+  std::vector<std::pair<double, double>> kp_scatter(10000);
+  run_prefetch_only(kp_cfg, kp_scatter);
+  for (const auto& [v, T] : kp_scatter) {
     EXPECT_LE(T, 30.0);
   }
 }
@@ -106,15 +113,30 @@ TEST(PrefetchOnlySim, SkpScatterShowsStretchTail) {
 TEST(PrefetchOnlySim, BinnedMeansCoverVRange) {
   const auto res = run_prefetch_only(quick(PrefetchPolicy::SKP,
                                            ProbMethod::Flat, 20000));
-  const auto series = res.avg_T_by_v.series();
+  const auto series = res.avg_T_by_v->series();
   EXPECT_GT(series.size(), 90u);  // nearly every v in 1..100 hit
+}
+
+TEST(PrefetchOnlySim, RealViewingTimesFileIntoRoundedBins) {
+  // Each sample is filed under the integer nearest its v: real-valued v
+  // in [1, 2.6] reaches bin 3, past the truncated upper end of the range.
+  auto cfg = quick(PrefetchPolicy::SKP, ProbMethod::Skewy, 2000);
+  cfg.workload.integer_times = false;
+  cfg.workload.v_hi = 2.6;
+  const SimResult res = run_sim(cfg);
+  const BinnedMeans& bins = *res.avg_T_by_v;
+  EXPECT_EQ(bins.lo(), 1);
+  EXPECT_EQ(bins.hi(), 3);
+  EXPECT_GT(bins.bin(3).count(), 0u);
+  EXPECT_EQ(bins.bin(1).count() + bins.bin(2).count() + bins.bin(3).count(),
+            2000u);
 }
 
 TEST(PrefetchOnlySim, MoreItemsRaiseAccessTime) {
   // Fig. 5 (a) vs (c): n = 25 has higher average T than n = 10.
   auto cfg10 = quick(PrefetchPolicy::SKP, ProbMethod::Skewy, 8000);
   auto cfg25 = cfg10;
-  cfg25.n_items = 25;
+  cfg25.workload.n_items = 25;
   const double t10 = run_prefetch_only(cfg10).metrics.mean_access_time();
   const double t25 = run_prefetch_only(cfg25).metrics.mean_access_time();
   EXPECT_GT(t25, t10);
@@ -132,11 +154,12 @@ TEST(PrefetchOnlySim, FlatMethodNarrowsSkpKpGap) {
 }
 
 TEST(PrefetchOnlySim, ConfigValidation) {
-  PrefetchOnlyConfig cfg;
-  cfg.n_items = 0;
+  SimSpec cfg = quick(PrefetchPolicy::SKP, ProbMethod::Skewy, 50'000);
+  cfg.seed = 1;
+  cfg.workload.n_items = 0;
   EXPECT_THROW(run_prefetch_only(cfg), std::invalid_argument);
-  cfg = PrefetchOnlyConfig{};
-  cfg.r_lo = 0.0;
+  cfg.workload.n_items = 10;
+  cfg.workload.r_lo = 0.0;
   EXPECT_THROW(run_prefetch_only(cfg), std::invalid_argument);
 }
 

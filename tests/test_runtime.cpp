@@ -1,18 +1,17 @@
 // Tests for the unified simulation runtime (sim/runtime.hpp): registry
-// dispatch, SimSpec equivalence with the legacy driver entry points, the
-// netsim DES driver, and the simctl sharding/merge substrate.
+// dispatch, the token tables, per-driver spec contracts, the netsim DES
+// driver, and the simctl sharding/merge substrate.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/prefetch_cache.hpp"
-#include "sim/prefetch_only.hpp"
 #include "sim/runtime.hpp"
-#include "sim/trace_replay.hpp"
 
 namespace skp {
 namespace {
@@ -60,83 +59,61 @@ TEST(SimRegistry, EnumTokensRoundTrip) {
   EXPECT_EQ(parse_policy("bogus"), std::nullopt);
 }
 
-// ---- Spec equivalence with the legacy entry points ----------------------
-
-TEST(SimSpecEquivalence, PrefetchCacheMatchesLegacyRun) {
-  SimSpec spec;  // prefetch_cache driver, paper-default Markov source
-  spec.cache_size = 20;
-  spec.sub = SubArbitration::DS;
-  spec.requests = 2'000;
-  spec.seed = 5;
-  const SimResult via_registry = run_sim(spec);
-
-  PrefetchCacheConfig cfg;
-  cfg.cache_size = 20;
-  cfg.sub = SubArbitration::DS;
-  cfg.requests = 2'000;
-  cfg.seed = 5;
-  const PrefetchCacheResult direct = run_prefetch_cache(cfg);
-
-  EXPECT_EQ(via_registry.metrics.hits, direct.metrics.hits);
-  EXPECT_EQ(via_registry.metrics.demand_fetches,
-            direct.metrics.demand_fetches);
-  EXPECT_EQ(via_registry.metrics.prefetch_fetches,
-            direct.metrics.prefetch_fetches);
-  EXPECT_EQ(via_registry.metrics.network_time, direct.metrics.network_time);
-  EXPECT_EQ(via_registry.metrics.solver_nodes, direct.metrics.solver_nodes);
-  EXPECT_EQ(via_registry.metrics.mean_access_time(),
-            direct.metrics.mean_access_time());
-  EXPECT_EQ(via_registry.over_viewing_time, direct.over_viewing_time);
-}
-
-TEST(SimSpecEquivalence, SizedPrefetchCacheMatchesLegacyRun) {
-  SimSpec spec;
-  spec.sized_capacity = 155.0;
-  spec.size_per_r = 1.0;
-  spec.sub = SubArbitration::DS;
-  spec.requests = 1'500;
-  spec.seed = 3;
-  const SimResult via_registry = run_sim(spec);
-
-  SizedExperimentConfig cfg;
-  cfg.capacity = 155.0;
-  cfg.size_per_r = 1.0;
-  cfg.sub = SubArbitration::DS;
-  cfg.requests = 1'500;
-  cfg.seed = 3;
-  const PrefetchCacheResult direct = run_prefetch_cache_sized(cfg);
-
-  EXPECT_EQ(via_registry.metrics.hits, direct.metrics.hits);
-  EXPECT_EQ(via_registry.metrics.network_time, direct.metrics.network_time);
-  EXPECT_EQ(via_registry.metrics.solver_nodes, direct.metrics.solver_nodes);
-}
-
-TEST(SimSpecEquivalence, PrefetchOnlyMatchesLegacyRun) {
-  SimSpec spec;
-  spec.driver = SimDriverKind::PrefetchOnly;
-  spec.workload.kind = SimWorkloadKind::Iid;
-  spec.workload.n_items = 10;
-  spec.requests = 3'000;
-  spec.seed = 9;
-  const SimResult via_registry = run_sim(spec);
-
-  PrefetchOnlyConfig cfg;
-  cfg.n_items = 10;
-  cfg.iterations = 3'000;
-  cfg.seed = 9;
-  const PrefetchOnlyResult direct = run_prefetch_only(cfg);
-
-  EXPECT_EQ(via_registry.metrics.hits, direct.metrics.hits);
-  EXPECT_EQ(via_registry.metrics.network_time, direct.metrics.network_time);
-  EXPECT_EQ(via_registry.metrics.mean_access_time(),
-            direct.metrics.mean_access_time());
-  ASSERT_TRUE(via_registry.avg_T_by_v.has_value());
-  const auto curve = via_registry.avg_T_by_v->series();
-  const auto direct_curve = direct.avg_T_by_v.series();
-  ASSERT_EQ(curve.size(), direct_curve.size());
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    EXPECT_EQ(curve[i], direct_curve[i]);
+// Every entry of every token table prints as its token and parses back to
+// its value, and no table spells two values alike.
+template <typename Enum, typename Print, typename Parse>
+void expect_table_round_trips(std::span<const EnumToken<Enum>> table,
+                              Print print, Parse parse) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    EXPECT_STREQ(print(table[i].value), table[i].token);
+    EXPECT_EQ(parse(table[i].token), table[i].value) << table[i].token;
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_STRNE(table[i].token, table[j].token);
+      EXPECT_NE(table[i].value, table[j].value) << table[i].token;
+    }
   }
+  EXPECT_EQ(parse("bogus"), std::nullopt);
+}
+
+TEST(SimRegistry, EveryTokenTableRoundTrips) {
+  expect_table_round_trips<SimWorkloadKind>(
+      kWorkloadTokens, [](SimWorkloadKind k) { return to_string(k); },
+      &parse_workload_kind);
+  expect_table_round_trips<PrefetchPolicy>(kPolicyTokens, &policy_token,
+                                           &parse_policy);
+  expect_table_round_trips<SubArbitration>(kSubTokens, &sub_token,
+                                           &parse_sub_arbitration);
+  expect_table_round_trips<DeltaRule>(kDeltaTokens, &delta_token,
+                                      &parse_delta_rule);
+  expect_table_round_trips<PredictorKind>(
+      kPredictorTokens, [](PredictorKind k) { return to_string(k); },
+      &parse_predictor_kind);
+  expect_table_round_trips<ReplacementKind>(
+      kReplacementTokens, [](ReplacementKind k) { return to_string(k); },
+      &parse_replacement_kind);
+  expect_table_round_trips<ProbMethod>(
+      kProbMethodTokens, [](ProbMethod m) { return to_string(m); },
+      &parse_prob_method);
+  // The registry is SimDriverKind's table.
+  for (const SimDriver& d : driver_registry()) {
+    EXPECT_STREQ(to_string(d.kind), d.name);
+    EXPECT_EQ(parse_driver_kind(d.name), d.kind);
+  }
+  // Each table lists every enumerator (the last one names the count).
+  EXPECT_EQ(std::size(kWorkloadTokens),
+            static_cast<std::size_t>(SimWorkloadKind::Adversarial) + 1);
+  EXPECT_EQ(std::size(kPolicyTokens),
+            static_cast<std::size_t>(PrefetchPolicy::Perfect) + 1);
+  EXPECT_EQ(std::size(kSubTokens),
+            static_cast<std::size_t>(SubArbitration::DS) + 1);
+  EXPECT_EQ(std::size(kDeltaTokens),
+            static_cast<std::size_t>(DeltaRule::PaperTail) + 1);
+  EXPECT_EQ(std::size(kPredictorTokens),
+            static_cast<std::size_t>(PredictorKind::Lz78) + 1);
+  EXPECT_EQ(std::size(kReplacementTokens),
+            static_cast<std::size_t>(ReplacementKind::Random) + 1);
+  EXPECT_EQ(std::size(kProbMethodTokens),
+            static_cast<std::size_t>(ProbMethod::Flat) + 1);
 }
 
 // ---- Driver-specific contracts ------------------------------------------
@@ -551,6 +528,79 @@ TEST(SimRuntime, InvalidSpecsAreRejected) {
   scenario_oracle.predictor = PredictorKind::Oracle;
   scenario_oracle.workload.n_items = 24;
   EXPECT_THROW(run_sim(scenario_oracle), std::invalid_argument);
+}
+
+// The size fields are read only by a sized prefetch_cache run, as
+// size_per_r > 0 (coupled sizes) or size_per_r == 0 (U[size_lo, size_hi]
+// sizes). Each spec below ran at an earlier revision and printed a row
+// for sizes it never drew.
+SimSpec sized_spec() {
+  SimSpec spec;  // prefetch_cache driver
+  spec.sized_capacity = 100.0;
+  spec.requests = 300;
+  return spec;
+}
+
+void expect_rejected_naming(const SimSpec& spec, const std::string& field) {
+  try {
+    run_sim(spec);
+    ADD_FAILURE() << "accepted a spec with a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SimRuntime, SizedRunRejectsNegativeOrNanSizePerR) {
+  SimSpec spec = sized_spec();
+  spec.size_per_r = -1.0;
+  expect_rejected_naming(spec, "size_per_r");
+  spec.size_per_r = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected_naming(spec, "size_per_r");
+}
+
+TEST(SimRuntime, NegativeSizedCapacityIsRejected) {
+  // Not a quiet slot-cache run under a row that prints the capacity.
+  SimSpec spec = sized_spec();
+  spec.sized_capacity = -5.0;
+  expect_rejected_naming(spec, "sized_capacity");
+}
+
+TEST(SimRuntime, SizedRunRejectsNonPositiveSizeLo) {
+  SimSpec spec = sized_spec();
+  spec.size_per_r = 0.0;
+  spec.size_lo = 0.0;
+  expect_rejected_naming(spec, "size_lo");
+}
+
+TEST(SimRuntime, SizedRunRejectsSizeLoAboveSizeHi) {
+  SimSpec spec = sized_spec();
+  spec.size_per_r = 0.0;
+  spec.size_lo = 20.0;
+  spec.size_hi = 10.0;
+  expect_rejected_naming(spec, "size_hi");
+}
+
+TEST(SimRuntime, UnsizedRunsRejectSizeFields) {
+  SimSpec slot;  // prefetch_cache on its slot cache
+  slot.requests = 300;
+  slot.size_per_r = 5.0;
+  expect_rejected_naming(slot, "size_per_r");
+  SimSpec des = slot;
+  des.driver = SimDriverKind::NetsimDes;
+  expect_rejected_naming(des, "size_per_r");
+  des.size_per_r = 1.0;
+  des.size_hi = 12.0;
+  expect_rejected_naming(des, "size_hi");
+  // A sized_capacity keeps its own diagnostic on the unsized drivers.
+  des.size_hi = 30.0;
+  des.sized_capacity = 50.0;
+  expect_rejected_naming(des, "sized_capacity");
+  // The coupled draw never reads size_lo/size_hi (ablation_sizes sets
+  // them to the mean size on every sized cell).
+  SimSpec coupled = sized_spec();
+  coupled.size_lo = coupled.size_hi = 15.5;
+  EXPECT_NO_THROW(run_sim(coupled));
 }
 
 TEST(SimRuntime, OutDegreeBoundPastInt64IsRejected) {

@@ -89,13 +89,22 @@ TEST(PairedTTest, ZeroMeanNotSignificant) {
   EXPECT_GT(paired_t_test(d).p_value, 1e-3);
 }
 
+// The Figure-5 prefetch-only protocol at n = 10.
+SimSpec prefetch_only_spec() {
+  SimSpec spec;
+  spec.driver = SimDriverKind::PrefetchOnly;
+  spec.workload.kind = SimWorkloadKind::Iid;
+  spec.workload.n_items = 10;
+  return spec;
+}
+
 TEST(Significance, SkpVsNoPrefetchIsSignificantOnFig5Workload) {
   // The library's own headline comparison, now with a p-value: SKP vs no
   // prefetch on the skewy prefetch-only workload.
-  PrefetchOnlyConfig cfg;
-  cfg.iterations = 5000;
+  SimSpec cfg = prefetch_only_spec();
+  cfg.requests = 5000;
   cfg.seed = 9;
-  cfg.method = ProbMethod::Skewy;
+  cfg.workload.method = ProbMethod::Skewy;
   cfg.policy = PrefetchPolicy::SKP;
   const auto skp = run_prefetch_only(cfg);
   cfg.policy = PrefetchPolicy::None;
@@ -109,10 +118,10 @@ TEST(Significance, SkpVsNoPrefetchIsSignificantOnFig5Workload) {
 TEST(Significance, SkpVsKpGapUnderFlatIsSmall) {
   // The Fig.-5 flat-panel claim, quantified: the SKP(exact)/KP difference
   // under flat P is a small fraction of the no-prefetch/KP difference.
-  PrefetchOnlyConfig cfg;
-  cfg.iterations = 20000;
+  SimSpec cfg = prefetch_only_spec();
+  cfg.requests = 20000;
   cfg.seed = 10;
-  cfg.method = ProbMethod::Flat;
+  cfg.workload.method = ProbMethod::Flat;
   cfg.policy = PrefetchPolicy::SKP;
   const auto skp = run_prefetch_only(cfg);
   cfg.policy = PrefetchPolicy::KP;

@@ -203,17 +203,23 @@ TEST(SizedPlanning, EqualSizesDegenerateToSlotBehaviour) {
   }
 }
 
+// The prefetch_cache driver on a 30-state chain.
+SimSpec chain_spec() {
+  SimSpec spec;
+  spec.workload.n_items = 30;
+  spec.workload.out_degree_lo = 4;
+  spec.workload.out_degree_hi = 8;
+  return spec;
+}
+
 TEST(SizedExperiment, RunsAndImprovesWithCapacity) {
-  SizedExperimentConfig cfg;
-  cfg.source.n_states = 30;
-  cfg.source.out_degree_lo = 4;
-  cfg.source.out_degree_hi = 8;
+  SimSpec cfg = chain_spec();
   cfg.requests = 2000;
   cfg.seed = 3;
-  cfg.capacity = 30.0;
-  const auto small = run_prefetch_cache_sized(cfg);
-  cfg.capacity = 400.0;
-  const auto large = run_prefetch_cache_sized(cfg);
+  cfg.sized_capacity = 30.0;
+  const auto small = run_prefetch_cache(cfg);
+  cfg.sized_capacity = 400.0;
+  const auto large = run_prefetch_cache(cfg);
   EXPECT_EQ(small.metrics.requests, 2000u);
   EXPECT_LT(large.metrics.mean_access_time(),
             small.metrics.mean_access_time());
@@ -222,19 +228,15 @@ TEST(SizedExperiment, RunsAndImprovesWithCapacity) {
 TEST(SizedExperiment, UniformSizeMatchesSlotModelClosely) {
   // size_per_r = 0 with size_lo == size_hi gives equal sizes; capacity
   // k * size should behave like a k-slot cache (same protocol).
-  SizedExperimentConfig scfg;
-  scfg.source.n_states = 30;
-  scfg.source.out_degree_lo = 4;
-  scfg.source.out_degree_hi = 8;
+  SimSpec scfg = chain_spec();
   scfg.requests = 3000;
   scfg.seed = 7;
   scfg.size_per_r = 0.0;
   scfg.size_lo = scfg.size_hi = 1.0;
-  scfg.capacity = 8.0;
-  const auto sized = run_prefetch_cache_sized(scfg);
+  scfg.sized_capacity = 8.0;
+  const auto sized = run_prefetch_cache(scfg);
 
-  PrefetchCacheConfig ccfg;
-  ccfg.source = scfg.source;
+  SimSpec ccfg = chain_spec();
   ccfg.cache_size = 8;
   ccfg.requests = 3000;
   ccfg.seed = 7;

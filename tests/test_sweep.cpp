@@ -93,10 +93,10 @@ TEST(Sweep, SweepConfigsForwardsEachConfig) {
 // sims is bit-identical for 1 thread, N threads, and a plain serial loop.
 TEST(Sweep, SimPointsBitIdenticalAcrossThreadCounts) {
   const auto point_config = [](std::size_t i) {
-    PrefetchCacheConfig cfg;
-    cfg.source.n_states = 30;
-    cfg.source.out_degree_lo = 4;
-    cfg.source.out_degree_hi = 8;
+    SimSpec cfg;  // prefetch_cache driver, markov workload
+    cfg.workload.n_items = 30;
+    cfg.workload.out_degree_lo = 4;
+    cfg.workload.out_degree_hi = 8;
     cfg.cache_size = 2 + 4 * i;
     cfg.policy = i % 2 == 0 ? PrefetchPolicy::SKP : PrefetchPolicy::KP;
     cfg.requests = 800;
@@ -105,7 +105,7 @@ TEST(Sweep, SimPointsBitIdenticalAcrossThreadCounts) {
   };
   constexpr std::size_t kPoints = 6;
 
-  std::vector<PrefetchCacheResult> serial;
+  std::vector<SimResult> serial;
   for (std::size_t i = 0; i < kPoints; ++i) {
     serial.push_back(run_prefetch_cache(point_config(i)));
   }

@@ -31,44 +31,53 @@ Trace markov_trace(std::size_t n_states, std::size_t length,
   return trace;
 }
 
+// The replay the workbench runs: SKP under DS sub-arbitration on a
+// Markov1 predictor, cache 10.
+SimSpec replay_spec() {
+  SimSpec spec;
+  spec.sub = SubArbitration::DS;
+  spec.predictor = PredictorKind::Markov1;
+  return spec;
+}
+
 TEST(TraceReplay, RejectsEmptyTraceAndOracle) {
   Trace empty(4, {1.0, 2.0, 3.0, 4.0});
-  EXPECT_THROW(replay_trace(empty, {}), std::invalid_argument);
+  EXPECT_THROW(replay_trace(empty, replay_spec()), std::invalid_argument);
   const Trace t = markov_trace(10, 50, 1);
-  TraceReplayConfig cfg;
+  SimSpec cfg = replay_spec();
   cfg.predictor = PredictorKind::Oracle;
   EXPECT_THROW(replay_trace(t, cfg), std::invalid_argument);
 }
 
 TEST(TraceReplay, CountsEveryRequest) {
   const Trace t = markov_trace(15, 500, 2);
-  const SimMetrics m = replay_trace(t, {});
+  const SimMetrics m = replay_trace(t, replay_spec()).metrics;
   EXPECT_EQ(m.requests, 500u);
 }
 
 TEST(TraceReplay, WarmupExcluded) {
   const Trace t = markov_trace(15, 500, 3);
-  TraceReplayConfig cfg;
+  SimSpec cfg = replay_spec();
   cfg.warmup = 100;
-  EXPECT_EQ(replay_trace(t, cfg).requests, 400u);
+  EXPECT_EQ(replay_trace(t, cfg).metrics.requests, 400u);
 }
 
 TEST(TraceReplay, DeterministicReplay) {
   const Trace t = markov_trace(20, 800, 4);
-  const SimMetrics a = replay_trace(t, {});
-  const SimMetrics b = replay_trace(t, {});
+  const SimMetrics a = replay_trace(t, replay_spec()).metrics;
+  const SimMetrics b = replay_trace(t, replay_spec()).metrics;
   EXPECT_DOUBLE_EQ(a.mean_access_time(), b.mean_access_time());
   EXPECT_EQ(a.hits, b.hits);
 }
 
 TEST(TraceReplay, PrefetchingBeatsDemandOnLearnableTrace) {
   const Trace t = markov_trace(25, 4000, 5);
-  TraceReplayConfig skp_cfg;
+  SimSpec skp_cfg = replay_spec();
   skp_cfg.warmup = 500;  // let the predictor learn
-  TraceReplayConfig none_cfg = skp_cfg;
+  SimSpec none_cfg = skp_cfg;
   none_cfg.policy = PrefetchPolicy::None;
-  const double t_skp = replay_trace(t, skp_cfg).mean_access_time();
-  const double t_none = replay_trace(t, none_cfg).mean_access_time();
+  const double t_skp = replay_trace(t, skp_cfg).metrics.mean_access_time();
+  const double t_none = replay_trace(t, none_cfg).metrics.mean_access_time();
   EXPECT_LT(t_skp, t_none);
 }
 
@@ -77,8 +86,8 @@ TEST(TraceReplay, RoundTripThroughDiskGivesSameResult) {
   const std::string path = ::testing::TempDir() + "/replay_trace.txt";
   t.save_file(path);
   const Trace loaded = Trace::load_file(path);
-  const SimMetrics a = replay_trace(t, {});
-  const SimMetrics b = replay_trace(loaded, {});
+  const SimMetrics a = replay_trace(t, replay_spec()).metrics;
+  const SimMetrics b = replay_trace(loaded, replay_spec()).metrics;
   EXPECT_DOUBLE_EQ(a.mean_access_time(), b.mean_access_time());
 }
 
@@ -87,9 +96,9 @@ TEST(TraceReplay, PredictorKindsAllRun) {
   for (const auto kind :
        {PredictorKind::Markov1, PredictorKind::Ppm,
         PredictorKind::DependencyWindow}) {
-    TraceReplayConfig cfg;
+    SimSpec cfg = replay_spec();
     cfg.predictor = kind;
-    const SimMetrics m = replay_trace(t, cfg);
+    const SimMetrics m = replay_trace(t, cfg).metrics;
     EXPECT_EQ(m.requests, 600u) << to_string(kind);
   }
 }
@@ -98,25 +107,25 @@ TEST(TraceReplay, PerfectPrefetchesTheNextRecord) {
   // The Perfect oracle sees each record's item before it is served, so
   // on a learnable trace it prefetches and beats no prefetching.
   const Trace t = markov_trace(25, 3000, 3);
-  TraceReplayConfig perfect;
+  SimSpec perfect = replay_spec();
   perfect.policy = PrefetchPolicy::Perfect;
   perfect.warmup = 300;
-  TraceReplayConfig none = perfect;
+  SimSpec none = perfect;
   none.policy = PrefetchPolicy::None;
-  const SimMetrics p = replay_trace(t, perfect);
-  const SimMetrics z = replay_trace(t, none);
+  const SimMetrics p = replay_trace(t, perfect).metrics;
+  const SimMetrics z = replay_trace(t, none).metrics;
   EXPECT_GT(p.prefetch_fetches, 0u);
   EXPECT_LT(p.mean_access_time(), z.mean_access_time());
 }
 
 TEST(TraceReplay, BiggerCacheHelps) {
   const Trace t = markov_trace(25, 3000, 8);
-  TraceReplayConfig small;
+  SimSpec small = replay_spec();
   small.cache_size = 3;
-  TraceReplayConfig large;
+  SimSpec large = replay_spec();
   large.cache_size = 20;
-  EXPECT_LT(replay_trace(t, large).mean_access_time(),
-            replay_trace(t, small).mean_access_time());
+  EXPECT_LT(replay_trace(t, large).metrics.mean_access_time(),
+            replay_trace(t, small).metrics.mean_access_time());
 }
 
 }  // namespace

@@ -184,19 +184,20 @@ TEST(MarkovDrift, ChangepointsAreDeterministic) {
 }
 
 TEST(MarkovDrift, SimDeterministicAndDistinctFromStaticChain) {
-  PrefetchCacheConfig cfg;
+  SimSpec cfg;  // prefetch_cache driver
+  cfg.workload.kind = SimWorkloadKind::MarkovDrift;
   cfg.cache_size = 12;
   cfg.requests = 3'000;
   cfg.seed = 13;
-  cfg.drift_period = 500;
-  const PrefetchCacheResult a = run_prefetch_cache(cfg);
-  const PrefetchCacheResult b = run_prefetch_cache(cfg);
+  cfg.workload.drift_period = 500;
+  const SimResult a = run_prefetch_cache(cfg);
+  const SimResult b = run_prefetch_cache(cfg);
   EXPECT_EQ(a.metrics.hits, b.metrics.hits);
   EXPECT_EQ(a.metrics.network_time, b.metrics.network_time);
   EXPECT_EQ(a.metrics.solver_nodes, b.metrics.solver_nodes);
 
-  cfg.drift_period = 0;
-  const PrefetchCacheResult still = run_prefetch_cache(cfg);
+  cfg.workload.kind = SimWorkloadKind::Markov;  // a static chain
+  const SimResult still = run_prefetch_cache(cfg);
   EXPECT_NE(a.metrics.network_time, still.metrics.network_time)
       << "drift changed nothing";
 }
@@ -206,16 +207,17 @@ TEST(MarkovDrift, PlanCacheOnOffBitIdentical) {
   // unmemoized ones — a stale plan surviving a redraw would show up here.
   for (const SubArbitration sub :
        {SubArbitration::None, SubArbitration::DS}) {
-    PrefetchCacheConfig cfg;
+    SimSpec cfg;  // prefetch_cache driver
+    cfg.workload.kind = SimWorkloadKind::MarkovDrift;
     cfg.cache_size = 10;
     cfg.sub = sub;
     cfg.requests = 2'400;
     cfg.seed = 77;
-    cfg.drift_period = 400;
+    cfg.workload.drift_period = 400;
     cfg.use_plan_cache = true;
-    const PrefetchCacheResult on = run_prefetch_cache(cfg);
+    const SimResult on = run_prefetch_cache(cfg);
     cfg.use_plan_cache = false;
-    const PrefetchCacheResult off = run_prefetch_cache(cfg);
+    const SimResult off = run_prefetch_cache(cfg);
     EXPECT_EQ(on.metrics.hits, off.metrics.hits);
     EXPECT_EQ(on.metrics.demand_fetches, off.metrics.demand_fetches);
     EXPECT_EQ(on.metrics.prefetch_fetches, off.metrics.prefetch_fetches);
@@ -230,18 +232,14 @@ TEST(ZipfWorkload, PrefetchCacheSimFavorsHotItems) {
   // A strongly skewed catalog with a cache a fraction of the catalog size
   // should hit far more often than the same sim under a flat-ish chain:
   // the head of the Zipf distribution fits in the cache.
-  Rng build(21);
-  ZipfSourceConfig zcfg;
-  zcfg.n_items = 100;
-  zcfg.exponent = 1.4;
-  MarkovSource source(make_zipf_chain(zcfg, build));
-  Rng walk = build.split(kPrefetchCacheWalkSalt);
-  source.teleport(0);
-  PrefetchCacheConfig cfg;
+  SimSpec cfg;  // prefetch_cache driver
+  cfg.workload.kind = SimWorkloadKind::Zipf;
+  cfg.workload.n_items = 100;
+  cfg.workload.zipf_exponent = 1.4;
   cfg.cache_size = 15;
   cfg.requests = 4'000;
   cfg.seed = 21;
-  const PrefetchCacheResult res = run_prefetch_cache(cfg, source, walk);
+  const SimResult res = run_prefetch_cache(cfg);
   EXPECT_GT(res.metrics.hit_rate(), 0.5);
 }
 

@@ -25,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -730,16 +731,25 @@ int merge_command(int argc, char** argv) {
   return 0;
 }
 
+template <typename Enum>
+void print_tokens(const char* label, std::span<const EnumToken<Enum>> table) {
+  std::cout << label << ":";
+  for (const EnumToken<Enum>& t : table) std::cout << ' ' << t.token;
+  std::cout << "\n";
+}
+
 int drivers_command() {
   std::cout << "registered drivers:\n";
   for (const SimDriver& driver : driver_registry()) {
     std::cout << "  " << driver.name << "\n";
   }
-  std::cout << "workloads: markov iid zipf markov_drift trace_text "
-               "adversarial\n"
-            << "policies: none kp skp perfect | subs: none lfu ds\n"
-            << "predictors: oracle markov1 ppm lz78 depgraph\n"
-            << "replacements: lru fifo lfu random\n";
+  print_tokens<SimWorkloadKind>("workloads", kWorkloadTokens);
+  print_tokens<ProbMethod>("methods", kProbMethodTokens);
+  print_tokens<PrefetchPolicy>("policies", kPolicyTokens);
+  print_tokens<SubArbitration>("subs", kSubTokens);
+  print_tokens<DeltaRule>("deltas", kDeltaTokens);
+  print_tokens<PredictorKind>("predictors", kPredictorTokens);
+  print_tokens<ReplacementKind>("replacements", kReplacementTokens);
   return 0;
 }
 
