@@ -128,8 +128,9 @@ TEST(LookaheadSim, HorizonOneIsThePaperBehaviour) {
   a.requests = 2000;
   a.seed = 5;
   // Horizon 1 given explicitly to the lookahead entry.
-  EXPECT_DOUBLE_EQ(run_prefetch_cache(a).metrics.mean_access_time(),
-                   run_prefetch_cache_lookahead(a, 1).metrics.mean_access_time());
+  EXPECT_DOUBLE_EQ(
+      run_prefetch_cache(a).metrics.mean_access_time(),
+      run_prefetch_cache_lookahead(a, 1).metrics.mean_access_time());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the two new first-class workload generators: the Zipf
 // catalog (workload/zipf_source.hpp) and phase-shifting Markov drift
-// (MarkovSource::redraw_transitions + PrefetchCacheConfig::drift_period).
+// (MarkovSource::redraw_transitions + the markov_drift workload).
 #include <gtest/gtest.h>
 
 #include <cmath>
