@@ -163,8 +163,42 @@ SimResult run_requests(const SimSpec& spec, const RequestSource& src,
   return result;
 }
 
+// The trace_replay driver's one validation list.
+void require_replayable(const SimSpec& spec) {
+  SKP_REQUIRE(spec.predictor != PredictorKind::Oracle,
+              "trace replay has no oracle probabilities");
+  SKP_REQUIRE(spec.predictor_warmup == 0,
+              "trace replay has no observe-only prefix; use warmup to "
+              "exclude leading requests from metrics");
+  SKP_REQUIRE(spec.cache_size >= 1, "cache_size must be >= 1");
+  require_default_net(spec, "trace_replay");
+  require_no_scenario_fields(spec, "trace_replay");
+  require_unsized(spec, "trace_replay");
+  require_single_client(spec, "trace_replay");
+  require_static_link(spec, "trace_replay");
+  require_reliable_full_effort(spec, "trace_replay");
+}
+
+SimResult replay_unchecked(const Trace& trace, const SimSpec& spec) {
+  const SimResult res =
+      run_requests(spec, RequestSource{nullptr, nullptr, 0, &trace},
+                   SlotCache(trace.n_items(), spec.cache_size), 1);
+  // A replay reports its metrics alone: the over-viewing count is a
+  // prefetch_cache diagnostic, and a learned replay builds no memo tier.
+  SimResult out;
+  out.metrics = res.metrics;
+  return out;
+}
+
+}  // namespace
+
+SimResult run_prefetch_cache(const SimSpec& spec) {
+  return run_prefetch_cache_lookahead(spec, 1);
+}
+
 // The prefetch_cache driver: its one validation list and stream layout.
-SimResult run_chain(const SimSpec& spec, std::size_t horizon) {
+SimResult run_prefetch_cache_lookahead(const SimSpec& spec,
+                                       std::size_t horizon) {
   const SimWorkload& w = spec.workload;
   SKP_REQUIRE(spec.predictor_warmup == 0,
               "prefetch_cache has no observe-only prefix; use warmup to "
@@ -240,44 +274,6 @@ SimResult run_chain(const SimSpec& spec, std::size_t horizon) {
   return run_requests(spec, src,
                       SizedCache(std::move(sizes), spec.sized_capacity),
                       horizon);
-}
-
-// The trace_replay driver's one validation list.
-void require_replayable(const SimSpec& spec) {
-  SKP_REQUIRE(spec.predictor != PredictorKind::Oracle,
-              "trace replay has no oracle probabilities");
-  SKP_REQUIRE(spec.predictor_warmup == 0,
-              "trace replay has no observe-only prefix; use warmup to "
-              "exclude leading requests from metrics");
-  SKP_REQUIRE(spec.cache_size >= 1, "cache_size must be >= 1");
-  require_default_net(spec, "trace_replay");
-  require_no_scenario_fields(spec, "trace_replay");
-  require_unsized(spec, "trace_replay");
-  require_single_client(spec, "trace_replay");
-  require_static_link(spec, "trace_replay");
-  require_reliable_full_effort(spec, "trace_replay");
-}
-
-SimResult replay_unchecked(const Trace& trace, const SimSpec& spec) {
-  const SimResult res =
-      run_requests(spec, RequestSource{nullptr, nullptr, 0, &trace},
-                   SlotCache(trace.n_items(), spec.cache_size), 1);
-  // A replay reports its metrics alone: the over-viewing count is a
-  // prefetch_cache diagnostic, and a learned replay builds no memo tier.
-  SimResult out;
-  out.metrics = res.metrics;
-  return out;
-}
-
-}  // namespace
-
-SimResult run_prefetch_cache(const SimSpec& spec) {
-  return run_chain(spec, 1);
-}
-
-SimResult run_prefetch_cache_lookahead(const SimSpec& spec,
-                                       std::size_t horizon) {
-  return run_chain(spec, horizon);
 }
 
 SimResult run_trace_replay(const SimSpec& spec) {
