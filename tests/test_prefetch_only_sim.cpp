@@ -88,6 +88,9 @@ TEST(PrefetchOnlySim, ScatterCollectsRequestedSamples) {
     EXPECT_LE(v, 100.0);
     EXPECT_GE(T, 0.0);
   }
+  // A buffer the run cannot fill is refused, not left partly unwritten.
+  std::vector<std::pair<double, double>> too_long(2001);
+  EXPECT_THROW(run_prefetch_only(cfg, too_long), std::invalid_argument);
 }
 
 TEST(PrefetchOnlySim, SkpScatterShowsStretchTail) {
