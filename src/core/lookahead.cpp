@@ -1,6 +1,7 @@
 #include "core/lookahead.hpp"
 
 #include <span>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -8,37 +9,29 @@ namespace skp {
 
 namespace {
 
-// One chain step: next[j] = sum_k cur[k] * R[k][j], with R supplied as a
-// row-accessor callback so both overloads share the kernel.
+// `cur` enters as the step-1 distribution. Each further step forms
+// next[j] = sum_k cur[k] * R[k][j], k ascending, where `row(k, add)` calls
+// add(j, R[k][j]) for each positive entry of row k.
 template <typename RowFn>
-std::vector<double> step_distribution(const std::vector<double>& cur,
-                                      RowFn row, std::size_t n) {
-  std::vector<double> next(n, 0.0);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (cur[k] <= 0.0) continue;
-    const auto r = row(k);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (r[j] > 0.0) next[j] += cur[k] * r[j];
-    }
-  }
-  return next;
-}
-
-template <typename RowFn>
-void blend_into(std::span<const double> first_row, std::size_t horizon,
-                double decay, RowFn row, std::vector<double>& out) {
+void blend_into(std::vector<double> cur, std::size_t horizon, double decay,
+                RowFn row, std::vector<double>& out) {
   SKP_REQUIRE(horizon >= 1, "horizon must be >= 1");
   SKP_REQUIRE(decay > 0.0 && decay <= 1.0, "decay in (0, 1]");
-  const std::size_t n = first_row.size();
+  const std::size_t n = cur.size();
   out.assign(n, 0.0);
-  std::vector<double> cur(first_row.begin(), first_row.end());
+  std::vector<double> next;
   double weight = 1.0;
   double weight_sum = 0.0;
   for (std::size_t d = 1; d <= horizon; ++d) {
     for (std::size_t j = 0; j < n; ++j) out[j] += weight * cur[j];
     weight_sum += weight;
     if (d < horizon) {
-      cur = step_distribution(cur, row, n);
+      next.assign(n, 0.0);
+      for (std::size_t k = 0; k < n; ++k) {
+        if (cur[k] <= 0.0) continue;
+        row(k, [&](std::size_t j, double p) { next[j] += cur[k] * p; });
+      }
+      cur.swap(next);
       weight *= decay;
     }
   }
@@ -47,20 +40,30 @@ void blend_into(std::span<const double> first_row, std::size_t horizon,
 
 }  // namespace
 
-void horizon_probabilities_into(const MarkovSource& source,
-                                std::size_t state, std::size_t horizon,
-                                double decay, std::vector<double>& out) {
-  SKP_REQUIRE(state < source.n_states(), "state out of range");
-  blend_into(source.transition_row(state), horizon, decay,
-             [&](std::size_t k) { return source.transition_row(k); }, out);
+void horizon_probabilities_into(const MarkovChain& chain, std::size_t state,
+                                std::size_t horizon, double decay,
+                                std::vector<double>& out) {
+  std::vector<double> first(chain.n_states(), 0.0);
+  chain.scatter_row(state, first);
+  // A chain row's positive entries are its successors, ascending.
+  blend_into(
+      std::move(first), horizon, decay,
+      [&](std::size_t k, auto add) {
+        const std::span<const ItemId> succ = chain.successors(k);
+        const std::span<const double> prob = chain.probabilities(k);
+        for (std::size_t i = 0; i < succ.size(); ++i) {
+          add(static_cast<std::size_t>(succ[i]), prob[i]);
+        }
+      },
+      out);
 }
 
-std::vector<double> horizon_probabilities(const MarkovSource& source,
+std::vector<double> horizon_probabilities(const MarkovChain& chain,
                                           std::size_t state,
                                           std::size_t horizon,
                                           double decay) {
   std::vector<double> out;
-  horizon_probabilities_into(source, state, horizon, decay, out);
+  horizon_probabilities_into(chain, state, horizon, decay, out);
   return out;
 }
 
@@ -74,9 +77,14 @@ std::vector<double> horizon_probabilities(
     SKP_REQUIRE(r.size() == n, "matrix must be square");
   }
   std::vector<double> out;
-  blend_into(first_row, horizon, decay,
-             [&](std::size_t k) { return std::span<const double>(matrix[k]); },
-             out);
+  blend_into(
+      first_row, horizon, decay,
+      [&](std::size_t k, auto add) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (matrix[k][j] > 0.0) add(j, matrix[k][j]);
+        }
+      },
+      out);
   return out;
 }
 

@@ -1,10 +1,10 @@
 // The prefetch engine: policy selection + cache-aware planning (Figure 6).
 //
 // A PrefetchEngine turns an InstanceView (the current P, r, v — typically
-// borrowed straight from a MarkovSource row or a predictor's output
-// buffer) plus the cache state into a PrefetchPlan: an ordered list of
-// items to fetch and the victims they displace. Supported selection
-// policies:
+// borrowed from a reused row: a chain state's scattered successors or a
+// predictor's output) plus the cache state into a PrefetchPlan: an
+// ordered list of items to fetch and the victims they displace.
+// Supported selection policies:
 //   * None    — never prefetch (the "no prefetch" baseline).
 //   * KP      — classic 0/1 knapsack selection (never stretches).
 //   * SKP     — the paper's stretch-knapsack selection.

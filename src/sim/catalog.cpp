@@ -47,8 +47,8 @@ std::shared_ptr<const SharedCatalog> SharedCatalog::build(
   cat->key_ = key_of(spec);
 
   // Stream-for-stream the grounding the per-session constructors
-  // performed: sizes from root.split(3), source structure from build,
-  // drift stream split off build AFTER the source consumed it.
+  // performed: sizes from root.split(3), chain structure from build,
+  // drift stream split off build AFTER the chain consumed it.
   GroundedStreams g = ground_streams(spec);
   Rng& build = g.build;
 
@@ -67,11 +67,10 @@ std::shared_ptr<const SharedCatalog> SharedCatalog::build(
                 "oracle netsim_des needs a generative workload "
                 "(markov | markov_drift | zipf | adversarial)");
     cat->mcfg_ = to_markov_config(w);
-    cat->source_.emplace(make_workload_chain(w, build));
+    cat->chain_.emplace(make_workload_chain(w, build));
     cat->drift_rng_ = build.split(kPrefetchCacheDriftSalt);
     cat->drift_period_ =
         w.kind == SimWorkloadKind::MarkovDrift ? w.drift_period : 0;
-    cat->initial_state_ = cat->source_->current_state();
   } else {
     // Learned mode consumes walk during materialization; sessions never
     // touch walk afterwards, so the catalog's private copy is enough.
@@ -125,7 +124,7 @@ std::size_t SharedCatalog::interned_groups() {
 std::size_t SharedCatalog::footprint_bytes() const noexcept {
   std::size_t total = sizeof(SharedCatalog);
   total += client_->footprint_bytes();
-  if (source_) total += source_->footprint_bytes();
+  if (chain_) total += chain_->footprint_bytes();
   if (mat_) {
     total += mat_->cycles.capacity() * sizeof(TraceRecord) +
              mat_->retrieval_times.capacity() * sizeof(double);

@@ -4,10 +4,11 @@
 // identical (seed, workload, bandwidth, latency) and, in learned mode,
 // request count — derives the exact same immutable grounding state: the
 // server size catalog, the canonical retrieval costs r_i, the drift/walk
-// stream seeds, and either the oracle master source (oracle mode: its
-// dense rows are n^2 doubles, the dominant footprint) or the
-// materialized cycle script (learned mode: grounded from the sparse
-// chain alone, O(n * degree + requests), and only the script is kept).
+// stream seeds, and either the oracle master chain (oracle mode: the
+// sparse chain, O(n * degree); each session scatters the rows it plans
+// on into its own n-length row) or the materialized cycle script
+// (learned mode: grounded from the same chain, O(n * degree +
+// requests), and only the script is kept).
 // Before this layer each session rebuilt and privately owned all of it,
 // which is what capped the sessions-per-GB a daemon could hold. A
 // SharedCatalog is built ONCE per group and referenced via shared_ptr by
@@ -18,8 +19,8 @@
 // stream exactly as the per-session constructors used to, so a session
 // running off a SharedCatalog is bit-identical to one that grounded
 // itself. Sharing is safe because everything here is immutable after
-// build — sessions sample trajectories with MarkovSource::sample_from
-// (const) and take a private copy-on-write source only at a drift
+// build — sessions sample trajectories with MarkovChain::sample_from
+// (const) and take a private copy-on-write chain only at a drift
 // changepoint.
 #pragma once
 
@@ -30,7 +31,7 @@
 #include "sim/netsim.hpp"
 #include "sim/runtime.hpp"
 #include "util/rng.hpp"
-#include "workload/markov_source.hpp"
+#include "workload/markov_chain.hpp"
 
 namespace skp {
 
@@ -77,15 +78,14 @@ class SharedCatalog {
   }
 
   // ---- Oracle mode --------------------------------------------------
-  // The master source: the chain plus its dense oracle rows. Immutable:
-  // sessions walk it with sample_from and their own state cursor; a
-  // drifting session copies it first.
-  const MarkovSource& source() const {
-    SKP_REQUIRE(source_.has_value(), "learned-mode catalog has no source");
-    return *source_;
+  // The master chain. Immutable: sessions walk it from state 0 with
+  // sample_from and their own state cursor, scatter the rows they plan
+  // on into their own buffer, and copy it before a drift redraw.
+  const MarkovChain& chain() const {
+    SKP_REQUIRE(chain_.has_value(), "learned-mode catalog has no chain");
+    return *chain_;
   }
   const MarkovSourceConfig& markov_config() const noexcept { return mcfg_; }
-  std::size_t initial_state() const noexcept { return initial_state_; }
   std::size_t drift_period() const noexcept { return drift_period_; }
   // Initial stream values (copied per session, then advanced privately).
   Rng walk() const noexcept { return walk_; }
@@ -105,12 +105,11 @@ class SharedCatalog {
 
   Key key_;
   std::shared_ptr<const SharedClientCatalog> client_;
-  std::optional<MarkovSource> source_;  // oracle master source
+  std::optional<MarkovChain> chain_;  // oracle master chain
   MarkovSourceConfig mcfg_;
   Rng walk_{0};
   Rng drift_rng_{0};
   std::size_t drift_period_ = 0;
-  std::size_t initial_state_ = 0;
   std::optional<MaterializedWorkload> mat_;  // learned cycle script
 };
 

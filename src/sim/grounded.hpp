@@ -88,7 +88,8 @@ inline AdversarialSourceConfig to_adversarial_config(const SimWorkload& w) {
 // zipf | adversarial), drawn from `build`. Every site that grounds one
 // (the shared catalog, materialize_workload, the prefetch_cache driver)
 // builds it here, so the chain choice and its stream consumption live
-// in one place. Sites that plan on oracle rows wrap it in a MarkovSource.
+// in one place. Sites that plan on oracle rows scatter its rows into a
+// reused n-length buffer (MarkovChain::scatter_row).
 // Callers reject the other workload kinds with their own messages first.
 inline MarkovChain make_workload_chain(const SimWorkload& w, Rng& build) {
   if (w.kind == SimWorkloadKind::Zipf) {

@@ -11,7 +11,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/grounded.hpp"
 #include "sim/resident_set.hpp"
-#include "workload/markov_source.hpp"
+#include "workload/markov_chain.hpp"
 
 namespace skp {
 
@@ -20,12 +20,14 @@ namespace {
 // Per-client simulation state. Caches and request streams are private;
 // the link and the retrieval catalog are shared.
 struct Client {
-  std::unique_ptr<MarkovSource> chain;   // null for learned clients
+  std::optional<MarkovChain> chain;      // empty for learned clients
   std::unique_ptr<Predictor> predictor;  // null for oracle clients
   PredictorKind kind = PredictorKind::Oracle;
   std::vector<TraceRecord> cycles;       // learned drive script
-  std::vector<double> P;                 // learned planning row
-  std::vector<ItemId> support;           // its nonzero entries, ascending
+  // The planning row: the predictor's filtered row, or an oracle
+  // client's scattered chain row (cleared again after each use).
+  std::vector<double> P;
+  std::vector<ItemId> support;           // learned row's nonzero entries
   std::optional<ResidentSet<SlotCache>> book;
   Rng walk{0};
   std::size_t state = 0;
@@ -105,8 +107,7 @@ SimResult run_multi_client(const SimSpec& spec) {
                   "oracle multi_client clients walk a markov chain; "
                   "learned predictors unlock iid/zipf/drift/trace/"
                   "adversarial workloads");
-      cl.chain = std::make_unique<MarkovSource>(to_markov_config(w), build);
-      cl.chain->teleport(0);
+      cl.chain.emplace(to_markov_config(w), build);
     } else {
       cl.cycles = materialize_workload(w, cl.quota, build, cl.walk).cycles;
     }
@@ -122,8 +123,8 @@ SimResult run_multi_client(const SimSpec& spec) {
                               cl.kind != PredictorKind::Oracle, spec.sub, n);
     if (cl.kind != PredictorKind::Oracle) {
       cl.predictor = make_runtime_predictor(cl.kind, n);
-      cl.P.assign(n, 0.0);
     }
+    cl.P.assign(n, 0.0);
   }
 
   // Herd schedule for flash crowds: one shared per-cycle viewing-time
@@ -161,7 +162,6 @@ SimResult run_multi_client(const SimSpec& spec) {
   Rng fault_rng = Rng(spec.seed).split(kFaultStreamSalt);
   FaultStats fault_stats;
   OverloadController overload(spec.overload);
-  std::vector<double> degraded_row;  // oracle-row copy under degradation
 
   // Serializes a transfer on the shared link; returns completion time. With
   // a link schedule the phase at transfer START re-prices the base cost r
@@ -221,48 +221,39 @@ SimResult run_multi_client(const SimSpec& spec) {
     }
     const double t0 = clock.now();
 
+    // Plan against cl.P and its support: a learned client replays its
+    // scripted cycle on the predictor's row (zeros and an empty support
+    // during the observe-only warmup prefix, so the planner fetches
+    // nothing without scanning the catalog); an oracle client scatters
+    // its state's ground-truth row, then samples the next request.
+    // Degrading only zeroes entries, so the support still covers P.
     double v = 0.0;
     ItemId next = 0;
-    InstanceView inst;
-    std::optional<std::span<const ItemId>> hint;
+    std::span<const ItemId> support;
     if (cl.predictor) {
-      // Learned drive: replay the scripted cycle, plan against the
-      // predictor's row and support (zeros and an empty support during
-      // the observe-only warmup prefix, so the planner fetches nothing
-      // without scanning the catalog).
       const TraceRecord& rec = cl.cycles[cl.served];
       v = blend(rec.viewing_time, cl.served);
       next = rec.item;
       if (cl.served >= spec.predictor_warmup) {
         cl.predictor->predict_filtered_into(spec.predictor_min_prob, cl.P,
                                             cl.support);
-        // Degrading only zeroes entries, so cl.support still covers P.
         overload.degrade_row(cl.P);
       }
-      inst = InstanceView(cl.P, r, v);
-      hint = cl.support;
+      support = cl.support;
     } else {
-      // Oracle drive: plan against the chain's ground-truth row, then
-      // sample the next request.
       v = blend(cl.chain->viewing_time(cl.state), cl.served);
-      std::span<const double> row = cl.chain->transition_row(cl.state);
-      if (overload.rung() != DegradationRung::kNormal) {
-        // Degrade a copy — the chain's rows are ground truth for every
-        // later cycle and for demand-victim arbitration.
-        degraded_row.assign(row.begin(), row.end());
-        overload.degrade_row(degraded_row);
-        row = degraded_row;
-      }
-      inst = InstanceView(row, r, v);
-      hint = cl.chain->successors(cl.state);
-      next = static_cast<ItemId>(cl.chain->step(cl.walk));
+      cl.chain->scatter_row(cl.state, cl.P);
+      support = cl.chain->successors(cl.state);
+      overload.degrade_row(cl.P);
+      next = static_cast<ItemId>(cl.chain->sample_from(cl.state, cl.walk));
     }
     std::optional<ItemId> oracle;
     if (spec.policy == PrefetchPolicy::Perfect) oracle = next;
-    engine.plan_with_cache_cached(inst, cl.book->cache(), &cl.book->freq(),
-                                  cl.memo.memo(cl.state), cl.scratch,
-                                  cl.plan, oracle, hint,
+    engine.plan_with_cache_cached(InstanceView(cl.P, r, v), cl.book->cache(),
+                                  &cl.book->freq(), cl.memo.memo(cl.state),
+                                  cl.scratch, cl.plan, oracle, support,
                                   cl.book->eviction_order());
+    if (cl.chain) cl.chain->clear_row(cl.state, cl.P);
     if (!cl.plan.fetch.empty()) ++plans_fired;
     cl.book->execute(cl.plan, &cl.metrics, [&](ItemId f) {
       const std::optional<double> done =
@@ -284,12 +275,13 @@ SimResult run_multi_client(const SimSpec& spec) {
         // victim is chosen under the next state's oracle row, or for a
         // learned client under the row in force this cycle (its
         // chainless analogue).
+        const auto s = static_cast<std::size_t>(next);
         me.book->admit_demand(next, &me.metrics, [&] {
           if (me.predictor) return InstanceView(me.P, r, v);
-          const auto s = static_cast<std::size_t>(next);
-          return InstanceView(me.chain->transition_row(s), r,
-                              me.chain->viewing_time(s));
+          me.chain->scatter_row(s, me.P);
+          return InstanceView(me.P, r, me.chain->viewing_time(s));
         });
+        if (me.chain) me.chain->clear_row(s, me.P);
         const double finish = enqueue(r[Instance::idx(next)]);
         me.completion[Instance::idx(next)] = finish;
         T = finish - t_req;

@@ -59,18 +59,17 @@ NetsimStepper::NetsimStepper(const SimSpec& spec,
   }
   overload_ = OverloadController(spec_.overload);
 
-  zeros_.assign(n, 0.0);
+  P_.assign(n, 0.0);
   walk_ = catalog_->walk();
   if (spec_.predictor == PredictorKind::Oracle) {
     // Oracle mode: the DES rendition of the Fig.-7 protocol — ground-
     // truth transition rows, context keys enabling plan memoization.
     // The chain itself is the catalog's; this session owns only its
-    // state cursor and walk stream.
+    // state cursor (from state 0), walk stream and planning row.
     mcfg_ = catalog_->markov_config();
-    source_ = &catalog_->source();
+    chain_ = &catalog_->chain();
     drift_rng_ = catalog_->drift_rng();
     drift_period_ = catalog_->drift_period();
-    state_ = catalog_->initial_state();
   } else {
     // Learned mode: the shared materialized cycles drive a private
     // predictor; an observe-only warmup plans against a zero row (the
@@ -78,7 +77,6 @@ NetsimStepper::NetsimStepper(const SimSpec& spec,
     // state is outside the session's invalidation scope.
     mat_ = &catalog_->materialized();
     predictor_ = make_runtime_predictor(spec_.predictor, n);
-    P_.assign(n, 0.0);
   }
 }
 
@@ -110,47 +108,41 @@ bool NetsimStepper::force_degrade() {
 void NetsimStepper::step_oracle() {
   const std::size_t req = executed_;
   if (drift_period_ != 0 && req != 0 && req % drift_period_ == 0) {
-    if (!owned_source_) {
+    if (!owned_chain_) {
       // First changepoint: this session's chain diverges from the
       // shared master, so it takes a private copy to mutate
       // (copy-on-write — sessions that never drift never copy).
-      owned_source_ = std::make_unique<MarkovSource>(*source_);
-      source_ = owned_source_.get();
+      owned_chain_ = std::make_unique<MarkovChain>(*chain_);
+      chain_ = owned_chain_.get();
     }
-    owned_source_->redraw_transitions(mcfg_, drift_rng_);
+    owned_chain_->redraw_transitions(mcfg_, drift_rng_);
     // The context keys' promise (state -> row) just broke.
     session_->invalidate_plan_cache();
   }
-  const double v = source_->viewing_time(state_);
-  // An observe-only warmup prefix plans against a zero row (fetches
-  // nothing), mirroring the learned branch's semantics.
+  const double v = chain_->viewing_time(state_);
+  // An observe-only warmup prefix plans against the zero row with no
+  // support (fetches nothing), mirroring the learned branch's semantics.
   const bool planning = req >= spec_.predictor_warmup;
-  std::span<const double> row = zeros_;
   std::span<const ItemId> support;
   if (planning) {
-    row = source_->transition_row(state_);
-    support = source_->successors(state_);
+    chain_->scatter_row(state_, P_);
+    support = chain_->successors(state_);
+    // Degrading only zeroes entries, so the successor list still covers
+    // the row (and clears it below).
+    overload_.degrade_row(P_);
   }
-  if (planning && overload_.rung() != DegradationRung::kNormal) {
-    // Degrade a copy — the source's rows are ground truth for every
-    // later cycle. Degrading only zeroes entries, so the successor list
-    // still covers the row.
-    degraded_.assign(row.begin(), row.end());
-    overload_.degrade_row(degraded_);
-    row = degraded_;
-  }
-  const auto next =
-      static_cast<ItemId>(source_->sample_from(state_, walk_));
+  const auto next = static_cast<ItemId>(chain_->sample_from(state_, walk_));
   std::optional<ItemId> oracle_next;
   if (planning && spec_.policy == PrefetchPolicy::Perfect) {
     oracle_next = next;
   }
   const double T =
-      session_->request(next, v, row, oracle_next,
+      session_->request(next, v, P_, oracle_next,
                         planning && spec_.use_plan_cache
                             ? std::optional<std::uint64_t>(state_)
                             : std::nullopt,
                         support);
+  if (planning) chain_->clear_row(state_, P_);
   count_plan();
   settle_request(T);
   state_ = static_cast<std::size_t>(next);
@@ -160,20 +152,16 @@ void NetsimStepper::step_oracle() {
 void NetsimStepper::step_learned() {
   const std::size_t i = executed_;
   const TraceRecord& rec = mat_->cycles[i];
-  std::span<const double> row = zeros_;
-  std::span<const ItemId> support;
   if (i >= spec_.predictor_warmup) {
     predictor_->predict_filtered_into(spec_.predictor_min_prob, P_,
                                       support_);
     // Degrading only zeroes entries, so support_ still covers the row.
     overload_.degrade_row(P_);
-    row = P_;
-    support = support_;
   }
   std::optional<ItemId> oracle_next;
   if (spec_.policy == PrefetchPolicy::Perfect) oracle_next = rec.item;
-  const double T = session_->request(rec.item, rec.viewing_time, row,
-                                     oracle_next, std::nullopt, support);
+  const double T = session_->request(rec.item, rec.viewing_time, P_,
+                                     oracle_next, std::nullopt, support_);
   count_plan();
   settle_request(T);
   predictor_->observe(rec.item);

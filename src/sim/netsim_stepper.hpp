@@ -31,7 +31,7 @@
 #include "sim/netsim.hpp"
 #include "sim/runtime.hpp"
 #include "util/rng.hpp"
-#include "workload/markov_source.hpp"
+#include "workload/markov_chain.hpp"
 
 namespace skp {
 
@@ -106,10 +106,10 @@ class NetsimStepper {
   OverloadController overload_;
   // Oracle mode: the session walks the shared master chain through its
   // private (state_, walk_) cursor. A drifting session copies the chain
-  // into owned_source_ at its first changepoint (copy-on-write) and
+  // into owned_chain_ at its first changepoint (copy-on-write) and
   // mutates only the copy; a session that never drifts pays one pointer.
-  const MarkovSource* source_ = nullptr;
-  std::unique_ptr<MarkovSource> owned_source_;
+  const MarkovChain* chain_ = nullptr;
+  std::unique_ptr<MarkovChain> owned_chain_;
   MarkovSourceConfig mcfg_;
   Rng drift_rng_;
   std::size_t drift_period_ = 0;
@@ -117,11 +117,11 @@ class NetsimStepper {
   // Learned mode: shared materialized cycle script + private predictor.
   const MaterializedWorkload* mat_ = nullptr;
   std::unique_ptr<Predictor> predictor_;
-  std::vector<double> P_;         // filtered planning row
-  std::vector<ItemId> support_;   // its nonzero entries, ascending
-  // Shared per-cycle scratch.
-  std::vector<double> zeros_;
-  std::vector<double> degraded_;  // oracle-row copy under degradation
+  // The planning row of both modes: the predictor's filtered row and its
+  // support, or the oracle state's scattered row (cleared again after its
+  // cycle). All zeros, with an empty support, during a warmup prefix.
+  std::vector<double> P_;
+  std::vector<ItemId> support_;   // learned row's nonzero entries
   std::size_t executed_ = 0;
   std::uint64_t prev_prefetches_ = 0;
   std::uint64_t plans_ = 0;

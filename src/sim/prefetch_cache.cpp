@@ -110,7 +110,7 @@ SimResult run_requests(const SimSpec& spec, const RequestSource& src,
       hint = learned_support;
     } else if (horizon > 1) {
       // Blended rows widen the support, so no hint.
-      horizon_probabilities_into(*src.chain, state, horizon,
+      horizon_probabilities_into(src.chain->chain(), state, horizon,
                                  kLookaheadDecay, scratch.P);
       inst = InstanceView(scratch.P, r, v);
     } else {

@@ -11,13 +11,13 @@
 // just learned. States outside the cliques are cold entry points that
 // drop the walk into clique A.
 //
-// The result is still a plain MarkovChain — walks, oracle rows (once
-// wrapped in a MarkovSource), successor hints, plan memoization, and the
-// DES all consume it unchanged — but
-// its stationary behaviour alternates hot sets of `hot_set` items each,
-// so any cache with capacity < hot_set thrashes within a clique and
-// any cache with capacity < 2*hot_set thrashes across escapes. Tests
-// pin the plan-cache hit-rate ceiling this produces.
+// The result is still a plain MarkovChain — walks, scattered oracle rows,
+// successor hints, plan memoization, and the DES all consume it
+// unchanged — but its stationary behaviour alternates hot sets of
+// `hot_set` items each, so any cache with capacity < hot_set thrashes
+// within a clique and any cache with capacity < 2*hot_set thrashes
+// across escapes. Tests pin the plan-cache hit-rate ceiling this
+// produces.
 #pragma once
 
 #include "util/rng.hpp"

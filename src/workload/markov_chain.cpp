@@ -219,6 +219,23 @@ std::span<const double> MarkovChain::probabilities(std::size_t state) const {
       offset_[state], offset_[state + 1] - offset_[state]);
 }
 
+void MarkovChain::scatter_row(std::size_t state,
+                              std::span<double> row) const {
+  SKP_REQUIRE(row.size() == v_.size(), "row of " << row.size() << " entries");
+  const std::span<const ItemId> succ = successors(state);
+  const std::span<const double> prob = probabilities(state);
+  for (std::size_t k = 0; k < succ.size(); ++k) {
+    row[static_cast<std::size_t>(succ[k])] = prob[k];
+  }
+}
+
+void MarkovChain::clear_row(std::size_t state, std::span<double> row) const {
+  SKP_REQUIRE(row.size() == v_.size(), "row of " << row.size() << " entries");
+  for (const ItemId t : successors(state)) {
+    row[static_cast<std::size_t>(t)] = 0.0;
+  }
+}
+
 std::size_t MarkovChain::sample_from(std::size_t state, Rng& rng) const {
   const std::span<const ItemId> targets = successors(state);
   const std::span<const double> probs = probabilities(state);

@@ -12,10 +12,9 @@
 // time v_i; each item carries its retrieval time r_i. Transitions are
 // stored sparsely: per state an ascending successor list (out-degree
 // uniform in [out_lo, out_hi]) with aligned Dirichlet(1) probabilities.
-// Drawing and holding a chain costs O(n * degree), so the pipelines that
-// only walk it (materialize_workload) never pay for the n x n dense rows
-// that planning on oracle rows needs — those live in MarkovSource, which
-// wraps a chain.
+// Drawing and holding a chain costs O(n * degree). Planning on oracle
+// rows scatters one state's successors into a reused n-length row
+// (scatter_row/clear_row), so no path holds n x n dense rows.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +71,16 @@ class MarkovChain {
   // and the aligned transition probabilities.
   std::span<const ItemId> successors(std::size_t state) const;
   std::span<const double> probabilities(std::size_t state) const;
+
+  // The one place a dense oracle row is formed. scatter_row writes each
+  // successor's probability of `state` into row[successor]; clear_row
+  // writes +0.0 back over the same entries. Nothing else is touched, so
+  // a row that is +0.0 everywhere before a scatter then holds the dense
+  // next-access row bit for bit, and clearing it under the same
+  // successor list (before the list is redrawn) restores it. `row` must
+  // have n_states() entries. O(degree).
+  void scatter_row(std::size_t state, std::span<double> row) const;
+  void clear_row(std::size_t state, std::span<double> row) const;
 
   // Samples a successor of `state` from `rng`. The chain is read-only, so
   // many walkers (sessions, clients) can share one chain, each keeping

@@ -1,14 +1,16 @@
-// The Markov request source with oracle rows: a MarkovChain (see
-// workload/markov_chain.hpp for the paper's Figure 7 chain) plus its dense
-// next-access rows and a current state.
+// The Markov request source: a MarkovChain (see workload/markov_chain.hpp
+// for the paper's Figure 7 chain), a current state, and one n-length
+// oracle row that view_at scatters the asked state's successors into.
 //
-// Only the consumers that plan on oracle rows hold one — the
-// prefetch_cache driver, oracle netsim_des sessions and multi_client
-// clients, and lookahead blending. The rows cost n x n
-// doubles; pipelines that only walk the chain (materialize_workload, so
-// every learned-predictor driver) hold the bare MarkovChain instead.
+// The prefetch_cache driver and the examples plan on it; the DES drivers
+// hold the bare chain and scatter into their own planning row. Holding a
+// source costs the chain's O(n * degree) plus n doubles, and each view_at
+// of a new state costs O(degree): it clears the row under the previous
+// state's successor list and scatters the new one (MarkovChain::
+// scatter_row), so the row is the dense next-access row bit for bit.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -20,20 +22,21 @@ namespace skp {
 
 class MarkovSource {
  public:
-  // Draws the chain from `rng` (MarkovChain's constructor) and builds its
-  // dense rows.
+  // Draws the chain from `rng` (MarkovChain's constructor).
   MarkovSource(const MarkovSourceConfig& config, Rng& rng);
 
-  // Adds dense rows to a chain — how the zipf and adversarial chains,
-  // and any chain assembled explicitly, drop into every simulator that
-  // plans on oracle rows.
+  // Walks a given chain — how the zipf and adversarial chains, and any
+  // chain assembled explicitly, drop into a simulator that plans on
+  // oracle rows.
   explicit MarkovSource(MarkovChain chain);
 
   // Redraws the chain's transition structure (MarkovChain::
-  // redraw_transitions) and its dense rows, keeping the v/r catalogs and
-  // the current state.
+  // redraw_transitions), keeping the v/r catalogs and the current state.
+  // The row is cleared under the old successor list first and holds no
+  // state afterwards, so the next view_at scatters afresh.
   void redraw_transitions(const MarkovSourceConfig& config, Rng& rng);
 
+  const MarkovChain& chain() const noexcept { return chain_; }
   std::size_t n_states() const noexcept { return chain_.n_states(); }
   std::size_t current_state() const noexcept { return state_; }
 
@@ -47,11 +50,6 @@ class MarkovSource {
     return chain_.retrieval_times();
   }
 
-  // Dense next-access probability row of `state` (length n_states; zeros
-  // for non-successors). This is the oracle P the paper's model
-  // presupposes.
-  std::span<const double> transition_row(std::size_t state) const;
-
   // Successor list of `state` (items with positive probability).
   std::span<const ItemId> successors(std::size_t state) const {
     return chain_.successors(state);
@@ -61,39 +59,28 @@ class MarkovSource {
   // (== requested item id).
   std::size_t step(Rng& rng);
 
-  // Const counterpart: samples a successor of `state` from `rng` without
-  // touching this source. Draw-for-draw identical to step() from the
-  // same state and stream — this is what lets many sessions walk private
-  // trajectories over ONE shared immutable source (each keeps its own
-  // state + walk stream; the chain structure is read-only).
-  std::size_t sample_from(std::size_t state, Rng& rng) const {
-    return chain_.sample_from(state, rng);
-  }
-
-  // Heap bytes behind the source: the chain plus n^2 doubles of dense
-  // rows, which dominate — the shared-catalog savings the capacity bench
-  // measures.
-  std::size_t footprint_bytes() const noexcept;
-
   // Re-seats the chain at `state` without sampling (tests, replays).
   void teleport(std::size_t state);
 
-  // Builds the Instance (P = row of `state`, r = catalog retrieval times,
-  // v = viewing_time(state)) the prefetch engine consumes in that state.
+  // Builds an owning Instance (P = dense row of `state`, r = catalog
+  // retrieval times, v = viewing_time(state)) for callers that keep it.
   Instance instance_at(std::size_t state) const;
 
-  // Borrowed-view counterpart of instance_at: spans over the source-owned
-  // dense row and retrieval-time catalog, copying nothing. This is what
-  // the sim hot loops call once per request; the view is invalidated only
-  // by destroying the source.
-  InstanceView view_at(std::size_t state) const;
+  // Borrowed view of the same instance: spans over the source's one row
+  // and its retrieval-time catalog, copying nothing. The view is valid
+  // until the next view_at or redraw_transitions; a view_at of the state
+  // the row already holds scatters nothing. This is what the sim hot
+  // loops call once per request (a demand victim's row is the next
+  // request's planning row).
+  InstanceView view_at(std::size_t state);
 
  private:
-  void fill_dense_rows();
+  static constexpr std::size_t kNoState = static_cast<std::size_t>(-1);
 
   MarkovChain chain_;
-  std::vector<double> dense_;  // n x n row-major next-access rows
   std::size_t state_ = 0;
+  std::vector<double> row_;          // the row of row_state_, else +0.0
+  std::size_t row_state_ = kNoState;
 };
 
 }  // namespace skp

@@ -5,8 +5,8 @@
 // popular item draws probability proportional to k^-s. This builds that
 // workload as a rank-1 Markov chain — every state carries the SAME
 // next-access row over all items, the Zipf distribution itself — so it
-// drops unchanged into every simulator that walks a MarkovChain or, once
-// wrapped in a MarkovSource, plans on its oracle rows. Requests are therefore
+// drops unchanged into every simulator that walks a MarkovChain or plans
+// on its scattered oracle rows. Requests are therefore
 // i.i.d. Zipf draws, but with a persistent item catalog (fixed per-item
 // retrieval times and per-state viewing times), unlike the
 // flush-per-iteration prefetch-only protocol.

@@ -26,7 +26,7 @@ AdversarialSourceConfig small() {
 TEST(AdversarialSource, CliqueRowStructure) {
   Rng rng(7);
   const auto cfg = small();
-  const MarkovSource src(make_adversarial_chain(cfg, rng));
+  MarkovSource src(make_adversarial_chain(cfg, rng));
   const std::size_t h = cfg.hot_set;
   ASSERT_EQ(src.n_states(), cfg.n_items);
 
@@ -36,7 +36,7 @@ TEST(AdversarialSource, CliqueRowStructure) {
   const double defect = cfg.escape_prob / static_cast<double>(h);
   for (std::size_t s = 0; s < 2 * h; ++s) {
     const bool in_a = s < h;
-    const auto row = src.transition_row(s);
+    const auto row = src.view_at(s).P;
     double sum = 0.0;
     for (std::size_t j = 0; j < src.n_states(); ++j) {
       sum += row[j];
@@ -59,7 +59,7 @@ TEST(AdversarialSource, CliqueRowStructure) {
 
   // Cold states drop the walk uniformly into clique A.
   for (std::size_t s = 2 * h; s < cfg.n_items; ++s) {
-    const auto row = src.transition_row(s);
+    const auto row = src.view_at(s).P;
     double sum = 0.0;
     for (std::size_t j = 0; j < src.n_states(); ++j) {
       sum += row[j];

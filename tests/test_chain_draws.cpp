@@ -6,8 +6,8 @@
 // digest mismatch naming the config.
 //
 // The expected values pin every draw bit for bit: a bare MarkovChain and
-// a MarkovSource (whose probabilities are read back from its dense rows)
-// must both reproduce them. Refresh (only for a deliberate change of the
+// a MarkovSource (whose probabilities are read back from the row its
+// view_at scatters) must both reproduce them. Refresh (only for a deliberate change of the
 // draws) with
 //   test_chain_draws --gtest_also_run_disabled_tests
 //                    --gtest_filter='*PrintDigestTables*'
@@ -103,16 +103,16 @@ struct Digest {
 };
 
 // The transition probabilities of `state`'s successors: a chain's aligned
-// list, or a source's dense row read at each successor.
+// list, or a source's row read at each successor.
 std::vector<double> successor_probabilities(const MarkovChain& chain,
                                             std::size_t state) {
   const auto p = chain.probabilities(state);
   return {p.begin(), p.end()};
 }
 
-std::vector<double> successor_probabilities(const MarkovSource& src,
+std::vector<double> successor_probabilities(MarkovSource& src,
                                             std::size_t state) {
-  const auto row = src.transition_row(state);
+  const auto row = src.view_at(state).P;
   std::vector<double> p;
   for (const ItemId t : src.successors(state)) {
     p.push_back(row[static_cast<std::size_t>(t)]);
@@ -122,8 +122,11 @@ std::vector<double> successor_probabilities(const MarkovSource& src,
 
 // Catalogs, successor lists with their probabilities, the drawing
 // stream's next output and a 200-step walk.
+const MarkovChain& chain_of(const MarkovChain& chain) { return chain; }
+const MarkovChain& chain_of(const MarkovSource& src) { return src.chain(); }
+
 template <typename Chain>
-std::uint64_t draw_digest(const Chain& chain, const Rng& after_draw,
+std::uint64_t draw_digest(Chain& chain, const Rng& after_draw,
                           std::uint64_t walk_seed) {
   Digest d;
   const std::size_t n = chain.n_states();
@@ -144,7 +147,7 @@ std::uint64_t draw_digest(const Chain& chain, const Rng& after_draw,
   Rng walk(walk_seed);
   std::size_t state = 0;
   for (int i = 0; i < 200; ++i) {
-    state = chain.sample_from(state, walk);
+    state = chain_of(chain).sample_from(state, walk);
     d.add(static_cast<std::uint64_t>(state));
   }
   return d.h;
@@ -331,8 +334,8 @@ TEST(ChainDraws, MaterializedWorkloadsMatchPinnedDigests) {
 }
 
 // materialize_workload walks the bare chain; the reference walks a
-// MarkovSource (dense rows and all) drawn from the same streams with
-// step(), redrawing it at the same changepoints.
+// MarkovSource drawn from the same streams with step(), redrawing it at
+// the same changepoints.
 TEST(ChainDraws, MaterializedCyclesWalkASourceDrawnFromTheSameStreams) {
   for (const SimWorkloadKind kind :
        {SimWorkloadKind::Markov, SimWorkloadKind::MarkovDrift,
@@ -373,13 +376,13 @@ TEST(ChainDraws, MaterializedCyclesWalkASourceDrawnFromTheSameStreams) {
   }
 }
 
-// A learned spec grounds without any n x n term: at n = 20000 a dense row
-// per state would be 3.2 GB of doubles.
+// A spec grounds without any n x n term: at n = 20000 a dense row per
+// state would be 3.2 GB of doubles. A learned catalog keeps the cycle
+// script walked from the chain, an oracle catalog the chain itself.
 TEST(ChainDraws, WalkOnlyGroundingHasNoQuadraticTerm) {
   constexpr std::size_t n = 20000;
   SimSpec spec;
   spec.driver = SimDriverKind::NetsimDes;
-  spec.predictor = PredictorKind::Markov1;
   spec.workload.n_items = n;
   spec.requests = 1000;
   const std::size_t bound = 64 * n * spec.workload.out_degree_hi;
@@ -388,13 +391,21 @@ TEST(ChainDraws, WalkOnlyGroundingHasNoQuadraticTerm) {
   const MarkovChain chain(to_markov_config(spec.workload), build);
   EXPECT_LT(chain.footprint_bytes(), bound);
 
-  // Peak heap reached while grounding, over what was live before.
-  const std::size_t before = g_live.load();
-  g_peak.store(before);
-  const std::shared_ptr<const SharedCatalog> catalog =
-      SharedCatalog::build(spec);
-  EXPECT_LT(g_peak.load() - before, bound);
-  EXPECT_EQ(catalog->materialized().cycles.size(), spec.requests);
+  for (const PredictorKind predictor :
+       {PredictorKind::Markov1, PredictorKind::Oracle}) {
+    spec.predictor = predictor;
+    // Peak heap reached while grounding, over what was live before.
+    const std::size_t before = g_live.load();
+    g_peak.store(before);
+    const std::shared_ptr<const SharedCatalog> catalog =
+        SharedCatalog::build(spec);
+    EXPECT_LT(g_peak.load() - before, bound) << to_string(predictor);
+    if (catalog->oracle()) {
+      EXPECT_EQ(catalog->chain().n_states(), n);
+    } else {
+      EXPECT_EQ(catalog->materialized().cycles.size(), spec.requests);
+    }
+  }
 }
 
 TEST(ChainDraws, OutDegreeBoundMustFitTheSignedDraw) {

@@ -204,7 +204,7 @@ SimResult session_ds_dense() {
   std::size_t state = source.current_state();
   for (int i = 0; i < 1500; ++i) {
     const double v = source.viewing_time(state) / 4.0;
-    const std::span<const double> row = source.transition_row(state);
+    const std::span<const double> row = source.view_at(state).P;
     const auto next = static_cast<ItemId>(source.step(walk));
     session.request(next, v, row);
     state = static_cast<std::size_t>(next);

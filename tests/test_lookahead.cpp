@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "sim/prefetch_cache.hpp"
+#include "workload/markov_source.hpp"
 
 namespace skp {
 namespace {
@@ -70,23 +74,26 @@ TEST(Lookahead, Validation) {
 }
 
 TEST(Lookahead, MarkovSourceOverloadMatchesMatrixOverload) {
+  // The chain overload a MarkovSource plans with steps over successor
+  // lists; the dense matrix overload is the reference, bit for bit.
   Rng rng(71);
   MarkovSourceConfig cfg;
   cfg.n_states = 15;
   cfg.out_degree_lo = 3;
   cfg.out_degree_hi = 5;
   const MarkovSource src(cfg, rng);
-  // Dense copy of the transition matrix.
   std::vector<std::vector<double>> m(cfg.n_states);
-  for (std::size_t s = 0; s < cfg.n_states; ++s) {
-    const auto row = src.transition_row(s);
-    m[s].assign(row.begin(), row.end());
-  }
-  for (std::size_t s = 0; s < cfg.n_states; ++s) {
-    const auto a = horizon_probabilities(src, s, 3, 0.6);
-    const auto b = horizon_probabilities(m, m[s], 3, 0.6);
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      EXPECT_NEAR(a[j], b[j], 1e-12);
+  for (std::size_t s = 0; s < cfg.n_states; ++s) m[s] = src.instance_at(s).P;
+  for (std::size_t h = 1; h <= 4; ++h) {
+    for (std::size_t s = 0; s < cfg.n_states; ++s) {
+      const auto a = horizon_probabilities(src.chain(), s, h, 0.6);
+      const auto b = horizon_probabilities(m, m[s], h, 0.6);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t j = 0; j < a.size(); ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a[j]),
+                  std::bit_cast<std::uint64_t>(b[j]))
+            << "h=" << h << " s=" << s << " j=" << j;
+      }
     }
   }
 }

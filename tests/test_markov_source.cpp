@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <vector>
+
+#include "workload/adversarial_source.hpp"
+#include "workload/zipf_source.hpp"
 
 namespace skp {
 namespace {
@@ -74,9 +81,9 @@ TEST(MarkovSource, OutDegreesWithinBounds) {
 
 TEST(MarkovSource, RowsAreProbabilityDistributions) {
   Rng rng(5);
-  const MarkovSource src(small_config(), rng);
+  MarkovSource src(small_config(), rng);
   for (std::size_t s = 0; s < src.n_states(); ++s) {
-    const auto row = src.transition_row(s);
+    const auto row = src.view_at(s).P;
     double sum = 0;
     for (double p : row) {
       EXPECT_GE(p, 0.0);
@@ -88,9 +95,9 @@ TEST(MarkovSource, RowsAreProbabilityDistributions) {
 
 TEST(MarkovSource, NoSelfLoopsByDefault) {
   Rng rng(6);
-  const MarkovSource src(small_config(), rng);
+  MarkovSource src(small_config(), rng);
   for (std::size_t s = 0; s < src.n_states(); ++s) {
-    EXPECT_DOUBLE_EQ(src.transition_row(s)[s], 0.0);
+    EXPECT_DOUBLE_EQ(src.view_at(s).P[s], 0.0);
   }
 }
 
@@ -100,19 +107,19 @@ TEST(MarkovSource, SelfLoopsWhenAllowed) {
   cfg.allow_self_loop = true;
   cfg.out_degree_lo = cfg.n_states;  // force full fan-out
   cfg.out_degree_hi = cfg.n_states;
-  const MarkovSource src(cfg, rng);
+  MarkovSource src(cfg, rng);
   bool any_self = false;
   for (std::size_t s = 0; s < src.n_states(); ++s) {
-    if (src.transition_row(s)[s] > 0.0) any_self = true;
+    if (src.view_at(s).P[s] > 0.0) any_self = true;
   }
   EXPECT_TRUE(any_self);
 }
 
 TEST(MarkovSource, SuccessorsMatchDenseRow) {
   Rng rng(8);
-  const MarkovSource src(small_config(), rng);
+  MarkovSource src(small_config(), rng);
   for (std::size_t s = 0; s < src.n_states(); ++s) {
-    const auto row = src.transition_row(s);
+    const auto row = src.view_at(s).P;
     std::set<ItemId> from_row;
     for (std::size_t j = 0; j < row.size(); ++j) {
       if (row[j] > 0.0) from_row.insert(static_cast<ItemId>(j));
@@ -142,7 +149,7 @@ TEST(MarkovSource, StepFrequenciesTrackProbabilities) {
   Rng rng(11);
   MarkovSource src(small_config(), rng);
   src.teleport(0);
-  const auto row = src.transition_row(0);
+  const auto row = src.view_at(0).P;
   std::vector<int> counts(src.n_states(), 0);
   Rng walk(12);
   const int trials = 200000;
@@ -165,12 +172,12 @@ TEST(MarkovSource, TeleportValidation) {
 
 TEST(MarkovSource, InstanceAtMatchesRowAndTimes) {
   Rng rng(14);
-  const MarkovSource src(small_config(), rng);
+  MarkovSource src(small_config(), rng);
   const Instance inst = src.instance_at(3);
   EXPECT_NO_THROW(inst.validate());
   EXPECT_EQ(inst.n(), src.n_states());
   EXPECT_DOUBLE_EQ(inst.v, src.viewing_time(3));
-  const auto row = src.transition_row(3);
+  const auto row = src.view_at(3).P;
   for (std::size_t j = 0; j < inst.n(); ++j) {
     EXPECT_DOUBLE_EQ(inst.P[j], row[j]);
     EXPECT_DOUBLE_EQ(inst.r[j],
@@ -180,15 +187,77 @@ TEST(MarkovSource, InstanceAtMatchesRowAndTimes) {
 
 TEST(MarkovSource, DeterministicInSeed) {
   Rng rng1(15), rng2(15);
-  const MarkovSource a(small_config(), rng1);
-  const MarkovSource b(small_config(), rng2);
+  MarkovSource a(small_config(), rng1);
+  MarkovSource b(small_config(), rng2);
   for (std::size_t s = 0; s < a.n_states(); ++s) {
     EXPECT_DOUBLE_EQ(a.viewing_time(s), b.viewing_time(s));
-    const auto ra = a.transition_row(s);
-    const auto rb = b.transition_row(s);
+    const auto ra = a.view_at(s).P;
+    const auto rb = b.view_at(s).P;
     for (std::size_t j = 0; j < ra.size(); ++j) {
       EXPECT_DOUBLE_EQ(ra[j], rb[j]);
     }
+  }
+}
+
+// The row view_at hands out is the chain's successor scatter of `state`
+// bit for bit, and the bit pattern of +0.0 everywhere else.
+void expect_row_is_scatter(const MarkovSource& src, const InstanceView& view,
+                           std::size_t state, const char* name,
+                           const char* step) {
+  const MarkovChain& chain = src.chain();
+  std::vector<std::uint64_t> want(chain.n_states(), 0);
+  const auto succ = chain.successors(state);
+  const auto prob = chain.probabilities(state);
+  for (std::size_t k = 0; k < succ.size(); ++k) {
+    want[static_cast<std::size_t>(succ[k])] =
+        std::bit_cast<std::uint64_t>(prob[k]);
+  }
+  ASSERT_EQ(view.P.size(), want.size()) << name << " " << step;
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(view.P[j]), want[j])
+        << name << " " << step << ": state " << state << ", entry " << j;
+  }
+  EXPECT_EQ(view.v, chain.viewing_time(state)) << name << " " << step;
+  EXPECT_EQ(view.r.data(), chain.retrieval_times().data());
+}
+
+TEST(MarkovSource, ViewAtRowIsTheChainScatterBitForBit) {
+  struct RowCase {
+    const char* name;
+    std::function<MarkovChain(Rng&)> make;
+    bool drifts;  // redraw_transitions between the two sequences
+  };
+  const MarkovSourceConfig markov = small_config();
+  ZipfSourceConfig zipf;
+  zipf.n_items = 20;
+  AdversarialSourceConfig adversarial;
+  adversarial.n_items = 20;
+  adversarial.hot_set = 6;
+  const RowCase cases[] = {
+      {"markov", [&](Rng& rng) { return MarkovChain(markov, rng); }, false},
+      {"zipf", [&](Rng& rng) { return make_zipf_chain(zipf, rng); }, false},
+      {"adversarial",
+       [&](Rng& rng) { return make_adversarial_chain(adversarial, rng); },
+       false},
+      {"drifted", [&](Rng& rng) { return MarkovChain(markov, rng); }, true},
+  };
+  for (const RowCase& c : cases) {
+    Rng build(17);
+    MarkovSource src(c.make(build));
+    Rng drift(18);
+    // s, t and s again (a held state's view scatters nothing, another
+    // state's clears the held one first), twice, with the chain redrawn
+    // in between when it drifts. The redraw happens while the row holds
+    // s, and the next view asks for s: it must clear the row under the
+    // old successor list and forget that it held s.
+    for (const char* round : {"first", "second"}) {
+      for (const std::size_t state : {3, 11, 3, 3, 0, 11, 3}) {
+        expect_row_is_scatter(src, src.view_at(state), state, c.name, round);
+      }
+      if (c.drifts) src.redraw_transitions(markov, drift);
+    }
+    // One row backs every view.
+    EXPECT_EQ(src.view_at(2).P.data(), src.view_at(5).P.data()) << c.name;
   }
 }
 

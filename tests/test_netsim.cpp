@@ -212,7 +212,7 @@ TEST(ClientSession, PlanCacheOnOffBitIdentical) {
   std::size_t state = source.current_state();
   for (int i = 0; i < 600; ++i) {
     const double v = source.viewing_time(state);
-    const std::span<const double> row = source.transition_row(state);
+    const std::span<const double> row = source.view_at(state).P;
     const auto next = static_cast<ItemId>(source.step(walk));
     const double t_plain = plain.request(next, v, row);
     const double t_memo = memoized.request(next, v, row, std::nullopt,
@@ -287,7 +287,7 @@ TEST(ClientSession, OracleSupportMatchesDensePath) {
     std::size_t state = source.current_state();
     for (int i = 0; i < 1500; ++i) {
       const double v = source.viewing_time(state);
-      const std::span<const double> row = source.transition_row(state);
+      const std::span<const double> row = source.view_at(state).P;
       const auto next = static_cast<ItemId>(source.step(walk));
       const std::optional<std::uint64_t> key =
           memo ? std::optional<std::uint64_t>(state) : std::nullopt;

@@ -30,8 +30,8 @@ TEST(ZipfSource, TailExponentMatchesConfiguredS) {
   // cancels in the ratio).
   for (const double s : {0.7, 1.1, 2.0}) {
     Rng rng(11);
-    const MarkovSource src(make_zipf_chain(unshuffled_zipf(64, s), rng));
-    const auto row = src.transition_row(0);
+    MarkovSource src(make_zipf_chain(unshuffled_zipf(64, s), rng));
+    const auto row = src.view_at(0).P;
     for (const std::size_t k : {1UL, 7UL, 63UL}) {
       const double slope = std::log(row[0] / row[k]) /
                            std::log(static_cast<double>(k + 1));
@@ -42,8 +42,8 @@ TEST(ZipfSource, TailExponentMatchesConfiguredS) {
 
 TEST(ZipfSource, RowIsANormalizedDistributionSharedByAllStates) {
   Rng rng(3);
-  const MarkovSource src(make_zipf_chain(unshuffled_zipf(32, 1.1), rng));
-  const auto row0 = src.transition_row(0);
+  MarkovSource src(make_zipf_chain(unshuffled_zipf(32, 1.1), rng));
+  const std::vector<double> row0 = src.instance_at(0).P;
   double sum = 0.0;
   for (const double p : row0) {
     EXPECT_GT(p, 0.0);
@@ -53,7 +53,7 @@ TEST(ZipfSource, RowIsANormalizedDistributionSharedByAllStates) {
   // Rank-1 chain: every state carries the identical row and the full
   // catalog as successor list.
   for (const std::size_t state : {5UL, 31UL}) {
-    const auto row = src.transition_row(state);
+    const auto row = src.view_at(state).P;
     for (std::size_t i = 0; i < row.size(); ++i) {
       EXPECT_EQ(row[i], row0[i]);
     }
@@ -69,15 +69,15 @@ TEST(ZipfSource, FixedSeedReproducible) {
   ZipfSourceConfig cfg;
   cfg.n_items = 40;
   Rng a(99), b(99);
-  const MarkovSource s1(make_zipf_chain(cfg, a));
-  const MarkovSource s2(make_zipf_chain(cfg, b));
+  MarkovSource s1(make_zipf_chain(cfg, a));
+  MarkovSource s2(make_zipf_chain(cfg, b));
   for (std::size_t i = 0; i < cfg.n_items; ++i) {
     EXPECT_EQ(s1.viewing_time(i), s2.viewing_time(i));
     EXPECT_EQ(s1.retrieval_time(static_cast<ItemId>(i)),
               s2.retrieval_time(static_cast<ItemId>(i)));
   }
-  const auto r1 = s1.transition_row(0);
-  const auto r2 = s2.transition_row(0);
+  const auto r1 = s1.view_at(0).P;
+  const auto r2 = s2.view_at(0).P;
   for (std::size_t i = 0; i < r1.size(); ++i) EXPECT_EQ(r1[i], r2[i]);
   // Identical walks from identical streams.
   MarkovSource w1 = s1, w2 = s2;
@@ -103,7 +103,7 @@ TEST(MarkovSourceExplicit, ValidatesStructure) {
   const std::vector<double> v{10.0, 20.0};
   const std::vector<double> r{1.0, 2.0};
   // Row of state 0 -> state 1, row of state 1 -> state 0. The chain
-  // validates; the source adds its dense rows.
+  // validates; the source walks it.
   EXPECT_NO_THROW(
       MarkovSource(MarkovChain(v, r, {{1}, {0}}, {{1.0}, {1.0}})));
   // Probabilities must sum to 1.
@@ -137,8 +137,8 @@ TEST(MarkovDrift, RedrawChangesTransitionsKeepsCatalogs) {
                                      src.retrieval_times().end());
   std::vector<std::vector<double>> rows_before;
   for (std::size_t s = 0; s < cfg.n_states; ++s) {
-    rows_before.emplace_back(src.transition_row(s).begin(),
-                             src.transition_row(s).end());
+    rows_before.emplace_back(src.view_at(s).P.begin(),
+                             src.view_at(s).P.end());
   }
 
   Rng drift(7);
@@ -148,7 +148,7 @@ TEST(MarkovDrift, RedrawChangesTransitionsKeepsCatalogs) {
   for (std::size_t s = 0; s < cfg.n_states; ++s) {
     EXPECT_EQ(src.viewing_time(s), v_before[s]);
     EXPECT_EQ(src.retrieval_times()[s], r_before[s]);
-    const auto row = src.transition_row(s);
+    const auto row = src.view_at(s).P;
     double sum = 0.0;
     for (std::size_t i = 0; i < row.size(); ++i) {
       sum += row[i];
@@ -172,9 +172,9 @@ TEST(MarkovDrift, ChangepointsAreDeterministic) {
   s3.redraw_transitions(cfg, d3);
   bool diverged = false;
   for (std::size_t s = 0; s < cfg.n_states; ++s) {
-    const auto r1 = s1.transition_row(s);
-    const auto r2 = s2.transition_row(s);
-    const auto r3 = s3.transition_row(s);
+    const auto r1 = s1.view_at(s).P;
+    const auto r2 = s2.view_at(s).P;
+    const auto r3 = s3.view_at(s).P;
     for (std::size_t i = 0; i < r1.size(); ++i) {
       EXPECT_EQ(r1[i], r2[i]);
       if (r1[i] != r3[i]) diverged = true;
