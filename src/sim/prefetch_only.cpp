@@ -9,6 +9,14 @@
 
 namespace skp {
 
+namespace {
+
+// Figure 5 keeps one bin per integer viewing time, allocated before the
+// first iteration; every bench, test and example range has at most 500.
+constexpr double kMaxViewingBins = 65536.0;
+
+}  // namespace
+
 SimResult run_prefetch_only(const SimSpec& spec) {
   return run_prefetch_only(spec, {});
 }
@@ -39,6 +47,12 @@ SimResult run_prefetch_only(const SimSpec& spec,
   SKP_REQUIRE(w.n_items >= 1, "n_items");
   SKP_REQUIRE(w.r_lo > 0 && w.r_lo <= w.r_hi, "r range");
   SKP_REQUIRE(w.v_lo >= 0 && w.v_lo <= w.v_hi, "v range");
+  SKP_REQUIRE(std::isfinite(w.v_hi), "v_hi = " << w.v_hi
+                                               << " must be finite");
+  SKP_REQUIRE(std::ceil(w.v_hi) - std::floor(w.v_lo) + 1.0 <= kMaxViewingBins,
+              "viewing range [" << w.v_lo << ", " << w.v_hi << "] needs "
+                                << "more than " << kMaxViewingBins
+                                << " Figure-5 bins");
   SKP_REQUIRE(scatter.size() <= spec.requests,
               "scatter buffer of " << scatter.size() << " exceeds the "
                                    << spec.requests << " iterations");

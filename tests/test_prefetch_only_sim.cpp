@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -164,6 +165,18 @@ TEST(PrefetchOnlySim, ConfigValidation) {
   cfg.workload.n_items = 10;
   cfg.workload.r_lo = 0.0;
   EXPECT_THROW(run_prefetch_only(cfg), std::invalid_argument);
+  // Figure 5's bins are allocated up front, one per integer viewing
+  // time: a range with too many bins, or an infinite one, is rejected
+  // before anything is allocated.
+  cfg.workload.r_lo = 1.0;
+  for (const double v_hi : {1e15, std::numeric_limits<double>::infinity()}) {
+    cfg.workload.v_hi = v_hi;
+    EXPECT_THROW(run_prefetch_only(cfg), std::invalid_argument) << v_hi;
+  }
+  // The paper's 1..100 still runs.
+  cfg.workload.v_hi = 100.0;
+  cfg.requests = 100;
+  EXPECT_NO_THROW(run_prefetch_only(cfg));
 }
 
 }  // namespace
