@@ -179,15 +179,11 @@ void require_replayable(const SimSpec& spec) {
   require_reliable_full_effort(spec, "trace_replay");
 }
 
+// A learned replay builds no memo tier, so its result holds the metrics
+// and the over-viewing count.
 SimResult replay_unchecked(const Trace& trace, const SimSpec& spec) {
-  const SimResult res =
-      run_requests(spec, RequestSource{nullptr, nullptr, 0, &trace},
-                   SlotCache(trace.n_items(), spec.cache_size), 1);
-  // A replay reports its metrics alone: the over-viewing count is a
-  // prefetch_cache diagnostic, and a learned replay builds no memo tier.
-  SimResult out;
-  out.metrics = res.metrics;
-  return out;
+  return run_requests(spec, RequestSource{nullptr, nullptr, 0, &trace},
+                      SlotCache(trace.n_items(), spec.cache_size), 1);
 }
 
 }  // namespace

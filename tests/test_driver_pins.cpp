@@ -478,9 +478,9 @@ const RunSimPinRow kRunSimPins[] = {
     {"cache_lz78_threshold", 565, 2422, 2008, 1677, 3222, 377, 0, 0, 0, 0, 12.067333333333369, 72224, 0x0000000000000000ull},
     {"cache_sized_coupled", 774, 709, 5494, 4730, 25793, 158, 0, 0, 625, 875, 7.764666666666681, 86832, 0x0000000000000000ull},
     {"cache_sized_uniform", 790, 696, 5470, 4687, 25526, 154, 0, 0, 542, 958, 7.6039999999999974, 86368, 0x0000000000000000ull},
-    {"replay_markov_markov1", 1447, 286, 5032, 3678, 11695, 0, 0, 0, 0, 0, 3.1850000000000023, 72974, 0x0000000000000000ull},
-    {"replay_markov_perfect", 1628, 76, 1301, 0, 0, 0, 0, 0, 0, 0, 1.1466666666666674, 16936, 0x0000000000000000ull},
-    {"replay_trace_text_ppm", 1412, 357, 5278, 3987, 14335, 0, 0, 0, 0, 0, 3.6311111111111045, 76801, 0x0000000000000000ull},
+    {"replay_markov_markov1", 1447, 286, 5032, 3678, 11695, 92, 0, 0, 0, 0, 3.1850000000000023, 72974, 0x0000000000000000ull},
+    {"replay_markov_perfect", 1628, 76, 1301, 0, 0, 56, 0, 0, 0, 0, 1.1466666666666674, 16936, 0x0000000000000000ull},
+    {"replay_trace_text_ppm", 1412, 357, 5278, 3987, 14335, 130, 0, 0, 0, 0, 3.6311111111111045, 76801, 0x0000000000000000ull},
     {"replay_iid_lz78_kp", 1567, 233, 1905, 1807, 18918, 0, 0, 0, 0, 0, 1.6855555555555548, 29879, 0x0000000000000000ull},
     {"only_skewy_skp_exact", 2948, 677, 15177, 11854, 25727, 0, 0, 0, 0, 0, 4.017499999999985, 227234, 0x3f13ef2432640c83ull},
     {"only_skewy_kp", 3005, 995, 15522, 12517, 61980, 0, 0, 0, 0, 0, 4.7900000000000293, 208013, 0x0245c282cfaa419cull},
