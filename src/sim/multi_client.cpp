@@ -25,7 +25,8 @@ struct Client {
   PredictorKind kind = PredictorKind::Oracle;
   std::vector<TraceRecord> cycles;       // learned drive script
   // The planning row: the predictor's filtered row, or an oracle
-  // client's scattered chain row (cleared again after each use).
+  // client's scattered chain row (+0.0 off the row of `state` between
+  // cycles; each cycle clears its row after planning).
   std::vector<double> P;
   std::vector<ItemId> support;           // learned row's nonzero entries
   std::optional<ResidentSet<SlotCache>> book;
@@ -274,14 +275,14 @@ SimResult run_multi_client(const SimSpec& spec) {
         // paper's no-abort assumption, now spanning all clients. The
         // victim is chosen under the next state's oracle row, or for a
         // learned client under the row in force this cycle (its
-        // chainless analogue).
-        const auto s = static_cast<std::size_t>(next);
+        // chainless analogue). The oracle row stays scattered: it is the
+        // next cycle's planning row, which that cycle clears.
         me.book->admit_demand(next, &me.metrics, [&] {
           if (me.predictor) return InstanceView(me.P, r, v);
+          const auto s = static_cast<std::size_t>(next);
           me.chain->scatter_row(s, me.P);
           return InstanceView(me.P, r, me.chain->viewing_time(s));
         });
-        if (me.chain) me.chain->clear_row(s, me.P);
         const double finish = enqueue(r[Instance::idx(next)]);
         me.completion[Instance::idx(next)] = finish;
         T = finish - t_req;
