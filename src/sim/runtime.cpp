@@ -388,7 +388,7 @@ MaterializedWorkload materialize_workload(const SimWorkload& w,
     case SimWorkloadKind::MarkovDrift:
     case SimWorkloadKind::Zipf:
     case SimWorkloadKind::Adversarial: {
-      // A walk needs only the sparse chain, never its dense rows.
+      // A walk needs only the sparse chain.
       const MarkovSourceConfig mcfg = to_markov_config(w);
       MarkovChain chain = make_workload_chain(w, build);
       Rng drift_rng = build.split(kPrefetchCacheDriftSalt);

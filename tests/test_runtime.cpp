@@ -428,7 +428,7 @@ TEST(SimRuntime, NetsimDesHonorsLinkScheduleInStaleEstimateRegime) {
 
 TEST(SimRuntime, AdversarialWorkloadRunsOnEveryHonoringDriver) {
   // prefetch_cache, netsim_des and multi_client all accept the
-  // adversarial chain (it is a plain MarkovSource under the hood).
+  // adversarial chain (it is a plain MarkovChain under the hood).
   SimSpec pc;
   pc.driver = SimDriverKind::PrefetchCache;
   pc.workload.kind = SimWorkloadKind::Adversarial;
