@@ -75,7 +75,9 @@ TEST(Lookahead, Validation) {
 
 TEST(Lookahead, MarkovSourceOverloadMatchesMatrixOverload) {
   // The chain overload a MarkovSource plans with steps over successor
-  // lists; the dense matrix overload is the reference, bit for bit.
+  // lists; the dense matrix overload is the reference, bit for bit. The
+  // two share the blend kernel, so an FNV-1a digest of the blends (the
+  // value the dense rows produced) also pins the order it sums in.
   Rng rng(71);
   MarkovSourceConfig cfg;
   cfg.n_states = 15;
@@ -84,6 +86,7 @@ TEST(Lookahead, MarkovSourceOverloadMatchesMatrixOverload) {
   const MarkovSource src(cfg, rng);
   std::vector<std::vector<double>> m(cfg.n_states);
   for (std::size_t s = 0; s < cfg.n_states; ++s) m[s] = src.instance_at(s).P;
+  std::uint64_t digest = 0xcbf29ce484222325ull;
   for (std::size_t h = 1; h <= 4; ++h) {
     for (std::size_t s = 0; s < cfg.n_states; ++s) {
       const auto a = horizon_probabilities(src.chain(), s, h, 0.6);
@@ -93,9 +96,12 @@ TEST(Lookahead, MarkovSourceOverloadMatchesMatrixOverload) {
         EXPECT_EQ(std::bit_cast<std::uint64_t>(a[j]),
                   std::bit_cast<std::uint64_t>(b[j]))
             << "h=" << h << " s=" << s << " j=" << j;
+        digest = (digest ^ std::bit_cast<std::uint64_t>(a[j])) *
+                 0x100000001b3ull;
       }
     }
   }
+  EXPECT_EQ(digest, 0xe7305056f6723bb9ull);
 }
 
 TEST(Lookahead, HorizonTwoMatchesHandChainCalculation) {
