@@ -52,10 +52,10 @@ struct Instance {
 
 // Borrowed view of an instance: spans over storage owned elsewhere (an
 // Instance, a chain row scattered into a reused buffer + catalog
-// retrieval times, a predictor's output buffer). The planning hot path runs entirely on views
-// so per-request planning copies nothing; an owning Instance converts
-// implicitly, so every solver/model entry point accepts either. The view
-// must not outlive the storage it borrows.
+// retrieval times, a predictor's output buffer). The planning hot path
+// runs entirely on views so per-request planning copies nothing; an
+// owning Instance converts implicitly, so every solver/model entry point
+// accepts either. The view must not outlive the storage it borrows.
 struct InstanceView {
   std::span<const double> P;
   std::span<const double> r;

@@ -7,8 +7,8 @@
 //
 // The expected values pin every draw bit for bit: a bare MarkovChain and
 // a MarkovSource (whose probabilities are read back from the row its
-// view_at scatters) must both reproduce them. Refresh (only for a deliberate change of the
-// draws) with
+// view_at scatters) must both reproduce them. Refresh (only for a
+// deliberate change of the draws) with
 //   test_chain_draws --gtest_also_run_disabled_tests
 //                    --gtest_filter='*PrintDigestTables*'
 //
@@ -120,11 +120,12 @@ std::vector<double> successor_probabilities(MarkovSource& src,
   return p;
 }
 
-// Catalogs, successor lists with their probabilities, the drawing
-// stream's next output and a 200-step walk.
+// The chain a walk samples from.
 const MarkovChain& chain_of(const MarkovChain& chain) { return chain; }
 const MarkovChain& chain_of(const MarkovSource& src) { return src.chain(); }
 
+// Catalogs, successor lists with their probabilities, the drawing
+// stream's next output and a 200-step walk.
 template <typename Chain>
 std::uint64_t draw_digest(Chain& chain, const Rng& after_draw,
                           std::uint64_t walk_seed) {
