@@ -7,17 +7,18 @@
 //   --csv <dir>     also write each series as CSV files into <dir>, which
 //                   must already exist
 //   --threads <n>   worker threads for the sweep drivers (0 = one per
-//                   hardware thread, the default; 1 = serial). Sweep
-//                   results are bit-identical for every thread count —
-//                   each sim point is independently seeded — so this only
-//                   changes wall-clock.
+//                   hardware thread, the default; 1 = serial; at most
+//                   kMaxThreads = 1024). Sweep results are bit-identical
+//                   for every thread count — each sim point is
+//                   independently seeded — so this only changes
+//                   wall-clock.
 //   --no-plan-cache disable cross-request plan memoization in sims that
 //                   support it (A/B switch; results are bit-identical
 //                   either way, only wall-clock changes)
 //
-// Bad input (an unknown flag, a missing or non-numeric value, a --csv
-// directory that does not exist) exits 2 with a message before the bench
-// runs anything.
+// Bad input (an unknown flag, a missing or non-numeric value, a thread
+// count past the cap, a --csv directory that does not exist) exits 2 with
+// a message before the bench runs anything.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include <string>
 
 #include "util/parse_digits.hpp"
+#include "util/thread_pool.hpp"
 
 namespace skp::bench {
 
@@ -71,8 +73,13 @@ inline BenchArgs parse_args(int argc, char** argv) {
                    "' is not an existing directory");
       }
     } else if (a == "--threads" && i + 1 < argc) {
-      args.threads =
-          static_cast<std::size_t>(parse_u64(argv[++i], "--threads"));
+      const std::uint64_t threads = parse_u64(argv[++i], "--threads");
+      if (threads > skp::kMaxThreads) {
+        reject_arg("--threads: " + std::to_string(threads) +
+                   " exceeds the cap of " +
+                   std::to_string(skp::kMaxThreads));
+      }
+      args.threads = static_cast<std::size_t>(threads);
     } else if (a == "--no-plan-cache") {
       args.no_plan_cache = true;
     } else if (a == "--help" || a == "-h") {

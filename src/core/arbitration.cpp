@@ -69,11 +69,8 @@ ItemId choose_victim_in_order(InstanceView inst,
   return victim;
 }
 
-bool admits_prefetch(InstanceView inst, ItemId f, ItemId d,
-                     const ArbitrationConfig& cfg) {
-  const double pf = inst.profit(f);
-  const double pd = inst.profit(d);
-  return cfg.strict_ties ? (pf > pd) : (pf >= pd);
+bool admits_prefetch(InstanceView inst, ItemId f, ItemId d) {
+  return inst.profit(f) >= inst.profit(d);
 }
 
 void VictimSet::clear() {

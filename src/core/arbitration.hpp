@@ -2,17 +2,14 @@
 //
 // Pr-arbitration: a prefetch candidate f may evict a cached victim d only
 // if d has the minimal Pr value P_d * r_d in the cache and (per the
-// Figure-6 listing) P_f r_f is not smaller than P_d r_d. Demand-fetched
-// items must always find a victim and need only the minimality condition.
+// Figure-6 listing) P_f r_f is not smaller than P_d r_d, so a tie admits
+// the prefetch (DESIGN.md D4). Demand-fetched items must always find a
+// victim and need only the minimality condition.
 //
 // Sub-arbitration breaks ties among victims with equal Pr value:
 //   * None — lowest item id (deterministic).
 //   * LFU  — least frequently used.
 //   * DS   — lowest delay-saving profit freq_i * r_i (WATCHMAN-style).
-//
-// DESIGN.md D4: the paper's prose demands strict P_f r_f > P_d r_d while
-// the listing breaks only on '<' (ties admit the prefetch). `strict_ties`
-// selects the prose behaviour; the default follows the listing.
 #pragma once
 
 #include <span>
@@ -28,7 +25,6 @@ enum class SubArbitration { None, LFU, DS };
 
 struct ArbitrationConfig {
   SubArbitration sub = SubArbitration::None;
-  bool strict_ties = false;  // true = prose rule, false = Figure-6 listing
 };
 
 // The sub-arbitration score of item `i`, whose retrieval time is `r_i`:
@@ -65,9 +61,8 @@ ItemId choose_victim_in_order(InstanceView inst,
                               std::span<const ItemId> order);
 
 // True when prefetch candidate `f` is allowed to displace victim `d`
-// (Pr-arbitration admission test).
-bool admits_prefetch(InstanceView inst, ItemId f, ItemId d,
-                     const ArbitrationConfig& cfg);
+// (Pr-arbitration admission test, P_f r_f >= P_d r_d).
+bool admits_prefetch(InstanceView inst, ItemId f, ItemId d);
 
 // Size-aware generalization (extension; the paper's Section-6 open item).
 // Greedily gathers victims from `cache` by ascending Pr *density*

@@ -18,7 +18,6 @@ std::uint64_t engine_config_digest(const EngineConfig& config) {
   fold(static_cast<std::uint64_t>(config.policy));
   fold(static_cast<std::uint64_t>(config.delta_rule));
   fold(static_cast<std::uint64_t>(config.arbitration.sub));
-  fold(config.arbitration.strict_ties ? 1 : 0);
   fold(std::bit_cast<std::uint64_t>(config.min_profit_threshold));
   fold(config.evaluate_plan_g ? 1 : 0);
   return h;
@@ -517,12 +516,9 @@ void PrefetchEngine::admit_slot_into(
     }
     if (config_.policy != PrefetchPolicy::Perfect) {
       // Pr-arbitration admission test (admits_prefetch, inlined on the
-      // ranked Pr value).
-      const double pf = inst.profit(f);
-      const bool admit = config_.arbitration.strict_ties
-                             ? (pf > victim_pr)
-                             : (pf >= victim_pr);
-      if (!admit) break;  // Figure 6 stops at the first rejected candidate
+      // ranked Pr value). Figure 6 stops at the first rejected candidate;
+      // the negated test stops on a NaN as well.
+      if (!(inst.profit(f) >= victim_pr)) break;
     }
     scratch.set_mark(f);
     scratch.victim_of.emplace_back(f, victim_id);
@@ -601,11 +597,8 @@ void PrefetchEngine::admit_sized_into(InstanceView inst,
     if (!scratch.victims.ok) break;  // cannot make room evicting everything
     // Generalized Pr admission: the candidate must beat the combined Pr
     // of everything it displaces (Figure-6 tie semantics).
-    const bool admit =
-        config_.policy == PrefetchPolicy::Perfect ||
-        (config_.arbitration.strict_ties
-             ? inst.profit(f) > scratch.victims.total_pr
-             : inst.profit(f) >= scratch.victims.total_pr);
+    const bool admit = config_.policy == PrefetchPolicy::Perfect ||
+                       inst.profit(f) >= scratch.victims.total_pr;
     if (!admit) break;
     for (const ItemId d : scratch.victims.victims) {
       working.erase(d);

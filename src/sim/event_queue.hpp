@@ -21,7 +21,6 @@ class EventQueue {
   double now() const noexcept { return now_; }
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t size() const noexcept { return heap_.size(); }
-  std::uint64_t processed() const noexcept { return processed_; }
 
   // Schedules `action` at absolute time `when` (>= now).
   void schedule_at(double when, Action action) {
@@ -57,7 +56,6 @@ class EventQueue {
     Event ev = std::move(const_cast<Event&>(heap_.top()));
     heap_.pop();
     now_ = ev.when;
-    ++processed_;
     ev.action();
     return true;
   }
@@ -74,14 +72,6 @@ class EventQueue {
     }
   }
 
-  // Advances the clock without processing (idle time).
-  void advance_to(double when) {
-    SKP_REQUIRE(when >= now_, "advance_to into the past");
-    SKP_REQUIRE(heap_.empty() || heap_.top().when >= when,
-                "advance_to would skip a pending event");
-    now_ = when;
-  }
-
  private:
   struct Event {
     double when;
@@ -95,7 +85,6 @@ class EventQueue {
   std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
   double now_ = 0.0;
   std::uint64_t seq_ = 0;
-  std::uint64_t processed_ = 0;
 };
 
 }  // namespace skp

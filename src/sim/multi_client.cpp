@@ -164,17 +164,23 @@ SimResult run_multi_client(const SimSpec& spec) {
   FaultStats fault_stats;
   OverloadController overload(spec.overload);
 
-  // Serializes a transfer on the shared link; returns completion time. With
-  // a link schedule the phase at transfer START re-prices the base cost r
-  // (the no-abort rule holds: a committed transfer keeps its duration).
-  auto enqueue = [&](double base) {
-    const double start = std::max(clock.now(), link_free_at);
+  // Link occupancy of a transfer of base cost `base` (an item's r) that
+  // starts at `start`. With a link schedule the phase at transfer START
+  // re-prices it (the no-abort rule holds: a committed transfer keeps its
+  // duration).
+  auto transfer_duration = [&](double base, double start) {
     double cost = base;
     if (!spec.link_schedule.empty()) {
       const LinkPhase& phase = link_phase_at(spec.link_schedule, start);
       cost = phase.latency + base / phase.bandwidth;
     }
-    const double duration = cost / mc.link_speedup;
+    return cost / mc.link_speedup;
+  };
+
+  // Serializes a transfer on the shared link; returns completion time.
+  auto enqueue = [&](double base) {
+    const double start = std::max(clock.now(), link_free_at);
+    const double duration = transfer_duration(base, start);
     link_free_at = start + duration;
     link_busy += duration;
     return link_free_at;
@@ -191,13 +197,7 @@ SimResult run_multi_client(const SimSpec& spec) {
     const FaultTransfer ft = run_faulty_transfer(
         spec.fault, fault_rng, fault_stats, queue_start,
         [&](double attempt_start) {
-          double cost = base;
-          if (!spec.link_schedule.empty()) {
-            const LinkPhase& phase =
-                link_phase_at(spec.link_schedule, attempt_start);
-            cost = phase.latency + base / phase.bandwidth;
-          }
-          return cost / mc.link_speedup;
+          return transfer_duration(base, attempt_start);
         });
     link_free_at = ft.finish;
     link_busy += ft.busy;

@@ -86,22 +86,22 @@ void NetsimStepper::count_plan() {
   prev_prefetches_ = now;
 }
 
+void NetsimStepper::on_rung_change() {
+  // Memoized plans were computed against the previous rung's degraded
+  // rows, so the context-key promise just broke.
+  session_->invalidate_plan_cache();
+  session_->set_plan_admission_frozen(
+      overload_.rung() >= DegradationRung::kStrictAdmission);
+}
+
 void NetsimStepper::settle_request(double T) {
   if (spec_.deadline > 0.0 && T <= spec_.deadline) ++deadline_hits_;
-  if (overload_.observe(T)) {
-    // Rung change: memoized plans were computed against the previous
-    // rung's degraded rows, so the context-key promise just broke.
-    session_->invalidate_plan_cache();
-    session_->set_plan_admission_frozen(
-        overload_.rung() >= DegradationRung::kStrictAdmission);
-  }
+  if (overload_.observe(T)) on_rung_change();
 }
 
 bool NetsimStepper::force_degrade() {
   if (!overload_.force_step_down()) return false;
-  session_->invalidate_plan_cache();
-  session_->set_plan_admission_frozen(
-      overload_.rung() >= DegradationRung::kStrictAdmission);
+  on_rung_change();
   return true;
 }
 

@@ -95,6 +95,9 @@ class NetsimStepper {
   void step_oracle();
   void step_learned();
   void count_plan();
+  // Invalidates the session's memo and refreezes its admission at the
+  // overload controller's new rung.
+  void on_rung_change();
   void settle_request(double T);
 
   SimSpec spec_;

@@ -264,14 +264,9 @@ struct SimResult {
   // the viewing time); the DES counts metrics.hits only at T == 0, so a
   // resident item whose transfer is still in flight lands here and not
   // there. This is the one place that semantic lives — the scenario
-  // matrix's NetsimDes golden rows pin this rate.
+  // matrix's NetsimDes golden rows pin it.
   std::uint64_t resident_hits() const noexcept {
     return metrics.requests - metrics.demand_fetches;
-  }
-  double resident_hit_rate() const noexcept {
-    return metrics.requests ? static_cast<double>(resident_hits()) /
-                                  static_cast<double>(metrics.requests)
-                            : 0.0;
   }
 };
 

@@ -37,10 +37,6 @@ double OnlineStats::variance() const noexcept {
 
 double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double OnlineStats::sem() const noexcept {
-  return n_ > 1 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
-}
-
 BinnedMeans::BinnedMeans(std::int64_t lo, std::int64_t hi) : lo_(lo), hi_(hi) {
   SKP_REQUIRE(lo <= hi, "BinnedMeans range [" << lo << "," << hi << "]");
   bins_.resize(static_cast<std::size_t>(hi - lo + 1));
@@ -78,62 +74,6 @@ std::vector<std::pair<double, double>> BinnedMeans::series() const {
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)) {
-  SKP_REQUIRE(hi > lo, "Histogram range");
-  SKP_REQUIRE(buckets > 0, "Histogram needs at least one bucket");
-  counts_.assign(buckets, 0);
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    ++counts_.front();
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    ++counts_.back();
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-  ++counts_[idx];
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-  SKP_REQUIRE(i < counts_.size(), "bucket index");
-  return counts_[i];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  SKP_REQUIRE(i < counts_.size(), "bucket index");
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  SKP_REQUIRE(i < counts_.size(), "bucket index");
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const {
-  SKP_REQUIRE(q >= 0.0 && q <= 1.0, "quantile in [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double frac =
-          counts_[i] ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-      return bucket_lo(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
 double quantile_sorted(std::span<const double> sorted, double q) {
   SKP_REQUIRE(!sorted.empty(), "quantile of empty sample");
   SKP_REQUIRE(q >= 0.0 && q <= 1.0, "quantile in [0,1]");
@@ -162,23 +102,6 @@ Summary summarize(std::span<const double> data) {
   s.p75 = quantile_sorted(v, 0.75);
   s.p95 = quantile_sorted(v, 0.95);
   return s;
-}
-
-double pearson(std::span<const double> x, std::span<const double> y) {
-  SKP_REQUIRE(x.size() == y.size(), "pearson: length mismatch");
-  const std::size_t n = x.size();
-  if (n < 2) return 0.0;
-  OnlineStats sx, sy;
-  for (std::size_t i = 0; i < n; ++i) {
-    sx.add(x[i]);
-    sy.add(y[i]);
-  }
-  double cov = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    cov += (x[i] - sx.mean()) * (y[i] - sy.mean());
-  cov /= static_cast<double>(n - 1);
-  const double denom = sx.stddev() * sy.stddev();
-  return denom > 0 ? cov / denom : 0.0;
 }
 
 }  // namespace skp

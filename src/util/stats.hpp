@@ -1,5 +1,6 @@
-// Statistics substrate: online accumulators, binned means, histograms and
-// confidence intervals. Every experiment in bench/ reports through these.
+// Statistics substrate: online accumulators, binned means and exact
+// summaries of a stored sample. Every experiment in bench/ reports
+// through these.
 #pragma once
 
 #include <cstddef>
@@ -47,10 +48,6 @@ class OnlineStats {
   double min() const noexcept { return n_ ? min_ : 0.0; }
   double max() const noexcept { return n_ ? max_ : 0.0; }
   double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-  // Standard error of the mean; 0 when fewer than two samples.
-  double sem() const noexcept;
-  // Half-width of the ~95% normal-approximation confidence interval.
-  double ci95_halfwidth() const noexcept { return 1.959964 * sem(); }
 
  private:
   std::size_t n_ = 0;
@@ -83,29 +80,6 @@ class BinnedMeans {
   std::vector<OnlineStats> bins_;
 };
 
-// Fixed-width histogram over [lo, hi); values outside are clamped into the
-// edge buckets and counted in underflow/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const;
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-  std::uint64_t total() const noexcept { return total_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  // Approximate quantile (q in [0,1]) by linear interpolation in buckets.
-  double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
 // Exact descriptive statistics over a stored sample.
 struct Summary {
   std::size_t count = 0;
@@ -118,8 +92,5 @@ Summary summarize(std::span<const double> data);
 
 // Linear-interpolated quantile of a *sorted* sample, q in [0,1].
 double quantile_sorted(std::span<const double> sorted, double q);
-
-// Pearson correlation of two equal-length series; 0 if degenerate.
-double pearson(std::span<const double> x, std::span<const double> y);
 
 }  // namespace skp

@@ -8,6 +8,8 @@
 namespace skp {
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  SKP_REQUIRE(threads <= kMaxThreads,
+              threads << " worker threads exceed the cap of " << kMaxThreads);
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }

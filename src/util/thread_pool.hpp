@@ -18,9 +18,14 @@
 
 namespace skp {
 
+// The most workers a pool starts; a larger explicit count is a typo, not
+// a machine.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 class ThreadPool {
  public:
-  // threads == 0 selects hardware_concurrency (min 1).
+  // threads == 0 selects hardware_concurrency (min 1). A count above
+  // kMaxThreads throws std::invalid_argument before any worker starts.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

@@ -149,9 +149,9 @@ void MarkovChain::redraw_transitions(const MarkovSourceConfig& config,
                                                std::int64_t>::max());
 
   // The pool of possible successors per state excludes the state itself
-  // unless self-loops are allowed. The lists are reserved for the largest
-  // chain the bounds admit, so they never reallocate.
-  const std::size_t pool = config.allow_self_loop ? n : n - 1;
+  // ("before changing to another state"). The lists are reserved for the
+  // largest chain the bounds admit, so they never reallocate.
+  const std::size_t pool = n - 1;
   const std::size_t max_degree = std::min(config.out_degree_hi, pool);
   offset_.assign(1, 0);
   offset_.reserve(n + 1);
@@ -166,12 +166,11 @@ void MarkovChain::redraw_transitions(const MarkovSourceConfig& config,
         static_cast<std::int64_t>(config.out_degree_hi)));
     degree = std::min(degree, pool);
     // Partial Fisher–Yates over the pool's ascending ids, kept virtual:
-    // position p holds id p, shifted past s when s is excluded, until a
-    // swap displaces it. Step k moves position j's item into the result
-    // and position k's item into j; position k is never read again.
+    // position p holds id p, shifted past s, until a swap displaces it.
+    // Step k moves position j's item into the result and position k's
+    // item into j; position k is never read again.
     const auto undisturbed = [&](std::size_t p) {
-      return static_cast<ItemId>(!config.allow_self_loop && p >= s ? p + 1
-                                                                   : p);
+      return static_cast<ItemId>(p >= s ? p + 1 : p);
     };
     displaced.next_state();
     const std::size_t begin = succ_.size();

@@ -33,9 +33,6 @@ struct MarkovSourceConfig {
   double v_lo = 1.0, v_hi = 100.0;   // per-state viewing times
   double r_lo = 1.0, r_hi = 30.0;    // per-item retrieval times
   bool integer_times = true;         // draw v, r as integers (paper-style)
-  bool allow_self_loop = false;      // a request for the item just viewed
-                                     // would always hit; default matches
-                                     // "changing to another state"
 };
 
 class MarkovChain {

@@ -106,28 +106,13 @@ TEST(AdmitsPrefetch, ListingRuleAdmitsTies) {
   inst.P = {0.5, 0.5};
   inst.r = {4.0, 4.0};  // equal profits
   inst.v = 10.0;
-  ArbitrationConfig listing;  // strict_ties = false
-  EXPECT_TRUE(admits_prefetch(inst, 0, 1, listing));
-}
-
-TEST(AdmitsPrefetch, ProseRuleRejectsTies) {
-  Instance inst;
-  inst.P = {0.5, 0.5};
-  inst.r = {4.0, 4.0};
-  inst.v = 10.0;
-  ArbitrationConfig prose;
-  prose.strict_ties = true;
-  EXPECT_FALSE(admits_prefetch(inst, 0, 1, prose));
+  EXPECT_TRUE(admits_prefetch(inst, 0, 1));
 }
 
 TEST(AdmitsPrefetch, HigherProfitAlwaysAdmitted) {
   const Instance inst = testing::small_instance();
-  for (const bool strict : {false, true}) {
-    ArbitrationConfig cfg;
-    cfg.strict_ties = strict;
-    EXPECT_TRUE(admits_prefetch(inst, 0, 3, cfg));   // 5 vs .4
-    EXPECT_FALSE(admits_prefetch(inst, 3, 0, cfg));  // .4 vs 5
-  }
+  EXPECT_TRUE(admits_prefetch(inst, 0, 3));   // 5 vs .4
+  EXPECT_FALSE(admits_prefetch(inst, 3, 0));  // .4 vs 5
 }
 
 }  // namespace

@@ -61,6 +61,8 @@ TEST(BenchUtil, ThreadsDefaultsToHardware) {
 TEST(BenchUtil, ThreadsParsesCount) {
   Argv a({"--threads", "7"});
   EXPECT_EQ(parse_args(a.argc(), a.argv()).threads, 7u);
+  Argv cap({"--threads", std::to_string(kMaxThreads)});
+  EXPECT_EQ(parse_args(cap.argc(), cap.argv()).threads, kMaxThreads);
 }
 
 TEST(BenchUtil, PlanCacheOnByDefaultAndSwitchable) {
@@ -133,6 +135,14 @@ TEST(BenchUtilDeathTest, ThreadsRejectsNegative) {
   EXPECT_EXIT(parse_args(a.argc(), a.argv()),
               ::testing::ExitedWithCode(2),
               "--threads expects an unsigned integer, got '-1'");
+}
+
+TEST(BenchUtilDeathTest, ThreadsRejectsCountPastTheCap) {
+  // Refused while parsing: the pool would otherwise start every worker.
+  const std::string past = std::to_string(kMaxThreads + 1);
+  Argv a({"--threads", past});
+  EXPECT_EXIT(parse_args(a.argc(), a.argv()),
+              ::testing::ExitedWithCode(2), "--threads: " + past + " exceeds");
 }
 
 TEST(BenchUtilDeathTest, ThreadsRejectsEmptyAndNonDigits) {

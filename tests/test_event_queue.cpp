@@ -82,22 +82,6 @@ TEST(EventQueue, EventsMaySpawnEvents) {
   EXPECT_DOUBLE_EQ(q.now(), 4.0);
 }
 
-TEST(EventQueue, AdvanceToRespectsPendingEvents) {
-  EventQueue q;
-  q.schedule_at(3.0, [] {});
-  EXPECT_THROW(q.advance_to(4.0), std::invalid_argument);
-  q.advance_to(2.0);
-  EXPECT_DOUBLE_EQ(q.now(), 2.0);
-  EXPECT_THROW(q.advance_to(1.0), std::invalid_argument);
-}
-
-TEST(EventQueue, ProcessedCounter) {
-  EventQueue q;
-  for (int i = 0; i < 7; ++i) q.schedule_at(i, [] {});
-  q.run_all();
-  EXPECT_EQ(q.processed(), 7u);
-}
-
 TEST(EventQueue, DispatchDoesNotCopyTheScheduledClosure) {
   // step() must MOVE the popped event out of the heap; the historical
   // `Event ev = heap_.top()` copy re-allocated every captured state once

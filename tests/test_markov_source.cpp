@@ -101,20 +101,6 @@ TEST(MarkovSource, NoSelfLoopsByDefault) {
   }
 }
 
-TEST(MarkovSource, SelfLoopsWhenAllowed) {
-  Rng rng(7);
-  MarkovSourceConfig cfg = small_config();
-  cfg.allow_self_loop = true;
-  cfg.out_degree_lo = cfg.n_states;  // force full fan-out
-  cfg.out_degree_hi = cfg.n_states;
-  MarkovSource src(cfg, rng);
-  bool any_self = false;
-  for (std::size_t s = 0; s < src.n_states(); ++s) {
-    if (src.view_at(s).P[s] > 0.0) any_self = true;
-  }
-  EXPECT_TRUE(any_self);
-}
-
 TEST(MarkovSource, SuccessorsMatchDenseRow) {
   Rng rng(8);
   MarkovSource src(small_config(), rng);

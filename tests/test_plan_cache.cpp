@@ -302,12 +302,11 @@ TEST(MemoTiersTest, InvalidateRetiresAndFreezeRefuses) {
 TEST(EngineConfigDigest, DistinguishesConfigs) {
   EngineConfig a;
   EXPECT_EQ(engine_config_digest(a), engine_config_digest(a));
-  std::vector<EngineConfig> variants(5, a);
+  std::vector<EngineConfig> variants(4, a);
   variants[0].policy = PrefetchPolicy::KP;
   variants[1].delta_rule = DeltaRule::PaperTail;
   variants[2].arbitration.sub = SubArbitration::LFU;
-  variants[3].arbitration.strict_ties = true;
-  variants[4].min_profit_threshold = 2.0;
+  variants[3].min_profit_threshold = 2.0;
   std::set<std::uint64_t> digests{engine_config_digest(a)};
   for (const auto& v : variants) {
     EXPECT_TRUE(digests.insert(engine_config_digest(v)).second)

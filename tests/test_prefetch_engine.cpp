@@ -195,7 +195,9 @@ TEST(EnginePlanCache, PerfectSkipsCachedOracle) {
   EXPECT_TRUE(plan.fetch.empty());
 }
 
-TEST(EnginePlanCache, StrictTiesBlockEqualProfitSwap) {
+// DESIGN.md D4 at the engine: the Figure-6 listing admits a prefetch
+// whose P r ties its victim's.
+TEST(EnginePlanCache, ListingAdmitsEqualProfitSwap) {
   Instance inst;
   inst.P = {0.5, 0.5};
   inst.r = {4.0, 4.0};  // equal profit 2.0
@@ -203,16 +205,11 @@ TEST(EnginePlanCache, StrictTiesBlockEqualProfitSwap) {
   SlotCache cache(inst.n(), 1);
   cache.insert(0);
   FreqTracker freq(inst.n());
-  EngineConfig strict = cfg_for(PrefetchPolicy::SKP);
-  strict.arbitration.strict_ties = true;
-  EXPECT_TRUE(PrefetchEngine(strict)
-                  .plan_with_cache(inst, cache, &freq)
-                  .fetch.empty());
-  EngineConfig listing = cfg_for(PrefetchPolicy::SKP);
-  const auto plan =
-      PrefetchEngine(listing).plan_with_cache(inst, cache, &freq);
-  ASSERT_EQ(plan.fetch.size(), 1u);  // listing rule admits the tie
+  const auto plan = PrefetchEngine(cfg_for(PrefetchPolicy::SKP))
+                        .plan_with_cache(inst, cache, &freq);
+  ASSERT_EQ(plan.fetch.size(), 1u);  // the tie admits the prefetch
   EXPECT_EQ(plan.fetch.front(), 1);
+  EXPECT_EQ(plan.evict, std::vector<ItemId>{0});
 }
 
 // ---- positive_hint ------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace skp::simctl {
 namespace {
@@ -90,6 +91,54 @@ TEST(SimctlAxis, IntegerAxisInclusiveAndWrapSafe) {
   EXPECT_EQ(top.back(), 18446744073709551615ULL);
   EXPECT_THROW(parse_integer_axis("-1", "--seeds"), std::invalid_argument);
   EXPECT_THROW(parse_integer_axis("1:2:0", "--seeds"),
+               std::invalid_argument);
+}
+
+TEST(SimctlAxis, RejectsAxesPastTheSweepBound) {
+  // Each is refused from its point count, before a point is pushed: the
+  // first would push 2^64 seeds, and the second casts 1e300 steps to
+  // size_t.
+  EXPECT_THROW(parse_integer_axis("0:18446744073709551615:1", "--seeds"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_numeric_axis("0:1:1e-300", "--thresholds"),
+               std::invalid_argument);
+  // A range whose width overflows to infinity.
+  EXPECT_THROW(parse_numeric_axis("-1e308:1e308:1", "--thresholds"),
+               std::invalid_argument);
+  // The bound counts points across every token of the axis.
+  EXPECT_EQ(parse_integer_axis("1:65536:1", "--seeds").size(),
+            kMaxSweepSpecs);
+  EXPECT_THROW(parse_integer_axis("1:65536:1,7", "--seeds"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_integer_axis("0:65536:1", "--seeds"),
+               std::invalid_argument);
+  EXPECT_EQ(parse_numeric_axis("1:65536:1", "--x").size(), kMaxSweepSpecs);
+  EXPECT_THROW(parse_numeric_axis("7,1:65536:1", "--x"),
+               std::invalid_argument);
+}
+
+TEST(SimctlSweep, RejectsCrossProductsPastTheBound) {
+  // An empty axis stands for the base spec's one value.
+  EXPECT_EQ(sweep_size({}), 1u);
+  EXPECT_EQ(sweep_size({2, 0, 3}), 6u);
+  EXPECT_EQ(sweep_size({256, 256}), kMaxSweepSpecs);
+  EXPECT_THROW(sweep_size({256, 257}), std::invalid_argument);
+  // Ten full axes: the product is refused as soon as it passes the bound.
+  EXPECT_THROW(sweep_size({kMaxSweepSpecs, kMaxSweepSpecs, kMaxSweepSpecs,
+                           kMaxSweepSpecs, kMaxSweepSpecs, kMaxSweepSpecs,
+                           kMaxSweepSpecs, kMaxSweepSpecs, kMaxSweepSpecs,
+                           kMaxSweepSpecs}),
+               std::invalid_argument);
+}
+
+TEST(SimctlThreads, RejectsCountsPastTheCap) {
+  // Parsing only: no pool is built here.
+  EXPECT_EQ(parse_thread_count("0", "--threads"), 0u);
+  EXPECT_EQ(parse_thread_count("1024", "--threads"), kMaxThreads);
+  EXPECT_THROW(parse_thread_count(std::to_string(kMaxThreads + 1),
+                                  "--threads"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_thread_count("18446744073709551615", "--threads"),
                std::invalid_argument);
 }
 

@@ -21,6 +21,11 @@ TEST(ThreadPool, ExplicitThreadCount) {
   EXPECT_EQ(pool.thread_count(), 3u);
 }
 
+TEST(ThreadPool, RejectsCountPastTheCap) {
+  // The check runs before the first worker starts, so this starts none.
+  EXPECT_THROW(ThreadPool(kMaxThreads + 1), std::invalid_argument);
+}
+
 TEST(ThreadPool, RunsSubmittedTask) {
   ThreadPool pool(2);
   std::atomic<int> x{0};

@@ -43,8 +43,10 @@ using simctl::parse_double;
 using simctl::parse_integer_axis;
 using simctl::parse_numeric_axis;
 using simctl::parse_range_pair;
+using simctl::parse_thread_count;
 using simctl::parse_u64;
 using simctl::split;
+using simctl::sweep_size;
 
 // SIGINT/SIGTERM mid-sweep: finish the specs already running, skip the
 // rest, and emit a VALID partial document (header + completed rows + a
@@ -149,7 +151,11 @@ run flags (execution):
   --per-client-csv PATH  multi_client driver: companion CSV with one row
                          per (spec, client); shard companions merge like
                          the main document (simctl merge)
-  --threads N            sweep threads (0 = hardware concurrency)
+  --threads N            sweep threads (0 = hardware concurrency,
+                         at most )" << kMaxThreads << R"()
+
+A sweep holds at most )" << simctl::kMaxSweepSpecs
+     << R"( specs: each axis, and their cross product.
 )";
   std::exit(exit_code);
 }
@@ -495,7 +501,7 @@ int run_command(const std::vector<std::string>& args) {
     } else if (flag == "--per-client-csv") {
       per_client_csv_path = need_value(i, "--per-client-csv");
     } else if (flag == "--threads") {
-      threads = parse_u64(need_value(i, flag.c_str()), "--threads");
+      threads = parse_thread_count(need_value(i, flag.c_str()), "--threads");
     } else if (flag == "--help" || flag == "-h") {
       usage(0);
     } else {
@@ -559,8 +565,13 @@ int run_command(const std::vector<std::string>& args) {
 
   // Enumerate the cross-product in a fixed nesting order — the spec
   // index this induces is the shard/merge key, so it must not depend on
-  // anything but the flags.
+  // anything but the flags. Its size is checked before it is built.
+  const std::size_t specs = sweep_size(
+      {seeds.size(), policies.size(), subs.size(), predictors.size(),
+       thresholds.size(), cache_sizes.size(), replacements.size(),
+       client_counts.size(), link_speedups.size(), fail_rates.size()});
   std::vector<SimSpec> sweep;
+  sweep.reserve(specs);
   for (const std::uint64_t seed :
        seeds.empty() ? std::vector<std::uint64_t>{base.seed} : seeds) {
     for (const PrefetchPolicy policy :

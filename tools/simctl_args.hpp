@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +19,7 @@
 #include "sim/link_schedule.hpp"
 #include "util/json.hpp"
 #include "util/parse_digits.hpp"
+#include "util/thread_pool.hpp"
 
 namespace skp::simctl {
 
@@ -44,6 +46,18 @@ inline std::uint64_t parse_u64(const std::string& value, const char* flag) {
   return *v;
 }
 
+// --threads: at most kMaxThreads, so a typo cannot ask for millions of
+// workers; 0 still means one per hardware thread.
+inline std::size_t parse_thread_count(const std::string& value,
+                                      const char* flag) {
+  const std::uint64_t threads = parse_u64(value, flag);
+  if (threads > kMaxThreads) {
+    bad_arg(std::string(flag) + ": " + std::to_string(threads) +
+            " exceeds the cap of " + std::to_string(kMaxThreads));
+  }
+  return static_cast<std::size_t>(threads);
+}
+
 inline double parse_double(const std::string& value, const char* flag) {
   std::size_t pos = 0;
   double parsed = 0.0;
@@ -64,6 +78,37 @@ inline double parse_double(const std::string& value, const char* flag) {
             "'");
   }
   return parsed;
+}
+
+// The most specs one sweep holds, and so the most points of any one
+// axis. The largest committed sweep (tools/specs/nightly_scenario.json)
+// has 240 specs.
+inline constexpr std::size_t kMaxSweepSpecs = std::size_t{1} << 16;
+
+// Rejects adding `steps` + 1 points to an axis that holds `have` when it
+// would then pass kMaxSweepSpecs, before any of them is pushed. A count
+// that is not finite is rejected too.
+inline void require_axis_room(std::size_t have, double steps,
+                              const char* flag) {
+  if (!(steps < static_cast<double>(kMaxSweepSpecs - have))) {
+    bad_arg(std::string(flag) + ": more than " +
+            std::to_string(kMaxSweepSpecs) + " points");
+  }
+}
+
+// The number of specs in the cross product of axes holding these many
+// points; an empty axis stands for the base spec's single value. Rejects
+// a product past kMaxSweepSpecs before the sweep is built.
+inline std::size_t sweep_size(std::initializer_list<std::size_t> points) {
+  std::size_t specs = 1;
+  for (const std::size_t n : points) {
+    specs *= std::max<std::size_t>(1, n);
+    if (specs > kMaxSweepSpecs) {
+      bad_arg("the sweep holds more than " +
+              std::to_string(kMaxSweepSpecs) + " specs");
+    }
+  }
+  return specs;
 }
 
 // Numeric axis: "1,5,10" or "1:100:5" (inclusive bounds). Range
@@ -90,12 +135,14 @@ inline std::vector<double> parse_numeric_axis(const std::string& value,
       if (step <= 0.0 || hi < lo) {
         bad_arg(std::string(flag) + ": bad range '" + token + "'");
       }
-      const auto count = static_cast<std::size_t>(
-          std::max(0.0, std::ceil((hi - lo) / step - 0.5)));
+      const double steps = std::ceil((hi - lo) / step - 0.5);
+      require_axis_room(axis.size(), steps, flag);
+      const auto count = static_cast<std::size_t>(std::max(0.0, steps));
       for (std::size_t i = 0; i <= count; ++i) {
         axis.push_back(lo + static_cast<double>(i) * step);
       }
     } else if (range.size() == 1) {
+      require_axis_room(axis.size(), 0.0, flag);
       axis.push_back(parse_double(token, flag));
     } else {
       bad_arg(std::string(flag) + ": bad token '" + token + "'");
@@ -120,11 +167,14 @@ inline std::vector<std::uint64_t> parse_integer_axis(
       if (step == 0 || hi < lo) {
         bad_arg(std::string(flag) + ": bad range '" + token + "'");
       }
-      for (std::uint64_t x = lo; x <= hi; x += step) {
-        axis.push_back(x);
-        if (x > hi - step) break;  // guard wrap-around at the top
+      // lo + i * step never passes hi, so no value wraps around.
+      const std::uint64_t steps = (hi - lo) / step;
+      require_axis_room(axis.size(), static_cast<double>(steps), flag);
+      for (std::uint64_t i = 0; i <= steps; ++i) {
+        axis.push_back(lo + i * step);
       }
     } else if (range.size() == 1) {
+      require_axis_room(axis.size(), 0.0, flag);
       axis.push_back(parse_u64(token, flag));
     } else {
       bad_arg(std::string(flag) + ": bad token '" + token + "'");
