@@ -69,6 +69,16 @@ ItemId choose_victim_in_order(InstanceView inst,
   return victim;
 }
 
+ItemId choose_victim_in_id_order(InstanceView inst, const SlotCache& cache) {
+  SKP_REQUIRE(!cache.empty(), "choose_victim over empty cache");
+  for (ItemId c = cache.next_cached(0); c != kNoItem;
+       c = cache.next_cached(InstanceView::idx(c) + 1)) {
+    const std::size_t k = InstanceView::idx(c);
+    if (inst.P[k] * inst.r[k] == 0.0) return c;
+  }
+  return choose_victim(inst, cache.contents(), nullptr, ArbitrationConfig{});
+}
+
 bool admits_prefetch(InstanceView inst, ItemId f, ItemId d) {
   return inst.profit(f) >= inst.profit(d);
 }

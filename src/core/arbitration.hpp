@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "cache/cache.hpp"
 #include "cache/freq_tracker.hpp"
 #include "cache/sized_cache.hpp"
 #include "core/item.hpp"
@@ -59,6 +60,14 @@ ItemId choose_victim(InstanceView inst, std::span<const ItemId> cached,
 // choose_victim over the same items; no sub score is read.
 ItemId choose_victim_in_order(InstanceView inst,
                               std::span<const ItemId> order);
+
+// choose_victim under SubArbitration::None over every item `cache`
+// holds (non-empty). Every P_d r_d is >= 0, so the victim is the
+// lowest-id zero-Pr resident when there is one: the cache's ascending-id
+// walk over its presence bits (the walk Figure-6 admission takes its
+// zero-Pr victims from) stops at it. Only when every resident has
+// positive Pr is choose_victim run over cache.contents().
+ItemId choose_victim_in_id_order(InstanceView inst, const SlotCache& cache);
 
 // True when prefetch candidate `f` is allowed to displace victim `d`
 // (Pr-arbitration admission test, P_f r_f >= P_d r_d).

@@ -1,6 +1,7 @@
 #include "predict/ppm_predictor.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/require.hpp"
 
@@ -9,25 +10,10 @@ namespace skp {
 PpmPredictor::PpmPredictor(std::size_t n, std::size_t order)
     : n_(n), order_(order) {
   SKP_REQUIRE(n > 0, "PpmPredictor over empty catalog");
-  SKP_REQUIRE(order >= 1 && order <= 8, "order must be in [1, 8]");
+  SKP_REQUIRE(order >= 1 && order <= kMaxOrder, "order must be in [1, 8]");
   tables_.resize(order);
   marginal_.assign(n, 0);
-  excluded_.assign(n, 0);
-}
-
-std::uint64_t PpmPredictor::context_key(const std::deque<ItemId>& hist,
-                                        std::size_t len, std::size_t n) {
-  // Base-(n+1) positional encoding of the last `len` items; 64 bits hold
-  // order <= 8 over catalogs up to ~2^8 per symbol times n — for larger
-  // catalogs collisions only blur counts, never break correctness. The
-  // leading 1 also keeps every key nonzero, which Key64Map requires.
-  std::uint64_t key = 1;  // leading 1 distinguishes lengths
-  const std::uint64_t base = static_cast<std::uint64_t>(n) + 1;
-  const std::size_t start = hist.size() - len;
-  for (std::size_t i = start; i < hist.size(); ++i) {
-    key = key * base + static_cast<std::uint64_t>(hist[i]) + 1;
-  }
-  return key;
+  excluded_.assign((n + 63) / 64, 0);
 }
 
 void PpmPredictor::observe(ItemId item) {
@@ -36,15 +22,13 @@ void PpmPredictor::observe(ItemId item) {
   SKP_REQUIRE(total_ < kMaxObservations,
               "PpmPredictor holds at most " << kMaxObservations
                                             << " observations");
-  // Update every context length that currently has enough history.
-  for (std::size_t len = 1; len <= std::min(order_, history_.size());
-       ++len) {
-    const std::uint64_t key = context_key(history_, len, n_);
-    Key64Map& table = tables_[len - 1];
-    std::uint32_t ctx = table.find(key);
+  // Update every context length that currently has enough history; the
+  // previous observe looked each one up (kNotFound: first seen now).
+  for (std::size_t len = 1; len <= depth_; ++len) {
+    std::uint32_t& ctx = context_[len - 1];
     if (ctx == Key64Map::kNotFound) {
       ctx = contexts_.alloc(Context{});
-      table.insert(key, ctx);
+      tables_[len - 1].insert(key_[len - 1], ctx);
     }
     Context& stats = contexts_[ctx];
     ++stats.total;
@@ -63,20 +47,30 @@ void PpmPredictor::observe(ItemId item) {
   max_marginal_ =
       std::max(max_marginal_, ++marginal_[static_cast<std::size_t>(item)]);
   ++total_;
-  history_.push_back(item);
-  if (history_.size() > order_) history_.pop_front();
+  // Key of a context: the base-(n+1) digits id + 1 of its items, oldest
+  // first, after a leading 1 that distinguishes lengths and keeps every
+  // key nonzero, which Key64Map requires. 64 bits hold order <= 8 over
+  // catalogs up to ~2^8 per symbol times n — for larger catalogs
+  // collisions only blur counts, never break correctness. The new
+  // history's context of length len is the old one of length len - 1
+  // followed by `item`, so its key is that shorter key plus one digit.
+  depth_ = std::min(depth_ + 1, order_);
+  const std::uint64_t base = static_cast<std::uint64_t>(n_) + 1;
+  for (std::size_t len = depth_; len >= 1; --len) {
+    const std::uint64_t shorter = len > 1 ? key_[len - 2] : 1;
+    key_[len - 1] = shorter * base + static_cast<std::uint64_t>(item) + 1;
+    context_[len - 1] = tables_[len - 1].find(key_[len - 1]);
+  }
 }
 
 double PpmPredictor::blend_contexts(std::span<double> p) const {
   double remaining = 1.0;  // probability mass not yet claimed (escapes)
-  std::vector<char>& excluded = excluded_;
-  for (const ItemId sym : claimed_) excluded[static_cast<std::size_t>(sym)] = 0;
+  std::vector<std::uint64_t>& excluded = excluded_;
+  for (const ItemId sym : claimed_) excluded[word_of(sym)] = 0;
   claimed_.clear();
 
-  for (std::size_t len = std::min(order_, history_.size()); len >= 1;
-       --len) {
-    const std::uint64_t key = context_key(history_, len, n_);
-    const std::uint32_t ctx = tables_[len - 1].find(key);
+  for (std::size_t len = depth_; len >= 1; --len) {
+    const std::uint32_t ctx = context_[len - 1];
     if (ctx == Key64Map::kNotFound || contexts_[ctx].total == 0) continue;
     const Context& stats = contexts_[ctx];
     // PPM-C: escape weight = distinct successors / (total + distinct),
@@ -85,18 +79,20 @@ double PpmPredictor::blend_contexts(std::span<double> p) const {
     std::uint64_t total = 0;
     std::uint64_t distinct = 0;
     for (std::uint32_t e = stats.head; e != kNull; e = edges_[e].next) {
-      if (excluded[static_cast<std::size_t>(edges_[e].sym)]) continue;
+      if (excluded[word_of(edges_[e].sym)] & bit_of(edges_[e].sym)) continue;
       total += edges_[e].count;
       ++distinct;
     }
     if (total == 0) continue;
     const double denom = static_cast<double>(total + distinct);
     for (std::uint32_t e = stats.head; e != kNull; e = edges_[e].next) {
-      const auto sym = static_cast<std::size_t>(edges_[e].sym);
-      if (excluded[sym]) continue;
-      p[sym] += remaining * static_cast<double>(edges_[e].count) / denom;
-      excluded[sym] = 1;
-      claimed_.push_back(edges_[e].sym);
+      const ItemId sym = edges_[e].sym;
+      std::uint64_t& word = excluded[word_of(sym)];
+      if (word & bit_of(sym)) continue;
+      p[static_cast<std::size_t>(sym)] +=
+          remaining * static_cast<double>(edges_[e].count) / denom;
+      word |= bit_of(sym);
+      claimed_.push_back(sym);
     }
     remaining *= static_cast<double>(distinct) / denom;
   }
@@ -104,7 +100,8 @@ double PpmPredictor::blend_contexts(std::span<double> p) const {
 }
 
 template <typename Visit>
-double PpmPredictor::blend_pass(std::span<double> p, Visit visit) const {
+double PpmPredictor::blend_pass(std::span<double> p, double visit_floor,
+                                Visit visit) const {
   const double remaining = blend_contexts(p);
   const std::size_t open = n_ - claimed_.size();
   // Every observation is one marginal count, so the open symbols'
@@ -123,24 +120,49 @@ double PpmPredictor::blend_pass(std::span<double> p, Visit visit) const {
                    ? remaining * (0.9 * (m / marg_total) + 0.1 * uniform)
                    : remaining * (0.9 * uniform + 0.1 * uniform);
       });
+  // The backstop never falls as the count grows (each rounding is
+  // monotone), so no open term exceeds the one at the largest count.
+  const bool visit_open = backstop(max_marginal_) >= visit_floor;
   // The reference adds the backstop times the 0/1 open flag onto the
   // claimed share: an open symbol's +0.0 + backstop is the backstop,
-  // and a claimed share plus +0.0 is the share.
+  // and a claimed share plus +0.0 is the share. The claimed ids, in
+  // ascending order from the exclusion bits, split the row into runs of
+  // open symbols, so the sum takes every term in index order.
   double sum = 0.0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double x = excluded_[i] ? p[i] : backstop(marginal_[i]);
-    p[i] = 0.0;
-    sum += x;
-    visit(i, x);
+  std::size_t i = 0;  // the next entry to add
+  const auto add_open_run = [&](std::size_t end) {
+    if (visit_open) {
+      for (; i < end; ++i) {
+        const double x = backstop(marginal_[i]);
+        sum += x;
+        visit(i, x);
+      }
+    } else {
+      for (; i < end; ++i) sum += backstop(marginal_[i]);
+    }
+  };
+  for (std::size_t w = 0; w < excluded_.size(); ++w) {
+    for (std::uint64_t bits = excluded_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t c =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      add_open_run(c);
+      const double x = p[c];
+      p[c] = 0.0;
+      sum += x;
+      visit(c, x);
+      i = c + 1;
+    }
   }
+  add_open_run(n_);
   return sum;
 }
 
 void PpmPredictor::predict_into(std::vector<double>& out) const {
   std::vector<double>& p = out;
   p.assign(n_, 0.0);
+  // Every term is >= 0, so a floor of 0 visits every open entry.
   const double sum =
-      blend_pass(p, [&p](std::size_t i, double x) { p[i] = x; });
+      blend_pass(p, 0.0, [&p](std::size_t i, double x) { p[i] = x; });
   // Normalize (escape arithmetic can leave tiny residue). With every
   // symbol claimed at higher orders this rescales the claimed shares.
   if (sum <= 0.0) {
@@ -158,12 +180,14 @@ void PpmPredictor::predict_filtered_into(
     return;
   }
   clear_filtered_row(P, support);
-  // The blend claims straight into P, which is zero everywhere now.
+  // The blend claims straight into P, which is zero everywhere now, and
+  // the pass leaves it so.
   const double floor = candidate_floor(min_prob);
   candidates_.clear();
-  const double sum = blend_pass(P, [this, floor](std::size_t i, double x) {
-    if (x >= floor) candidates_.push_back({static_cast<ItemId>(i), x});
-  });
+  const double sum =
+      blend_pass(P, floor, [this, floor](std::size_t i, double x) {
+        if (x >= floor) candidates_.push_back({static_cast<ItemId>(i), x});
+      });
   if (!finish_normalized_row(min_prob, sum, candidates_, P, support)) {
     Predictor::predict_filtered_into(min_prob, P, support);
   }
@@ -176,7 +200,7 @@ void PpmPredictor::reset() {
   std::fill(marginal_.begin(), marginal_.end(), 0);
   max_marginal_ = 0;
   total_ = 0;
-  history_.clear();
+  depth_ = 0;
 }
 
 }  // namespace skp

@@ -10,20 +10,24 @@
 // Storage is arena-backed (util/arena.hpp): per order, an open-addressing
 // key -> context-index map plus pooled 16-byte context headers and
 // pooled successor edges, replacing one unordered_map of ContextStats
-// (itself holding an unordered_map) per context. The blend consumes each
-// context's successor set through order-independent integer sums and a
-// single per-symbol touch (exclusion flags), so predictions are
-// bit-identical to the map-based predecessor regardless of edge order.
-// Marginal counts are 32-bit integers (observe() rejects the 2^32-th
-// observation). An open symbol's order-0 backstop depends only on its
-// count, so each row reads it from a per-count table
-// (Predictor::CountTable) in one index-order pass that the dense and
-// filtered rows share (blend_pass): on learned_des the table holds
-// about 60 terms where the row has 1,000.
+// (itself holding an unordered_map) per context. observe() looks up the
+// contexts of the history it leaves behind, so a predict hashes nothing.
+// The blend consumes each context's successor set through
+// order-independent integer sums and a single per-symbol touch
+// (exclusion bits), so predictions are bit-identical to the map-based
+// predecessor regardless of edge order. Marginal counts are 32-bit
+// integers (observe() rejects the 2^32-th observation). An open symbol's
+// order-0 backstop depends only on its count, so each row reads it from
+// a per-count table (Predictor::CountTable) in one index-order pass that
+// the dense and filtered rows share (blend_pass): on learned_des the
+// table holds about 60 terms where the row has 1,000. The pass walks the
+// claimed symbols in ascending id order and adds the runs of open
+// symbols between them straight from the table, so it costs little more
+// than the index-order sum it must keep (DESIGN.md D10).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -39,8 +43,10 @@ class PpmPredictor final : public Predictor {
   void observe(ItemId item) override;
   void predict_into(std::vector<double>& out) const override;
   // The escape blend touches only the contexts' successors; one
-  // index-order pass then forms every entry, takes the sum and keeps the
-  // entries that can clear `min_prob`, and only those are divided.
+  // index-order pass then sums every entry and keeps the entries that
+  // can clear `min_prob`, and only those are divided. The open symbols
+  // are only summed when even the largest backstop term is below the
+  // candidate floor.
   void predict_filtered_into(double min_prob, std::vector<double>& P,
                              std::vector<ItemId>& support) const override;
   std::size_t n_items() const override { return n_; }
@@ -68,12 +74,18 @@ class PpmPredictor final : public Predictor {
     std::uint32_t next;
   };
 
-  // Encodes a context (sequence of up to `order_` item ids) into a key.
-  static std::uint64_t context_key(const std::deque<ItemId>& hist,
-                                   std::size_t len, std::size_t n);
+  static constexpr std::size_t kMaxOrder = 8;
+  // Word and bit of `sym` in excluded_.
+  static std::size_t word_of(ItemId sym) noexcept {
+    return static_cast<std::size_t>(sym) / 64;
+  }
+  static std::uint64_t bit_of(ItemId sym) noexcept {
+    return std::uint64_t{1} << (static_cast<std::size_t>(sym) % 64);
+  }
+
   // The PPM-C escape blend from the longest context down: adds each
   // not-yet-excluded successor's share into `p` (zero there on entry),
-  // flags it in excluded_ and lists it in claimed_ (both reset first,
+  // sets its bit in excluded_ and lists it in claimed_ (both reset first,
   // through the previous claimed_). Returns the mass left unclaimed for
   // the order-0 backstop.
   double blend_contexts(std::span<double> p) const;
@@ -82,10 +94,14 @@ class PpmPredictor final : public Predictor {
   // share, re-zeroing p[i], or for an open symbol the order-0 backstop:
   // its marginal among the open symbols (uniform when those are all 0),
   // blended with a uniform floor so unseen items keep mass, scaled by
-  // the unclaimed mass. Calls visit(i, x_i) in index order and returns
-  // the index-order sum of the x_i.
+  // the unclaimed mass. Returns the index-order sum of the x_i, and calls
+  // visit(i, x_i) in index order for every claimed entry, and for every
+  // open one unless the largest backstop term is below `visit_floor`
+  // (then no open x_i reaches it; 0 visits them all). Open entries of
+  // `p` are read and written only by `visit`.
   template <typename Visit>
-  double blend_pass(std::span<double> p, Visit visit) const;
+  double blend_pass(std::span<double> p, double visit_floor,
+                    Visit visit) const;
 
   std::size_t n_;
   std::size_t order_;
@@ -95,11 +111,17 @@ class PpmPredictor final : public Predictor {
   std::vector<Count> marginal_;
   Count max_marginal_ = 0;  // running maximum; sizes the count table
   std::uint64_t total_ = 0;
-  std::deque<ItemId> history_;  // most recent at back, length <= order_
-  // Per-predict escape-exclusion flags, reused so predict_into never
-  // allocates. Set exactly on claimed_ between predicts, so each blend
-  // clears only those.
-  mutable std::vector<char> excluded_;
+  // The history's contexts: the last min(order_, #observations) items
+  // (depth_); entry len - 1 of key_ is the key of the last len items and
+  // of context_ its contexts_ index in tables_[len - 1] (kNotFound until
+  // an item is observed after it).
+  std::size_t depth_ = 0;
+  std::array<std::uint64_t, kMaxOrder> key_{};
+  std::array<std::uint32_t, kMaxOrder> context_{};
+  // Per-predict escape-exclusion bits, one per symbol, reused so
+  // predict_into never allocates. Set exactly on claimed_ between
+  // predicts, so each blend clears only those words.
+  mutable std::vector<std::uint64_t> excluded_;
   // Per-predict scratch: the symbols the blend excluded, in exclusion
   // order, the backstop's count table and predict_filtered_into's
   // survivor candidates.

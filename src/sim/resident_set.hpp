@@ -18,7 +18,9 @@
 // and most residents of a sparse row have Pr = 0, so the next victims sit
 // at the order's back, and planning (plan_with_cache_cached's
 // `eviction_order`) and demand fetches walk a few entries from there
-// instead of ranking the cache. A sub score changes only when view()
+// instead of ranking the cache. Without sub-arbitration no order is
+// kept: ties go to the lowest id, so both walk the cache's presence bits
+// in ascending id order instead. A sub score changes only when view()
 // counts an access, so the order moves one entry per mutation: an insert
 // is appended at the back and shifted forward past the entries it
 // outranks, an evict closes its gap from the back, and a view re-keys
@@ -124,9 +126,12 @@ class ResidentSet {
 
   // Demand-fetches non-resident `item`, booked at r[item]. When the
   // item needs room, `victim_row()` supplies the probabilities the
-  // victim is chosen under: minimal Pr on a slot cache (found by walking
-  // the eviction order when one is kept), the density gather on a sized
-  // one. An item larger than a sized cache is served uncached.
+  // victim is chosen under: minimal Pr on a slot cache, the density
+  // gather on a sized one. A slot cache walks to its victim, from the
+  // back of the eviction order under LFU/DS and over its presence bits
+  // in ascending id order without sub-arbitration; either walk stops at
+  // the first zero-Pr resident, which sparse rows nearly always hold.
+  // An item larger than a sized cache is served uncached.
   template <typename VictimRow>
   void admit_demand(ItemId item, SimMetrics* m, VictimRow&& victim_row) {
     if (m) {
@@ -143,9 +148,9 @@ class ResidentSet {
       for (const ItemId d : gather_.victims.victims) evict(d, m);
     } else if (cache_.full()) {
       const InstanceView row = victim_row();
-      const ItemId victim =
-          keeps_order() ? choose_victim_in_order(row, order_)
-                        : choose_victim(row, cache_.contents(), &freq_, arb_);
+      const ItemId victim = keeps_order()
+                                ? choose_victim_in_order(row, order_)
+                                : choose_victim_in_id_order(row, cache_);
       SKP_ASSERT(victim ==
                  choose_victim(row, cache_.contents(), &freq_, arb_));
       evict(victim, m);

@@ -241,7 +241,8 @@ std::vector<double> victim_row(Rng& rng, std::size_t n) {
 
 // Random execute (some deliveries abandoned), view, admit_demand and
 // flush calls on one book; after each, the kept order equals the sorted
-// residents, and each demand miss evicts choose_victim's pick.
+// residents (under LFU/DS; without sub-arbitration none is kept), and
+// each demand miss evicts choose_victim's pick.
 void fuzz_resident_book(SubArbitration sub, std::size_t catalog,
                         std::size_t capacity, std::uint64_t seed) {
   Rng rng(seed);
@@ -307,6 +308,10 @@ void fuzz_resident_book(SubArbitration sub, std::size_t catalog,
     }
     const std::optional<std::span<const ItemId>> kept =
         book.eviction_order();
+    if (sub == SubArbitration::None) {
+      ASSERT_FALSE(kept.has_value());
+      continue;
+    }
     ASSERT_TRUE(kept.has_value());
     ASSERT_EQ(std::vector<ItemId>(kept->begin(), kept->end()),
               model_order(book, r, sub))
@@ -326,6 +331,19 @@ TEST(CacheFuzz, ResidentBookKeepsLfuOrder) {
 TEST(CacheFuzz, ResidentBookKeepsDsOrder) {
   fuzz_resident_book(SubArbitration::DS, 12, 6, 123);
   fuzz_resident_book(SubArbitration::DS, 100, 40, 124);
+}
+
+// Without sub-arbitration a demand miss walks the presence bits in
+// ascending id order; the catalogs put residents on both sides of each
+// 64-item word boundary, and victim_row's dense rows, with no zero-Pr
+// resident, send the miss to the scan of the whole cache.
+TEST(CacheFuzz, ResidentBookWalksPresenceWithoutSub) {
+  std::uint64_t seed = 125;
+  for (const std::size_t catalog : {12u, 63u, 64u, 65u, 130u}) {
+    SCOPED_TRACE("catalog " + std::to_string(catalog));
+    fuzz_resident_book(SubArbitration::None, catalog, catalog / 2, seed++);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // Without sub-arbitration, and on a sized cache, no order is kept.

@@ -269,6 +269,28 @@ std::vector<ItemId> iid_stream(std::size_t n, std::size_t steps,
   return out;
 }
 
+// Segments (a_k, b, x_k) for k drawn uniformly from 0..5, with a_k =
+// 200 + k, b = 700 and x_k one of 0, 1, 500, 501, 998 and 999 (for
+// n = 1000). After b the PPM order-2 context (a_k, b) claims x_k and the
+// order-1 context (b) the other x's; after x_k the contexts claim the
+// adjacent a's. The claimed ids thus leave empty runs of open symbols
+// at both ends of the row and between adjacent claims, and each reset
+// leaves whole-row runs. In the rows after b, b is open and holds the
+// largest count, so its entry is the row's largest open one, and it lies
+// between 1e-4 and 0.01 in 717 of the 1,000 (seed 47): at min_prob 1e-4
+// PPM visits the open entries, at 0.01 it only sums them.
+std::vector<ItemId> run_boundary_stream(std::size_t segments,
+                                        std::uint64_t seed) {
+  constexpr ItemId kX[] = {0, 1, 500, 501, 998, 999};
+  Rng rng(seed);
+  std::vector<ItemId> out;
+  for (std::size_t s = 0; s < segments; ++s) {
+    const auto k = static_cast<ItemId>(rng.next_below(6));
+    out.insert(out.end(), {200 + k, 700, kX[k]});
+  }
+  return out;
+}
+
 // The definition predict_filtered_into must reproduce, written out
 // independently of the library's filter helpers.
 void reference_filtered(const Predictor& pred, double min_prob,
@@ -331,6 +353,7 @@ std::vector<LockstepInput> lockstep_inputs() {
   inputs.push_back({"iid", 1000, iid_stream(1000, 4096, 29)});
   inputs.push_back(
       {"structured_long", 1000, structured_stream(1000, 20000, 31)});
+  inputs.push_back({"run_boundaries", 1000, run_boundary_stream(1000, 47)});
   return inputs;
 }
 

@@ -193,7 +193,18 @@ std::vector<std::string> expand_args(int argc, char** argv) {
   return out;
 }
 
-int run_command(const std::vector<std::string>& args) {
+// A `simctl run` command line, read: the whole sweep, the shard of it
+// this process runs and where the rows go.
+struct RunPlan {
+  std::vector<SimSpec> sweep;
+  std::size_t shard_index = 0;
+  std::size_t shard_count = 1;
+  std::optional<std::string> csv_path;
+  std::optional<std::string> per_client_csv_path;
+  std::size_t threads = 0;
+};
+
+RunPlan parse_run(const std::vector<std::string>& args) {
   SimSpec base;
   // Sweep axes (empty = use the base spec's single value).
   std::vector<double> thresholds, link_speedups, fail_rates;
@@ -637,6 +648,24 @@ int run_command(const std::vector<std::string>& args) {
     }
   }
 
+  return RunPlan{std::move(sweep), shard_index, shard_count, csv_path,
+                 per_client_csv_path, threads};
+}
+
+// Every rejected argument exits 2 through fail(): the parsers' and the
+// spec-file lowering's std::invalid_argument as much as an unknown flag.
+// Once the sweep runs, an exception (a spec the driver rejects) reaches
+// main and exits 1.
+int run_command(int argc, char** argv) {
+  RunPlan plan;
+  try {
+    plan = parse_run(expand_args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
+  }
+  const auto& [sweep, shard_index, shard_count, csv_path,
+               per_client_csv_path, threads] = plan;
+
   // Shard selection keeps (index, spec) pairs so rows carry their global
   // index into the merge.
   std::vector<std::pair<std::size_t, SimSpec>> owned;
@@ -770,7 +799,7 @@ int main(int argc, char** argv) {
   if (argc < 2) usage(2);
   const std::string command = argv[1];
   try {
-    if (command == "run") return run_command(expand_args(argc - 2, argv + 2));
+    if (command == "run") return run_command(argc - 2, argv + 2);
     if (command == "merge") return merge_command(argc - 2, argv + 2);
     if (command == "drivers") return drivers_command();
     if (command == "--help" || command == "-h") usage(0);

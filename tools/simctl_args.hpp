@@ -1,8 +1,8 @@
 // Shared argument-parsing helpers for the simctl CLI, factored out of
 // the binary so the axis grammar and the JSON spec-file lowering are
 // unit-testable (tests/test_simctl_args.cpp). Everything throws
-// std::invalid_argument on bad input; simctl's main turns that into a
-// "simctl: ..." diagnostic and a nonzero exit.
+// std::invalid_argument on bad input; simctl turns that into a
+// "simctl: ..." diagnostic and exit 2, like every other usage error.
 #pragma once
 
 #include <algorithm>
