@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -799,6 +801,68 @@ TEST(SimctlRun, RejectsMalformedLines) {
   for (const std::vector<std::string>& args : rejected) {
     EXPECT_THROW(parse_run(args), std::invalid_argument) << joined(args);
   }
+}
+
+// True when `text` holds `word` with no name character on either side.
+bool names_word(const std::string& text, const std::string& word) {
+  const auto name_char = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+           c == '-';
+  };
+  for (std::size_t at = text.find(word); at != std::string::npos;
+       at = text.find(word, at + 1)) {
+    const std::size_t end = at + word.size();
+    if ((at == 0 || !name_char(text[at - 1])) &&
+        (end == text.size() || !name_char(text[end]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(SimctlRun, UsageNamesEveryFlagTokenAndDriver) {
+  const std::string usage = run_flags_usage();
+  for (const RunFlag& flag : kRunFlags) {
+    EXPECT_TRUE(names_word(usage, flag.name)) << flag.name;
+  }
+  const auto expect_tokens = [&](const auto& table) {
+    for (const auto& entry : table) {
+      EXPECT_TRUE(names_word(usage, entry.token)) << entry.token;
+    }
+  };
+  expect_tokens(kWorkloadTokens);
+  expect_tokens(kProbMethodTokens);
+  expect_tokens(kPolicyTokens);
+  expect_tokens(kSubTokens);
+  expect_tokens(kDeltaTokens);
+  expect_tokens(kPredictorTokens);
+  expect_tokens(kReplacementTokens);
+  for (const SimDriver& driver : driver_registry()) {
+    EXPECT_TRUE(names_word(usage, driver.name)) << driver.name;
+  }
+}
+
+TEST(SimctlRun, EveryTableRowIsPinned) {
+  // Each spec and axis row has a case above; the execution rows have
+  // ExecutionFlagsFillThePlan.
+  std::vector<std::string> pinned;
+  for (const FlagCase& c : kFlagCases) {
+    pinned.insert(pinned.end(), c.args.begin(), c.args.end());
+  }
+  for (const AxisCase& c : kAxisCases) {
+    pinned.insert(pinned.end(), c.args.begin(), c.args.end());
+  }
+  std::vector<std::size_t> nests;
+  for (const RunFlag& flag : kRunFlags) {
+    if (flag.section == FlagSection::Execution) continue;
+    EXPECT_NE(std::find(pinned.begin(), pinned.end(), flag.name),
+              pinned.end())
+        << flag.name;
+    if (flag.section == FlagSection::Axis) nests.push_back(flag.nest);
+  }
+  // The axes' nesting positions are 0, 1, ... each once.
+  std::sort(nests.begin(), nests.end());
+  for (std::size_t i = 0; i < nests.size(); ++i) EXPECT_EQ(nests[i], i);
 }
 }  // namespace
 }  // namespace skp::simctl

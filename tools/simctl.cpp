@@ -6,9 +6,10 @@
 //   simctl merge OUT IN1 [IN2 ...]
 //   simctl drivers
 //
-// `run` enumerates the cross-product of every sweep flag (fixed nesting
-// order, so each spec has a stable index), keeps the indices owned by the
-// requested shard (index % N == I), fans them onto the thread pool via
+// `run` reads its flags from one table (tools/simctl_args.hpp), decodes
+// the specs the requested shard owns (index % N == I) from the
+// cross-product of every sweep flag (fixed nesting order, so each spec
+// has a stable index), fans them onto the thread pool via
 // sim/sweep.hpp, and emits one CSV row per spec. Because every spec is
 // fully determined by its fields — never by which process/thread ran
 // it — `merge` of any shard partition reproduces the single-process
@@ -58,97 +59,7 @@ void on_interrupt(int) { g_interrupted = 1; }
   simctl merge OUT IN...     merge shard CSVs into the single-run document
                              (rejects duplicate/overlapping spec indices)
   simctl drivers             list registered drivers and enum tokens
-
-run flags (single-value spec fields):
-  --driver NAME          prefetch_only | prefetch_cache | trace_replay |
-                         netsim_des | scenario | multi_client
-                                                       (default prefetch_cache)
-  --workload NAME        markov | iid | zipf | markov_drift | trace_text |
-                         adversarial
-  --n-items N            catalog/state count
-  --policy P             none | kp | skp | perfect
-  --sub S                none | lfu | ds
-  --delta D              exact | paper
-  --predictor K          oracle | markov1 | ppm | lz78 | depgraph
-  --replacement R        lru | fifo | lfu | random     (scenario driver)
-  --pr                   scenario driver: Figure-6 Pr-arbitration planning
-  --cache-size N         slot-cache capacity
-  --sized-capacity X     byte-cache capacity (prefetch_cache driver)
-  --size-per-r X         sized-cache size coupling (0 = uniform draw)
-  --requests N           requests / iterations per spec (multi_client:
-                         per client)
-  --warmup N             leading requests excluded from metrics
-  --seed N               root RNG seed
-  --bandwidth X          net grounding (netsim_des / scenario / multi_client)
-  --latency X
-  --threshold X          min-profit prefetch suppression threshold
-  --min-prob X           predictor shortlist floor
-  --predictor-warmup N   observe-only prefix (scenario / netsim_des /
-                         multi_client)
-  --clients N            multi_client driver: client count
-  --link-speedup X       multi_client driver: shared-link speed multiplier
-  --phase-align X        multi_client driver: flash-crowd alignment in [0,1]
-  --churn-period X       multi_client driver: simulated time between client
-                         departures (0 = no churn)
-  --churn-downtime X     multi_client driver: offline span per departure
-  --client-predictors LIST
-                         multi_client driver: one predictor token per
-                         client (oracle | markov1 | ppm | lz78 |
-                         depgraph | inherit), lowering to per-client
-                         overrides for mixed-predictor fleets. Count
-                         must equal --clients; an all-"inherit" list
-                         reproduces the run without the flag.
-  --link-phases LIST     time-varying link (netsim_des / multi_client):
-                         comma list of DUR:BW:LAT phases, cycling
-  --fail-rate X          fault injection (netsim_des / multi_client):
-                         P(prefetch attempt fails outright), in [0,1]
-  --stall-rate X         P(attempt runs --stall-factor x slower)
-  --stall-factor X       stall slowdown multiplier (default 4)
-  --timeout X            abort prefetch attempts longer than X (0 = off)
-  --retry SPEC           MAX[:BASE[:FACTOR[:JITTER]]] retry policy for
-                         failed prefetch attempts (default 1 = no retries)
-  --overload             enable the adaptive overload controller
-                         (netsim_des / multi_client)
-  --overload-window N    realized-time sample window (default 64)
-  --overload-degrade X   descend a rung at sample/baseline >= X
-  --overload-recover X   calm window at sample/baseline <= X
-  --overload-recover-windows N
-                         consecutive calm windows before ascending
-  --overload-depth N     rung-1 lookahead candidate cap
-  --overload-budget N    rung-2 prefetch budget cap
-  --deadline X           count requests served within X time units
-                         (netsim_des / multi_client)
-  --method M             iid row: skewy | flat
-  --skew-exponent X      iid skewy exponent
-  --zipf-s X             Zipf tail exponent
-  --no-zipf-shuffle      keep item id == popularity rank
-  --drift-period N       markov_drift changepoint period
-  --adv-hot-set N        adversarial clique size (2 cliques of N items)
-  --adv-escape X         adversarial clique-escape probability
-  --out-degree LO:HI     chain out-degree bounds
-  --viewing LO:HI        viewing-time range
-  --retrieval LO:HI      retrieval-time range
-  --no-plan-cache        disable cross-request plan memoization
-
-run flags (sweep axes; comma lists, numeric axes accept LO:HI:STEP):
-  --cache-sizes LIST --policies LIST --subs LIST --predictors LIST
-  --seeds LIST --thresholds LIST --replacements LIST (scenario)
-  --client-counts LIST --link-speedups LIST (multi_client)
-  --fail-rates LIST (netsim_des / multi_client)
-
-run flags (execution):
-  --spec FILE            JSON sweep definition (base/axes/shard/csv/threads)
-  --shard I/N            run only the specs with index % N == I
-  --csv PATH             write CSV to PATH instead of stdout
-  --per-client-csv PATH  multi_client driver: companion CSV with one row
-                         per (spec, client); shard companions merge like
-                         the main document (simctl merge)
-  --threads N            sweep threads (0 = hardware concurrency,
-                         at most )" << kMaxThreads << R"()
-
-A sweep holds at most )" << simctl::kMaxSweepSpecs
-     << R"( specs: each axis, and their cross product.
-)";
+)" << simctl::run_flags_usage();
   std::exit(exit_code);
 }
 

@@ -9,11 +9,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <initializer_list>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -102,7 +105,7 @@ inline void require_axis_room(std::size_t have, double steps,
 // The number of specs in the cross product of axes holding these many
 // points; an empty axis stands for the base spec's single value. Rejects
 // a product past kMaxSweepSpecs before the sweep is built.
-inline std::size_t sweep_size(std::initializer_list<std::size_t> points) {
+inline std::size_t sweep_size(const std::vector<std::size_t>& points) {
   std::size_t specs = 1;
   for (const std::size_t n : points) {
     specs *= std::max<std::size_t>(1, n);
@@ -187,12 +190,12 @@ inline std::vector<std::uint64_t> parse_integer_axis(
   return axis;
 }
 
-inline void parse_range_pair(const std::string& value, const char* flag,
-                             double& lo, double& hi) {
+// "LO:HI", each bound read by Parse.
+template <auto Parse>
+auto parse_pair(const std::string& value, const char* flag) {
   const std::vector<std::string> parts = split(value, ':');
   if (parts.size() != 2) bad_arg(std::string(flag) + " expects LO:HI");
-  lo = parse_double(parts[0], flag);
-  hi = parse_double(parts[1], flag);
+  return std::pair{Parse(parts[0], flag), Parse(parts[1], flag)};
 }
 
 // Link schedule: comma list of DUR:BW:LAT phases, e.g.
@@ -343,6 +346,14 @@ inline std::vector<std::string> spec_file_to_flags(
   return flags;
 }
 
+// ---- simctl run's flag table ---------------------------------------------
+//
+// Every `simctl run` flag is one row of kRunFlags. parse_run looks each
+// argument up in the table, one pass rejects the flags used outside
+// their scope, run_flags_usage prints the rows, and the sweep is a
+// mixed-radix decode over the axis rows. Adding a flag or an axis is
+// adding a row.
+
 // A `simctl run` command line, read: the specs this shard runs, each
 // with its index in the whole sweep, and where the rows go.
 struct RunPlan {
@@ -355,467 +366,563 @@ struct RunPlan {
   std::size_t threads = 0;
 };
 
+// One point of a sweep axis: sets the axis's field of a spec.
+using AxisPoint = std::function<void(SimSpec&)>;
+
+// What a command line has set so far. An axis with no points keeps the
+// base spec's value.
+struct RunLine {
+  SimSpec base;
+  std::vector<std::vector<AxisPoint>> axes;  // by nesting position
+  RunPlan plan;
+};
+
+// The runs a flag applies to: every run when both masks are 0, else the
+// drivers or workloads whose bits are set. A flag the run would never
+// consult is rejected rather than left in a sweep the CSV mislabels
+// (reject-don't-drop, as in the drivers).
+struct Scope {
+  unsigned drivers = 0;
+  unsigned workloads = 0;
+};
+
+template <typename... Kinds>
+constexpr unsigned bits(Kinds... kinds) {
+  return ((1u << static_cast<unsigned>(kinds)) | ...);
+}
+
+inline constexpr Scope kMultiClientOnly{bits(SimDriverKind::MultiClientDes)};
+inline constexpr Scope kDesOnly{
+    bits(SimDriverKind::NetsimDes, SimDriverKind::MultiClientDes)};
+
+constexpr Scope workload_only(SimWorkloadKind kind) { return {0, bits(kind)}; }
+
+enum class FlagSection : unsigned char { Spec, Axis, Execution };
+
+struct RunFlag {
+  const char* name;
+  const char* value;  // the placeholder; nullptr for a switch
+  // Help lines, split at '\n'. A line holding "{}" gets fill()'s text in
+  // its place and is wrapped; the others print as written.
+  const char* help;
+  // Reads the value into the line. nullptr for --spec, which simctl
+  // expands into flags before the line is parsed.
+  void (*set)(RunLine&, const RunFlag&, const std::string&);
+  Scope scope = {};
+  std::string (*fill)() = nullptr;
+  FlagSection section = FlagSection::Spec;
+  std::size_t nest = 0;  // axis rows: place in the nesting, 0 outermost
+};
+
+// "a | b | c": a token table's tokens, in table order.
+template <const auto& Table>
+std::string token_list() {
+  std::string list;
+  for (const auto& entry : Table) {
+    list += (list.empty() ? "" : " | ") + std::string(entry.token);
+  }
+  return list;
+}
+
+inline std::string driver_list() {
+  std::string list;
+  for (const SimDriver& driver : driver_registry()) {
+    list += (list.empty() ? "" : " | ") + std::string(driver.name);
+  }
+  return list;
+}
+
+[[noreturn]] inline void unknown_token(const char* flag,
+                                       const std::string& token,
+                                       const std::string& expected) {
+  bad_arg(std::string(flag) + ": unknown token '" + token + "' (expected " +
+          expected + ")");
+}
+
+template <const auto& Table>
+auto read_token(const std::string& token, const char* flag) {
+  using Enum = std::remove_cvref_t<decltype(Table[0].value)>;
+  const std::optional<Enum> value = parse_token<Enum>(Table, token);
+  if (!value) unknown_token(flag, token, token_list<Table>());
+  return *value;
+}
+
+template <const auto& Table>
+auto read_tokens(const std::string& list, const char* flag) {
+  std::vector<decltype(read_token<Table>(list, flag))> values;
+  for (const std::string& token : split(list, ',')) {
+    values.push_back(read_token<Table>(token, flag));
+  }
+  return values;
+}
+
+inline SimDriverKind read_driver(const std::string& name, const char* flag) {
+  const SimDriver* driver = find_driver(name);
+  if (!driver) unknown_token(flag, name, driver_list());
+  return driver->kind;
+}
+
+inline std::string client_predictor_list() {
+  return token_list<kPredictorTokens>() + " | inherit";
+}
+
+// One predictor token per client, "inherit" keeping the base spec's.
+inline std::vector<MultiClientOverride> read_client_predictors(
+    const std::string& list, const char* flag) {
+  std::vector<MultiClientOverride> overrides;
+  for (const std::string& token : split(list, ',')) {
+    overrides.emplace_back();
+    if (token == "inherit") continue;
+    overrides.back().predictor =
+        parse_token<PredictorKind>(kPredictorTokens, token);
+    if (!overrides.back().predictor) {
+      unknown_token(flag, token, client_predictor_list());
+    }
+  }
+  if (overrides.empty()) bad_arg(std::string(flag) + ": empty list");
+  return overrides;
+}
+
+// The common row actions. Parse reads the value; Path names the field it
+// sets, as a member path such as <&SimSpec::fault, &FaultSpec::timeout>.
+template <auto Parse, auto... Path>
+void set_field(RunLine& line, const RunFlag& flag, const std::string& value) {
+  (line.base .* ... .* Path) = Parse(value, flag.name);
+}
+
+template <bool On, auto... Path>
+void set_switch(RunLine& line, const RunFlag&, const std::string&) {
+  (line.base .* ... .* Path) = On;
+}
+
+template <auto Parse, auto... Path>
+void set_axis(RunLine& line, const RunFlag& flag, const std::string& value) {
+  std::vector<AxisPoint> points;
+  for (const auto& point : Parse(value, flag.name)) {
+    points.emplace_back(
+        [point](SimSpec& spec) { (spec .* ... .* Path) = point; });
+  }
+  line.axes[flag.nest] = std::move(points);
+}
+
+inline constexpr RunFlag kRunFlags[] = {
+    {"--driver", "NAME",
+     "{}\n                              (default prefetch_cache)",
+     set_field<read_driver, &SimSpec::driver>, {}, driver_list},
+    {"--workload", "NAME", "{}",
+     set_field<read_token<kWorkloadTokens>, &SimSpec::workload,
+               &SimWorkload::kind>,
+     {}, token_list<kWorkloadTokens>},
+    {"--n-items", "N", "catalog/state count",
+     set_field<parse_u64, &SimSpec::workload, &SimWorkload::n_items>},
+    {"--policy", "P", "{}",
+     set_field<read_token<kPolicyTokens>, &SimSpec::policy>, {},
+     token_list<kPolicyTokens>},
+    {"--sub", "S", "{}", set_field<read_token<kSubTokens>, &SimSpec::sub>,
+     {}, token_list<kSubTokens>},
+    {"--delta", "D", "{}",
+     set_field<read_token<kDeltaTokens>, &SimSpec::delta_rule>, {},
+     token_list<kDeltaTokens>},
+    {"--predictor", "K", "{}",
+     set_field<read_token<kPredictorTokens>, &SimSpec::predictor>, {},
+     token_list<kPredictorTokens>},
+    {"--replacement", "R", "{}     (scenario driver)",
+     set_field<read_token<kReplacementTokens>, &SimSpec::replacement>, {},
+     token_list<kReplacementTokens>},
+    {"--pr", nullptr, "scenario driver: Figure-6 Pr-arbitration planning",
+     set_switch<true, &SimSpec::pr_planning>},
+    {"--cache-size", "N", "slot-cache capacity",
+     set_field<parse_u64, &SimSpec::cache_size>},
+    {"--sized-capacity", "X", "byte-cache capacity (prefetch_cache driver)",
+     set_field<parse_double, &SimSpec::sized_capacity>},
+    {"--size-per-r", "X", "sized-cache size coupling (0 = uniform draw)",
+     set_field<parse_double, &SimSpec::size_per_r>},
+    {"--requests", "N",
+     "requests / iterations per spec (multi_client:\nper client)",
+     set_field<parse_u64, &SimSpec::requests>},
+    {"--warmup", "N", "leading requests excluded from metrics",
+     set_field<parse_u64, &SimSpec::warmup>},
+    {"--seed", "N", "root RNG seed", set_field<parse_u64, &SimSpec::seed>},
+    {"--bandwidth", "X", "net grounding (netsim_des / scenario / multi_client)",
+     set_field<parse_double, &SimSpec::bandwidth>},
+    {"--latency", "X", "", set_field<parse_double, &SimSpec::latency>},
+    {"--threshold", "X", "min-profit prefetch suppression threshold",
+     set_field<parse_double, &SimSpec::min_profit_threshold>},
+    {"--min-prob", "X", "predictor shortlist floor",
+     set_field<parse_double, &SimSpec::predictor_min_prob>},
+    {"--predictor-warmup", "N",
+     "observe-only prefix (scenario / netsim_des /\nmulti_client)",
+     set_field<parse_u64, &SimSpec::predictor_warmup>},
+    {"--clients", "N", "multi_client driver: client count",
+     set_field<parse_u64, &SimSpec::multi_client, &MultiClientSpec::clients>,
+     kMultiClientOnly},
+    {"--link-speedup", "X", "multi_client driver: shared-link speed multiplier",
+     set_field<parse_double, &SimSpec::multi_client,
+               &MultiClientSpec::link_speedup>,
+     kMultiClientOnly},
+    {"--phase-align", "X",
+     "multi_client driver: flash-crowd alignment in [0,1]",
+     set_field<parse_double, &SimSpec::multi_client,
+               &MultiClientSpec::phase_align>,
+     kMultiClientOnly},
+    {"--churn-period", "X",
+     "multi_client driver: simulated time between client\n"
+     "departures (0 = no churn)",
+     set_field<parse_double, &SimSpec::multi_client,
+               &MultiClientSpec::churn_period>,
+     kMultiClientOnly},
+    {"--churn-downtime", "X", "multi_client driver: offline span per departure",
+     set_field<parse_double, &SimSpec::multi_client,
+               &MultiClientSpec::churn_downtime>,
+     kMultiClientOnly},
+    {"--client-predictors", "LIST",
+     "multi_client driver: one predictor token per\n"
+     "client ({}), lowering to per-client\n"
+     "overrides for mixed-predictor fleets. Count\n"
+     "must equal --clients; an all-\"inherit\" list\n"
+     "reproduces the run without the flag.",
+     set_field<read_client_predictors, &SimSpec::multi_client,
+               &MultiClientSpec::overrides>,
+     kMultiClientOnly, client_predictor_list},
+    {"--link-phases", "LIST",
+     "time-varying link (netsim_des / multi_client):\n"
+     "comma list of DUR:BW:LAT phases, cycling",
+     set_field<parse_link_schedule, &SimSpec::link_schedule>, kDesOnly},
+    {"--fail-rate", "X",
+     "fault injection (netsim_des / multi_client):\n"
+     "P(prefetch attempt fails outright), in [0,1]",
+     set_field<parse_double, &SimSpec::fault, &FaultSpec::fail_rate>,
+     kDesOnly},
+    {"--stall-rate", "X", "P(attempt runs --stall-factor x slower)",
+     set_field<parse_double, &SimSpec::fault, &FaultSpec::stall_rate>,
+     kDesOnly},
+    {"--stall-factor", "X", "stall slowdown multiplier (default 4)",
+     set_field<parse_double, &SimSpec::fault, &FaultSpec::stall_factor>,
+     kDesOnly},
+    {"--timeout", "X", "abort prefetch attempts longer than X (0 = off)",
+     set_field<parse_double, &SimSpec::fault, &FaultSpec::timeout>, kDesOnly},
+    {"--retry", "SPEC",
+     "MAX[:BASE[:FACTOR[:JITTER]]] retry policy for\n"
+     "failed prefetch attempts (default 1 = no retries)",
+     set_field<parse_retry_policy, &SimSpec::fault, &FaultSpec::retry>,
+     kDesOnly},
+    {"--overload", nullptr,
+     "enable the adaptive overload controller\n(netsim_des / multi_client)",
+     set_switch<true, &SimSpec::overload, &OverloadConfig::enabled>,
+     kDesOnly},
+    {"--overload-window", "N", "realized-time sample window (default 64)",
+     set_field<parse_u64, &SimSpec::overload, &OverloadConfig::window>,
+     kDesOnly},
+    {"--overload-degrade", "X", "descend a rung at sample/baseline >= X",
+     set_field<parse_double, &SimSpec::overload,
+               &OverloadConfig::degrade_ratio>,
+     kDesOnly},
+    {"--overload-recover", "X", "calm window at sample/baseline <= X",
+     set_field<parse_double, &SimSpec::overload,
+               &OverloadConfig::recover_ratio>,
+     kDesOnly},
+    {"--overload-recover-windows", "N",
+     "consecutive calm windows before ascending",
+     set_field<parse_u64, &SimSpec::overload,
+               &OverloadConfig::recover_windows>,
+     kDesOnly},
+    {"--overload-depth", "N", "rung-1 lookahead candidate cap",
+     set_field<parse_u64, &SimSpec::overload,
+               &OverloadConfig::lookahead_depth>,
+     kDesOnly},
+    {"--overload-budget", "N", "rung-2 prefetch budget cap",
+     set_field<parse_u64, &SimSpec::overload, &OverloadConfig::budget_items>,
+     kDesOnly},
+    {"--deadline", "X",
+     "count requests served within X time units\n(netsim_des / multi_client)",
+     set_field<parse_double, &SimSpec::deadline>, kDesOnly},
+    {"--method", "M", "iid row: {}",
+     set_field<read_token<kProbMethodTokens>, &SimSpec::workload,
+               &SimWorkload::method>,
+     workload_only(SimWorkloadKind::Iid), token_list<kProbMethodTokens>},
+    {"--skew-exponent", "X", "iid skewy exponent",
+     set_field<parse_double, &SimSpec::workload, &SimWorkload::skew_exponent>,
+     workload_only(SimWorkloadKind::Iid)},
+    {"--zipf-s", "X", "Zipf tail exponent",
+     set_field<parse_double, &SimSpec::workload, &SimWorkload::zipf_exponent>,
+     workload_only(SimWorkloadKind::Zipf)},
+    {"--no-zipf-shuffle", nullptr, "keep item id == popularity rank",
+     set_switch<false, &SimSpec::workload, &SimWorkload::zipf_shuffle>,
+     workload_only(SimWorkloadKind::Zipf)},
+    {"--drift-period", "N", "markov_drift changepoint period",
+     set_field<parse_u64, &SimSpec::workload, &SimWorkload::drift_period>,
+     workload_only(SimWorkloadKind::MarkovDrift)},
+    {"--adv-hot-set", "N", "adversarial clique size (2 cliques of N items)",
+     set_field<parse_u64, &SimSpec::workload, &SimWorkload::adv_hot_set>,
+     workload_only(SimWorkloadKind::Adversarial)},
+    {"--adv-escape", "X", "adversarial clique-escape probability",
+     set_field<parse_double, &SimSpec::workload, &SimWorkload::adv_escape>,
+     workload_only(SimWorkloadKind::Adversarial)},
+    {"--out-degree", "LO:HI", "chain out-degree bounds",
+     [](RunLine& line, const RunFlag& flag, const std::string& value) {
+       // Integer bounds: a double would truncate fractions and make a
+       // negative bound undefined behavior.
+       SimWorkload& w = line.base.workload;
+       std::tie(w.out_degree_lo, w.out_degree_hi) =
+           parse_pair<parse_u64>(value, flag.name);
+     }},
+    {"--viewing", "LO:HI", "viewing-time range",
+     [](RunLine& line, const RunFlag& flag, const std::string& value) {
+       SimWorkload& w = line.base.workload;
+       std::tie(w.v_lo, w.v_hi) = parse_pair<parse_double>(value, flag.name);
+     }},
+    {"--retrieval", "LO:HI", "retrieval-time range",
+     [](RunLine& line, const RunFlag& flag, const std::string& value) {
+       SimWorkload& w = line.base.workload;
+       std::tie(w.r_lo, w.r_hi) = parse_pair<parse_double>(value, flag.name);
+     }},
+    {"--no-plan-cache", nullptr, "disable cross-request plan memoization",
+     set_switch<false, &SimSpec::use_plan_cache>},
+
+    // The axes, in help order; `nest` orders the sweep. Newer axes nest
+    // inside the older ones, so a sweep that leaves them singleton keeps
+    // its historical spec indices (the shard/merge key).
+    {"--cache-sizes", "LIST", "",
+     set_axis<parse_integer_axis, &SimSpec::cache_size>, {}, nullptr,
+     FlagSection::Axis, 5},
+    {"--policies", "LIST", "",
+     set_axis<read_tokens<kPolicyTokens>, &SimSpec::policy>, {}, nullptr,
+     FlagSection::Axis, 1},
+    {"--subs", "LIST", "", set_axis<read_tokens<kSubTokens>, &SimSpec::sub>,
+     {}, nullptr, FlagSection::Axis, 2},
+    {"--predictors", "LIST", "",
+     set_axis<read_tokens<kPredictorTokens>, &SimSpec::predictor>, {},
+     nullptr, FlagSection::Axis, 3},
+    {"--seeds", "LIST", "", set_axis<parse_integer_axis, &SimSpec::seed>, {},
+     nullptr, FlagSection::Axis, 0},
+    {"--thresholds", "LIST", "",
+     set_axis<parse_numeric_axis, &SimSpec::min_profit_threshold>, {},
+     nullptr, FlagSection::Axis, 4},
+    {"--replacements", "LIST", "(scenario)",
+     set_axis<read_tokens<kReplacementTokens>, &SimSpec::replacement>,
+     {bits(SimDriverKind::Scenario)}, nullptr, FlagSection::Axis, 6},
+    {"--client-counts", "LIST", "",
+     set_axis<parse_integer_axis, &SimSpec::multi_client,
+              &MultiClientSpec::clients>,
+     kMultiClientOnly, nullptr, FlagSection::Axis, 7},
+    {"--link-speedups", "LIST", "(multi_client)",
+     set_axis<parse_numeric_axis, &SimSpec::multi_client,
+              &MultiClientSpec::link_speedup>,
+     kMultiClientOnly, nullptr, FlagSection::Axis, 8},
+    {"--fail-rates", "LIST", "(netsim_des / multi_client)",
+     set_axis<parse_numeric_axis, &SimSpec::fault, &FaultSpec::fail_rate>,
+     kDesOnly, nullptr, FlagSection::Axis, 9},
+
+    {"--spec", "FILE", "JSON sweep definition (base/axes/shard/csv/threads)",
+     nullptr, {}, nullptr, FlagSection::Execution},
+    {"--shard", "I/N", "run only the specs with index % N == I",
+     [](RunLine& line, const RunFlag& flag, const std::string& value) {
+       const std::vector<std::string> parts = split(value, '/');
+       if (parts.size() != 2) bad_arg(std::string(flag.name) + " expects I/N");
+       RunPlan& plan = line.plan;
+       plan.shard_index = parse_u64(parts[0], flag.name);
+       plan.shard_count = parse_u64(parts[1], flag.name);
+       if (plan.shard_count == 0 || plan.shard_index >= plan.shard_count) {
+         bad_arg(std::string(flag.name) + " index out of range");
+       }
+     },
+     {}, nullptr, FlagSection::Execution},
+    {"--csv", "PATH", "write CSV to PATH instead of stdout",
+     [](RunLine& line, const RunFlag&, const std::string& value) {
+       line.plan.csv_path = value;
+     },
+     {}, nullptr, FlagSection::Execution},
+    {"--per-client-csv", "PATH",
+     "multi_client driver: companion CSV with one row\n"
+     "per (spec, client); shard companions merge like\n"
+     "the main document (simctl merge)",
+     [](RunLine& line, const RunFlag&, const std::string& value) {
+       line.plan.per_client_csv_path = value;
+     },
+     kMultiClientOnly, nullptr, FlagSection::Execution},
+    {"--threads", "N", "sweep threads (0 = hardware concurrency,\nat most {})",
+     [](RunLine& line, const RunFlag& flag, const std::string& value) {
+       line.plan.threads = parse_thread_count(value, flag.name);
+     },
+     {}, [] { return std::to_string(kMaxThreads); }, FlagSection::Execution},
+};
+
+inline const RunFlag* find_run_flag(std::string_view name) {
+  for (const RunFlag& flag : kRunFlags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
+// "a or b": the names of the enumerators whose bits `mask` sets.
+template <typename Kind>
+std::string scope_names(unsigned mask) {
+  std::string names;
+  for (unsigned k = 0; mask >> k != 0; ++k) {
+    if ((mask >> k & 1u) == 0) continue;
+    names += (names.empty() ? "" : " or ") +
+             std::string(to_string(static_cast<Kind>(k)));
+  }
+  return names;
+}
+
+inline void check_scope(const RunFlag& flag, const SimSpec& spec) {
+  const Scope& scope = flag.scope;
+  if (scope.drivers != 0 && (scope.drivers & bits(spec.driver)) == 0) {
+    bad_arg(std::string(flag.name) + " applies to --driver " +
+            scope_names<SimDriverKind>(scope.drivers) + " only");
+  }
+  if (scope.workloads != 0 &&
+      (scope.workloads & bits(spec.workload.kind)) == 0) {
+    bad_arg(std::string(flag.name) + " applies to --workload " +
+            scope_names<SimWorkloadKind>(scope.workloads) + " only");
+  }
+}
+
 // Reads a `simctl run` command line whose --spec files are already
-// expanded into flags. nullopt when it asks for --help; every rejected
-// argument throws std::invalid_argument.
+// expanded into flags; when a flag repeats, the last one wins. nullopt
+// when it asks for --help; every rejected argument throws
+// std::invalid_argument.
 inline std::optional<RunPlan> parse_run(
     const std::vector<std::string>& args) {
-  SimSpec base;
-  // Sweep axes (empty = use the base spec's single value).
-  std::vector<double> thresholds, link_speedups, fail_rates;
-  std::vector<std::uint64_t> cache_sizes, seeds, client_counts;
-  std::vector<PrefetchPolicy> policies;
-  std::vector<SubArbitration> subs;
-  std::vector<PredictorKind> predictors;
-  std::vector<ReplacementKind> replacements;
-  // --client-predictors: one predictor per client, "inherit" keeping the
-  // base spec's choice; lowered into multi_client overrides after the
-  // whole command line is parsed (so --clients may come later).
-  std::vector<std::optional<PredictorKind>> client_predictors;
-  std::size_t shard_index = 0, shard_count = 1;
-  std::optional<std::string> csv_path;
-  std::optional<std::string> per_client_csv_path;
-  std::size_t threads = 0;
-  // Workload-/driver-scoped flags: remember they were given so a flag the
-  // selected workload or driver never consults fails the run instead of
-  // silently producing a sweep the CSV mislabels (reject-don't-drop, as
-  // in the runtime's drivers).
-  bool drift_flag = false, zipf_flag = false, iid_flag = false;
-  bool adv_flag = false;
-  bool multi_client_flag = false;
-  bool link_schedule_flag = false;
-  bool robustness_flag = false;
-
-  auto need_value = [&](std::size_t& i, const char* flag) ->
-      const std::string& {
-    if (i + 1 >= args.size()) bad_arg(std::string(flag) + " needs a value");
-    return args[++i];
-  };
-
+  RunLine line;
+  line.axes.resize(static_cast<std::size_t>(
+      std::ranges::count(kRunFlags, FlagSection::Axis, &RunFlag::section)));
+  bool given[std::size(kRunFlags)] = {};
   for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--driver") {
-      const std::string v = need_value(i, "--driver");
-      const auto kind = parse_driver_kind(v);
-      if (!kind) bad_arg("unknown driver '" + v + "'");
-      base.driver = *kind;
-    } else if (flag == "--workload") {
-      const std::string v = need_value(i, "--workload");
-      const auto kind = parse_workload_kind(v);
-      if (!kind) bad_arg("unknown workload '" + v + "'");
-      base.workload.kind = *kind;
-    } else if (flag == "--n-items") {
-      base.workload.n_items = parse_u64(need_value(i, flag.c_str()),
-                                        "--n-items");
-    } else if (flag == "--policy") {
-      const std::string v = need_value(i, "--policy");
-      const auto p = parse_policy(v);
-      if (!p) bad_arg("unknown policy '" + v + "'");
-      base.policy = *p;
-    } else if (flag == "--sub") {
-      const std::string v = need_value(i, "--sub");
-      const auto s = parse_sub_arbitration(v);
-      if (!s) bad_arg("unknown sub-arbitration '" + v + "'");
-      base.sub = *s;
-    } else if (flag == "--delta") {
-      const std::string v = need_value(i, "--delta");
-      const auto d = parse_delta_rule(v);
-      if (!d) bad_arg("unknown delta rule '" + v + "'");
-      base.delta_rule = *d;
-    } else if (flag == "--predictor") {
-      const std::string v = need_value(i, "--predictor");
-      const auto p = parse_predictor_kind(v);
-      if (!p) bad_arg("unknown predictor '" + v + "'");
-      base.predictor = *p;
-    } else if (flag == "--replacement") {
-      const std::string v = need_value(i, "--replacement");
-      const auto r = parse_replacement_kind(v);
-      if (!r) bad_arg("unknown replacement policy '" + v + "'");
-      base.replacement = *r;
-    } else if (flag == "--pr") {
-      base.pr_planning = true;
-    } else if (flag == "--cache-size") {
-      base.cache_size = parse_u64(need_value(i, flag.c_str()),
-                                  "--cache-size");
-    } else if (flag == "--sized-capacity") {
-      base.sized_capacity = parse_double(need_value(i, flag.c_str()),
-                                         "--sized-capacity");
-    } else if (flag == "--size-per-r") {
-      base.size_per_r = parse_double(need_value(i, flag.c_str()),
-                                     "--size-per-r");
-    } else if (flag == "--requests") {
-      base.requests = parse_u64(need_value(i, flag.c_str()), "--requests");
-    } else if (flag == "--warmup") {
-      base.warmup = parse_u64(need_value(i, flag.c_str()), "--warmup");
-    } else if (flag == "--seed") {
-      base.seed = parse_u64(need_value(i, flag.c_str()), "--seed");
-    } else if (flag == "--bandwidth") {
-      base.bandwidth = parse_double(need_value(i, flag.c_str()),
-                                    "--bandwidth");
-    } else if (flag == "--latency") {
-      base.latency = parse_double(need_value(i, flag.c_str()), "--latency");
-    } else if (flag == "--threshold") {
-      base.min_profit_threshold =
-          parse_double(need_value(i, flag.c_str()), "--threshold");
-    } else if (flag == "--min-prob") {
-      base.predictor_min_prob =
-          parse_double(need_value(i, flag.c_str()), "--min-prob");
-    } else if (flag == "--predictor-warmup") {
-      base.predictor_warmup =
-          parse_u64(need_value(i, flag.c_str()), "--predictor-warmup");
-    } else if (flag == "--clients") {
-      base.multi_client.clients =
-          parse_u64(need_value(i, flag.c_str()), "--clients");
-      multi_client_flag = true;
-    } else if (flag == "--link-speedup") {
-      base.multi_client.link_speedup =
-          parse_double(need_value(i, flag.c_str()), "--link-speedup");
-      multi_client_flag = true;
-    } else if (flag == "--phase-align") {
-      base.multi_client.phase_align =
-          parse_double(need_value(i, flag.c_str()), "--phase-align");
-      multi_client_flag = true;
-    } else if (flag == "--churn-period") {
-      base.multi_client.churn_period =
-          parse_double(need_value(i, flag.c_str()), "--churn-period");
-      multi_client_flag = true;
-    } else if (flag == "--churn-downtime") {
-      base.multi_client.churn_downtime =
-          parse_double(need_value(i, flag.c_str()), "--churn-downtime");
-      multi_client_flag = true;
-    } else if (flag == "--client-predictors") {
-      client_predictors.clear();
-      for (const std::string& token :
-           split(need_value(i, "--client-predictors"), ',')) {
-        if (token == "inherit") {
-          client_predictors.push_back(std::nullopt);
-          continue;
-        }
-        const auto p = parse_predictor_kind(token);
-        if (!p) {
-          bad_arg("unknown client predictor '" + token +
-               "' (expected a predictor token or 'inherit')");
-        }
-        client_predictors.push_back(*p);
-      }
-      if (client_predictors.empty()) bad_arg("--client-predictors: empty list");
-      multi_client_flag = true;
-    } else if (flag == "--link-phases") {
-      base.link_schedule = simctl::parse_link_schedule(
-          need_value(i, flag.c_str()), "--link-phases");
-      link_schedule_flag = true;
-    } else if (flag == "--fail-rate") {
-      base.fault.fail_rate =
-          parse_double(need_value(i, flag.c_str()), "--fail-rate");
-      robustness_flag = true;
-    } else if (flag == "--stall-rate") {
-      base.fault.stall_rate =
-          parse_double(need_value(i, flag.c_str()), "--stall-rate");
-      robustness_flag = true;
-    } else if (flag == "--stall-factor") {
-      base.fault.stall_factor =
-          parse_double(need_value(i, flag.c_str()), "--stall-factor");
-      robustness_flag = true;
-    } else if (flag == "--timeout") {
-      base.fault.timeout =
-          parse_double(need_value(i, flag.c_str()), "--timeout");
-      robustness_flag = true;
-    } else if (flag == "--retry") {
-      base.fault.retry =
-          simctl::parse_retry_policy(need_value(i, "--retry"), "--retry");
-      robustness_flag = true;
-    } else if (flag == "--overload") {
-      base.overload.enabled = true;
-      robustness_flag = true;
-    } else if (flag == "--overload-window") {
-      base.overload.window = static_cast<std::size_t>(
-          parse_u64(need_value(i, flag.c_str()), "--overload-window"));
-      robustness_flag = true;
-    } else if (flag == "--overload-degrade") {
-      base.overload.degrade_ratio =
-          parse_double(need_value(i, flag.c_str()), "--overload-degrade");
-      robustness_flag = true;
-    } else if (flag == "--overload-recover") {
-      base.overload.recover_ratio =
-          parse_double(need_value(i, flag.c_str()), "--overload-recover");
-      robustness_flag = true;
-    } else if (flag == "--overload-recover-windows") {
-      base.overload.recover_windows = static_cast<std::size_t>(parse_u64(
-          need_value(i, flag.c_str()), "--overload-recover-windows"));
-      robustness_flag = true;
-    } else if (flag == "--overload-depth") {
-      base.overload.lookahead_depth = static_cast<std::size_t>(
-          parse_u64(need_value(i, flag.c_str()), "--overload-depth"));
-      robustness_flag = true;
-    } else if (flag == "--overload-budget") {
-      base.overload.budget_items = static_cast<std::size_t>(
-          parse_u64(need_value(i, flag.c_str()), "--overload-budget"));
-      robustness_flag = true;
-    } else if (flag == "--deadline") {
-      base.deadline =
-          parse_double(need_value(i, flag.c_str()), "--deadline");
-      robustness_flag = true;
-    } else if (flag == "--method") {
-      const std::string v = need_value(i, "--method");
-      const auto m = parse_prob_method(v);
-      if (!m) bad_arg("unknown method '" + v + "'");
-      base.workload.method = *m;
-      iid_flag = true;
-    } else if (flag == "--skew-exponent") {
-      base.workload.skew_exponent =
-          parse_double(need_value(i, flag.c_str()), "--skew-exponent");
-      iid_flag = true;
-    } else if (flag == "--zipf-s") {
-      base.workload.zipf_exponent =
-          parse_double(need_value(i, flag.c_str()), "--zipf-s");
-      zipf_flag = true;
-    } else if (flag == "--no-zipf-shuffle") {
-      base.workload.zipf_shuffle = false;
-      zipf_flag = true;
-    } else if (flag == "--drift-period") {
-      base.workload.drift_period =
-          parse_u64(need_value(i, flag.c_str()), "--drift-period");
-      drift_flag = true;
-    } else if (flag == "--adv-hot-set") {
-      base.workload.adv_hot_set =
-          parse_u64(need_value(i, flag.c_str()), "--adv-hot-set");
-      adv_flag = true;
-    } else if (flag == "--adv-escape") {
-      base.workload.adv_escape =
-          parse_double(need_value(i, flag.c_str()), "--adv-escape");
-      adv_flag = true;
-    } else if (flag == "--out-degree") {
-      // Integer bounds: the double-valued pair parser would truncate
-      // fractions and make a negative bound undefined behavior.
-      const std::vector<std::string> parts =
-          split(need_value(i, "--out-degree"), ':');
-      if (parts.size() != 2) bad_arg("--out-degree expects LO:HI");
-      base.workload.out_degree_lo =
-          static_cast<std::size_t>(parse_u64(parts[0], "--out-degree"));
-      base.workload.out_degree_hi =
-          static_cast<std::size_t>(parse_u64(parts[1], "--out-degree"));
-    } else if (flag == "--viewing") {
-      parse_range_pair(need_value(i, flag.c_str()), "--viewing",
-                       base.workload.v_lo, base.workload.v_hi);
-    } else if (flag == "--retrieval") {
-      parse_range_pair(need_value(i, flag.c_str()), "--retrieval",
-                       base.workload.r_lo, base.workload.r_hi);
-    } else if (flag == "--no-plan-cache") {
-      base.use_plan_cache = false;
-    } else if (flag == "--cache-sizes") {
-      cache_sizes = parse_integer_axis(need_value(i, flag.c_str()),
-                                       "--cache-sizes");
-    } else if (flag == "--seeds") {
-      seeds = parse_integer_axis(need_value(i, flag.c_str()), "--seeds");
-    } else if (flag == "--thresholds") {
-      thresholds = parse_numeric_axis(need_value(i, flag.c_str()),
-                                      "--thresholds");
-    } else if (flag == "--policies") {
-      policies.clear();
-      for (const std::string& token :
-           split(need_value(i, "--policies"), ',')) {
-        const auto p = parse_policy(token);
-        if (!p) bad_arg("unknown policy '" + token + "'");
-        policies.push_back(*p);
-      }
-    } else if (flag == "--subs") {
-      subs.clear();
-      for (const std::string& token : split(need_value(i, "--subs"), ',')) {
-        const auto s = parse_sub_arbitration(token);
-        if (!s) bad_arg("unknown sub-arbitration '" + token + "'");
-        subs.push_back(*s);
-      }
-    } else if (flag == "--predictors") {
-      predictors.clear();
-      for (const std::string& token :
-           split(need_value(i, "--predictors"), ',')) {
-        const auto p = parse_predictor_kind(token);
-        if (!p) bad_arg("unknown predictor '" + token + "'");
-        predictors.push_back(*p);
-      }
-    } else if (flag == "--replacements") {
-      replacements.clear();
-      for (const std::string& token :
-           split(need_value(i, "--replacements"), ',')) {
-        const auto r = parse_replacement_kind(token);
-        if (!r) bad_arg("unknown replacement policy '" + token + "'");
-        replacements.push_back(*r);
-      }
-    } else if (flag == "--client-counts") {
-      client_counts = parse_integer_axis(need_value(i, flag.c_str()),
-                                         "--client-counts");
-      multi_client_flag = true;
-    } else if (flag == "--link-speedups") {
-      link_speedups = parse_numeric_axis(need_value(i, flag.c_str()),
-                                         "--link-speedups");
-      multi_client_flag = true;
-    } else if (flag == "--fail-rates") {
-      fail_rates = parse_numeric_axis(need_value(i, flag.c_str()),
-                                      "--fail-rates");
-      robustness_flag = true;
-    } else if (flag == "--shard") {
-      const std::vector<std::string> parts =
-          split(need_value(i, "--shard"), '/');
-      if (parts.size() != 2) bad_arg("--shard expects I/N");
-      shard_index = parse_u64(parts[0], "--shard");
-      shard_count = parse_u64(parts[1], "--shard");
-      if (shard_count == 0 || shard_index >= shard_count) {
-        bad_arg("--shard index out of range");
-      }
-    } else if (flag == "--csv") {
-      csv_path = need_value(i, "--csv");
-    } else if (flag == "--per-client-csv") {
-      per_client_csv_path = need_value(i, "--per-client-csv");
-    } else if (flag == "--threads") {
-      threads = parse_thread_count(need_value(i, flag.c_str()), "--threads");
-    } else if (flag == "--help" || flag == "-h") {
-      return std::nullopt;
-    } else {
-      bad_arg("unknown flag '" + flag + "' (see simctl --help)");
+    if (args[i] == "--help" || args[i] == "-h") return std::nullopt;
+    const RunFlag* flag = find_run_flag(args[i]);
+    if (!flag || !flag->set) {
+      bad_arg("unknown flag '" + args[i] + "' (see simctl --help)");
     }
+    if (flag->value && ++i == args.size()) {
+      bad_arg(std::string(flag->name) + " needs a value");
+    }
+    flag->set(line, *flag, flag->value ? args[i] : std::string());
+    given[flag - kRunFlags] = true;
   }
 
-  if (drift_flag && base.workload.kind != SimWorkloadKind::MarkovDrift) {
-    bad_arg("--drift-period applies to --workload markov_drift only");
+  // Scope is checked once the whole line is read, so a flag may come
+  // before the --driver or --workload that puts it in scope. An axis is
+  // used when its last list has points.
+  for (const RunFlag& flag : kRunFlags) {
+    if (flag.section == FlagSection::Axis ? !line.axes[flag.nest].empty()
+                                          : given[&flag - kRunFlags]) {
+      check_scope(flag, line.base);
+    }
   }
-  if (zipf_flag && base.workload.kind != SimWorkloadKind::Zipf) {
-    bad_arg("--zipf-s/--no-zipf-shuffle apply to --workload zipf only");
-  }
-  if (iid_flag && base.workload.kind != SimWorkloadKind::Iid) {
-    bad_arg("--method/--skew-exponent apply to --workload iid only");
-  }
-  if (adv_flag && base.workload.kind != SimWorkloadKind::Adversarial) {
-    bad_arg("--adv-hot-set/--adv-escape apply to --workload adversarial only");
-  }
-  if (multi_client_flag &&
-      base.driver != SimDriverKind::MultiClientDes) {
-    bad_arg("--clients/--link-speedup/--phase-align/--churn-period/"
-         "--churn-downtime/--client-predictors/--client-counts/"
-         "--link-speedups apply to --driver multi_client only");
-  }
-  if (!client_predictors.empty()) {
-    // The override vector must stay one-entry-per-client for EVERY spec
-    // in the sweep, so a client-count axis is incompatible with a fixed
-    // predictor list.
-    if (!client_counts.empty()) {
+  // --client-predictors holds one entry per client for EVERY spec, so
+  // it is sized to one fixed client count.
+  const MultiClientSpec& mc = line.base.multi_client;
+  if (!mc.overrides.empty()) {
+    if (!line.axes[find_run_flag("--client-counts")->nest].empty()) {
       bad_arg("--client-predictors cannot combine with --client-counts "
-           "(the list is sized to one fixed client count)");
+              "(the list is sized to one fixed client count)");
     }
-    if (client_predictors.size() != base.multi_client.clients) {
+    if (mc.overrides.size() != mc.clients) {
       bad_arg("--client-predictors lists " +
-           std::to_string(client_predictors.size()) +
-           " predictor(s) for " +
-           std::to_string(base.multi_client.clients) + " client(s)");
-    }
-    base.multi_client.overrides.resize(client_predictors.size());
-    for (std::size_t c = 0; c < client_predictors.size(); ++c) {
-      base.multi_client.overrides[c].predictor = client_predictors[c];
+              std::to_string(mc.overrides.size()) + " predictor(s) for " +
+              std::to_string(mc.clients) + " client(s)");
     }
   }
-  if (link_schedule_flag && base.driver != SimDriverKind::NetsimDes &&
-      base.driver != SimDriverKind::MultiClientDes) {
-    bad_arg("--link-phases applies to --driver netsim_des or multi_client");
-  }
-  if (!replacements.empty() && base.driver != SimDriverKind::Scenario) {
-    bad_arg("--replacements applies to --driver scenario only");
-  }
-  if (robustness_flag && base.driver != SimDriverKind::NetsimDes &&
-      base.driver != SimDriverKind::MultiClientDes) {
-    bad_arg("--fail-rate/--stall-rate/--stall-factor/--timeout/--retry/"
-         "--fail-rates/--overload*/--deadline apply to --driver "
-         "netsim_des or multi_client only");
-  }
-  if (per_client_csv_path && base.driver != SimDriverKind::MultiClientDes) {
-    bad_arg("--per-client-csv applies to --driver multi_client only");
-  }
 
-  // Enumerate the cross-product in a fixed nesting order — the spec
-  // index this induces is the shard/merge key, so it must not depend on
-  // anything but the flags. Its size is checked before it is built.
-  const std::size_t specs = sweep_size(
-      {seeds.size(), policies.size(), subs.size(), predictors.size(),
-       thresholds.size(), cache_sizes.size(), replacements.size(),
-       client_counts.size(), link_speedups.size(), fail_rates.size()});
-  std::vector<SimSpec> sweep;
-  sweep.reserve(specs);
-  for (const std::uint64_t seed :
-       seeds.empty() ? std::vector<std::uint64_t>{base.seed} : seeds) {
-    for (const PrefetchPolicy policy :
-         policies.empty() ? std::vector<PrefetchPolicy>{base.policy}
-                          : policies) {
-      for (const SubArbitration sub :
-           subs.empty() ? std::vector<SubArbitration>{base.sub} : subs) {
-        for (const PredictorKind predictor :
-             predictors.empty() ? std::vector<PredictorKind>{base.predictor}
-                                : predictors) {
-          for (const double threshold :
-               thresholds.empty()
-                   ? std::vector<double>{base.min_profit_threshold}
-                   : thresholds) {
-            for (const std::uint64_t cache_size :
-                 cache_sizes.empty()
-                     ? std::vector<std::uint64_t>{base.cache_size}
-                     : cache_sizes) {
-              // Newer axes nest INSIDE the original six so a sweep that
-              // leaves them singleton keeps its historical spec indices
-              // (the shard/merge key must stay stable across releases).
-              for (const ReplacementKind replacement :
-                   replacements.empty()
-                       ? std::vector<ReplacementKind>{base.replacement}
-                       : replacements) {
-                for (const std::uint64_t clients :
-                     client_counts.empty()
-                         ? std::vector<std::uint64_t>{
-                               base.multi_client.clients}
-                         : client_counts) {
-                  for (const double link_speedup :
-                       link_speedups.empty()
-                           ? std::vector<double>{
-                                 base.multi_client.link_speedup}
-                           : link_speedups) {
-                    for (const double fail_rate :
-                         fail_rates.empty()
-                             ? std::vector<double>{base.fault.fail_rate}
-                             : fail_rates) {
-                      SimSpec spec = base;
-                      spec.seed = seed;
-                      spec.policy = policy;
-                      spec.sub = sub;
-                      spec.predictor = predictor;
-                      spec.min_profit_threshold = threshold;
-                      spec.cache_size =
-                          static_cast<std::size_t>(cache_size);
-                      spec.replacement = replacement;
-                      spec.multi_client.clients =
-                          static_cast<std::size_t>(clients);
-                      spec.multi_client.link_speedup = link_speedup;
-                      spec.fault.fail_rate = fail_rate;
+  // A spec's index is a mixed-radix number over the axes in nesting
+  // order, the outermost axis its most significant digit: the
+  // shard/merge key depends on the flags alone. The product is bounded
+  // before any spec is decoded, and a shard decodes only its own
+  // indices.
+  std::vector<std::size_t> radices;
+  for (const std::vector<AxisPoint>& points : line.axes) {
+    radices.push_back(points.size());
+  }
+  RunPlan& plan = line.plan;
+  plan.sweep_size = sweep_size(radices);
+  for (std::size_t index = 0; index < plan.sweep_size; ++index) {
+    if (!shard_owns(index, plan.shard_index, plan.shard_count)) continue;
+    SimSpec spec = line.base;
+    std::size_t rest = index;
+    for (auto points = line.axes.rbegin(); points != line.axes.rend();
+         ++points) {
+      if (points->empty()) continue;
+      (*points)[rest % points->size()](spec);
+      rest /= points->size();
+    }
+    plan.owned.emplace_back(index, std::move(spec));
+  }
+  return std::move(plan);
+}
 
-                      sweep.push_back(spec);
-                    }
-                  }
-                }
-              }
-            }
-          }
+// Help text starts at kHelpColumn, and generated lines end by
+// kHelpWidth.
+inline constexpr std::size_t kHelpColumn = 25;
+inline constexpr std::size_t kHelpWidth = 78;
+
+// Appends `text` at the help column, broken at spaces so that no line
+// passes kHelpWidth.
+inline void append_wrapped(std::string& out, std::string_view text) {
+  const std::size_t room = kHelpWidth - kHelpColumn;
+  while (text.size() > room) {
+    const std::size_t cut = text.rfind(' ', room);
+    if (cut == std::string_view::npos) break;
+    out += std::string(text.substr(0, cut)) + "\n" +
+           std::string(kHelpColumn, ' ');
+    text.remove_prefix(cut + 1);
+  }
+  out += text;
+}
+
+// The usage text's run-flag sections, printed from kRunFlags: a row per
+// flag, and the axes packed onto shared lines.
+inline std::string run_flags_usage() {
+  static constexpr std::pair<FlagSection, const char*> kSections[] = {
+      {FlagSection::Spec, "run flags (single-value spec fields):"},
+      {FlagSection::Axis, "run flags (sweep axes; comma lists, numeric axes "
+                          "accept LO:HI:STEP):"},
+      {FlagSection::Execution, "run flags (execution):"},
+  };
+  std::string out;
+  for (const auto& [section, heading] : kSections) {
+    out += std::string("\n") + heading + "\n";
+    std::string packed;  // the axis line being filled
+    for (const RunFlag& flag : kRunFlags) {
+      if (flag.section != section) continue;
+      std::string label = flag.name;
+      if (flag.value) label += std::string(" ") + flag.value;
+      if (section == FlagSection::Axis) {
+        if (*flag.help) label += std::string(" ") + flag.help;
+        if (!packed.empty() && packed.size() + 1 + label.size() > kHelpWidth) {
+          out += packed + "\n";
+          packed.clear();
         }
+        packed += (packed.empty() ? "  " : " ") + label;
+        continue;
+      }
+      out += "  " + label;
+      if (!*flag.help) {
+        out += "\n";
+        continue;
+      }
+      // The help starts on the label's line when two spaces still fit.
+      out += label.size() + 4 <= kHelpColumn
+                 ? std::string(kHelpColumn - 2 - label.size(), ' ')
+                 : "\n" + std::string(kHelpColumn, ' ');
+      const std::vector<std::string> lines = split(flag.help, '\n');
+      for (std::size_t k = 0; k < lines.size(); ++k) {
+        if (k > 0) out += std::string(kHelpColumn, ' ');
+        std::string text = lines[k];
+        const std::size_t hole = text.find("{}");
+        if (hole == std::string::npos) {
+          out += text;
+        } else {
+          append_wrapped(out, text.replace(hole, 2, flag.fill()));
+        }
+        out += "\n";
       }
     }
+    if (!packed.empty()) out += packed + "\n";
   }
-
-  RunPlan plan;
-  for (std::size_t index = 0; index < sweep.size(); ++index) {
-    if (shard_owns(index, shard_index, shard_count)) {
-      plan.owned.emplace_back(index, sweep[index]);
-    }
-  }
-  plan.sweep_size = sweep.size();
-  plan.shard_index = shard_index;
-  plan.shard_count = shard_count;
-  plan.csv_path = csv_path;
-  plan.per_client_csv_path = per_client_csv_path;
-  plan.threads = threads;
-  return plan;
+  return out + "\nA sweep holds at most " + std::to_string(kMaxSweepSpecs) +
+         " specs: each axis, and their cross product.\n";
 }
 
 }  // namespace skp::simctl
