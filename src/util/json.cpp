@@ -74,7 +74,7 @@ class JsonParser {
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonValue run() {
-    JsonValue value = parse_value();
+    JsonValue value = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
     return value;
@@ -110,12 +110,16 @@ class JsonParser {
     return true;
   }
 
-  JsonValue parse_value() {
+  // `depth` counts the arrays and objects around the value.
+  JsonValue parse_value(std::size_t depth) {
     skip_ws();
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == JsonValue::kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(JsonValue::kMaxDepth));
+    }
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': {
         JsonValue v;
         v.kind_ = JsonValue::Kind::String;
@@ -142,7 +146,7 @@ class JsonParser {
     return v;
   }
 
-  JsonValue parse_object() {
+  JsonValue parse_object(std::size_t depth) {
     expect('{');
     JsonValue v;
     v.kind_ = JsonValue::Kind::Object;
@@ -159,7 +163,7 @@ class JsonParser {
       }
       skip_ws();
       expect(':');
-      v.members_.emplace_back(std::move(key), parse_value());
+      v.members_.emplace_back(std::move(key), parse_value(depth));
       skip_ws();
       const char c = peek();
       ++pos_;
@@ -169,7 +173,7 @@ class JsonParser {
     return v;
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(std::size_t depth) {
     expect('[');
     JsonValue v;
     v.kind_ = JsonValue::Kind::Array;
@@ -179,7 +183,7 @@ class JsonParser {
       return v;
     }
     while (true) {
-      v.items_.push_back(parse_value());
+      v.items_.push_back(parse_value(depth));
       skip_ws();
       const char c = peek();
       ++pos_;

@@ -9,9 +9,11 @@
 //   * object members preserve document order (members()), so anything
 //     derived from a spec file is deterministic in the file's bytes.
 // No writer, no comments, no extensions. Errors throw
-// std::invalid_argument naming the byte offset.
+// std::invalid_argument naming the byte offset, and so does a document
+// nested deeper than kMaxDepth.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,6 +24,12 @@ namespace skp {
 class JsonValue {
  public:
   enum class Kind { Null, Bool, Number, String, Array, Object };
+
+  // The most arrays and objects one value may sit inside, counting its
+  // own. The reader recurses once per level, so the bound keeps a
+  // hostile document from overflowing the stack; the committed simctl
+  // spec files nest 3 deep.
+  static constexpr std::size_t kMaxDepth = 64;
 
   // Parses exactly one document (leading/trailing whitespace permitted);
   // throws std::invalid_argument on any syntax error or trailing input.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace skp {
 namespace {
@@ -60,6 +61,24 @@ TEST(Json, RejectsMalformedDocuments) {
         "{\"dup\":1,\"dup\":2}", "\"bad\\q\"", "\"\\ud800\""}) {
     EXPECT_THROW(JsonValue::parse(bad), std::invalid_argument) << bad;
   }
+}
+
+TEST(Json, RejectsNestingPastTheDepthBound) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const JsonValue deepest = JsonValue::parse(arrays(JsonValue::kMaxDepth));
+  EXPECT_EQ(deepest.items().size(), 1u);
+  EXPECT_THROW(JsonValue::parse(arrays(JsonValue::kMaxDepth + 1)),
+               std::invalid_argument);
+  // Deep enough to overflow an 8 MB stack without the bound.
+  EXPECT_THROW(JsonValue::parse(arrays(100000)), std::invalid_argument);
+  // Objects count as levels too.
+  std::string objects;
+  for (std::size_t i = 0; i <= JsonValue::kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(JsonValue::kMaxDepth + 1, '}');
+  EXPECT_THROW(JsonValue::parse(objects), std::invalid_argument);
+  EXPECT_NO_THROW(JsonValue::parse(objects.substr(5, objects.size() - 6)));
 }
 
 TEST(Json, TypeMismatchesThrow) {

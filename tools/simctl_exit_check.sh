@@ -43,6 +43,11 @@ expect_exit 2 run --threads 1025
 expect_exit 2 run --seeds 0:18446744073709551615:1
 printf '{"base": {"driver": ' > "$tmp/truncated.json"
 expect_exit 2 run --spec "$tmp/truncated.json"
+# A 120 KB spec file of 60,000 nested arrays: the reader refuses it past
+# its depth bound instead of recursing off the end of the stack.
+{ printf '%60000s' '' | tr ' ' '['; printf '%60000s' '' | tr ' ' ']'; } \
+  > "$tmp/deep.json"
+expect_exit 2 run --spec "$tmp/deep.json"
 
 # A spec the driver rejects when the sweep runs it.
 expect_exit 1 run --driver scenario --sub lfu --requests 50
