@@ -483,24 +483,45 @@ inline std::vector<MultiClientOverride> read_client_predictors(
   return overrides;
 }
 
-// The common row actions. Parse reads the value; Path names the field it
-// sets, as a member path such as <&SimSpec::fault, &FaultSpec::timeout>.
-template <auto Parse, auto... Path>
+// The part of a spec that holds a Part's members, so a row names a
+// field by one member pointer, such as &FaultSpec::timeout.
+template <typename Part>
+Part& part(SimSpec& spec) {
+  if constexpr (std::is_same_v<Part, SimWorkload>) {
+    return spec.workload;
+  } else if constexpr (std::is_same_v<Part, MultiClientSpec>) {
+    return spec.multi_client;
+  } else if constexpr (std::is_same_v<Part, FaultSpec>) {
+    return spec.fault;
+  } else if constexpr (std::is_same_v<Part, OverloadConfig>) {
+    return spec.overload;
+  } else {
+    return spec;
+  }
+}
+
+template <typename Part, typename T>
+T& field(SimSpec& spec, T Part::*member) {
+  return part<Part>(spec).*member;
+}
+
+// The common row actions: Parse reads the value into the Member field.
+template <auto Parse, auto Member>
 void set_field(RunLine& line, const RunFlag& flag, const std::string& value) {
-  (line.base .* ... .* Path) = Parse(value, flag.name);
+  field(line.base, Member) = Parse(value, flag.name);
 }
 
-template <bool On, auto... Path>
+template <bool On, auto Member>
 void set_switch(RunLine& line, const RunFlag&, const std::string&) {
-  (line.base .* ... .* Path) = On;
+  field(line.base, Member) = On;
 }
 
-template <auto Parse, auto... Path>
+template <auto Parse, auto Member>
 void set_axis(RunLine& line, const RunFlag& flag, const std::string& value) {
   std::vector<AxisPoint> points;
   for (const auto& point : Parse(value, flag.name)) {
     points.emplace_back(
-        [point](SimSpec& spec) { (spec .* ... .* Path) = point; });
+        [point](SimSpec& spec) { field(spec, Member) = point; });
   }
   line.axes[flag.nest] = std::move(points);
 }
@@ -510,11 +531,10 @@ inline constexpr RunFlag kRunFlags[] = {
      "{}\n                              (default prefetch_cache)",
      set_field<read_driver, &SimSpec::driver>, {}, driver_list},
     {"--workload", "NAME", "{}",
-     set_field<read_token<kWorkloadTokens>, &SimSpec::workload,
-               &SimWorkload::kind>,
-     {}, token_list<kWorkloadTokens>},
+     set_field<read_token<kWorkloadTokens>, &SimWorkload::kind>, {},
+     token_list<kWorkloadTokens>},
     {"--n-items", "N", "catalog/state count",
-     set_field<parse_u64, &SimSpec::workload, &SimWorkload::n_items>},
+     set_field<parse_u64, &SimWorkload::n_items>},
     {"--policy", "P", "{}",
      set_field<read_token<kPolicyTokens>, &SimSpec::policy>, {},
      token_list<kPolicyTokens>},
@@ -554,26 +574,20 @@ inline constexpr RunFlag kRunFlags[] = {
      "observe-only prefix (scenario / netsim_des /\nmulti_client)",
      set_field<parse_u64, &SimSpec::predictor_warmup>},
     {"--clients", "N", "multi_client driver: client count",
-     set_field<parse_u64, &SimSpec::multi_client, &MultiClientSpec::clients>,
-     kMultiClientOnly},
+     set_field<parse_u64, &MultiClientSpec::clients>, kMultiClientOnly},
     {"--link-speedup", "X", "multi_client driver: shared-link speed multiplier",
-     set_field<parse_double, &SimSpec::multi_client,
-               &MultiClientSpec::link_speedup>,
+     set_field<parse_double, &MultiClientSpec::link_speedup>,
      kMultiClientOnly},
     {"--phase-align", "X",
      "multi_client driver: flash-crowd alignment in [0,1]",
-     set_field<parse_double, &SimSpec::multi_client,
-               &MultiClientSpec::phase_align>,
-     kMultiClientOnly},
+     set_field<parse_double, &MultiClientSpec::phase_align>, kMultiClientOnly},
     {"--churn-period", "X",
      "multi_client driver: simulated time between client\n"
      "departures (0 = no churn)",
-     set_field<parse_double, &SimSpec::multi_client,
-               &MultiClientSpec::churn_period>,
+     set_field<parse_double, &MultiClientSpec::churn_period>,
      kMultiClientOnly},
     {"--churn-downtime", "X", "multi_client driver: offline span per departure",
-     set_field<parse_double, &SimSpec::multi_client,
-               &MultiClientSpec::churn_downtime>,
+     set_field<parse_double, &MultiClientSpec::churn_downtime>,
      kMultiClientOnly},
     {"--client-predictors", "LIST",
      "multi_client driver: one predictor token per\n"
@@ -581,8 +595,7 @@ inline constexpr RunFlag kRunFlags[] = {
      "overrides for mixed-predictor fleets. Count\n"
      "must equal --clients; an all-\"inherit\" list\n"
      "reproduces the run without the flag.",
-     set_field<read_client_predictors, &SimSpec::multi_client,
-               &MultiClientSpec::overrides>,
+     set_field<read_client_predictors, &MultiClientSpec::overrides>,
      kMultiClientOnly, client_predictor_list},
     {"--link-phases", "LIST",
      "time-varying link (netsim_des / multi_client):\n"
@@ -591,72 +604,56 @@ inline constexpr RunFlag kRunFlags[] = {
     {"--fail-rate", "X",
      "fault injection (netsim_des / multi_client):\n"
      "P(prefetch attempt fails outright), in [0,1]",
-     set_field<parse_double, &SimSpec::fault, &FaultSpec::fail_rate>,
-     kDesOnly},
+     set_field<parse_double, &FaultSpec::fail_rate>, kDesOnly},
     {"--stall-rate", "X", "P(attempt runs --stall-factor x slower)",
-     set_field<parse_double, &SimSpec::fault, &FaultSpec::stall_rate>,
-     kDesOnly},
+     set_field<parse_double, &FaultSpec::stall_rate>, kDesOnly},
     {"--stall-factor", "X", "stall slowdown multiplier (default 4)",
-     set_field<parse_double, &SimSpec::fault, &FaultSpec::stall_factor>,
-     kDesOnly},
+     set_field<parse_double, &FaultSpec::stall_factor>, kDesOnly},
     {"--timeout", "X", "abort prefetch attempts longer than X (0 = off)",
-     set_field<parse_double, &SimSpec::fault, &FaultSpec::timeout>, kDesOnly},
+     set_field<parse_double, &FaultSpec::timeout>, kDesOnly},
     {"--retry", "SPEC",
      "MAX[:BASE[:FACTOR[:JITTER]]] retry policy for\n"
      "failed prefetch attempts (default 1 = no retries)",
-     set_field<parse_retry_policy, &SimSpec::fault, &FaultSpec::retry>,
-     kDesOnly},
+     set_field<parse_retry_policy, &FaultSpec::retry>, kDesOnly},
     {"--overload", nullptr,
      "enable the adaptive overload controller\n(netsim_des / multi_client)",
-     set_switch<true, &SimSpec::overload, &OverloadConfig::enabled>,
-     kDesOnly},
+     set_switch<true, &OverloadConfig::enabled>, kDesOnly},
     {"--overload-window", "N", "realized-time sample window (default 64)",
-     set_field<parse_u64, &SimSpec::overload, &OverloadConfig::window>,
-     kDesOnly},
+     set_field<parse_u64, &OverloadConfig::window>, kDesOnly},
     {"--overload-degrade", "X", "descend a rung at sample/baseline >= X",
-     set_field<parse_double, &SimSpec::overload,
-               &OverloadConfig::degrade_ratio>,
-     kDesOnly},
+     set_field<parse_double, &OverloadConfig::degrade_ratio>, kDesOnly},
     {"--overload-recover", "X", "calm window at sample/baseline <= X",
-     set_field<parse_double, &SimSpec::overload,
-               &OverloadConfig::recover_ratio>,
-     kDesOnly},
+     set_field<parse_double, &OverloadConfig::recover_ratio>, kDesOnly},
     {"--overload-recover-windows", "N",
      "consecutive calm windows before ascending",
-     set_field<parse_u64, &SimSpec::overload,
-               &OverloadConfig::recover_windows>,
-     kDesOnly},
+     set_field<parse_u64, &OverloadConfig::recover_windows>, kDesOnly},
     {"--overload-depth", "N", "rung-1 lookahead candidate cap",
-     set_field<parse_u64, &SimSpec::overload,
-               &OverloadConfig::lookahead_depth>,
-     kDesOnly},
+     set_field<parse_u64, &OverloadConfig::lookahead_depth>, kDesOnly},
     {"--overload-budget", "N", "rung-2 prefetch budget cap",
-     set_field<parse_u64, &SimSpec::overload, &OverloadConfig::budget_items>,
-     kDesOnly},
+     set_field<parse_u64, &OverloadConfig::budget_items>, kDesOnly},
     {"--deadline", "X",
      "count requests served within X time units\n(netsim_des / multi_client)",
      set_field<parse_double, &SimSpec::deadline>, kDesOnly},
     {"--method", "M", "iid row: {}",
-     set_field<read_token<kProbMethodTokens>, &SimSpec::workload,
-               &SimWorkload::method>,
+     set_field<read_token<kProbMethodTokens>, &SimWorkload::method>,
      workload_only(SimWorkloadKind::Iid), token_list<kProbMethodTokens>},
     {"--skew-exponent", "X", "iid skewy exponent",
-     set_field<parse_double, &SimSpec::workload, &SimWorkload::skew_exponent>,
+     set_field<parse_double, &SimWorkload::skew_exponent>,
      workload_only(SimWorkloadKind::Iid)},
     {"--zipf-s", "X", "Zipf tail exponent",
-     set_field<parse_double, &SimSpec::workload, &SimWorkload::zipf_exponent>,
+     set_field<parse_double, &SimWorkload::zipf_exponent>,
      workload_only(SimWorkloadKind::Zipf)},
     {"--no-zipf-shuffle", nullptr, "keep item id == popularity rank",
-     set_switch<false, &SimSpec::workload, &SimWorkload::zipf_shuffle>,
+     set_switch<false, &SimWorkload::zipf_shuffle>,
      workload_only(SimWorkloadKind::Zipf)},
     {"--drift-period", "N", "markov_drift changepoint period",
-     set_field<parse_u64, &SimSpec::workload, &SimWorkload::drift_period>,
+     set_field<parse_u64, &SimWorkload::drift_period>,
      workload_only(SimWorkloadKind::MarkovDrift)},
     {"--adv-hot-set", "N", "adversarial clique size (2 cliques of N items)",
-     set_field<parse_u64, &SimSpec::workload, &SimWorkload::adv_hot_set>,
+     set_field<parse_u64, &SimWorkload::adv_hot_set>,
      workload_only(SimWorkloadKind::Adversarial)},
     {"--adv-escape", "X", "adversarial clique-escape probability",
-     set_field<parse_double, &SimSpec::workload, &SimWorkload::adv_escape>,
+     set_field<parse_double, &SimWorkload::adv_escape>,
      workload_only(SimWorkloadKind::Adversarial)},
     {"--out-degree", "LO:HI", "chain out-degree bounds",
      [](RunLine& line, const RunFlag& flag, const std::string& value) {
@@ -702,16 +699,14 @@ inline constexpr RunFlag kRunFlags[] = {
      set_axis<read_tokens<kReplacementTokens>, &SimSpec::replacement>,
      {bits(SimDriverKind::Scenario)}, nullptr, FlagSection::Axis, 6},
     {"--client-counts", "LIST", "",
-     set_axis<parse_integer_axis, &SimSpec::multi_client,
-              &MultiClientSpec::clients>,
+     set_axis<parse_integer_axis, &MultiClientSpec::clients>,
      kMultiClientOnly, nullptr, FlagSection::Axis, 7},
     {"--link-speedups", "LIST", "(multi_client)",
-     set_axis<parse_numeric_axis, &SimSpec::multi_client,
-              &MultiClientSpec::link_speedup>,
+     set_axis<parse_numeric_axis, &MultiClientSpec::link_speedup>,
      kMultiClientOnly, nullptr, FlagSection::Axis, 8},
     {"--fail-rates", "LIST", "(netsim_des / multi_client)",
-     set_axis<parse_numeric_axis, &SimSpec::fault, &FaultSpec::fail_rate>,
-     kDesOnly, nullptr, FlagSection::Axis, 9},
+     set_axis<parse_numeric_axis, &FaultSpec::fail_rate>, kDesOnly, nullptr,
+     FlagSection::Axis, 9},
 
     {"--spec", "FILE", "JSON sweep definition (base/axes/shard/csv/threads)",
      nullptr, {}, nullptr, FlagSection::Execution},
