@@ -21,7 +21,6 @@
 // committed document, not a hand-assembled flag string; flags after
 // --spec override the file.
 #include <csignal>
-#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>

@@ -836,11 +836,10 @@ inline std::optional<RunPlan> parse_run(
     if (!shard_owns(index, plan.shard_index, plan.shard_count)) continue;
     SimSpec spec = line.base;
     std::size_t rest = index;
-    for (auto points = line.axes.rbegin(); points != line.axes.rend();
-         ++points) {
-      if (points->empty()) continue;
-      (*points)[rest % points->size()](spec);
-      rest /= points->size();
+    for (auto axis = line.axes.rbegin(); axis != line.axes.rend(); ++axis) {
+      if (axis->empty()) continue;
+      (*axis)[rest % axis->size()](spec);
+      rest /= axis->size();
     }
     plan.owned.emplace_back(index, std::move(spec));
   }
