@@ -51,17 +51,13 @@ struct Client {
 }  // namespace
 
 SimResult run_multi_client(const SimSpec& spec) {
+  require_read_sections(spec, SimDriverKind::MultiClientDes);
   const MultiClientSpec& mc = spec.multi_client;
   SKP_REQUIRE(mc.clients >= 1, "multi_client needs at least one client");
   SKP_REQUIRE(mc.overrides.empty() || mc.overrides.size() == mc.clients,
               "multi_client overrides must have one entry per client "
               "(got " << mc.overrides.size() << " for " << mc.clients
                       << " clients)");
-  SKP_REQUIRE(spec.warmup == 0,
-              "multi_client counts every request; use predictor_warmup "
-              "for an observe-only prefix");
-  require_no_scenario_fields(spec, "multi_client");
-  require_unsized(spec, "multi_client");
   SKP_REQUIRE(mc.link_speedup > 0.0, "link_speedup must be positive");
   SKP_REQUIRE(spec.cache_size >= 1, "cache_size must be >= 1");
   SKP_REQUIRE(mc.phase_align >= 0.0 && mc.phase_align <= 1.0,

@@ -17,13 +17,9 @@ NetsimStepper::NetsimStepper(const SimSpec& spec,
   const SimWorkload& w = spec_.workload;
   SKP_REQUIRE(w.n_items >= 2, "n_items must be >= 2");
   SKP_REQUIRE(spec_.requests >= 1, "requests must be >= 1");
-  SKP_REQUIRE(spec_.warmup == 0,
-              "netsim_des counts every request; use predictor_warmup for "
-              "an observe-only prefix");
-  // The session arbitrates its own victims (Figure-6 Pr-arbitration).
-  require_no_scenario_fields(spec_, "netsim_des");
-  require_unsized(spec_, "netsim_des");
-  require_single_client(spec_, "netsim_des");
+  // The session arbitrates its own victims (Figure-6 Pr-arbitration), so
+  // it reads no scenario section.
+  require_read_sections(spec_, SimDriverKind::NetsimDes);
   const std::size_t n = w.n_items;
 
   // The read-mostly group state (sizes, r, master chain, cycle script)

@@ -165,18 +165,10 @@ SimResult run_requests(const SimSpec& spec, const RequestSource& src,
 
 // The trace_replay driver's one validation list.
 void require_replayable(const SimSpec& spec) {
+  require_read_sections(spec, SimDriverKind::TraceReplay);
   SKP_REQUIRE(spec.predictor != PredictorKind::Oracle,
               "trace replay has no oracle probabilities");
-  SKP_REQUIRE(spec.predictor_warmup == 0,
-              "trace replay has no observe-only prefix; use warmup to "
-              "exclude leading requests from metrics");
   SKP_REQUIRE(spec.cache_size >= 1, "cache_size must be >= 1");
-  require_default_net(spec, "trace_replay");
-  require_no_scenario_fields(spec, "trace_replay");
-  require_unsized(spec, "trace_replay");
-  require_single_client(spec, "trace_replay");
-  require_static_link(spec, "trace_replay");
-  require_reliable_full_effort(spec, "trace_replay");
 }
 
 // A learned replay builds no memo tier, so its result holds the metrics
@@ -195,15 +187,8 @@ SimResult run_prefetch_cache(const SimSpec& spec) {
 // The prefetch_cache driver: its one validation list and stream layout.
 SimResult run_prefetch_cache_lookahead(const SimSpec& spec,
                                        std::size_t horizon) {
+  require_read_sections(spec, SimDriverKind::PrefetchCache);
   const SimWorkload& w = spec.workload;
-  SKP_REQUIRE(spec.predictor_warmup == 0,
-              "prefetch_cache has no observe-only prefix; use warmup to "
-              "exclude leading requests from metrics");
-  require_default_net(spec, "prefetch_cache");
-  require_no_scenario_fields(spec, "prefetch_cache");
-  require_single_client(spec, "prefetch_cache");
-  require_static_link(spec, "prefetch_cache");
-  require_reliable_full_effort(spec, "prefetch_cache");
   SKP_REQUIRE(horizon >= 1, "lookahead horizon must be >= 1");
   SKP_REQUIRE(spec.predictor == PredictorKind::Oracle || horizon == 1,
               "lookahead_horizon > 1 blends oracle rows; a learned "
@@ -236,7 +221,12 @@ SimResult run_prefetch_cache_lookahead(const SimSpec& spec,
     }
   } else {
     SKP_REQUIRE(spec.cache_size >= 1, "cache_size must be >= 1");
-    require_unsized(spec, "prefetch_cache");
+    const SimSpec defaults;
+    SKP_REQUIRE(spec.size_per_r == defaults.size_per_r &&
+                    spec.size_lo == defaults.size_lo &&
+                    spec.size_hi == defaults.size_hi,
+                "a slot cache has no item sizes; size_per_r/size_lo/"
+                "size_hi apply with a nonzero sized_capacity");
     SKP_REQUIRE(w.kind == SimWorkloadKind::Markov ||
                     w.kind == SimWorkloadKind::MarkovDrift ||
                     w.kind == SimWorkloadKind::Zipf ||

@@ -23,14 +23,13 @@ SimResult run_prefetch_only(const SimSpec& spec) {
 
 SimResult run_prefetch_only(const SimSpec& spec,
                             std::span<std::pair<double, double>> scatter) {
+  require_read_sections(spec, SimDriverKind::PrefetchOnly);
   const SimWorkload& w = spec.workload;
   SKP_REQUIRE(w.kind == SimWorkloadKind::Iid,
               "prefetch_only redraws P each iteration — use an iid "
               "workload");
   SKP_REQUIRE(spec.predictor == PredictorKind::Oracle,
               "prefetch_only has no predictor pipeline");
-  SKP_REQUIRE(spec.warmup == 0 && spec.predictor_warmup == 0,
-              "prefetch_only has no warmup phase");
   // Reject rather than silently drop fields this protocol cannot honor:
   // the cache is flushed per iteration, so there is no sub-arbitration
   // and no profit thresholding to apply.
@@ -38,12 +37,6 @@ SimResult run_prefetch_only(const SimSpec& spec,
               "prefetch_only has no cache to sub-arbitrate");
   SKP_REQUIRE(spec.min_profit_threshold == 0.0,
               "prefetch_only does not support min_profit_threshold");
-  require_default_net(spec, "prefetch_only");
-  require_no_scenario_fields(spec, "prefetch_only");
-  require_unsized(spec, "prefetch_only");
-  require_single_client(spec, "prefetch_only");
-  require_static_link(spec, "prefetch_only");
-  require_reliable_full_effort(spec, "prefetch_only");
   SKP_REQUIRE(w.n_items >= 1, "n_items");
   SKP_REQUIRE(w.r_lo > 0 && w.r_lo <= w.r_hi, "r range");
   SKP_REQUIRE(w.v_lo >= 0 && w.v_lo <= w.v_hi, "v range");

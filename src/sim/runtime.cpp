@@ -73,58 +73,44 @@ std::unique_ptr<ReplacementPolicy> make_runtime_policy(ReplacementKind kind,
   return make_lru();
 }
 
-}  // namespace
+// ---- Spec sections (contract in runtime.hpp) ----------------------------
 
-// ---- Reject-don't-drop checks (contract in runtime.hpp) -----------------
-
-void require_default_net(const SimSpec& spec, const char* driver) {
-  SKP_REQUIRE(spec.bandwidth == 1.0 && spec.latency == 0.0,
-              driver << " does not model the network link; "
-                        "bandwidth/latency apply to netsim_des/scenario");
+template <auto... Members>
+bool at_default(const SimSpec& spec) {
+  static const SimSpec defaults;
+  return ((spec.*Members == defaults.*Members) && ...);
 }
 
-void require_no_scenario_fields(const SimSpec& spec, const char* driver) {
-  SKP_REQUIRE(!spec.pr_planning && spec.replacement == ReplacementKind::LRU,
-              driver << " has no replacement-policy pipeline; "
-                        "replacement/pr apply to the scenario driver");
-}
+// One row per SpecSection: the fields it holds, as diagnostics name
+// them, and whether a spec leaves them all at their defaults.
+struct SectionFields {
+  SpecSection section;
+  const char* fields;
+  bool (*at_default)(const SimSpec&);
+};
 
-void require_unsized(const SimSpec& spec, const char* driver) {
-  SKP_REQUIRE(spec.sized_capacity == 0.0,
-              driver << " has no byte-addressed cache; sized_capacity "
-                        "applies to the prefetch_cache driver");
-  const SimSpec defaults;
-  SKP_REQUIRE(spec.size_per_r == defaults.size_per_r &&
-                  spec.size_lo == defaults.size_lo &&
-                  spec.size_hi == defaults.size_hi,
-              driver << " has no item sizes without sized_capacity; "
-                        "size_per_r/size_lo/size_hi apply to the "
-                        "prefetch_cache driver's sized cache");
-}
+constexpr SectionFields kSections[] = {
+    {SpecSection::Net, "bandwidth/latency",
+     at_default<&SimSpec::bandwidth, &SimSpec::latency>},
+    {SpecSection::Scenario, "replacement/pr_planning",
+     at_default<&SimSpec::replacement, &SimSpec::pr_planning>},
+    {SpecSection::Sized, "sized_capacity/size_per_r/size_lo/size_hi",
+     at_default<&SimSpec::sized_capacity, &SimSpec::size_per_r,
+                &SimSpec::size_lo, &SimSpec::size_hi>},
+    {SpecSection::Des, "link_schedule/fault/overload/deadline",
+     at_default<&SimSpec::link_schedule, &SimSpec::fault,
+                &SimSpec::overload, &SimSpec::deadline>},
+    {SpecSection::MultiClient, "multi_client",
+     at_default<&SimSpec::multi_client>},
+    {SpecSection::Warmup, "warmup", at_default<&SimSpec::warmup>},
+    {SpecSection::PredictorWarmup, "predictor_warmup",
+     at_default<&SimSpec::predictor_warmup>},
+};
 
-void require_single_client(const SimSpec& spec, const char* driver) {
-  SKP_REQUIRE(spec.multi_client == MultiClientSpec{},
-              driver << " is single-client; the multi_client section "
-                        "applies to the multi_client driver");
+template <typename... Sections>
+constexpr unsigned reads(Sections... sections) {
+  return (0u | ... | (1u << static_cast<unsigned>(sections)));
 }
-
-void require_static_link(const SimSpec& spec, const char* driver) {
-  SKP_REQUIRE(spec.link_schedule.empty(),
-              driver << " has no simulated link timeline; link_schedule "
-                        "applies to netsim_des/multi_client");
-}
-
-void require_reliable_full_effort(const SimSpec& spec, const char* driver) {
-  SKP_REQUIRE(spec.fault == FaultSpec{},
-              driver << " has no simulated transfer path to fail; the "
-                        "fault section applies to netsim_des/multi_client");
-  SKP_REQUIRE(spec.overload == OverloadConfig{} && spec.deadline == 0.0,
-              driver << " has no realized waiting times to watch; "
-                        "overload/deadline apply to netsim_des/"
-                        "multi_client");
-}
-
-namespace {
 
 // ---- Drivers ------------------------------------------------------------
 // prefetch_only, prefetch_cache and trace_replay live in their own files
@@ -141,20 +127,14 @@ SimResult run_netsim_des_driver(const SimSpec& spec) {
 }
 
 SimResult run_scenario_driver(const SimSpec& spec) {
-  SKP_REQUIRE(spec.warmup == 0,
-              "the scenario pipeline counts every request; use "
-              "predictor_warmup for the observe-only prefix");
+  // The scenario pipeline consumes the net only as a static r catalog;
+  // it has no clock for the DES section to vary against.
+  require_read_sections(spec, SimDriverKind::Scenario);
   // Without Pr-arbitration the replacement policy picks every victim,
   // so there is no Pr tie for a sub-arbitration to break.
   SKP_REQUIRE(spec.pr_planning || spec.sub == SubArbitration::None,
               "the scenario driver sub-arbitrates only Pr-arbitration "
               "victims; set pr_planning or use sub none");
-  require_unsized(spec, "scenario");
-  require_single_client(spec, "scenario");
-  // The scenario pipeline consumes the net only as a static r catalog;
-  // it has no clock for a phase schedule to vary against.
-  require_static_link(spec, "scenario");
-  require_reliable_full_effort(spec, "scenario");
   const std::size_t n = spec.workload.n_items;
   GroundedStreams g = ground_streams(spec);
   const std::vector<double> r = g.catalog.retrieval_times(g.net);
@@ -272,15 +252,26 @@ SimResult run_scenario_driver(const SimSpec& spec) {
   return res;
 }
 
+// Each row's sections are exactly the ones its driver reads.
 constexpr SimDriver kDrivers[] = {
-    {SimDriverKind::PrefetchOnly, "prefetch_only", &run_prefetch_only},
-    {SimDriverKind::PrefetchCache, "prefetch_cache", &run_prefetch_cache},
-    {SimDriverKind::TraceReplay, "trace_replay", &run_trace_replay},
-    {SimDriverKind::NetsimDes, "netsim_des", &run_netsim_des_driver},
-    {SimDriverKind::Scenario, "scenario", &run_scenario_driver},
-    {SimDriverKind::MultiClientDes, "multi_client", &run_multi_client},
-    {SimDriverKind::SkpdLoopback, "skpd_loopback",
-     &run_skpd_loopback_driver},
+    {SimDriverKind::PrefetchOnly, "prefetch_only", &run_prefetch_only,
+     reads()},
+    {SimDriverKind::PrefetchCache, "prefetch_cache", &run_prefetch_cache,
+     reads(SpecSection::Sized, SpecSection::Warmup)},
+    {SimDriverKind::TraceReplay, "trace_replay", &run_trace_replay,
+     reads(SpecSection::Warmup)},
+    {SimDriverKind::NetsimDes, "netsim_des", &run_netsim_des_driver,
+     reads(SpecSection::Net, SpecSection::Des,
+           SpecSection::PredictorWarmup)},
+    {SimDriverKind::Scenario, "scenario", &run_scenario_driver,
+     reads(SpecSection::Net, SpecSection::Scenario,
+           SpecSection::PredictorWarmup)},
+    {SimDriverKind::MultiClientDes, "multi_client", &run_multi_client,
+     reads(SpecSection::Net, SpecSection::Des, SpecSection::MultiClient,
+           SpecSection::PredictorWarmup)},
+    {SimDriverKind::SkpdLoopback, "skpd_loopback", &run_skpd_loopback_driver,
+     reads(SpecSection::Net, SpecSection::Des,
+           SpecSection::PredictorWarmup)},
 };
 
 }  // namespace
@@ -302,6 +293,25 @@ const SimDriver* find_driver(std::string_view name) {
     if (name == d.name) return &d;
   }
   return nullptr;
+}
+
+std::string drivers_reading(SpecSection section) {
+  std::string names;
+  for (const SimDriver& d : kDrivers) {
+    if (!d.reads(section)) continue;
+    names += (names.empty() ? "" : ", ") + std::string(d.name);
+  }
+  return names;
+}
+
+void require_read_sections(const SimSpec& spec, SimDriverKind kind) {
+  const SimDriver& driver = find_driver(kind);
+  for (const SectionFields& s : kSections) {
+    SKP_REQUIRE(driver.reads(s.section) || s.at_default(spec),
+                driver.name << " does not read " << s.fields
+                            << " (read by " << drivers_reading(s.section)
+                            << ")");
+  }
 }
 
 SimResult run_sim(const SimSpec& spec) {
@@ -509,11 +519,12 @@ void append_sim_csv_row(CsvWriter& writer, std::size_t index,
       spec.workload.kind == SimWorkloadKind::MarkovDrift
           ? spec.workload.drift_period
           : 0;
-  const bool multi = spec.driver == SimDriverKind::MultiClientDes;
+  const SimDriver& driver = find_driver(spec.driver);
+  const bool multi = driver.reads(SpecSection::MultiClient);
   const std::size_t clients = multi ? spec.multi_client.clients : 0;
   const double phase_align = multi ? spec.multi_client.phase_align : 0.0;
   const double churn_period = multi ? spec.multi_client.churn_period : 0.0;
-  const bool des = multi || spec.driver == SimDriverKind::NetsimDes;
+  const bool des = driver.reads(SpecSection::Des);
   const std::size_t link_phases = des ? spec.link_schedule.size() : 0;
   const bool faulty = des && spec.fault.enabled();
   writer.row_of(

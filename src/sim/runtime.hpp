@@ -170,37 +170,38 @@ struct SimSpec {
   // for TraceReplay/Scenario, which are learned-predictor pipelines).
   PredictorKind predictor = PredictorKind::Oracle;
   double predictor_min_prob = 0.01;
-  // Observe-only prefix before planning starts (Scenario/NetsimDes).
+  // Observe-only prefix before planning starts
+  // (SpecSection::PredictorWarmup).
   std::size_t predictor_warmup = 0;
 
   // Cache sizing. A nonzero `sized_capacity` switches the PrefetchCache
   // driver to the byte-addressed SizedCache (capacity in size units; item
   // sizes are size_per_r * r_i when size_per_r > 0, else U[size_lo,
   // size_hi] when size_per_r is 0). Every other run rejects a size field
-  // that differs from its default.
+  // that differs from its default (SpecSection::Sized).
   std::size_t cache_size = 10;
   double sized_capacity = 0.0;
   double size_per_r = 1.0;
   double size_lo = 1.0, size_hi = 30.0;
-  // Scenario driver: demand-miss eviction policy, and whether prefetch
-  // victims come from Figure-6 Pr-arbitration instead of the policy.
+  // SpecSection::Scenario: demand-miss eviction policy, and whether
+  // prefetch victims come from Figure-6 Pr-arbitration instead of the
+  // policy.
   ReplacementKind replacement = ReplacementKind::LRU;
   bool pr_planning = false;
 
-  // Network grounding (NetsimDes + Scenario): r_i = latency + size_i /
+  // Network grounding (SpecSection::Net): r_i = latency + size_i /
   // bandwidth over a catalog of sizes drawn U{1..30} from the seed.
   double bandwidth = 1.0;
   double latency = 0.0;
-  // Time-varying link (NetsimDes + MultiClientDes): non-empty cycles
-  // these phases over the link; the phase at a transfer's start prices
-  // it, while planning keeps the base static estimate
-  // (sim/link_schedule.hpp). Drivers without a link reject it.
+  // Time-varying link (SpecSection::Des): non-empty cycles these phases
+  // over the link; the phase at a transfer's start prices it, while
+  // planning keeps the base static estimate (sim/link_schedule.hpp).
+  // Drivers without a link reject it.
   std::vector<LinkPhase> link_schedule;
 
-  // Robustness layer (NetsimDes + MultiClientDes; every other driver
-  // rejects non-default sections — they have no transfer path to fail or
-  // degrade). Fault draws come from a dedicated stream,
-  // Rng(seed).split(kFaultStreamSalt), so fail_rate=0 runs are
+  // Robustness layer (SpecSection::Des; the drivers without a transfer
+  // path to fail or degrade reject it). Fault draws come from a dedicated
+  // stream, Rng(seed).split(kFaultStreamSalt), so fail_rate=0 runs are
   // bit-identical to a build without the layer. The overload controller
   // watches realized access times and steps planning effort down the
   // degradation rungs (core/overload.hpp) before any request would be
@@ -212,12 +213,13 @@ struct SimSpec {
 
   // Run shape.
   std::size_t requests = 5'000;
-  std::size_t warmup = 0;  // leading requests excluded from metrics
+  // Leading requests excluded from metrics (SpecSection::Warmup).
+  std::size_t warmup = 0;
   std::uint64_t seed = 1;
   bool use_plan_cache = true;
   std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
 
-  // Multi-user DES section (multi_client driver only).
+  // Multi-user DES section (SpecSection::MultiClient).
   MultiClientSpec multi_client;
 
   // Structural equality — the skpd handshake round-trips a spec over the
@@ -272,10 +274,31 @@ struct SimResult {
 
 // ---- Driver registry ----------------------------------------------------
 
+// The spec fields only some drivers read, in sections. Each registry row
+// names the sections its driver reads (SimDriver::reads), and that column
+// is the one record of it: require_read_sections, simctl's flag scopes
+// and `run --help`, and the CSV's in-force cells all read it. Every
+// other field (workload, planning, predictor, cache_size, run shape) is
+// read by each driver, or refused by a rule of the driver's own.
+enum class SpecSection : unsigned char {
+  Net,              // bandwidth, latency
+  Scenario,         // replacement, pr_planning
+  Sized,            // sized_capacity, size_per_r, size_lo, size_hi
+  Des,              // link_schedule, fault, overload, deadline
+  MultiClient,      // multi_client
+  Warmup,           // warmup
+  PredictorWarmup,  // predictor_warmup
+};
+
 struct SimDriver {
   SimDriverKind kind;
   const char* name;  // stable CLI/CSV token, e.g. "prefetch_cache"
   SimResult (*run)(const SimSpec&);
+  unsigned sections;  // bit s set: the driver reads SpecSection s
+
+  bool reads(SpecSection section) const noexcept {
+    return (sections >> static_cast<unsigned>(section) & 1u) != 0;
+  }
 };
 
 // All registered drivers, in a fixed order.
@@ -283,24 +306,22 @@ std::span<const SimDriver> driver_registry();
 const SimDriver& find_driver(SimDriverKind kind);
 const SimDriver* find_driver(std::string_view name);
 
+// "netsim_des, multi_client, skpd_loopback": the drivers that read
+// `section`, in registry order.
+std::string drivers_reading(SpecSection section);
+
+// Reject, don't drop: a section the driver does not read must keep its
+// default, or the run would print a row for a parameter it never
+// applied. Throws std::invalid_argument naming the section's fields and
+// the drivers that read it. Every entry that runs a spec checks once:
+// the drivers, replay_trace, run_prefetch_cache_lookahead and
+// NetsimStepper (which the skpd daemon builds from a client's HELLO).
+void require_read_sections(const SimSpec& spec, SimDriverKind kind);
+
 // Dispatches `spec` to its driver. Throws std::invalid_argument when the
 // spec names a combination the driver does not support (e.g. an oracle
 // trace replay).
 SimResult run_sim(const SimSpec& spec);
-
-// ---- Reject-don't-drop checks -------------------------------------------
-// A spec field a driver cannot honor fails the run with
-// std::invalid_argument instead of silently falling back to a default
-// the CSV then records as if it had been applied. `driver` names the
-// caller in the diagnostic. The drivers and NetsimStepper share these
-// checks, so each message is written once.
-
-void require_default_net(const SimSpec& spec, const char* driver);
-void require_no_scenario_fields(const SimSpec& spec, const char* driver);
-void require_unsized(const SimSpec& spec, const char* driver);
-void require_single_client(const SimSpec& spec, const char* driver);
-void require_static_link(const SimSpec& spec, const char* driver);
-void require_reliable_full_effort(const SimSpec& spec, const char* driver);
 
 // ---- Stable string forms (CLI flags, CSV cells, skpd wire text) ---------
 //

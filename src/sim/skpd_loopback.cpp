@@ -93,6 +93,7 @@ std::size_t env_size(const char* name) {
 }  // namespace
 
 SimResult run_skpd_loopback_driver(const SimSpec& spec) {
+  require_read_sections(spec, SimDriverKind::SkpdLoopback);
   SkpdClientConfig cfg;
   cfg.drop_every = env_size("SKPD_DROP_EVERY");
 

@@ -3,8 +3,10 @@
 // driver, and the simctl sharding/merge substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <span>
 #include <sstream>
 #include <string>
@@ -505,6 +507,130 @@ TEST(SimRuntime, InvalidSpecsAreRejected) {
   EXPECT_THROW(run_sim(scenario_oracle), std::invalid_argument);
 }
 
+// ---- Spec sections --------------------------------------------------------
+
+// The sections each driver reads, written out: the registry must say the
+// same, and the runs below must bear it out.
+const std::pair<SimDriverKind, std::vector<SpecSection>> kReadSections[] = {
+    {SimDriverKind::PrefetchOnly, {}},
+    {SimDriverKind::PrefetchCache, {SpecSection::Sized, SpecSection::Warmup}},
+    {SimDriverKind::TraceReplay, {SpecSection::Warmup}},
+    {SimDriverKind::NetsimDes,
+     {SpecSection::Net, SpecSection::Des, SpecSection::PredictorWarmup}},
+    {SimDriverKind::Scenario,
+     {SpecSection::Net, SpecSection::Scenario, SpecSection::PredictorWarmup}},
+    {SimDriverKind::MultiClientDes,
+     {SpecSection::Net, SpecSection::Des, SpecSection::MultiClient,
+      SpecSection::PredictorWarmup}},
+    {SimDriverKind::SkpdLoopback,
+     {SpecSection::Net, SpecSection::Des, SpecSection::PredictorWarmup}},
+};
+
+// A section, the fields a rejection must name, and settings that each
+// move one of its fields off its default.
+struct SectionCase {
+  SpecSection section;
+  std::vector<std::string> fields;
+  std::vector<void (*)(SimSpec&)> settings;
+};
+
+const SectionCase kSectionCases[] = {
+    {SpecSection::Net,
+     {"bandwidth", "latency"},
+     {[](SimSpec& s) { s.bandwidth = 2.0; },
+      [](SimSpec& s) { s.latency = 0.5; }}},
+    {SpecSection::Scenario,
+     {"replacement", "pr_planning"},
+     {[](SimSpec& s) { s.replacement = ReplacementKind::FIFO; },
+      [](SimSpec& s) { s.pr_planning = true; }}},
+    {SpecSection::Sized,
+     {"sized_capacity", "size_per_r", "size_lo", "size_hi"},
+     {[](SimSpec& s) { s.sized_capacity = 40.0; },
+      [](SimSpec& s) {
+        s.sized_capacity = 40.0;
+        s.size_per_r = 0.0;
+        s.size_lo = 2.0;
+        s.size_hi = 20.0;
+      }}},
+    {SpecSection::Des,
+     {"link_schedule", "fault", "overload", "deadline"},
+     {[](SimSpec& s) { s.link_schedule = {{50.0, 0.5, 1.0}}; },
+      [](SimSpec& s) { s.fault.fail_rate = 0.2; },
+      [](SimSpec& s) { s.overload.enabled = true; },
+      [](SimSpec& s) { s.deadline = 20.0; }}},
+    {SpecSection::MultiClient,
+     {"multi_client"},
+     {[](SimSpec& s) { s.multi_client.clients = 2; },
+      [](SimSpec& s) { s.multi_client.link_speedup = 2.0; }}},
+    {SpecSection::Warmup, {"warmup"}, {[](SimSpec& s) { s.warmup = 10; }}},
+    {SpecSection::PredictorWarmup,
+     {"predictor_warmup"},
+     {[](SimSpec& s) { s.predictor_warmup = 10; }}},
+};
+
+// A small spec each driver runs with every section at its default.
+SimSpec section_base(SimDriverKind kind) {
+  SimSpec spec;
+  spec.driver = kind;
+  spec.workload.n_items = 24;
+  spec.cache_size = 6;
+  spec.requests = 120;
+  if (kind == SimDriverKind::PrefetchOnly) {
+    spec.workload.kind = SimWorkloadKind::Iid;
+  }
+  if (kind == SimDriverKind::TraceReplay || kind == SimDriverKind::Scenario) {
+    spec.predictor = PredictorKind::Markov1;
+  }
+  return spec;
+}
+
+TEST(SpecSections, EachDriverReadsExactlyItsRegistrySections) {
+  for (const auto& [kind, sections] : kReadSections) {
+    const SimDriver& driver = find_driver(kind);
+    EXPECT_NO_THROW(require_read_sections(section_base(kind), kind))
+        << driver.name;
+    for (const SectionCase& c : kSectionCases) {
+      const bool reads =
+          std::find(sections.begin(), sections.end(), c.section) !=
+          sections.end();
+      EXPECT_EQ(driver.reads(c.section), reads)
+          << driver.name << " / " << c.fields[0];
+      for (std::size_t k = 0; k < c.settings.size(); ++k) {
+        SimSpec spec = section_base(kind);
+        c.settings[k](spec);
+        // skpd_loopback runs in a daemon (tests/test_skpd.cpp); here its
+        // entry check runs alone.
+        const auto run = [&] {
+          if (kind == SimDriverKind::SkpdLoopback) {
+            require_read_sections(spec, kind);
+          } else {
+            run_sim(spec);
+          }
+        };
+        if (reads) {
+          EXPECT_NO_THROW(run())
+              << driver.name << " / " << c.fields[0] << " setting " << k;
+          continue;
+        }
+        try {
+          run();
+          ADD_FAILURE() << driver.name << " accepted " << c.fields[0]
+                        << " setting " << k;
+        } catch (const std::invalid_argument& e) {
+          const std::string what = e.what();
+          for (const std::string& field : c.fields) {
+            EXPECT_NE(what.find(field), std::string::npos) << what;
+          }
+          for (const SimDriver& reader : driver_registry()) {
+            if (!reader.reads(c.section)) continue;
+            EXPECT_NE(what.find(reader.name), std::string::npos) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
 // The size fields are read only by a sized prefetch_cache run, as
 // size_per_r > 0 (coupled sizes) or size_per_r == 0 (U[size_lo, size_hi]
 // sizes). Each spec below ran at an earlier revision and printed a row
@@ -747,6 +873,47 @@ TEST(SimCsv, HostileColumnsAndPerClientRows) {
   }
   EXPECT_EQ(rows, 3u);
   EXPECT_EQ(total_requests, res.metrics.requests);
+}
+
+// One CSV row of `result` under `spec`, cell by header name.
+std::map<std::string, std::string> csv_cells(const SimSpec& spec,
+                                             const SimResult& result) {
+  std::ostringstream os;
+  CsvWriter writer(os);
+  append_sim_csv_row(writer, 0, spec, result);
+  std::istringstream cells(os.str());
+  std::map<std::string, std::string> out;
+  std::string cell;
+  for (const std::string& name : sim_csv_header()) {
+    std::getline(cells, cell, name == sim_csv_header().back() ? '\n' : ',');
+    out[name] = cell;
+  }
+  return out;
+}
+
+TEST(SimCsv, SkpdLoopbackRowsPrintTheDesCellsTheyRan) {
+  // The daemon runs the DES section, so its row prints what a netsim_des
+  // row of the same spec prints. The result is the in-process one: the
+  // daemon reproduces it bit for bit (tests/test_skpd.cpp).
+  SimSpec spec;
+  spec.driver = SimDriverKind::NetsimDes;
+  spec.workload.n_items = 24;
+  spec.cache_size = 6;
+  spec.requests = 300;
+  spec.fault.fail_rate = 0.25;
+  spec.link_schedule = {{200.0, 1.0, 0.0}, {60.0, 0.25, 2.0}};
+  spec.deadline = 15.0;
+  const SimResult res = run_sim(spec);
+  std::map<std::string, std::string> des = csv_cells(spec, res);
+  spec.driver = SimDriverKind::SkpdLoopback;
+  std::map<std::string, std::string> daemon = csv_cells(spec, res);
+  EXPECT_EQ(daemon["driver"], "skpd_loopback");
+  EXPECT_EQ(daemon["fail_rate"], "0.25");
+  EXPECT_EQ(daemon["link_phases"], "2");
+  EXPECT_EQ(daemon["deadline"], "15");
+  des.erase("driver");
+  daemon.erase("driver");
+  EXPECT_EQ(daemon, des);
 }
 
 TEST(SimShard, MergeRejectsBrokenDocuments) {

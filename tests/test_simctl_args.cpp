@@ -307,9 +307,16 @@ const FlagCase kFlagCases[] = {
      [](SimSpec& s) { s.delta_rule = DeltaRule::PaperTail; }},
     {{"--predictor", "depgraph"},
      [](SimSpec& s) { s.predictor = PredictorKind::DependencyWindow; }},
-    {{"--replacement", "random"},
-     [](SimSpec& s) { s.replacement = ReplacementKind::Random; }},
-    {{"--pr"}, [](SimSpec& s) { s.pr_planning = true; }},
+    {{"--driver", "scenario", "--replacement", "random"},
+     [](SimSpec& s) {
+       s.driver = SimDriverKind::Scenario;
+       s.replacement = ReplacementKind::Random;
+     }},
+    {{"--driver", "scenario", "--pr"},
+     [](SimSpec& s) {
+       s.driver = SimDriverKind::Scenario;
+       s.pr_planning = true;
+     }},
     {{"--cache-size", "17"}, [](SimSpec& s) { s.cache_size = 17; }},
     {{"--sized-capacity", "42.5"}, [](SimSpec& s) { s.sized_capacity = 42.5; }},
     {{"--size-per-r", "0"}, [](SimSpec& s) { s.size_per_r = 0.0; }},
@@ -317,13 +324,24 @@ const FlagCase kFlagCases[] = {
     {{"--warmup", "9"}, [](SimSpec& s) { s.warmup = 9; }},
     {{"--seed", "18446744073709551615"},
      [](SimSpec& s) { s.seed = 18446744073709551615ULL; }},
-    {{"--bandwidth", "2.5"}, [](SimSpec& s) { s.bandwidth = 2.5; }},
-    {{"--latency", "0.75"}, [](SimSpec& s) { s.latency = 0.75; }},
+    {{"--driver", "netsim_des", "--bandwidth", "2.5"},
+     [](SimSpec& s) {
+       s.driver = SimDriverKind::NetsimDes;
+       s.bandwidth = 2.5;
+     }},
+    {{"--driver", "netsim_des", "--latency", "0.75"},
+     [](SimSpec& s) {
+       s.driver = SimDriverKind::NetsimDes;
+       s.latency = 0.75;
+     }},
     {{"--threshold", "1.5"},
      [](SimSpec& s) { s.min_profit_threshold = 1.5; }},
     {{"--min-prob", "0.03"}, [](SimSpec& s) { s.predictor_min_prob = 0.03; }},
-    {{"--predictor-warmup", "11"},
-     [](SimSpec& s) { s.predictor_warmup = 11; }},
+    {{"--driver", "netsim_des", "--predictor-warmup", "11"},
+     [](SimSpec& s) {
+       s.driver = SimDriverKind::NetsimDes;
+       s.predictor_warmup = 11;
+     }},
     {{"--driver", "multi_client", "--clients", "5"},
      [](SimSpec& s) {
        s.driver = SimDriverKind::MultiClientDes;
@@ -754,6 +772,8 @@ TEST(SimctlRun, RejectsFlagsOutsideTheirScope) {
       {"--deadline", "10"},
       {"--driver", "scenario", "--fail-rates", "0,0.1"},
       {"--per-client-csv", "pc.csv"},
+      {"--replacement", "fifo"},
+      {"--pr"},
       // The scope is the last --driver's or --workload's.
       {"--driver", "multi_client", "--clients", "3", "--driver",
        "netsim_des"},
@@ -770,11 +790,52 @@ TEST(SimctlRun, RejectsFlagsOutsideTheirScope) {
   // A scoped flag may come before the flag that puts it in scope.
   EXPECT_TRUE(parse_run({"--clients", "3", "--driver", "multi_client"}));
   EXPECT_TRUE(parse_run({"--zipf-s", "1.2", "--workload", "zipf"}));
-  // --replacement, --pr and --sub have no parse-time scope: the driver
-  // rejects what it cannot run, once the sweep runs.
-  EXPECT_TRUE(parse_run({"--replacement", "fifo"}));
-  EXPECT_TRUE(parse_run({"--pr"}));
+  // --sub has no parse-time scope: a sub without --pr is a rule of the
+  // scenario driver, which rejects it once the sweep runs.
   EXPECT_TRUE(parse_run({"--driver", "scenario", "--sub", "lfu"}));
+}
+
+TEST(SimctlRun, SkpdLoopbackTakesTheDesFlags) {
+  // The daemon's stepper runs faults, and the registry says so.
+  SimSpec want;
+  want.driver = SimDriverKind::SkpdLoopback;
+  want.fault.fail_rate = 0.1;
+  const std::optional<RunPlan> plan =
+      parse_run({"--driver", "skpd_loopback", "--fail-rate", "0.1"});
+  ASSERT_TRUE(plan);
+  ASSERT_EQ(plan->owned.size(), 1u);
+  EXPECT_TRUE(plan->owned[0].second == want);
+}
+
+TEST(SimctlRun, SectionFlagsParseUnderTheDriversThatReadThem) {
+  // Each pinned line above that uses a section's flags, re-run under
+  // every driver: it parses exactly when the driver's registry row reads
+  // every section the line touches.
+  std::vector<std::vector<std::string>> lines;
+  for (const FlagCase& c : kFlagCases) lines.push_back(c.args);
+  for (const AxisCase& c : kAxisCases) lines.push_back(c.args);
+  for (std::vector<std::string> args : lines) {
+    if (args.size() >= 2 && args[0] == "--driver") {
+      args.erase(args.begin(), args.begin() + 2);
+    }
+    std::vector<SpecSection> touched;
+    for (const std::string& arg : args) {
+      const RunFlag* flag = find_run_flag(arg);
+      if (flag && flag->scope.section) touched.push_back(*flag->scope.section);
+    }
+    if (touched.empty()) continue;
+    for (const SimDriver& driver : driver_registry()) {
+      std::vector<std::string> line = {"--driver", driver.name};
+      line.insert(line.end(), args.begin(), args.end());
+      if (std::ranges::all_of(touched, [&](SpecSection section) {
+            return driver.reads(section);
+          })) {
+        EXPECT_TRUE(parse_run(line)) << joined(line);
+      } else {
+        EXPECT_THROW(parse_run(line), std::invalid_argument) << joined(line);
+      }
+    }
+  }
 }
 
 TEST(SimctlRun, RejectsMalformedLines) {
@@ -791,6 +852,13 @@ TEST(SimctlRun, RejectsMalformedLines) {
       {"--driver", "multi_client", "--clients", "2", "--client-predictors",
        "ppm,bogus"},
       {"--driver", "multi_client", "--client-predictors", ""},
+      // An empty item or an empty list is refused in every list.
+      {"--policies", "kp,"},
+      {"--policies", ""},
+      {"--seeds", "1,"},
+      {"--seeds", ""},
+      {"--replacements", ""},
+      {"--driver", "scenario", "--replacements", ""},
       // Every axis token is read, whichever specs this shard owns.
       {"--policies", "kp,bogus", "--shard", "0/2"},
       {"--seeds", "0:18446744073709551615:1"},

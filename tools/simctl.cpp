@@ -96,13 +96,20 @@ std::vector<std::string> expand_args(int argc, char** argv) {
 }
 
 // Every rejected argument exits 2 through fail(): parse_run and the
-// spec-file lowering throw std::invalid_argument for each. Once the
-// sweep runs, an exception (a spec the driver rejects) reaches main and
-// exits 1.
+// spec-file lowering throw std::invalid_argument for each, and so does
+// an output path that cannot be opened, which is opened before the
+// sweep runs. Once the sweep runs, an exception (a spec the driver
+// rejects) reaches main and exits 1.
 int run_command(int argc, char** argv) {
   std::optional<simctl::RunPlan> parsed;
+  std::ofstream file;
+  std::ofstream pc_file;
   try {
     parsed = simctl::parse_run(expand_args(argc, argv));
+    if (parsed && parsed->csv_path) file = open_csv(*parsed->csv_path);
+    if (parsed && parsed->per_client_csv_path) {
+      pc_file = open_csv(*parsed->per_client_csv_path);
+    }
   } catch (const std::invalid_argument& e) {
     fail(e.what());
   }
@@ -134,10 +141,6 @@ int run_command(int argc, char** argv) {
     }
   }
 
-  std::ofstream file;
-  if (csv_path) {
-    file = open_csv(*csv_path);
-  }
   std::ostream& os = csv_path ? static_cast<std::ostream&>(file)
                               : std::cout;
   CsvWriter writer(os);
@@ -153,7 +156,6 @@ int run_command(int argc, char** argv) {
   os.flush();
   if (!os) fail("write failed: " + csv_path.value_or("stdout"));
   if (per_client_csv_path) {
-    std::ofstream pc_file = open_csv(*per_client_csv_path);
     CsvWriter pc_writer(pc_file);
     pc_writer.row(per_client_csv_header());
     for (std::size_t i = 0; i < owned.size(); ++i) {

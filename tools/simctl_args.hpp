@@ -33,12 +33,19 @@ namespace skp::simctl {
   throw std::invalid_argument(message);
 }
 
-inline std::vector<std::string> split(const std::string& value, char sep) {
-  std::vector<std::string> parts;
-  std::string part;
-  std::istringstream is(value);
-  while (std::getline(is, part, sep)) parts.push_back(part);
-  return parts;
+// The items of a flag's `sep`-separated value. Every list reads its items
+// here, so an empty item ("a,,b", "a," or "") is rejected alike in all.
+inline std::vector<std::string> list_items(const std::string& value, char sep,
+                                           const char* flag) {
+  std::vector<std::string> items;
+  for (std::size_t at = 0, end = 0; end != std::string::npos; at = end + 1) {
+    end = value.find(sep, at);
+    items.push_back(value.substr(at, end - at));
+  }
+  if (std::ranges::find(items, "") != items.end()) {
+    bad_arg(std::string(flag) + ": empty item in '" + value + "'");
+  }
+  return items;
 }
 
 inline std::uint64_t parse_u64(const std::string& value, const char* flag) {
@@ -132,8 +139,8 @@ inline std::size_t sweep_size(const std::vector<std::size_t>& points) {
 inline std::vector<double> parse_numeric_axis(const std::string& value,
                                               const char* flag) {
   std::vector<double> axis;
-  for (const std::string& token : split(value, ',')) {
-    const std::vector<std::string> range = split(token, ':');
+  for (const std::string& token : list_items(value, ',', flag)) {
+    const std::vector<std::string> range = list_items(token, ':', flag);
     if (range.size() == 3) {
       const double lo = parse_double(range[0], flag);
       const double hi = parse_double(range[1], flag);
@@ -154,7 +161,6 @@ inline std::vector<double> parse_numeric_axis(const std::string& value,
       bad_arg(std::string(flag) + ": bad token '" + token + "'");
     }
   }
-  if (axis.empty()) bad_arg(std::string(flag) + ": empty axis");
   return axis;
 }
 
@@ -164,8 +170,8 @@ inline std::vector<double> parse_numeric_axis(const std::string& value,
 inline std::vector<std::uint64_t> parse_integer_axis(
     const std::string& value, const char* flag) {
   std::vector<std::uint64_t> axis;
-  for (const std::string& token : split(value, ',')) {
-    const std::vector<std::string> range = split(token, ':');
+  for (const std::string& token : list_items(value, ',', flag)) {
+    const std::vector<std::string> range = list_items(token, ':', flag);
     if (range.size() == 3) {
       const std::uint64_t lo = parse_u64(range[0], flag);
       const std::uint64_t hi = parse_u64(range[1], flag);
@@ -186,14 +192,13 @@ inline std::vector<std::uint64_t> parse_integer_axis(
       bad_arg(std::string(flag) + ": bad token '" + token + "'");
     }
   }
-  if (axis.empty()) bad_arg(std::string(flag) + ": empty axis");
   return axis;
 }
 
 // "LO:HI", each bound read by Parse.
 template <auto Parse>
 auto parse_pair(const std::string& value, const char* flag) {
-  const std::vector<std::string> parts = split(value, ':');
+  const std::vector<std::string> parts = list_items(value, ':', flag);
   if (parts.size() != 2) bad_arg(std::string(flag) + " expects LO:HI");
   return std::pair{Parse(parts[0], flag), Parse(parts[1], flag)};
 }
@@ -204,8 +209,8 @@ auto parse_pair(const std::string& value, const char* flag) {
 inline std::vector<LinkPhase> parse_link_schedule(const std::string& value,
                                                   const char* flag) {
   std::vector<LinkPhase> schedule;
-  for (const std::string& token : split(value, ',')) {
-    const std::vector<std::string> parts = split(token, ':');
+  for (const std::string& token : list_items(value, ',', flag)) {
+    const std::vector<std::string> parts = list_items(token, ':', flag);
     if (parts.size() != 3) {
       bad_arg(std::string(flag) + ": phase '" + token +
               "' expects DUR:BW:LAT");
@@ -221,7 +226,6 @@ inline std::vector<LinkPhase> parse_link_schedule(const std::string& value,
     }
     schedule.push_back(phase);
   }
-  if (schedule.empty()) bad_arg(std::string(flag) + ": empty schedule");
   return schedule;
 }
 
@@ -232,8 +236,8 @@ inline std::vector<LinkPhase> parse_link_schedule(const std::string& value,
 // CLI and the JSON path reject the same inputs the runtime would.
 inline RetryPolicy parse_retry_policy(const std::string& value,
                                       const char* flag) {
-  const std::vector<std::string> parts = split(value, ':');
-  if (parts.empty() || parts.size() > 4) {
+  const std::vector<std::string> parts = list_items(value, ':', flag);
+  if (parts.size() > 4) {
     bad_arg(std::string(flag) + " expects MAX[:BASE[:FACTOR[:JITTER]]], "
             "got '" + value + "'");
   }
@@ -377,25 +381,20 @@ struct RunLine {
   RunPlan plan;
 };
 
-// The runs a flag applies to: every run when both masks are 0, else the
-// drivers or workloads whose bits are set. A flag the run would never
-// consult is rejected rather than left in a sweep the CSV mislabels
-// (reject-don't-drop, as in the drivers).
+// The runs a flag applies to: a flag of a spec section is read only by
+// the drivers whose registry row reads the section (SimDriver::reads),
+// a workload flag only by its workload, and any other flag by every run.
+// A flag the run would never consult is rejected at parse rather than
+// left in a sweep the CSV mislabels (reject-don't-drop, as in the
+// drivers). A row names its scope by the section or the workload alone.
 struct Scope {
-  unsigned drivers = 0;
-  unsigned workloads = 0;
+  std::optional<SpecSection> section;
+  std::optional<SimWorkloadKind> workload;
+
+  constexpr Scope() = default;
+  constexpr Scope(SpecSection s) : section(s) {}
+  constexpr Scope(SimWorkloadKind w) : workload(w) {}
 };
-
-template <typename... Kinds>
-constexpr unsigned bits(Kinds... kinds) {
-  return ((1u << static_cast<unsigned>(kinds)) | ...);
-}
-
-inline constexpr Scope kMultiClientOnly{bits(SimDriverKind::MultiClientDes)};
-inline constexpr Scope kDesOnly{
-    bits(SimDriverKind::NetsimDes, SimDriverKind::MultiClientDes)};
-
-constexpr Scope workload_only(SimWorkloadKind kind) { return {0, bits(kind)}; }
 
 enum class FlagSection : unsigned char { Spec, Axis, Execution };
 
@@ -403,7 +402,9 @@ struct RunFlag {
   const char* name;
   const char* value;  // the placeholder; nullptr for a switch
   // Help lines, split at '\n'. A line holding "{}" gets fill()'s text in
-  // its place and is wrapped; the others print as written.
+  // its place and is wrapped; the others print as written. A row scoped
+  // to a spec section ends with the drivers that read it. Axis rows print
+  // that note alone.
   const char* help;
   // Reads the value into the line. nullptr for --spec, which simctl
   // expands into flags before the line is parsed.
@@ -450,7 +451,7 @@ auto read_token(const std::string& token, const char* flag) {
 template <const auto& Table>
 auto read_tokens(const std::string& list, const char* flag) {
   std::vector<decltype(read_token<Table>(list, flag))> values;
-  for (const std::string& token : split(list, ',')) {
+  for (const std::string& token : list_items(list, ',', flag)) {
     values.push_back(read_token<Table>(token, flag));
   }
   return values;
@@ -470,7 +471,7 @@ inline std::string client_predictor_list() {
 inline std::vector<MultiClientOverride> read_client_predictors(
     const std::string& list, const char* flag) {
   std::vector<MultiClientOverride> overrides;
-  for (const std::string& token : split(list, ',')) {
+  for (const std::string& token : list_items(list, ',', flag)) {
     overrides.emplace_back();
     if (token == "inherit") continue;
     overrides.back().predictor =
@@ -479,7 +480,6 @@ inline std::vector<MultiClientOverride> read_client_predictors(
       unknown_token(flag, token, client_predictor_list());
     }
   }
-  if (overrides.empty()) bad_arg(std::string(flag) + ": empty list");
   return overrides;
 }
 
@@ -546,115 +546,117 @@ inline constexpr RunFlag kRunFlags[] = {
     {"--predictor", "K", "{}",
      set_field<read_token<kPredictorTokens>, &SimSpec::predictor>, {},
      token_list<kPredictorTokens>},
-    {"--replacement", "R", "{}     (scenario driver)",
-     set_field<read_token<kReplacementTokens>, &SimSpec::replacement>, {},
-     token_list<kReplacementTokens>},
-    {"--pr", nullptr, "scenario driver: Figure-6 Pr-arbitration planning",
-     set_switch<true, &SimSpec::pr_planning>},
+    {"--replacement", "R", "{}",
+     set_field<read_token<kReplacementTokens>, &SimSpec::replacement>,
+     SpecSection::Scenario, token_list<kReplacementTokens>},
+    {"--pr", nullptr, "Figure-6 Pr-arbitration planning",
+     set_switch<true, &SimSpec::pr_planning>, SpecSection::Scenario},
     {"--cache-size", "N", "slot-cache capacity",
      set_field<parse_u64, &SimSpec::cache_size>},
-    {"--sized-capacity", "X", "byte-cache capacity (prefetch_cache driver)",
-     set_field<parse_double, &SimSpec::sized_capacity>},
+    {"--sized-capacity", "X", "byte-cache capacity",
+     set_field<parse_double, &SimSpec::sized_capacity>, SpecSection::Sized},
     {"--size-per-r", "X", "sized-cache size coupling (0 = uniform draw)",
-     set_field<parse_double, &SimSpec::size_per_r>},
+     set_field<parse_double, &SimSpec::size_per_r>, SpecSection::Sized},
     {"--requests", "N",
      "requests / iterations per spec (multi_client:\nper client)",
      set_field<parse_u64, &SimSpec::requests>},
     {"--warmup", "N", "leading requests excluded from metrics",
-     set_field<parse_u64, &SimSpec::warmup>},
+     set_field<parse_u64, &SimSpec::warmup>, SpecSection::Warmup},
     {"--seed", "N", "root RNG seed", set_field<parse_u64, &SimSpec::seed>},
-    {"--bandwidth", "X", "net grounding (netsim_des / scenario / multi_client)",
-     set_field<parse_double, &SimSpec::bandwidth>},
-    {"--latency", "X", "", set_field<parse_double, &SimSpec::latency>},
+    {"--bandwidth", "X", "net grounding",
+     set_field<parse_double, &SimSpec::bandwidth>, SpecSection::Net},
+    {"--latency", "X", "", set_field<parse_double, &SimSpec::latency>,
+     SpecSection::Net},
     {"--threshold", "X", "min-profit prefetch suppression threshold",
      set_field<parse_double, &SimSpec::min_profit_threshold>},
     {"--min-prob", "X", "predictor shortlist floor",
      set_field<parse_double, &SimSpec::predictor_min_prob>},
-    {"--predictor-warmup", "N",
-     "observe-only prefix (scenario / netsim_des /\nmulti_client)",
-     set_field<parse_u64, &SimSpec::predictor_warmup>},
-    {"--clients", "N", "multi_client driver: client count",
-     set_field<parse_u64, &MultiClientSpec::clients>, kMultiClientOnly},
-    {"--link-speedup", "X", "multi_client driver: shared-link speed multiplier",
+    {"--predictor-warmup", "N", "observe-only prefix",
+     set_field<parse_u64, &SimSpec::predictor_warmup>,
+     SpecSection::PredictorWarmup},
+    {"--clients", "N", "client count",
+     set_field<parse_u64, &MultiClientSpec::clients>,
+     SpecSection::MultiClient},
+    {"--link-speedup", "X", "shared-link speed multiplier",
      set_field<parse_double, &MultiClientSpec::link_speedup>,
-     kMultiClientOnly},
-    {"--phase-align", "X",
-     "multi_client driver: flash-crowd alignment in [0,1]",
-     set_field<parse_double, &MultiClientSpec::phase_align>, kMultiClientOnly},
+     SpecSection::MultiClient},
+    {"--phase-align", "X", "flash-crowd alignment in [0,1]",
+     set_field<parse_double, &MultiClientSpec::phase_align>,
+     SpecSection::MultiClient},
     {"--churn-period", "X",
-     "multi_client driver: simulated time between client\n"
+     "simulated time between client\n"
      "departures (0 = no churn)",
      set_field<parse_double, &MultiClientSpec::churn_period>,
-     kMultiClientOnly},
-    {"--churn-downtime", "X", "multi_client driver: offline span per departure",
+     SpecSection::MultiClient},
+    {"--churn-downtime", "X", "offline span per departure",
      set_field<parse_double, &MultiClientSpec::churn_downtime>,
-     kMultiClientOnly},
+     SpecSection::MultiClient},
     {"--client-predictors", "LIST",
-     "multi_client driver: one predictor token per\n"
+     "one predictor token per\n"
      "client ({}), lowering to per-client\n"
      "overrides for mixed-predictor fleets. Count\n"
      "must equal --clients; an all-\"inherit\" list\n"
      "reproduces the run without the flag.",
      set_field<read_client_predictors, &MultiClientSpec::overrides>,
-     kMultiClientOnly, client_predictor_list},
+     SpecSection::MultiClient, client_predictor_list},
     {"--link-phases", "LIST",
-     "time-varying link (netsim_des / multi_client):\n"
-     "comma list of DUR:BW:LAT phases, cycling",
-     set_field<parse_link_schedule, &SimSpec::link_schedule>, kDesOnly},
+     "time-varying link:\ncomma list of DUR:BW:LAT phases, cycling",
+     set_field<parse_link_schedule, &SimSpec::link_schedule>,
+     SpecSection::Des},
     {"--fail-rate", "X",
-     "fault injection (netsim_des / multi_client):\n"
-     "P(prefetch attempt fails outright), in [0,1]",
-     set_field<parse_double, &FaultSpec::fail_rate>, kDesOnly},
+     "fault injection:\nP(prefetch attempt fails outright), in [0,1]",
+     set_field<parse_double, &FaultSpec::fail_rate>, SpecSection::Des},
     {"--stall-rate", "X", "P(attempt runs --stall-factor x slower)",
-     set_field<parse_double, &FaultSpec::stall_rate>, kDesOnly},
+     set_field<parse_double, &FaultSpec::stall_rate>, SpecSection::Des},
     {"--stall-factor", "X", "stall slowdown multiplier (default 4)",
-     set_field<parse_double, &FaultSpec::stall_factor>, kDesOnly},
+     set_field<parse_double, &FaultSpec::stall_factor>, SpecSection::Des},
     {"--timeout", "X", "abort prefetch attempts longer than X (0 = off)",
-     set_field<parse_double, &FaultSpec::timeout>, kDesOnly},
+     set_field<parse_double, &FaultSpec::timeout>, SpecSection::Des},
     {"--retry", "SPEC",
      "MAX[:BASE[:FACTOR[:JITTER]]] retry policy for\n"
      "failed prefetch attempts (default 1 = no retries)",
-     set_field<parse_retry_policy, &FaultSpec::retry>, kDesOnly},
-    {"--overload", nullptr,
-     "enable the adaptive overload controller\n(netsim_des / multi_client)",
-     set_switch<true, &OverloadConfig::enabled>, kDesOnly},
+     set_field<parse_retry_policy, &FaultSpec::retry>, SpecSection::Des},
+    {"--overload", nullptr, "enable the adaptive overload controller",
+     set_switch<true, &OverloadConfig::enabled>, SpecSection::Des},
     {"--overload-window", "N", "realized-time sample window (default 64)",
-     set_field<parse_u64, &OverloadConfig::window>, kDesOnly},
+     set_field<parse_u64, &OverloadConfig::window>, SpecSection::Des},
     {"--overload-degrade", "X", "descend a rung at sample/baseline >= X",
-     set_field<parse_double, &OverloadConfig::degrade_ratio>, kDesOnly},
+     set_field<parse_double, &OverloadConfig::degrade_ratio>,
+     SpecSection::Des},
     {"--overload-recover", "X", "calm window at sample/baseline <= X",
-     set_field<parse_double, &OverloadConfig::recover_ratio>, kDesOnly},
+     set_field<parse_double, &OverloadConfig::recover_ratio>,
+     SpecSection::Des},
     {"--overload-recover-windows", "N",
      "consecutive calm windows before ascending",
-     set_field<parse_u64, &OverloadConfig::recover_windows>, kDesOnly},
+     set_field<parse_u64, &OverloadConfig::recover_windows>,
+     SpecSection::Des},
     {"--overload-depth", "N", "rung-1 lookahead candidate cap",
-     set_field<parse_u64, &OverloadConfig::lookahead_depth>, kDesOnly},
+     set_field<parse_u64, &OverloadConfig::lookahead_depth>,
+     SpecSection::Des},
     {"--overload-budget", "N", "rung-2 prefetch budget cap",
-     set_field<parse_u64, &OverloadConfig::budget_items>, kDesOnly},
-    {"--deadline", "X",
-     "count requests served within X time units\n(netsim_des / multi_client)",
-     set_field<parse_double, &SimSpec::deadline>, kDesOnly},
+     set_field<parse_u64, &OverloadConfig::budget_items>, SpecSection::Des},
+    {"--deadline", "X", "count requests served within X time units",
+     set_field<parse_double, &SimSpec::deadline>, SpecSection::Des},
     {"--method", "M", "iid row: {}",
      set_field<read_token<kProbMethodTokens>, &SimWorkload::method>,
-     workload_only(SimWorkloadKind::Iid), token_list<kProbMethodTokens>},
+     SimWorkloadKind::Iid, token_list<kProbMethodTokens>},
     {"--skew-exponent", "X", "iid skewy exponent",
      set_field<parse_double, &SimWorkload::skew_exponent>,
-     workload_only(SimWorkloadKind::Iid)},
+     SimWorkloadKind::Iid},
     {"--zipf-s", "X", "Zipf tail exponent",
      set_field<parse_double, &SimWorkload::zipf_exponent>,
-     workload_only(SimWorkloadKind::Zipf)},
+     SimWorkloadKind::Zipf},
     {"--no-zipf-shuffle", nullptr, "keep item id == popularity rank",
-     set_switch<false, &SimWorkload::zipf_shuffle>,
-     workload_only(SimWorkloadKind::Zipf)},
+     set_switch<false, &SimWorkload::zipf_shuffle>, SimWorkloadKind::Zipf},
     {"--drift-period", "N", "markov_drift changepoint period",
      set_field<parse_u64, &SimWorkload::drift_period>,
-     workload_only(SimWorkloadKind::MarkovDrift)},
+     SimWorkloadKind::MarkovDrift},
     {"--adv-hot-set", "N", "adversarial clique size (2 cliques of N items)",
      set_field<parse_u64, &SimWorkload::adv_hot_set>,
-     workload_only(SimWorkloadKind::Adversarial)},
+     SimWorkloadKind::Adversarial},
     {"--adv-escape", "X", "adversarial clique-escape probability",
      set_field<parse_double, &SimWorkload::adv_escape>,
-     workload_only(SimWorkloadKind::Adversarial)},
+     SimWorkloadKind::Adversarial},
     {"--out-degree", "LO:HI", "chain out-degree bounds",
      [](RunLine& line, const RunFlag& flag, const std::string& value) {
        // Integer bounds: a double would truncate fractions and make a
@@ -695,24 +697,25 @@ inline constexpr RunFlag kRunFlags[] = {
     {"--thresholds", "LIST", "",
      set_axis<parse_numeric_axis, &SimSpec::min_profit_threshold>, {},
      nullptr, FlagSection::Axis, 4},
-    {"--replacements", "LIST", "(scenario)",
+    {"--replacements", "LIST", "",
      set_axis<read_tokens<kReplacementTokens>, &SimSpec::replacement>,
-     {bits(SimDriverKind::Scenario)}, nullptr, FlagSection::Axis, 6},
+     SpecSection::Scenario, nullptr, FlagSection::Axis, 6},
     {"--client-counts", "LIST", "",
      set_axis<parse_integer_axis, &MultiClientSpec::clients>,
-     kMultiClientOnly, nullptr, FlagSection::Axis, 7},
-    {"--link-speedups", "LIST", "(multi_client)",
+     SpecSection::MultiClient, nullptr, FlagSection::Axis, 7},
+    {"--link-speedups", "LIST", "",
      set_axis<parse_numeric_axis, &MultiClientSpec::link_speedup>,
-     kMultiClientOnly, nullptr, FlagSection::Axis, 8},
-    {"--fail-rates", "LIST", "(netsim_des / multi_client)",
-     set_axis<parse_numeric_axis, &FaultSpec::fail_rate>, kDesOnly, nullptr,
-     FlagSection::Axis, 9},
+     SpecSection::MultiClient, nullptr, FlagSection::Axis, 8},
+    {"--fail-rates", "LIST", "",
+     set_axis<parse_numeric_axis, &FaultSpec::fail_rate>, SpecSection::Des,
+     nullptr, FlagSection::Axis, 9},
 
     {"--spec", "FILE", "JSON sweep definition (base/axes/shard/csv/threads)",
      nullptr, {}, nullptr, FlagSection::Execution},
     {"--shard", "I/N", "run only the specs with index % N == I",
      [](RunLine& line, const RunFlag& flag, const std::string& value) {
-       const std::vector<std::string> parts = split(value, '/');
+       const std::vector<std::string> parts =
+           list_items(value, '/', flag.name);
        if (parts.size() != 2) bad_arg(std::string(flag.name) + " expects I/N");
        RunPlan& plan = line.plan;
        plan.shard_index = parse_u64(parts[0], flag.name);
@@ -728,13 +731,13 @@ inline constexpr RunFlag kRunFlags[] = {
      },
      {}, nullptr, FlagSection::Execution},
     {"--per-client-csv", "PATH",
-     "multi_client driver: companion CSV with one row\n"
+     "companion CSV with one row\n"
      "per (spec, client); shard companions merge like\n"
      "the main document (simctl merge)",
      [](RunLine& line, const RunFlag&, const std::string& value) {
        line.plan.per_client_csv_path = value;
      },
-     kMultiClientOnly, nullptr, FlagSection::Execution},
+     SpecSection::MultiClient, nullptr, FlagSection::Execution},
     {"--threads", "N", "sweep threads (0 = hardware concurrency,\nat most {})",
      [](RunLine& line, const RunFlag& flag, const std::string& value) {
        line.plan.threads = parse_thread_count(value, flag.name);
@@ -749,28 +752,15 @@ inline const RunFlag* find_run_flag(std::string_view name) {
   return nullptr;
 }
 
-// "a or b": the names of the enumerators whose bits `mask` sets.
-template <typename Kind>
-std::string scope_names(unsigned mask) {
-  std::string names;
-  for (unsigned k = 0; mask >> k != 0; ++k) {
-    if ((mask >> k & 1u) == 0) continue;
-    names += (names.empty() ? "" : " or ") +
-             std::string(to_string(static_cast<Kind>(k)));
-  }
-  return names;
-}
-
 inline void check_scope(const RunFlag& flag, const SimSpec& spec) {
   const Scope& scope = flag.scope;
-  if (scope.drivers != 0 && (scope.drivers & bits(spec.driver)) == 0) {
+  if (scope.section && !find_driver(spec.driver).reads(*scope.section)) {
     bad_arg(std::string(flag.name) + " applies to --driver " +
-            scope_names<SimDriverKind>(scope.drivers) + " only");
+            drivers_reading(*scope.section) + " only");
   }
-  if (scope.workloads != 0 &&
-      (scope.workloads & bits(spec.workload.kind)) == 0) {
+  if (scope.workload && spec.workload.kind != *scope.workload) {
     bad_arg(std::string(flag.name) + " applies to --workload " +
-            scope_names<SimWorkloadKind>(scope.workloads) + " only");
+            to_string(*scope.workload) + " only");
   }
 }
 
@@ -882,8 +872,14 @@ inline std::string run_flags_usage() {
       if (flag.section != section) continue;
       std::string label = flag.name;
       if (flag.value) label += std::string(" ") + flag.value;
+      // The scope note names the drivers that read the flag's section,
+      // from the registry.
+      const std::string note =
+          flag.scope.section
+              ? "(" + drivers_reading(*flag.scope.section) + ")"
+              : "";
       if (section == FlagSection::Axis) {
-        if (*flag.help) label += std::string(" ") + flag.help;
+        if (!note.empty()) label += " " + note;
         if (!packed.empty() && packed.size() + 1 + label.size() > kHelpWidth) {
           out += packed + "\n";
           packed.clear();
@@ -891,27 +887,31 @@ inline std::string run_flags_usage() {
         packed += (packed.empty() ? "  " : " ") + label;
         continue;
       }
-      out += "  " + label;
-      if (!*flag.help) {
-        out += "\n";
-        continue;
-      }
-      // The help starts on the label's line when two spaces still fit.
-      out += label.size() + 4 <= kHelpColumn
-                 ? std::string(kHelpColumn - 2 - label.size(), ' ')
-                 : "\n" + std::string(kHelpColumn, ' ');
-      const std::vector<std::string> lines = split(flag.help, '\n');
-      for (std::size_t k = 0; k < lines.size(); ++k) {
-        if (k > 0) out += std::string(kHelpColumn, ' ');
-        std::string text = lines[k];
+      // Every row has help or a note. The help starts on the label's line
+      // when two spaces still fit.
+      const std::string indent(kHelpColumn, ' ');
+      out += "  " + label +
+             (label.size() + 4 <= kHelpColumn
+                  ? std::string(kHelpColumn - 2 - label.size(), ' ')
+                  : "\n" + indent);
+      std::istringstream lines(flag.help);
+      std::string text;
+      for (bool first = true; std::getline(lines, text); first = false) {
+        if (!first) out += "\n" + indent;
         const std::size_t hole = text.find("{}");
         if (hole == std::string::npos) {
           out += text;
         } else {
           append_wrapped(out, text.replace(hole, 2, flag.fill()));
         }
-        out += "\n";
       }
+      // The note ends the help's last line when it fits there.
+      if (!note.empty()) {
+        const std::size_t column = out.size() - out.rfind('\n') - 1;
+        const bool fits = column + 1 + note.size() <= kHelpWidth;
+        out += (!*flag.help ? "" : fits ? " " : "\n" + indent) + note;
+      }
+      out += "\n";
     }
     if (!packed.empty()) out += packed + "\n";
   }

@@ -2,7 +2,8 @@
 # Exit-code gate for `simctl run`: every rejected argument exits 2,
 # whichever parser rejects it, before any worker starts or any sweep is
 # built; a spec the driver rejects once the sweep runs exits 1, and a
-# valid run exits 0.
+# valid run exits 0. An output path that cannot be opened is a rejected
+# argument too.
 # Usage: tools/simctl_exit_check.sh [BUILD_DIR] (default "build").
 set -euo pipefail
 
@@ -48,6 +49,24 @@ expect_exit 2 run --spec "$tmp/truncated.json"
 { printf '%60000s' '' | tr ' ' '['; printf '%60000s' '' | tr ' ' ']'; } \
   > "$tmp/deep.json"
 expect_exit 2 run --spec "$tmp/deep.json"
+# An empty item in a comma list.
+expect_exit 2 run --policies kp,
+# A flag of a spec section the driver does not read (the net section is
+# read by the DES and scenario drivers, not by prefetch_cache).
+expect_exit 2 run --driver prefetch_cache --bandwidth 2
+
+# Output files are opened before the sweep runs: a sweep of 40 points is
+# refused at once, and a multi_client run prints no main CSV before it
+# refuses its per-client path.
+expect_exit 2 run --cache-sizes 1:40:1 --requests 20000 --threads 1 \
+  --csv /nonexistent/dir/x.csv
+expect_exit 2 run --driver multi_client --requests 50 \
+  --per-client-csv /nonexistent/dir/pc.csv
+[[ ! -s "$tmp/out.csv" ]] || {
+  echo "error: simctl printed CSV before refusing --per-client-csv:" >&2
+  cat "$tmp/out.csv" >&2
+  exit 1
+}
 
 # A spec the driver rejects when the sweep runs it.
 expect_exit 1 run --driver scenario --sub lfu --requests 50

@@ -4,6 +4,8 @@
 # additionally self-dropping their connections (SKPD_DROP_EVERY) — must
 # merge to bytes identical to the calm uninterrupted run, which in turn
 # must match the in-process netsim_des goldens on every shared counter.
+# A daemon sweep with faults, retries, link phases and a deadline must
+# match the same netsim_des sweep too, fault and link cells included.
 # Also checks the simctl SIGTERM contract: an interrupted sweep leaves a
 # VALID partial document with a "# interrupted at spec N" trailer, exits
 # non-zero, and the merge refuses the partial.
@@ -68,6 +70,17 @@ args=(run --driver skpd_loopback --seeds 1:3:1 --cache-sizes 10,20
 sed 's/,skpd_loopback,/,netsim_des,/' "$tmp/calm.csv" \
     | diff - "$tmp/golden.csv" \
     || { echo "error: daemon rows diverge from netsim_des goldens" >&2; exit 1; }
+
+# The DES section through the daemon: lossy transfers with retries on a
+# time-varying link, counting deadline hits. Again only the driver column
+# may differ from the in-process rows.
+des=(--seeds 1:2:1 --cache-sizes 10,20 --requests 250 --fail-rate 0.2
+     --retry 3:0.5:2:0.1 --link-phases 100:1:0,40:0.25:2 --deadline 15)
+"$simctl" run --driver netsim_des "${des[@]}" --csv "$tmp/des_golden.csv"
+"$simctl" run --driver skpd_loopback "${des[@]}" --csv "$tmp/des_daemon.csv"
+sed 's/,skpd_loopback,/,netsim_des,/' "$tmp/des_daemon.csv" \
+    | diff - "$tmp/des_golden.csv" \
+    || { echo "error: faulty daemon rows diverge from netsim_des" >&2; exit 1; }
 
 # Chaos shard 0: start, SIGKILL the client mid-sweep, then re-run the
 # shard to completion with forced connection drops layered on top.
@@ -136,6 +149,6 @@ stats_rows="$(($(wc -l < "$tmp/skpd_stats.csv") - 1))"
               "expected >= $preload preloaded idle sessions" >&2; exit 1; }
 
 echo "skpd chaos gate passed: killed+resumed sweep merged byte-identical" \
-     "to the calm run, calm run matches netsim_des goldens, interrupted" \
+     "to the calm run, calm and faulty runs match netsim_des, interrupted" \
      "simctl left a valid trailered partial, daemon held $preload idle" \
      "sessions throughout and drained all $stats_rows with exit 0"
