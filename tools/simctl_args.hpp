@@ -402,9 +402,9 @@ struct RunFlag {
   const char* name;
   const char* value;  // the placeholder; nullptr for a switch
   // Help lines, split at '\n'. A line holding "{}" gets fill()'s text in
-  // its place and is wrapped; the others print as written. A row scoped
-  // to a spec section ends with the drivers that read it. Axis rows print
-  // that note alone.
+  // its place and is wrapped; the others print as written. A scoped row
+  // ends with a note of its scope: the drivers that read its spec
+  // section, or its workload. Axis rows print that note alone.
   const char* help;
   // Reads the value into the line. nullptr for --spec, which simctl
   // expands into flags before the line is parsed.
@@ -637,24 +637,24 @@ inline constexpr RunFlag kRunFlags[] = {
      set_field<parse_u64, &OverloadConfig::budget_items>, SpecSection::Des},
     {"--deadline", "X", "count requests served within X time units",
      set_field<parse_double, &SimSpec::deadline>, SpecSection::Des},
-    {"--method", "M", "iid row: {}",
+    {"--method", "M", "row: {}",
      set_field<read_token<kProbMethodTokens>, &SimWorkload::method>,
      SimWorkloadKind::Iid, token_list<kProbMethodTokens>},
-    {"--skew-exponent", "X", "iid skewy exponent",
+    {"--skew-exponent", "X", "skewy exponent",
      set_field<parse_double, &SimWorkload::skew_exponent>,
      SimWorkloadKind::Iid},
-    {"--zipf-s", "X", "Zipf tail exponent",
+    {"--zipf-s", "X", "tail exponent",
      set_field<parse_double, &SimWorkload::zipf_exponent>,
      SimWorkloadKind::Zipf},
     {"--no-zipf-shuffle", nullptr, "keep item id == popularity rank",
      set_switch<false, &SimWorkload::zipf_shuffle>, SimWorkloadKind::Zipf},
-    {"--drift-period", "N", "markov_drift changepoint period",
+    {"--drift-period", "N", "changepoint period",
      set_field<parse_u64, &SimWorkload::drift_period>,
      SimWorkloadKind::MarkovDrift},
-    {"--adv-hot-set", "N", "adversarial clique size (2 cliques of N items)",
+    {"--adv-hot-set", "N", "clique size (2 cliques of N items)",
      set_field<parse_u64, &SimWorkload::adv_hot_set>,
      SimWorkloadKind::Adversarial},
-    {"--adv-escape", "X", "adversarial clique-escape probability",
+    {"--adv-escape", "X", "clique-escape probability",
      set_field<parse_double, &SimWorkload::adv_escape>,
      SimWorkloadKind::Adversarial},
     {"--out-degree", "LO:HI", "chain out-degree bounds",
@@ -872,12 +872,13 @@ inline std::string run_flags_usage() {
       if (flag.section != section) continue;
       std::string label = flag.name;
       if (flag.value) label += std::string(" ") + flag.value;
-      // The scope note names the drivers that read the flag's section,
-      // from the registry.
+      // The scope note: the drivers that read the flag's section, from
+      // the registry, or the flag's workload.
+      const Scope& scope = flag.scope;
       const std::string note =
-          flag.scope.section
-              ? "(" + drivers_reading(*flag.scope.section) + ")"
-              : "";
+          scope.section    ? "(" + drivers_reading(*scope.section) + ")"
+          : scope.workload ? "(" + std::string(to_string(*scope.workload)) + ")"
+                           : "";
       if (section == FlagSection::Axis) {
         if (!note.empty()) label += " " + note;
         if (!packed.empty() && packed.size() + 1 + label.size() > kHelpWidth) {
