@@ -113,9 +113,13 @@ inline const char* to_string(PlanMode m) {
   return "?";
 }
 
-// A named (bandwidth, latency) point fed to sim/netsim's NetConfig.
+// A named (bandwidth, latency) point fed to sim/netsim's NetConfig. The
+// name is held inline, not by pointer: gtest prints a parameter that has
+// no PrintTo as its bytes, and ctest names each matrix case after them,
+// so an address here would rename every case whenever the test binary
+// loads at another address.
 struct NetProfile {
-  const char* name;
+  char name[8];
   double bandwidth;
   double latency;
 };
