@@ -1,6 +1,6 @@
 // Tests for simctl's shared argument helpers (tools/simctl_args.hpp):
 // the numeric-axis grammar — including the regression for the
-// floating-point endpoint-skip bug — the JSON spec-file lowering, and
+// floating-point endpoint-skip bug — the lines a spec file rejects, and
 // the `simctl run` command line (SimctlRun): the spec each flag yields,
 // repeats and spec-file overrides, the sweep's spec order and shard
 // ownership, and the scope rejections.
@@ -12,6 +12,7 @@
 #include <cctype>
 #include <cstdint>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -197,85 +198,28 @@ TEST(SimctlLinkSchedule, RejectsMalformedPhases) {
                std::invalid_argument);  // non-finite duration
 }
 
-TEST(SimctlSpecFile, LowersBaseAxesAndExecutionMembers) {
-  const auto flags = spec_file_to_flags(R"({
-    "base": {"driver": "netsim_des", "n_items": 24, "min_prob": 0.02,
-             "no_plan_cache": true, "pr": false},
-    "axes": {"predictors": ["oracle", "markov1"], "seeds": "1:3:1",
-             "cache_sizes": [6, 12]},
-    "shard": "0/2",
-    "csv": "out.csv",
-    "threads": 4
-  })");
-  const std::vector<std::string> expected = {
-      "--driver",     "netsim_des",     "--n-items", "24",
-      "--min-prob",   "0.02",           "--no-plan-cache",
-      "--predictors", "oracle,markov1", "--seeds",   "1:3:1",
-      "--cache-sizes", "6,12",          "--shard",   "0/2",
-      "--csv",        "out.csv",        "--threads", "4"};
-  EXPECT_EQ(flags, expected);
-}
-
-TEST(SimctlSpecFile, NumbersKeepLiteralText) {
-  // Seeds above 2^53 must survive without a double round-trip.
-  const auto flags = spec_file_to_flags(
-      R"({"base": {"seed": 18446744073709551615}})");
-  const std::vector<std::string> expected = {"--seed",
-                                             "18446744073709551615"};
-  EXPECT_EQ(flags, expected);
-}
-
-TEST(SimctlSpecFile, LowersHostileWorldMembers) {
-  // The hostile-world spec fields lower to the flags of the same name —
-  // one grammar for files and the command line.
-  const auto flags = spec_file_to_flags(R"({
-    "base": {"driver": "multi_client", "workload": "adversarial",
-             "adv_hot_set": 8, "adv_escape": 0.02, "phase_align": 0.8,
-             "churn_period": 300, "churn_downtime": 50,
-             "link_phases": "200:1:0,50:0.25:2"},
-    "axes": {"client_counts": [2, 3, 4], "link_speedups": [1, 2]}
-  })");
-  const std::vector<std::string> expected = {
-      "--driver",        "multi_client",
-      "--workload",      "adversarial",
-      "--adv-hot-set",   "8",
-      "--adv-escape",    "0.02",
-      "--phase-align",   "0.8",
-      "--churn-period",  "300",
-      "--churn-downtime", "50",
-      "--link-phases",   "200:1:0,50:0.25:2",
-      "--client-counts", "2,3,4",
-      "--link-speedups", "1,2"};
-  EXPECT_EQ(flags, expected);
-}
-
-TEST(SimctlSpecFile, LowersMixedPredictorFleets) {
-  // A per-client predictor list ("inherit" keeps the base choice)
-  // lowers to --client-predictors, which simctl validates against
-  // --clients and installs as multi_client overrides.
-  const auto flags = spec_file_to_flags(R"({
-    "base": {"driver": "multi_client", "clients": 3,
-             "client_predictors": ["ppm", "lz78", "inherit"]}
-  })");
-  const std::vector<std::string> expected = {
-      "--driver",            "multi_client",
-      "--clients",           "3",
-      "--client-predictors", "ppm,lz78,inherit"};
-  EXPECT_EQ(flags, expected);
-}
-
 TEST(SimctlSpecFile, RejectsBadDocuments) {
-  EXPECT_THROW(spec_file_to_flags("[1]"), std::invalid_argument);
-  EXPECT_THROW(spec_file_to_flags(R"({"bogus": {}})"),
-               std::invalid_argument);
-  EXPECT_THROW(spec_file_to_flags(R"({"base": 7})"),
-               std::invalid_argument);
-  EXPECT_THROW(spec_file_to_flags(R"({"axes": {"seeds": []}})"),
-               std::invalid_argument);
-  EXPECT_THROW(spec_file_to_flags(R"({"base": {"requests": {}}})"),
-               std::invalid_argument);
-  EXPECT_THROW(spec_file_to_flags(R"({"shard": 2})"),
-               std::invalid_argument);
+  // Each bad line is named by the file and its line number.
+  const auto rejects = [](const std::string& text, const std::string& at) {
+    std::istringstream in(text);
+    try {
+      read_spec_flags(in, "sweep.flags");
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(std::string(e.what()).starts_with(at)) << e.what();
+    }
+  };
+  // A line that is not a flag, such as an old JSON document's first.
+  rejects("{\"base\": {\"driver\": \"netsim_des\"}}\n", "sweep.flags:1: ");
+  rejects("--driver netsim_des\nn-items 24\n", "sweep.flags:2: ");
+  rejects("  # comment\n\n--bogus 3\n", "sweep.flags:3: ");
+  // A spec file includes no other.
+  rejects("--spec other.flags\n", "sweep.flags:1: ");
+  // A value on a switch, and a flag that takes a value without one:
+  // either would shift every argument after it.
+  rejects("--pr yes\n", "sweep.flags:1: ");
+  rejects("--requests\n--seed 3\n", "sweep.flags:1: ");
+  rejects("--csv   \t\n", "sweep.flags:1: ");
 }
 
 
@@ -652,23 +596,40 @@ TEST(SimctlRun, TheLastRepeatWins) {
 
 TEST(SimctlRun, FlagsAfterASpecFileOverrideIt) {
   // What `simctl run --requests 80 --spec FILE --cache-size 7 --seeds 9`
-  // reads once the file is expanded in place.
+  // reads once the file is expanded in place. Comments and blank lines
+  // are skipped, and a value keeps its inner spaces.
+  std::istringstream file(
+      "# netsim DES, two seeds x two policies\n"
+      "--driver netsim_des\n"
+      "\n"
+      "  --cache-size 5\r\n"
+      "--requests\t50\n"
+      "--seeds 1,2\n"
+      "--policies kp,skp\n"
+      "--no-plan-cache\n"
+      "--csv  out dir/shard 0.csv  \n");
+  const std::vector<std::string> flags = read_spec_flags(file, "sweep.flags");
+  const std::vector<std::string> expected = {
+      "--driver",   "netsim_des", "--cache-size", "5",
+      "--requests", "50",         "--seeds",      "1,2",
+      "--policies", "kp,skp",     "--no-plan-cache",
+      "--csv",      "out dir/shard 0.csv"};
+  EXPECT_EQ(flags, expected);
+
   std::vector<std::string> args = {"--requests", "80"};
-  const std::vector<std::string> lowered = spec_file_to_flags(R"({
-    "base": {"driver": "netsim_des", "cache_size": 5, "requests": 50},
-    "axes": {"seeds": [1, 2], "policies": ["kp", "skp"]}
-  })");
-  args.insert(args.end(), lowered.begin(), lowered.end());
+  args.insert(args.end(), flags.begin(), flags.end());
   args.insert(args.end(), {"--cache-size", "7", "--seeds", "9"});
   const std::optional<RunPlan> plan = parse_run(args);
   ASSERT_TRUE(plan);
   ASSERT_EQ(plan->owned.size(), 2u);
+  EXPECT_EQ(plan->csv_path, "out dir/shard 0.csv");
   for (std::size_t i = 0; i < 2; ++i) {
     SimSpec want;
     want.driver = SimDriverKind::NetsimDes;
     want.requests = 50;
     want.cache_size = 7;
     want.seed = 9;
+    want.use_plan_cache = false;
     want.policy = i == 0 ? PrefetchPolicy::KP : PrefetchPolicy::SKP;
     EXPECT_TRUE(plan->owned[i].second == want) << i;
   }

@@ -13,11 +13,11 @@
 // sim/sweep.hpp, and emits one CSV row per spec. Because every spec is
 // fully determined by its fields — never by which process/thread ran
 // it — `merge` of any shard partition reproduces the single-process
-// document byte for byte; the CI shard check and
-// tools/simctl_shard_check.sh lock that down.
+// document byte for byte; tools/simctl_shard_check.sh (ctest
+// simctl_shard_merge) locks that down.
 //
-// `--spec FILE` reads the same flags from a JSON sweep definition
-// (tools/simctl_args.hpp documents the schema) so cluster runs are a
+// `--spec FILE` reads the same flags from a file, one per line
+// (tools/simctl_args.hpp documents the format), so cluster runs are a
 // committed document, not a hand-assembled flag string; flags after
 // --spec override the file.
 #include <csignal>
@@ -53,7 +53,7 @@ void on_interrupt(int) { g_interrupted = 1; }
   std::ostream& os = exit_code == 0 ? std::cout : std::cerr;
   os << R"(usage:
   simctl run [flags]         execute a spec sweep, emit CSV
-  simctl run --spec FILE     read base/axes/shard from a JSON sweep file
+  simctl run --spec FILE     read run flags from FILE, one per line
                              (later flags override the file)
   simctl merge OUT IN...     merge shard CSVs into the single-run document
                              (rejects duplicate/overlapping spec indices)
@@ -76,8 +76,8 @@ std::string read_file(const std::string& path) {
 }
 
 // Collects argv into strings, expanding each `--spec FILE` in place into
-// the flags its JSON document lowers to — so flags AFTER --spec override
-// the file, and everything funnels through one flag grammar/validator.
+// the flags the file holds — so flags AFTER --spec override the file, and
+// everything funnels through one flag grammar/validator.
 std::vector<std::string> expand_args(int argc, char** argv) {
   std::vector<std::string> out;
   for (int i = 0; i < argc; ++i) {
@@ -85,9 +85,11 @@ std::vector<std::string> expand_args(int argc, char** argv) {
     if (arg == "--spec") {
       if (i + 1 >= argc) fail("--spec needs a file path");
       const std::string path = argv[++i];
-      const std::vector<std::string> lowered =
-          simctl::spec_file_to_flags(read_file(path));
-      out.insert(out.end(), lowered.begin(), lowered.end());
+      std::ifstream in(path);
+      if (!in) fail("cannot read " + path);
+      const std::vector<std::string> flags =
+          simctl::read_spec_flags(in, path);
+      out.insert(out.end(), flags.begin(), flags.end());
     } else {
       out.push_back(arg);
     }
@@ -96,7 +98,7 @@ std::vector<std::string> expand_args(int argc, char** argv) {
 }
 
 // Every rejected argument exits 2 through fail(): parse_run and the
-// spec-file lowering throw std::invalid_argument for each, and so does
+// spec-file reader throw std::invalid_argument for each, and so does
 // an output path that cannot be opened, which is opened before the
 // sweep runs. Once the sweep runs, an exception (a spec the driver
 // rejects) reaches main and exits 1.

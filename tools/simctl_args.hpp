@@ -1,6 +1,6 @@
 // Shared argument-parsing helpers for the simctl CLI, factored out of
-// the binary so the axis grammar, the JSON spec-file lowering and the
-// `simctl run` command line are unit-testable
+// the binary so the axis grammar, the `simctl run` command line and
+// the spec files that save one are unit-testable
 // (tests/test_simctl_args.cpp). Everything throws std::invalid_argument
 // on bad input; simctl turns that into a "simctl: ..." diagnostic and
 // exit 2, like every other usage error.
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <istream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -23,7 +24,6 @@
 #include "sim/fault.hpp"
 #include "sim/link_schedule.hpp"
 #include "sim/runtime.hpp"
-#include "util/json.hpp"
 #include "util/parse_digits.hpp"
 #include "util/thread_pool.hpp"
 
@@ -94,7 +94,7 @@ inline double parse_double(const std::string& value, const char* flag) {
 }
 
 // The most specs one sweep holds, and so the most points of any one
-// axis. The largest committed sweep (tools/specs/nightly_scenario.json)
+// axis. The largest committed sweep (tools/specs/nightly_scenario.flags)
 // has 240 specs.
 inline constexpr std::size_t kMaxSweepSpecs = std::size_t{1} << 16;
 
@@ -233,7 +233,7 @@ inline std::vector<LinkPhase> parse_link_schedule(const std::string& value,
 // up to 3 attempts, re-attempt k waiting 0.5 * 2^(k-1), inflated by up
 // to 10% deterministic jitter (sim/fault.hpp). Omitted fields keep the
 // RetryPolicy defaults; range checks live in validate_fault_spec so the
-// CLI and the JSON path reject the same inputs the runtime would.
+// CLI rejects exactly the inputs the runtime would.
 inline RetryPolicy parse_retry_policy(const std::string& value,
                                       const char* flag) {
   const std::vector<std::string> parts = list_items(value, ':', flag);
@@ -250,104 +250,6 @@ inline RetryPolicy parse_retry_policy(const std::string& value,
   }
   if (parts.size() > 3) policy.jitter = parse_double(parts[3], flag);
   return policy;
-}
-
-// ---- JSON spec files ----------------------------------------------------
-//
-// A sweep definition as a document instead of a hand-assembled flag
-// string:
-//
-//   {
-//     "base":  {"driver": "netsim_des", "n_items": 24, "requests": 300,
-//               "predictor_warmup": 32, "min_prob": 0.02},
-//     "axes":  {"predictors": ["oracle", "markov1"], "seeds": "1:3:1",
-//               "cache_sizes": [6, 12]},
-//     "shard": "0/2",
-//     "csv":   "shard0.csv",
-//     "threads": 4
-//   }
-//
-// Lowering is purely syntactic: every "base" member becomes the
-// single-value flag of the same name (underscores spelled as dashes),
-// every "axes" member the axis flag of the same name, and "shard" /
-// "csv" / "threads" their execution flags. Values keep their literal
-// text (numbers are never round-tripped through double), arrays join
-// with commas, `true` lowers a bare switch (e.g. "pr", "no_plan_cache"),
-// and `false`/`null` omit it. Unknown member names simply lower to
-// unknown flags, which the flag parser then rejects with its usual
-// message — one grammar, one validator. Flags given on the command line
-// AFTER --spec override the file (last assignment wins).
-inline std::vector<std::string> spec_file_to_flags(
-    const std::string& json_text) {
-  const JsonValue doc = JsonValue::parse(json_text);
-  if (doc.kind() != JsonValue::Kind::Object) {
-    bad_arg("--spec: document must be a JSON object");
-  }
-  std::vector<std::string> flags;
-  auto flag_name = [](const std::string& key) {
-    std::string name = "--" + key;
-    for (char& c : name) {
-      if (c == '_') c = '-';
-    }
-    return name;
-  };
-  auto scalar_text = [&](const std::string& key,
-                         const JsonValue& v) -> std::string {
-    switch (v.kind()) {
-      case JsonValue::Kind::String: return v.as_string();
-      case JsonValue::Kind::Number: return v.number_text();
-      default:
-        bad_arg("--spec: member '" + key + "' must be a " +
-                "string or number, got " + JsonValue::kind_name(v.kind()));
-    }
-  };
-  auto lower_member = [&](const std::string& key, const JsonValue& v) {
-    switch (v.kind()) {
-      case JsonValue::Kind::Bool:
-        if (v.as_bool()) flags.push_back(flag_name(key));
-        break;
-      case JsonValue::Kind::Null:
-        break;
-      case JsonValue::Kind::Array: {
-        std::string joined;
-        for (const JsonValue& item : v.items()) {
-          if (!joined.empty()) joined += ',';
-          joined += scalar_text(key, item);
-        }
-        if (joined.empty()) {
-          bad_arg("--spec: member '" + key + "' is an empty array");
-        }
-        flags.push_back(flag_name(key));
-        flags.push_back(joined);
-        break;
-      }
-      default:
-        flags.push_back(flag_name(key));
-        flags.push_back(scalar_text(key, v));
-        break;
-    }
-  };
-
-  for (const auto& [key, value] : doc.members()) {
-    if (key == "base" || key == "axes") {
-      if (value.kind() != JsonValue::Kind::Object) {
-        bad_arg("--spec: '" + key + "' must be a JSON object");
-      }
-      for (const auto& [name, member] : value.members()) {
-        lower_member(name, member);
-      }
-    } else if (key == "shard" || key == "csv") {
-      flags.push_back(flag_name(key));
-      flags.push_back(value.as_string());
-    } else if (key == "threads") {
-      flags.push_back("--threads");
-      flags.push_back(scalar_text(key, value));
-    } else {
-      bad_arg("--spec: unknown top-level member '" + key +
-              "' (expected base | axes | shard | csv | threads)");
-    }
-  }
-  return flags;
 }
 
 // ---- simctl run's flag table ---------------------------------------------
@@ -710,7 +612,7 @@ inline constexpr RunFlag kRunFlags[] = {
      set_axis<parse_numeric_axis, &FaultSpec::fail_rate>, SpecSection::Des,
      nullptr, FlagSection::Axis, 9},
 
-    {"--spec", "FILE", "JSON sweep definition (base/axes/shard/csv/threads)",
+    {"--spec", "FILE", "read run flags from FILE, one per line",
      nullptr, {}, nullptr, FlagSection::Execution},
     {"--shard", "I/N", "run only the specs with index % N == I",
      [](RunLine& line, const RunFlag& flag, const std::string& value) {
@@ -762,6 +664,64 @@ inline void check_scope(const RunFlag& flag, const SimSpec& spec) {
     bad_arg(std::string(flag.name) + " applies to --workload " +
             to_string(*scope.workload) + " only");
   }
+}
+
+// ---- spec files ------------------------------------------------------------
+//
+// A spec file is a `simctl run` command line saved one flag per line, so
+// a sweep can be a committed document instead of a flag string:
+//
+//   # netsim DES across predictors, seeds and cache sizes
+//   --driver netsim_des
+//   --predictors oracle,markov1
+//   --cache-sizes 6,12
+//   --no-plan-cache
+//
+// A line holds `--name` or `--name VALUE`, where VALUE is the rest of the
+// line with its surrounding whitespace trimmed, so a path may hold
+// spaces. Blank lines, and lines whose first non-blank character is `#`,
+// are skipped. simctl expands `--spec FILE` in place, so flags after it
+// on the command line override the file. The values are read by
+// parse_run like any other: one grammar, one validator.
+
+// The flags of the spec file read from `in`, in file order. Throws
+// std::invalid_argument naming `path` and the line for a line that is
+// not a run flag with exactly the value its row takes, or a --spec line
+// (a spec file includes no other).
+inline std::vector<std::string> read_spec_flags(std::istream& in,
+                                                const std::string& path) {
+  constexpr std::string_view kBlank = " \t\r\f\v";
+  const auto trim = [&](std::string_view text) {
+    text.remove_prefix(std::min(text.find_first_not_of(kBlank), text.size()));
+    return text.substr(0, text.find_last_not_of(kBlank) + 1);
+  };
+  std::vector<std::string> flags;
+  std::string text;
+  for (std::size_t number = 1; std::getline(in, text); ++number) {
+    const std::string_view line = trim(text);
+    if (line.empty() || line.front() == '#') continue;
+    const std::string at = path + ":" + std::to_string(number) + ": ";
+    const std::string_view name = line.substr(0, line.find_first_of(kBlank));
+    const std::string_view value = trim(line.substr(name.size()));
+    const RunFlag* flag = find_run_flag(name);
+    if (!name.starts_with("--")) {
+      bad_arg(at + "expected --name or --name VALUE, got '" +
+              std::string(line) + "'");
+    }
+    if (!flag) bad_arg(at + "unknown flag '" + std::string(name) + "'");
+    if (!flag->set) bad_arg(at + "--spec cannot appear in a spec file");
+    if (flag->value && value.empty()) {
+      bad_arg(at + flag->name + " needs a value");
+    }
+    if (!flag->value && !value.empty()) {
+      bad_arg(at + flag->name + " takes no value, got '" +
+              std::string(value) + "'");
+    }
+    flags.emplace_back(name);
+    if (flag->value) flags.emplace_back(value);
+  }
+  if (in.bad()) bad_arg("cannot read " + path);
+  return flags;
 }
 
 // Reads a `simctl run` command line whose --spec files are already

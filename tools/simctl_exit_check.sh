@@ -36,19 +36,39 @@ expect_exit() {
   fi
 }
 
+# Fails the gate unless the last run's diagnostic holds $1.
+expect_message() {
+  grep -qF -- "$1" "$tmp/err.txt" || {
+    echo "error: expected the diagnostic to name '$1', got:" >&2
+    cat "$tmp/err.txt" >&2
+    exit 1
+  }
+}
+
 # An unknown flag (fail()), a thread count past the cap and a seed range
-# past the sweep bound (std::invalid_argument from the parsers), and a
-# spec file that does not parse.
+# past the sweep bound (std::invalid_argument from the parsers).
 expect_exit 2 run --bogus
 expect_exit 2 run --threads 1025
 expect_exit 2 run --seeds 0:18446744073709551615:1
-printf '{"base": {"driver": ' > "$tmp/truncated.json"
-expect_exit 2 run --spec "$tmp/truncated.json"
-# A 120 KB spec file of 60,000 nested arrays: the reader refuses it past
-# its depth bound instead of recursing off the end of the stack.
-{ printf '%60000s' '' | tr ' ' '['; printf '%60000s' '' | tr ' ' ']'; } \
-  > "$tmp/deep.json"
-expect_exit 2 run --spec "$tmp/deep.json"
+# Spec files: a line that is not a flag, a --spec line inside a spec
+# file, a file that cannot be read, and an old JSON spec file. Each
+# diagnostic names the file, and the line where there is one.
+printf -- '--driver netsim_des\n\nrequests 50\n' > "$tmp/bad line.flags"
+expect_exit 2 run --spec "$tmp/bad line.flags"
+expect_message "$tmp/bad line.flags:3: "
+printf -- '# nested\n--spec %s\n' "$tmp/bad line.flags" > "$tmp/nested.flags"
+expect_exit 2 run --spec "$tmp/nested.flags"
+expect_message "$tmp/nested.flags:2: "
+expect_exit 2 run --spec "$tmp/missing.flags"
+expect_message "$tmp/missing.flags"
+cat > "$tmp/old.json" <<'EOF'
+{
+  "base": {"driver": "netsim_des", "n_items": 24, "requests": 300},
+  "axes": {"seeds": "1:3:1", "cache_sizes": [6, 12]}
+}
+EOF
+expect_exit 2 run --spec "$tmp/old.json"
+expect_message "$tmp/old.json:1: "
 # An empty item in a comma list.
 expect_exit 2 run --policies kp,
 # A flag of a spec section the driver does not read (the net section is

@@ -57,22 +57,26 @@ for bad in "$tmp/shard0.csv $tmp/shard0.csv" \
 done
 [[ ! -e "$tmp/never.csv" ]] || { echo "error: merge output created on failure" >&2; exit 1; }
 
-# The same guarantees through a JSON spec file (--spec): a sweep defined
-# as a document, run 2-way sharded across the multi_client DES driver,
-# must merge back to the single-process bytes.
-cat > "$tmp/sweep.json" <<'EOF'
-{
-  "base": {"driver": "multi_client", "n_items": 24, "clients": 3,
-           "requests": 150, "cache_size": 5, "predictor": "markov1",
-           "predictor_warmup": 16, "min_prob": 0.02},
-  "axes": {"seeds": "1:2:1", "cache_sizes": [5, 8]}
-}
+# The same guarantees through a spec file (--spec): a sweep saved as
+# flags, one per line, run 2-way sharded across the multi_client DES
+# driver, must merge back to the single-process bytes.
+cat > "$tmp/sweep.flags" <<'EOF'
+--driver multi_client
+--n-items 24
+--clients 3
+--requests 150
+--cache-size 5
+--predictor markov1
+--predictor-warmup 16
+--min-prob 0.02
+--seeds 1:2:1
+--cache-sizes 5,8
 EOF
-"$bin" run --spec "$tmp/sweep.json" --csv "$tmp/spec_single.csv" \
+"$bin" run --spec "$tmp/sweep.flags" --csv "$tmp/spec_single.csv" \
     --per-client-csv "$tmp/pc_single.csv"
-"$bin" run --spec "$tmp/sweep.json" --shard 0/2 --csv "$tmp/spec0.csv" \
+"$bin" run --spec "$tmp/sweep.flags" --shard 0/2 --csv "$tmp/spec0.csv" \
     --per-client-csv "$tmp/pc0.csv" 2>/dev/null
-"$bin" run --spec "$tmp/sweep.json" --shard 1/2 --csv "$tmp/spec1.csv" \
+"$bin" run --spec "$tmp/sweep.flags" --shard 1/2 --csv "$tmp/spec1.csv" \
     --per-client-csv "$tmp/pc1.csv" 2>/dev/null
 "$bin" merge "$tmp/spec_merged.csv" "$tmp/spec0.csv" "$tmp/spec1.csv"
 diff "$tmp/spec_single.csv" "$tmp/spec_merged.csv"
@@ -83,8 +87,19 @@ diff "$tmp/spec_single.csv" "$tmp/spec_merged.csv"
 "$bin" merge "$tmp/pc_merged.csv" "$tmp/pc1.csv" "$tmp/pc0.csv"
 diff "$tmp/pc_single.csv" "$tmp/pc_merged.csv"
 
+# The committed netsim DES spec file, across predictors and seeds, so
+# nondeterminism in the event-driven path cannot hide behind the
+# Monte-Carlo sweep above.
+spec="$(dirname "${BASH_SOURCE[0]}")/specs/ci_netsim_shard.flags"
+"$bin" run --spec "$spec" --csv "$tmp/des_single.csv"
+"$bin" run --spec "$spec" --shard 0/2 --csv "$tmp/des0.csv" 2>/dev/null
+"$bin" run --spec "$spec" --shard 1/2 --csv "$tmp/des1.csv" 2>/dev/null
+"$bin" merge "$tmp/des_merged.csv" "$tmp/des0.csv" "$tmp/des1.csv"
+diff "$tmp/des_single.csv" "$tmp/des_merged.csv"
+
+rows() { echo $(($(wc -l < "$1") - 1)); }
 echo "simctl shard merge is byte-identical to the single-process run" \
-     "($(($(wc -l < "$tmp/single.csv") - 1)) flag specs, 2-way and 3-way" \
-     "splits; $(($(wc -l < "$tmp/spec_single.csv") - 1)) spec-file specs," \
-     "2-way split, plus $(($(wc -l < "$tmp/pc_single.csv") - 1)) per-client" \
-     "companion rows; overlapping inputs rejected)"
+     "($(rows "$tmp/single.csv") flag specs, 2-way and 3-way splits;" \
+     "$(rows "$tmp/spec_single.csv") + $(rows "$tmp/des_single.csv")" \
+     "spec-file specs, 2-way splits, plus $(rows "$tmp/pc_single.csv")" \
+     "per-client companion rows; overlapping inputs rejected)"
