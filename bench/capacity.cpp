@@ -31,6 +31,7 @@
 #include <iostream>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,7 @@
 #include "sim/netsim_stepper.hpp"
 #include "sim/runtime.hpp"
 #include "sim/skpd_session.hpp"
+#include "util/parse_digits.hpp"
 
 namespace {
 
@@ -151,6 +153,22 @@ void write_json(std::ostream& out, const std::vector<Row>& rows) {
   out << " ]\n}\n";
 }
 
+// The most sessions one run measures: --full's count. A larger count is
+// refused before any pool is reserved.
+constexpr std::size_t kMaxSessions = 4096;
+
+// A count flag's value, digits only (util/parse_digits.hpp): "-1" is
+// refused instead of wrapping to 2^64 - 1. Exits 2 on anything else.
+std::size_t parse_count(const char* flag, const char* text) {
+  const std::optional<std::uint64_t> v = skp::parse_digits_u64(text);
+  if (!v) {
+    std::cerr << flag << " expects an unsigned integer, got '" << text
+              << "'\n";
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(*v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -160,13 +178,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--full") {
-      sessions = 4096;
+      sessions = kMaxSessions;
     } else if (a == "--sessions" && i + 1 < argc) {
-      sessions = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
+      sessions = parse_count("--sessions", argv[++i]);
     } else if (a == "--steps" && i + 1 < argc) {
-      active_steps = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
+      active_steps = parse_count("--steps", argv[++i]);
     } else if (a == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (a == "--help" || a == "-h") {
@@ -179,8 +195,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (sessions == 0) {
-    std::cerr << "--sessions must be > 0\n";
+  if (sessions == 0 || sessions > kMaxSessions) {
+    std::cerr << "--sessions must be in [1, " << kMaxSessions << "]\n";
     return 2;
   }
 
