@@ -76,17 +76,6 @@ void PlanCache::maybe_grow_table() {
   }
 }
 
-std::size_t PlanCache::footprint_bytes() const noexcept {
-  std::size_t total = nodes_.capacity() * sizeof(Node) +
-                      table_.capacity() * sizeof(std::uint32_t) +
-                      door_.capacity() * sizeof(std::uint64_t);
-  for (const Node& n : nodes_) {
-    total += n.plan.fetch.capacity() * sizeof(ItemId) +
-             n.plan.evict.capacity() * sizeof(ItemId);
-  }
-  return total;
-}
-
 void PlanCache::unlink(std::uint32_t idx) noexcept {
   Node& n = nodes_[idx];
   if (n.prev != kNil) nodes_[n.prev].next = n.next; else head_ = n.next;

@@ -131,11 +131,6 @@ class PlanCache {
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const noexcept { return nodes_.size(); }
   const PlanCacheStats& stats() const noexcept { return stats_; }
-  // Heap bytes currently held (node pool + probe table + doorkeeper +
-  // stored plan payloads) — the capacity bench's bytes/session input. An
-  // idle session pays only the 16-slot starter table; the structures
-  // grow lazily with actual use.
-  std::size_t footprint_bytes() const noexcept;
 
   // Current generation; entries are only reachable under the generation
   // they were inserted at. Bump whenever planning context outside the
@@ -230,14 +225,6 @@ class CanonicalOrderTable {
 
   std::size_t n_states() const noexcept { return entries_.size(); }
   std::uint64_t generation() const noexcept { return generation_; }
-  // Heap bytes behind the table (capacity bench).
-  std::size_t footprint_bytes() const noexcept {
-    return entries_.capacity() * sizeof(Entry) +
-           order_pool_.footprint_bytes() + suffix_pool_.footprint_bytes() +
-           stage_.capacity() * sizeof(ItemId) +
-           built_.capacity() * sizeof(ItemId) +
-           keys_.capacity() * sizeof(CanonKey);
-  }
 
   // Marks every row stale; rows rebuild lazily on next access. The
   // invalidation hook for rows that change under a state key (a drift

@@ -66,13 +66,6 @@ class Lz78Predictor final : public Predictor {
   std::size_t node_count() const noexcept { return nodes_.size(); }
   std::size_t phrase_count() const noexcept { return phrases_; }
   std::size_t current_depth() const noexcept { return depth_; }
-  // Heap bytes behind the trie (capacity bench).
-  std::size_t footprint_bytes() const noexcept {
-    return nodes_.capacity() * sizeof(Node) + edges_.footprint_bytes() +
-           root_count_.capacity() * sizeof(Count) +
-           root_child_.capacity() * sizeof(std::uint32_t) +
-           marginal_.capacity() * sizeof(Count);
-  }
 
  private:
   static constexpr std::uint32_t kNull = PoolArena<int>::kNull;

@@ -53,14 +53,6 @@ class PpmPredictor final : public Predictor {
   void reset() override;
 
   std::size_t order() const noexcept { return order_; }
-  // Heap bytes behind the context tables (capacity bench).
-  std::size_t footprint_bytes() const noexcept {
-    std::size_t total = contexts_.footprint_bytes() +
-                        edges_.footprint_bytes() +
-                        marginal_.capacity() * sizeof(Count);
-    for (const Key64Map& t : tables_) total += t.footprint_bytes();
-    return total;
-  }
 
  private:
   static constexpr std::uint32_t kNull = PoolArena<int>::kNull;

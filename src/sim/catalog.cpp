@@ -121,15 +121,4 @@ std::size_t SharedCatalog::interned_groups() {
   return live;
 }
 
-std::size_t SharedCatalog::footprint_bytes() const noexcept {
-  std::size_t total = sizeof(SharedCatalog);
-  total += client_->footprint_bytes();
-  if (chain_) total += chain_->footprint_bytes();
-  if (mat_) {
-    total += mat_->cycles.capacity() * sizeof(TraceRecord) +
-             mat_->retrieval_times.capacity() * sizeof(double);
-  }
-  return total;
-}
-
 }  // namespace skp

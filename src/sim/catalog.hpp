@@ -97,9 +97,6 @@ class SharedCatalog {
     return *mat_;
   }
 
-  // Heap bytes of the shared state — what N sessions now pay for once.
-  std::size_t footprint_bytes() const noexcept;
-
  private:
   SharedCatalog() = default;
 

@@ -75,9 +75,6 @@ struct SharedClientCatalog {
   std::vector<double> r;
 
   std::size_t n() const noexcept { return server.n(); }
-  std::size_t footprint_bytes() const noexcept {
-    return (server.sizes.capacity() + r.capacity()) * sizeof(double);
-  }
 };
 
 // One client session driving the DES. The caller supplies, per user cycle,

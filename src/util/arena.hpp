@@ -114,10 +114,6 @@ class Key64Map {
     size_ = 0;
   }
 
-  std::size_t footprint_bytes() const noexcept {
-    return slots_.capacity() * sizeof(Slot);
-  }
-
  private:
   struct Slot {
     std::uint64_t key = 0;
@@ -171,12 +167,6 @@ class StablePool {
     T* out = chunks_.back().data.get() + used_;
     used_ += n;
     return out;
-  }
-
-  std::size_t footprint_bytes() const noexcept {
-    std::size_t total = 0;
-    for (const Chunk& c : chunks_) total += c.size * sizeof(T);
-    return total;
   }
 
  private:

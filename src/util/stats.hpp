@@ -69,7 +69,6 @@ class BinnedMeans {
   void merge(const BinnedMeans& other);
   std::int64_t lo() const noexcept { return lo_; }
   std::int64_t hi() const noexcept { return hi_; }
-  std::size_t bin_count() const noexcept { return bins_.size(); }
   const OnlineStats& bin(std::int64_t x) const;
 
   // (x, mean) series over non-empty bins.

@@ -49,7 +49,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -88,7 +87,6 @@ struct Options {
   // until drain, which is exactly the 100k-idle-session posture the
   // capacity work gates on.
   std::size_t preload_sessions = 0;
-  std::string preload_spec;               // encoded spec file ("" = builtin)
 };
 
 void usage(std::FILE* out) {
@@ -97,7 +95,7 @@ void usage(std::FILE* out) {
                "            [--session-linger=SEC] [--write-queue-soft=BYTES]\n"
                "            [--write-queue-hard=BYTES] [--drain-timeout=SEC]\n"
                "            [--sndbuf=BYTES] [--stats-csv=PATH]\n"
-               "            [--preload-sessions=N] [--preload-spec=FILE]\n"
+               "            [--preload-sessions=N]\n"
                "\n"
                "Serves netsim_des sessions over loopback TCP (see\n"
                "src/sim/skpd_protocol.hpp for the wire contract). Prints\n"
@@ -161,8 +159,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
       opt.stats_csv = v;
     } else if (parse_flag(arg, "--preload-sessions", &v)) {
       ok = parse_count(v, &opt.preload_sessions);
-    } else if (parse_flag(arg, "--preload-spec", &v)) {
-      opt.preload_spec = v;
     } else {
       std::fprintf(stderr, "skpd: unknown argument '%s'\n", arg.c_str());
       return std::nullopt;
@@ -249,10 +245,10 @@ class Daemon {
     va_end(ap);
   }
 
-  // The built-in preload spec: a small oracle netsim_des group, sized so
-  // an idle session is a few KB (n=25 catalog, lazy plan caches) while
-  // still exercising the full decision path if a client ever drove it.
-  static skp::SimSpec default_preload_spec() {
+  // The preload spec: a small oracle netsim_des group, sized so an idle
+  // session is a few KB (n=25 catalog, lazy plan caches) while still
+  // exercising the full decision path if a client ever drove it.
+  static skp::SimSpec preload_spec() {
     skp::SimSpec spec;
     spec.driver = skp::SimDriverKind::NetsimDes;
     spec.workload.kind = skp::SimWorkloadKind::Markov;
@@ -267,20 +263,8 @@ class Daemon {
 
   bool preload_sessions() {
     if (opt_.preload_sessions == 0) return true;
-    skp::SimSpec spec;
+    const skp::SimSpec spec = preload_spec();
     try {
-      if (!opt_.preload_spec.empty()) {
-        std::ifstream in(opt_.preload_spec);
-        if (!in) {
-          log("cannot read preload spec '%s'", opt_.preload_spec.c_str());
-          return false;
-        }
-        std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
-        spec = skp::decode_sim_spec(text);
-      } else {
-        spec = default_preload_spec();
-      }
       // One catalog acquire for the whole batch: every preloaded session
       // references the same grounding (sizes, r, master chain).
       const std::shared_ptr<const skp::SharedCatalog> catalog =
