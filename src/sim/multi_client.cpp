@@ -26,7 +26,8 @@ struct Client {
   std::vector<TraceRecord> cycles;       // learned drive script
   // The planning row: the predictor's filtered row, or an oracle
   // client's scattered chain row (+0.0 off the row of `state` between
-  // cycles; each cycle clears its row after planning).
+  // cycles; each planning cycle clears its row after planning, and a
+  // prefix cycle clears the row a demand victim left).
   std::vector<double> P;
   std::vector<ItemId> support;           // learned row's nonzero entries
   std::optional<ResidentSet<SlotCache>> book;
@@ -219,38 +220,47 @@ SimResult run_multi_client(const SimSpec& spec) {
     const double t0 = clock.now();
 
     // Plan against cl.P and its support: a learned client replays its
-    // scripted cycle on the predictor's row (zeros and an empty support
-    // during the observe-only warmup prefix, so the planner fetches
-    // nothing without scanning the catalog); an oracle client scatters
+    // scripted cycle on the predictor's row; an oracle client scatters
     // its state's ground-truth row, then samples the next request.
     // Degrading only zeroes entries, so the support still covers P.
+    // During the observe-only predictor_warmup prefix every client plans
+    // against the zero row with an empty support, so the planner fetches
+    // nothing without scanning the catalog; an oracle client also passes
+    // no memo key and, under Perfect, no next item (netsim_des's prefix).
+    const bool planning = cl.served >= spec.predictor_warmup;
     double v = 0.0;
     ItemId next = 0;
     std::span<const ItemId> support;
+    std::optional<ItemId> oracle;
     if (cl.predictor) {
       const TraceRecord& rec = cl.cycles[cl.served];
       v = blend(rec.viewing_time, cl.served);
       next = rec.item;
-      if (cl.served >= spec.predictor_warmup) {
+      if (planning) {
         cl.predictor->predict_filtered_into(spec.predictor_min_prob, cl.P,
                                             cl.support);
         overload.degrade_row(cl.P);
       }
       support = cl.support;
+      if (spec.policy == PrefetchPolicy::Perfect) oracle = next;
     } else {
       v = blend(cl.chain->viewing_time(cl.state), cl.served);
-      cl.chain->scatter_row(cl.state, cl.P);
-      support = cl.chain->successors(cl.state);
-      overload.degrade_row(cl.P);
+      if (planning) {
+        cl.chain->scatter_row(cl.state, cl.P);
+        support = cl.chain->successors(cl.state);
+        overload.degrade_row(cl.P);
+      } else {
+        // The last demand victim may have left this state's row.
+        cl.chain->clear_row(cl.state, cl.P);
+      }
       next = static_cast<ItemId>(cl.chain->sample_from(cl.state, cl.walk));
+      if (planning && spec.policy == PrefetchPolicy::Perfect) oracle = next;
     }
-    std::optional<ItemId> oracle;
-    if (spec.policy == PrefetchPolicy::Perfect) oracle = next;
-    engine.plan_with_cache_cached(InstanceView(cl.P, r, v), cl.book->cache(),
-                                  &cl.book->freq(), cl.memo.memo(cl.state),
-                                  cl.scratch, cl.plan, oracle, support,
-                                  cl.book->eviction_order());
-    if (cl.chain) cl.chain->clear_row(cl.state, cl.P);
+    engine.plan_with_cache_cached(
+        InstanceView(cl.P, r, v), cl.book->cache(), &cl.book->freq(),
+        planning ? cl.memo.memo(cl.state) : PlanMemo{}, cl.scratch, cl.plan,
+        oracle, support, cl.book->eviction_order());
+    if (cl.chain && planning) cl.chain->clear_row(cl.state, cl.P);
     if (!cl.plan.fetch.empty()) ++plans_fired;
     cl.book->execute(cl.plan, &cl.metrics, [&](ItemId f) {
       const std::optional<double> done =
@@ -272,7 +282,8 @@ SimResult run_multi_client(const SimSpec& spec) {
         // victim is chosen under the next state's oracle row, or for a
         // learned client under the row in force this cycle (its
         // chainless analogue). The oracle row stays scattered: it is the
-        // next cycle's planning row, which that cycle clears.
+        // next cycle's planning row, which that cycle clears, or which a
+        // prefix cycle clears before it plans against no row.
         me.book->admit_demand(next, &me.metrics, [&] {
           if (me.predictor) return InstanceView(me.P, r, v);
           const auto s = static_cast<std::size_t>(next);

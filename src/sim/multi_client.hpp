@@ -23,10 +23,14 @@
 // shifts another's trajectory. Clients come in two drive modes:
 //  * oracle  — walks its own Markov chain and plans against the chain's
 //    ground-truth rows, with per-client plan memoization
-//    (core/plan_cache.hpp);
+//    (core/plan_cache.hpp), after a predictor_warmup prefix that plans
+//    against no row: no scatter, an empty support, no memo key (the
+//    netsim_des oracle semantics). Its demand victims are chosen under
+//    the next state's row, in the prefix too;
 //  * learned — replays its materialized workload and plans against its
 //    own online predictor's rows, after an observe-only
-//    predictor_warmup prefix (the netsim_des learned semantics). It
+//    predictor_warmup prefix (the netsim_des learned semantics). Its
+//    demand victims are chosen under the row in force that cycle. It
 //    builds no memo tier: the predictor's state changes on every
 //    observation, so no context key holds.
 //

@@ -312,10 +312,10 @@ const PinRow kPins[] = {
     {"multi_oracle_none", 269, 221, 3730, 2802, 6025, 82.754583333333358, 54977.5, 0.9976681305121039, 0, 0, "400:93:62 400:90:96 400:86:63"},
     {"multi_oracle_lfu", 313, 204, 3755, 2886, 5909, 82.327916666666653, 54852.5, 0.9967654300796831, 0, 0, "400:110:60 400:103:84 400:100:60"},
     {"multi_oracle_ds", 285, 198, 3931, 3015, 5885, 78.881249999999994, 53568.5, 0.99577106104543089, 0, 0, "400:100:56 400:99:80 400:86:62"},
-    {"multi_mixed_churn", 248, 716, 3843, 3362, 317247, 56.970833333333296, 50796.5, 0.92321183537344498, 355, 0, "400:54:329 400:59:321 400:135:66"},
+    {"multi_mixed_churn", 217, 742, 3865, 3418, 298407, 57.724166666666633, 50432.5, 0.92000729693984584, 362, 0, "400:56:331 400:50:330 400:111:81"},
     {"multi_lfu_faulty_overload", 416, 673, 731, 431, 1050, 24.582916666666666, 20029, 0.61522630584693827, 0, 0, "400:152:210 400:141:230 400:123:233"},
     {"multi_herd_phases", 439, 168, 3946, 2966, 6510, 29.289583333333336, 56321, 0.98045349098256385, 0, 472, "400:159:47 400:138:64 400:142:57"},
-    {"multi_overrides", 434, 463, 3783, 3261, 207187, 45.071794871794872, 43074, 0.99173439550572151, 152, 445, "250:124:121 520:250:61 400:60:281"},
+    {"multi_overrides", 438, 478, 3706, 3211, 206441, 44.295726495726505, 42366, 0.98241139027698876, 149, 444, "250:126:121 520:243:71 400:69:286"},
     {"session_ds_dense", 667, 587, 1689, 1087, 3848, 8.063499999999987, 27662, 0, 0, 0, ""},
     {"netsim_chain_lfu_c25", 1085, 400, 5843, 5122, 23400, 4.6923333333333295, 87707.5, 0.95899734849520268, 0, 0, ""},
     {"netsim_chain_lfu_c75", 1446, 52, 3556, 3260, 5411, 0.64933333333333287, 54148, 0.63410349794479637, 0, 0, ""},

@@ -197,6 +197,49 @@ TEST(MultiClient, PlanCacheOnOffBitIdentical) {
   EXPECT_EQ(b.plan_cache.selections.lookups(), 0u);
 }
 
+TEST(MultiClient, OracleWarmupPrefixPlansAgainstNoRow) {
+  // Through its predictor_warmup prefix an oracle client plans against
+  // no row, as a netsim_des session does. A prefix covering every request
+  // leaves an SKP fleet exactly where policy none leaves it, client for
+  // client, whether or not none's own cycles plan: demand victims still
+  // read the next state's row, and a prefix cycle clears the row a
+  // victim left before the next victim reads P. Churn restarts clients
+  // mid-prefix.
+  SimSpec skp = quick(3);
+  skp.multi_client.churn_period = 1500.0;
+  skp.multi_client.churn_downtime = 100.0;
+  skp.predictor_warmup = skp.requests;
+  const SimResult a = run_sim(skp);
+  EXPECT_GT(a.churn_events, 0u);
+  for (const std::size_t warmup : {skp.requests, std::size_t{0}}) {
+    SimSpec none = skp;
+    none.policy = PrefetchPolicy::None;
+    none.predictor_warmup = warmup;
+    const SimResult b = run_sim(none);
+    ASSERT_EQ(a.per_client.size(), b.per_client.size());
+    for (std::size_t c = 0; c < a.per_client.size(); ++c) {
+      const SimMetrics& x = a.per_client[c];
+      const SimMetrics& y = b.per_client[c];
+      EXPECT_EQ(x.requests, y.requests) << c;
+      EXPECT_EQ(x.hits, y.hits) << c;
+      EXPECT_EQ(x.demand_fetches, y.demand_fetches) << c;
+      EXPECT_EQ(x.prefetch_fetches, y.prefetch_fetches) << c;
+      EXPECT_EQ(x.wasted_prefetches, y.wasted_prefetches) << c;
+      EXPECT_EQ(x.network_time, y.network_time) << c;
+      EXPECT_EQ(x.solver_nodes, y.solver_nodes) << c;
+      EXPECT_EQ(x.access_time.mean(), y.access_time.mean()) << c;
+      EXPECT_EQ(x.access_time.m2(), y.access_time.m2()) << c;
+      EXPECT_EQ(x.access_time.max(), y.access_time.max()) << c;
+    }
+    EXPECT_EQ(a.plans, b.plans);
+    EXPECT_EQ(a.churn_events, b.churn_events);
+    EXPECT_EQ(a.link_utilization, b.link_utilization);
+    EXPECT_EQ(a.plan_cache.plans.lookups(), b.plan_cache.plans.lookups());
+    EXPECT_EQ(a.plan_cache.selections.lookups(),
+              b.plan_cache.selections.lookups());
+  }
+}
+
 // ---- Hostile worlds -----------------------------------------------------
 
 TEST(MultiClientHostile, ChurnStillServesEveryQuota) {
