@@ -703,11 +703,11 @@ inline std::vector<std::string> read_spec_flags(std::istream& in,
     const std::string at = path + ":" + std::to_string(number) + ": ";
     const std::string_view name = line.substr(0, line.find_first_of(kBlank));
     const std::string_view value = trim(line.substr(name.size()));
-    const RunFlag* flag = find_run_flag(name);
     if (!name.starts_with("--")) {
       bad_arg(at + "expected --name or --name VALUE, got '" +
               std::string(line) + "'");
     }
+    const RunFlag* flag = find_run_flag(name);
     if (!flag) bad_arg(at + "unknown flag '" + std::string(name) + "'");
     if (!flag->set) bad_arg(at + "--spec cannot appear in a spec file");
     if (flag->value && value.empty()) {
