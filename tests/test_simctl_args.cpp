@@ -220,6 +220,11 @@ TEST(SimctlSpecFile, RejectsBadDocuments) {
   rejects("--pr yes\n", "sweep.flags:1: ");
   rejects("--requests\n--seed 3\n", "sweep.flags:1: ");
   rejects("--csv   \t\n", "sweep.flags:1: ");
+  // A file past kMaxSpecFileBytes, such as an endless device, is refused
+  // once that many bytes are read.
+  rejects(std::string(kMaxSpecFileBytes + 1, '\n'), "sweep.flags: longer");
+  std::istringstream at_bound(std::string(kMaxSpecFileBytes, '\n'));
+  EXPECT_TRUE(read_spec_flags(at_bound, "sweep.flags").empty());
 }
 
 

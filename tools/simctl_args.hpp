@@ -684,21 +684,37 @@ inline void check_scope(const RunFlag& flag, const SimSpec& spec) {
 // on the command line override the file. The values are read by
 // parse_run like any other: one grammar, one validator.
 
+// The longest spec file read, in bytes. A committed sweep takes a few
+// hundred; an endless input such as /dev/zero is refused instead of
+// being read until memory runs out.
+inline constexpr std::size_t kMaxSpecFileBytes = std::size_t{1} << 20;
+
 // The flags of the spec file read from `in`, in file order. Throws
 // std::invalid_argument naming `path` and the line for a line that is
 // not a run flag with exactly the value its row takes, or a --spec line
-// (a spec file includes no other).
+// (a spec file includes no other); and naming `path` for a file that
+// cannot be read or passes kMaxSpecFileBytes.
 inline std::vector<std::string> read_spec_flags(std::istream& in,
                                                 const std::string& path) {
+  std::string text(kMaxSpecFileBytes + 1, '\0');
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  if (in.bad()) bad_arg("cannot read " + path);
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  if (text.size() > kMaxSpecFileBytes) {
+    bad_arg(path + ": longer than " + std::to_string(kMaxSpecFileBytes) +
+            " bytes");
+  }
   constexpr std::string_view kBlank = " \t\r\f\v";
-  const auto trim = [&](std::string_view text) {
-    text.remove_prefix(std::min(text.find_first_not_of(kBlank), text.size()));
-    return text.substr(0, text.find_last_not_of(kBlank) + 1);
+  const auto trim = [&](std::string_view part) {
+    part.remove_prefix(std::min(part.find_first_not_of(kBlank), part.size()));
+    return part.substr(0, part.find_last_not_of(kBlank) + 1);
   };
   std::vector<std::string> flags;
-  std::string text;
-  for (std::size_t number = 1; std::getline(in, text); ++number) {
-    const std::string_view line = trim(text);
+  std::string_view rest = text;
+  for (std::size_t number = 1; !rest.empty(); ++number) {
+    const std::size_t end = std::min(rest.find('\n'), rest.size());
+    const std::string_view line = trim(rest.substr(0, end));
+    rest.remove_prefix(std::min(end + 1, rest.size()));
     if (line.empty() || line.front() == '#') continue;
     const std::string at = path + ":" + std::to_string(number) + ": ";
     const std::string_view name = line.substr(0, line.find_first_of(kBlank));
@@ -720,7 +736,6 @@ inline std::vector<std::string> read_spec_flags(std::istream& in,
     flags.emplace_back(name);
     if (flag->value) flags.emplace_back(value);
   }
-  if (in.bad()) bad_arg("cannot read " + path);
   return flags;
 }
 

@@ -51,8 +51,9 @@ expect_exit 2 run --bogus
 expect_exit 2 run --threads 1025
 expect_exit 2 run --seeds 0:18446744073709551615:1
 # Spec files: a line that is not a flag, a --spec line inside a spec
-# file, a file that cannot be read, and an old JSON spec file. Each
-# diagnostic names the file, and the line where there is one.
+# file, a file that cannot be read (missing, or a directory), and an old
+# JSON spec file. Each diagnostic names the file, and the line where
+# there is one.
 printf -- '--driver netsim_des\n\nrequests 50\n' > "$tmp/bad line.flags"
 expect_exit 2 run --spec "$tmp/bad line.flags"
 expect_message "$tmp/bad line.flags:3: "
@@ -61,6 +62,8 @@ expect_exit 2 run --spec "$tmp/nested.flags"
 expect_message "$tmp/nested.flags:2: "
 expect_exit 2 run --spec "$tmp/missing.flags"
 expect_message "$tmp/missing.flags"
+expect_exit 2 run --spec "$tmp"
+expect_message "cannot read $tmp"
 cat > "$tmp/old.json" <<'EOF'
 {
   "base": {"driver": "netsim_des", "n_items": 24, "requests": 300},
