@@ -225,6 +225,11 @@ TEST(SimctlSpecFile, RejectsBadDocuments) {
   rejects(std::string(kMaxSpecFileBytes + 1, '\n'), "sweep.flags: longer");
   std::istringstream at_bound(std::string(kMaxSpecFileBytes, '\n'));
   EXPECT_TRUE(read_spec_flags(at_bound, "sweep.flags").empty());
+  // A stream that failed to open is no file, not an empty one.
+  std::istringstream unopened("--driver netsim_des\n");
+  unopened.setstate(std::ios::failbit);
+  EXPECT_THROW(read_spec_flags(unopened, "sweep.flags"),
+               std::invalid_argument);
 }
 
 

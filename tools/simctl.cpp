@@ -86,7 +86,6 @@ std::vector<std::string> expand_args(int argc, char** argv) {
       if (i + 1 >= argc) fail("--spec needs a file path");
       const std::string path = argv[++i];
       std::ifstream in(path);
-      if (!in) fail("cannot read " + path);
       const std::vector<std::string> flags =
           simctl::read_spec_flags(in, path);
       out.insert(out.end(), flags.begin(), flags.end());

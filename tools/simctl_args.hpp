@@ -697,8 +697,10 @@ inline constexpr std::size_t kMaxSpecFileBytes = std::size_t{1} << 20;
 inline std::vector<std::string> read_spec_flags(std::istream& in,
                                                 const std::string& path) {
   std::string text(kMaxSpecFileBytes + 1, '\0');
+  // A stream that failed to open, or failed mid-read, fails without
+  // reaching the end; a short file just reaches it.
   in.read(text.data(), static_cast<std::streamsize>(text.size()));
-  if (in.bad()) bad_arg("cannot read " + path);
+  if (!in && !in.eof()) bad_arg("cannot read " + path);
   text.resize(static_cast<std::size_t>(in.gcount()));
   if (text.size() > kMaxSpecFileBytes) {
     bad_arg(path + ": longer than " + std::to_string(kMaxSpecFileBytes) +
